@@ -94,7 +94,7 @@ func runBitIdentity(t *testing.T, f *testFixture, newModel func() *nn.Model) {
 	mb := probe.Sample(f.seeds[:16])
 	refSt := ref.Model.ForwardGathered(mb, tensor.FS(f.feats), mb.Layer1().Src)
 
-	for _, k := range []strategy.Kind{strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP} {
+	for _, k := range []strategy.Kind{strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP, strategy.Hybrid} {
 		for _, pipelined := range []bool{false, true} {
 			mode := "sync"
 			if pipelined {
@@ -123,7 +123,7 @@ func runBitIdentity(t *testing.T, f *testFixture, newModel func() *nn.Model) {
 	}
 }
 
-// TestBitIdenticalToReferenceSAGE: GDP/NFP/SNP/DNP, synchronous and
+// TestBitIdenticalToReferenceSAGE: every strategy, synchronous and
 // pipelined, train a GraphSAGE model bit-identically to the sequential
 // reference on one device.
 func TestBitIdenticalToReferenceSAGE(t *testing.T) {
@@ -141,4 +141,12 @@ func TestBitIdenticalToReferenceGAT(t *testing.T) {
 	runBitIdentity(t, f, func() *nn.Model {
 		return nn.NewGAT(f.dim, 4, 2, f.classes, 2)
 	})
+}
+
+// TestBitIdenticalToReferenceGCN runs the same check on a layer the
+// engine has never heard of (gcn_test.go): its only contact with the
+// strategies is the nn.SplitLayer interface.
+func TestBitIdenticalToReferenceGCN(t *testing.T) {
+	f := newFixture(t, 1, 160)
+	runBitIdentity(t, f, func() *nn.Model { return newGCN(f.dim, 8, f.classes) })
 }

@@ -24,32 +24,12 @@ func (w *worker) chargeSparse(f float64) {
 	w.dev.Charge(device.StageTrain, w.eng.cfg.Platform.SparseTime(f))
 }
 
-// layerFLOPs returns the (dense, sparse) forward FLOPs of running layer
-// l on a block with the given source/edge counts.
+// chargeLayerCompute charges one whole layer's compute on a block;
+// backward passes cost roughly twice the forward.
 //
 //apt:hotpath
-func layerFLOPs(l nn.Layer, nSrc, nEdges int64) (dense, sparse float64) {
-	in, out := float64(l.InDim()), float64(l.OutDim())
-	switch lt := l.(type) {
-	case *nn.GATLayer:
-		// Per head: projection + attention scores + weighted sum.
-		dh := float64(lt.OutPerHead())
-		heads := float64(lt.Heads)
-		dense = 2 * float64(nSrc) * in * dh * heads
-		sparse = (4*dh + 2*dh) * float64(nEdges) * heads
-	default:
-		dense = 2 * float64(nSrc) * in * out
-		sparse = 2 * float64(nEdges) * out
-	}
-	return dense, sparse
-}
-
-// chargeLayerCompute charges one layer's compute on a block; backward
-// passes cost roughly twice the forward.
-//
-//apt:hotpath
-func (w *worker) chargeLayerCompute(l nn.Layer, nSrc, nEdges int64, backward bool) {
-	dense, sparse := layerFLOPs(l, nSrc, nEdges)
+func (w *worker) chargeLayerCompute(l nn.Layer, blk *sample.Block, backward bool) {
+	dense, sparse := l.FLOPs(int64(blk.NumSrc()), int64(l.InDim()), blk.NumEdges())
 	if backward {
 		dense *= 2
 		sparse *= 2
@@ -63,8 +43,7 @@ func (w *worker) chargeLayerCompute(l nn.Layer, nSrc, nEdges int64, backward boo
 //apt:hotpath
 func (e *Engine) chargeUpperLayers(w *worker, mb *sample.MiniBatch, backward bool) {
 	for l := 1; l < len(w.model.Layers); l++ {
-		blk := mb.Blocks[l]
-		w.chargeLayerCompute(w.model.Layers[l], int64(blk.NumSrc()), blk.NumEdges(), backward)
+		w.chargeLayerCompute(w.model.Layers[l], mb.Blocks[l], backward)
 	}
 }
 

@@ -2,8 +2,9 @@
 // §4.2): a single worker harness that can be configured to run any of
 // the four parallelization strategies. Each simulated GPU is driven by
 // one goroutine; every mini-batch step decomposes into the paper's
-// Permute / Shuffle / Execute / Reshuffle stages, realized by the
-// per-strategy layer-1 runners in gdp.go, nfp.go, snp.go, and dnp.go.
+// Permute / Shuffle / Execute / Reshuffle stages, realized by the one
+// layer-1 runner in layer1.go, which each strategy parameterizes with a
+// placement.
 // Layers above the first always run data-parallel (paper §3.1: "All
 // strategies target the first layer").
 //
@@ -135,7 +136,7 @@ type Engine struct {
 	models   []*nn.Model
 	opts     []nn.Optimizer
 	samplers []*sample.Sampler
-	runner   layer1Runner
+	place    placement
 	epochRNG *graph.RNG
 	workers  []*worker
 	// gradCodec compresses the gradient allreduce wire (nil = fp32).
@@ -149,25 +150,13 @@ type Engine struct {
 	epochsRun int
 }
 
-// layer1Runner executes the strategy-specific first layer.
-type layer1Runner interface {
-	// forward returns the layer-1 output for the worker's own block
-	// (nil in accounting mode) plus a context for backward.
-	forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, any)
-	// backward consumes the gradient w.r.t. the worker's layer-1
-	// output (nil in accounting mode).
-	backward(w *worker, mb *sample.MiniBatch, ctx any, dH *tensor.Matrix)
-	// backwardIsLocal reports whether backward issues no collectives,
-	// letting the bucketed gradient sync keep its ring transfers in
-	// flight across the call (see gradSync's concurrency contract).
-	backwardIsLocal() bool
-}
-
 // worker is the per-device execution state.
 type worker struct {
-	eng      *Engine
-	dev      *device.Device
-	model    *nn.Model
+	eng   *Engine
+	dev   *device.Device
+	model *nn.Model
+	// layer0 is model.Layers[0], which the strategy's placement runs.
+	layer0   nn.SplitLayer
 	opt      nn.Optimizer
 	stats    *WorkerStats
 	timeline []StepTrace
@@ -186,10 +175,12 @@ type worker struct {
 	stopPrefetch atomic.Bool
 	// unionStamp/unionGen/unionBuf are the reusable stamp-scratch
 	// behind unionNodes (see load.go): per-node generation stamps plus
-	// the union output buffer, both reused across steps.
+	// the union output buffer, both reused across steps. unionPos is the
+	// per-node position scratch of buildMiniBlock's dedup.
 	unionStamp []int32
 	unionGen   int32
 	unionBuf   []graph.NodeID
+	unionPos   []int32
 	// labelBuf is the per-step label gather scratch, reused across steps.
 	labelBuf []int32
 	// gsync is the bucketed backward-overlapped gradient sync (real
@@ -244,6 +235,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	probe := cfg.NewModel()
+	if len(probe.Layers) == 0 {
+		return nil, fmt.Errorf("engine: model %q has no layers", probe.Name)
+	}
+	if _, ok := probe.Layers[0].(nn.SplitLayer); !ok {
+		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.SplitLayer", probe.Layers[0], probe.Name)
+	}
 	if probe.NeedsDstInSrc() {
 		e.cfg.Sampling.IncludeDstInSrc = true
 	}
@@ -265,22 +262,21 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.epochRNG = graph.NewRNG(cfg.Seed ^ 0xabcdef)
 
-	switch cfg.Kind {
-	case strategy.GDP:
-		e.runner = &gdpRunner{}
-	case strategy.NFP:
-		e.runner = newNFPRunner(e)
-	case strategy.SNP:
-		e.runner = &snpRunner{}
-	case strategy.DNP:
-		e.runner = &dnpRunner{}
-	case strategy.Hybrid:
-		e.runner = newHybridRunner(e)
-	default:
+	var ok bool
+	if e.place, ok = placementFor(e); !ok {
 		return nil, fmt.Errorf("engine: unsupported strategy %v", cfg.Kind)
 	}
+	if e.place.shard {
+		// Per-node read volume is one column shard, not the full row.
+		cfg.Store.LoadDim = 0
+		for c := 0; c < n; c++ {
+			if lo, hi := e.place.columns(probe.Layers[0].InDim(), c, n); hi-lo > cfg.Store.LoadDim {
+				cfg.Store.LoadDim = hi - lo
+			}
+		}
+	}
 	// Device memory: the configured feature cache occupies arena space
-	// for the whole run (after the runner may have narrowed LoadDim).
+	// for the whole run (at the load width just settled).
 	for d := 0; d < n; d++ {
 		cacheBytes := int64(len(cfg.Store.CachedList(d))) * int64(4*cfg.Store.LoadDim)
 		cacheBytes += int64(len(cfg.Store.QCachedList(d))) * tensor.QuantRowBytes(cfg.Store.LoadDim)
@@ -288,11 +284,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for d := 0; d < n; d++ {
 		e.workers = append(e.workers, &worker{
-			eng:   e,
-			dev:   e.Group.Devices[d],
-			model: e.models[d],
-			opt:   e.opts[d],
-			stats: &WorkerStats{},
+			eng:    e,
+			dev:    e.Group.Devices[d],
+			model:  e.models[d],
+			layer0: e.models[d].Layers[0].(nn.SplitLayer),
+			opt:    e.opts[d],
+			stats:  &WorkerStats{},
 		})
 	}
 	codec, err := transport.ChunkCodecByName(cfg.GradCompress)
@@ -326,45 +323,6 @@ func New(cfg Config) (*Engine, error) {
 // Model returns device dev's model replica (replicas stay identical
 // across devices after every step).
 func (e *Engine) Model(dev int) *nn.Model { return e.models[dev] }
-
-// layer0 returns a worker's first-layer instance.
-func (w *worker) layer0() nn.Layer { return w.model.Layers[0] }
-
-// gatherFallback is the layer-0 context for layers without gather-fused
-// kernels: it parks the materialized input copy so backward can recycle
-// it.
-type gatherFallback struct {
-	x   *tensor.Matrix
-	lct nn.LayerCtx
-}
-
-// forwardLayer0Gathered runs layer 0 reading the feature store through
-// idx directly (no materialized gather) when the layer supports it,
-// falling back to an explicit gather otherwise. Real mode only.
-func (w *worker) forwardLayer0Gathered(blk *sample.Block, idx []graph.NodeID) (*tensor.Matrix, any) {
-	feats := w.eng.cfg.Store.FeatView(w.dev.ID)
-	if gl, ok := w.layer0().(nn.GatherLayer); ok {
-		out, lct := gl.ForwardGathered(blk, feats, idx)
-		return out, lct
-	}
-	x := tensor.Get(len(idx), feats.F.Cols)
-	tensor.GatherIntoSrc(x, feats, idx)
-	out, lct := w.layer0().Forward(blk, x)
-	return out, &gatherFallback{x: x, lct: lct}
-}
-
-// backwardLayer0Params consumes a forwardLayer0Gathered context:
-// parameter gradients only — the layer-0 input gradient is w.r.t. raw
-// features and was always discarded, so the fused path never computes
-// it.
-func (w *worker) backwardLayer0Params(blk *sample.Block, lct any, dOut *tensor.Matrix) {
-	if fb, ok := lct.(*gatherFallback); ok {
-		tensor.Put(w.layer0().Backward(blk, fb.lct, dOut))
-		tensor.Put(fb.x)
-		return
-	}
-	w.layer0().(nn.GatherLayer).BackwardParams(blk, lct, dOut)
-}
 
 // seedPlan builds the epoch's per-device seed assignment: partition
 // owners for SNP/DNP (paper §3.2), an even shuffle otherwise.
@@ -536,7 +494,7 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 	w.stats.Layer1Dst += int64(mb.Layer1().NumDst())
 	w.stats.SeedsProcessed += int64(len(seeds))
 
-	h, ctx := e.runner.forward(w, mb)
+	h, ctx := e.place.forward(w, mb)
 
 	var st *nn.ForwardState
 	var dLogits, dH *tensor.Matrix
@@ -561,22 +519,22 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 			w.gsync.beginStep()
 			dH = w.model.BackwardPartialHooked(mb, st, 0, dLogits, func(l int) {
 				blk := mb.Blocks[l]
-				w.chargeLayerCompute(w.model.Layers[l], int64(blk.NumSrc()), blk.NumEdges(), true)
+				w.chargeLayerCompute(w.model.Layers[l], blk, true)
 				w.gsync.launchLayer(l)
 			})
-			if !e.runner.backwardIsLocal() {
+			if !e.place.backwardIsLocal() {
 				// The layer-1 backward issues collectives of its own; the
 				// in-flight buckets must complete first so only one
 				// goroutine per rank touches the transport at a time.
 				w.gsync.drainInFlight()
 			}
-			e.runner.backward(w, mb, ctx, dH)
+			e.place.backward(w, mb, ctx, dH)
 			w.gsync.launchLayer(0)
 			w.gsync.finish()
 		} else {
 			dH = w.model.BackwardPartial(mb, st, 0, dLogits)
 			e.chargeUpperLayers(w, mb, true)
-			e.runner.backward(w, mb, ctx, dH)
+			e.place.backward(w, mb, ctx, dH)
 			e.syncGradients(w)
 		}
 		w.opt.Step(w.model.Params())
@@ -599,7 +557,7 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 	} else {
 		e.chargeUpperLayers(w, mb, false)
 		e.chargeUpperLayers(w, mb, true)
-		e.runner.backward(w, mb, ctx, nil)
+		e.place.backward(w, mb, ctx, nil)
 		e.syncGradients(w)
 	}
 }

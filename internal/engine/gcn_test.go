@@ -1,0 +1,138 @@
+package engine
+
+import (
+	"math"
+
+	"repro/internal/nn"
+	"repro/internal/sample"
+	"repro/internal/tensor"
+)
+
+// gcnLayer is a third model, defined here and nowhere in the engine: a
+// GCN-style layer with no self term,
+//
+//	h_v = act( (Σ_{u in N(v)} W · x_u) / sqrt(deg v) )
+//
+// It exists to show that implementing nn.SplitLayer is all a model
+// needs to train under every strategy — the tests below add it to the
+// bit-identity and semantic-equivalence checks and the engine has no
+// line that knows about it.
+type gcnLayer struct {
+	W    *nn.Param
+	relu bool
+}
+
+type gcnCtx struct {
+	h   *tensor.Matrix    // plain input, or
+	src tensor.FeatSource // feature rows read through idx
+	idx []int32
+	fin nn.LayerCtx
+}
+
+func newGCN(inDim, hidden, classes int) *nn.Model {
+	return &nn.Model{Name: "GCN", Layers: []nn.Layer{
+		&gcnLayer{W: nn.NewParam("gcn0.W", inDim, hidden), relu: true},
+		&gcnLayer{W: nn.NewParam("gcn1.W", hidden, classes)},
+	}}
+}
+
+func (l *gcnLayer) InDim() int          { return l.W.W.Rows }
+func (l *gcnLayer) OutDim() int         { return l.W.W.Cols }
+func (l *gcnLayer) Params() []*nn.Param { return []*nn.Param{l.W} }
+func (l *gcnLayer) NeedsDstInSrc() bool { return false }
+func (l *gcnLayer) ProjWidth() int      { return l.OutDim() }
+func (l *gcnLayer) PreSums() bool       { return true }
+
+func (l *gcnLayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
+	out := float64(l.OutDim())
+	return 2 * float64(nSrc) * float64(cols) * out, 2 * float64(nEdges) * out
+}
+
+func weightRows(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	return tensor.FromData(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+}
+
+func (l *gcnLayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
+	return tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, weightRows(l.W.W, lo, hi))
+}
+
+func (l *gcnLayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
+	tensor.GatherTMatMulAccSliceSrc(weightRows(l.W.G, lo, hi), feats, idx, lo, hi, dZ)
+}
+
+// scale divides each destination's row by the square root of its degree.
+func (l *gcnLayer) scale(blk *sample.Block, s *tensor.Matrix) {
+	for i := 0; i < blk.NumDst(); i++ {
+		if d := blk.DstDegree(i); d > 1 {
+			inv := float32(1 / math.Sqrt(float64(d)))
+			for j, v := range s.Row(i) {
+				s.Row(i)[j] = v * inv
+			}
+		}
+	}
+}
+
+func (l *gcnLayer) Finish(blk *sample.Block, s *tensor.Matrix) (*tensor.Matrix, nn.LayerCtx) {
+	l.scale(blk, s)
+	if l.relu {
+		tensor.ReLUInPlace(s)
+	}
+	return s, s
+}
+
+func (l *gcnLayer) FinishBackward(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	var dS *tensor.Matrix
+	if l.relu {
+		dS = tensor.ReLUBackward(ctx.(*tensor.Matrix), dOut)
+	} else {
+		dS = dOut.Clone()
+	}
+	l.scale(blk, dS)
+	return dS
+}
+
+func (l *gcnLayer) forward(blk *sample.Block, z *tensor.Matrix, c *gcnCtx) (*tensor.Matrix, nn.LayerCtx) {
+	s := tensor.SegmentSum(blk.EdgePtr, blk.SrcIdx, z)
+	tensor.Put(z)
+	var out *tensor.Matrix
+	out, c.fin = l.Finish(blk, s)
+	return out, c
+}
+
+func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, nn.LayerCtx) {
+	return l.forward(blk, tensor.MatMul(h, l.W.W), &gcnCtx{h: h})
+}
+
+func (l *gcnLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, nn.LayerCtx) {
+	return l.forward(blk, l.ProjectCols(feats, idx, 0, l.InDim()), &gcnCtx{src: feats, idx: idx})
+}
+
+func (l *gcnLayer) InferGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
+	out, _ := l.ForwardGathered(blk, feats, idx)
+	return out
+}
+
+// backwardParams accumulates dW and returns dZ, which the caller owns.
+func (l *gcnLayer) backwardParams(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	c := ctx.(*gcnCtx)
+	dS := l.FinishBackward(blk, c.fin, dOut)
+	dZ := tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
+	tensor.Put(dS)
+	if c.h != nil {
+		tensor.TMatMulAcc(l.W.G, c.h, dZ)
+	} else {
+		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
+	}
+	return dZ
+}
+
+func (l *gcnLayer) Backward(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	dZ := l.backwardParams(blk, ctx, dOut)
+	dH := tensor.MatMulT(dZ, l.W.W)
+	tensor.Put(dZ)
+	return dH
+}
+
+func (l *gcnLayer) BackwardParams(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) {
+	tensor.Put(l.backwardParams(blk, ctx, dOut))
+}

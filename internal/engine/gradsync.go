@@ -22,7 +22,7 @@ import (
 // clocks, the ledger, or span tracks. The worker goroutine never
 // issues collectives of its own while bucket transfers are in flight:
 // when the strategy's layer-1 backward communicates
-// (layer1Runner.backwardIsLocal() == false), the worker drains the
+// (placement.backwardIsLocal() == false), the worker drains the
 // in-flight buckets first. That keeps every rank's transport-operation
 // order identical — the lockstep invariant all collectives rely on —
 // and preserves comm's rule that a rank's ring scratch is never

@@ -76,6 +76,12 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("engine: nil graph")
 	}
+	if len(cfg.Model.Layers) == 0 {
+		return nil, fmt.Errorf("engine: model %q has no layers", cfg.Model.Name)
+	}
+	if _, ok := cfg.Model.Layers[0].(nn.GatherLayer); !ok {
+		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.GatherLayer", cfg.Model.Layers[0], cfg.Model.Name)
+	}
 	if len(cfg.Sampling.Fanouts) != len(cfg.Model.Layers) {
 		return nil, fmt.Errorf("engine: %d fanouts for %d model layers",
 			len(cfg.Sampling.Fanouts), len(cfg.Model.Layers))
@@ -162,7 +168,7 @@ func (w *InferWorker) Infer(seeds []graph.NodeID) (*tensor.Matrix, cache.LoadSta
 	emit(device.StageLoad, int64(mb.Layer1().NumSrc())*int64(w.inf.cfg.Store.Dim)*4)
 	for l, layer := range w.inf.cfg.Model.Layers {
 		blk := mb.Blocks[l]
-		dense, sparse := layerFLOPs(layer, int64(blk.NumSrc()), blk.NumEdges())
+		dense, sparse := layer.FLOPs(int64(blk.NumSrc()), int64(layer.InDim()), blk.NumEdges())
 		w.dev.Charge(device.StageTrain, w.inf.cfg.Platform.DenseTime(dense))
 		w.dev.Charge(device.StageTrain, w.inf.cfg.Platform.SparseTime(sparse))
 	}

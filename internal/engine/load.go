@@ -16,13 +16,10 @@ func (w *worker) chargeUnionLoad(lists [][]graph.NodeID) {
 	w.stats.Load.Add(w.eng.cfg.Store.Charge(w.dev, union))
 }
 
-// unionNodes deduplicates the concatenation of lists into the worker's
-// reusable union buffer. Membership uses a generation-stamped array
-// indexed by node ID instead of a per-call map: one int32 per graph
-// node, allocated once per worker and "cleared" by bumping the
-// generation (the sampler dedups block sources the same way), so
-// steady-state steps allocate nothing here.
-func (w *worker) unionNodes(lists [][]graph.NodeID) []graph.NodeID {
+// nextUnionGen starts a new dedup pass over the stamp scratch: node u
+// is a member of the pass iff unionStamp[u] equals the returned
+// generation.
+func (w *worker) nextUnionGen() int32 {
 	if w.unionStamp == nil {
 		w.unionStamp = make([]int32, w.eng.cfg.Graph.NumNodes())
 	}
@@ -33,7 +30,17 @@ func (w *worker) unionNodes(lists [][]graph.NodeID) []graph.NodeID {
 		}
 		w.unionGen = 1
 	}
-	gen := w.unionGen
+	return w.unionGen
+}
+
+// unionNodes deduplicates the concatenation of lists into the worker's
+// reusable union buffer. Membership uses a generation-stamped array
+// indexed by node ID instead of a per-call map: one int32 per graph
+// node, allocated once per worker and "cleared" by bumping the
+// generation (the sampler dedups block sources the same way), so
+// steady-state steps allocate nothing here.
+func (w *worker) unionNodes(lists [][]graph.NodeID) []graph.NodeID {
+	gen := w.nextUnionGen()
 	union := w.unionBuf[:0]
 	for _, list := range lists {
 		for _, u := range list {

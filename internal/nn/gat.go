@@ -81,33 +81,70 @@ type gatCtx struct {
 	h    *tensor.Matrix    // layer input on the plain path
 	src  tensor.FeatSource // the feature store view when idx is set
 	idx  []int32           // non-nil: input row r is src row idx[r] (gather-fused)
-	attn *GATAttnCtx
+	attn *gatAttnCtx
 }
 
-// ProjectHead computes head k's source projection Z = h @ W_k. The
-// distributed strategies run this where the features live (SNP: on the
-// source owner; NFP: per feature shard).
-func (l *GATLayer) ProjectHead(k int, h *tensor.Matrix) *tensor.Matrix {
+// setHead copies the [rows, dh] matrix zk into head k's column band of
+// the packed [rows, heads·dh] matrix z; getHead is the reverse copy.
+// Projections and their gradients cross the wire packed, one row per
+// node, while the attention kernels work one head at a time.
+func setHead(z *tensor.Matrix, k int, zk *tensor.Matrix) {
+	dh := zk.Cols
+	for i := 0; i < zk.Rows; i++ {
+		copy(z.Row(i)[k*dh:(k+1)*dh], zk.Row(i))
+	}
+}
+
+func getHead(zk *tensor.Matrix, z *tensor.Matrix, k int) {
+	dh := zk.Cols
+	for i := 0; i < zk.Rows; i++ {
+		copy(zk.Row(i), z.Row(i)[k*dh:(k+1)*dh])
+	}
+}
+
+// projectHead computes head k's source projection Z = input · W_k over
+// a plain input h or — when idx is set — feature rows read through idx
+// with no gathered copy, dequantizing warm-tier rows on the fly.
+func (l *GATLayer) projectHead(k int, h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
+	if idx != nil {
+		return tensor.GatherMatMulSrc(src, idx, l.Ws[k].W)
+	}
 	return tensor.MatMul(h, l.Ws[k].W)
 }
 
-// ProjectHeadGathered computes Z = feats[idx] @ W_k without
-// materializing the gathered rows, dequantizing warm-tier rows on the
-// fly.
-func (l *GATLayer) ProjectHeadGathered(k int, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
-	return tensor.GatherMatMulSrc(feats, idx, l.Ws[k].W)
+// ProjWidth implements SplitLayer: all heads, packed side by side.
+func (l *GATLayer) ProjWidth() int { return l.OutDim() }
+
+// PreSums implements SplitLayer: attention weights depend on every
+// source's full projection, so nothing can be reduced before shipping.
+func (l *GATLayer) PreSums() bool { return false }
+
+// ProjectCols implements SplitLayer: every head's projection, packed.
+func (l *GATLayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
+	z := tensor.New(len(idx), l.OutDim())
+	for k := range l.Ws {
+		zk := tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, rowShard(l.Ws[k].W, lo, hi))
+		setHead(z, k, zk)
+		tensor.Put(zk)
+	}
+	return z
 }
 
-// ProjectHeadBackward accumulates dW_k += hᵀ dZ and returns dH = dZ W_kᵀ.
-func (l *GATLayer) ProjectHeadBackward(k int, h, dZ *tensor.Matrix) *tensor.Matrix {
-	tensor.TMatMulAcc(l.Ws[k].G, h, dZ)
-	return tensor.MatMulT(dZ, l.Ws[k].W)
+// ProjectColsBackward implements SplitLayer.
+func (l *GATLayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
+	dZk := tensor.Get(dZ.Rows, l.OutPerHead())
+	for k := range l.Ws {
+		getHead(dZk, dZ, k)
+		tensor.GatherTMatMulAccSliceSrc(rowShard(l.Ws[k].G, lo, hi), feats, idx, lo, hi, dZk)
+	}
+	tensor.Put(dZk)
 }
 
-// AccumulateHeadProjGrad accumulates dW_k += feats[idx]ᵀ @ dZ straight
-// from the feature store, with no input gradient.
-func (l *GATLayer) AccumulateHeadProjGrad(k int, feats tensor.FeatSource, idx []int32, dZ *tensor.Matrix) {
-	tensor.GatherTMatMulAccSrc(l.Ws[k].G, feats, idx, dZ)
+// FLOPs implements Layer. Per head: projection, then attention scores
+// plus weighted sum over the edges.
+func (l *GATLayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
+	out := float64(l.OutDim())
+	return 2 * float64(nSrc) * float64(cols) * out, 6 * float64(nEdges) * out
 }
 
 // headAttention runs one head's attention given the already-projected
@@ -129,31 +166,23 @@ func (l *GATLayer) headAttention(k int, blk *sample.Block, z *tensor.Matrix) (*t
 	return o, gatHeadCtx{z: z, sRaw: sRaw, alpha: alpha}
 }
 
-// GATAttnCtx carries the attention intermediates of all heads between
-// AttentionForward and AttentionBackward.
-type GATAttnCtx struct {
+// gatAttnCtx carries the attention intermediates of all heads between
+// attentionForward and attentionBackward.
+type gatAttnCtx struct {
 	heads []gatHeadCtx
 	out   *tensor.Matrix
 }
 
-// Out returns the post-activation layer output.
-func (c *GATAttnCtx) Out() *tensor.Matrix { return c.out }
-
-// AttentionForward runs every head's attention given the per-head
+// attentionForward runs every head's attention given the per-head
 // source projections zs (each aligned with blk.Src) and returns the
-// concatenated, activated output. The distributed strategies assemble
-// zs from remotely computed pieces and call this where the block lives.
-func (l *GATLayer) AttentionForward(blk *sample.Block, zs []*tensor.Matrix) (*tensor.Matrix, *GATAttnCtx) {
-	nDst := blk.NumDst()
-	dh := l.OutPerHead()
-	concat := tensor.Get(nDst, l.OutDim())
-	ctx := &GATAttnCtx{heads: make([]gatHeadCtx, l.Heads)}
+// concatenated, activated output.
+func (l *GATLayer) attentionForward(blk *sample.Block, zs []*tensor.Matrix) (*tensor.Matrix, *gatAttnCtx) {
+	concat := tensor.Get(blk.NumDst(), l.OutDim())
+	ctx := &gatAttnCtx{heads: make([]gatHeadCtx, l.Heads)}
 	for k := 0; k < l.Heads; k++ {
 		o, hc := l.headAttention(k, blk, zs[k])
 		ctx.heads[k] = hc
-		for i := 0; i < nDst; i++ {
-			copy(concat.Row(i)[k*dh:(k+1)*dh], o.Row(i))
-		}
+		setHead(concat, k, o)
 		tensor.Put(o)
 	}
 	// Activation applied in place on the concat buffer — no extra clone.
@@ -164,12 +193,12 @@ func (l *GATLayer) AttentionForward(blk *sample.Block, zs []*tensor.Matrix) (*te
 	return ctx.out, ctx
 }
 
-// AttentionBackward propagates dOut through activation and every
+// attentionBackward propagates dOut through activation and every
 // head's attention, accumulating aL/aR gradients, and returns the
 // per-head gradients w.r.t. the projections zs. The activation mask is
 // fused into the per-head slice extraction, eliminating the masked
 // copy of the full concatenated gradient.
-func (l *GATLayer) AttentionBackward(blk *sample.Block, ctx *GATAttnCtx, dOut *tensor.Matrix) []*tensor.Matrix {
+func (l *GATLayer) attentionBackward(blk *sample.Block, ctx *gatAttnCtx, dOut *tensor.Matrix) []*tensor.Matrix {
 	nDst := blk.NumDst()
 	dh := l.OutPerHead()
 	relu := l.Act == ActReLU
@@ -196,17 +225,45 @@ func (l *GATLayer) AttentionBackward(blk *sample.Block, ctx *GATAttnCtx, dOut *t
 	return dZs
 }
 
+// Finish implements SplitLayer: z holds every block source's packed
+// projection; attention runs on its per-head columns.
+func (l *GATLayer) Finish(blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
+	zs := make([]*tensor.Matrix, l.Heads)
+	for k := range zs {
+		zs[k] = tensor.New(z.Rows, l.OutPerHead())
+		getHead(zs[k], z, k)
+	}
+	tensor.Put(z)
+	return l.attentionForward(blk, zs)
+}
+
+// FinishBackward implements SplitLayer: the packed gradient of z.
+func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	dZ := tensor.New(blk.NumSrc(), l.OutDim())
+	for k, dZk := range l.attentionBackward(blk, ctx.(*gatAttnCtx), dOut) {
+		setHead(dZ, k, dZk)
+		tensor.Put(dZk)
+	}
+	return dZ
+}
+
+// forward is the shared training forward over a plain or gather-fused
+// input.
+func (l *GATLayer) forward(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
+	zs := make([]*tensor.Matrix, l.Heads)
+	for k := range zs {
+		zs[k] = l.projectHead(k, h, src, idx)
+	}
+	out, attn := l.attentionForward(blk, zs)
+	return out, &gatCtx{h: h, src: src, idx: idx, attn: attn}
+}
+
 // Forward implements Layer.
 func (l *GATLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
 	if h.Rows != blk.NumSrc() {
 		panic(fmt.Sprintf("nn: GAT forward got %d src rows, block has %d", h.Rows, blk.NumSrc()))
 	}
-	zs := make([]*tensor.Matrix, l.Heads)
-	for k := 0; k < l.Heads; k++ {
-		zs[k] = l.ProjectHead(k, h)
-	}
-	out, attn := l.AttentionForward(blk, zs)
-	return out, &gatCtx{h: h, attn: attn}
+	return l.forward(blk, h, tensor.FeatSource{}, nil)
 }
 
 // ForwardGathered implements GatherLayer: per-head projections read the
@@ -218,56 +275,46 @@ func (l *GATLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, i
 	if idx == nil {
 		idx = []int32{} // empty block: stay on the gather-fused path
 	}
-	zs := make([]*tensor.Matrix, l.Heads)
-	for k := 0; k < l.Heads; k++ {
-		zs[k] = l.ProjectHeadGathered(k, feats, idx)
-	}
-	out, attn := l.AttentionForward(blk, zs)
-	return out, &gatCtx{src: feats, idx: idx, attn: attn}
+	return l.forward(blk, nil, feats, idx)
 }
 
-// Backward implements Layer.
-func (l *GATLayer) Backward(blk *sample.Block, ctxI LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	ctx := ctxI.(*gatCtx)
-	dZs := l.AttentionBackward(blk, ctx.attn, dOut)
+// backward is the shared backward: attention and projection parameter
+// gradients always; the input gradient (one dH GEMM per head) only when
+// wantInput is set, nil otherwise.
+func (l *GATLayer) backward(blk *sample.Block, ctx *gatCtx, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dZs := l.attentionBackward(blk, ctx.attn, dOut)
 	var dHTotal *tensor.Matrix
-	if ctx.idx != nil {
-		dHTotal = tensor.Get(len(ctx.idx), l.InDim())
-	} else {
-		dHTotal = tensor.Get(ctx.h.Rows, l.InDim())
+	if wantInput {
+		dHTotal = tensor.Get(blk.NumSrc(), l.InDim())
 	}
-	for k := 0; k < l.Heads; k++ {
-		var dH *tensor.Matrix
+	for k, dZ := range dZs {
 		if ctx.idx != nil {
-			l.AccumulateHeadProjGrad(k, ctx.src, ctx.idx, dZs[k])
-			dH = tensor.MatMulT(dZs[k], l.Ws[k].W)
+			tensor.GatherTMatMulAccSrc(l.Ws[k].G, ctx.src, ctx.idx, dZ)
 		} else {
-			dH = l.ProjectHeadBackward(k, ctx.h, dZs[k])
+			tensor.TMatMulAcc(l.Ws[k].G, ctx.h, dZ)
 		}
-		dHTotal.AddInPlace(dH)
-		tensor.Put(dH)
-		tensor.Put(dZs[k])
-		// zs[k] was created by this layer's Forward; the head ctx is done
+		if wantInput {
+			dH := tensor.MatMulT(dZ, l.Ws[k].W)
+			dHTotal.AddInPlace(dH)
+			tensor.Put(dH)
+		}
+		tensor.Put(dZ)
+		// zs[k] was created by this layer's forward; the head ctx is done
 		// with it once its gradient is propagated.
 		tensor.Put(ctx.attn.heads[k].z)
 	}
 	return dHTotal
 }
 
+// Backward implements Layer.
+func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	return l.backward(blk, ctx.(*gatCtx), dOut, true)
+}
+
 // BackwardParams implements GatherLayer: attention + projection
 // parameter gradients only, no dIn and no per-head dH matrices.
-func (l *GATLayer) BackwardParams(blk *sample.Block, ctxI LayerCtx, dOut *tensor.Matrix) {
-	ctx := ctxI.(*gatCtx)
-	dZs := l.AttentionBackward(blk, ctx.attn, dOut)
-	for k := 0; k < l.Heads; k++ {
-		if ctx.idx != nil {
-			l.AccumulateHeadProjGrad(k, ctx.src, ctx.idx, dZs[k])
-		} else {
-			tensor.TMatMulAcc(l.Ws[k].G, ctx.h, dZs[k])
-		}
-		tensor.Put(dZs[k])
-		tensor.Put(ctx.attn.heads[k].z)
-	}
+func (l *GATLayer) BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) {
+	l.backward(blk, ctx.(*gatCtx), dOut, false)
 }
 
 // headBackwardToProjection propagates one head's output gradient back

@@ -29,12 +29,7 @@ type InferenceLayer interface {
 // inferFused is the shared SAGE inference body over a plain or
 // gather-fused input.
 func (l *SAGELayer) inferFused(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
-	var z *tensor.Matrix
-	if idx != nil {
-		z = l.ProjectGathered(src, idx)
-	} else {
-		z = l.Project(h)
-	}
+	z := l.project(h, src, idx)
 	s := tensor.SegmentAggFused(blk.EdgePtr, blk.SrcIdx, z, l.Agg == AggMean, l.Act == ActReLU)
 	tensor.Put(z)
 	return s
@@ -63,21 +58,12 @@ func (l *SAGELayer) InferGathered(blk *sample.Block, feats tensor.FeatSource, id
 // inferFused is the shared GAT inference body over a plain or
 // gather-fused input.
 func (l *GATLayer) inferFused(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
-	nDst := blk.NumDst()
-	dh := l.OutPerHead()
-	concat := tensor.Get(nDst, l.OutDim())
+	concat := tensor.Get(blk.NumDst(), l.OutDim())
 	for k := 0; k < l.Heads; k++ {
-		var z *tensor.Matrix
-		if idx != nil {
-			z = l.ProjectHeadGathered(k, src, idx)
-		} else {
-			z = l.ProjectHead(k, h)
-		}
+		z := l.projectHead(k, h, src, idx)
 		o, _ := l.headAttention(k, blk, z)
 		tensor.Put(z)
-		for i := 0; i < nDst; i++ {
-			copy(concat.Row(i)[k*dh:(k+1)*dh], o.Row(i))
-		}
+		setHead(concat, k, o)
 		tensor.Put(o)
 	}
 	if l.Act == ActReLU {
@@ -139,25 +125,14 @@ func (m *Model) Predict(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
 // PredictGathered is Predict with the input gather fused into layer 0:
 // it reads feature rows through idx directly instead of consuming a
 // materialized x, and is bit-identical to
-// Predict(mb, Gather(feats, idx)). Ownership mirrors Predict: feats
-// stays with the caller, the logits transfer to it.
+// Predict(mb, Gather(feats, idx)). Layer 0 must be a GatherLayer.
+// Ownership mirrors Predict: feats stays with the caller, the logits
+// transfer to it.
 func (m *Model) PredictGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
 	if len(mb.Blocks) != len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
 	}
-	var h *tensor.Matrix
-	if gl, ok := m.Layers[0].(GatherLayer); ok {
-		h = gl.InferGathered(mb.Blocks[0], feats, idx)
-	} else {
-		x := tensor.Get(len(idx), feats.F.Cols)
-		tensor.GatherIntoSrc(x, feats, idx)
-		if il, ok := m.Layers[0].(InferenceLayer); ok {
-			h = il.Infer(mb.Blocks[0], x)
-		} else {
-			h, _ = m.Layers[0].Forward(mb.Blocks[0], x)
-		}
-		tensor.Put(x)
-	}
+	h := m.Layers[0].(GatherLayer).InferGathered(mb.Blocks[0], feats, idx)
 	for l := 1; l < len(m.Layers); l++ {
 		var out *tensor.Matrix
 		if il, ok := m.Layers[l].(InferenceLayer); ok {

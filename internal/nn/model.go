@@ -91,8 +91,9 @@ func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
 
 // Backward propagates dLogits through all layers, accumulating
 // parameter gradients. The gradient w.r.t. the input features is
-// discarded (features are not trained) — so layer 0 runs its
-// params-only backward when available, skipping the dIn GEMM entirely.
+// discarded (features are not trained) — so layer 0, which must be a
+// GatherLayer, runs its params-only backward, skipping the dIn GEMM
+// entirely.
 func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor.Matrix) {
 	d := dLogits
 	for l := len(m.Layers) - 1; l > 0; l-- {
@@ -102,11 +103,7 @@ func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor
 		}
 		d = nd
 	}
-	if gl, ok := m.Layers[0].(GatherLayer); ok {
-		gl.BackwardParams(mb.Blocks[0], st.Ctxs[0], d)
-	} else {
-		tensor.Put(m.Layers[0].Backward(mb.Blocks[0], st.Ctxs[0], d))
-	}
+	m.Layers[0].(GatherLayer).BackwardParams(mb.Blocks[0], st.Ctxs[0], d)
 	if d != dLogits {
 		tensor.Put(d)
 	}
@@ -131,9 +128,7 @@ func (m *Model) ReleaseActivations(st *ForwardState, fromLayer int) {
 
 // ForwardGathered is Forward with the input gather fused into layer 0:
 // instead of materializing x = Gather(feats, idx), layer 0 reads the
-// feature rows through idx directly. Falls back to an explicit gather
-// for layers without gather-fused kernels (Inputs[0] then holds the
-// copy).
+// feature rows through idx directly. Layer 0 must be a GatherLayer.
 func (m *Model) ForwardGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *ForwardState {
 	if len(mb.Blocks) != len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
@@ -143,14 +138,7 @@ func (m *Model) ForwardGathered(mb *sample.MiniBatch, feats tensor.FeatSource, i
 		Ctxs:   make([]LayerCtx, len(m.Layers)),
 	}
 	var h *tensor.Matrix
-	if gl, ok := m.Layers[0].(GatherLayer); ok {
-		h, st.Ctxs[0] = gl.ForwardGathered(mb.Blocks[0], feats, idx)
-	} else {
-		x := tensor.Get(len(idx), feats.F.Cols)
-		tensor.GatherIntoSrc(x, feats, idx)
-		st.Inputs[0] = x
-		h, st.Ctxs[0] = m.Layers[0].Forward(mb.Blocks[0], x)
-	}
+	h, st.Ctxs[0] = m.Layers[0].(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
 	for l := 1; l < len(m.Layers); l++ {
 		st.Inputs[l] = h
 		out, ctx := m.Layers[l].Forward(mb.Blocks[l], h)

@@ -34,11 +34,12 @@ func (a Aggregator) String() string {
 //
 //	h_v = act( AGG_{u in N(v)} ( W · h_u ) )
 //
-// The computation is decomposed into Project (dense: Z = H W) and
-// aggregation (sparse: segment sum/mean), matching the Figure 5 tensor
-// abstraction so the execution engine can distribute the two halves
-// independently (NFP partitions Project's columns; SNP/DNP split the
-// aggregation by source/destination nodes).
+// The computation is decomposed into a projection (dense: Z = H W) and
+// an aggregation (sparse: segment sum/mean), matching the Figure 5
+// tensor abstraction; SplitLayer exposes the two halves so the
+// execution engine can distribute them independently (NFP partitions
+// the projection's columns; SNP/DNP split the aggregation by
+// source/destination nodes).
 type SAGELayer struct {
 	W   *Param
 	Act Activation
@@ -71,43 +72,45 @@ type sageCtx struct {
 	out *tensor.Matrix    // post-activation output
 }
 
-// Project computes Z = h @ W, the dense half of the layer. Exposed for
-// the distributed execution paths.
-func (l *SAGELayer) Project(h *tensor.Matrix) *tensor.Matrix {
+// project computes Z = input · W, the dense half of the layer, over a
+// plain input h or — when idx is set — feature rows read through idx.
+func (l *SAGELayer) project(h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
+	if idx != nil {
+		return l.ProjectCols(src, idx, 0, l.InDim())
+	}
 	return tensor.MatMul(h, l.W.W)
 }
 
-// ProjectGathered computes Z = feats[idx] @ W without materializing the
-// gathered rows — the projection reads the feature store through the
-// index vector (SNP serves requests this way), dequantizing warm-tier
-// rows on the fly.
-func (l *SAGELayer) ProjectGathered(feats tensor.FeatSource, idx []int32) *tensor.Matrix {
-	return tensor.GatherMatMulSrc(feats, idx, l.W.W)
+// ProjWidth implements SplitLayer.
+func (l *SAGELayer) ProjWidth() int { return l.OutDim() }
+
+// PreSums implements SplitLayer: mean and sum aggregation are segment
+// sums of projection rows (paper Table 1).
+func (l *SAGELayer) PreSums() bool { return true }
+
+// ProjectCols implements SplitLayer; the kernel reads the feature store
+// through idx with no gathered copy, dequantizing warm-tier rows on the
+// fly.
+func (l *SAGELayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
+	return tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, rowShard(l.W.W, lo, hi))
 }
 
-// ProjectBackward accumulates dW += hᵀ dZ and returns dH = dZ Wᵀ.
-func (l *SAGELayer) ProjectBackward(h, dZ *tensor.Matrix) *tensor.Matrix {
-	tensor.TMatMulAcc(l.W.G, h, dZ)
-	return tensor.MatMulT(dZ, l.W.W)
+// ProjectColsBackward implements SplitLayer: dW[lo:hi] += feats[idx][:, lo:hi]ᵀ dZ.
+func (l *SAGELayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
+	tensor.GatherTMatMulAccSliceSrc(rowShard(l.W.G, lo, hi), feats, idx, lo, hi, dZ)
 }
 
-// AccumulateProjGrad accumulates dW += feats[idx]ᵀ @ dZ straight from
-// the feature store, with no input gradient (raw features are not
-// trained) and no gathered copy.
-func (l *SAGELayer) AccumulateProjGrad(feats tensor.FeatSource, idx []int32, dZ *tensor.Matrix) {
-	tensor.GatherTMatMulAccSrc(l.W.G, feats, idx, dZ)
+// FLOPs implements Layer.
+func (l *SAGELayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
+	out := float64(l.OutDim())
+	return 2 * float64(nSrc) * float64(cols) * out, 2 * float64(nEdges) * out
 }
 
 // forward is the shared fused forward: projection (plain or gathered),
 // then segment aggregation with the mean normalization and activation
 // fused into the same pass over each output row.
 func (l *SAGELayer) forward(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) (*tensor.Matrix, *sageCtx) {
-	var z *tensor.Matrix
-	if idx != nil {
-		z = l.ProjectGathered(src, idx)
-	} else {
-		z = l.Project(h)
-	}
+	z := l.project(h, src, idx)
 	s := tensor.SegmentAggFused(blk.EdgePtr, blk.SrcIdx, z, l.Agg == AggMean, l.Act == ActReLU)
 	tensor.Put(z)
 	return s, &sageCtx{h: h, src: src, idx: idx, out: s}
@@ -134,24 +137,24 @@ func (l *SAGELayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, 
 	return out, c
 }
 
-// backwardToProjection runs the fused aggregation backward (activation
-// mask, mean scaling, scatter in one pass) down to dZ.
-func (l *SAGELayer) backwardToProjection(blk *sample.Block, c *sageCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	return tensor.SegmentAggFusedBackward(blk.EdgePtr, blk.SrcIdx, c.out, dOut,
+// backwardParams runs the fused aggregation backward (activation mask,
+// mean scaling, scatter in one pass) down to dZ and accumulates dW from
+// it; the caller owns the returned dZ.
+func (l *SAGELayer) backwardParams(blk *sample.Block, c *sageCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	dZ := tensor.SegmentAggFusedBackward(blk.EdgePtr, blk.SrcIdx, c.out, dOut,
 		l.Agg == AggMean, l.Act == ActReLU, blk.NumSrc())
+	if c.idx != nil {
+		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
+	} else {
+		tensor.TMatMulAcc(l.W.G, c.h, dZ)
+	}
+	return dZ
 }
 
 // Backward implements Layer.
 func (l *SAGELayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	c := ctx.(*sageCtx)
-	dZ := l.backwardToProjection(blk, c, dOut)
-	var dH *tensor.Matrix
-	if c.idx != nil {
-		l.AccumulateProjGrad(c.src, c.idx, dZ)
-		dH = tensor.MatMulT(dZ, l.W.W)
-	} else {
-		dH = l.ProjectBackward(c.h, dZ)
-	}
+	dZ := l.backwardParams(blk, ctx.(*sageCtx), dOut)
+	dH := tensor.MatMulT(dZ, l.W.W)
 	tensor.Put(dZ)
 	return dH
 }
@@ -160,20 +163,13 @@ func (l *SAGELayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matri
 // dIn — the layer-0 hot path, where the input gradient was always
 // discarded.
 func (l *SAGELayer) BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) {
-	c := ctx.(*sageCtx)
-	dZ := l.backwardToProjection(blk, c, dOut)
-	if c.idx != nil {
-		l.AccumulateProjGrad(c.src, c.idx, dZ)
-	} else {
-		tensor.TMatMulAcc(l.W.G, c.h, dZ)
-	}
-	tensor.Put(dZ)
+	tensor.Put(l.backwardParams(blk, ctx.(*sageCtx), dOut))
 }
 
-// NormalizeAggregate applies the aggregator's normalization to partial
-// sums assembled by the distributed paths (identity for AggSum, divide
-// by sampled degree for AggMean). It mutates s in place.
-func (l *SAGELayer) NormalizeAggregate(blk *sample.Block, s *tensor.Matrix) {
+// normalize applies the aggregator's normalization to per-destination
+// sums in place (identity for AggSum, divide by sampled degree for
+// AggMean). Its own transpose, so the backward pass reuses it.
+func (l *SAGELayer) normalize(blk *sample.Block, s *tensor.Matrix) {
 	if l.Agg != AggMean {
 		return
 	}
@@ -188,18 +184,19 @@ func (l *SAGELayer) NormalizeAggregate(blk *sample.Block, s *tensor.Matrix) {
 	}
 }
 
-// ActivationBackwardOnly exposes the activation gradient for the
-// distributed paths that re-implement the aggregation half.
-func (l *SAGELayer) ActivationBackwardOnly(out, dOut *tensor.Matrix) *tensor.Matrix {
-	return activationBackward(l.Act, out, dOut)
-}
-
-// ApplyActivationOnly applies the activation to s in place and returns
-// it; the distributed paths call it on locally assembled partial-sum
-// matrices they own.
-func (l *SAGELayer) ApplyActivationOnly(s *tensor.Matrix) *tensor.Matrix {
+// Finish implements SplitLayer: normalize the summed projections and
+// activate, both in place. The context is the output itself.
+func (l *SAGELayer) Finish(blk *sample.Block, s *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
+	l.normalize(blk, s)
 	if l.Act == ActReLU {
 		tensor.ReLUInPlace(s)
 	}
-	return s
+	return s, s
+}
+
+// FinishBackward implements SplitLayer.
+func (l *SAGELayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	dS := activationBackward(l.Act, ctx.(*tensor.Matrix), dOut)
+	l.normalize(blk, dS)
+	return dS
 }
