@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-kernels bench-check bench-transport
+.PHONY: build test lint verify bench bench-smoke bench-kernels bench-check bench-transport
 
 build:
 	$(GO) build ./...
@@ -22,8 +22,18 @@ lint:
 # pipelined engine depends on it); verify runs them under -benchmem and
 # fails on any non-zero allocs/op. The Quant variants read through the
 # int8 warm tier — their pooled dequant scratch must not show up as
-# steady-state allocation either.
-ALLOC_FREE_KERNELS = 'MatMulDense|MatMulBiasReLU$$|GatherMatMul$$|GatherMatMulQuant$$|TMatMulAcc$$|TMatMulAccQuant$$|SegmentAggFused'
+# steady-state allocation either. The guarantee is for the inline
+# single-proc kernel path (the parallel fan-out allocates per worker by
+# design), so the run pins GOMAXPROCS=1.
+ALLOC_FREE_KERNELS = 'MatMulDense|GatherMatMul$$|GatherMatMulQuant$$|TMatMulAcc$$|TMatMulAccQuant$$|SegmentAggFused'
+
+# bench-smoke builds and runs the benchmark's own test (all four
+# workloads at a hundredth of the size, ~8 s). bench/ is a module of its
+# own that imports repro/internal/..., so the root `go build ./...` and
+# `go test ./...` do not notice when an internal signature it uses
+# changes; this does.
+bench-smoke:
+	$(GO) test -C bench .
 
 # verify is the pre-merge gate: lint (vet + aptlint -audit) + build
 # everything (including the serving daemon), run the concurrency-heavy
@@ -32,12 +42,13 @@ ALLOC_FREE_KERNELS = 'MatMulDense|MatMulBiasReLU$$|GatherMatMul$$|GatherMatMulQu
 # ledger, device clocks, the TCP transport's loopback collective tests,
 # the checkpoint codec, the parallel full-graph inference path, and the
 # int8 cache tier) under the race detector, then hold the fused
-# kernels to zero steady-state allocations.
-verify: lint
+# kernels to zero steady-state allocations. bench-smoke keeps the
+# benchmark module compiling against the internals it imports.
+verify: lint bench-smoke
 	$(GO) build ./...
 	$(GO) build ./cmd/aptserve
 	$(GO) test -race ./internal/engine/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/fullgraph/... ./internal/cache/...
-	$(GO) test -run XXX -bench $(ALLOC_FREE_KERNELS) -benchmem -benchtime 50x ./internal/tensor/ \
+	GOMAXPROCS=1 $(GO) test -run XXX -bench $(ALLOC_FREE_KERNELS) -benchmem -benchtime 50x ./internal/tensor/ \
 		| awk '/^Benchmark/ { if ($$(NF-1)+0 != 0) { print "FAIL (allocs/op != 0):", $$0; bad=1 } } END { exit bad }'
 
 bench:

@@ -5,8 +5,10 @@
 // executes the choice on a unified multi-device engine.
 //
 // The library lives under internal/: see internal/core for the APT
-// system, internal/engine for the unified execution engine,
-// internal/strategy for the strategies, and internal/experiments for
-// the paper's evaluation harness. Entry points are the commands under
+// system, internal/engine for the unified execution engine (one layer-1
+// runner; a strategy is a placement value), internal/nn for the models
+// (adding a model = implementing the one nn.SplitLayer interface),
+// internal/strategy for the strategy kinds, and internal/experiments
+// for the paper's evaluation harness. Entry points are the commands under
 // cmd/ and the runnable examples under examples/.
 package repro

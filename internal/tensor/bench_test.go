@@ -96,52 +96,6 @@ func BenchmarkMatMulPackedWide(b *testing.B) {
 	}
 }
 
-// --- fused bias+ReLU epilogue ---
-
-func BenchmarkMatMulBiasReLU(b *testing.B) {
-	rng := graph.NewRNG(3)
-	a := benchRandMat(rng, benchRows, benchIn)
-	w := benchRandMat(rng, benchIn, benchOut)
-	bias := make([]float32, benchOut)
-	for i := range bias {
-		bias[i] = rng.NormFloat32()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := MatMulBiasReLU(a, w, bias)
-		Put(m)
-	}
-}
-
-// BenchmarkMatMulBiasReLUUnfused is the composition the epilogue
-// replaced: GEMM, then a second pass adding the bias, then a third
-// pass for the activation (into a separate matrix, as the old layer
-// code did).
-func BenchmarkMatMulBiasReLUUnfused(b *testing.B) {
-	rng := graph.NewRNG(3)
-	a := benchRandMat(rng, benchRows, benchIn)
-	w := benchRandMat(rng, benchIn, benchOut)
-	bias := make([]float32, benchOut)
-	for i := range bias {
-		bias[i] = rng.NormFloat32()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := MatMul(a, w)
-		for r := 0; r < m.Rows; r++ {
-			row := m.Row(r)
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
-		out := ReLU(m)
-		Put(m)
-		Put(out)
-	}
-}
-
 // --- gather-fused projection ---
 
 func BenchmarkGatherMatMul(b *testing.B) {

@@ -107,37 +107,6 @@ func TestSparseMatMulBitIdenticalToDense(t *testing.T) {
 	Put(got)
 }
 
-func TestMatMulBiasReLUMatchesComposition(t *testing.T) {
-	rng := graph.NewRNG(33)
-	a := randomMatrix(50, 20, rng)
-	b := randomMatrix(20, gemmNB+10, rng) // cross the column-block boundary
-	bias := make([]float32, b.Cols)
-	for i := range bias {
-		bias[i] = rng.NormFloat32()
-	}
-	want := naiveMatMulF32(a, b)
-	for i := 0; i < want.Rows; i++ {
-		row := want.Row(i)
-		for j := range row {
-			v := row[j] + bias[j]
-			if !(v > 0) {
-				v = 0
-			}
-			row[j] = v
-		}
-	}
-	got := MatMulBiasReLU(a, b, bias)
-	matricesExact(t, "MatMulBiasReLU", got, want)
-	Put(got)
-
-	// nil bias = fused activation only.
-	wantNoBias := naiveMatMulF32(a, b)
-	ReLUInPlace(wantNoBias)
-	got = MatMulBiasReLU(a, b, nil)
-	matricesExact(t, "MatMulBiasReLU(nil bias)", got, wantNoBias)
-	Put(got)
-}
-
 func TestGatherMatMulBitIdenticalToGatherThenMatMul(t *testing.T) {
 	rng := graph.NewRNG(34)
 	src := randomMatrix(40, 24, rng)
@@ -349,7 +318,6 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	rng := graph.NewRNG(41)
 	feats := randomMatrix(300, 32, rng)
 	w := randomMatrix(32, 16, rng)
-	bias := make([]float32, 16)
 	edgePtr, srcIdx := randomCSR(120, 200, 6, rng)
 	idx := make([]int32, 200)
 	for i := range idx {
@@ -360,7 +328,6 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	step := func() {
 		z := GatherMatMul(feats, idx, w)
 		s := SegmentAggFused(edgePtr, srcIdx, z, true, true)
-		fz := MatMulBiasReLU(z, randomStaticB, bias)
 		dOut := s // reuse as a stand-in gradient
 		dZ := SegmentAggFusedBackward(edgePtr, srcIdx, s, dOut, true, true, z.Rows)
 		GatherTMatMulAcc(grad, feats, idx, dZ)
@@ -368,7 +335,6 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		ReLUInPlace(dH)
 		Put(dH)
 		Put(dZ)
-		Put(fz)
 		Put(s)
 		Put(z)
 	}
@@ -377,10 +343,3 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		t.Errorf("fused kernel step allocates %.1f times per run, want 0", allocs)
 	}
 }
-
-// randomStaticB is a fixed operand for the alloc-free test (built once
-// so the closure itself performs no setup allocation).
-var randomStaticB = func() *Matrix {
-	rng := graph.NewRNG(42)
-	return randomMatrix(16, 16, rng)
-}()

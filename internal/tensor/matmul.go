@@ -357,11 +357,10 @@ func gemmRowIsSparse(arp []float32) bool {
 }
 
 // gemmTile computes one output tile [i0,i1) x [j0,j1) of out += A @ b,
-// k-panels low-to-high, with the optional fused bias+ReLU epilogue once
-// the tile's k-sum is complete.
+// k-panels low-to-high.
 //
 //apt:hotpath
-func gemmTile(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool, i0, i1, j0, j1 int) {
+func gemmTile(out *Matrix, a gemmA, b *Matrix, i0, i1, j0, j1 int) {
 	// Each tile invocation owns its dequant scratch: tiles may run on
 	// separate goroutines and row() mutates the slot cursor.
 	a, aScratch := a.withScratch()
@@ -408,24 +407,6 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool, i0, i1
 		Put(packMat)
 	}
 	Put(aScratch)
-	if bias != nil || relu {
-		for i := i0; i < i1; i++ {
-			or := out.Row(i)[j0:j1]
-			if bias != nil {
-				bb := bias[j0:j1]
-				for j := range or {
-					or[j] += bb[j]
-				}
-			}
-			if relu {
-				for j := range or {
-					if !(or[j] > 0) {
-						or[j] = 0
-					}
-				}
-			}
-		}
-	}
 }
 
 // gemmInto computes out += A @ b tiled. Single-proc (and small)
@@ -434,7 +415,7 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool, i0, i1
 // scheduler.
 //
 //apt:hotpath
-func gemmInto(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool) {
+func gemmInto(out *Matrix, a gemmA, b *Matrix) {
 	if a.k() != b.Rows {
 		panic("tensor: MatMul inner dimension mismatch")
 	}
@@ -448,13 +429,13 @@ func gemmInto(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool) {
 			if j1 > n {
 				j1 = n
 			}
-			gemmTile(out, a, b, bias, relu, 0, m, j0, j1)
+			gemmTile(out, a, b, 0, m, j0, j1)
 		}
 		return
 	}
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
 	parallelTiles(m, n, 16, gemmNB, func(i0, i1, j0, j1 int) {
-		gemmTile(out, a, b, bias, relu, i0, i1, j0, j1)
+		gemmTile(out, a, b, i0, i1, j0, j1)
 	})
 }
 
@@ -464,23 +445,7 @@ func gemmInto(out *Matrix, a gemmA, b *Matrix, bias []float32, relu bool) {
 //apt:hotpath
 func MatMul(a, b *Matrix) *Matrix {
 	out := Get(a.Rows, b.Cols)
-	gemmInto(out, gemmA{src: a, hi: a.Cols}, b, nil, false)
-	return out
-}
-
-// MatMulBiasReLU returns relu(a @ b + bias), the fused projection
-// epilogue: the bias add and activation run on each output tile while
-// it is cache-hot, instead of as separate full passes. bias may be nil
-// (activation only). The k-sum completes before the epilogue, so the
-// result is exactly ReLU(MatMul(a,b)+bias).
-//
-//apt:hotpath
-func MatMulBiasReLU(a, b *Matrix, bias []float32) *Matrix {
-	if bias != nil && len(bias) != b.Cols {
-		panic("tensor: MatMulBiasReLU bias length mismatch")
-	}
-	out := Get(a.Rows, b.Cols)
-	gemmInto(out, gemmA{src: a, hi: a.Cols}, b, bias, true)
+	gemmInto(out, gemmA{src: a, hi: a.Cols}, b)
 	return out
 }
 
@@ -491,7 +456,7 @@ func MatMulBiasReLU(a, b *Matrix, bias []float32) *Matrix {
 //apt:hotpath
 func GatherMatMul(src *Matrix, idx []int32, b *Matrix) *Matrix {
 	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src, idx: idx, hi: src.Cols}, b, nil, false)
+	gemmInto(out, gemmA{src: src, idx: idx, hi: src.Cols}, b)
 	return out
 }
 
@@ -502,7 +467,7 @@ func GatherMatMul(src *Matrix, idx []int32, b *Matrix) *Matrix {
 //apt:hotpath
 func GatherMatMulSlice(src *Matrix, idx []int32, lo, hi int, b *Matrix) *Matrix {
 	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src, idx: idx, lo: lo, hi: hi}, b, nil, false)
+	gemmInto(out, gemmA{src: src, idx: idx, lo: lo, hi: hi}, b)
 	return out
 }
 

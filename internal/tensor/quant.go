@@ -168,7 +168,7 @@ func GatherMatMulSrc(src FeatSource, idx []int32, b *Matrix) *Matrix {
 		return GatherMatMul(src.F, idx, b)
 	}
 	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src.F, idx: idx, hi: src.F.Cols, q: src.Q, qmask: src.QMask}, b, nil, false)
+	gemmInto(out, gemmA{src: src.F, idx: idx, hi: src.F.Cols, q: src.Q, qmask: src.QMask}, b)
 	return out
 }
 
@@ -181,7 +181,7 @@ func GatherMatMulSliceSrc(src FeatSource, idx []int32, lo, hi int, b *Matrix) *M
 		return GatherMatMulSlice(src.F, idx, lo, hi, b)
 	}
 	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src.F, idx: idx, lo: lo, hi: hi, q: src.Q, qmask: src.QMask}, b, nil, false)
+	gemmInto(out, gemmA{src: src.F, idx: idx, lo: lo, hi: hi, q: src.Q, qmask: src.QMask}, b)
 	return out
 }
 
