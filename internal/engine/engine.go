@@ -262,9 +262,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.epochRNG = graph.NewRNG(cfg.Seed ^ 0xabcdef)
 
-	var ok bool
-	if e.place, ok = placementFor(e); !ok {
-		return nil, fmt.Errorf("engine: unsupported strategy %v", cfg.Kind)
+	var err error
+	if e.place, err = placementFor(e); err != nil {
+		return nil, err
 	}
 	if e.place.shard {
 		// Per-node read volume is one column shard, not the full row.

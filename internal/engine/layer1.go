@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -62,14 +64,14 @@ type placement struct {
 	holdsPartials bool
 }
 
-func placementFor(e *Engine) (placement, bool) {
+func placementFor(e *Engine) (placement, error) {
 	switch e.cfg.Kind {
 	case strategy.GDP:
-		return placement{route: routeNone, whole: true}, true
+		return placement{route: routeNone, whole: true}, nil
 	case strategy.DNP:
-		return placement{route: routeByDest, whole: true}, true
+		return placement{route: routeByDest, whole: true}, nil
 	case strategy.SNP:
-		return placement{route: routeBySource}, true
+		return placement{route: routeBySource}, nil
 	case strategy.Hybrid:
 		// The paper's §5.2 conjecture: GDP across machines (no hidden
 		// embeddings cross the slow network), SNP among the GPUs of each
@@ -82,11 +84,20 @@ func placementFor(e *Engine) (placement, bool) {
 				return o
 			}
 			return int32(w.dev.ID)
-		}}, true
+		}}, nil
 	case strategy.NFP:
-		return placement{route: routeBroadcast, shard: true, holdsPartials: true}, true
+		return placement{route: routeBroadcast, shard: true, holdsPartials: true}, nil
 	}
-	return placement{}, false
+	return placement{}, fmt.Errorf("engine: unsupported strategy %v", e.cfg.Kind)
+}
+
+// owner resolves which rank owns source node u from worker w's
+// perspective under routeBySource.
+func (p *placement) owner(w *worker, u graph.NodeID) int32 {
+	if p.ownerOf != nil {
+		return p.ownerOf(w, u)
+	}
+	return w.eng.cfg.Assign[u]
 }
 
 // columns returns the feature columns rank c of n multiplies.
@@ -248,10 +259,7 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.SplitLayer, c
 	n, me := w.eng.Comm.NumDevices(), w.dev.ID
 	ctx.pos = make([][]int32, n)
 	payloads := make([]payload, n)
-	owner := func(u graph.NodeID) int32 { return w.eng.cfg.Assign[u] }
-	if p.ownerOf != nil {
-		owner = func(u graph.NodeID) int32 { return p.ownerOf(w, u) }
-	}
+	owner := func(u graph.NodeID) int32 { return p.owner(w, u) }
 	if p.route == routeBySource && !layer.PreSums() {
 		// Unique sources per owner, in block order.
 		srcIDs := make([][]graph.NodeID, n)
@@ -333,13 +341,7 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 	// Execute. Feature reads for all requesters share one deduplicated
 	// charge; the kernels read the store through each source list
 	// directly.
-	srcLists := make([][]graph.NodeID, n)
-	for rq, sb := range ctx.served {
-		if sb != nil {
-			srcLists[rq] = sb.Src
-		}
-	}
-	w.chargeUnionLoad(srcLists)
+	w.chargeUnionLoad(ctx.served)
 	feats := e.cfg.Store.FeatView(me)
 	replies := make([]payload, n)
 	if p.whole {
