@@ -8,17 +8,14 @@
 //	aptbench -exp fig8a            # one experiment
 //	aptbench -exp all -scale 0.25  # everything, quickly
 //
-// Experiments: fig1 fig6 fig7 fig8a fig8b fig8c fig9 fig10 fig11
-// fig12 tab1 tab3 tab4 ablation-fullcost ablation-dryrun
-// ablation-cache ablation-pipeline ablation-replan ext-hybrid
-// ext-nvlink all; plus transport (channel vs TCP-loopback wall epoch
-// time, written to BENCH_transport.json — see make bench-transport)
+// Experiment ids come from experiments.All; an unknown -exp lists them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -32,35 +29,18 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment id (see doc comment)")
+		exp    = flag.String("exp", "all", "experiment id, or all (an unknown id lists the valid ones)")
 		scale  = flag.Float64("scale", 0.5, "dataset scale multiplier (1.0 = full laptop scale)")
 		devs   = flag.Int("devices", 8, "GPUs on the single-machine platform")
 		epochs = flag.Int("epochs", 2, "measured epochs per configuration")
 		batch  = flag.Int("batch", 64, "per-GPU mini-batch size")
 		out    = flag.String("o", "", "also append reports to this file")
 		trace  = flag.String("trace", "", "run a pipelined training pass and write its Chrome trace to this file")
-		check  = flag.Bool("check", false, "with -exp transport: gate the allreduce series against the committed BENCH_transport.json instead of rewriting it")
 	)
 	flag.Parse()
 
 	if *trace != "" {
 		traceRun(*trace, *scale, *devs, *epochs, *batch)
-		return
-	}
-	if *exp == "transport" {
-		// Channel-vs-TCP wall time is its own path: it runs real
-		// sockets and rank processes, not the simulated platform the
-		// experiment env wraps.
-		run := func() (string, error) { return transportBench(*scale, *epochs, *batch, "BENCH_transport.json") }
-		if *check {
-			run = func() (string, error) { return transportCheck("BENCH_transport.json") }
-		}
-		report, err := run()
-		fmt.Print(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aptbench transport:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -82,69 +62,35 @@ func main() {
 		BatchSize: *batch,
 	})
 
-	type runner struct {
-		id string
-		fn func() (string, error)
-	}
-	all := []runner{
-		{"tab1", env.Table1},
-		{"tab2", env.Table2},
-		{"tab3", env.Table3},
-		{"fig1", env.Figure1},
-		{"fig6", env.Figure6},
-		{"fig7", env.Figure7},
-		{"fig8a", env.Figure8Hidden},
-		{"fig8b", env.Figure8Fanout},
-		{"fig8c", env.Figure8Cache},
-		{"fig9", env.Figure9},
-		{"fig10", env.Figure10},
-		{"fig11", env.Figure11},
-		{"fig12", env.Figure12},
-		{"tab4", env.Table4},
-		{"ablation-fullcost", env.AblationFullCost},
-		{"ablation-dryrun", env.AblationDryRunEpochs},
-		{"ablation-cache", env.AblationCachePolicy},
-		{"ablation-pipeline", env.AblationPipelining},
-		{"ablation-replan", env.AblationReplan},
-		{"ext-hybrid", env.ExtensionHybrid},
-		{"ext-nvlink", env.ExtensionNVLink},
-		{"ext-cpucache", env.ExtensionCPUCache},
-		{"ext-layerwise", env.ExtensionLayerWise},
-		{"ext-fullgraph", env.ExtensionFullGraph},
-		{"ext-phase", env.ExtensionPhaseDiagram},
-	}
-
-	run := func(r runner) {
+	ran := false
+	for _, x := range experiments.All {
+		if *exp != "all" && *exp != x.ID {
+			continue
+		}
+		ran = true
 		//apt:allow simclock CLI progress reporting; benchmark results themselves use the simulated clock
 		start := time.Now()
-		report, err := r.fn()
+		report, err := x.Run(env)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "aptbench %s: %v\n", r.id, err)
+			fmt.Fprintf(os.Stderr, "aptbench %s: %v\n", x.ID, err)
 			os.Exit(1)
 		}
 		fmt.Print(report)
 		//apt:allow simclock CLI progress reporting; benchmark results themselves use the simulated clock
-		fmt.Printf("[%s completed in %.1fs wall]\n\n", r.id, time.Since(start).Seconds())
+		fmt.Printf("[%s completed in %.1fs wall]\n\n", x.ID, time.Since(start).Seconds())
 		if outFile != nil {
 			fmt.Fprint(outFile, report)
 			fmt.Fprintln(outFile)
 		}
 	}
-
-	if *exp == "all" {
-		for _, r := range all {
-			run(r)
+	if !ran {
+		ids := make([]string, len(experiments.All))
+		for i, x := range experiments.All {
+			ids[i] = x.ID
 		}
-		return
+		fmt.Fprintf(os.Stderr, "aptbench: unknown experiment %q; valid ids: all %s\n", *exp, strings.Join(ids, " "))
+		os.Exit(2)
 	}
-	for _, r := range all {
-		if r.id == *exp {
-			run(r)
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "aptbench: unknown experiment %q\n", *exp)
-	os.Exit(2)
 }
 
 // traceRun captures one pipelined training run through the

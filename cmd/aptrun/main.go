@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/nn"
@@ -68,23 +69,26 @@ func main() {
 		}
 	}
 	task := core.Task{
-		Graph:          ds.Graph,
-		Feats:          ds.Feats,
-		Labels:         ds.Labels,
-		FeatDim:        spec.FeatDim,
-		Seeds:          ds.TrainSeeds,
-		NewModel:       newModel,
-		NewOptimizer:   func() nn.Optimizer { return nn.NewAdam(float32(*lr)) },
-		Sampling:       sample.Config{Fanouts: fanouts},
-		BatchSize:      *batch,
-		Platform:       p,
-		CacheBytes:     ds.CacheBytesFraction(0.08),
-		RecordTimeline: *timeline,
-		Seed:           7,
+		Graph:        ds.Graph,
+		Feats:        ds.Feats,
+		Labels:       ds.Labels,
+		FeatDim:      spec.FeatDim,
+		Seeds:        ds.TrainSeeds,
+		NewModel:     newModel,
+		NewOptimizer: func() nn.Optimizer { return nn.NewAdam(float32(*lr)) },
+		Sampling:     sample.Config{Fanouts: fanouts},
+		BatchSize:    *batch,
+		Platform:     p,
+		CacheBytes:   ds.CacheBytesFraction(0.08),
+		Seed:         7,
 	}
 	var opts []obs.Option
 	if *tracePth != "" {
 		opts = append(opts, obs.WithTracePath(*tracePth))
+	}
+	if *timeline {
+		// The per-step table is a view over the run's spans.
+		opts = append(opts, obs.WithObserver(spansOnly{}))
 	}
 	apt, err := core.New(task, opts...)
 	fatal(err)
@@ -110,11 +114,13 @@ func main() {
 	}
 	eng, err := apt.BuildEngine(choice)
 	fatal(err)
-	var lastStats engine.EpochStats
+	var lastEpochAt float64
 	for ep := 1; ep <= *epochs; ep++ {
+		if *timeline && ep == *epochs {
+			lastEpochAt = apt.Spans().MaxEnd() // no earlier span ends after this epoch's first begins
+		}
 		st := eng.RunEpoch()
 		engine.RecordEpochMetrics(apt.Metrics(), st)
-		lastStats = st
 		line := fmt.Sprintf("epoch %2d  sim %.4fs  %s", ep, st.EpochTime(), st.String())
 		if !*simulate {
 			acc := engine.Evaluate(ds.Graph, eng.Model(0), ds.Feats, ds.Labels,
@@ -123,9 +129,9 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	if *timeline && len(lastStats.Timeline) > 0 {
-		fmt.Println("per-step stage times (last epoch):")
-		fmt.Print(engine.FormatTimeline(lastStats.Timeline))
+	if *timeline {
+		fmt.Print(trace.RenderStepTable("per-step stage times (last epoch, max over devices):",
+			apt.Spans(), device.StepStages[:], lastEpochAt))
 	}
 	if *save != "" {
 		// A full training snapshot (params + optimizer moments + RNG
@@ -143,6 +149,13 @@ func main() {
 		fmt.Print(apt.Metrics().Exposition())
 	}
 }
+
+// spansOnly turns span collection on without a sink of its own:
+// aptrun drives the epochs itself and reads the collector directly.
+type spansOnly struct{}
+
+func (spansOnly) ObserveSpans([]*obs.Track)    {}
+func (spansOnly) ObserveMetrics(*obs.Registry) {}
 
 func fatal(err error) {
 	if err != nil {

@@ -18,8 +18,7 @@ import (
 // (core.Calibration cannot be imported without a cycle); core converts.
 //
 // Per-device stats are captured in full because the cost model compares
-// per-device maxima (load imbalance); StepTrace timelines are not part
-// of the state (the cost models never read them).
+// per-device maxima (load imbalance).
 type AdaptiveState struct {
 	// BaseFrac is the warm-tier split the dry-run volumes were
 	// collected under.

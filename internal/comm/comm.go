@@ -65,9 +65,6 @@ type Comm struct {
 	// device goroutines run.
 	Spans    []*obs.Track
 	SpanBase *float64
-	// Algo selects the AllReduce data plane (ring by default; naive
-	// full-mesh kept for benchmarking). Set before goroutines run.
-	Algo AllReduceAlgo
 	// ring holds per-rank ring-allreduce scratch; ring[dev] is only
 	// touched from dev's own goroutines (see ringState).
 	ring []*ringState
@@ -276,13 +273,10 @@ func (c *Comm) AllReduceCodec(dev int, stage string, mat *tensor.Matrix, bytes i
 	}
 	var result *tensor.Matrix
 	if mat != nil {
-		switch {
-		case c.n == 1:
+		if c.n == 1 {
 			result = tensor.Get(mat.Rows, mat.Cols)
 			result.AddInPlace(mat)
-		case c.Algo == AlgoNaive:
-			result = c.allReduceNaive(dev, mat)
-		default:
+		} else {
 			rs := c.ringFor(dev, elems)
 			acc := rs.acc[rs.cur][:elems]
 			rs.cur = 1 - rs.cur
@@ -325,8 +319,9 @@ func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 }
 
 // AllGatherNoCharge performs the data movement of AllGather without
-// charging simulated time; used internally by AllReduce (whose timing
-// follows the ring model, not the naive gather) and by tests.
+// charging simulated time: the exchange behind Barrier and AnyTrue,
+// the engine's RNG-cursor sync and wire measurement (package
+// transport).
 func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
 	c.broadcast(dev, p)
 	in := make([]Payload, c.n)

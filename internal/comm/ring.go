@@ -40,20 +40,6 @@ type CompressedChunk struct {
 	B []byte
 }
 
-// AllReduceAlgo selects the AllReduce data-plane algorithm.
-type AllReduceAlgo int
-
-const (
-	// AlgoRing is the default: chunked reduce-scatter + allgather moving
-	// 2·(C-1)/C·V per rank — the bytes the timing model charges.
-	AlgoRing AllReduceAlgo = iota
-	// AlgoNaive is the pre-ring full-mesh allgather-then-sum (~C×V per
-	// rank over a wire backend). Kept only so benchmarks can measure the
-	// ring's win; it ignores any chunk codec. Timing charges are
-	// identical to AlgoRing — the model always assumes the ring.
-	AlgoNaive
-)
-
 // ringState is per-rank ring scratch, touched only by goroutines of its
 // own rank and never concurrently (the engine serializes its gradient
 // sync goroutine against the worker's own collectives).
@@ -285,16 +271,4 @@ func addInto(dst, src []float32) {
 	for i, v := range src {
 		dst[i] += v
 	}
-}
-
-// allReduceNaive is the pre-ring data plane (AlgoNaive): full-mesh
-// gather of the whole matrix plus a local sum, kept for the
-// ring-vs-naive benchmark series.
-func (c *Comm) allReduceNaive(dev int, mat *tensor.Matrix) *tensor.Matrix {
-	parts := c.AllGatherNoCharge(dev, Payload{Mat: mat})
-	result := tensor.Get(mat.Rows, mat.Cols)
-	for j := 0; j < c.n; j++ {
-		result.AddInPlace(parts[j].Mat)
-	}
-	return result
 }

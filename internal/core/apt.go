@@ -263,22 +263,20 @@ func (a *APT) configureCPUCaches(s *cache.Store, freq []int64) {
 func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode) engine.Config {
 	t := &a.task
 	cfg := engine.Config{
-		Platform:       t.Platform,
-		Graph:          t.Graph,
-		Store:          store,
-		NewModel:       t.NewModel,
-		NewOptimizer:   t.NewOptimizer,
-		Seeds:          t.Seeds,
-		Sampling:       t.Sampling,
-		BatchSize:      t.BatchSize,
-		Assign:         a.part.Assign,
-		Kind:           k,
-		Mode:           mode,
-		Seed:           t.Seed,
-		RecordTimeline: t.RecordTimeline,
-		GradCompress:   t.GradCompress,
-		Pipeline:       t.Pipeline,
-		PipelineDepth:  t.PipelineDepth,
+		Platform:     t.Platform,
+		Graph:        t.Graph,
+		Store:        store,
+		NewModel:     t.NewModel,
+		NewOptimizer: t.NewOptimizer,
+		Seeds:        t.Seeds,
+		Sampling:     t.Sampling,
+		BatchSize:    t.BatchSize,
+		Assign:       a.part.Assign,
+		Kind:         k,
+		Mode:         mode,
+		Seed:         t.Seed,
+		GradCompress: t.GradCompress,
+		Pipeline:     t.Pipeline,
 	}
 	if mode == engine.Real {
 		cfg.Labels = t.Labels
@@ -290,29 +288,7 @@ func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode
 // configures the data layout (feature store, caches) and the unified
 // execution engine. Real mode is used when the task has features.
 func (a *APT) BuildEngine(k strategy.Kind) (*engine.Engine, error) {
-	if !a.planned && a.dryRun == nil {
-		// The cache configuration needs access frequencies even when
-		// the user pins a strategy without planning.
-		if !a.prepared {
-			if err := a.Prepare(); err != nil {
-				return nil, err
-			}
-		}
-		a.dryRun = &DryRunStats{Freq: a.collectFrequencies()}
-	}
-	mode := engine.Accounting
-	if a.task.Feats != nil {
-		mode = engine.Real
-	}
-	store := a.buildStore(k, a.dryRun.Freq, mode == engine.Real)
-	cfg := a.engineConfig(k, store, mode)
-	cfg.Spans = a.spans
-	e, err := engine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.lastEngine, a.lastKind = e, k
-	return e, nil
+	return a.buildEngine(k, nil, 0)
 }
 
 // BuildEngineDistributed is BuildEngine for one rank of a
@@ -324,7 +300,15 @@ func (a *APT) BuildEngine(k strategy.Kind) (*engine.Engine, error) {
 // Task.ProfileOverride or Replanner.CalibrateTransport to plan against
 // measured wire speeds instead of the simulated link model.
 func (a *APT) BuildEngineDistributed(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
+	return a.buildEngine(k, tr, localRank)
+}
+
+// buildEngine is the one engine builder; a nil transport keeps every
+// worker in this process.
+func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
 	if !a.planned && a.dryRun == nil {
+		// The cache configuration needs access frequencies even when
+		// the user pins a strategy without planning.
 		if !a.prepared {
 			if err := a.Prepare(); err != nil {
 				return nil, err
@@ -410,6 +394,14 @@ func (a *APT) TrainWith(k strategy.Kind, epochs int) (*Result, error) {
 // the snapshot's completed epochs count toward it. With CheckpointDir
 // set, a rolling snapshot is written at the configured epoch cadence.
 func (a *APT) TrainWithContext(ctx context.Context, k strategy.Kind, epochs int) (*Result, error) {
+	return a.train(ctx, k, epochs, nil)
+}
+
+// train is the one epoch loop behind Train, TrainWith and
+// TrainAdaptive: run an epoch, record it, let the re-planner (if any)
+// see it and possibly swap the engine, checkpoint. A nil re-planner is
+// static training under k.
+func (a *APT) train(ctx context.Context, k strategy.Kind, epochs int, rp *Replanner) (*Result, error) {
 	e, err := a.BuildEngine(k)
 	if err != nil {
 		return nil, err
@@ -431,10 +423,24 @@ func (a *APT) TrainWithContext(ctx context.Context, k strategy.Kind, epochs int)
 			break
 		}
 		res.Epochs = append(res.Epochs, st)
-		if err := a.maybeCheckpoint(e, k); err != nil {
+		if done := a.epochBase + e.EpochsRun(); rp != nil && done < epochs {
+			// Observe BEFORE checkpointing: the boundary-k snapshot must
+			// carry the planner state that has already seen epoch k, or a
+			// resumed run would calibrate one epoch behind the
+			// uninterrupted one and their plan decisions could diverge.
+			if e, err = a.replan(rp, e, done, st); err != nil {
+				runErr = err
+				break
+			}
+			res.Choice = rp.Current().Kind
+		}
+		if err := a.maybeCheckpoint(e, res.Choice); err != nil {
 			runErr = err
 			break
 		}
+	}
+	if rp != nil {
+		res.Replans = rp.Events
 	}
 	res.Model = e.Model(0)
 	if err := a.obsO.Flush(a.spans, a.reg); err != nil && runErr == nil {

@@ -98,7 +98,7 @@ func TestCalibrateTransport(t *testing.T) {
 	}
 	devices := a.Task().Platform.NumDevices()
 	cm := &CostModel{Profile: a.Profile(), Devices: devices, IncludeTrain: true}
-	rp := NewReplanner(ReplanConfig{}, cm, a.DryRunStats().PerStrategy, a.DryRunStats().Freq,
+	rp := NewReplanner(cm, a.DryRunStats().PerStrategy, a.DryRunStats().Freq,
 		a.Task().CacheBytes, a.Task().FeatDim, devices, false, Plan{Kind: strategy.SNP})
 
 	before := rp.planCost(Plan{Kind: strategy.SNP})

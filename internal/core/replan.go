@@ -9,7 +9,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
@@ -42,41 +41,21 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%v(depth=%d,int8=%.2f)", p.Kind, p.PipelineDepth, p.Int8Frac)
 }
 
-// ReplanConfig bounds the online re-planner. The zero value picks the
-// defaults below.
-type ReplanConfig struct {
-	// MinRelGain is the hysteresis guard: a candidate plan must predict
-	// at least this fractional improvement over the current plan's
-	// calibrated cost before the trainer rebuilds for it. Rebuilding
-	// re-admits caches and resets optimizer moments, so marginal wins
-	// are not worth the churn. Default 0.15.
-	MinRelGain float64
-	// CooldownEpochs blocks further switches for this many epochs after
-	// one fires, so a switch's own transient (cold warm-tier, first
+// The re-planner's bounds.
+const (
+	// replanMinRelGain is the hysteresis guard: a candidate plan must
+	// predict at least this fractional improvement over the current
+	// plan's calibrated cost before the trainer rebuilds for it.
+	// Rebuilding re-admits caches and resets optimizer moments, so
+	// marginal wins are not worth the churn.
+	replanMinRelGain = 0.15
+	// replanCooldownEpochs blocks further switches for this many epochs
+	// after one fires, so a switch's own transient (cold warm-tier, first
 	// pipelined epoch) cannot trigger an immediate switch back.
-	// Default 1.
-	CooldownEpochs int
-	// Int8Fracs are the candidate warm-tier splits evaluated each
-	// epoch. Default {0, 0.25, 0.5}.
-	Int8Fracs []float64
-	// MaxPipelineDepth caps the prefetch bound. Default 4.
-	MaxPipelineDepth int
-}
-
-func (c *ReplanConfig) normalize() {
-	if c.MinRelGain <= 0 {
-		c.MinRelGain = 0.15
-	}
-	if c.CooldownEpochs <= 0 {
-		c.CooldownEpochs = 1
-	}
-	if len(c.Int8Fracs) == 0 {
-		c.Int8Fracs = []float64{0, 0.25, 0.5}
-	}
-	if c.MaxPipelineDepth <= 0 {
-		c.MaxPipelineDepth = 4
-	}
-}
+	replanCooldownEpochs = 1
+	// replanMaxPipelineDepth caps the prefetch bound.
+	replanMaxPipelineDepth = 4
+)
 
 // ReplanEvent records one plan switch.
 type ReplanEvent struct {
@@ -95,9 +74,10 @@ type ReplanEvent struct {
 // calibrated CostModel and the dry-run statistics; Observe is called
 // once per epoch boundary.
 type Replanner struct {
-	cfg   ReplanConfig
 	cm    *CostModel
 	stats map[strategy.Kind]engine.EpochStats
+	// int8Fracs are the candidate warm-tier splits evaluated each epoch.
+	int8Fracs []float64
 
 	// freq is the dry-run per-node access counts, hottest first — the
 	// tier model integrates over it to predict how a candidate split
@@ -162,13 +142,12 @@ func (r *Replanner) Restore(s ReplanState) {
 // stats and freq are read, never written; initial is the plan the
 // first epoch runs under (its Int8Frac must be the split the dry-run
 // volumes were measured with).
-func NewReplanner(cfg ReplanConfig, cm *CostModel, stats map[strategy.Kind]engine.EpochStats,
+func NewReplanner(cm *CostModel, stats map[strategy.Kind]engine.EpochStats,
 	freq []int64, cacheBytes int64, featDim, devices int, pipeline bool, initial Plan) *Replanner {
-	cfg.normalize()
 	sorted := append([]int64(nil), freq...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	return &Replanner{
-		cfg: cfg, cm: cm, stats: stats,
+		cm: cm, stats: stats, int8Fracs: []float64{0, 0.25, 0.5},
 		freq: sorted, cacheBytes: cacheBytes, featDim: featDim,
 		devices: devices, pipeline: pipeline,
 		baseFrac: initial.Int8Frac, cur: initial,
@@ -195,23 +174,6 @@ func (r *Replanner) CalibrateTransport(measured *comm.Profile) {
 		return
 	}
 	r.cm.Profile = measured
-}
-
-// MeasuredStages reads the last epoch's per-stage seconds back out of
-// the metrics registry (the apt_engine_* gauges RecordEpochMetrics
-// maintains), so a caller holding only the registry can feed Observe.
-func MeasuredStages(reg *obs.Registry) engine.EpochStats {
-	g := func(name string) float64 { return reg.Gauge(name, "").Value() }
-	st := engine.EpochStats{
-		SampleSec:  g("apt_engine_sample_seconds"),
-		BuildSec:   g("apt_engine_build_seconds"),
-		LoadSec:    g("apt_engine_load_seconds"),
-		TrainSec:   g("apt_engine_train_seconds"),
-		ShuffleSec: g("apt_engine_shuffle_seconds"),
-	}
-	st.Totals.GradCommSec = g("apt_engine_grad_comm_seconds")
-	st.Totals.GradExposedSec = g("apt_engine_grad_exposed_seconds")
-	return st
 }
 
 // loadDim is the per-read feature width of one strategy (NFP shards
@@ -284,7 +246,7 @@ func (r *Replanner) planCost(p Plan) float64 {
 
 // pipelineDepth picks the prefetch bound from the calibrated stage
 // bars: enough queued batches to hide the sampling/build bar behind
-// the consume bar, clamped to [1, MaxPipelineDepth]. When the task
+// the consume bar, clamped to [1, replanMaxPipelineDepth]. When the task
 // does not pipeline the current depth is kept.
 func (r *Replanner) pipelineDepth(e Estimate) int {
 	if !r.pipeline {
@@ -298,8 +260,8 @@ func (r *Replanner) pipelineDepth(e Estimate) int {
 	if d < 1 {
 		d = 1
 	}
-	if d > r.cfg.MaxPipelineDepth {
-		d = r.cfg.MaxPipelineDepth
+	if d > replanMaxPipelineDepth {
+		d = replanMaxPipelineDepth
 	}
 	return d
 }
@@ -308,8 +270,8 @@ func (r *Replanner) pipelineDepth(e Estimate) int {
 // the plan the next epoch should run, plus whether it changed. The
 // decision is a pure function of (dry-run stats, measured stages,
 // internal cooldown state): candidate strategies come from the cost
-// model's sorted Select and candidate splits from the configured
-// slice, so the same inputs always produce the same plan.
+// model's sorted Select and candidate splits from a fixed slice, so
+// the same inputs always produce the same plan.
 func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) {
 	// Learn the gradient-sync overlap first: the measured epoch reports
 	// how much of the bucketed allreduce the backward pass hid, and the
@@ -342,7 +304,7 @@ func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) 
 		if e.OOM {
 			continue
 		}
-		for _, frac := range r.cfg.Int8Fracs {
+		for _, frac := range r.int8Fracs {
 			p := Plan{Kind: e.Kind, Int8Frac: frac}
 			if c := r.planCost(p); c < bestCost {
 				best, bestCost = p, c
@@ -362,14 +324,14 @@ func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) 
 	if curCost > 0 {
 		gain = (curCost - bestCost) / curCost
 	}
-	if !depthOnly && gain < r.cfg.MinRelGain {
+	if !depthOnly && gain < replanMinRelGain {
 		return r.cur, false
 	}
 	r.Events = append(r.Events, ReplanEvent{
 		Epoch: epoch, From: r.cur, To: best, PredictedGain: gain, Cal: r.cal,
 	})
 	r.cur = best
-	r.cooldown = r.cfg.CooldownEpochs
+	r.cooldown = replanCooldownEpochs
 	return best, true
 }
 
@@ -394,33 +356,24 @@ func adoptParams(e *engine.Engine, devices int, src *nn.Model) {
 // train, and at every epoch boundary recalibrate the cost model from
 // the measured stage times and — behind the hysteresis guard — switch
 // strategy, pipeline depth, or cache-tier split for the remaining
-// epochs. The default ReplanConfig is used; TrainAdaptiveContext takes
-// a custom one.
+// epochs.
 func (a *APT) TrainAdaptive(epochs int) (*Result, error) {
-	return a.TrainAdaptiveContext(context.Background(), epochs, ReplanConfig{})
+	return a.TrainAdaptiveContext(context.Background(), epochs)
 }
 
-// TrainAdaptiveContext is TrainAdaptive under a context and an
-// explicit re-planner configuration.
-func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int, rcfg ReplanConfig) (*Result, error) {
+// TrainAdaptiveContext is TrainAdaptive under a context.
+func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, error) {
 	if epochs <= 0 {
 		return nil, fmt.Errorf("core: epochs = %d", epochs)
 	}
 	if _, err := a.Plan(); err != nil {
 		return nil, err
 	}
-	cur := Plan{Kind: a.Choice, PipelineDepth: a.task.PipelineDepth, Int8Frac: a.int8Frac}
-	e, err := a.BuildEngine(cur.Kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.consumeResume(e); err != nil {
-		return nil, err
-	}
 	devices := a.task.Platform.NumDevices()
 	cm := &CostModel{Profile: a.profile, Devices: devices, IncludeTrain: true}
-	rp := NewReplanner(rcfg, cm, a.dryRun.PerStrategy, a.dryRun.Freq,
-		a.task.CacheBytes, a.task.FeatDim, devices, a.task.Pipeline, cur)
+	rp := NewReplanner(cm, a.dryRun.PerStrategy, a.dryRun.Freq,
+		a.task.CacheBytes, a.task.FeatDim, devices, a.task.Pipeline,
+		Plan{Kind: a.Choice, Int8Frac: a.int8Frac})
 	if a.resumeReplan != nil {
 		// A resumed run adopts the interrupted run's learned state: the
 		// calibration, cooldown, and — crucially — the split the dry-run
@@ -434,67 +387,37 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int, rcfg ReplanC
 	// of the run and afterwards, so both the in-loop checkpoint cadence
 	// and an explicit post-run Checkpoint capture its learned state.
 	a.replanner = rp
-	res := &Result{
-		Choice:          cur.Kind,
-		Estimates:       a.Estimates,
-		PlanWallSeconds: a.PlanWallSeconds,
+	return a.train(ctx, a.Choice, epochs, rp)
+}
+
+// replan shows the re-planner the epoch that just completed (done in
+// all) and applies its decision: nothing, a resize of the live
+// engine's prefetch bound, or a rebuilt engine that adopts the trained
+// parameters. It returns the engine the next epoch runs on — e unless a
+// rebuild succeeded.
+func (a *APT) replan(rp *Replanner, e *engine.Engine, done int, st engine.EpochStats) (*engine.Engine, error) {
+	prev := rp.Current()
+	next, switched := rp.Observe(done-1, st)
+	if !switched {
+		return e, nil
 	}
-	var runErr error
-	for a.epochBase+e.EpochsRun() < epochs {
-		st, err := e.RunEpochContext(ctx)
-		engine.RecordEpochMetrics(a.reg, st)
-		if err != nil {
-			runErr = err
-			break
-		}
-		res.Epochs = append(res.Epochs, st)
-		done := a.epochBase + e.EpochsRun()
-		if done < epochs {
-			// Observe BEFORE checkpointing: the boundary-k snapshot must
-			// carry the planner state that has already seen epoch k, or a
-			// resumed run would calibrate one epoch behind the
-			// uninterrupted one and their plan decisions could diverge.
-			// The measured stage times come back out of the obs registry —
-			// the same apt_engine_* gauges any external observer sees.
-			next, switched := rp.Observe(done-1, MeasuredStages(a.reg))
-			if switched {
-				a.reg.Counter("apt_replan_switches_total", "Online re-planner plan switches applied.").Inc()
-				if next.Kind == cur.Kind && next.Int8Frac == cur.Int8Frac {
-					// Depth-only resize: adjust the live engine's prefetch
-					// bound, no rebuild.
-					e.EnablePipeline(next.PipelineDepth)
-					cur = next
-				} else {
-					trained := e.Model(0)
-					a.int8Frac = next.Int8Frac
-					// Completed epochs move into the base across the
-					// rebuild, so the epoch counter (and any snapshot of
-					// it) spans engines.
-					a.epochBase = done
-					e2, err := a.BuildEngine(next.Kind)
-					if err != nil {
-						runErr = err
-						break
-					}
-					if a.task.Pipeline && next.PipelineDepth > 0 {
-						e2.EnablePipeline(next.PipelineDepth)
-					}
-					adoptParams(e2, devices, trained)
-					e = e2
-					cur = next
-					res.Choice = cur.Kind
-				}
-			}
-		}
-		if err := a.maybeCheckpoint(e, cur.Kind); err != nil {
-			runErr = err
-			break
-		}
+	a.reg.Counter("apt_replan_switches_total", "Online re-planner plan switches applied.").Inc()
+	if next.Kind == prev.Kind && next.Int8Frac == prev.Int8Frac {
+		// Depth-only resize: no rebuild.
+		e.EnablePipeline(next.PipelineDepth)
+		return e, nil
 	}
-	res.Replans = rp.Events
-	res.Model = e.Model(0)
-	if err := a.obsO.Flush(a.spans, a.reg); err != nil && runErr == nil {
-		runErr = err
+	a.int8Frac = next.Int8Frac
+	// Completed epochs move into the base across the rebuild, so the
+	// epoch counter (and any snapshot of it) spans engines.
+	a.epochBase = done
+	rebuilt, err := a.BuildEngine(next.Kind)
+	if err != nil {
+		return e, err
 	}
-	return res, runErr
+	if a.task.Pipeline && next.PipelineDepth > 0 {
+		rebuilt.EnablePipeline(next.PipelineDepth)
+	}
+	adoptParams(rebuilt, a.task.Platform.NumDevices(), e.Model(0))
+	return rebuilt, nil
 }

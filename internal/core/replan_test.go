@@ -82,9 +82,9 @@ func replanFreq() []int64 {
 	return freq
 }
 
-func newTestReplanner(cfg ReplanConfig) *Replanner {
+func newTestReplanner() *Replanner {
 	cm := &CostModel{Profile: replanProfile(), Devices: 2, IncludeTrain: true}
-	return NewReplanner(cfg, cm, replanStats(), replanFreq(),
+	return NewReplanner(cm, replanStats(), replanFreq(),
 		64*1024, 16, 2, false, Plan{Kind: strategy.GDP})
 }
 
@@ -102,7 +102,7 @@ func measuredGDP() engine.EpochStats {
 // shows up as a diverging trial.
 func TestReplannerDeterministic(t *testing.T) {
 	run := func() ([]Plan, []ReplanEvent) {
-		rp := newTestReplanner(ReplanConfig{})
+		rp := newTestReplanner()
 		var plans []Plan
 		for epoch := 0; epoch < 4; epoch++ {
 			p, _ := rp.Observe(epoch, measuredGDP())
@@ -129,7 +129,7 @@ func TestReplannerDeterministic(t *testing.T) {
 // link — and the correction must not inflate SNP's cache-resident
 // load estimate.
 func TestReplannerRecoversFromMisprofiledHostReads(t *testing.T) {
-	rp := newTestReplanner(ReplanConfig{})
+	rp := newTestReplanner()
 	next, switched := rp.Observe(0, measuredGDP())
 	if !switched || next.Kind != strategy.SNP {
 		t.Fatalf("Observe = %v, switched=%v; want a switch to SNP", next, switched)
@@ -150,7 +150,7 @@ func TestReplannerRecoversFromMisprofiledHostReads(t *testing.T) {
 // after a switch is inside the cooldown window, so even a measured
 // epoch that would re-rank the candidates cannot flap the plan.
 func TestReplannerCooldownBlocksImmediateSwitchBack(t *testing.T) {
-	rp := newTestReplanner(ReplanConfig{})
+	rp := newTestReplanner()
 	if _, switched := rp.Observe(0, measuredGDP()); !switched {
 		t.Fatal("setup: first epoch should have switched to SNP")
 	}
@@ -169,7 +169,8 @@ func TestReplannerCooldownBlocksImmediateSwitchBack(t *testing.T) {
 // load (0.065s vs the 0.02s lie) calibrates GDP to ~0.075s unique
 // cost — about 5% above SNP's 0.071s, under the 15% hysteresis bar.
 func TestReplannerHysteresisHoldsMarginalWins(t *testing.T) {
-	rp := newTestReplanner(ReplanConfig{Int8Fracs: []float64{0}})
+	rp := newTestReplanner()
+	rp.int8Fracs = []float64{0}
 	measured := engine.EpochStats{SampleSec: 0.01, LoadSec: 0.065, TrainSec: 0.05}
 	next, switched := rp.Observe(0, measured)
 	if switched {
@@ -181,8 +182,8 @@ func TestReplannerHysteresisHoldsMarginalWins(t *testing.T) {
 	if snp >= cur {
 		t.Fatalf("calibrated SNP cost %.4f is not below current %.4f; the test exercises nothing", snp, cur)
 	}
-	if gain := (cur - snp) / cur; gain >= rp.cfg.MinRelGain {
-		t.Fatalf("predicted gain %.2f clears the %.2f bar; fixture no longer marginal", gain, rp.cfg.MinRelGain)
+	if gain := (cur - snp) / cur; gain >= replanMinRelGain {
+		t.Fatalf("predicted gain %.2f clears the %.2f bar; fixture no longer marginal", gain, replanMinRelGain)
 	}
 	if len(rp.Events) != 0 {
 		t.Fatalf("%d events recorded, want none", len(rp.Events))

@@ -87,9 +87,6 @@ type Task struct {
 	// (nil uses the paper's per-strategy rules); the cache-policy
 	// ablation sets it to the degree-based PaGraph baseline.
 	CachePolicyOverride *cache.Policy
-	// RecordTimeline captures per-step stage times in every epoch's
-	// statistics (engine.EpochStats.Timeline).
-	RecordTimeline bool
 	// GradCompress selects the gradient-allreduce wire codec: "" or
 	// "fp32" moves exact floats, "fp16" halves the wire, "int8" quarters
 	// it with per-chunk scales and error feedback. Compression changes
@@ -101,9 +98,6 @@ type Task struct {
 	// overlapped against compute (engine.Config.Pipeline); epoch stats
 	// then carry the measured overlapped time.
 	Pipeline bool
-	// PipelineDepth bounds the prefetch queue (<=0 uses the engine
-	// default).
-	PipelineDepth int
 	// Seed drives all randomness.
 	Seed uint64
 }

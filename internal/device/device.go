@@ -25,6 +25,10 @@ const (
 	StageShuffle = "shuffle" // hidden-embedding shuffle (reported inside train in figures)
 )
 
+// StepStages lists the stages of one mini-batch step in execution
+// order.
+var StepStages = [5]string{StageSample, StageBuild, StageLoad, StageTrain, StageShuffle}
+
 // Device is one simulated GPU.
 type Device struct {
 	ID      int

@@ -87,9 +87,6 @@ type Config struct {
 	// paper's "the same graph samples are reused during dry-run"
 	// optimization. Sampling time is still charged once per batch.
 	PreSampled [][]*sample.MiniBatch
-	// RecordTimeline captures per-step stage times into
-	// EpochStats.Timeline (small overhead; off by default).
-	RecordTimeline bool
 	// Pipeline overlaps each worker's sampling with its compute: a
 	// per-worker prefetch goroutine samples mini-batch t+1 while batch t
 	// computes, bounded by a channel of depth PipelineDepth. Real mode
@@ -156,10 +153,9 @@ type worker struct {
 	dev   *device.Device
 	model *nn.Model
 	// layer0 is model.Layers[0], which the strategy's placement runs.
-	layer0   nn.SplitLayer
-	opt      nn.Optimizer
-	stats    *WorkerStats
-	timeline []StepTrace
+	layer0 nn.SplitLayer
+	opt    nn.Optimizer
+	stats  *WorkerStats
 	// pipelinedSec is the worker's simulated finish time under the
 	// overlapped schedule (pipelined mode only); kept off WorkerStats so
 	// aggregation maxes it instead of summing.
@@ -368,13 +364,7 @@ func (e *Engine) RunEpochContext(ctx context.Context) (EpochStats, error) {
 	}
 	plan := e.seedPlan()
 	nb := plan.NumBatches(e.cfg.BatchSize)
-	runWorker := func(dev int) {
-		if e.cfg.Pipeline {
-			e.workerEpochPipelined(ctx, e.workers[dev], plan, nb)
-		} else {
-			e.workerEpoch(ctx, e.workers[dev], plan, nb)
-		}
-	}
+	runWorker := func(dev int) { e.workerEpoch(ctx, e.workers[dev], plan, nb) }
 	if e.cfg.Transport != nil {
 		// Distributed: the other ranks run in their own processes; this
 		// engine instance holds their (identical) replicas but drives only
@@ -404,36 +394,69 @@ func (e *Engine) stopAgreed(ctx context.Context, w *worker) bool {
 	return e.Comm.AnyTrue(w.dev.ID, ctx.Err() != nil)
 }
 
-// workerEpoch drives one device through all synchronized steps.
+// batch is one sampled mini-batch on its way to a worker's compute
+// loop, with the sampling cost already charged to the device.
+type batch struct {
+	seeds     []graph.NodeID
+	mb        *sample.MiniBatch
+	edges     int64
+	sampleSec float64
+}
+
+// drawBatch produces w's mini-batch for one step — sampled, or looked
+// up when the caller pre-sampled the epoch — and charges its sampling
+// time. It runs on whichever goroutine owns w's sampler for the epoch:
+// the worker itself when synchronous, its prefetcher when pipelined.
+func (e *Engine) drawBatch(w *worker, plan *sample.SeedPlan, step int) batch {
+	b := batch{seeds: plan.Batch(w.dev.ID, step, e.cfg.BatchSize)}
+	if e.cfg.PreSampled != nil {
+		b.mb = e.cfg.PreSampled[w.dev.ID][step]
+		b.seeds = b.mb.Seeds
+	} else {
+		b.mb = e.samplers[w.dev.ID].Sample(b.seeds)
+	}
+	for _, blk := range b.mb.Blocks {
+		b.edges += blk.NumEdges()
+	}
+	b.sampleSec = e.cfg.Platform.SampleTime(b.edges)
+	w.dev.Charge(device.StageSample, b.sampleSec)
+	return b
+}
+
+// workerEpoch drives one device through all synchronized steps. The
+// synchronous and the pipelined epoch are this one loop; they differ in
+// where the next batch comes from — drawn inline, after the workers
+// agreed not to stop, or received from the worker's prefetch goroutine
+// (pipeline.go) — and so in where the step lands on the simulated
+// timeline.
 func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPlan, numBatches int) {
-	B := e.cfg.BatchSize
 	cancellable := ctx.Done() != nil
-	record := e.cfg.RecordTimeline
+	var ahead chan batch
+	var sched *overlapSchedule
+	if e.cfg.Pipeline {
+		sched = newOverlapSchedule(w.dev, numBatches, e.pipelineDepth())
+		ahead = make(chan batch, sched.depth) // the prefetch bound
+		go e.runPrefetcher(w, plan, numBatches, ahead)
+	}
 	var snap stageSnapshot
-	if record || w.spanDev != nil {
-		w.timeline = w.timeline[:0]
+	if w.spanDev != nil {
 		snap = snapshotOf(w.dev)
 	}
 	for step := 0; step < numBatches; step++ {
+		// Agree before drawing: a synchronous stop leaves the sampler's
+		// cursor at a step boundary.
 		if cancellable && e.stopAgreed(ctx, w) {
 			break
 		}
-		seeds := plan.Batch(w.dev.ID, step, B)
-		var mb *sample.MiniBatch
-		if e.cfg.PreSampled != nil {
-			mb = e.cfg.PreSampled[w.dev.ID][step]
-			seeds = mb.Seeds
+		var b batch
+		if ahead != nil {
+			b = <-ahead
 		} else {
-			mb = e.samplers[w.dev.ID].Sample(seeds)
+			b = e.drawBatch(w, plan, step)
 		}
-		var edges int64
-		for _, b := range mb.Blocks {
-			edges += b.NumEdges()
-		}
-		w.dev.Charge(device.StageSample, e.cfg.Platform.SampleTime(edges))
-		w.stats.SampledEdges += edges
+		w.stats.SampledEdges += b.edges
 
-		e.computeStep(w, plan, step, seeds, mb)
+		e.computeStep(w, plan, step, b.seeds, b.mb)
 		if w.real() && e.cfg.PreSampled == nil {
 			// The engine sampled this batch itself, and completing the
 			// step's gradient sync means every worker is past its backward
@@ -443,49 +466,50 @@ func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPl
 			// the allocator. Accounting mode has no such guarantee
 			// (nothing real is exchanged), and pre-sampled batches belong
 			// to the caller, so both skip it.
-			mb.Recycle()
+			b.mb.Recycle()
 		}
-		if record || w.spanDev != nil {
-			cur := snapshotOf(w.dev)
-			st := stepDelta(step, snap, cur)
-			snap = cur
-			if record {
-				w.timeline = append(w.timeline, st)
-			}
-			w.emitSyncSpans(st)
-		}
-	}
-}
 
-// emitSyncSpans lays one synchronous step's stages end to end on the
-// worker's device track: under synchronous execution the stages really
-// do serialize on the device, so the span timeline is the truth, not a
-// rendering choice.
-func (w *worker) emitSyncSpans(st StepTrace) {
-	if w.spanDev == nil {
-		return
+		var sampleDone, computeStart float64
+		if sched != nil {
+			sampleDone, computeStart = sched.place(step, b.sampleSec)
+			w.pipelinedSec = sched.computeDone[step]
+		}
+		if w.spanDev != nil {
+			cur := snapshotOf(w.dev)
+			d := cur.since(snap)
+			snap = cur
+			base := e.spanBase
+			if sched == nil {
+				// Synchronous stages really do serialize on the device, so
+				// laying them end to end on its track is the truth, not a
+				// rendering choice.
+				at := base + w.spanCursor
+				w.spanCursor = w.emitStepSpans(w.spanDev, step, d, at, at+d[0]) - base
+			} else {
+				// The prefetcher charges the sample clock ahead of compute,
+				// so the step's sampling time comes from the batch itself;
+				// its span goes on the sampler track ending at sampleDone,
+				// where sampling of step t+1 visibly overlaps compute of
+				// step t.
+				d[0] = b.sampleSec
+				w.emitStepSpans(w.spanSmp, step, d, base+sampleDone-d[0], base+computeStart)
+			}
+		}
 	}
-	cur := w.eng.spanBase + w.spanCursor
-	for _, sp := range [5]struct {
-		stage string
-		dur   float64
-	}{
-		{device.StageSample, st.SampleSec},
-		{device.StageBuild, st.BuildSec},
-		{device.StageLoad, st.LoadSec},
-		{device.StageTrain, st.TrainSec},
-		{device.StageShuffle, st.ShuffSec},
-	} {
-		w.spanDev.Emit(sp.stage, st.Step, cur, sp.dur, 0)
-		cur += sp.dur
+	if ahead != nil {
+		// Join the prefetcher. After a full epoch it has already closed the
+		// channel; after an agreed stop the drain unblocks its pending send
+		// so it sees the flag and quits (batches dropped here are simply
+		// not recycled).
+		w.stopPrefetch.Store(true)
+		for range ahead {
+		}
 	}
-	w.spanCursor = cur - w.eng.spanBase
 }
 
 // computeStep runs everything past sampling for one mini-batch: the
 // strategy's layer 1, the data-parallel upper layers, loss/backward in
-// real mode, and gradient synchronization. Shared by the synchronous
-// and pipelined epoch loops.
+// real mode, and gradient synchronization.
 func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds []graph.NodeID, mb *sample.MiniBatch) {
 	global := 0
 	for d := range plan.PerWorker {

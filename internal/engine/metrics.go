@@ -113,9 +113,6 @@ type EpochStats struct {
 	MeanLoss float64
 	// OOM reports whether any device overflowed its memory.
 	OOM bool
-	// Timeline holds per-step stage maxima when Config.RecordTimeline
-	// is set.
-	Timeline []StepTrace
 }
 
 // EpochTime is the total epoch time under synchronous stages.
@@ -233,8 +230,5 @@ func (e *Engine) collectStats(numBatches int) EpochStats {
 		st.MeanLoss = st.Totals.LossSum / float64(numBatches)
 	}
 	st.OOM = e.Group.AnyOOM()
-	if e.cfg.RecordTimeline {
-		st.Timeline = e.mergeTimelines(numBatches)
-	}
 	return st
 }

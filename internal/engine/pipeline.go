@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"context"
-
 	"repro/internal/device"
-	"repro/internal/graph"
 	"repro/internal/sample"
 )
 
@@ -42,43 +39,18 @@ func (e *Engine) pipelineDepth() int {
 	return defaultPipelineDepth
 }
 
-// prefetched is one sampled mini-batch handed from a worker's prefetch
-// goroutine to its compute loop.
-type prefetched struct {
-	step      int
-	seeds     []graph.NodeID
-	mb        *sample.MiniBatch
-	edges     int64
-	sampleSec float64
-}
-
-// runPrefetcher samples the worker's whole epoch in step order,
-// charging the sample clock as it goes, and feeds the bounded channel.
-// It owns the worker's sampler for the duration of the epoch; stats
-// counters stay with the compute loop so the two goroutines never
-// share mutable state.
-func (e *Engine) runPrefetcher(w *worker, plan *sample.SeedPlan, numBatches int, out chan<- prefetched) {
+// runPrefetcher draws the worker's whole epoch in step order, charging
+// the sample clock as it goes, and feeds the bounded channel. It owns
+// the worker's sampler for the duration of the epoch; stats counters
+// stay with the compute loop so the two goroutines never share mutable
+// state.
+func (e *Engine) runPrefetcher(w *worker, plan *sample.SeedPlan, numBatches int, out chan<- batch) {
 	defer close(out)
-	B := e.cfg.BatchSize
 	for step := 0; step < numBatches; step++ {
 		if w.stopPrefetch.Load() {
 			return // compute loop agreed on cancellation
 		}
-		seeds := plan.Batch(w.dev.ID, step, B)
-		var mb *sample.MiniBatch
-		if e.cfg.PreSampled != nil {
-			mb = e.cfg.PreSampled[w.dev.ID][step]
-			seeds = mb.Seeds
-		} else {
-			mb = e.samplers[w.dev.ID].Sample(seeds)
-		}
-		var edges int64
-		for _, b := range mb.Blocks {
-			edges += b.NumEdges()
-		}
-		sampleSec := e.cfg.Platform.SampleTime(edges)
-		w.dev.Charge(device.StageSample, sampleSec)
-		out <- prefetched{step: step, seeds: seeds, mb: mb, edges: edges, sampleSec: sampleSec}
+		out <- e.drawBatch(w, plan, step)
 	}
 }
 
@@ -89,105 +61,44 @@ func nonSampleElapsed(d *device.Device) float64 {
 		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
 }
 
-// workerEpochPipelined drives one device with sampling prefetched on a
-// side goroutine, tracking the overlapped simulated schedule.
-func (e *Engine) workerEpochPipelined(ctx context.Context, w *worker, plan *sample.SeedPlan, numBatches int) {
-	depth := e.pipelineDepth()
-	cancellable := ctx.Done() != nil
-	ch := make(chan prefetched, depth)
-	go e.runPrefetcher(w, plan, numBatches, ch)
+// overlapSchedule folds one worker's per-step simulated times into the
+// overlapped schedule of the recurrence above.
+type overlapSchedule struct {
+	dev          *device.Device
+	depth        int
+	prevCompute  float64
+	sampleDone   []float64
+	computeStart []float64
+	computeDone  []float64
+}
 
-	record := e.cfg.RecordTimeline
-	var snap stageSnapshot
-	if record || w.spanDev != nil {
-		w.timeline = w.timeline[:0]
-		snap = snapshotOf(w.dev)
-	}
-	sampleDone := make([]float64, numBatches)
-	computeStart := make([]float64, numBatches)
-	computeDone := make([]float64, numBatches)
-	prevCompute := nonSampleElapsed(w.dev)
-	lastStep := -1
-
-	for f := range ch {
-		if cancellable && e.stopAgreed(ctx, w) {
-			// Tell the prefetcher to quit, then drain so its pending send
-			// unblocks and the channel closes.
-			w.stopPrefetch.Store(true)
-			for range ch {
-			}
-			break
-		}
-		w.stats.SampledEdges += f.edges
-		e.computeStep(w, plan, f.step, f.seeds, f.mb)
-		if w.real() && e.cfg.PreSampled == nil {
-			// Sampled by our own prefetcher and fully consumed; safe for
-			// the same reason as workerEpoch (the gradient sync's causal
-			// completion guarantee).
-			// Batches dropped by the cancellation drain are simply not
-			// recycled.
-			f.mb.Recycle()
-		}
-
-		cur := nonSampleElapsed(w.dev)
-		computeSec := cur - prevCompute
-		prevCompute = cur
-
-		t := f.step
-		lastStep = t
-		var prevSample, slotFree, prevDone float64
-		if t > 0 {
-			prevSample = sampleDone[t-1]
-			prevDone = computeDone[t-1]
-		}
-		if t-depth >= 0 {
-			slotFree = computeStart[t-depth]
-		}
-		sampleDone[t] = maxf64(prevSample, slotFree) + f.sampleSec
-		computeStart[t] = maxf64(prevDone, sampleDone[t])
-		computeDone[t] = computeStart[t] + computeSec
-
-		if record || w.spanDev != nil {
-			// The prefetcher charges the sample clock ahead of compute,
-			// so per-step sampling comes from the batch itself; the
-			// compute stages still come from clock deltas.
-			curSnap := snapshotOf(w.dev)
-			st := stepDelta(t, snap, curSnap)
-			st.SampleSec = f.sampleSec
-			snap = curSnap
-			if record {
-				w.timeline = append(w.timeline, st)
-			}
-			w.emitPipelinedSpans(st, sampleDone[t], computeStart[t])
-		}
-	}
-	if lastStep >= 0 {
-		w.pipelinedSec = computeDone[lastStep]
+func newOverlapSchedule(dev *device.Device, numBatches, depth int) *overlapSchedule {
+	return &overlapSchedule{
+		dev: dev, depth: depth, prevCompute: nonSampleElapsed(dev),
+		sampleDone:   make([]float64, numBatches),
+		computeStart: make([]float64, numBatches),
+		computeDone:  make([]float64, numBatches),
 	}
 }
 
-// emitPipelinedSpans places one pipelined step on the worker's span
-// tracks using the overlapped schedule: the sampling span goes on the
-// sampler track ending at sampleDone, the compute stages lay end to
-// end on the device track from computeStart. Sampling of step t+1
-// therefore visibly overlaps compute of step t in the exported trace.
-func (w *worker) emitPipelinedSpans(st StepTrace, sampleDone, computeStart float64) {
-	if w.spanDev == nil {
-		return
+// place schedules step t, whose compute just finished on the device
+// clocks and whose sampling cost sampleSec, and returns when its
+// sampling ends and its compute starts.
+func (s *overlapSchedule) place(t int, sampleSec float64) (sampleDone, computeStart float64) {
+	cur := nonSampleElapsed(s.dev)
+	computeSec := cur - s.prevCompute
+	s.prevCompute = cur
+
+	var prevSample, slotFree, prevDone float64
+	if t > 0 {
+		prevSample = s.sampleDone[t-1]
+		prevDone = s.computeDone[t-1]
 	}
-	base := w.eng.spanBase
-	w.spanSmp.Emit(device.StageSample, st.Step, base+sampleDone-st.SampleSec, st.SampleSec, 0)
-	cur := base + computeStart
-	for _, sp := range [4]struct {
-		stage string
-		dur   float64
-	}{
-		{device.StageBuild, st.BuildSec},
-		{device.StageLoad, st.LoadSec},
-		{device.StageTrain, st.TrainSec},
-		{device.StageShuffle, st.ShuffSec},
-	} {
-		w.spanDev.Emit(sp.stage, st.Step, cur, sp.dur, 0)
-		cur += sp.dur
+	if t-s.depth >= 0 {
+		slotFree = s.computeStart[t-s.depth]
 	}
+	s.sampleDone[t] = maxf64(prevSample, slotFree) + sampleSec
+	s.computeStart[t] = maxf64(prevDone, s.sampleDone[t])
+	s.computeDone[t] = s.computeStart[t] + computeSec
+	return s.sampleDone[t], s.computeStart[t]
 }

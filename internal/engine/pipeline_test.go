@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/strategy"
 )
@@ -92,7 +93,8 @@ func TestPipelinedAccountingBounded(t *testing.T) {
 		cfg.Store.HostByRange()
 		cfg.Labels = nil
 		cfg.Pipeline = true
-		cfg.RecordTimeline = true
+		col := obs.NewCollector()
+		cfg.Spans = col
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -109,18 +111,20 @@ func TestPipelinedAccountingBounded(t *testing.T) {
 			t.Errorf("%v: measured %.6fs beats the train bar %.6fs — overlap cannot hide compute",
 				k, st.MeasuredPipelinedSec, st.TrainSec)
 		}
-		if len(st.Timeline) != st.NumBatches {
-			t.Errorf("%v: timeline has %d steps, want %d", k, len(st.Timeline), st.NumBatches)
-		}
-		var sampleSum float64
-		for _, tr := range st.Timeline {
-			sampleSum += tr.SampleSec
-		}
-		// Per-step sampling in the timeline comes from the prefetcher;
-		// its per-device sum must not exceed the epoch sample bar times
-		// the device count (and must be nonzero).
-		if sampleSum <= 0 {
-			t.Errorf("%v: pipelined timeline lost sampling time", k)
+		// Per-step sampling comes from the prefetcher and lands on the
+		// sampler track: one span per step, with nonzero total.
+		for _, tr := range col.Tracks() {
+			if tr.Proc != "sampler" {
+				continue
+			}
+			var sampleSum float64
+			for _, s := range tr.Spans() {
+				sampleSum += s.Dur
+			}
+			if tr.Len() != st.NumBatches || sampleSum <= 0 {
+				t.Errorf("%v: sampler track %s holds %d sample spans totalling %v, want %d with positive total",
+					k, tr.Name, tr.Len(), sampleSum, st.NumBatches)
+			}
 		}
 	}
 }

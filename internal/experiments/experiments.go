@@ -1,10 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5) on the simulated platform. Each experiment
-// returns a plain-text report; cmd/aptbench prints them and
-// bench_test.go wraps them as Go benchmarks. Absolute times are
-// simulated seconds on the modeled T4 platform; the reproduction
-// target is the qualitative shape (which strategy wins where, and that
-// APT picks at or near the optimum).
+// returns a plain-text report; cmd/aptbench prints them. Absolute
+// times are simulated seconds on the modeled T4 platform; the
+// reproduction target is the qualitative shape (which strategy wins
+// where, and that APT picks at or near the optimum).
 package experiments
 
 import (
@@ -75,6 +74,44 @@ func NewEnv(opts Options) *Env {
 
 // Env is the public handle for running experiments.
 type Env struct{ env }
+
+// Experiment pairs the id `aptbench -exp` takes with the Env method
+// that produces the report.
+type Experiment struct {
+	ID  string
+	Run func(*Env) (string, error)
+}
+
+// All lists every experiment in `aptbench -exp all` order. It is the
+// only list of ids: aptbench dispatches on it and the smoke test
+// ranges over it, so an experiment cannot exist without being run.
+var All = []Experiment{
+	{"tab1", (*Env).Table1},
+	{"tab2", (*Env).Table2},
+	{"tab3", (*Env).Table3},
+	{"fig1", (*Env).Figure1},
+	{"fig6", (*Env).Figure6},
+	{"fig7", (*Env).Figure7},
+	{"fig8a", (*Env).Figure8Hidden},
+	{"fig8b", (*Env).Figure8Fanout},
+	{"fig8c", (*Env).Figure8Cache},
+	{"fig9", (*Env).Figure9},
+	{"fig10", (*Env).Figure10},
+	{"fig11", (*Env).Figure11},
+	{"fig12", (*Env).Figure12},
+	{"tab4", (*Env).Table4},
+	{"ablation-fullcost", (*Env).AblationFullCost},
+	{"ablation-dryrun", (*Env).AblationDryRunEpochs},
+	{"ablation-cache", (*Env).AblationCachePolicy},
+	{"ablation-pipeline", (*Env).AblationPipelining},
+	{"ablation-replan", (*Env).AblationReplan},
+	{"ext-hybrid", (*Env).ExtensionHybrid},
+	{"ext-nvlink", (*Env).ExtensionNVLink},
+	{"ext-cpucache", (*Env).ExtensionCPUCache},
+	{"ext-layerwise", (*Env).ExtensionLayerWise},
+	{"ext-fullgraph", (*Env).ExtensionFullGraph},
+	{"ext-phase", (*Env).ExtensionPhaseDiagram},
+}
 
 // Dataset builds (and caches) a preset.
 func (e *env) Dataset(abbr string) *dataset.Dataset {

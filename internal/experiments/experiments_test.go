@@ -147,44 +147,26 @@ func TestMeanStats(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsSmoke runs every experiment end-to-end at a tiny
-// scale (skipped with -short). It guards the whole harness against
-// regressions; the benchmarks exercise realistic scales.
+// TestAllExperimentsSmoke runs every experiment in All — the list
+// aptbench dispatches on — end-to-end at a tiny scale (skipped with
+// -short). It guards the whole harness against regressions.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: full experiment sweep")
 	}
 	e := NewEnv(Options{Scale: 0.03, Epochs: 1, Devices: 4, BatchSize: 32})
-	for _, exp := range []struct {
-		name string
-		fn   func() (string, error)
-	}{
-		{"fig1", e.Figure1},
-		{"fig6", e.Figure6},
-		{"fig7", e.Figure7},
-		{"fig8a", e.Figure8Hidden},
-		{"fig8b", e.Figure8Fanout},
-		{"fig8c", e.Figure8Cache},
-		{"fig9", e.Figure9},
-		{"fig10", e.Figure10},
-		{"tab2", e.Table2},
-		{"tab4", e.Table4},
-		{"ablation-fullcost", e.AblationFullCost},
-		{"ablation-dryrun", e.AblationDryRunEpochs},
-		{"ablation-cache", e.AblationCachePolicy},
-		{"ablation-pipeline", e.AblationPipelining},
-		{"ext-nvlink", e.ExtensionNVLink},
-		{"ext-cpucache", e.ExtensionCPUCache},
-		{"ext-layerwise", e.ExtensionLayerWise},
-		{"ext-fullgraph", e.ExtensionFullGraph},
-		{"ext-phase", e.ExtensionPhaseDiagram},
-	} {
-		out, err := exp.fn()
+	seen := map[string]bool{}
+	for _, exp := range All {
+		if seen[exp.ID] {
+			t.Errorf("experiment id %q listed twice", exp.ID)
+		}
+		seen[exp.ID] = true
+		out, err := exp.Run(e)
 		if err != nil {
-			t.Fatalf("%s: %v", exp.name, err)
+			t.Fatalf("%s: %v", exp.ID, err)
 		}
 		if len(out) < 50 {
-			t.Errorf("%s: suspiciously short report", exp.name)
+			t.Errorf("%s: suspiciously short report", exp.ID)
 		}
 	}
 }

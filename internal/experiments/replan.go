@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -86,7 +85,7 @@ func (e *Env) AblationReplan() (string, error) {
 			if err != nil {
 				return "", err
 			}
-			adaptRes, err := adaptive.TrainAdaptiveContext(context.Background(), epochs, core.ReplanConfig{})
+			adaptRes, err := adaptive.TrainAdaptive(epochs)
 			if err != nil {
 				return "", err
 			}

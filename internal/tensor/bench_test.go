@@ -6,10 +6,10 @@ import (
 	"repro/internal/graph"
 )
 
-// Kernel micro-benchmarks backing BENCH_kernels.json (`make
-// bench-kernels`). Shapes mirror the real-mode training hot path: a
-// few thousand gathered source rows, feature dims in the dozens to low
-// hundreds, and power-law segment structure from neighbor sampling.
+// Kernel micro-benchmarks (`go test -bench . ./internal/tensor`).
+// Shapes mirror the real-mode training hot path: a few thousand
+// gathered source rows, feature dims in the dozens to low hundreds, and
+// power-law segment structure from neighbor sampling.
 //
 // The *Unfused / *ThenMatMul variants reproduce the compositions the
 // fused kernels replaced, so each pair measures one fusion in

@@ -304,10 +304,13 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 	Put(dst)
 }
 
-// TestFusedKernelsAllocFree is the allocation guard for the fused hot
-// path: with the pool warm and GOMAXPROCS=1 (the inline kernel path),
-// one fused forward+backward step through every new kernel must not
-// touch the allocator.
+// TestFusedKernelsAllocFree is the allocation guard for the kernel hot
+// path: with the pool warm and GOMAXPROCS=1 (the inline kernel path;
+// the parallel fan-out allocates per worker by design), one
+// forward+backward step through the dense, fused and tiered-source
+// kernels must not touch the allocator. The pipelined engine depends on
+// it, and the int8 tier's pooled dequant scratch must not show up as
+// steady-state allocation either.
 func TestFusedKernelsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -317,13 +320,16 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 
 	rng := graph.NewRNG(41)
 	feats := randomMatrix(300, 32, rng)
+	tiered := benchFeatSource(feats) // every other row in the int8 tier
 	w := randomMatrix(32, 16, rng)
+	w2 := randomMatrix(16, 16, rng)
 	edgePtr, srcIdx := randomCSR(120, 200, 6, rng)
 	idx := make([]int32, 200)
 	for i := range idx {
 		idx[i] = int32(rng.Intn(feats.Rows))
 	}
 	grad := New(32, 16)
+	grad2 := New(16, 16)
 
 	step := func() {
 		z := GatherMatMul(feats, idx, w)
@@ -333,6 +339,14 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		GatherTMatMulAcc(grad, feats, idx, dZ)
 		dH := MatMulT(dZ, w)
 		ReLUInPlace(dH)
+		h := MatMul(z, w2)
+		TMatMulAcc(grad2, z, h)
+		zq := GatherMatMulSrc(tiered, idx, w)
+		GatherTMatMulAccSrc(grad, tiered, idx, zq)
+		sq := SegmentAggFusedSrc(edgePtr, srcIdx, tiered, true, true)
+		Put(sq)
+		Put(zq)
+		Put(h)
 		Put(dH)
 		Put(dZ)
 		Put(s)
@@ -340,6 +354,6 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	}
 	step() // warm the pools
 	if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
-		t.Errorf("fused kernel step allocates %.1f times per run, want 0", allocs)
+		t.Errorf("kernel step allocates %.1f times per run, want 0", allocs)
 	}
 }

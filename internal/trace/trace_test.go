@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,5 +99,37 @@ func TestRowsFromSpans(t *testing.T) {
 	out := RenderSpanBars("spans", c, nil)
 	if !strings.Contains(out, "dev0") || !strings.Contains(out, "legend") {
 		t.Errorf("bad render:\n%s", out)
+	}
+}
+
+func TestStepRowsFromSpans(t *testing.T) {
+	c := obs.NewCollector()
+	dev0 := c.AddTrack("device", "dev0")
+	dev0.Emit("sample", 0, 0, 9.0, 0) // an earlier epoch, before from
+	dev0.Emit("sample", 0, 10, 1.0, 0)
+	dev0.Emit("train", 0, 11, 2.0, 0)
+	dev0.Emit("train", 1, 13, 1.0, 0)
+	dev1 := c.AddTrack("device", "dev1")
+	dev1.Emit("train", 0, 10, 2.5, 0) // the slower device sets the step's time
+	smp := c.AddTrack("sampler", "dev1/sampler")
+	smp.Emit("sample", 1, 10, 0.25, 0)
+	comm := c.AddTrack("comm", "dev0/comm")
+	comm.Emit("allreduce", 0, 10, 7.0, 64) // not a listed stage
+	comm.Emit("train", -1, 10, 7.0, 0)     // not step-scoped
+
+	rows := StepRowsFromSpans(c.Tracks(), []string{"sample", "train"}, 10)
+	want := [][2]float64{{1.0, 2.5}, {0.25, 1.0}}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(want), rows)
+	}
+	for i, r := range rows {
+		if r.Label != fmt.Sprint(i) || len(r.Segments) != 2 ||
+			r.Segments[0].Sec != want[i][0] || r.Segments[1].Sec != want[i][1] {
+			t.Errorf("step %d row = %+v, want sample %v train %v", i, r, want[i][0], want[i][1])
+		}
+	}
+	out := RenderStepTable("steps", c, []string{"sample", "train"}, 10)
+	if !strings.Contains(out, "3.50000") { // step 0 total
+		t.Errorf("step table lacks step 0's total:\n%s", out)
 	}
 }
