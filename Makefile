@@ -13,9 +13,14 @@ test:
 # distributed-protocol analyzers: lockstep collectives, goroutine
 # ownership, wire-contract goldens — see DESIGN.md decisions 14 and
 # 19). -audit also fails on stale //apt:allow directives, from the
-# same single go/types load as the findings.
+# same single go/types load as the findings. The second vet type-checks
+# the file set of a GOARCH without vector kernels (internal/tensor's
+# kernels_generic.go instead of kernels_amd64.{go,s}), so the portable
+# path cannot stop compiling unnoticed on an amd64 runner; it needs
+# only GOROOT, no network.
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) run ./cmd/aptlint -audit
 
 # bench-smoke builds and runs the benchmark's own test (all four
@@ -26,7 +31,8 @@ lint:
 bench-smoke:
 	$(GO) test -C bench .
 
-# verify is the pre-merge gate: lint (vet + aptlint -audit) + build
+# verify is the pre-merge gate: lint (vet, incl. asmdecl on the amd64
+# kernels; GOARCH=arm64 vet for the portable path; aptlint -audit) + build
 # everything (including the serving daemon), then run the
 # concurrency-heavy packages (pipelined engine, pooled kernels,
 # inference server — including the blue/green reload path, span/metrics

@@ -11,6 +11,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -35,7 +36,9 @@ type Package struct {
 // module rooted at dir (the directory containing go.mod). testdata,
 // vendor and hidden directories are skipped, as are _test.go files:
 // aptlint's invariants are properties of production code, and tests
-// legitimately use wall-clock timeouts and ad-hoc allocation.
+// legitimately use wall-clock timeouts and ad-hoc allocation. Files
+// whose build constraints exclude the host platform are skipped too
+// (see loader.parse).
 func LoadModule(dir string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(dir, "go.mod"))
 	if err != nil {
@@ -199,8 +202,17 @@ func (ld *loader) parse(path string) (*parsedPkg, error) {
 	pp := &parsedPkg{}
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// The file set is the one `go build` would compile here: a
+		// //go:build line or a _GOOS/_GOARCH suffix that excludes the
+		// host platform excludes the file (and MatchFile drops "." and
+		// "_" prefixes), so an _amd64.go / !amd64 pair declaring the same
+		// function type-checks as one declaration, not a redeclaration.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

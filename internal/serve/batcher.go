@@ -111,10 +111,14 @@ func (s *Server) runBatch(w *engine.InferWorker, rs *sample.RequestSet, batch []
 		}
 		p.res = res
 		latencies[i] = now.Sub(p.enq)
-		close(p.done)
 	}
 	tensor.Put(logits)
+	// Count the batch before releasing its callers: a client that has
+	// its answer must find it in Stats().
 	s.stats.recordBatch(latencies, rs.NumSeeds(), ld)
+	for _, p := range batch {
+		close(p.done)
+	}
 }
 
 // argmax returns the index of the largest score (lowest index wins

@@ -214,6 +214,40 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	}
 }
 
+// TestStatsCountAnsweredRequests: a client that has its answer must
+// find it counted. Clients call Predict in sequence and read Stats()
+// after every return; the count may never be behind the number of
+// answers handed out so far (the worker records a batch before it
+// releases any of the batch's callers, not after the last of them).
+func TestStatsCountAnsweredRequests(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, nil)
+	defer s.Close()
+
+	const clients, perClient = 8, 100
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				v := graph.NodeID((c*perClient + i) % f.ds.Graph.NumNodes())
+				if _, err := s.Predict([]graph.NodeID{v}); err != nil {
+					t.Error(err)
+					return
+				}
+				held := answered.Add(1)
+				if got := s.Stats().Requests; got < held {
+					t.Errorf("with %d answers returned, Stats().Requests = %d", held, got)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
 // TestFullCacheHitsEverything gives every device a cache big enough
 // for the whole feature matrix; every read must then be a GPU hit.
 func TestFullCacheHitsEverything(t *testing.T) {

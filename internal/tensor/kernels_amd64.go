@@ -1,0 +1,85 @@
+package tensor
+
+// Dispatch to the AVX2 micro-kernels of kernels_amd64.s. Which path runs
+// is decided once, at init, by what the CPU and the OS report — an
+// observation about the platform, not an option: there is no flag,
+// environment variable or exported symbol that selects it, and both
+// paths produce the same bits (see the .s file), so nothing outside
+// this package can tell them apart except by the clock.
+//
+// The kernels take raw pointers. Each wrapper below first slices (and
+// so bounds-checks) the full extent its kernel will touch.
+
+//go:noescape
+func gemmRowK(or *float32, n int, a *float32, k int, b *float32, bw int)
+
+//go:noescape
+func tmatmulAcc8(dst *float32, i, m, n int, ap *[8]*float32, b *float32, bw int) int
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM state across context switches (OSXSAVE set and XCR0 enabling both
+// the SSE and AVX state components).
+var hasAVX2 = func() bool {
+	const (
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx     = 1 << 28 // CPUID.1:ECX
+		avx2    = 1 << 5  // CPUID.(7,0):EBX
+		xcr0YMM = 0b110   // XCR0: SSE and AVX state
+	)
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&xcr0YMM != xcr0YMM {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}()
+
+// gemmPanelVec is the vector-width form of gemmPanelDense. It computes
+// the leading len(or)&^7 output columns and returns how many it did
+// (0 when the CPU lacks AVX2); the caller finishes the rest.
+//
+//apt:hotpath
+func gemmPanelVec(or, arp, bd []float32, bw, bj int) int {
+	n, k := len(or)&^7, len(arp)
+	if !hasAVX2 || n == 0 || k == 0 {
+		return 0
+	}
+	// B rows 0..k-1, columns [bj, bj+n): the first element is checked by
+	// &bd[bj], the last here.
+	_ = bd[bj+(k-1)*bw+n-1]
+	gemmRowK(&or[0], n, &arp[0], k, &bd[bj], bw)
+	return n
+}
+
+// tmatmulAcc8Vec is the vector-width form of the all-coefficients-live
+// branch of tmatmulAccRows' eight-row block. Starting at output row i
+// it applies dst[i] += Σ_r ar[r][i]·b8[r*bw:][:n] (r increasing) to
+// consecutive rows while all eight coefficients are nonzero, and
+// returns the first row it left untouched: m, or a row with a zero
+// coefficient for the caller's zero-skipping code. Without AVX2 it
+// returns i.
+//
+//apt:hotpath
+func tmatmulAcc8Vec(dd []float32, i, m, n int, ar *[8][]float32, b8 []float32, bw int) int {
+	if !hasAVX2 || n == 0 {
+		return i
+	}
+	// dst rows [i, m) of width n, eight b rows of width n at stride bw,
+	// and elements [i, m) of each A row (the caller's loop has i < m).
+	_ = dd[m*n-1]
+	_ = b8[7*bw+n-1]
+	var ap [8]*float32
+	for r := range ap {
+		ap[r] = &ar[r][:m][0]
+	}
+	return tmatmulAcc8(&dd[0], i, m, n, &ap, &b8[0], bw)
+}

@@ -1,0 +1,279 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// The vector kernels promise the bits of the Go loops they stand in
+// for, so everything here compares math.Float32bits — which, unlike
+// ==, also tells +0 from −0 — between the dispatched entry points and
+// the …Generic ones. Both are called directly: no test switches a
+// package variable to choose a path.
+
+// requireVectorKernels skips unless the dispatched kernels really are
+// the vector ones, so a comparison never passes by running the Go loop
+// against itself. On amd64 with AVX2 the probe is true (see
+// TestAVX2DetectionMatchesCPUInfo for the detection itself).
+func requireVectorKernels(t testing.TB) {
+	t.Helper()
+	if gemmPanelVec(make([]float32, 8), []float32{1}, make([]float32, 8), 8, 0) == 0 {
+		t.Skipf("no vector kernels on this platform (GOARCH=%s; on amd64 they need AVX2 and OS support for the YMM state)", runtime.GOARCH)
+	}
+}
+
+var simdNegZero = float32(math.Copysign(0, -1))
+
+// simdSpecials are the values most likely to expose a lane that does
+// not do exactly what the scalar loop does: both zeros (the skip tests
+// are sign-blind, the adds are not) and denormals (no flush-to-zero).
+var simdSpecials = []float32{
+	0, simdNegZero,
+	math.Float32frombits(1), -math.Float32frombits(3),
+	1e-39, -1e-39, 1.17549435e-38, // around the smallest normal
+}
+
+// simdMatrix draws a matrix of unit normals with about an eighth of the
+// entries replaced by specials; zeroRowIn > 0 additionally blanks about
+// one row in that many (the zero-skip dispatch forward, the
+// all-coefficients-zero skips backward).
+func simdMatrix(rng *graph.RNG, rows, cols, zeroRowIn int) *Matrix {
+	m := randomMatrix(rows, cols, rng)
+	for i := range m.Data {
+		if rng.Intn(8) == 0 {
+			m.Data[i] = simdSpecials[rng.Intn(len(simdSpecials))]
+		}
+	}
+	for r := 0; zeroRowIn > 0 && r < rows; r++ {
+		if rng.Intn(zeroRowIn) == 0 {
+			clear(m.Row(r))
+		}
+	}
+	return m
+}
+
+func bitsEqual(t testing.TB, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#08x), generic %v (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// simdCase is one shape of the comparison. form selects how the left
+// operand is read: 0 a plain matrix, 1 gathered rows (with repeats),
+// 2 an unaligned column window of gathered rows, 3 that window over a
+// source with every other row in the int8 tier.
+type simdCase struct {
+	seed uint64
+	n    int // output columns
+	k    int // reduction length: panel depth forward, row count backward
+	m    int // the other extent of A: output rows
+	form int
+}
+
+func (c simdCase) String() string {
+	return fmt.Sprintf("n%d_k%d_m%d_form%d", c.n, c.k, c.m, c.form)
+}
+
+// operand builds an A operand of the given logical shape in form
+// c.form, returning the kernels' view of it and the arguments of the
+// matching public entry point.
+func (c simdCase) operand(rng *graph.RNG, rows, width, zeroRowIn int) (a gemmA, src FeatSource, idx []int32, lo, hi int) {
+	if c.form == 0 {
+		f := simdMatrix(rng, rows, width, zeroRowIn)
+		return gemmA{src: f, hi: width}, FS(f), nil, 0, width
+	}
+	lo, hi = 0, width
+	if c.form >= 2 {
+		lo, hi = 3, 3+width
+	}
+	f := simdMatrix(rng, rows/2+3, hi+2*lo, zeroRowIn)
+	idx = make([]int32, rows)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(f.Rows)) // fewer source rows than indices: repeats
+	}
+	src = FS(f)
+	if c.form == 3 {
+		src = benchFeatSource(f)
+	}
+	return gemmA{src: f, idx: idx, lo: lo, hi: hi, q: src.Q, qmask: src.QMask}, src, idx, lo, hi
+}
+
+// checkSIMDCase compares every dispatched kernel with its generic twin
+// on one shape.
+func checkSIMDCase(t testing.TB, c simdCase) {
+	t.Helper()
+	rng := graph.NewRNG(c.seed)
+
+	// The panel kernel itself, on a window of a wider B (stride > n,
+	// unaligned first column) and of a wider output row whose
+	// neighbours must stay untouched.
+	{
+		const pad = 3
+		bw := c.n + 2*pad
+		arp := simdMatrix(rng, 1, c.k, 0).Data
+		bd := simdMatrix(rng, c.k, bw, 0).Data
+		got := simdMatrix(rng, 1, bw, 0).Data
+		want := append([]float32(nil), got...)
+		gemmPanelDense(got[pad:pad+c.n], arp, bd, bw, pad)
+		gemmPanelDenseGeneric(want[pad:pad+c.n], arp, bd, bw, pad)
+		bitsEqual(t, "gemmPanelDense", got, want)
+	}
+
+	// Forward entry points: c.m output rows, reduction over c.k. The
+	// reference walks the same operand view row by row through the
+	// generic panel kernel (k-panels and the zero-skip dispatch change
+	// no bit of a +0-rooted sum, see gemmRowIsSparse).
+	{
+		a, src, idx, lo, hi := c.operand(rng, c.m, c.k, 6)
+		b := simdMatrix(rng, c.k, c.n, 0)
+		want := New(c.m, c.n)
+		aw, scratch := a.withScratch()
+		for i := 0; i < c.m; i++ {
+			gemmPanelDenseGeneric(want.Row(i), aw.row(i), b.Data, c.n, 0)
+		}
+		Put(scratch)
+		var got *Matrix
+		switch c.form {
+		case 0:
+			got = MatMul(src.F, b)
+		case 1:
+			got = GatherMatMul(src.F, idx, b)
+		case 2:
+			got = GatherMatMulSlice(src.F, idx, lo, hi, b)
+		default:
+			got = GatherMatMulSliceSrc(src, idx, lo, hi, b)
+		}
+		bitsEqual(t, "forward", got.Data, want.Data)
+		Put(got)
+	}
+
+	// Backward: dst (c.m x c.n) += Aᵀ @ b over c.k rows. The range
+	// kernel is compared on [lo, k) for a few lo, so that the 8/4/2/1
+	// row blocks all start at different offsets; the destination starts
+	// with −0 entries in it, which a wrongly skipped +0 term would flip.
+	{
+		a, src, idx, lo, hi := c.operand(rng, c.k, c.m, 16)
+		b := simdMatrix(rng, c.k, c.n, 6)
+		dst0 := simdMatrix(rng, c.m, c.n, 0)
+		for _, from := range []int{0, 3} {
+			if from >= c.k {
+				continue
+			}
+			got, want := dst0.Clone(), dst0.Clone()
+			aw, scratch := a.withScratch()
+			tmatmulAccRange(got, aw, b, from, c.k)
+			Put(scratch)
+			aw, scratch = a.withScratch()
+			tmatmulAccRangeGeneric(want, aw, b, from, c.k)
+			Put(scratch)
+			bitsEqual(t, fmt.Sprintf("tmatmulAccRange[%d,%d)", from, c.k), got.Data, want.Data)
+		}
+		if c.k < tmatmulAccMinRows || runtime.GOMAXPROCS(0) == 1 {
+			// The entry points, where they run the range kernel in one
+			// piece (larger inputs fan out over per-worker partials).
+			got, want := dst0.Clone(), dst0.Clone()
+			aw, scratch := a.withScratch()
+			tmatmulAccRangeGeneric(want, aw, b, 0, c.k)
+			Put(scratch)
+			switch c.form {
+			case 0:
+				TMatMulAcc(got, src.F, b)
+			case 1:
+				GatherTMatMulAcc(got, src.F, idx, b)
+			case 2:
+				GatherTMatMulAccSlice(got, src.F, idx, lo, hi, b)
+			default:
+				GatherTMatMulAccSliceSrc(got, src, idx, lo, hi, b)
+			}
+			bitsEqual(t, "backward", got.Data, want.Data)
+		}
+	}
+}
+
+// simdTable crosses the column counts around the 8- and 32-lane block
+// edges with the reduction lengths around the 8-row block and gemmKC.
+// The operand form is the visitor's to choose.
+func simdTable(visit func(simdCase)) {
+	seed := uint64(1)
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 128, 130} {
+		for _, k := range []int{1, 7, 8, 9, 127, 128, 129, 200} {
+			// m walks through 1..40 so both the output-row loop inside
+			// the backward kernel and the forward tile scheduler (inline
+			// below 32 rows) see short, odd and long extents.
+			visit(simdCase{seed: seed, n: n, k: k, m: 1 + int(seed*7)%40})
+			seed++
+		}
+	}
+}
+
+func TestSIMDKernelsMatchGeneric(t *testing.T) {
+	requireVectorKernels(t)
+	simdTable(func(c simdCase) {
+		for c.form = 0; c.form < 4; c.form++ {
+			t.Run(c.String(), func(t *testing.T) { checkSIMDCase(t, c) })
+		}
+	})
+}
+
+func FuzzSIMDMatchesGeneric(f *testing.F) {
+	simdTable(func(c simdCase) {
+		f.Add(c.seed, uint8(c.n), uint8(c.k), uint8(c.m), uint8(c.seed%4))
+	})
+	f.Fuzz(func(t *testing.T, seed uint64, n, k, m, form uint8) {
+		requireVectorKernels(t)
+		checkSIMDCase(t, simdCase{seed: seed, n: max(1, int(n)), k: max(1, int(k)), m: max(1, int(m)), form: int(form) % 4})
+	})
+}
+
+// TestSIMDZeroCoefficientRowsKeepSignOfZero pins the one place where
+// "skip a zero term" and "add it" differ in a bit: a −0 accumulator.
+// Every destination element starts at −0, every b element is a zero
+// whose sign makes a live term −0 (which keeps −0) and a zero
+// coefficient's term +0 (which would flip it), and every third output
+// row has one zero coefficient, at each of the eight positions in turn,
+// between runs of all-live rows that send the kernel past it. The
+// kernel must hand exactly those rows back to the zero-skipping code.
+func TestSIMDZeroCoefficientRowsKeepSignOfZero(t *testing.T) {
+	requireVectorKernels(t)
+	const m, n, k = 26, 41, 8
+	for _, cfg := range []struct{ live, zero, b float32 }{
+		{live: -1, zero: 0, b: 0},                    // −1·+0 = −0, +0·+0 = +0
+		{live: 1, zero: simdNegZero, b: simdNegZero}, // 1·−0 = −0, −0·−0 = +0
+	} {
+		a := New(k, m)
+		for i := range a.Data {
+			a.Data[i] = cfg.live
+		}
+		for i := 2; i < m; i += 3 {
+			a.Set((i/3)%k, i, cfg.zero)
+		}
+		b := New(k, n)
+		for i := range b.Data {
+			b.Data[i] = cfg.b
+		}
+		got := New(m, n)
+		for i := range got.Data {
+			got.Data[i] = simdNegZero
+		}
+		want := got.Clone()
+		tmatmulAccRange(got, gemmA{src: a, hi: m}, b, 0, k)
+		tmatmulAccRangeGeneric(want, gemmA{src: a, hi: m}, b, 0, k)
+		bitsEqual(t, "tmatmulAccRange", got.Data, want.Data)
+		for i, v := range want.Data {
+			if math.Float32bits(v) != math.Float32bits(simdNegZero) {
+				t.Fatalf("generic element %d = %#08x: the fixture no longer keeps −0", i, math.Float32bits(v))
+			}
+		}
+	}
+}

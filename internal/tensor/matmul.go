@@ -220,13 +220,27 @@ func (g gemmA) k() int { return g.hi - g.lo }
 // k-panel, k increasing, no zero-skip branch in the inner loop. arp is
 // the A-row slice aligned with the panel; bd holds the panel's B rows
 // starting at its first row with stride bw, offset bj selecting the
-// output column window. The 8-wide (then 4-wide) k-unroll amortizes the
-// or[] load/store over eight fused terms; per element the adds remain
-// sequential in k order, so the association matches eight separate
-// iterations.
+// output column window. The vector kernel takes the leading multiple
+// of eight columns where the platform has one; the Go loop takes the
+// rest, which is every column elsewhere. Columns are independent, so
+// the split changes no bit.
 //
 //apt:hotpath
 func gemmPanelDense(or, arp, bd []float32, bw, bj int) {
+	if done := gemmPanelVec(or, arp, bd, bw, bj); done < len(or) {
+		gemmPanelDenseGeneric(or[done:], arp, bd, bw, bj+done)
+	}
+}
+
+// gemmPanelDenseGeneric is gemmPanelDense in portable Go — the
+// implementation on platforms without a vector kernel and the reference
+// the vector kernel is tested against bit for bit. The 8-wide (then
+// 4-wide) k-unroll amortizes the or[] load/store over eight fused
+// terms; per element the adds remain sequential in k order, so the
+// association matches eight separate iterations.
+//
+//apt:hotpath
+func gemmPanelDenseGeneric(or, arp, bd []float32, bw, bj int) {
 	n := len(or)
 	kk := 0
 	for ; kk+7 < len(arp); kk += 8 {
@@ -664,6 +678,22 @@ func tmatmulAccPair(or []float32, a0, a1 float32, br0, br1 []float32) {
 //
 //apt:hotpath
 func tmatmulAccRange(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
+	tmatmulAccRows(dst, a, b, lo, hi, true)
+}
+
+// tmatmulAccRangeGeneric is tmatmulAccRange in portable Go only — the
+// reference the vector kernel is tested against bit for bit.
+func tmatmulAccRangeGeneric(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
+	tmatmulAccRows(dst, a, b, lo, hi, false)
+}
+
+// tmatmulAccRows is the one body behind both: with vec set, runs of
+// output rows whose eight coefficients are all live go to the
+// platform's vector kernel (if it has one). Which rows are all-live,
+// and everything about the others, is decided here either way.
+//
+//apt:hotpath
+func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 	m, n := dst.Rows, dst.Cols
 	dd := dst.Data
 	kk := lo
@@ -691,6 +721,15 @@ func tmatmulAccRange(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
 			a4, a5, a6, a7 := ar4[i], ar5[i], ar6[i], ar7[i]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 &&
 				a4 != 0 && a5 != 0 && a6 != 0 && a7 != 0 {
+				if vec {
+					// The kernel takes this row and the all-live rows
+					// that follow it, and stops at the first that is not.
+					ar := [8][]float32{ar0, ar1, ar2, ar3, ar4, ar5, ar6, ar7}
+					if next := tmatmulAcc8Vec(dd, i, m, n, &ar, b.Data[kk*b.Cols:], b.Cols); next > i {
+						i = next - 1
+						continue
+					}
+				}
 				or := dd[i*n : i*n+n]
 				// Two columns per pass — independent accumulator
 				// chains, per-column k order unchanged (see
