@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke
+.PHONY: build test lint verify bench bench-smoke count
 
 build:
 	$(GO) build ./...
@@ -37,18 +37,29 @@ bench-smoke:
 # concurrency-heavy packages (pipelined engine, pooled kernels,
 # inference server — including the blue/green reload path, span/metrics
 # collection, comm ledger, device clocks, the TCP transport's loopback
-# collective tests, the checkpoint codec, the parallel full-graph
-# inference path, and the int8 cache tier) under the race detector.
+# collective tests, the checkpoint codec, and the int8 cache tier) under
+# the race detector.
 # bench-smoke keeps the benchmark module compiling against the
 # internals it imports. The kernels' zero-allocation guard is a tier-1
 # test (tensor.TestFusedKernelsAllocFree), so `make test` holds it.
 verify: lint bench-smoke
 	$(GO) build ./...
 	$(GO) build ./cmd/aptserve
-	$(GO) test -race ./internal/engine/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/fullgraph/... ./internal/cache/...
+	$(GO) test -race ./internal/engine/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/cache/...
 
 # bench runs the repo's one benchmark (BENCHMARK.json, bench/README.md)
 # with its defaults; call bench/run.sh directly to pass -workload,
 # -seed or -trace.
 bench:
 	bash bench/run.sh
+
+# count prints the five sizes a simplicity PR quotes before and after:
+# code lines outside tests and bench/, the root package's exported
+# names, experiment ids, option fields and CLI flags.
+count:
+	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
+	@printf 'facade exports (package repro): '; $(GO) doc -all . | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +='
+	@printf 'experiments.All ids: '; grep -cE '^	\{"[a-z0-9-]+", \(\*Env\)\.' internal/experiments/experiments.go
+	@printf 'exported core.Task fields: '; $(GO) doc ./internal/core Task | sed -n '/^type Task struct/,/^}/p' | grep -cE '^	[A-Z]'
+	@printf 'exported engine.Config fields: '; $(GO) doc ./internal/engine Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
+	@printf 'cmd/ flags: '; grep -rhoE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\(' cmd --include='*.go' | wc -l

@@ -25,7 +25,6 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fullgraph"
 	"repro/internal/nn"
 	"repro/internal/strategy"
 )
@@ -49,8 +48,6 @@ type (
 	Model = nn.Model
 	// Optimizer updates model parameters.
 	Optimizer = nn.Optimizer
-	// FullGraphConfig configures the full-graph training baseline.
-	FullGraphConfig = fullgraph.Config
 )
 
 // Strategy identifies a parallelization strategy; its String method
@@ -73,12 +70,6 @@ var CoreStrategies = strategy.Core
 // ParseStrategy converts a strategy name ("GDP", "dnp", ...) to its
 // Strategy; the inverse of Strategy.String.
 var ParseStrategy = strategy.Parse
-
-// Full-graph trainer modes.
-const (
-	FullGraphReal       = fullgraph.Real
-	FullGraphAccounting = fullgraph.Accounting
-)
 
 // NewAPT validates a task and creates the system. Options attach
 // observers (WithObserver, WithTracePath) and configure rolling
@@ -104,6 +95,4 @@ var (
 	Evaluate = engine.Evaluate
 	// DescribePlan renders a strategy's adapted execution plan.
 	DescribePlan = engine.DescribePlan
-	// NewFullGraphTrainer builds the full-graph training baseline.
-	NewFullGraphTrainer = fullgraph.New
 )

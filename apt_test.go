@@ -58,27 +58,3 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeFullGraph(t *testing.T) {
-	spec := repro.DatasetPresets(0.03)[0]
-	spec.Classes = 4
-	ds := repro.BuildDataset(spec, false)
-	part := repro.MultilevelPartition(ds.Graph, 2, repro.PartitionConfig{Seed: 1, EdgeBalanced: true})
-	tr, err := repro.NewFullGraphTrainer(repro.FullGraphConfig{
-		Platform:   repro.SingleMachine8GPU(),
-		Graph:      ds.Graph,
-		TrainNodes: ds.TrainSeeds,
-		NewModel: func() *repro.Model {
-			return repro.NewGraphSAGE(spec.FeatDim, 8, spec.Classes, 2)
-		},
-		Assign: part.Assign,
-		Mode:   repro.FullGraphAccounting,
-		Seed:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := tr.RunEpoch(); st.EpochTime() <= 0 {
-		t.Error("full-graph facade epoch has no time")
-	}
-}

@@ -170,22 +170,9 @@ func TestLoadGathersAndCharges(t *testing.T) {
 	if dev.Elapsed(device.StageLoad) <= 0 {
 		t.Error("no load time charged")
 	}
-}
-
-func TestLoadDims(t *testing.T) {
-	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2)
-	s := newStore(p, 4, 4, true)
-	s.HostByRange()
-	s.LoadDim = 2 // NFP shard accounting
-	grp := device.NewGroup(p)
-	m, st := s.LoadDims(grp.Devices[0], []graph.NodeID{2}, 2, 4)
-	if m.Cols != 2 {
-		t.Fatalf("LoadDims cols = %d", m.Cols)
-	}
-	if m.At(0, 0) != float32(2*4+2) {
-		t.Errorf("LoadDims value = %v", m.At(0, 0))
-	}
-	if st.Bytes[LocLocalCPU] != 8 {
+	// NFP shard accounting: a read is charged at the shard width.
+	s.LoadDim = 2
+	if st := s.VolumeOnly(dev.ID, []graph.NodeID{2}); st.Bytes[LocLocalCPU] != 8 {
 		t.Errorf("shard bytes = %d, want 8", st.Bytes[LocLocalCPU])
 	}
 }

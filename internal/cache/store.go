@@ -393,19 +393,3 @@ func (s *Store) Load(dev *device.Device, nodes []graph.NodeID) (*tensor.Matrix, 
 	}
 	return tensor.Gather(s.Feats, nodes), st
 }
-
-// LoadDims gathers the column slice [dimLo, dimHi) of the requested
-// nodes — NFP's per-device feature shard read. Accounting uses LoadDim
-// (already set to the shard width under NFP).
-func (s *Store) LoadDims(dev *device.Device, nodes []graph.NodeID, dimLo, dimHi int) (*tensor.Matrix, LoadStats) {
-	st := s.VolumeOnly(dev.ID, nodes)
-	s.chargeTime(dev, &st)
-	if s.Feats == nil {
-		return nil, st
-	}
-	out := tensor.New(len(nodes), dimHi-dimLo)
-	for i, v := range nodes {
-		copy(out.Row(i), s.Feats.Row(int(v))[dimLo:dimHi])
-	}
-	return out, st
-}

@@ -297,8 +297,8 @@ func (a *APT) BuildEngine(k strategy.Kind) (*engine.Engine, error) {
 // localRank's worker executes in this process. Every rank must call it
 // with an identical Task — planning inputs included — so the replicas
 // and the plan agree across processes; pair it with
-// Task.ProfileOverride or Replanner.CalibrateTransport to plan against
-// measured wire speeds instead of the simulated link model.
+// Task.ProfileOverride to plan against measured wire speeds instead of
+// the simulated link model.
 func (a *APT) BuildEngineDistributed(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
 	return a.buildEngine(k, tr, localRank)
 }

@@ -238,7 +238,7 @@ func TestAccessSkewFromDryRun(t *testing.T) {
 	if _, err := a.Plan(); err != nil {
 		t.Fatal(err)
 	}
-	buckets := a.DryRunStats().AccessSkewTable()
+	buckets := graph.AccessSkew(a.DryRunStats().Freq)
 	if len(buckets) != 6 {
 		t.Fatal("skew table wrong size")
 	}

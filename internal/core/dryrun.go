@@ -89,12 +89,6 @@ func (a *APT) DryRun() (*DryRunStats, error) {
 	return st, nil
 }
 
-// AccessSkewTable returns the paper's Table 3 rank bands from the
-// dry-run frequencies.
-func (st *DryRunStats) AccessSkewTable() []graph.SkewBucket {
-	return graph.AccessSkew(st.Freq)
-}
-
 // cachePolicyFor maps a strategy to its paper §3.2 cache rule.
 func cachePolicyFor(k strategy.Kind) cache.Policy {
 	switch k {

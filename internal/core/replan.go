@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/strategy"
@@ -159,22 +158,6 @@ func (r *Replanner) Current() Plan { return r.cur }
 
 // Calibration returns the latest per-stage correction factors.
 func (r *Replanner) Calibration() Calibration { return r.cal }
-
-// CalibrateTransport swaps the re-planner's cost model onto a measured
-// communication profile — typically transport.MeasureWire's WireStats
-// applied over the simulated base (WireStats.ApplyTo) — so every
-// subsequent Observe costs collectives at real wire speed instead of
-// the hardware model's links. In a multi-process run every rank MUST
-// pass an identical profile or their plan decisions diverge;
-// MeasureWire guarantees this by exchanging per-trial timings and
-// taking the cross-rank maximum, so feeding each rank its own
-// MeasureWire result is safe by construction.
-func (r *Replanner) CalibrateTransport(measured *comm.Profile) {
-	if measured == nil {
-		return
-	}
-	r.cm.Profile = measured
-}
 
 // loadDim is the per-read feature width of one strategy (NFP shards
 // the dimension across devices).

@@ -8,8 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -109,7 +107,6 @@ var All = []Experiment{
 	{"ext-nvlink", (*Env).ExtensionNVLink},
 	{"ext-cpucache", (*Env).ExtensionCPUCache},
 	{"ext-layerwise", (*Env).ExtensionLayerWise},
-	{"ext-fullgraph", (*Env).ExtensionFullGraph},
 	{"ext-phase", (*Env).ExtensionPhaseDiagram},
 }
 
@@ -317,18 +314,6 @@ func barsForCase(title string, c *CaseResult) string {
 	return trace.RenderBars(title, rows)
 }
 
-// sortedKinds lists core strategies in canonical order (report aid).
-func sortedKinds(m map[strategy.Kind]float64) []strategy.Kind {
-	ks := make([]strategy.Kind, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
 func header(id, desc string) string {
 	return fmt.Sprintf("=== %s: %s ===\n", id, desc)
 }
-
-var _ = strings.TrimSpace // reserved for report helpers

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -167,6 +169,41 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		}
 		if len(out) < 50 {
 			t.Errorf("%s: suspiciously short report", exp.ID)
+		}
+	}
+}
+
+// TestExperimentIDsDocumented keeps README.md and EXPERIMENTS.md in
+// step with All: every id is named in both, and every `-exp` argument
+// either names (alone or in an a|b|c list) is an id aptbench accepts.
+func TestExperimentIDsDocumented(t *testing.T) {
+	valid := map[string]bool{"all": true}
+	for _, x := range All {
+		valid[x.ID] = true
+	}
+	word := regexp.MustCompile(`[a-z0-9-]+`)
+	expArg := regexp.MustCompile(`-exp ([a-z0-9][a-z0-9|-]*)`)
+	for _, name := range []string{"README.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := string(raw)
+		named := map[string]bool{}
+		for _, w := range word.FindAllString(doc, -1) {
+			named[w] = true
+		}
+		for _, x := range All {
+			if !named[x.ID] {
+				t.Errorf("%s does not mention experiment id %q", name, x.ID)
+			}
+		}
+		for _, m := range expArg.FindAllStringSubmatch(doc, -1) {
+			for _, id := range strings.Split(m[1], "|") {
+				if !valid[id] {
+					t.Errorf("%s names `-exp %s`, which aptbench does not accept", name, id)
+				}
+			}
 		}
 	}
 }

@@ -122,10 +122,6 @@ func (b *Builder) AddUndirected(u, v NodeID) {
 	b.AddEdge(v, u)
 }
 
-// NumPendingEdges reports how many (possibly duplicate) edges have been
-// added so far.
-func (b *Builder) NumPendingEdges() int { return len(b.srcs) }
-
 // Build produces the CSR graph, merging duplicates and dropping
 // self-loops if dropSelfLoops is set.
 func (b *Builder) Build(dropSelfLoops bool) *Graph {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,13 +396,6 @@ func (r *Registry) Names() []string {
 	for i, m := range r.metrics {
 		names[i] = m.name
 	}
-	return names
-}
-
-// SortedNames returns the registered names sorted alphabetically.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
 	return names
 }
 

@@ -13,9 +13,7 @@ import (
 //
 // The *Unfused / *ThenMatMul variants reproduce the compositions the
 // fused kernels replaced, so each pair measures one fusion in
-// isolation. The Dense/Sparse MatMul pair justifies the per-row
-// zero-skip branch: post-ReLU activations (the dominant MatMul input
-// above layer 0) are typically 40–60% zero.
+// isolation.
 
 const (
 	benchRows = 4096 // gathered source rows per mini-batch
@@ -54,15 +52,12 @@ func benchIdx(n, srcN int, rng *graph.RNG) []int32 {
 	return idx
 }
 
-// --- tiled GEMM: dense vs zero-skip ---
+// --- tiled GEMM ---
 
-func benchMatMul(b *testing.B, zeroFrac float64) {
+func BenchmarkMatMulDense(b *testing.B) {
 	rng := graph.NewRNG(1)
 	a := benchRandMat(rng, benchRows, benchIn)
 	w := benchRandMat(rng, benchIn, benchOut)
-	if zeroFrac > 0 {
-		sparsify(a, zeroFrac, rng)
-	}
 	b.SetBytes(int64(benchRows * benchIn * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,15 +66,6 @@ func benchMatMul(b *testing.B, zeroFrac float64) {
 		Put(m)
 	}
 }
-
-func BenchmarkMatMulDense(b *testing.B) { benchMatMul(b, 0) }
-
-// BenchmarkMatMulSparse50 measures the zero-skip branch on a post-ReLU
-// sparsity level; the speedup over Dense is what justifies the per-row
-// sparsity check in the kernel.
-func BenchmarkMatMulSparse50(b *testing.B) { benchMatMul(b, 0.5) }
-func BenchmarkMatMulSparse75(b *testing.B) { benchMatMul(b, 0.75) }
-func BenchmarkMatMulSparse90(b *testing.B) { benchMatMul(b, 0.9) }
 
 // BenchmarkMatMulPackedWide exercises the packed-B panel path: enough
 // rows to amortize packing and a wide-enough N to need column tiles.
@@ -107,7 +93,7 @@ func BenchmarkGatherMatMul(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := GatherMatMul(feats, idx, w)
+		m := GatherMatMulSrc(FS(feats), idx, w)
 		Put(m)
 	}
 }
@@ -181,21 +167,6 @@ func BenchmarkGatherTMatMulAccQuant(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentAggFusedQuant aggregates neighbor rows straight out
-// of the tiered source, dequantizing int8 rows edge by edge.
-func BenchmarkSegmentAggFusedQuant(b *testing.B) {
-	rng := graph.NewRNG(6)
-	edgePtr, srcIdx := benchSegments(512, 10, benchRows, rng)
-	z := benchRandMat(rng, benchRows, benchOut)
-	src := benchFeatSource(z)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := SegmentAggFusedSrc(edgePtr, srcIdx, src, true, true)
-		Put(m)
-	}
-}
-
 // --- transposed gradient accumulation ---
 
 func BenchmarkTMatMulAcc(b *testing.B) {
@@ -221,7 +192,7 @@ func BenchmarkGatherTMatMulAcc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherTMatMulAcc(dst, feats, idx, dz)
+		GatherTMatMulAccSrc(dst, FS(feats), idx, dz)
 	}
 }
 

@@ -14,22 +14,6 @@ import (
 // and the normalization/activation apply only after a row's sum is
 // complete, so results are bit-identical to the unfused composition.
 
-// GatherInto copies rows idx of src into the leading len(idx) rows of
-// dst — the in-place form of Gather for preallocated destinations.
-//
-//apt:hotpath
-func GatherInto(dst, src *Matrix, idx []int32) {
-	if dst.Cols != src.Cols {
-		panic("tensor: GatherInto column mismatch")
-	}
-	if dst.Rows < len(idx) {
-		panic("tensor: GatherInto destination too small")
-	}
-	for i, r := range idx {
-		copy(dst.Row(i), src.Row(int(r)))
-	}
-}
-
 // ReLUInPlace applies max(0, x) elementwise in place. Negative zero and
 // NaN map to +0, matching ReLU's zero-initialized copy semantics.
 //

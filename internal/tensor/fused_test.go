@@ -59,7 +59,7 @@ func matricesExact(t *testing.T, name string, got, want *Matrix) {
 }
 
 // sparsify zeroes a fraction of entries, mimicking post-ReLU
-// activations that trigger the zero-skip kernel.
+// activations.
 func sparsify(m *Matrix, frac float64, rng *graph.RNG) {
 	for i := range m.Data {
 		if rng.Float64() < frac {
@@ -87,10 +87,9 @@ func TestTiledMatMulBitIdenticalToNaive(t *testing.T) {
 }
 
 func TestSparseMatMulBitIdenticalToDense(t *testing.T) {
-	// The per-row zero-skip dispatch must not change results: skipped
-	// terms are av*bv == ±0 added to a +0-rooted accumulator, which is
-	// bitwise inert. Mix dense and ~90%-sparse rows in one matrix so
-	// both kernels run.
+	// Rows of mostly zeros (post-ReLU activations) take the same tiled
+	// kernel as dense ones and must equal the naive triple loop: mix
+	// dense and ~90%-zero rows in one matrix, across two k-panels.
 	rng := graph.NewRNG(32)
 	a := randomMatrix(60, 2*gemmKC, rng)
 	for i := 0; i < a.Rows; i += 2 {
@@ -117,7 +116,7 @@ func TestGatherMatMulBitIdenticalToGatherThenMatMul(t *testing.T) {
 	}
 	gathered := Gather(src, idx)
 	want := MatMul(gathered, b)
-	got := GatherMatMul(src, idx, b)
+	got := GatherMatMulSrc(FS(src), idx, b)
 	matricesExact(t, "GatherMatMul", got, want)
 	Put(got)
 	Put(want)
@@ -130,7 +129,7 @@ func TestGatherMatMulBitIdenticalToGatherThenMatMul(t *testing.T) {
 		copy(sliced.Row(i), src.Row(int(r))[lo:hi])
 	}
 	want = MatMul(sliced, bs)
-	got = GatherMatMulSlice(src, idx, lo, hi, bs)
+	got = GatherMatMulSliceSrc(FS(src), idx, lo, hi, bs)
 	matricesExact(t, "GatherMatMulSlice", got, want)
 	Put(got)
 	Put(want)
@@ -188,7 +187,7 @@ func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
 	want := Get(src.Cols, b.Cols)
 	TMatMulAcc(want, Gather(src, idx), b)
 	got := Get(src.Cols, b.Cols)
-	GatherTMatMulAcc(got, src, idx, b)
+	GatherTMatMulAccSrc(got, FS(src), idx, b)
 	matricesExact(t, "GatherTMatMulAcc", got, want)
 	Put(got)
 	Put(want)
@@ -201,7 +200,7 @@ func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
 	want = Get(hi-lo, b.Cols)
 	TMatMulAcc(want, sliced, b)
 	got = Get(hi-lo, b.Cols)
-	GatherTMatMulAccSlice(got, src, idx, lo, hi, b)
+	GatherTMatMulAccSliceSrc(got, FS(src), idx, lo, hi, b)
 	matricesExact(t, "GatherTMatMulAccSlice", got, want)
 	Put(got)
 	Put(want)
@@ -287,23 +286,6 @@ func TestReLUInPlaceMatchesReLU(t *testing.T) {
 	}
 }
 
-func TestGatherIntoMatchesGather(t *testing.T) {
-	rng := graph.NewRNG(40)
-	src := randomMatrix(12, 5, rng)
-	idx := []int32{4, 4, 0, 11, 7}
-	want := Gather(src, idx)
-	dst := Get(len(idx)+3, 5) // oversized destination: only leading rows written
-	GatherInto(dst, src, idx)
-	for i := range idx {
-		for j := 0; j < 5; j++ {
-			if dst.At(i, j) != want.At(i, j) {
-				t.Fatalf("GatherInto mismatch at %d,%d", i, j)
-			}
-		}
-	}
-	Put(dst)
-}
-
 // TestFusedKernelsAllocFree is the allocation guard for the kernel hot
 // path: with the pool warm and GOMAXPROCS=1 (the inline kernel path;
 // the parallel fan-out allocates per worker by design), one
@@ -332,19 +314,17 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	grad2 := New(16, 16)
 
 	step := func() {
-		z := GatherMatMul(feats, idx, w)
+		z := GatherMatMulSrc(FS(feats), idx, w)
 		s := SegmentAggFused(edgePtr, srcIdx, z, true, true)
 		dOut := s // reuse as a stand-in gradient
 		dZ := SegmentAggFusedBackward(edgePtr, srcIdx, s, dOut, true, true, z.Rows)
-		GatherTMatMulAcc(grad, feats, idx, dZ)
+		GatherTMatMulAccSrc(grad, FS(feats), idx, dZ)
 		dH := MatMulT(dZ, w)
 		ReLUInPlace(dH)
 		h := MatMul(z, w2)
 		TMatMulAcc(grad2, z, h)
 		zq := GatherMatMulSrc(tiered, idx, w)
 		GatherTMatMulAccSrc(grad, tiered, idx, zq)
-		sq := SegmentAggFusedSrc(edgePtr, srcIdx, tiered, true, true)
-		Put(sq)
 		Put(zq)
 		Put(h)
 		Put(dH)

@@ -39,7 +39,7 @@ var simdSpecials = []float32{
 
 // simdMatrix draws a matrix of unit normals with about an eighth of the
 // entries replaced by specials; zeroRowIn > 0 additionally blanks about
-// one row in that many (the zero-skip dispatch forward, the
+// one row in that many (all-zero A rows forward, the
 // all-coefficients-zero skips backward).
 func simdMatrix(rng *graph.RNG, rows, cols, zeroRowIn int) *Matrix {
 	m := randomMatrix(rows, cols, rng)
@@ -132,8 +132,8 @@ func checkSIMDCase(t testing.TB, c simdCase) {
 
 	// Forward entry points: c.m output rows, reduction over c.k. The
 	// reference walks the same operand view row by row through the
-	// generic panel kernel (k-panels and the zero-skip dispatch change
-	// no bit of a +0-rooted sum, see gemmRowIsSparse).
+	// generic panel kernel (splitting k into panels changes no bit: each
+	// element's terms are still added in increasing k order).
 	{
 		a, src, idx, lo, hi := c.operand(rng, c.m, c.k, 6)
 		b := simdMatrix(rng, c.k, c.n, 0)
@@ -148,9 +148,7 @@ func checkSIMDCase(t testing.TB, c simdCase) {
 		case 0:
 			got = MatMul(src.F, b)
 		case 1:
-			got = GatherMatMul(src.F, idx, b)
-		case 2:
-			got = GatherMatMulSlice(src.F, idx, lo, hi, b)
+			got = GatherMatMulSrc(src, idx, b)
 		default:
 			got = GatherMatMulSliceSrc(src, idx, lo, hi, b)
 		}
@@ -190,9 +188,7 @@ func checkSIMDCase(t testing.TB, c simdCase) {
 			case 0:
 				TMatMulAcc(got, src.F, b)
 			case 1:
-				GatherTMatMulAcc(got, src.F, idx, b)
-			case 2:
-				GatherTMatMulAccSlice(got, src.F, idx, lo, hi, b)
+				GatherTMatMulAccSrc(got, src, idx, b)
 			default:
 				GatherTMatMulAccSliceSrc(got, src, idx, lo, hi, b)
 			}

@@ -217,7 +217,8 @@ func (g *gemmA) dequantRow(r int) []float32 {
 func (g gemmA) k() int { return g.hi - g.lo }
 
 // gemmPanelDense accumulates or[j] += Σ_kk arp[kk] * B[kk][j] over one
-// k-panel, k increasing, no zero-skip branch in the inner loop. arp is
+// k-panel, k increasing, every term added (a zero coefficient is
+// multiplied like any other, so 0·Inf is NaN as in plain matmul). arp is
 // the A-row slice aligned with the panel; bd holds the panel's B rows
 // starting at its first row with stride bw, offset bj selecting the
 // output column window. The vector kernel takes the leading multiple
@@ -320,56 +321,6 @@ func gemmPanelDenseGeneric(or, arp, bd []float32, bw, bj int) {
 	}
 }
 
-// gemmPanelSparse is the zero-skipping panel kernel, profitable only
-// when enough A-row entries are exactly zero (post-ReLU activations).
-// Skipped terms contribute av*bv == ±0, so the value is identical to
-// the dense kernel for finite data; the k order of the remaining terms
-// is unchanged.
-//
-//apt:hotpath
-func gemmPanelSparse(or, arp, bd []float32, bw, bj int) {
-	n := len(or)
-	for kk := 0; kk < len(arp); kk++ {
-		av := arp[kk]
-		if av == 0 {
-			continue
-		}
-		o := kk*bw + bj
-		br := bd[o : o+n]
-		for j := range or {
-			or[j] += av * br[j]
-		}
-	}
-}
-
-// gemmRowIsSparse decides the per-row kernel. The branchy zero-skip
-// loop mispredicts too often near 50/50 — measured on
-// BenchmarkMatMulDense/Sparse{50,75,90}, it loses ~13% at half zeros
-// and only wins from about two-thirds zeros up (1.3× at 75%, 3× at
-// 90%) — so dispatch to it only when at least 2/3 of the panel entries
-// are zero. Both kernels skip the same terms of the same k-ordered
-// sum, so the choice never changes a single output bit.
-//
-// The scan exits early once the nonzero count exceeds ⌊len/3⌋ — past
-// that point the two-thirds-zeros threshold is unreachable — so dense
-// rows (raw features, layer-0's common case) pay ~len/3 comparisons
-// instead of a full pass.
-//
-//apt:hotpath
-func gemmRowIsSparse(arp []float32) bool {
-	limit := len(arp) - (2*len(arp)+2)/3
-	nz := 0
-	for _, v := range arp {
-		if v != 0 {
-			nz++
-			if nz > limit {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // gemmTile computes one output tile [i0,i1) x [j0,j1) of out += A @ b,
 // k-panels low-to-high.
 //
@@ -402,19 +353,8 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, i0, i1, j0, j1 int) {
 			}
 			bd, bw, bj = pack, jw, 0
 		}
-		// Narrow output windows (the classifier head) do too little work
-		// per skipped term to repay the density scan; dispatch straight
-		// to the dense kernel there. Both kernels compute the same
-		// k-ordered sum, so the dispatch choice never changes a bit.
-		scanSparse := jw >= 16
 		for i := i0; i < i1; i++ {
-			arp := a.row(i)[k0:k1]
-			or := out.Row(i)[j0:j1]
-			if scanSparse && gemmRowIsSparse(arp) {
-				gemmPanelSparse(or, arp, bd, bw, bj)
-			} else {
-				gemmPanelDense(or, arp, bd, bw, bj)
-			}
+			gemmPanelDense(out.Row(i)[j0:j1], a.row(i)[k0:k1], bd, bw, bj)
 		}
 	}
 	if packMat != nil {
@@ -460,28 +400,6 @@ func gemmInto(out *Matrix, a gemmA, b *Matrix) {
 func MatMul(a, b *Matrix) *Matrix {
 	out := Get(a.Rows, b.Cols)
 	gemmInto(out, gemmA{src: a, hi: a.Cols}, b)
-	return out
-}
-
-// GatherMatMul returns src[idx] @ b without materializing the gathered
-// rows: the kernel reads source rows through the index vector directly
-// (DGL's gather-mm). Bit-identical to MatMul(Gather(src, idx), b).
-//
-//apt:hotpath
-func GatherMatMul(src *Matrix, idx []int32, b *Matrix) *Matrix {
-	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src, idx: idx, hi: src.Cols}, b)
-	return out
-}
-
-// GatherMatMulSlice returns src[idx][:, lo:hi] @ b — the gather-fused
-// form of NFP's per-shard projection, reading only the column window
-// [lo, hi) of each indexed row.
-//
-//apt:hotpath
-func GatherMatMulSlice(src *Matrix, idx []int32, lo, hi int, b *Matrix) *Matrix {
-	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src, idx: idx, lo: lo, hi: hi}, b)
 	return out
 }
 
@@ -572,29 +490,6 @@ func TMatMulAcc(dst, a, b *Matrix) {
 		panic("tensor: TMatMulAcc output shape mismatch")
 	}
 	gatherTMatMulAcc(dst, gemmA{src: a, hi: a.Cols}, b)
-}
-
-// GatherTMatMulAcc accumulates dst += src[idx]ᵀ @ b without
-// materializing the gathered rows — the layer-0 weight gradient read
-// straight from the feature store.
-//
-//apt:hotpath
-func GatherTMatMulAcc(dst, src *Matrix, idx []int32, b *Matrix) {
-	if len(idx) != b.Rows {
-		panic("tensor: GatherTMatMulAcc outer dimension mismatch")
-	}
-	gatherTMatMulAcc(dst, gemmA{src: src, idx: idx, hi: src.Cols}, b)
-}
-
-// GatherTMatMulAccSlice accumulates dst += src[idx][:, lo:hi]ᵀ @ b —
-// NFP's weight-shard gradient from the feature columns [lo, hi).
-//
-//apt:hotpath
-func GatherTMatMulAccSlice(dst, src *Matrix, idx []int32, lo, hi int, b *Matrix) {
-	if len(idx) != b.Rows {
-		panic("tensor: GatherTMatMulAccSlice outer dimension mismatch")
-	}
-	gatherTMatMulAcc(dst, gemmA{src: src, idx: idx, lo: lo, hi: hi}, b)
 }
 
 //apt:hotpath

@@ -104,9 +104,9 @@ func (q *QuantMatrix) DequantRowInto(dst []float32, r int) {
 // FeatSource is the unified read view of a feature store: a master
 // fp32 matrix plus an optional int8 warm tier. Rows whose bit is set
 // in QMask are served by dequantizing Q; all other rows read F
-// directly. With a nil QMask a FeatSource is exactly its fp32 matrix,
-// and every kernel taking a FeatSource dispatches to the bit-identical
-// fp32 kernel in that case.
+// directly. With a nil QMask a FeatSource is exactly its fp32 matrix:
+// every kernel taking one then reads F alone and is bit-identical to
+// the same product over the gathered copy.
 type FeatSource struct {
 	F     *Matrix
 	Q     *QuantMatrix
@@ -117,159 +117,51 @@ type FeatSource struct {
 // path).
 func FS(m *Matrix) FeatSource { return FeatSource{F: m} }
 
-// Quantized reports whether row r is served from the int8 tier.
-//
-//apt:hotpath
-func (s FeatSource) Quantized(r int) bool {
-	return s.QMask != nil && s.QMask[r>>6]&(1<<(uint(r)&63)) != 0
+// gemmA views rows idx of s, columns [lo, hi), as a GEMM left
+// operand. With no tier q and qmask are nil, which is gemmA's plain
+// fp32 path.
+func (s FeatSource) gemmA(idx []int32, lo, hi int) gemmA {
+	return gemmA{src: s.F, idx: idx, lo: lo, hi: hi, q: s.Q, qmask: s.QMask}
 }
 
-// RowInto materializes row r into dst (len >= Cols), dequantizing if
-// the row lives in the int8 tier.
-//
-//apt:hotpath
-func (s FeatSource) RowInto(dst []float32, r int) {
-	if s.Quantized(r) {
-		s.Q.DequantRowInto(dst, r)
-		return
-	}
-	copy(dst[:s.F.Cols], s.F.Row(r))
-}
-
-// GatherIntoSrc copies (dequantizing where needed) rows idx of src
-// into the leading len(idx) rows of dst — the FeatSource form of
-// GatherInto.
-//
-//apt:hotpath
-func GatherIntoSrc(dst *Matrix, src FeatSource, idx []int32) {
-	if src.QMask == nil {
-		GatherInto(dst, src.F, idx)
-		return
-	}
-	if dst.Cols != src.F.Cols {
-		panic("tensor: GatherIntoSrc column mismatch")
-	}
-	if dst.Rows < len(idx) {
-		panic("tensor: GatherIntoSrc destination too small")
-	}
-	for i, r := range idx {
-		src.RowInto(dst.Row(i), int(r))
-	}
-}
-
-// GatherMatMulSrc returns src[idx] @ b, reading fp32 rows directly and
-// int8 rows through on-the-fly dequantization — the gather-mm used by
-// layer 0 once the warm tier is enabled. With no tier it is exactly
-// GatherMatMul.
+// GatherMatMulSrc returns src[idx] @ b without materializing the
+// gathered rows (DGL's gather-mm): fp32 rows are read through the
+// index vector directly, int8 rows through on-the-fly dequantization.
+// Over an untiered source it is bit-identical to
+// MatMul(Gather(src.F, idx), b).
 //
 //apt:hotpath
 func GatherMatMulSrc(src FeatSource, idx []int32, b *Matrix) *Matrix {
-	if src.QMask == nil {
-		return GatherMatMul(src.F, idx, b)
-	}
-	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src.F, idx: idx, hi: src.F.Cols, q: src.Q, qmask: src.QMask}, b)
-	return out
+	return GatherMatMulSliceSrc(src, idx, 0, src.F.Cols, b)
 }
 
 // GatherMatMulSliceSrc returns src[idx][:, lo:hi] @ b — NFP's
-// per-shard projection over a tiered source.
+// per-shard projection, reading only the column window [lo, hi) of
+// each indexed row.
 //
 //apt:hotpath
 func GatherMatMulSliceSrc(src FeatSource, idx []int32, lo, hi int, b *Matrix) *Matrix {
-	if src.QMask == nil {
-		return GatherMatMulSlice(src.F, idx, lo, hi, b)
-	}
 	out := Get(len(idx), b.Cols)
-	gemmInto(out, gemmA{src: src.F, idx: idx, lo: lo, hi: hi, q: src.Q, qmask: src.QMask}, b)
+	gemmInto(out, src.gemmA(idx, lo, hi), b)
 	return out
 }
 
-// GatherTMatMulAccSrc accumulates dst += src[idx]ᵀ @ b over a tiered
-// source — the layer-0 weight gradient read straight from the store.
+// GatherTMatMulAccSrc accumulates dst += src[idx]ᵀ @ b without
+// materializing the gathered rows — the layer-0 weight gradient read
+// straight from the feature store.
 //
 //apt:hotpath
 func GatherTMatMulAccSrc(dst *Matrix, src FeatSource, idx []int32, b *Matrix) {
-	if src.QMask == nil {
-		GatherTMatMulAcc(dst, src.F, idx, b)
-		return
-	}
-	if len(idx) != b.Rows {
-		panic("tensor: GatherTMatMulAccSrc outer dimension mismatch")
-	}
-	gatherTMatMulAcc(dst, gemmA{src: src.F, idx: idx, hi: src.F.Cols, q: src.Q, qmask: src.QMask}, b)
+	GatherTMatMulAccSliceSrc(dst, src, idx, 0, src.F.Cols, b)
 }
 
 // GatherTMatMulAccSliceSrc accumulates dst += src[idx][:, lo:hi]ᵀ @ b
-// over a tiered source — NFP's weight-shard gradient.
+// — NFP's weight-shard gradient from the feature columns [lo, hi).
 //
 //apt:hotpath
 func GatherTMatMulAccSliceSrc(dst *Matrix, src FeatSource, idx []int32, lo, hi int, b *Matrix) {
-	if src.QMask == nil {
-		GatherTMatMulAccSlice(dst, src.F, idx, lo, hi, b)
-		return
-	}
 	if len(idx) != b.Rows {
 		panic("tensor: GatherTMatMulAccSliceSrc outer dimension mismatch")
 	}
-	gatherTMatMulAcc(dst, gemmA{src: src.F, idx: idx, lo: lo, hi: hi, q: src.Q, qmask: src.QMask}, b)
-}
-
-// SegmentAggFusedSrc is SegmentAggFused over a tiered source: fp32
-// rows accumulate directly, int8 rows accumulate their dequantized
-// values term by term (or[j] += scale*q[j] + zero), which equals
-// dequantize-then-add exactly. With no tier it is exactly
-// SegmentAggFused.
-//
-//apt:hotpath
-func SegmentAggFusedSrc(edgePtr []int64, srcIdx []int32, src FeatSource, mean, relu bool) *Matrix {
-	if src.QMask == nil {
-		return SegmentAggFused(edgePtr, srcIdx, src.F, mean, relu)
-	}
-	nDst := len(edgePtr) - 1
-	out := Get(nDst, src.F.Cols)
-	segmentAggRangeSrc(edgePtr, srcIdx, src, out, mean, relu, 0, nDst)
-	return out
-}
-
-// segmentAggRangeSrc is segmentAggRange with per-edge tier dispatch.
-//
-//apt:hotpath
-func segmentAggRangeSrc(edgePtr []int64, srcIdx []int32, src FeatSource, out *Matrix, mean, relu bool, lo, hi int) {
-	fd, fc := src.F.Data, src.F.Cols
-	for i := lo; i < hi; i++ {
-		or := out.Row(i)
-		n := len(or)
-		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-			r := int(srcIdx[e])
-			if src.Quantized(r) {
-				q := src.Q
-				qr := q.Data[r*q.Cols : r*q.Cols+n]
-				s, z := q.Scale[r], q.Zero[r]
-				for j := range or {
-					or[j] += s*float32(qr[j]) + z
-				}
-				continue
-			}
-			sr := fd[r*fc : r*fc+n]
-			for j := range or {
-				or[j] += sr[j]
-			}
-		}
-		if mean {
-			if d := edgePtr[i+1] - edgePtr[i]; d > 1 {
-				inv := float32(1.0 / float64(d))
-				for j := range or {
-					or[j] *= inv
-				}
-			}
-		}
-		if relu {
-			for j := range or {
-				if !(or[j] > 0) {
-					or[j] = 0
-				}
-			}
-		}
-	}
+	gatherTMatMulAcc(dst, src.gemmA(idx, lo, hi), b)
 }

@@ -115,10 +115,12 @@ func TestQuantizeRowDeterministic(t *testing.T) {
 	}
 }
 
-// TestFeatSourceExactDispatch: a FeatSource with no quantized tier
-// must route every kernel to the existing fp32 implementation with
-// bit-identical output — the tier being merely *present in the API*
-// cannot perturb the fp32 path.
+// TestFeatSourceExactDispatch: every gather-fused kernel over an
+// untiered FS(m) equals the unfused product over the gathered copy bit
+// for bit — MatMul(Gather(m, idx), b) forward, TMatMulAcc on the
+// gathered copy backward — for the full-width forms and for a column
+// window [lo, hi) strictly inside the row. The tier being merely
+// *present in the API* cannot perturb the fp32 path.
 func TestFeatSourceExactDispatch(t *testing.T) {
 	const rows, cols, out = 64, 12, 7
 	rng := graph.NewRNG(5)
@@ -126,46 +128,39 @@ func TestFeatSourceExactDispatch(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat32()
 	}
-	b := New(cols, out)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat32()
-	}
 	idx := make([]int32, 40)
 	for i := range idx {
 		idx[i] = int32(rng.Intn(rows))
 	}
-	src := FS(m)
-
-	want := GatherMatMul(m, idx, b)
-	got := GatherMatMulSrc(src, idx, b)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("GatherMatMulSrc[%d] = %v, want exact %v", i, got.Data[i], want.Data[i])
-		}
-	}
-	Put(want)
-	Put(got)
-
-	g1 := Gather(m, idx)
-	g2 := New(len(idx), cols)
-	GatherIntoSrc(g2, src, idx)
-	for i := range g1.Data {
-		if g1.Data[i] != g2.Data[i] {
-			t.Fatalf("GatherIntoSrc[%d] = %v, want exact %v", i, g2.Data[i], g1.Data[i])
-		}
-	}
-
-	dW1 := New(cols, out)
-	dW2 := New(cols, out)
 	dZ := New(len(idx), out)
 	for i := range dZ.Data {
 		dZ.Data[i] = rng.NormFloat32()
 	}
-	GatherTMatMulAcc(dW1, m, idx, dZ)
-	GatherTMatMulAccSrc(dW2, src, idx, dZ)
-	for i := range dW1.Data {
-		if dW1.Data[i] != dW2.Data[i] {
-			t.Fatalf("GatherTMatMulAccSrc[%d] = %v, want exact %v", i, dW2.Data[i], dW1.Data[i])
+	src := FS(m)
+
+	for _, win := range [][2]int{{0, cols}, {3, 10}} {
+		lo, hi := win[0], win[1]
+		b := New(hi-lo, out)
+		for i := range b.Data {
+			b.Data[i] = rng.NormFloat32()
+		}
+		gathered := New(len(idx), hi-lo)
+		for i, r := range idx {
+			copy(gathered.Row(i), m.Row(int(r))[lo:hi])
+		}
+		wantZ := MatMul(gathered, b)
+		wantW := New(hi-lo, out)
+		TMatMulAcc(wantW, gathered, dZ)
+
+		bitsEqual(t, "GatherMatMulSliceSrc", GatherMatMulSliceSrc(src, idx, lo, hi, b).Data, wantZ.Data)
+		gotW := New(hi-lo, out)
+		GatherTMatMulAccSliceSrc(gotW, src, idx, lo, hi, dZ)
+		bitsEqual(t, "GatherTMatMulAccSliceSrc", gotW.Data, wantW.Data)
+		if hi-lo == cols {
+			bitsEqual(t, "GatherMatMulSrc", GatherMatMulSrc(src, idx, b).Data, wantZ.Data)
+			gotW.Zero()
+			GatherTMatMulAccSrc(gotW, src, idx, dZ)
+			bitsEqual(t, "GatherTMatMulAccSrc", gotW.Data, wantW.Data)
 		}
 	}
 }
@@ -187,7 +182,7 @@ func TestQuantizedGatherTolerance(t *testing.T) {
 		idx[i] = int32(rng.Intn(rows))
 	}
 
-	exact := GatherMatMul(m, idx, b)
+	exact := GatherMatMulSrc(FS(m), idx, b)
 	approx := GatherMatMulSrc(src, idx, b)
 	for r := range idx {
 		rowErr := rowRange(m.Row(int(idx[r]))) / 510 * (1 + 1e-5)
@@ -203,53 +198,5 @@ func TestQuantizedGatherTolerance(t *testing.T) {
 		}
 	}
 	Put(exact)
-	Put(approx)
-}
-
-// TestSegmentAggFusedSrcExact: the per-edge dispatching aggregation
-// matches the fp32 kernel bit-for-bit when no row is quantized, and
-// stays within the per-row bound when all are.
-func TestSegmentAggFusedSrcExact(t *testing.T) {
-	const rows, cols = 60, 10
-	m, q, mask := quantFixture(rows, cols, 41)
-	rng := graph.NewRNG(7)
-	nDst := 20
-	edgePtr := make([]int64, nDst+1)
-	var srcIdx []int32
-	for d := 0; d < nDst; d++ {
-		deg := rng.Intn(6)
-		for e := 0; e < deg; e++ {
-			srcIdx = append(srcIdx, int32(rng.Intn(rows)))
-		}
-		edgePtr[d+1] = int64(len(srcIdx))
-	}
-
-	want := SegmentAggFused(edgePtr, srcIdx, m, true, true)
-	got := SegmentAggFusedSrc(edgePtr, srcIdx, FS(m), true, true)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("SegmentAggFusedSrc[%d] = %v, want exact %v", i, got.Data[i], want.Data[i])
-		}
-	}
-	Put(got)
-
-	approx := SegmentAggFusedSrc(edgePtr, srcIdx, FeatSource{F: m, Q: q, QMask: mask}, true, true)
-	for d := 0; d < nDst; d++ {
-		var bound float64
-		for _, s := range srcIdx[edgePtr[d]:edgePtr[d+1]] {
-			bound += rowRange(m.Row(int(s))) / 510 * (1 + 1e-5)
-		}
-		deg := float64(edgePtr[d+1] - edgePtr[d])
-		if deg > 1 {
-			bound /= deg // mean aggregation divides the summed error too
-		}
-		for j := 0; j < cols; j++ {
-			diff := math.Abs(float64(approx.At(d, j)) - float64(want.At(d, j)))
-			if diff > bound+1e-5 {
-				t.Errorf("agg[%d,%d]: drift %g exceeds bound %g", d, j, diff, bound)
-			}
-		}
-	}
-	Put(want)
 	Put(approx)
 }

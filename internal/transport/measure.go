@@ -130,9 +130,8 @@ func MeasureWire(c *comm.Comm, rank, bytesPerPeer, trials int) WireStats {
 // profile: collective bandwidths and call latencies come from the
 // wire, while the memory-subsystem fields (UVA/peer/GPU read) keep the
 // base model's values — the wire says nothing about them. Feed the
-// result to core's planner (Task.ProfileOverride or
-// Replanner.CalibrateTransport) to cost strategies against observed
-// transport speeds.
+// result to core's planner (Task.ProfileOverride) to cost strategies
+// against observed transport speeds.
 func (w WireStats) ApplyTo(base *comm.Profile) *comm.Profile {
 	p := *base
 	if w.AllToAllBps > 0 && !math.IsInf(w.AllToAllBps, 0) {
