@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke count
+.PHONY: build test lint verify bench bench-smoke examples-smoke count
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,12 @@ lint:
 bench-smoke:
 	$(GO) test -C bench .
 
+# examples-smoke builds and runs every example end to end (about 10 s)
+# and fails on a non-zero exit: `go build ./...` compiles them, nothing
+# else runs them.
+examples-smoke:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e >/dev/null || exit 1; done
+
 # verify is the pre-merge gate: lint (vet, incl. asmdecl on the amd64
 # kernels; GOARCH=arm64 vet for the portable path; aptlint -audit) + build
 # everything (including the serving daemon), then run the
@@ -40,9 +46,10 @@ bench-smoke:
 # collective tests, the checkpoint codec, and the int8 cache tier) under
 # the race detector.
 # bench-smoke keeps the benchmark module compiling against the
-# internals it imports. The kernels' zero-allocation guard is a tier-1
-# test (tensor.TestFusedKernelsAllocFree), so `make test` holds it.
-verify: lint bench-smoke
+# internals it imports; examples-smoke runs the examples. The kernels'
+# zero-allocation guard is a tier-1 test
+# (tensor.TestFusedKernelsAllocFree), so `make test` holds it.
+verify: lint bench-smoke examples-smoke
 	$(GO) build ./...
 	$(GO) build ./cmd/aptserve
 	$(GO) test -race ./internal/engine/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/cache/...
@@ -53,13 +60,16 @@ verify: lint bench-smoke
 bench:
 	bash bench/run.sh
 
-# count prints the five sizes a simplicity PR quotes before and after:
-# code lines outside tests and bench/, the root package's exported
-# names, experiment ids, option fields and CLI flags.
+# count prints the sizes a simplicity PR quotes before and after: code
+# lines outside tests and bench/, the root package's exported names,
+# experiment ids, option fields, binaries and CLI flags (the flags two
+# binaries share are declared once, in internal/job, and counted once).
 count:
 	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 	@printf 'facade exports (package repro): '; $(GO) doc -all . | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +='
 	@printf 'experiments.All ids: '; grep -cE '^	\{"[a-z0-9-]+", \(\*Env\)\.' internal/experiments/experiments.go
 	@printf 'exported core.Task fields: '; $(GO) doc ./internal/core Task | sed -n '/^type Task struct/,/^}/p' | grep -cE '^	[A-Z]'
 	@printf 'exported engine.Config fields: '; $(GO) doc ./internal/engine Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
-	@printf 'cmd/ flags: '; grep -rhoE '\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\(' cmd --include='*.go' | wc -l
+	@printf 'serve.Config fields: '; $(GO) doc ./internal/serve Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
+	@printf 'cmd/ binaries: '; ls cmd | wc -l
+	@printf 'cmd/ flags (incl. the shared set in internal/job): '; grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(' cmd internal/job/job.go --include='*.go' | wc -l

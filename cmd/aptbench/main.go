@@ -21,10 +21,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/hardware"
-	"repro/internal/nn"
+	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/sample"
 )
 
 func main() {
@@ -98,27 +96,14 @@ func main() {
 // the Chrome trace lands at path, and the run's metrics registry is
 // dumped in the text exposition format.
 func traceRun(path string, scale float64, devs, epochs, batch int) {
-	spec, err := dataset.ByAbbr("FS", scale)
+	spec := job.Spec{Data: "FS", Scale: scale, Hidden: 32, Layers: 2, Fanout: 10, Batch: batch, Devices: devs}
+	// Accounting mode: timing structure only.
+	_, task, err := spec.Build(false, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aptbench:", err)
 		os.Exit(1)
 	}
-	spec.HomophilyDegree = 6
-	ds := dataset.Build(spec, false) // accounting mode: timing structure only
-	task := core.Task{
-		Graph:   ds.Graph,
-		FeatDim: spec.FeatDim,
-		Seeds:   ds.TrainSeeds,
-		NewModel: func() *nn.Model {
-			return nn.NewGraphSAGE(spec.FeatDim, 32, spec.Classes, 2)
-		},
-		Sampling:   sample.Config{Fanouts: []int{10, 10}},
-		BatchSize:  batch,
-		Platform:   hardware.WithDevices(hardware.SingleMachine8GPU(), 1, devs),
-		CacheBytes: ds.CacheBytesFraction(0.08),
-		Pipeline:   true,
-		Seed:       7,
-	}
+	task.Pipeline = true
 	apt, err := core.New(task, obs.WithTracePath(path))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aptbench:", err)

@@ -1,88 +1,133 @@
 // Command aptrun trains a GNN with APT's automatic strategy selection
 // on a synthetic dataset preset, reporting the planner's estimates,
-// the chosen strategy, and per-epoch progress.
+// the chosen strategy, and per-epoch progress. It ends by printing an
+// FNV-64a checksum over the trained parameters' exact bit patterns.
 //
 // Usage:
 //
 //	aptrun -data FS -model sage -hidden 32 -epochs 5
 //	aptrun -data PS -model gat -strategy DNP   # pin a strategy
+//
+// Without -rank every device runs in this process. With -rank r it is
+// rank r of a multi-process job over the TCP transport
+// (internal/transport): every rank is launched with the identical
+// flags plus its own -rank; rank 0 binds the -coord address and the
+// others rendezvous against it — the torch.distributed tcp:// init
+// pattern — and -devices is the world size. The whole task is a pure
+// function of the shared flags, so the wire moves only per-batch
+// payloads, and the engine's determinism makes the job bit-identical
+// to the in-process run: a healthy job prints the same checksum on
+// every rank, and the same one as aptrun without -rank.
+//
+//	aptrun -devices 2 -rank 0 -coord 127.0.0.1:29500 &
+//	aptrun -devices 2 -rank 1 -coord 127.0.0.1:29500
+//
+// With -measure-wire each rank times the live collectives during
+// startup and plans against the measured wire speeds (the WireStats
+// cross-rank maximum keeps every rank's plan identical); otherwise
+// planning uses the simulated hardware profile.
+//
+// Fault tolerance: with -ckpt-dir a rolling training snapshot is
+// written after every epoch (by rank 0 in a multi-process job). If the
+// job dies, relaunching it with the same flags plus -resume continues
+// from the last snapshot — bit-identically when the device count is
+// unchanged (the checksum matches an uninterrupted run), or
+// elastically onto a different one (parameters and optimizer state
+// carry over, the plan is recomputed). -die-after n crashes the run
+// after epoch n to exercise this path. -epochs counts TOTAL epochs: a
+// job resumed at epoch 2 with -epochs 5 trains 3 more.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/hardware"
-	"repro/internal/nn"
+	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 func main() {
+	spec := job.Flags(flag.CommandLine)
 	var (
-		data     = flag.String("data", "FS", "dataset preset: PS, FS, or IM")
-		scale    = flag.Float64("scale", 0.1, "dataset scale multiplier")
-		model    = flag.String("model", "sage", "model: sage or gat")
-		hidden   = flag.Int("hidden", 32, "hidden dimension (per head for gat)")
-		heads    = flag.Int("heads", 4, "attention heads (gat)")
-		layers   = flag.Int("layers", 2, "GNN layers")
-		fanout   = flag.Int("fanout", 10, "neighbors sampled per layer")
-		epochs   = flag.Int("epochs", 5, "training epochs")
-		batch    = flag.Int("batch", 64, "per-GPU batch size")
-		devices  = flag.Int("devices", 4, "GPUs")
-		lr       = flag.Float64("lr", 0.01, "Adam learning rate")
+		epochs   = flag.Int("epochs", 5, "training epochs (total, across a resume)")
 		pinned   = flag.String("strategy", "", "pin a strategy (GDP/NFP/SNP/DNP/Hybrid) instead of planning")
 		simulate = flag.Bool("simulate", false, "accounting mode: no real training, timing only")
 		explain  = flag.Bool("explain", false, "print the adapted execution plan before training")
 		timeline = flag.Bool("timeline", false, "print per-step stage times for the last epoch")
-		save     = flag.String("save", "", "checkpoint the trained model to this file")
-		tracePth = flag.String("trace", "", "write a Chrome trace of the run's spans to this file (chrome://tracing)")
+		save     = flag.String("save", "", "write the final training snapshot to this file")
+		tracePth = flag.String("trace", "", "write a Chrome trace of the run's spans to this file (chrome://tracing); give each rank its own path")
 		metrics  = flag.Bool("metrics", false, "dump the metrics registry (text exposition format) on exit")
+
+		rank        = flag.Int("rank", -1, "run as this rank in [0, devices) of a multi-process job (-1: every device in-process)")
+		coord       = flag.String("coord", "", "coordinator rendezvous address, e.g. 127.0.0.1:29500 (rank 0 binds it)")
+		bind        = flag.String("bind", "", "host for this rank's data listener (default 127.0.0.1; set for multi-machine)")
+		gradComp    = flag.String("grad-compress", "", "gradient wire codec: fp32 (default), fp16, or int8")
+		measureWire = flag.Bool("measure-wire", false, "calibrate the planner against measured collective wire speeds")
+		ckptDir     = flag.String("ckpt-dir", "", "write a rolling training snapshot here after every epoch")
+		resume      = flag.Bool("resume", false, "resume from the snapshot in -ckpt-dir instead of starting fresh")
+		dieAfter    = flag.Int("die-after", 0, "simulate a crash (exit 3) after this many total completed epochs")
 	)
 	flag.Parse()
+	ranked := *rank >= 0
+	// Combinations that cannot work are refused here, before any
+	// dataset is built or socket opened.
+	var bad string
+	switch {
+	case *rank < -1 || *rank >= spec.Devices:
+		bad = fmt.Sprintf("-rank %d outside [0, -devices %d)", *rank, spec.Devices)
+	case ranked && *coord == "":
+		bad = "-rank needs -coord (the address rank 0 binds)"
+	case !ranked && (*coord != "" || *bind != "" || *measureWire):
+		bad = "-coord, -bind and -measure-wire apply to a multi-process job: give -rank"
+	case ranked && *simulate:
+		bad = "-simulate runs in-process only: drop -rank"
+	case *resume && *ckptDir == "":
+		bad = "-resume requires -ckpt-dir"
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "aptrun:", bad)
+		os.Exit(2)
+	}
+	prefix := ""
+	if ranked {
+		prefix = fmt.Sprintf("[rank %d] ", *rank)
+	}
+	logf := func(format string, args ...any) { fmt.Printf(prefix+format+"\n", args...) }
 
-	spec, err := dataset.ByAbbr(*data, *scale)
+	ds, task, err := spec.Build(!*simulate, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
 	fatal(err)
-	spec.HomophilyDegree = 6
-	ds := dataset.Build(spec, !*simulate)
+	task.GradCompress = *gradComp
 
-	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, *devices)
-	fanouts := make([]int, *layers)
-	for i := range fanouts {
-		fanouts[i] = *fanout
+	var tr comm.Transport // nil keeps every device in this process
+	local := 0            // the replica this process trains, evaluates and checksums
+	if ranked {
+		local = *rank
+		tr, err = transport.NewTCP(transport.TCPOptions{
+			Rank: local, World: spec.Devices, Coord: *coord, BindHost: *bind,
+		})
+		fatal(err)
+		logf("connected: world %d via %s", spec.Devices, *coord)
 	}
-	var newModel func() *nn.Model
-	if *model == "gat" {
-		newModel = func() *nn.Model {
-			return nn.NewGAT(spec.FeatDim, *hidden, *heads, spec.Classes, *layers)
-		}
-	} else {
-		newModel = func() *nn.Model {
-			return nn.NewGraphSAGE(spec.FeatDim, *hidden, spec.Classes, *layers)
-		}
+	if *measureWire {
+		c := comm.NewWithTransport(device.NewGroup(task.Platform), tr)
+		ws := transport.MeasureWire(c, local, 0, 0)
+		task.ProfileOverride = ws.ApplyTo(comm.MeasureProfile(task.Platform))
+		logf("measured wire: alltoall %.2e B/s  allgather %.2e B/s  allreduce %.2e B/s",
+			ws.AllToAllBps, ws.AllGatherBps, ws.AllReduceBps)
 	}
-	task := core.Task{
-		Graph:        ds.Graph,
-		Feats:        ds.Feats,
-		Labels:       ds.Labels,
-		FeatDim:      spec.FeatDim,
-		Seeds:        ds.TrainSeeds,
-		NewModel:     newModel,
-		NewOptimizer: func() nn.Optimizer { return nn.NewAdam(float32(*lr)) },
-		Sampling:     sample.Config{Fanouts: fanouts},
-		BatchSize:    *batch,
-		Platform:     p,
-		CacheBytes:   ds.CacheBytesFraction(0.08),
-		Seed:         7,
-	}
+
 	var opts []obs.Option
 	if *tracePth != "" {
 		opts = append(opts, obs.WithTracePath(*tracePth))
@@ -91,15 +136,35 @@ func main() {
 		// The per-step table is a view over the run's spans.
 		opts = append(opts, obs.WithObserver(spansOnly{}))
 	}
-	apt, err := core.New(task, opts...)
-	fatal(err)
+	snapPath := ""
+	if *ckptDir != "" {
+		snapPath = filepath.Join(*ckptDir, checkpoint.DefaultName)
+	}
+	var apt *core.APT
+	if *resume {
+		// Every rank restores the identical snapshot, exactly as every
+		// rank rebuilds the identical task: resumed state is
+		// configuration, so it never crosses the wire.
+		apt, err = core.ResumeFile(task, snapPath, opts...)
+		fatal(err)
+		logf("resuming from %s after %d epoch(s)", snapPath, apt.EpochBase())
+	} else {
+		apt, err = core.New(task, opts...)
+		fatal(err)
+	}
 
-	choice := strategy.GDP
+	var choice strategy.Kind
 	if *pinned != "" {
 		choice, err = strategy.Parse(*pinned)
 		fatal(err)
-		fmt.Printf("strategy pinned to %v (planning skipped)\n", choice)
+		logf("strategy pinned to %v (planning skipped)", choice)
+		if *explain {
+			fmt.Println(engine.DescribePlan(choice, task.NewModel()))
+		}
 	} else {
+		// Planning is deterministic in the task (and, under
+		// -measure-wire, in the rank-agreed WireStats), so every rank
+		// independently arrives at the same choice.
 		choice, err = apt.Plan()
 		fatal(err)
 		if *explain {
@@ -107,16 +172,15 @@ func main() {
 		} else {
 			fmt.Printf("planner estimates (dry-run %.2fs wall):\n%s", apt.PlanWallSeconds,
 				core.FormatEstimates(apt.Estimates))
-			fmt.Printf("APT selected: %v\n\n", choice)
+			logf("APT selected: %v\n", choice)
 		}
 	}
-	if *explain && *pinned != "" {
-		fmt.Println(engine.DescribePlan(choice, newModel()))
-	}
-	eng, err := apt.BuildEngine(choice)
+
+	eng, err := apt.BuildEngineDistributed(choice, tr, local)
 	fatal(err)
+	fatal(apt.ApplyResume(eng))
 	var lastEpochAt float64
-	for ep := 1; ep <= *epochs; ep++ {
+	for ep := apt.EpochBase() + 1; ep <= *epochs; ep++ {
 		if *timeline && ep == *epochs {
 			lastEpochAt = apt.Spans().MaxEnd() // no earlier span ends after this epoch's first begins
 		}
@@ -128,11 +192,34 @@ func main() {
 		engine.RecordEpochMetrics(apt.Metrics(), st)
 		line := fmt.Sprintf("epoch %2d  sim %.4fs  wall %.3fs  %s", ep, st.EpochTime(), wall, st.String())
 		if !*simulate {
-			acc := engine.Evaluate(ds.Graph, eng.Model(0), ds.Feats, ds.Labels,
+			acc := engine.Evaluate(ds.Graph, eng.Model(local), ds.Feats, ds.Labels,
 				ds.TestSeeds, task.Sampling, 256, 1)
 			line += fmt.Sprintf("  loss %.4f  test-acc %.3f", st.MeanLoss, acc)
 		}
-		fmt.Println(line)
+		logf("%s", line)
+		if snapPath != "" {
+			// Snapshot building is collective (the sampler cursors are
+			// exchanged across ranks), so every rank enters it; the
+			// replicas are synchronized, so every rank holds the same
+			// snapshot and rank 0 persists it.
+			snap, err := apt.Snapshot()
+			fatal(err)
+			if local == 0 {
+				fatal(snap.WriteFile(snapPath))
+			}
+		}
+		if *dieAfter > 0 && ep >= *dieAfter {
+			// Every rank gets the same -die-after, so the whole job dies
+			// at the same epoch boundary — the snapshot the relaunch
+			// will resume from has just been written. Close drains the
+			// writer goroutines so the snapshot collective's payloads
+			// reach the peers before this process disappears.
+			logf("simulated crash after epoch %d", ep)
+			if tr != nil {
+				tr.Close()
+			}
+			os.Exit(3)
+		}
 	}
 	if *timeline {
 		fmt.Print(trace.RenderStepTable("per-step stage times (last epoch, max over devices):",
@@ -141,18 +228,30 @@ func main() {
 	if *save != "" {
 		// A full training snapshot (params + optimizer moments + RNG
 		// cursors), so the run can be resumed or served; aptserve's
-		// -checkpoint flag accepts it directly.
-		fatal(apt.CheckpointFile(*save))
-		fmt.Printf("training snapshot written to %s\n", *save)
+		// -checkpoint flag accepts it directly. Collective like the
+		// rolling one: every rank builds it, rank 0 writes it.
+		snap, err := apt.Snapshot()
+		fatal(err)
+		if local == 0 {
+			fatal(snap.WriteFile(*save))
+			logf("training snapshot written to %s", *save)
+		}
+	}
+	if tr != nil {
+		fatal(tr.Close())
 	}
 	if *tracePth != "" {
 		fatal(obs.WriteChromeTraceFile(*tracePth, apt.Spans()))
-		fmt.Printf("chrome trace written to %s (load in chrome://tracing)\n", *tracePth)
+		logf("chrome trace written to %s (load in chrome://tracing)", *tracePth)
 		fmt.Print(trace.RenderSpanBars("per-track span totals:", apt.Spans(), nil))
 	}
 	if *metrics {
 		fmt.Print(apt.Metrics().Exposition())
 	}
+	// The checksum covers this process's trained replica bit-for-bit;
+	// the collectives keep replicas synchronized, so all ranks — and
+	// the in-process run of the same flags — must agree.
+	logf("params fnv64a %016x", eng.Model(local).Checksum())
 }
 
 // spansOnly turns span collection on without a sink of its own:

@@ -16,14 +16,16 @@ import (
 // 2-rank job to completion, run it again but crash both ranks after
 // epoch 2, resume from the snapshot, and require the resumed job's
 // parameter checksums to equal the uninterrupted run's — the whole
-// crash-recovery path, across OS processes, bit-for-bit.
+// crash-recovery path, across OS processes, bit-for-bit. The same
+// flags without -rank (every device in one process) must land on the
+// same checksum, uninterrupted and across a crash and resume.
 
 var checksumRe = regexp.MustCompile(`params fnv64a ([0-9a-f]{16})`)
 
-// buildWorker compiles the aptworker binary once per test run.
+// buildWorker compiles the aptrun binary once per test run.
 func buildWorker(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "aptworker")
+	bin := filepath.Join(t.TempDir(), "aptrun")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -42,33 +44,41 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// jobFlags are the task flags every run of the test shares.
+func jobFlags(world int) []string {
+	return []string{
+		"-devices", fmt.Sprint(world),
+		"-data", "PS", "-scale", "0.05", "-hidden", "8", "-fanout", "5",
+		"-batch", "64", "-epochs", "4", "-strategy", "GDP",
+	}
+}
+
+// run executes the binary once and returns its combined output plus
+// exit code.
+func run(bin string, args ...string) (string, int) {
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return string(out), ee.ExitCode()
+	} else if err != nil {
+		return string(out) + "\nexec: " + err.Error(), -1
+	}
+	return string(out), 0
+}
+
 // runJob launches one rank per process with shared flags and returns
 // each rank's combined output plus exit code.
 func runJob(t *testing.T, bin string, world int, extra ...string) (outs []string, codes []int) {
 	t.Helper()
-	coord := freeAddr(t)
 	outs = make([]string, world)
 	codes = make([]int, world)
-	shared := []string{
-		"-world", fmt.Sprint(world), "-coord", coord,
-		"-data", "PS", "-scale", "0.05", "-hidden", "8", "-fanout", "5",
-		"-batch", "64", "-epochs", "4", "-strategy", "GDP",
-	}
+	shared := append(jobFlags(world), "-coord", freeAddr(t))
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			args := append([]string{"-rank", fmt.Sprint(r)}, shared...)
-			args = append(args, extra...)
-			out, err := exec.Command(bin, args...).CombinedOutput()
-			outs[r] = string(out)
-			if ee, ok := err.(*exec.ExitError); ok {
-				codes[r] = ee.ExitCode()
-			} else if err != nil {
-				codes[r] = -1
-				outs[r] += "\nexec: " + err.Error()
-			}
+			outs[r], codes[r] = run(bin, append(args, extra...)...)
 		}(r)
 	}
 	wg.Wait()
@@ -135,6 +145,56 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	for r := range got {
 		if got[r] != want[r] {
 			t.Errorf("rank %d: resumed checksum %s != baseline %s", r, got[r], want[r])
+		}
+	}
+
+	// The same flags with every device in one process: the same
+	// parameters, uninterrupted ...
+	out, code := run(bin, jobFlags(2)...)
+	if code != 0 {
+		t.Fatalf("in-process run exited %d:\n%s", code, out)
+	}
+	if got := checksums(t, []string{out})[0]; got != want[0] {
+		t.Errorf("in-process checksum %s != 2-rank baseline %s", got, want[0])
+	}
+	// ... and across a crash after epoch 2 and a resume.
+	dir1 := t.TempDir()
+	if out, code = run(bin, append(jobFlags(2), "-ckpt-dir", dir1, "-die-after", "2")...); code != 3 {
+		t.Fatalf("in-process crash run exited %d, want 3:\n%s", code, out)
+	}
+	out, code = run(bin, append(jobFlags(2), "-ckpt-dir", dir1, "-resume")...)
+	if code != 0 || !strings.Contains(out, "resuming from") {
+		t.Fatalf("in-process resume exited %d:\n%s", code, out)
+	}
+	if got := checksums(t, []string{out})[0]; got != want[0] {
+		t.Errorf("in-process resumed checksum %s != baseline %s", got, want[0])
+	}
+}
+
+// TestRejectedFlagCombinations: combinations that cannot work exit 2
+// with a one-line reason at flag validation — before the dataset is
+// built and without touching the network.
+func TestRejectedFlagCombinations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildWorker(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rank", "0"}, "-rank needs -coord"},
+		{[]string{"-rank", "2", "-devices", "2", "-coord", "127.0.0.1:1"}, "-rank 2 outside [0, -devices 2)"},
+		{[]string{"-rank", "-2"}, "-rank -2 outside"},
+		{[]string{"-coord", "127.0.0.1:1"}, "give -rank"},
+		{[]string{"-measure-wire"}, "give -rank"},
+		{[]string{"-rank", "0", "-coord", "127.0.0.1:1", "-simulate"}, "-simulate runs in-process only"},
+		{[]string{"-resume"}, "-resume requires -ckpt-dir"},
+	} {
+		out, code := run(bin, tc.args...)
+		if code != 2 || !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("aptrun %v: exit %d, output %q; want exit 2 and one line containing %q",
+				tc.args, code, out, tc.want)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Command aptserve is the online inference daemon: it loads (or
 // trains) a GNN model over a synthetic dataset preset and serves
-// predictions over HTTP/JSON with adaptive micro-batching, or
-// benchmarks itself with the built-in load generator.
+// predictions over HTTP/JSON with adaptive micro-batching.
 //
-// Serve a checkpoint trained by aptrun (same dataset/model flags):
+// Serve a checkpoint trained by aptrun (same job flags — the two
+// binaries register the same set, internal/job):
 //
 //	aptrun   -data FS -model sage -hidden 32 -epochs 5 -save /tmp/fs.ckpt
 //	aptserve -data FS -model sage -hidden 32 -checkpoint /tmp/fs.ckpt -addr :8399
@@ -16,12 +16,15 @@
 // A running daemon hot-swaps its model without dropping requests when
 // the checkpoint file is rewritten (e.g. by a fresh aptrun) and either
 // `curl -X POST localhost:8399/reload` or SIGHUP arrives. -checkpoint
-// accepts both raw aptrun parameter files and full training snapshots
-// written by the checkpoint facade.
+// accepts both raw parameter files and full training snapshots (aptrun
+// -save, or the rolling file in aptrun -ckpt-dir); a snapshot also
+// carries the training run's access frequencies, which fill the
+// serving caches by the paper's hotness rule instead of by degree.
 //
-// Or train in-process and benchmark the serving path:
-//
-//	aptserve -data FS -train-epochs 3 -loadgen -requests 2000 -concurrency 64
+// Without -checkpoint the model is trained in-process first
+// (-train-epochs). -fanout 0 serves full neighborhoods. To benchmark
+// the serving path use the repo's load generator:
+// `bash bench/run.sh -workload serve-ps-zipf-open`.
 package main
 
 import (
@@ -32,8 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -41,82 +42,43 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/hardware"
-	"repro/internal/nn"
+	"repro/internal/job"
 	"repro/internal/sample"
 	"repro/internal/serve"
 )
 
 func main() {
+	spec := job.Flags(flag.CommandLine)
 	var (
 		addr    = flag.String("addr", ":8399", "HTTP listen address")
-		data    = flag.String("data", "FS", "dataset preset: PS, FS, or IM")
-		scale   = flag.Float64("scale", 0.1, "dataset scale multiplier")
-		model   = flag.String("model", "sage", "model: sage or gat")
-		hidden  = flag.Int("hidden", 32, "hidden dimension (per head for gat)")
-		heads   = flag.Int("heads", 4, "attention heads (gat)")
-		layers  = flag.Int("layers", 2, "GNN layers")
-		fanout  = flag.Int("fanout", 10, "neighbors sampled per layer (0 = full neighborhoods)")
 		ckpt    = flag.String("checkpoint", "", "load model parameters from this aptrun checkpoint")
 		trainEp = flag.Int("train-epochs", 3, "in-process training epochs when no -checkpoint is given")
-		devices = flag.Int("devices", 4, "simulated GPUs")
 		workers = flag.Int("workers", 0, "inference workers (0 = one per device)")
 		maxB    = flag.Int("max-batch", 64, "micro-batcher seed budget per mini-batch")
 		maxD    = flag.Duration("max-delay", 2*time.Millisecond, "micro-batcher max queue delay")
 		cacheFr = flag.Float64("cache-frac", 0.08, "per-device feature cache, as a fraction of total feature bytes")
-		loadgen = flag.Bool("loadgen", false, "run the built-in load generator instead of listening")
-		nReq    = flag.Int("requests", 1000, "load generator: total requests")
-		conc    = flag.Int("concurrency", 64, "load generator: concurrent clients")
-		perReq  = flag.Int("nodes-per-req", 1, "load generator: nodes per request")
 	)
 	flag.Parse()
 
-	spec, err := dataset.ByAbbr(*data, *scale)
+	ds, task, err := spec.Build(true, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
 	fatal(err)
-	spec.HomophilyDegree = 6
-	ds := dataset.Build(spec, true)
-	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, *devices)
-
-	fanouts := make([]int, *layers)
-	method := sample.NodeWise
-	if *fanout <= 0 {
-		method = sample.Full
-	}
-	for i := range fanouts {
-		fanouts[i] = *fanout
-	}
-	smp := sample.Config{Fanouts: fanouts, Method: method}
-
-	var newModel func() *nn.Model
-	if *model == "gat" {
-		newModel = func() *nn.Model {
-			return nn.NewGAT(spec.FeatDim, *hidden, *heads, spec.Classes, *layers)
-		}
-	} else {
-		newModel = func() *nn.Model {
-			return nn.NewGraphSAGE(spec.FeatDim, *hidden, spec.Classes, *layers)
-		}
+	task.CacheBytes = ds.CacheBytesFraction(*cacheFr)
+	if spec.Fanout <= 0 {
+		task.Sampling.Method = sample.Full
 	}
 
-	// Obtain a trained model: load aptrun's checkpoint, or train
-	// in-process with APT's automatic strategy selection. Training also
-	// yields the dry-run access frequencies, which configure the
-	// serving caches with the paper's hotness rule instead of the
-	// degree fallback.
-	m := newModel()
+	// Obtain a trained model and the training run's dry-run access
+	// frequencies — from aptrun's snapshot, or by training in-process
+	// with APT's automatic strategy selection. The frequencies fill
+	// the serving caches by the paper's hotness rule; a raw parameter
+	// file has none and falls back to degree.
+	m := task.NewModel()
 	var freq []int64
 	if *ckpt != "" {
-		fatal(checkpoint.LoadModelInto(m, *ckpt))
+		freq, err = checkpoint.LoadModelFreq(m, *ckpt)
+		fatal(err)
 		fmt.Printf("loaded checkpoint %s (%d params)\n", *ckpt, m.NumParamElements())
 	} else {
-		task := core.Task{
-			Graph: ds.Graph, Feats: ds.Feats, Labels: ds.Labels,
-			FeatDim: spec.FeatDim, Seeds: ds.TrainSeeds,
-			NewModel:     newModel,
-			NewOptimizer: func() nn.Optimizer { return nn.NewAdam(0.01) },
-			Sampling:     smp, BatchSize: 64, Platform: p,
-			CacheBytes: ds.CacheBytesFraction(*cacheFr), Seed: 7,
-		}
 		apt, err := core.New(task)
 		fatal(err)
 		choice, err := apt.Plan()
@@ -128,83 +90,24 @@ func main() {
 		freq = apt.DryRunStats().Freq
 		fmt.Printf("trained: mean loss %.4f (last epoch)\n", res.Epochs[len(res.Epochs)-1].MeanLoss)
 	}
-
-	cfg := serve.Config{
-		Graph: ds.Graph, Feats: ds.Feats, Model: m,
-		Sampling: smp, Platform: p, Workers: *workers,
-		MaxBatch: *maxB, MaxDelay: *maxD,
-		CacheBytes: ds.CacheBytesFraction(*cacheFr),
-		Seed:       11,
-		NewModel:   newModel,
-		ReloadPath: *ckpt,
-	}
 	if freq != nil {
-		cfg.Freq = freq // enables the hotness cache policy
+		fmt.Println("feature caches: hotness policy (the training run's access frequencies)")
+	} else {
+		fmt.Println("feature caches: degree policy (no access frequencies in a raw parameter file)")
 	}
-	srv, err := serve.New(cfg)
+
+	srv, err := serve.New(serve.Config{
+		Graph: ds.Graph, Feats: ds.Feats, Model: m,
+		Sampling: task.Sampling, Platform: task.Platform, Workers: *workers,
+		MaxBatch: *maxB, MaxDelay: *maxD,
+		CacheBytes: task.CacheBytes,
+		Freq:       freq,
+		Seed:       11,
+		NewModel:   task.NewModel,
+		ReloadPath: *ckpt,
+	})
 	fatal(err)
-
-	if *loadgen {
-		runLoadGen(srv, ds, *nReq, *conc, *perReq)
-		fatal(srv.Close())
-		return
-	}
 	serveHTTP(srv, *addr)
-}
-
-// runLoadGen fires nReq requests from conc concurrent clients at the
-// in-process server and reports latency percentiles, throughput,
-// batch sizes, cache hit rate, and label accuracy against the dataset.
-//
-//apt:allow simclock the load generator measures real request latency and throughput
-func runLoadGen(srv *serve.Server, ds *dataset.Dataset, nReq, conc, perReq int) {
-	fmt.Printf("load generator: %d requests, %d clients, %d node(s)/request\n", nReq, conc, perReq)
-	var next, correct, answered atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := graph.NewRNG(uint64(0xbeef + c*131))
-			nodes := make([]graph.NodeID, perReq)
-			for next.Add(1) <= int64(nReq) {
-				for i := range nodes {
-					nodes[i] = graph.NodeID(rng.Intn(ds.Graph.NumNodes()))
-				}
-				res, err := srv.Predict(nodes)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "aptserve: predict:", err)
-					return
-				}
-				for _, r := range res {
-					answered.Add(1)
-					if int32(r.Label) == ds.Labels[r.Node] {
-						correct.Add(1)
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	st := srv.Stats()
-	fmt.Printf("\ncompleted %d requests in %.3fs (%.0f req/s wall)\n",
-		st.Requests, wall.Seconds(), float64(st.Requests)/wall.Seconds())
-	fmt.Printf("latency  p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms  mean %.3fms\n",
-		st.P50Ms, st.P95Ms, st.P99Ms, st.MaxMs, st.MeanMs)
-	fmt.Printf("batching %d batches, %.2f seeds/batch mean, %d max",
-		st.Batches, st.MeanBatchSeeds, st.MaxBatchSeeds)
-	fmt.Printf("  (hist:")
-	for _, b := range st.BatchHist {
-		fmt.Printf(" %d×%d", b.Seeds, b.Count)
-	}
-	fmt.Printf(")\n")
-	fmt.Printf("features %.1f%% GPU-cache hits, reads %v, %.3fs simulated device time\n",
-		100*st.CacheHitRate, st.FeatureReads, st.SimSeconds)
-	if n := answered.Load(); n > 0 {
-		fmt.Printf("accuracy %.3f over %d answered nodes\n", float64(correct.Load())/float64(n), n)
-	}
 }
 
 // predictRequest is the /predict request body.

@@ -11,37 +11,23 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/hardware"
-	"repro/internal/nn"
-	"repro/internal/sample"
+	"repro/internal/job"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
 func main() {
-	spec, err := dataset.ByAbbr("FS", 0.15)
+	spec := job.Spec{Data: "FS", Scale: 0.15, Hidden: 128, Layers: 3, Fanout: 10}
+	_, task, err := spec.Build(false, 7, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds := dataset.Build(spec, false)
 	p := hardware.FourMachines4GPU()
+	task.Platform = p
 	fmt.Printf("platform: %d machines x %d GPUs, %s network shared per machine\n",
 		p.Machines, p.GPUsPerMachine, "100GbE")
 
-	task := core.Task{
-		Graph:   ds.Graph,
-		FeatDim: spec.FeatDim,
-		Seeds:   ds.TrainSeeds,
-		NewModel: func() *nn.Model {
-			return nn.NewGraphSAGE(spec.FeatDim, 128, spec.Classes, 3)
-		},
-		Sampling:   sample.Config{Fanouts: []int{10, 10, 10}},
-		BatchSize:  64,
-		Platform:   p,
-		CacheBytes: ds.CacheBytesFraction(0.08),
-		Seed:       7,
-	}
 	apt, err := core.New(task)
 	if err != nil {
 		log.Fatal(err)
@@ -59,16 +45,8 @@ func main() {
 			log.Fatal(err)
 		}
 		st := eng.RunEpoch()
-		rows = append(rows, trace.Row{
-			Label:  k.String(),
-			Marked: k == choice,
-			Segments: []trace.Seg{
-				{Name: "sampling", Sec: st.SamplingBar()},
-				{Name: "loading", Sec: st.LoadSec},
-				{Name: "training", Sec: st.TrainBar()},
-			},
-			Note: fmt.Sprintf("hidden shuffle %.1f MB", float64(st.Totals.HiddenShuffleBytes())/1e6),
-		})
+		rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice,
+			fmt.Sprintf("hidden shuffle %.1f MB", float64(st.Totals.HiddenShuffleBytes())/1e6)))
 	}
 	fmt.Print(trace.RenderBars("FS distributed, GraphSAGE hidden 128 (+ hybrid extension)", rows))
 	fmt.Println("\nInter-machine communication is the bottleneck: strategies that")

@@ -13,37 +13,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/hardware"
-	"repro/internal/nn"
-	"repro/internal/sample"
+	"repro/internal/job"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
 func main() {
 	// Part 1: real GAT training with APT on a small graph.
-	spec, err := dataset.ByAbbr("PS", 0.04)
+	spec := job.Spec{
+		Data: "PS", Scale: 0.04,
+		Model: "gat", Hidden: 8, Heads: 4, Layers: 2, Fanout: 10,
+		Batch: 64, LR: 0.02, Devices: 4,
+	}
+	ds, task, err := spec.Build(true, 3, func(s *dataset.Spec) {
+		s.HomophilyDegree = 10
+		s.Classes = 8
+	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	spec.HomophilyDegree = 10
-	spec.Classes = 8
-	ds := dataset.Build(spec, true)
-	task := core.Task{
-		Graph:   ds.Graph,
-		Feats:   ds.Feats,
-		Labels:  ds.Labels,
-		FeatDim: spec.FeatDim,
-		Seeds:   ds.TrainSeeds,
-		NewModel: func() *nn.Model {
-			return nn.NewGAT(spec.FeatDim, 8, 4, spec.Classes, 2)
-		},
-		NewOptimizer: func() nn.Optimizer { return nn.NewAdam(0.02) },
-		Sampling:     sample.Config{Fanouts: []int{10, 10}},
-		BatchSize:    64,
-		Platform:     hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4),
-		CacheBytes:   ds.CacheBytesFraction(0.08),
-		Seed:         3,
 	}
 	apt, err := core.New(task)
 	if err != nil {
@@ -59,22 +46,12 @@ func main() {
 		res.Choice, res.Epochs[len(res.Epochs)-1].MeanLoss, acc)
 
 	// Part 2: the attention communication penalty, per strategy.
-	bigSpec, err := dataset.ByAbbr("PS", 0.15)
+	// Same model on the full-size preset and all 8 GPUs, accounting mode.
+	spec.Scale, spec.Devices = 0.15, 8
+	_, task2, err := spec.Build(false, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	big := dataset.Build(bigSpec, false)
-	task2 := task
-	task2.Graph = big.Graph
-	task2.Feats = nil
-	task2.Labels = nil
-	task2.Seeds = big.TrainSeeds
-	task2.FeatDim = bigSpec.FeatDim
-	task2.NewModel = func() *nn.Model {
-		return nn.NewGAT(bigSpec.FeatDim, 8, 4, bigSpec.Classes, 2)
-	}
-	task2.Platform = hardware.SingleMachine8GPU()
-	task2.CacheBytes = big.CacheBytesFraction(0.08)
 	apt2, err := core.New(task2)
 	if err != nil {
 		log.Fatal(err)
@@ -90,16 +67,8 @@ func main() {
 			log.Fatal(err)
 		}
 		st := eng.RunEpoch()
-		rows = append(rows, trace.Row{
-			Label:  k.String(),
-			Marked: k == choice,
-			Segments: []trace.Seg{
-				{Name: "sampling", Sec: st.SamplingBar()},
-				{Name: "loading", Sec: st.LoadSec},
-				{Name: "training", Sec: st.TrainBar()},
-			},
-			Note: fmt.Sprintf("hidden shuffle %.1f MB", float64(st.Totals.HiddenShuffleBytes())/1e6),
-		})
+		rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice,
+			fmt.Sprintf("hidden shuffle %.1f MB", float64(st.Totals.HiddenShuffleBytes())/1e6)))
 	}
 	fmt.Print(trace.RenderBars("GAT epoch decomposition: SNP/NFP ship per-source projections", rows))
 }

@@ -11,42 +11,29 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/hardware"
-	"repro/internal/nn"
-	"repro/internal/sample"
+	"repro/internal/job"
 )
 
 func main() {
-	// 1. Data: a synthetic Friendster-like graph with label-correlated
-	//    features (stand-in for loading OGB data).
-	spec, err := dataset.ByAbbr("FS", 0.05)
+	// 1. Describe the job once: data (a synthetic Friendster-like
+	//    graph with label-correlated features, stand-in for loading
+	//    OGB data), model, sampling, devices. APT treats the model and
+	//    the sampler as black boxes.
+	spec := job.Spec{
+		Data: "FS", Scale: 0.05,
+		Model: "sage", Hidden: 32, Layers: 2, Fanout: 10,
+		Batch: 64, LR: 0.02, Devices: 4,
+	}
+	// 2. Build the dataset and the task (real mode, seed 1).
+	ds, task, err := spec.Build(true, 1, func(s *dataset.Spec) {
+		s.HomophilyDegree = 10
+		s.Classes = 8 // easier task at the example's tiny scale
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec.HomophilyDegree = 10
-	spec.Classes = 8 // easier task at the example's tiny scale
-	ds := dataset.Build(spec, true)
 	fmt.Printf("graph: %d nodes, %d edges, %d-dim features, %d classes\n",
-		ds.Graph.NumNodes(), ds.Graph.NumEdges(), spec.FeatDim, spec.Classes)
-
-	// 2. Task: model, sampling, platform. APT treats the model and the
-	//    sampler as black boxes.
-	task := core.Task{
-		Graph:   ds.Graph,
-		Feats:   ds.Feats,
-		Labels:  ds.Labels,
-		FeatDim: spec.FeatDim,
-		Seeds:   ds.TrainSeeds,
-		NewModel: func() *nn.Model {
-			return nn.NewGraphSAGE(spec.FeatDim, 32, spec.Classes, 2)
-		},
-		NewOptimizer: func() nn.Optimizer { return nn.NewAdam(0.02) },
-		Sampling:     sample.Config{Fanouts: []int{10, 10}},
-		BatchSize:    64,
-		Platform:     hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4),
-		CacheBytes:   ds.CacheBytesFraction(0.08),
-		Seed:         1,
-	}
+		ds.Graph.NumNodes(), ds.Graph.NumEdges(), ds.FeatDim, ds.Classes)
 
 	// 3. Train: APT profiles the platform, dry-runs one epoch, picks
 	//    the fastest strategy, and trains.

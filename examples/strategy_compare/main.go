@@ -11,10 +11,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/hardware"
-	"repro/internal/nn"
-	"repro/internal/sample"
+	"repro/internal/job"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -28,23 +25,10 @@ func main() {
 		{"PS", 32, "skewed accesses: caching works, GDP avoids all shuffling"},
 		{"FS", 8, "scattered accesses + tiny hidden dim: pushing compute to the features (SNP) wins"},
 	} {
-		spec, err := dataset.ByAbbr(cfg.abbr, 0.15)
+		spec := job.Spec{Data: cfg.abbr, Scale: 0.15, Hidden: cfg.hidden, Layers: 3, Fanout: 10, Devices: 8}
+		_, task, err := spec.Build(false, 7, nil) // accounting mode: no feature payload
 		if err != nil {
 			log.Fatal(err)
-		}
-		ds := dataset.Build(spec, false) // accounting mode: no feature payload
-		task := core.Task{
-			Graph:   ds.Graph,
-			FeatDim: spec.FeatDim,
-			Seeds:   ds.TrainSeeds,
-			NewModel: func() *nn.Model {
-				return nn.NewGraphSAGE(spec.FeatDim, cfg.hidden, spec.Classes, 3)
-			},
-			Sampling:   sample.Config{Fanouts: []int{10, 10, 10}},
-			BatchSize:  64,
-			Platform:   hardware.SingleMachine8GPU(),
-			CacheBytes: ds.CacheBytesFraction(0.08),
-			Seed:       7,
 		}
 		apt, err := core.New(task)
 		if err != nil {
@@ -62,15 +46,7 @@ func main() {
 				log.Fatal(err)
 			}
 			st := eng.RunEpoch()
-			rows = append(rows, trace.Row{
-				Label:  k.String(),
-				Marked: k == choice,
-				Segments: []trace.Seg{
-					{Name: "sampling", Sec: st.SamplingBar()},
-					{Name: "loading", Sec: st.LoadSec},
-					{Name: "training", Sec: st.TrainBar()},
-				},
-			})
+			rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice, ""))
 		}
 		title := fmt.Sprintf("%s, GraphSAGE hidden %d — %s", cfg.abbr, cfg.hidden, cfg.why)
 		fmt.Print(trace.RenderBars(title, rows))

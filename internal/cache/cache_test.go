@@ -222,3 +222,43 @@ func TestLoadStatsAdd(t *testing.T) {
 		t.Errorf("Add result %+v", a)
 	}
 }
+
+// TestTierRowsMatchAdmission: for a grid of (budget, int8 fraction,
+// row width), the row counts TierRows reports — what the re-planner's
+// tier model integrates over — are the lengths of the lists Admit
+// installs, the two bands fit the budget, and the split is taken in
+// whole bytes: at budget 999, frac 0.5, dim 125 the warm band gets
+// int(499.5) = 499 bytes, leaving 500 = exactly one fp32 row, where
+// budget*(1-frac)/row in float arithmetic (the re-planner's former
+// private copy) found 499.5/500 = none.
+func TestTierRowsMatchAdmission(t *testing.T) {
+	if hot, warm := TierRows(999, 0.5, 125); hot != 1 || warm != 3 {
+		t.Fatalf("TierRows(999, 0.5, 125) = %d hot, %d warm; want 1, 3", hot, warm)
+	}
+	const n = 4096
+	freq := make([]int64, n)
+	for v := range freq {
+		freq[v] = int64(n - v)
+	}
+	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2)
+	for _, budget := range []int64{0, 1, 999, 1001, 4096, 65537, 1 << 20} {
+		for _, frac := range []float64{0, 0.25, 0.5, 0.99} {
+			for _, dim := range []int{1, 16, 125, 128} {
+				hot, warm := TierRows(budget, frac, dim)
+				if got := int64(hot)*int64(4*dim) + int64(warm)*tensor.QuantRowBytes(dim); got > budget {
+					t.Fatalf("budget %d frac %v dim %d: %d hot + %d warm rows take %d bytes", budget, frac, dim, hot, warm, got)
+				}
+				s := NewStore(p, n, dim, nil)
+				s.Admit(SelectConfig{Policy: PolicyHotGlobal, Freq: freq}, budget, frac)
+				wantHot := min(hot, n)
+				wantWarm := min(warm, n-wantHot)
+				for d := 0; d < p.NumDevices(); d++ {
+					if len(s.CachedList(d)) != wantHot || len(s.QCachedList(d)) != wantWarm {
+						t.Fatalf("budget %d frac %v dim %d dev %d: admitted %d hot / %d warm, TierRows says %d / %d",
+							budget, frac, dim, d, len(s.CachedList(d)), len(s.QCachedList(d)), wantHot, wantWarm)
+					}
+				}
+			}
+		}
+	}
+}

@@ -218,6 +218,46 @@ func (s *Store) ConfigureCacheTiered(dev int, hot, warm []graph.NodeID) {
 	}
 }
 
+// TierRows turns a per-device byte budget into row counts: int8Frac of
+// the budget holds int8 rows, the remainder stays fp32. Quantized rows
+// are charged at their actual byte size (row + scale/zero header), so
+// the warm tier covers roughly 4x the nodes per byte. It is the one
+// place the split is computed — admission and the re-planner's tier
+// model both call it, so they cannot disagree by a row.
+func TierRows(budget int64, int8Frac float64, loadDim int) (hot, warm int) {
+	hotBudget := budget
+	if int8Frac > 0 {
+		warmBudget := int64(float64(budget) * int8Frac)
+		hotBudget -= warmBudget
+		warm = int(warmBudget / tensor.QuantRowBytes(loadDim))
+	}
+	if loadDim > 0 {
+		hot = int(hotBudget / int64(4*loadDim))
+	}
+	return hot, warm
+}
+
+// Admit fills every device's cache under a byte budget: TierRows sizes
+// the two bands at the store's LoadDim, cfg's policy ranks the rows
+// (cfg.CapacityNodes and cfg.Devices are set here), and each device's
+// lists are installed — tiered only when the warm band is non-empty,
+// so a store without a tier never allocates the quantized matrix.
+func (s *Store) Admit(cfg SelectConfig, budget int64, int8Frac float64) {
+	hotRows, warmRows := TierRows(budget, int8Frac, s.LoadDim)
+	cfg.CapacityNodes = hotRows
+	cfg.Devices = s.Platform.NumDevices()
+	if warmRows > 0 {
+		hot, warm := SelectTiered(cfg, warmRows)
+		for d := range hot {
+			s.ConfigureCacheTiered(d, hot[d], warm[d])
+		}
+		return
+	}
+	for d, l := range Select(cfg) {
+		s.ConfigureCache(d, l)
+	}
+}
+
 // IsQCached reports whether dev holds v in its int8 warm tier.
 func (s *Store) IsQCached(dev int, v graph.NodeID) bool {
 	q := s.qcached[dev]

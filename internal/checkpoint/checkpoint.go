@@ -151,16 +151,25 @@ func ReadFile(path string) (*Snapshot, error) {
 // serving-side loader: aptserve does not care about optimizer moments
 // or RNG cursors, only the weights.
 func LoadModelInto(m *nn.Model, path string) error {
+	_, err := LoadModelFreq(m, path)
+	return err
+}
+
+// LoadModelFreq is LoadModelInto that also returns the dry-run access
+// frequencies a training snapshot carries — what the training caches
+// were admitted from, and what a server needs to admit the same hot
+// rows. A raw parameter file has none (nil).
+func LoadModelFreq(m *nn.Model, path string) ([]int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(b) >= 4 && binary.LittleEndian.Uint32(b) == snapMagic {
 		snap, err := Decode(b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return m.LoadParams(bytes.NewReader(snap.Model))
+		return snap.Freq, m.LoadParams(bytes.NewReader(snap.Model))
 	}
-	return m.LoadParams(bytes.NewReader(b))
+	return nil, m.LoadParams(bytes.NewReader(b))
 }

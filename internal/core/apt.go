@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/strategy"
-	"repro/internal/tensor"
 )
 
 // APT is the adaptive parallel training system. Typical use:
@@ -180,50 +179,20 @@ func (a *APT) buildStore(k strategy.Kind, freq []int64, real bool) *cache.Store 
 	} else {
 		s.HostByRange()
 	}
-	devices := t.Platform.NumDevices()
-	bytesPerNode := int64(4 * t.FeatDim)
 	if k == strategy.NFP {
-		shard := (t.FeatDim + devices - 1) / devices
-		s.LoadDim = shard
-		bytesPerNode = int64(4 * shard)
-	}
-	// Tier split: the warm fraction of the budget holds int8 rows, the
-	// remainder stays fp32. Quantized rows are charged at their actual
-	// byte size (row + scale/zero header), so the warm tier covers
-	// roughly 4x the nodes per byte.
-	hotBudget := t.CacheBytes
-	warmNodes := 0
-	if a.int8Frac > 0 {
-		warmBudget := int64(float64(t.CacheBytes) * a.int8Frac)
-		hotBudget = t.CacheBytes - warmBudget
-		warmNodes = int(warmBudget / tensor.QuantRowBytes(s.LoadDim))
-	}
-	capNodes := 0
-	if bytesPerNode > 0 {
-		capNodes = int(hotBudget / bytesPerNode)
+		devices := t.Platform.NumDevices()
+		s.LoadDim = (t.FeatDim + devices - 1) / devices
 	}
 	policy := cachePolicyFor(k)
 	if t.CachePolicyOverride != nil {
 		policy = *t.CachePolicyOverride
 	}
-	selCfg := cache.SelectConfig{
-		Policy:        policy,
-		Freq:          freq,
-		Assign:        a.part.Assign,
-		Graph:         t.Graph,
-		CapacityNodes: capNodes,
-		Devices:       devices,
-	}
-	if warmNodes > 0 {
-		hot, warm := cache.SelectTiered(selCfg, warmNodes)
-		for d := range hot {
-			s.ConfigureCacheTiered(d, hot[d], warm[d])
-		}
-	} else {
-		for d, l := range cache.Select(selCfg) {
-			s.ConfigureCache(d, l)
-		}
-	}
+	s.Admit(cache.SelectConfig{
+		Policy: policy,
+		Freq:   freq,
+		Assign: a.part.Assign,
+		Graph:  t.Graph,
+	}, t.CacheBytes, a.int8Frac)
 	if t.Platform.Machines > 1 && t.CPUCacheBytes > 0 {
 		a.configureCPUCaches(s, freq)
 	}

@@ -86,7 +86,7 @@ func TestBuildEngineDistributedValidation(t *testing.T) {
 
 // TestCalibrateTransport checks the measured-transport feedback path:
 // a cost model over a measured wire profile (Task.ProfileOverride, as
-// cmd/aptworker -measure-wire sets it) costs collectives at the
+// aptrun -rank -measure-wire sets it) costs collectives at the
 // measured wire speed, so a drastically slower wire must raise every
 // communication-bound plan cost.
 func TestCalibrateTransport(t *testing.T) {
@@ -105,7 +105,7 @@ func TestCalibrateTransport(t *testing.T) {
 		return rp.planCost(Plan{Kind: strategy.SNP})
 	}
 
-	// A measured profile as cmd/aptworker derives it: WireStats
+	// A measured profile as aptrun -measure-wire derives it: WireStats
 	// overlaid on the simulated base, here pinned to a pathologically
 	// slow wire so the cost shift is unambiguous.
 	slow := transport.WireStats{

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/strategy"
@@ -180,14 +181,7 @@ func (r *Replanner) tierLoadSec(k strategy.Kind, frac float64) float64 {
 	dim := r.loadDim(k)
 	rowF := float64(4 * dim)
 	rowQ := float64(tensor.QuantRowBytes(dim))
-	hotN := 0
-	if rowF > 0 {
-		hotN = int(float64(r.cacheBytes) * (1 - frac) / rowF)
-	}
-	warmN := 0
-	if frac > 0 {
-		warmN = int(float64(r.cacheBytes) * frac / rowQ)
-	}
+	hotN, warmN := cache.TierRows(r.cacheBytes, frac, dim)
 	p := r.cm.Profile
 	var sec float64
 	for i, f := range r.freq {

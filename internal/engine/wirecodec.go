@@ -9,7 +9,7 @@ import (
 // Wire codecs for the engine-internal structures the strategies ship
 // through Payload.Data: NFP broadcasts layer-1 blocks, SNP/DNP
 // exchange virtual-node requests. Registered in an init so every
-// binary that links the engine — every aptworker rank — agrees on the
+// binary that links the engine — every aptrun rank — agrees on the
 // (id, type, layout) triples; the ids below are part of the wire
 // format and must never be reused.
 //

@@ -240,14 +240,7 @@ func (e *Env) ExtensionHybrid() (string, error) {
 			}
 			st := eng.RunEpoch()
 			times[k] = st
-			rows = append(rows, trace.Row{
-				Label: k.String(),
-				Segments: []trace.Seg{
-					{Name: "sampling", Sec: st.SamplingBar()},
-					{Name: "loading", Sec: st.LoadSec},
-					{Name: "training", Sec: st.TrainBar()},
-				},
-			})
+			rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), false, ""))
 		}
 		b.WriteString(trace.RenderBars(fmt.Sprintf("%s distributed, hidden 32", abbr), rows))
 		fmt.Fprintf(&b, "  hybrid vs SNP hidden-shuffle volume: %d vs %d bytes\n",

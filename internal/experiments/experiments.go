@@ -13,9 +13,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/hardware"
-	"repro/internal/nn"
+	"repro/internal/job"
 	"repro/internal/partition"
-	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -172,58 +171,46 @@ type taskConfig struct {
 }
 
 func (e *env) task(tc taskConfig) core.Task {
-	d := e.Dataset(tc.abbr)
-	featDim := tc.featDim
-	if featDim == 0 {
-		featDim = d.FeatDim
-	}
+	ds := *e.Dataset(tc.abbr)
 	base := tc.platform
 	if base == nil {
 		base = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, e.opts.Devices)
 	}
-	p := e.platformFor(base, d)
+	// The cache budget is anchored to the preset's own feature bytes,
+	// so it is sized before the input-dimension override below.
+	p := e.platformFor(base, &ds)
 	if tc.cacheFrac != 0 {
 		if tc.cacheFrac < 0 { // sentinel: cache disabled
 			p.DefaultCacheBytes = 0
 		} else {
-			p.DefaultCacheBytes = int64(tc.cacheFrac * float64(d.FeatureBytes()))
+			p.DefaultCacheBytes = int64(tc.cacheFrac * float64(ds.FeatureBytes()))
 		}
+	}
+	if tc.featDim != 0 {
+		ds.FeatDim = tc.featDim
 	}
 	fanouts := tc.fanouts
 	if fanouts == nil {
 		fanouts = []int{10, 10, 10}
 	}
-	layers := len(fanouts)
-	classes := d.Classes
-	var newModel func() *nn.Model
-	if tc.model == "gat" {
-		heads := tc.heads
-		if heads == 0 {
-			heads = 4
-		}
-		hidden, fd := tc.hidden, featDim
-		newModel = func() *nn.Model { return nn.NewGAT(fd, hidden, heads, classes, layers) }
-	} else {
-		hidden, fd := tc.hidden, featDim
-		if hidden == 0 {
-			hidden = 32
-		}
-		newModel = func() *nn.Model { return nn.NewGraphSAGE(fd, hidden, classes, layers) }
+	spec := job.Spec{Model: tc.model, Hidden: tc.hidden, Heads: tc.heads, Layers: len(fanouts), Batch: e.opts.BatchSize}
+	if spec.Heads == 0 {
+		spec.Heads = 4
 	}
-	return core.Task{
-		Graph:         d.Graph,
-		FeatDim:       featDim,
-		Seeds:         d.TrainSeeds,
-		NewModel:      newModel,
-		Sampling:      sample.Config{Fanouts: fanouts},
-		BatchSize:     e.opts.BatchSize,
-		Platform:      p,
-		CacheBytes:    p.DefaultCacheBytes,
-		Int8CacheFrac: tc.int8Frac,
-		Partition:     e.Partition(tc.abbr, p.NumDevices(), tc.partKind),
-		Partitioner:   tc.partKind,
-		Seed:          7,
+	if spec.Hidden == 0 && spec.Model != "gat" {
+		spec.Hidden = 32
 	}
+	task, err := spec.Task(&ds, 7)
+	if err != nil {
+		panic(err)
+	}
+	task.Sampling.Fanouts = fanouts
+	task.Platform = p
+	task.CacheBytes = p.DefaultCacheBytes
+	task.Int8CacheFrac = tc.int8Frac
+	task.Partition = e.Partition(tc.abbr, p.NumDevices(), tc.partKind)
+	task.Partitioner = tc.partKind
+	return task
 }
 
 // CaseResult holds one configuration's per-strategy measurements.
@@ -300,16 +287,7 @@ func barsForCase(title string, c *CaseResult) string {
 		if st.OOM {
 			note = "[OOM]"
 		}
-		rows = append(rows, trace.Row{
-			Label:  k.String(),
-			Marked: k == c.Choice,
-			Note:   note,
-			Segments: []trace.Seg{
-				{Name: "sampling", Sec: st.SamplingBar()},
-				{Name: "loading", Sec: st.LoadSec},
-				{Name: "training", Sec: st.TrainBar()},
-			},
-		})
+		rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == c.Choice, note))
 	}
 	return trace.RenderBars(title, rows)
 }

@@ -72,15 +72,7 @@ func (e *Env) ExtensionLayerWise() (string, error) {
 				return "", err
 			}
 			st := eng.RunEpoch()
-			rows = append(rows, trace.Row{
-				Label:  k.String(),
-				Marked: k == choice,
-				Segments: []trace.Seg{
-					{Name: "sampling", Sec: st.SamplingBar()},
-					{Name: "loading", Sec: st.LoadSec},
-					{Name: "training", Sec: st.TrainBar()},
-				},
-			})
+			rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice, ""))
 		}
 		b.WriteString(trace.RenderBars(fmt.Sprintf("%s, layer-wise sampling, hidden 32", abbr), rows))
 	}

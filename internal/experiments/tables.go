@@ -9,7 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hardware"
-	"repro/internal/nn"
+	"repro/internal/job"
 	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -162,32 +162,20 @@ func (e *Env) Table4() (string, error) {
 func (e *Env) Figure6() (string, error) {
 	var b strings.Builder
 	b.WriteString(header("Figure 6", "test accuracy vs epoch, all strategies (real training)"))
-	spec, err := dataset.ByAbbr("FS", 0.08)
+	spec := job.Spec{Data: "FS", Scale: 0.08, Hidden: 16, Layers: 2, Fanout: 8, Batch: e.opts.BatchSize, LR: 0.02, Devices: 4}
+	d, task, err := spec.Build(true, 7, func(s *dataset.Spec) {
+		s.FeatDim = 32
+		s.Classes = 8
+		s.HomophilyDegree = 8
+	})
 	if err != nil {
 		return "", err
 	}
-	spec.FeatDim = 32
-	spec.Classes = 8
-	spec.HomophilyDegree = 8
-	d := dataset.Build(spec, true)
-	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
-	smp := sample.Config{Fanouts: []int{8, 8}}
+	task.CacheBytes = task.Platform.DefaultCacheBytes
 	const epochs = 10
 
 	curves := map[strategy.Kind][]float64{}
 	for _, k := range strategy.Core {
-		task := e.task(taskConfig{abbr: "FS", hidden: 16, fanouts: []int{8, 8}})
-		task.Graph = d.Graph
-		task.Feats = d.Feats
-		task.Labels = d.Labels
-		task.Seeds = d.TrainSeeds
-		task.FeatDim = spec.FeatDim
-		task.Platform = p
-		task.CacheBytes = p.DefaultCacheBytes
-		task.Partition = nil
-		classes := spec.Classes
-		task.NewModel = func() *nn.Model { return nn.NewGraphSAGE(spec.FeatDim, 16, classes, 2) }
-		task.NewOptimizer = func() nn.Optimizer { return nn.NewAdam(0.02) }
 		apt, err := core.New(task)
 		if err != nil {
 			return "", err
@@ -198,7 +186,7 @@ func (e *Env) Figure6() (string, error) {
 		}
 		for ep := 0; ep < epochs; ep++ {
 			eng.RunEpoch()
-			acc := engine.Evaluate(d.Graph, eng.Model(0), d.Feats, d.Labels, d.TestSeeds, smp, 128, 1)
+			acc := engine.Evaluate(d.Graph, eng.Model(0), d.Feats, d.Labels, d.TestSeeds, task.Sampling, 128, 1)
 			curves[k] = append(curves[k], acc)
 		}
 	}

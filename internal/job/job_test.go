@@ -1,0 +1,65 @@
+package job
+
+import (
+	"flag"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+)
+
+// TestDefaultFlagsTrainToPinnedChecksum: the task built from the
+// shared flags' defaults — with the two arguments aptrun adds, seed 7
+// and homophily 6 — plans and trains one epoch to the parameters the
+// hand-assembled task of aptrun did before this package existed
+// (`aptrun -epochs 1` at commit 778dc31, FNV-64a over the parameters'
+// f32 bit patterns). A drifted default, fanout, cache budget or model
+// closure moves the value.
+func TestDefaultFlagsTrainToPinnedChecksum(t *testing.T) {
+	fs := flag.NewFlagSet("aptrun", flag.ContinueOnError)
+	spec := Flags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	_, task, err := spec.Build(true, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	apt, err := core.New(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := apt.Train(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Model.Checksum(), uint64(0x907050160ca2dfda); got != want {
+		t.Fatalf("params fnv64a %016x, want %016x", got, want)
+	}
+}
+
+// TestAccountingModeAndRejects: without features the task carries no
+// payload and no optimizer; an unknown model or a non-positive layer
+// count is an error, not a silent GraphSAGE.
+func TestAccountingModeAndRejects(t *testing.T) {
+	spec := Spec{Data: "PS", Scale: 0.02, Hidden: 8, Layers: 2, Fanout: 5, Devices: 2}
+	ds, task, err := spec.Build(false, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task.Feats != nil || task.Labels != nil || task.NewOptimizer != nil {
+		t.Fatal("accounting-mode task carries features, labels or an optimizer")
+	}
+	if task.BatchSize != 64 || task.CacheBytes != ds.CacheBytesFraction(0.08) || len(task.Sampling.Fanouts) != 2 {
+		t.Fatalf("defaults: batch %d cache %d fanouts %v", task.BatchSize, task.CacheBytes, task.Sampling.Fanouts)
+	}
+	for _, bad := range []Spec{
+		{Data: "PS", Scale: 0.02, Model: "gcn", Layers: 2},
+		{Data: "PS", Scale: 0.02, Layers: 0},
+		{Data: "nope", Scale: 0.02, Layers: 2},
+	} {
+		if _, _, err := bad.Build(false, 7, nil); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/sample"
@@ -59,6 +62,21 @@ func (m *Model) NumParamElements() int {
 		n += p.NumElements()
 	}
 	return n
+}
+
+// Checksum is the FNV-64a hash of every parameter's exact f32 bit
+// pattern in Params order: equal checksums mean bit-identical models
+// (what aptrun prints per rank and the bit-identity tests compare).
+func (m *Model) Checksum() uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, p := range m.Params() {
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 // ForwardState carries all layer contexts of a forward pass.

@@ -28,6 +28,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// queueCap bounds the pending-request buffer; Predict blocks while the
+// queue is full (backpressure).
+const queueCap = 1024
+
 // ErrServerClosed is returned by Predict once Close has begun; queued
 // and in-flight requests still complete (drain semantics).
 var ErrServerClosed = errors.New("serve: server closed")
@@ -70,23 +74,13 @@ type Config struct {
 	// batch closes no later than MaxDelay after its oldest request was
 	// dequeued, whatever its size.
 	MaxDelay time.Duration
-	// QueueCap bounds the pending-request buffer (default 1024);
-	// Predict blocks while the queue is full (backpressure).
-	QueueCap int
 	// CacheBytes is the per-device feature-cache budget (0 disables
 	// caching).
 	CacheBytes int64
-	// Int8CacheFrac gives that fraction of CacheBytes to an int8 warm
-	// tier below the fp32 band (0 disables; must be < 1). Warm-tier
-	// rows are served from device memory and dequantized inside the
-	// gather kernels, trading bounded quantization error for roughly
-	// 4x the cached coverage per byte.
-	Int8CacheFrac float64
-	// CachePolicy selects the cache rule (default cache.PolicyDegree,
-	// which needs no access trace). Hotness policies require Freq.
-	CachePolicy cache.Policy
-	// Freq are optional per-node access frequencies (e.g. from a
-	// training dry-run) for the hotness cache policies.
+	// Freq are optional per-node access frequencies (a training
+	// dry-run's, e.g. checkpoint.Snapshot.Freq). With them the caches
+	// hold the most-accessed rows (the paper's hotness rule); without,
+	// the highest-degree rows, which needs no access trace.
 	Freq []int64
 	Seed uint64
 	// NewModel constructs an architecture-matched empty model; required
@@ -113,6 +107,9 @@ func (c *Config) normalize() error {
 	if c.Model == nil {
 		return fmt.Errorf("serve: nil model")
 	}
+	if c.Freq != nil && len(c.Freq) != c.Graph.NumNodes() {
+		return fmt.Errorf("serve: %d access frequencies for %d nodes (checkpoint from another dataset?)", len(c.Freq), c.Graph.NumNodes())
+	}
 	if c.Platform == nil {
 		c.Platform = hardware.SingleMachine8GPU()
 	}
@@ -124,16 +121,6 @@ func (c *Config) normalize() error {
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
-	if c.CachePolicy != cache.PolicyDegree && c.Freq == nil {
-		// Hotness policies are meaningless without an access trace.
-		c.CachePolicy = cache.PolicyDegree
-	}
-	if c.Int8CacheFrac < 0 || c.Int8CacheFrac >= 1 {
-		return fmt.Errorf("serve: Int8CacheFrac %v outside [0, 1)", c.Int8CacheFrac)
 	}
 	return nil
 }
@@ -206,7 +193,7 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 		quit:  make(chan struct{}),
 		reg:   obs.NewRegistry(),
 		obsO:  obs.BuildOptions(opts...),
-		reqs:  make(chan *pending, cfg.QueueCap),
+		reqs:  make(chan *pending, queueCap),
 	}
 	// The sim-seconds gauge spans model swaps: retired generations'
 	// totals accumulate and the live inferencer adds its own.
@@ -227,39 +214,16 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 }
 
 // buildStore assembles the serving feature store: host placement plus
-// the per-device fp32/int8 cache tiers. The store is model-independent
-// — it outlives model swaps, so a reload re-admits nothing.
+// the per-device caches. The store is model-independent — it outlives
+// model swaps, so a reload re-admits nothing.
 func buildStore(cfg *Config) *cache.Store {
-	n := cfg.Graph.NumNodes()
-	dim := cfg.Feats.Cols
-	store := cache.NewStore(cfg.Platform, n, dim, cfg.Feats)
+	store := cache.NewStore(cfg.Platform, cfg.Graph.NumNodes(), cfg.Feats.Cols, cfg.Feats)
 	store.HostByRange()
-	if cfg.CacheBytes > 0 {
-		hotBudget := cfg.CacheBytes
-		warmNodes := 0
-		if cfg.Int8CacheFrac > 0 {
-			warmBudget := int64(float64(cfg.CacheBytes) * cfg.Int8CacheFrac)
-			hotBudget = cfg.CacheBytes - warmBudget
-			warmNodes = int(warmBudget / tensor.QuantRowBytes(dim))
-		}
-		selCfg := cache.SelectConfig{
-			Policy:        cfg.CachePolicy,
-			Freq:          cfg.Freq,
-			Graph:         cfg.Graph,
-			CapacityNodes: int(hotBudget / int64(4*dim)),
-			Devices:       cfg.Platform.NumDevices(),
-		}
-		if warmNodes > 0 {
-			hot, warm := cache.SelectTiered(selCfg, warmNodes)
-			for d := range hot {
-				store.ConfigureCacheTiered(d, hot[d], warm[d])
-			}
-		} else {
-			for d, l := range cache.Select(selCfg) {
-				store.ConfigureCache(d, l)
-			}
-		}
+	policy := cache.PolicyDegree
+	if cfg.Freq != nil {
+		policy = cache.PolicyHotGlobal
 	}
+	store.Admit(cache.SelectConfig{Policy: policy, Freq: cfg.Freq, Graph: cfg.Graph}, cfg.CacheBytes, 0)
 	return store
 }
 

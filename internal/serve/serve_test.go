@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hardware"
@@ -326,5 +331,79 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Graph: f.ds.Graph, Feats: f.ds.Feats, Sampling: f.smp}); err == nil {
 		t.Fatal("nil model accepted")
+	}
+	if _, err := New(Config{Graph: f.ds.Graph, Feats: f.ds.Feats, Model: f.model, Sampling: f.smp, Freq: make([]int64, 7)}); err == nil {
+		t.Fatal("frequencies of another graph's length accepted")
+	}
+}
+
+// TestCheckpointFreqSelectsHotRows: a server started from a training
+// snapshot admits the rows the snapshot's access frequencies rank
+// hottest (the paper's rule — what the training caches held), where a
+// raw parameter file of the same model falls back to the highest
+// degrees. The frequencies are skewed onto the LOWEST-degree nodes so
+// the two rules cannot pick the same set.
+func TestCheckpointFreqSelectsHotRows(t *testing.T) {
+	f := newFixture(t)
+	n := f.ds.Graph.NumNodes()
+	const rows = 40
+	byDegree := make([]graph.NodeID, n)
+	for v := range byDegree {
+		byDegree[v] = graph.NodeID(v)
+	}
+	sort.Slice(byDegree, func(i, j int) bool {
+		di, dj := f.ds.Graph.Degree(byDegree[i]), f.ds.Graph.Degree(byDegree[j])
+		if di != dj {
+			return di < dj
+		}
+		return byDegree[i] < byDegree[j]
+	})
+	freq := make([]int64, n)
+	wantHot := map[graph.NodeID]bool{}
+	for i, v := range byDegree[:rows] {
+		freq[v] = int64(1000 - i)
+		wantHot[v] = true
+	}
+
+	var params bytes.Buffer
+	if err := f.model.SaveParams(&params); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapPath, rawPath := filepath.Join(dir, "snap.aptc"), filepath.Join(dir, "raw.params")
+	snap := &checkpoint.Snapshot{Strategy: "GDP", Devices: 2, Model: params.Bytes(), Freq: freq}
+	if err := snap.WriteFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rawPath, params.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cached := func(path string) []graph.NodeID {
+		m := nn.NewGraphSAGE(f.ds.FeatDim, 16, f.ds.Classes, 2)
+		got, err := checkpoint.LoadModelFreq(m, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := f.server(t, func(c *Config) {
+			c.Model, c.Freq = m, got
+			c.CacheBytes = rows * int64(4*f.ds.FeatDim)
+		})
+		defer s.Close()
+		return s.store.CachedList(0)
+	}
+	hot := cached(snapPath)
+	if len(hot) != rows {
+		t.Fatalf("snapshot server cached %d rows, want %d", len(hot), rows)
+	}
+	for _, v := range hot {
+		if !wantHot[v] {
+			t.Fatalf("snapshot server cached node %d, not among the %d most-accessed", v, rows)
+		}
+	}
+	for _, v := range cached(rawPath) {
+		if wantHot[v] {
+			t.Fatalf("raw-parameter server cached low-degree node %d: it should rank by degree", v)
+		}
 	}
 }

@@ -23,6 +23,23 @@ type Row struct {
 	Note     string
 }
 
+// StageRow is the paper's stacked epoch bar for one strategy run:
+// sampling (incl. subgraph shuffle), feature loading, training (incl.
+// hidden shuffle) — engine.EpochStats' SamplingBar, LoadSec and
+// TrainBar, passed as floats so this package need not import engine.
+func StageRow(label string, sampling, loading, training float64, marked bool, note string) Row {
+	return Row{
+		Label:  label,
+		Marked: marked,
+		Note:   note,
+		Segments: []Seg{
+			{Name: "sampling", Sec: sampling},
+			{Name: "loading", Sec: loading},
+			{Name: "training", Sec: training},
+		},
+	}
+}
+
 // Total sums the row's segments.
 func (r Row) Total() float64 {
 	var t float64

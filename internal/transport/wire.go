@@ -319,7 +319,7 @@ var (
 // RegisterData installs the codec for the concrete type of prototype
 // under the given wire id. Ids are part of the wire format: both ends
 // of a connection must register the same (id, type, codec) triples —
-// the engine does so in an init, so every aptworker binary agrees.
+// the engine does so in an init, so every aptrun binary agrees.
 // Duplicate ids or types panic (a silent overwrite would corrupt the
 // format).
 func RegisterData(id uint8, prototype any, c DataCodec) {
