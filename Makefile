@@ -40,7 +40,8 @@ examples-smoke:
 # verify is the pre-merge gate: lint (vet, incl. asmdecl on the amd64
 # kernels; GOARCH=arm64 vet for the portable path; aptlint -audit) + build
 # everything (including the serving daemon), then run the
-# concurrency-heavy packages (pipelined engine, pooled kernels,
+# concurrency-heavy packages (pipelined engine, the model forward that
+# serving runs concurrently on one shared model, pooled kernels,
 # inference server — including the blue/green reload path, span/metrics
 # collection, comm ledger, device clocks, the TCP transport's loopback
 # collective tests, the checkpoint codec, and the int8 cache tier) under
@@ -52,7 +53,7 @@ examples-smoke:
 verify: lint bench-smoke examples-smoke
 	$(GO) build ./...
 	$(GO) build ./cmd/aptserve
-	$(GO) test -race ./internal/engine/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/cache/...
+	$(GO) test -race ./internal/engine/... ./internal/nn/... ./internal/tensor/... ./internal/serve/... ./internal/obs/... ./internal/comm/... ./internal/device/... ./internal/transport/... ./internal/checkpoint/... ./internal/cache/...
 
 # bench runs the repo's one benchmark (BENCHMARK.json, bench/README.md)
 # with its defaults; call bench/run.sh directly to pass -workload,
@@ -61,11 +62,13 @@ bench:
 	bash bench/run.sh
 
 # count prints the sizes a simplicity PR quotes before and after: code
-# lines outside tests and bench/, the root package's exported names,
-# experiment ids, option fields, binaries and CLI flags (the flags two
-# binaries share are declared once, in internal/job, and counted once).
+# lines outside tests and bench/, exported functions and methods of
+# internal/ (non-test), the root package's exported names, experiment
+# ids, option fields, binaries and CLI flags (the flags two binaries
+# share are declared once, in internal/job, and counted once).
 count:
 	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
+	@printf 'exported funcs + methods in internal/ (non-test): '; find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]'
 	@printf 'facade exports (package repro): '; $(GO) doc -all . | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +='
 	@printf 'experiments.All ids: '; grep -cE '^	\{"[a-z0-9-]+", \(\*Env\)\.' internal/experiments/experiments.go
 	@printf 'exported core.Task fields: '; $(GO) doc ./internal/core Task | sed -n '/^type Task struct/,/^}/p' | grep -cE '^	[A-Z]'

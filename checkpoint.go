@@ -45,9 +45,8 @@ var ReadSnapshot = checkpoint.Read
 // ReadSnapshotFile is ReadSnapshot from a file.
 var ReadSnapshotFile = checkpoint.ReadFile
 
-// LoadModelInto restores model parameters from a checkpoint file of
-// either accepted format: a full training snapshot or a raw parameter
-// file (Model.SaveFile).
+// LoadModelInto restores model parameters from a training snapshot
+// file (WithCheckpointDir's rolling snapshot, or APT.CheckpointFile's).
 var LoadModelInto = checkpoint.LoadModelInto
 
 // Resume reconstructs an APT from a snapshot stream; task must be the

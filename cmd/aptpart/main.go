@@ -1,14 +1,14 @@
 // Command aptpart partitions a graph for SNP/DNP training — the
 // offline step the paper performs with DGL's partitioning tools on a
-// cheap CPU machine. It builds (or loads) a graph, runs the requested
-// partitioner, reports cut quality, and optionally saves the graph in
-// the binary CSR format.
+// cheap CPU machine. It generates a dataset preset's graph (or reads a
+// SNAP-style text edge list), runs the requested partitioner and
+// reports cut quality.
 //
 // Usage:
 //
 //	aptpart -data PS -parts 8                  # multilevel (METIS-like)
 //	aptpart -data PS -parts 8 -algo random
-//	aptpart -data FS -save fs.graph
+//	aptpart -loadlist edges.txt -parts 4
 package main
 
 import (
@@ -25,9 +25,7 @@ func main() {
 	var (
 		data  = flag.String("data", "PS", "dataset preset: PS, FS, or IM")
 		scale = flag.Float64("scale", 0.25, "dataset scale multiplier")
-		load  = flag.String("load", "", "load a binary graph file instead of generating")
 		list  = flag.String("loadlist", "", "load a text edge list (SNAP format) instead of generating")
-		save  = flag.String("save", "", "save the graph to this file")
 		parts = flag.Int("parts", 8, "number of partitions (GPUs)")
 		algo  = flag.String("algo", "multilevel", "partitioner: multilevel, random, or range")
 		seed  = flag.Uint64("seed", 7, "random seed")
@@ -42,11 +40,6 @@ func main() {
 		f.Close()
 		fatal(err)
 		fmt.Printf("loaded edge list %s: %d nodes, %d edges\n", *list, g.NumNodes(), g.NumEdges())
-	} else if *load != "" {
-		var err error
-		g, err = graph.LoadFile(*load)
-		fatal(err)
-		fmt.Printf("loaded %s: %d nodes, %d edges\n", *load, g.NumNodes(), g.NumEdges())
 	} else {
 		spec, err := dataset.ByAbbr(*data, *scale)
 		fatal(err)
@@ -72,11 +65,6 @@ func main() {
 	fmt.Printf("%s into %d parts: edge cut %d (%.1f%% of edges), imbalance %.3f\n",
 		*algo, *parts, q.EdgeCut, q.CutRatio*100, q.Imbalance)
 	fmt.Printf("part sizes: %v\n", p.Sizes())
-
-	if *save != "" {
-		fatal(g.SaveFile(*save))
-		fmt.Printf("graph saved to %s\n", *save)
-	}
 }
 
 func fatal(err error) {

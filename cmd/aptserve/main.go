@@ -16,10 +16,10 @@
 // A running daemon hot-swaps its model without dropping requests when
 // the checkpoint file is rewritten (e.g. by a fresh aptrun) and either
 // `curl -X POST localhost:8399/reload` or SIGHUP arrives. -checkpoint
-// accepts both raw parameter files and full training snapshots (aptrun
-// -save, or the rolling file in aptrun -ckpt-dir); a snapshot also
-// carries the training run's access frequencies, which fill the
-// serving caches by the paper's hotness rule instead of by degree.
+// takes a training snapshot (aptrun -save, or the rolling file in
+// aptrun -ckpt-dir); it also carries the training run's access
+// frequencies, which fill the serving caches by the paper's hotness
+// rule instead of by degree.
 //
 // Without -checkpoint the model is trained in-process first
 // (-train-epochs). -fanout 0 serves full neighborhoods. To benchmark
@@ -70,8 +70,8 @@ func main() {
 	// Obtain a trained model and the training run's dry-run access
 	// frequencies — from aptrun's snapshot, or by training in-process
 	// with APT's automatic strategy selection. The frequencies fill
-	// the serving caches by the paper's hotness rule; a raw parameter
-	// file has none and falls back to degree.
+	// the serving caches by the paper's hotness rule; a snapshot saved
+	// without them falls back to degree.
 	m := task.NewModel()
 	var freq []int64
 	if *ckpt != "" {
@@ -93,7 +93,7 @@ func main() {
 	if freq != nil {
 		fmt.Println("feature caches: hotness policy (the training run's access frequencies)")
 	} else {
-		fmt.Println("feature caches: degree policy (no access frequencies in a raw parameter file)")
+		fmt.Println("feature caches: degree policy (no access frequencies in the snapshot)")
 	}
 
 	srv, err := serve.New(serve.Config{

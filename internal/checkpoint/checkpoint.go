@@ -21,7 +21,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -145,31 +144,30 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Decode(b)
 }
 
-// LoadModelInto loads model parameters from path into m, accepting
-// either a full training snapshot (this package's format) or a raw
-// nn.SaveParams file — the first four bytes disambiguate. It is the
-// serving-side loader: aptserve does not care about optimizer moments
-// or RNG cursors, only the weights.
+// LoadModelInto loads model parameters from the training snapshot at
+// path into m. It is the serving-side loader: aptserve does not care
+// about optimizer moments or RNG cursors, only the weights. Errors name
+// the path; a file that is not a snapshot fails with ErrMalformed.
 func LoadModelInto(m *nn.Model, path string) error {
 	_, err := LoadModelFreq(m, path)
 	return err
 }
 
 // LoadModelFreq is LoadModelInto that also returns the dry-run access
-// frequencies a training snapshot carries — what the training caches
-// were admitted from, and what a server needs to admit the same hot
-// rows. A raw parameter file has none (nil).
+// frequencies the snapshot carries — what the training caches were
+// admitted from, and what a server needs to admit the same hot rows
+// (nil when the run saved none).
 func LoadModelFreq(m *nn.Model, path string) ([]int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) >= 4 && binary.LittleEndian.Uint32(b) == snapMagic {
-		snap, err := Decode(b)
-		if err != nil {
-			return nil, err
-		}
-		return snap.Freq, m.LoadParams(bytes.NewReader(snap.Model))
+	snap, err := Decode(b)
+	if err == nil {
+		err = m.LoadParams(bytes.NewReader(snap.Model))
 	}
-	return nil, m.LoadParams(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap.Freq, nil
 }

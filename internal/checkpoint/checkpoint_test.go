@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -504,20 +506,18 @@ func TestLoadModelInto(t *testing.T) {
 		}
 	}
 
-	// From a raw nn params file.
-	rawPath := filepath.Join(dir, "model.aptm")
-	if err := m.SaveFile(rawPath); err != nil {
+	// A raw nn params file is not a snapshot: rejected, naming the path.
+	var raw bytes.Buffer
+	if err := m.SaveParams(&raw); err != nil {
 		t.Fatal(err)
 	}
-	m3 := nn.NewGraphSAGE(4, 8, 3, 2)
-	if err := LoadModelInto(m3, rawPath); err != nil {
-		t.Fatalf("LoadModelInto(raw): %v", err)
+	rawPath := filepath.Join(dir, "model.aptm")
+	if err := os.WriteFile(rawPath, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	p3 := m3.Params()
-	for i := range p1 {
-		if p1[i].W.MaxAbsDiff(p3[i].W) != 0 {
-			t.Fatalf("param %d differs after raw load", i)
-		}
+	err := LoadModelInto(nn.NewGraphSAGE(4, 8, 3, 2), rawPath)
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), rawPath) {
+		t.Fatalf("LoadModelInto(raw) = %v, want ErrMalformed naming %s", err, rawPath)
 	}
 }
 

@@ -156,8 +156,7 @@ func (c *Comm) chargeWithSpan(dev int, stage, op string, secs float64, bytes int
 		d.Charge(stage, secs)
 		return
 	}
-	start := d.Elapsed(device.StageBuild) + d.Elapsed(device.StageLoad) +
-		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
+	start := d.ComputeElapsed()
 	d.Charge(stage, secs)
 	if c.SpanBase != nil {
 		start += *c.SpanBase
@@ -188,23 +187,13 @@ func (c *Comm) AnyTrue(dev int, v bool) bool {
 // paper's strategies use it to ship subgraphs (SNP/DNP Shuffle) and
 // hidden embeddings (Reshuffle).
 func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
+	in := c.AllToAllNoCharge(dev, outs)
 	sendTo := make([]int64, c.n)
 	recvFrom := make([]int64, c.n)
 	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
+		if j != dev {
+			sendTo[j], recvFrom[j] = outs[j].SizeBytes(), in[j].SizeBytes()
 		}
-		c.tr.Send(dev, j, outs[j])
-		sendTo[j] = outs[j].SizeBytes()
-	}
-	in := make([]Payload, c.n)
-	in[dev] = outs[dev] // local slot short-circuits
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		in[j] = c.tr.Recv(dev, j)
-		recvFrom[j] = in[j].SizeBytes()
 	}
 	c.chargePairwise(dev, stage, "alltoall", sendTo, recvFrom)
 	return in
@@ -217,19 +206,14 @@ func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
 // but the charge math and the ledger's "alltoall" op are byte-identical
 // to the AllToAll formulation this replaced.
 func (c *Comm) AllGather(dev int, stage string, p Payload) []Payload {
-	c.broadcast(dev, p)
+	in := c.AllGatherNoCharge(dev, p)
 	sendTo := make([]int64, c.n)
 	recvFrom := make([]int64, c.n)
 	sz := p.SizeBytes()
-	in := make([]Payload, c.n)
-	in[dev] = p
 	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
+		if j != dev {
+			sendTo[j], recvFrom[j] = sz, in[j].SizeBytes()
 		}
-		sendTo[j] = sz
-		in[j] = c.tr.Recv(dev, j)
-		recvFrom[j] = in[j].SizeBytes()
 	}
 	c.chargePairwise(dev, stage, "alltoall", sendTo, recvFrom)
 	return in
@@ -297,9 +281,10 @@ func (c *Comm) AllReduceCodec(dev int, stage string, mat *tensor.Matrix, bytes i
 	return result
 }
 
-// AllToAllNoCharge performs the data movement of AllToAll without
-// charging simulated time; used by wire measurement (package
-// transport), where the cost of interest is wall-clock, and by tests.
+// AllToAllNoCharge is AllToAll's data movement without the simulated
+// charge: every send, then every receive. AllToAll charges on top of
+// it; wire measurement (package transport), where the cost of interest
+// is wall-clock, calls it directly.
 func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 	for j := 0; j < c.n; j++ {
 		if j == dev {
@@ -318,8 +303,8 @@ func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 	return in
 }
 
-// AllGatherNoCharge performs the data movement of AllGather without
-// charging simulated time: the exchange behind Barrier and AnyTrue,
+// AllGatherNoCharge is AllGather's data movement without the
+// simulated charge: the exchange behind AllGather, Barrier and AnyTrue,
 // the engine's RNG-cursor sync and wire measurement (package
 // transport).
 func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {

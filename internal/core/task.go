@@ -79,9 +79,10 @@ type Task struct {
 	ProfileOverride *comm.Profile
 	// Partitioner selects the SNP/DNP graph partitioner.
 	Partitioner PartitionerKind
-	// Partition supplies a precomputed partitioning (e.g. from the
-	// aptpart tool, mirroring the paper's offline DGL-style
-	// partitioning step); when set, Prepare skips partitioning.
+	// Partition supplies a precomputed partitioning — the paper's
+	// offline DGL-style partitioning step, done once per graph and
+	// reused across tasks (the experiments' cache and the benchmark's
+	// set-ups do this); when set, Prepare skips partitioning.
 	Partition *partition.Partitioning
 	// CachePolicyOverride pins one cache policy for every strategy
 	// (nil uses the paper's per-strategy rules); the cache-policy

@@ -209,10 +209,3 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 	}
 	return d
 }
-
-// WithDims returns a copy of the spec with a different input feature
-// dimension (the paper's Figure 1 input-dimension sweep).
-func (s Spec) WithDims(featDim int) Spec {
-	s.FeatDim = featDim
-	return s
-}

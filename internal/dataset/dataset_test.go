@@ -100,16 +100,6 @@ func TestCacheBytesFraction(t *testing.T) {
 	}
 }
 
-func TestWithDims(t *testing.T) {
-	s := Presets(1)[0].WithDims(64)
-	if s.FeatDim != 64 {
-		t.Error("WithDims failed")
-	}
-	if Presets(1)[0].FeatDim == 64 {
-		t.Error("WithDims mutated preset")
-	}
-}
-
 func TestBuildDeterministic(t *testing.T) {
 	spec := Presets(0.02)[1]
 	a, b := Build(spec, false), Build(spec, false)

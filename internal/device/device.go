@@ -82,6 +82,18 @@ func (d *Device) Elapsed(stage string) float64 {
 	return d.clock[stage]
 }
 
+// ComputeElapsed sums the compute-side stage clocks — every stage but
+// sampling, which a concurrent prefetcher may charge, so this axis is
+// owned by the compute goroutine alone. Collective spans and the
+// pipelined schedule live on it. The order build + load + train +
+// shuffle is fixed: float addition does not associate, and span start
+// times are compared bit for bit.
+func (d *Device) ComputeElapsed() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.clock[StageBuild] + d.clock[StageLoad] + d.clock[StageTrain] + d.clock[StageShuffle]
+}
+
 // TotalElapsed sums all stage buckets. Buckets are added in sorted
 // stage order: float addition does not associate, so summing in map
 // iteration order would make the total's low bits vary run to run and

@@ -541,7 +541,7 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 			// bucket's ring allreduce — the transfers overlap the
 			// remaining backward work on the sync goroutine.
 			w.gsync.beginStep()
-			dH = w.model.BackwardPartialHooked(mb, st, 0, dLogits, func(l int) {
+			dH = w.model.BackwardPartial(mb, st, 0, dLogits, func(l int) {
 				blk := mb.Blocks[l]
 				w.chargeLayerCompute(w.model.Layers[l], blk, true)
 				w.gsync.launchLayer(l)
@@ -556,7 +556,7 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 			w.gsync.launchLayer(0)
 			w.gsync.finish()
 		} else {
-			dH = w.model.BackwardPartial(mb, st, 0, dLogits)
+			dH = w.model.BackwardPartial(mb, st, 0, dLogits, nil)
 			e.chargeUpperLayers(w, mb, true)
 			e.place.backward(w, mb, ctx, dH)
 			e.syncGradients(w)

@@ -107,11 +107,6 @@ func (l *gcnLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, i
 	return l.forward(blk, l.ProjectCols(feats, idx, 0, l.InDim()), &gcnCtx{src: feats, idx: idx})
 }
 
-func (l *gcnLayer) InferGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
-	out, _ := l.ForwardGathered(blk, feats, idx)
-	return out
-}
-
 // backwardParams accumulates dW and returns dZ, which the caller owns.
 func (l *gcnLayer) backwardParams(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	c := ctx.(*gcnCtx)

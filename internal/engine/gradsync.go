@@ -42,8 +42,8 @@ type gradSync struct {
 	codec comm.ChunkCodec
 
 	buckets []*gradBucket
-	// launchClk[i] is the serialized compute clock when bucket i was
-	// launched this step.
+	// launchClk[i] is the device's compute clock (ComputeElapsed) when
+	// bucket i was launched this step.
 	launchClk []float64
 
 	// reqs/acks carry bucket indices to/from the per-step sync
@@ -109,15 +109,6 @@ func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
 	return gs
 }
 
-// commClock is the worker's serialized compute-side clock — the axis
-// collective spans live on (see comm.chargeWithSpan): sampling is
-// excluded so a concurrent prefetcher cannot perturb it.
-func (w *worker) commClock() float64 {
-	d := w.dev
-	return d.Elapsed(device.StageBuild) + d.Elapsed(device.StageLoad) +
-		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
-}
-
 // beginStep starts this step's sync goroutine. Every step launches
 // every bucket exactly once, so the goroutine's work count is fixed.
 func (gs *gradSync) beginStep() {
@@ -164,7 +155,7 @@ func (gs *gradSync) launchLayer(layer int) {
 			b.res[j] = b.flat[j] - b.dq[j]
 		}
 	}
-	gs.launchClk[i] = gs.w.commClock()
+	gs.launchClk[i] = gs.w.dev.ComputeElapsed()
 	gs.sent++
 	gs.reqs <- i
 }
@@ -212,7 +203,7 @@ func (gs *gradSync) settle() {
 		gs.prevEnd = start + b.commSec
 		w.stats.GradCommSec += b.commSec
 	}
-	if exposed := gs.prevEnd - w.commClock(); exposed > 0 {
+	if exposed := gs.prevEnd - w.dev.ComputeElapsed(); exposed > 0 {
 		w.dev.Charge(device.StageTrain, exposed)
 		w.stats.GradExposedSec += exposed
 	}

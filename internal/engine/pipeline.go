@@ -54,13 +54,6 @@ func (e *Engine) runPrefetcher(w *worker, plan *sample.SeedPlan, numBatches int,
 	}
 }
 
-// nonSampleElapsed sums the device's compute-side stage clocks (all
-// stages a worker's compute loop charges).
-func nonSampleElapsed(d *device.Device) float64 {
-	return d.Elapsed(device.StageBuild) + d.Elapsed(device.StageLoad) +
-		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
-}
-
 // overlapSchedule folds one worker's per-step simulated times into the
 // overlapped schedule of the recurrence above.
 type overlapSchedule struct {
@@ -74,7 +67,7 @@ type overlapSchedule struct {
 
 func newOverlapSchedule(dev *device.Device, numBatches, depth int) *overlapSchedule {
 	return &overlapSchedule{
-		dev: dev, depth: depth, prevCompute: nonSampleElapsed(dev),
+		dev: dev, depth: depth, prevCompute: dev.ComputeElapsed(),
 		sampleDone:   make([]float64, numBatches),
 		computeStart: make([]float64, numBatches),
 		computeDone:  make([]float64, numBatches),
@@ -85,7 +78,7 @@ func newOverlapSchedule(dev *device.Device, numBatches, depth int) *overlapSched
 // clocks and whose sampling cost sampleSec, and returns when its
 // sampling ends and its compute starts.
 func (s *overlapSchedule) place(t int, sampleSec float64) (sampleDone, computeStart float64) {
-	cur := nonSampleElapsed(s.dev)
+	cur := s.dev.ComputeElapsed()
 	computeSec := cur - s.prevCompute
 	s.prevCompute = cur
 

@@ -95,12 +95,13 @@ func Evaluate(g *graph.Graph, m *nn.Model, feats *tensor.Matrix, labels []int32,
 		}
 		batch := seeds[lo:hi]
 		mb := sampler.Sample(batch)
-		st := m.ForwardGathered(mb, tensor.FS(feats), mb.Layer1().Src)
+		logits := m.PredictGathered(mb, tensor.FS(feats), mb.Layer1().Src)
 		lb := make([]int32, len(batch))
 		for i, s := range batch {
 			lb[i] = labels[s]
 		}
-		correct += nn.Accuracy(st.Logits, lb) * float64(len(batch))
+		correct += nn.Accuracy(logits, lb) * float64(len(batch))
+		tensor.Put(logits)
 		total += len(batch)
 	}
 	if total == 0 {

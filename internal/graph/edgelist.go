@@ -80,18 +80,3 @@ func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, error) {
 	}
 	return b.Build(opts.DropSelfLoops), nil
 }
-
-// WriteEdgeList emits the graph as a "src dst" text edge list (each
-// directed edge once).
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.NumNodes(), g.NumEdges())
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, u := range g.Neighbors(NodeID(v)) {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -22,35 +21,6 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if vErr := g.Validate(); vErr != nil {
 			t.Fatalf("accepted graph fails validation: %v (input %q)", vErr, input)
-		}
-	})
-}
-
-// FuzzRead checks the binary deserializer never panics on corrupt
-// input and round-trips valid graphs.
-func FuzzRead(f *testing.F) {
-	// Seed with a valid serialized graph and some corruptions.
-	g := ErdosRenyi(GenerateConfig{NumNodes: 20, AvgDegree: 3, Seed: 1})
-	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	corrupt := append([]byte(nil), valid...)
-	if len(corrupt) > 20 {
-		corrupt[16] ^= 0xff
-	}
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g2, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if vErr := g2.Validate(); vErr != nil {
-			t.Fatalf("deserialized graph fails validation: %v", vErr)
 		}
 	})
 }

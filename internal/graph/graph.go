@@ -1,7 +1,7 @@
 // Package graph provides the in-memory graph substrate used throughout
 // APT-Go: a compressed-sparse-row (CSR) topology, deterministic random
-// generators for synthetic datasets, builders, statistics, and binary
-// serialization.
+// generators for synthetic datasets, builders, statistics, and the
+// SNAP-style text edge-list reader.
 //
 // Node identifiers are int32 (the paper's graphs have <2^31 nodes) and
 // edge offsets are int64 (edge counts can exceed 2^31).
@@ -73,30 +73,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Reverse returns the transposed graph (edges u->v become v->u). For a
-// GNN CSR of in-neighbors, the reverse lists out-neighbors, which is
-// what edge-cut partition refinement and 1-hop cache expansion need.
-func (g *Graph) Reverse() *Graph {
-	n := g.NumNodes()
-	indptr := make([]int64, n+1)
-	for _, u := range g.Indices {
-		indptr[u+1]++
-	}
-	for v := 0; v < n; v++ {
-		indptr[v+1] += indptr[v]
-	}
-	indices := make([]NodeID, len(g.Indices))
-	cursor := make([]int64, n)
-	copy(cursor, indptr[:n])
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(NodeID(v)) {
-			indices[cursor[u]] = NodeID(v)
-			cursor[u]++
-		}
-	}
-	return &Graph{Indptr: indptr, Indices: indices}
-}
-
 // Builder accumulates edges and produces a CSR Graph. Duplicate edges
 // are merged and adjacency lists are sorted for deterministic layouts.
 type Builder struct {
@@ -164,13 +140,4 @@ func (b *Builder) Build(dropSelfLoops bool) *Graph {
 	}
 	g := &Graph{Indptr: newIndptr, Indices: out}
 	return g
-}
-
-// FromCSR wraps pre-built CSR arrays into a Graph after validation.
-func FromCSR(indptr []int64, indices []NodeID) (*Graph, error) {
-	g := &Graph{Indptr: indptr, Indices: indices}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -45,25 +44,6 @@ func TestBuilderKeepSelfLoops(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 2)
-	g := b.Build(true)
-	r := g.Reverse()
-	if err := r.Validate(); err != nil {
-		t.Fatalf("reverse Validate: %v", err)
-	}
-	if got := r.Degree(0); got != 2 {
-		t.Errorf("reverse Degree(0) = %d, want 2", got)
-	}
-	rr := r.Reverse()
-	if !csrEqual(g, rr) {
-		t.Errorf("double reverse != original")
-	}
-}
-
 func csrEqual(a, b *Graph) bool {
 	if len(a.Indptr) != len(b.Indptr) || len(a.Indices) != len(b.Indices) {
 		return false
@@ -79,26 +59,6 @@ func csrEqual(a, b *Graph) bool {
 		}
 	}
 	return true
-}
-
-func TestReverseIsInvolutionProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		g := ErdosRenyi(GenerateConfig{NumNodes: 50, AvgDegree: 6, Seed: seed})
-		return csrEqual(g, g.Reverse().Reverse())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReverseEdgeCountPreserved(t *testing.T) {
-	f := func(seed uint64) bool {
-		g := PreferentialAttachment(GenerateConfig{NumNodes: 80, AvgDegree: 4, Seed: seed})
-		return g.NumEdges() == g.Reverse().NumEdges()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPreferentialAttachment(t *testing.T) {
@@ -146,44 +106,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	c := PreferentialAttachment(GenerateConfig{NumNodes: 300, AvgDegree: 6, Seed: 43})
 	if csrEqual(a, c) {
 		t.Error("different seeds produced identical graphs")
-	}
-}
-
-func TestRoundTripSerialization(t *testing.T) {
-	g := PreferentialAttachment(GenerateConfig{NumNodes: 500, AvgDegree: 6, Seed: 9})
-	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	g2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !csrEqual(g, g2) {
-		t.Error("round-trip changed graph")
-	}
-}
-
-func TestReadRejectsBadMagic(t *testing.T) {
-	buf := bytes.NewBuffer(make([]byte, 64))
-	if _, err := Read(buf); err == nil {
-		t.Error("Read accepted garbage input")
-	}
-}
-
-func TestFromCSRValidates(t *testing.T) {
-	if _, err := FromCSR([]int64{0, 1}, []NodeID{5}); err == nil {
-		t.Error("FromCSR accepted out-of-range index")
-	}
-	if _, err := FromCSR([]int64{0, 2, 1}, []NodeID{0, 0}); err == nil {
-		t.Error("FromCSR accepted non-monotone indptr")
-	}
-	g, err := FromCSR([]int64{0, 1, 2}, []NodeID{1, 0})
-	if err != nil {
-		t.Fatalf("FromCSR valid input: %v", err)
-	}
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
 	}
 }
 

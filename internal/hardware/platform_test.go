@@ -65,10 +65,6 @@ func TestComputeTimes(t *testing.T) {
 
 func TestWithHelpers(t *testing.T) {
 	p := SingleMachine8GPU()
-	c := WithCache(p, 123)
-	if c.DefaultCacheBytes != 123 || p.DefaultCacheBytes == 123 {
-		t.Error("WithCache must copy")
-	}
 	d := WithDevices(p, 2, 2)
 	if d.NumDevices() != 4 || p.NumDevices() != 8 {
 		t.Error("WithDevices must copy")

@@ -58,14 +58,6 @@ func SingleMachine8GPUNVLink() *Platform {
 	return &p
 }
 
-// WithCache returns a copy of p with the per-GPU feature-cache budget
-// replaced (the paper's Figure 8c sweep).
-func WithCache(p *Platform, bytes int64) *Platform {
-	cp := *p
-	cp.DefaultCacheBytes = bytes
-	return &cp
-}
-
 // WithDevices returns a copy of p with a different topology, keeping
 // all rate constants.
 func WithDevices(p *Platform, machines, gpusPerMachine int) *Platform {

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/sample"
 	"repro/internal/tensor"
 )
@@ -63,13 +62,6 @@ func (l *GATLayer) Params() []*Param {
 
 // NeedsDstInSrc implements Layer.
 func (l *GATLayer) NeedsDstInSrc() bool { return true }
-
-// InitParams Glorot-initializes all head parameters.
-func (l *GATLayer) InitParams(rng *graph.RNG) {
-	for _, p := range l.Params() {
-		p.GlorotInit(rng)
-	}
-}
 
 type gatHeadCtx struct {
 	z     *tensor.Matrix // projected sources [nSrc, dh]

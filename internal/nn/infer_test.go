@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,7 +29,7 @@ func inferEnv(t testing.TB, cfg sample.Config) (*sample.MiniBatch, *tensor.Matri
 	return mb, x, inDim
 }
 
-// TestPredictMatchesForward checks the inference-only path is
+// TestPredictMatchesForward checks the serving path's logits are
 // bit-identical to the training forward pass for both model families.
 func TestPredictMatchesForward(t *testing.T) {
 	cases := []struct {
@@ -87,9 +88,60 @@ func TestPredictConcurrent(t *testing.T) {
 	tensor.Put(want)
 }
 
-// BenchmarkModelPredict measures the inference-only forward; with the
-// tensor pool warm it should run with near-zero allocs/op, unlike the
-// training forward which parks intermediates in layer contexts.
+// TestPredictGatheredKeepsNoIntermediates bounds the heap bytes one
+// warm-pool PredictGathered call allocates at half of what the training
+// forward allocates on the same batch. Serving runs the training
+// forward, so it is only this cheap while each layer's context goes
+// back to the pool — GAT's per-head projections above all, which alone
+// would take it past the bound.
+func TestPredictGatheredKeepsNoIntermediates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	prev := runtime.GOMAXPROCS(1) // the inline kernel path; fan-out allocates per worker
+	defer runtime.GOMAXPROCS(prev)
+	bytesPerOp := func(f func()) float64 {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	cases := []struct {
+		name  string
+		build func(inDim int) *Model
+		smp   sample.Config
+	}{
+		{"sage", func(in int) *Model { return NewGraphSAGE(in, 16, 5, 2) },
+			sample.Config{Fanouts: []int{5, 5}}},
+		{"gat", func(in int) *Model { return NewGAT(in, 8, 2, 5, 2) },
+			sample.Config{Fanouts: []int{5, 5}, IncludeDstInSrc: true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mb, x, inDim := inferEnv(t, tc.smp)
+			m := tc.build(inDim)
+			m.Init(graph.NewRNG(7))
+			idx := make([]int32, x.Rows) // x is the feature store, one row per source
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			predict := func() { tensor.Put(m.PredictGathered(mb, tensor.FS(x), idx)) }
+			predict() // warm the pools
+			train := bytesPerOp(func() { m.ForwardGathered(mb, tensor.FS(x), idx) })
+			if got := bytesPerOp(predict); got > train/2 {
+				t.Fatalf("PredictGathered allocates %.0f B/op, training forward %.0f: want at most half", got, train)
+			}
+		})
+	}
+}
+
+// BenchmarkModelPredict measures the serving forward; with the tensor
+// pool warm it allocates only the layer contexts' own structs, unlike
+// the training forward, whose activations stay with its caller.
 func BenchmarkModelPredict(b *testing.B) {
 	mb, x, inDim := inferEnv(b, sample.Config{Fanouts: []int{10, 10}})
 	m := NewGraphSAGE(inDim, 32, 8, 2)

@@ -52,9 +52,6 @@ type GatherLayer interface {
 	// accumulates parameter gradients. Legal exactly when the input
 	// gradient would be discarded.
 	BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix)
-	// InferGathered is the InferenceLayer forward with gather-fused
-	// input: no LayerCtx retained, result owned by the caller.
-	InferGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) *tensor.Matrix
 }
 
 // SplitLayer is what the engine needs of a model's first layer to run

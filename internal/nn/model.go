@@ -86,25 +86,17 @@ type ForwardState struct {
 	Logits *tensor.Matrix
 }
 
-// Forward runs the full model on mini-batch mb with gathered input
-// features x (rows aligned with mb.Blocks[0].Src).
-func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
+// checkBlocks panics unless mb carries one block per layer.
+func (m *Model) checkBlocks(mb *sample.MiniBatch) {
 	if len(mb.Blocks) != len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
 	}
-	st := &ForwardState{
-		Inputs: make([]*tensor.Matrix, len(m.Layers)),
-		Ctxs:   make([]LayerCtx, len(m.Layers)),
-	}
-	h := x
-	for l, layer := range m.Layers {
-		st.Inputs[l] = h
-		out, ctx := layer.Forward(mb.Blocks[l], h)
-		st.Ctxs[l] = ctx
-		h = out
-	}
-	st.Logits = h
-	return st
+}
+
+// Forward runs the full model on mini-batch mb with gathered input
+// features x (rows aligned with mb.Blocks[0].Src).
+func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
+	return m.ForwardPartial(mb, 0, x)
 }
 
 // Backward propagates dLogits through all layers, accumulating
@@ -113,14 +105,7 @@ func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
 // GatherLayer, runs its params-only backward, skipping the dIn GEMM
 // entirely.
 func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor.Matrix) {
-	d := dLogits
-	for l := len(m.Layers) - 1; l > 0; l-- {
-		nd := m.Layers[l].Backward(mb.Blocks[l], st.Ctxs[l], d)
-		if d != dLogits { // recycle the intermediate gradient chain
-			tensor.Put(d)
-		}
-		d = nd
-	}
+	d := m.BackwardPartial(mb, st, 0, dLogits, nil)
 	m.Layers[0].(GatherLayer).BackwardParams(mb.Blocks[0], st.Ctxs[0], d)
 	if d != dLogits {
 		tensor.Put(d)
@@ -148,30 +133,19 @@ func (m *Model) ReleaseActivations(st *ForwardState, fromLayer int) {
 // instead of materializing x = Gather(feats, idx), layer 0 reads the
 // feature rows through idx directly. Layer 0 must be a GatherLayer.
 func (m *Model) ForwardGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *ForwardState {
-	if len(mb.Blocks) != len(m.Layers) {
-		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
-	}
-	st := &ForwardState{
-		Inputs: make([]*tensor.Matrix, len(m.Layers)),
-		Ctxs:   make([]LayerCtx, len(m.Layers)),
-	}
-	var h *tensor.Matrix
-	h, st.Ctxs[0] = m.Layers[0].(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
-	for l := 1; l < len(m.Layers); l++ {
-		st.Inputs[l] = h
-		out, ctx := m.Layers[l].Forward(mb.Blocks[l], h)
-		st.Ctxs[l] = ctx
-		h = out
-	}
-	st.Logits = h
+	m.checkBlocks(mb)
+	h, ctx := m.Layers[0].(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
+	st := m.ForwardPartial(mb, 1, h)
+	st.Ctxs[0] = ctx
 	return st
 }
 
 // ForwardPartial runs layers [fromLayer, end) given h already computed
-// for Blocks[fromLayer].Src. Used by the unified engine, which executes
-// layer 0 via a parallelization strategy and the remaining layers
-// data-parallel.
+// for Blocks[fromLayer].Src — the one training forward loop. The unified
+// engine calls it from layer 1, having executed layer 0 via a
+// parallelization strategy.
 func (m *Model) ForwardPartial(mb *sample.MiniBatch, fromLayer int, h *tensor.Matrix) *ForwardState {
+	m.checkBlocks(mb)
 	st := &ForwardState{
 		Inputs: make([]*tensor.Matrix, len(m.Layers)),
 		Ctxs:   make([]LayerCtx, len(m.Layers)),
@@ -188,17 +162,12 @@ func (m *Model) ForwardPartial(mb *sample.MiniBatch, fromLayer int, h *tensor.Ma
 
 // BackwardPartial propagates dLogits down to (and excluding) layer
 // toLayer, returning the gradient w.r.t. Blocks[toLayer].Dst embeddings
-// — i.e. the input gradient of layer toLayer+1.
-func (m *Model) BackwardPartial(mb *sample.MiniBatch, st *ForwardState, toLayer int, dLogits *tensor.Matrix) *tensor.Matrix {
-	return m.BackwardPartialHooked(mb, st, toLayer, dLogits, nil)
-}
-
-// BackwardPartialHooked is BackwardPartial with a completion hook:
-// onLayer(l), when non-nil, runs right after layer l's backward has
-// fully accumulated that layer's parameter gradients. The engine's
-// DDP-style gradient sync uses it to launch a layer's allreduce bucket
-// while the remaining (lower) layers are still computing.
-func (m *Model) BackwardPartialHooked(mb *sample.MiniBatch, st *ForwardState, toLayer int, dLogits *tensor.Matrix, onLayer func(l int)) *tensor.Matrix {
+// — i.e. the input gradient of layer toLayer+1. onLayer(l), when
+// non-nil, runs right after layer l's backward has fully accumulated
+// that layer's parameter gradients: the engine's DDP-style gradient
+// sync uses it to launch a layer's allreduce bucket while the remaining
+// (lower) layers are still computing.
+func (m *Model) BackwardPartial(mb *sample.MiniBatch, st *ForwardState, toLayer int, dLogits *tensor.Matrix, onLayer func(l int)) *tensor.Matrix {
 	d := dLogits
 	for l := len(m.Layers) - 1; l > toLayer; l-- {
 		nd := m.Layers[l].Backward(mb.Blocks[l], st.Ctxs[l], d)

@@ -266,7 +266,7 @@ func TestForwardBackwardPartialMatchesFull(t *testing.T) {
 
 	m.ZeroGrad()
 	st2 := m.Forward(mb, x)
-	dH0 := m.BackwardPartial(mb, st2, 0, dL)
+	dH0 := m.BackwardPartial(mb, st2, 0, dL, nil)
 	m.Layers[0].Backward(mb.Blocks[0], st2.Ctxs[0], dH0)
 	partGrads := snapshotGrads(m)
 

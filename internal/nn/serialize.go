@@ -5,23 +5,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 )
 
-// Binary checkpoint format for model parameters:
+// Binary format for model parameters — the body of a training
+// snapshot's model section (package checkpoint), never a file of its
+// own:
 //
 //	magic   uint32 "APTM"
 //	version uint32 2
-//	nameLen uint32, name        (version >= 2: the model family name)
+//	nameLen uint32, name        (the model family name)
 //	count   uint32
 //	per parameter: nameLen uint32, name, rows uint32, cols uint32, data
 //
 // Only parameter values are stored; architecture is reconstructed by
 // the caller's model factory, and LoadParams checks that names and
-// shapes match. Version 1 files (no model name) still load; the
-// family check is then carried only by the per-parameter names.
-// LoadParams reads exactly one checkpoint and rejects trailing bytes,
-// so a concatenated or padded file cannot load silently.
+// shapes match. LoadParams reads exactly one parameter set and rejects
+// trailing bytes, so a concatenated or padded section cannot load
+// silently.
 
 const (
 	modelMagic   = 0x4150544d // "APTM"
@@ -82,24 +82,22 @@ func (m *Model) LoadParams(r io.Reader) error {
 	if hdr[0] != modelMagic {
 		return fmt.Errorf("nn: bad checkpoint magic %#x", hdr[0])
 	}
-	if hdr[1] != 1 && hdr[1] != modelVersion {
+	if hdr[1] != modelVersion {
 		return fmt.Errorf("nn: unsupported checkpoint version %d", hdr[1])
 	}
-	if hdr[1] >= 2 {
-		var nameLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return fmt.Errorf("nn: load header: %w", err)
-		}
-		if nameLen > 1<<16 {
-			return fmt.Errorf("nn: absurd model name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return fmt.Errorf("nn: load header: %w", err)
-		}
-		if string(name) != m.Name {
-			return fmt.Errorf("nn: checkpoint is a %q model, this model is %q", name, m.Name)
-		}
+	var nameLen uint32
+	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+		return fmt.Errorf("nn: load header: %w", err)
+	}
+	if nameLen > 1<<16 {
+		return fmt.Errorf("nn: absurd model name length %d", nameLen)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return fmt.Errorf("nn: load header: %w", err)
+	}
+	if string(name) != m.Name {
+		return fmt.Errorf("nn: checkpoint is a %q model, this model is %q", name, m.Name)
 	}
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
@@ -148,33 +146,4 @@ func (m *Model) LoadParams(r io.Reader) error {
 		return fmt.Errorf("nn: trailing bytes after last parameter")
 	}
 	return nil
-}
-
-// SaveFile checkpoints the model atomically to path.
-func (m *Model) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.SaveParams(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile restores a checkpoint written by SaveFile.
-func (m *Model) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.LoadParams(f)
 }

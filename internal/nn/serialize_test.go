@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
@@ -64,9 +63,10 @@ func TestLoadRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsVersion1(t *testing.T) {
+func TestLoadRejectsVersion1(t *testing.T) {
 	// A version-1 file is the version-2 layout minus the model-name
-	// field: rewrite the header of a fresh save to the old version.
+	// field: rewrite the header of a fresh save to the old version. No
+	// snapshot ever held one, so it is rejected like any other version.
 	m := NewGraphSAGE(8, 16, 4, 2)
 	m.Init(graph.NewRNG(1))
 	var buf bytes.Buffer
@@ -79,14 +79,8 @@ func TestLoadAcceptsVersion1(t *testing.T) {
 	v1[4] = 1 // version
 	v1 = append(v1, v2[12+nameLen:]...)
 	m2 := NewGraphSAGE(8, 16, 4, 2)
-	if err := m2.LoadParams(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("version-1 checkpoint rejected: %v", err)
-	}
-	p1, p2 := m.Params(), m2.Params()
-	for i := range p1 {
-		if p1[i].W.MaxAbsDiff(p2[i].W) != 0 {
-			t.Fatalf("param %d differs after v1 round trip", i)
-		}
+	if err := m2.LoadParams(bytes.NewReader(v1)); err == nil {
+		t.Fatal("version-1 checkpoint accepted")
 	}
 }
 
@@ -98,21 +92,20 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestSaveLoadFileGAT(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.aptm")
 	m := NewGAT(6, 4, 2, 3, 2)
 	m.Init(graph.NewRNG(5))
-	if err := m.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := m.SaveParams(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewGAT(6, 4, 2, 3, 2)
-	if err := m2.LoadFile(path); err != nil {
+	if err := m2.LoadParams(&buf); err != nil {
 		t.Fatal(err)
 	}
 	p1, p2 := m.Params(), m2.Params()
 	for i := range p1 {
 		if p1[i].W.MaxAbsDiff(p2[i].W) != 0 {
-			t.Fatalf("GAT param %d differs after file round trip", i)
+			t.Fatalf("GAT param %d differs after round trip", i)
 		}
 	}
 }

@@ -174,6 +174,31 @@ func TestLogHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNearestRank pins the rank rule on a linear
+// histogram, where each bucket holds one value and the quantile is
+// exact: the q-quantile of n observations is the ⌈q·n⌉-th smallest, so
+// the p99 of 100 requests is not the worst one.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	h := newLinearHistogram(1000)
+	for v := int64(1); v <= 100; v++ {
+		h.Observe(v)
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.50, 50}, {0.95, 95}, {0.99, 99}, {1, 100}} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("1..100: p%g = %d, want %d", 100*c.q, got, c.want)
+		}
+	}
+	two := newLinearHistogram(10)
+	two.Observe(1)
+	two.Observe(2)
+	if got := two.Quantile(0.5); got != 1 {
+		t.Errorf("{1, 2}: p50 = %d, want 1", got)
+	}
+}
+
 // TestChromeTraceExport checks the exporter produces loadable JSON
 // with per-process/thread metadata and microsecond timestamps.
 func TestChromeTraceExport(t *testing.T) {

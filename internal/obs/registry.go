@@ -201,9 +201,10 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Quantile returns the approximate q-quantile (0 < q <= 1), reported
-// as the matched bucket's upper bound clamped to the true maximum so
-// the log-scale overshoot never exceeds an observed value.
+// Quantile returns the approximate q-quantile (0 < q <= 1) by the
+// nearest-rank rule — the ⌈q·n⌉-th smallest observation — reported as
+// its bucket's upper bound clamped to the true maximum so the log-scale
+// overshoot never exceeds an observed value.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
@@ -213,7 +214,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	rank := int64(q * float64(h.count))
+	rank := int64(math.Ceil(q*float64(h.count))) - 1 // 0-based
+	if rank < 0 {
+		rank = 0
+	}
 	if rank >= h.count {
 		rank = h.count - 1
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -108,7 +109,9 @@ func TestReloadDropsNoRequests(t *testing.T) {
 }
 
 // TestReloadCheckpointFromSnapshotAndRaw drives the file-based reload
-// path with both accepted formats.
+// path: a training snapshot swaps the model in; a raw parameter file —
+// not a snapshot — or a corrupt one fails the reload and leaves the
+// server answering with the model it had.
 func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
@@ -121,15 +124,7 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	})
 	defer s.Close()
 
-	// Raw nn params file.
-	if err := f.altModel(5).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadCheckpoint(); err != nil {
-		t.Fatalf("reload raw params: %v", err)
-	}
-
-	// Full training snapshot at the same path.
+	// Full training snapshot.
 	var buf bytes.Buffer
 	if err := f.altModel(6).SaveParams(&buf); err != nil {
 		t.Fatal(err)
@@ -146,21 +141,45 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	if err := s.ReloadCheckpoint(); err != nil {
 		t.Fatalf("reload snapshot: %v", err)
 	}
-	if s.ModelVersion() != 2 {
-		t.Fatalf("model version %d after two file reloads", s.ModelVersion())
+	if s.ModelVersion() != 1 {
+		t.Fatalf("model version %d after one file reload", s.ModelVersion())
+	}
+	want, err := s.Predict([]graph.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// A corrupt file fails the reload and leaves the server serving.
+	// A raw nn params file of another model is rejected as malformed.
+	buf.Reset()
+	if err := f.altModel(5).SaveParams(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadCheckpoint(); !errors.Is(err, checkpoint.ErrMalformed) {
+		t.Fatalf("reload raw params: %v, want ErrMalformed", err)
+	}
+
+	// So is a corrupt file.
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadCheckpoint(); err == nil {
 		t.Fatal("reloaded a corrupt checkpoint")
 	}
-	if _, err := s.Predict([]graph.NodeID{1}); err != nil {
+
+	// Neither failed reload moved the served model.
+	got, err := s.Predict([]graph.NodeID{1})
+	if err != nil {
 		t.Fatalf("server broken after failed reload: %v", err)
 	}
-	if s.ModelVersion() != 2 {
+	for i := range want[0].Scores {
+		if got[0].Scores[i] != want[0].Scores[i] {
+			t.Fatal("a failed reload changed the served scores")
+		}
+	}
+	if s.ModelVersion() != 1 {
 		t.Fatal("failed reload bumped the model version")
 	}
 }

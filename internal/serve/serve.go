@@ -87,10 +87,9 @@ type Config struct {
 	// for ReloadCheckpoint (the checkpoint's parameters are loaded into
 	// a fresh instance so a bad file can never corrupt the live model).
 	NewModel func() *nn.Model
-	// ReloadPath is the checkpoint file ReloadCheckpoint re-reads —
-	// either a training snapshot (internal/checkpoint format) or a raw
-	// parameter file. Empty disables checkpoint reloading; Reload with
-	// an explicit model still works.
+	// ReloadPath is the training snapshot (internal/checkpoint format)
+	// ReloadCheckpoint re-reads. Empty disables checkpoint reloading;
+	// Reload with an explicit model still works.
 	ReloadPath string
 }
 
@@ -289,9 +288,9 @@ func (s *Server) Reload(m *nn.Model) error {
 	return nil
 }
 
-// ReloadCheckpoint re-reads the configured ReloadPath — a training
-// snapshot or a raw parameter file — into a fresh model from
-// Config.NewModel and swaps it in via Reload. The parameters land in a
+// ReloadCheckpoint re-reads the training snapshot at the configured
+// ReloadPath into a fresh model from Config.NewModel and swaps it in
+// via Reload. The parameters land in a
 // new instance first, so a corrupt or mismatched file fails the reload
 // and leaves the live model untouched.
 func (s *Server) ReloadCheckpoint() error {
@@ -303,7 +302,7 @@ func (s *Server) ReloadCheckpoint() error {
 	}
 	m := s.cfg.NewModel()
 	if err := checkpoint.LoadModelInto(m, s.cfg.ReloadPath); err != nil {
-		return fmt.Errorf("serve: reload %s: %w", s.cfg.ReloadPath, err)
+		return fmt.Errorf("serve: reload: %w", err) // err names the path
 	}
 	return s.Reload(m)
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -340,8 +339,8 @@ func TestConfigValidation(t *testing.T) {
 // TestCheckpointFreqSelectsHotRows: a server started from a training
 // snapshot admits the rows the snapshot's access frequencies rank
 // hottest (the paper's rule — what the training caches held), where a
-// raw parameter file of the same model falls back to the highest
-// degrees. The frequencies are skewed onto the LOWEST-degree nodes so
+// snapshot of the same model without frequencies falls back to the
+// highest degrees. The frequencies are skewed onto the LOWEST-degree nodes so
 // the two rules cannot pick the same set.
 func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 	f := newFixture(t)
@@ -370,12 +369,13 @@ func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	snapPath, rawPath := filepath.Join(dir, "snap.aptc"), filepath.Join(dir, "raw.params")
+	snapPath, bareSnapPath := filepath.Join(dir, "snap.aptc"), filepath.Join(dir, "bare.aptc")
 	snap := &checkpoint.Snapshot{Strategy: "GDP", Devices: 2, Model: params.Bytes(), Freq: freq}
 	if err := snap.WriteFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(rawPath, params.Bytes(), 0o644); err != nil {
+	snap.Freq = nil
+	if err := snap.WriteFile(bareSnapPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -401,9 +401,9 @@ func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 			t.Fatalf("snapshot server cached node %d, not among the %d most-accessed", v, rows)
 		}
 	}
-	for _, v := range cached(rawPath) {
+	for _, v := range cached(bareSnapPath) {
 		if wantHot[v] {
-			t.Fatalf("raw-parameter server cached low-degree node %d: it should rank by degree", v)
+			t.Fatalf("server without frequencies cached low-degree node %d: it should rank by degree", v)
 		}
 	}
 }

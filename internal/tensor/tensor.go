@@ -1,7 +1,7 @@
 // Package tensor provides the dense and sparse (segment) float32
 // kernels that play the role of DGL's GPU kernels in this
-// reproduction: matrix multiplication, elementwise ops, gather/scatter
-// by row, segment aggregation over bipartite blocks (SpMM), and
+// reproduction: matrix multiplication, elementwise ops, gather by row,
+// segment aggregation over bipartite blocks (SpMM), and
 // per-edge score computation (SDDMM), each with a hand-written backward
 // pass used by the manual autograd in package nn.
 package tensor
@@ -67,14 +67,6 @@ func (m *Matrix) AddInPlace(x *Matrix) {
 	}
 }
 
-// SubInPlace computes m -= x.
-func (m *Matrix) SubInPlace(x *Matrix) {
-	checkSameShape("SubInPlace", m, x)
-	for i, v := range x.Data {
-		m.Data[i] -= v
-	}
-}
-
 // ScaleInPlace computes m *= s.
 func (m *Matrix) ScaleInPlace(s float32) {
 	for i := range m.Data {
@@ -103,15 +95,6 @@ func (m *Matrix) MaxAbsDiff(x *Matrix) float64 {
 	return mx
 }
 
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 func checkSameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -125,19 +108,4 @@ func Gather(src *Matrix, idx []int32) *Matrix {
 		copy(out.Row(i), src.Row(int(r)))
 	}
 	return out
-}
-
-// ScatterAdd adds each row of src into dst at the given row indices:
-// dst[idx[i]] += src[i]. The backward of Gather.
-func ScatterAdd(dst *Matrix, idx []int32, src *Matrix) {
-	if src.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: ScatterAdd shape mismatch")
-	}
-	for i, r := range idx {
-		d := dst.Row(int(r))
-		s := src.Row(i)
-		for j := range s {
-			d[j] += s[j]
-		}
-	}
 }

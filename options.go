@@ -61,10 +61,9 @@ func WithCheckpointRetain(k int) Option {
 	return Option{apt: func(a *core.APT) { a.CheckpointRetain = k }}
 }
 
-// WithReload names the checkpoint file Server.ReloadCheckpoint
-// hot-swaps the model from — either a raw parameter file or a full
-// training snapshot. Applies to Serve; the config's NewModel factory
-// must also be set.
+// WithReload names the training snapshot file
+// Server.ReloadCheckpoint hot-swaps the model from. Applies to Serve;
+// the config's NewModel factory must also be set.
 func WithReload(path string) Option {
 	return Option{serve: func(c *serve.Config) { c.ReloadPath = path }}
 }
