@@ -30,6 +30,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -55,7 +56,7 @@ func main() {
 		trainEp = flag.Int("train-epochs", 3, "in-process training epochs when no -checkpoint is given")
 		workers = flag.Int("workers", 0, "inference workers (0 = one per device)")
 		maxB    = flag.Int("max-batch", 64, "micro-batcher seed budget per mini-batch")
-		maxD    = flag.Duration("max-delay", 2*time.Millisecond, "micro-batcher max queue delay")
+		maxD    = flag.Duration("max-delay", 2*time.Millisecond, "upper bound on waiting for more requests while every other worker is busy")
 		cacheFr = flag.Float64("cache-frac", 0.08, "per-device feature cache, as a fraction of total feature bytes")
 	)
 	flag.Parse()
@@ -134,13 +135,16 @@ func serveHTTP(srv *serve.Server, addr string) {
 		}
 		start := time.Now()
 		res, err := srv.Predict(req.Nodes)
-		switch err.(type) {
-		case nil:
-		case *serve.UnknownNodeError:
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		default:
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		if err != nil {
+			status := http.StatusServiceUnavailable
+			var unknown *serve.UnknownNodeError
+			if errors.As(err, &unknown) {
+				status = http.StatusNotFound
+			}
+			if errors.Is(err, serve.ErrOverloaded) {
+				w.Header().Set("Retry-After", "1")
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

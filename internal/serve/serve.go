@@ -1,13 +1,14 @@
 // Package serve implements online inference serving over a trained
 // GNN model: a Server answers "predict label/embedding for node(s) X"
 // requests by coalescing concurrent requests into sampled mini-batches
-// (adaptive micro-batching under a dual trigger: max batch size OR max
-// queue delay), executed by a pool of inference workers over the
-// simulated devices. The paper's framing — strategy choice is a
-// data-movement problem over sampled bipartite blocks — applies
-// unchanged at serving time: the workers reuse the unified engine's
-// real-mode block execution, the unified feature store, and the
-// hotness caches, so hot-node requests skip feature loading entirely.
+// (load-aware micro-batching: a batch waits for more requests only while
+// every other worker is busy, up to a max batch size and a max queue
+// delay), executed by a pool of inference workers over the simulated
+// devices. The paper's framing — strategy choice is a data-movement
+// problem over sampled bipartite blocks — applies unchanged at serving
+// time: the workers reuse the unified engine's real-mode block
+// execution, the unified feature store, and the hotness caches, so
+// hot-node requests skip feature loading entirely.
 package serve
 
 import (
@@ -28,13 +29,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// queueCap bounds the pending-request buffer; Predict blocks while the
-// queue is full (backpressure).
+// queueCap bounds the pending-request buffer; Predict fails with
+// ErrOverloaded while the queue is full.
 const queueCap = 1024
 
 // ErrServerClosed is returned by Predict once Close has begun; queued
 // and in-flight requests still complete (drain semantics).
 var ErrServerClosed = errors.New("serve: server closed")
+
+// ErrOverloaded is returned by Predict when the request queue is full:
+// the server refuses the request at once instead of blocking its caller.
+var ErrOverloaded = errors.New("serve: overloaded, request queue full")
 
 // UnknownNodeError reports a requested node ID outside the graph.
 type UnknownNodeError struct {
@@ -70,9 +75,10 @@ type Config struct {
 	// (default 64). A batch closes as soon as its coalesced seed count
 	// reaches MaxBatch.
 	MaxBatch int
-	// MaxDelay is the other half of the dual trigger (default 2ms): a
+	// MaxDelay (default 2ms) bounds how long a batch waits for more
+	// requests, which it does only while every other worker is busy: a
 	// batch closes no later than MaxDelay after its oldest request was
-	// dequeued, whatever its size.
+	// enqueued, whatever its size.
 	MaxDelay time.Duration
 	// CacheBytes is the per-device feature-cache budget (0 disables
 	// caching).
@@ -133,8 +139,9 @@ type Result struct {
 	Scores []float32 `json:"scores"`
 }
 
-// pending is one enqueued request.
+// pending is one enqueued request; ctx is its caller's.
 type pending struct {
+	ctx   context.Context
 	nodes []graph.NodeID
 	enq   time.Time
 	res   []Result
@@ -153,6 +160,15 @@ type Server struct {
 	obsO  obs.Options
 	spans *obs.Collector
 	reqs  chan *pending
+
+	// The load the batch trigger reads (batcher.go), under load: idle
+	// counts workers blocked on an empty queue, busy counts workers
+	// executing a batch, and finished is closed and replaced each time a
+	// batch completes, waking every worker waiting behind it.
+	load     sync.Mutex
+	idle     int
+	busy     int
+	finished chan struct{}
 
 	mu     sync.RWMutex
 	closed bool
@@ -186,13 +202,14 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		store: store,
-		inf:   inf,
-		quit:  make(chan struct{}),
-		reg:   obs.NewRegistry(),
-		obsO:  obs.BuildOptions(opts...),
-		reqs:  make(chan *pending, queueCap),
+		cfg:      cfg,
+		store:    store,
+		inf:      inf,
+		quit:     make(chan struct{}),
+		reg:      obs.NewRegistry(),
+		obsO:     obs.BuildOptions(opts...),
+		reqs:     make(chan *pending, queueCap),
+		finished: make(chan struct{}),
 	}
 	// The sim-seconds gauge spans model swaps: retired generations'
 	// totals accumulate and the live inferencer adds its own.
@@ -320,15 +337,17 @@ func (s *Server) ModelVersion() int {
 // allowed; they share one sampled computation). It blocks until the
 // micro-batcher has executed the request's batch. Unknown node IDs
 // fail the whole request with an UnknownNodeError before it is
-// enqueued; after Close has begun it fails with ErrServerClosed.
+// enqueued; after Close has begun it fails with ErrServerClosed, and
+// on a full queue with ErrOverloaded.
 func (s *Server) Predict(nodes []graph.NodeID) ([]Result, error) {
 	return s.PredictContext(context.Background(), nodes)
 }
 
 // PredictContext is Predict under a context: cancellation abandons the
-// wait and returns ctx.Err(). The request's batch still executes (the
-// micro-batcher owns it by then) — only this caller stops waiting, so
-// co-batched requests are unaffected.
+// wait and returns ctx.Err(). A request whose context is done by the
+// time a worker collects it is dropped, never executed; once in a batch
+// it executes anyway — only this caller stops waiting, so co-batched
+// requests are unaffected.
 func (s *Server) PredictContext(ctx context.Context, nodes []graph.NodeID) ([]Result, error) {
 	if len(nodes) == 0 {
 		return nil, nil
@@ -343,7 +362,7 @@ func (s *Server) PredictContext(ctx context.Context, nodes []graph.NodeID) ([]Re
 		}
 	}
 	//apt:allow simclock enqueue stamp feeds the wall-clock latency metric and max-delay trigger
-	p := &pending{nodes: nodes, enq: time.Now(), done: make(chan struct{})}
+	p := &pending{ctx: ctx, nodes: nodes, enq: time.Now(), done: make(chan struct{})}
 	// The read lock spans the enqueue so Close cannot close the channel
 	// between the closed-flag check and the send: Close flips the flag
 	// under the write lock, which waits out every in-flight send.
@@ -353,7 +372,13 @@ func (s *Server) PredictContext(ctx context.Context, nodes []graph.NodeID) ([]Re
 		s.stats.recordRejected()
 		return nil, ErrServerClosed
 	}
-	s.reqs <- p
+	select {
+	case s.reqs <- p:
+	default:
+		s.mu.RUnlock()
+		s.stats.recordRejected()
+		return nil, ErrOverloaded
+	}
 	s.mu.RUnlock()
 	select {
 	case <-p.done:

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,7 +181,9 @@ func TestUnknownNode(t *testing.T) {
 }
 
 // TestMicroBatchingCoalesces floods one worker and checks batches
-// bigger than one request actually formed.
+// bigger than one request actually formed. A lone worker never waits
+// for company, so the flood is queued while it is paused: what it then
+// finds queued is what it batches, on any number of processors.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	f := newFixture(t)
 	s := f.server(t, func(c *Config) {
@@ -189,6 +193,7 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	defer s.Close()
 
 	const n = 128
+	pauseWorkers(s)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -199,6 +204,8 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(s, n)
+	resumeWorkers(s)
 	wg.Wait()
 	st := s.Stats()
 	if st.Requests != n {
@@ -405,5 +412,214 @@ func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 		if wantHot[v] {
 			t.Fatalf("server without frequencies cached low-degree node %d: it should rank by degree", v)
 		}
+	}
+}
+
+// pauseWorkers retires the live generation's workers and waits until
+// they have exited, so requests stay queued until resumeWorkers starts a
+// new generation over the same inferencer.
+func pauseWorkers(s *Server) {
+	s.mu.Lock()
+	close(s.quit)
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+func resumeWorkers(s *Server) {
+	s.mu.Lock()
+	s.quit = make(chan struct{})
+	s.startWorkers(s.inf, s.quit)
+	s.mu.Unlock()
+}
+
+// waitQueued yields until the request queue holds n requests.
+func waitQueued(s *Server, n int) {
+	for len(s.reqs) < n {
+		runtime.Gosched()
+	}
+}
+
+// TestIdleWorkerDispatchesAtOnce: with a worker free, a request that
+// finds the queue empty is executed at once instead of waiting out
+// MaxDelay for company (which would make each request here take 1 s).
+func TestIdleWorkerDispatchesAtOnce(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, func(c *Config) { c.MaxDelay = time.Second })
+	defer s.Close()
+
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		if _, err := s.Predict([]graph.NodeID{graph.NodeID(i * 29 % 600)}); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d >= 100*time.Millisecond {
+			t.Fatalf("request %d took %v with an idle worker (MaxDelay 1s)", i, d)
+		}
+	}
+}
+
+// TestBusyWorkersStillCoalesce: under a burst that keeps both workers
+// busy, requests still share batches.
+func TestBusyWorkersStillCoalesce(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, nil)
+	defer s.Close()
+
+	const n = 256
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Predict([]graph.NodeID{graph.NodeID(i * 7 % 600)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Requests != n {
+		t.Fatalf("requests = %d, want %d", st.Requests, n)
+	}
+	if st.Batches >= st.Requests {
+		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.Requests)
+	}
+}
+
+// TestPeerFinishReleasesWaitingWorker: a worker whose queue ran dry
+// while its only peer is executing keeps waiting, and the peer finishing
+// releases it long before MaxDelay. The peer is stood in for by the busy
+// count, so the one real worker is the waiter.
+func TestPeerFinishReleasesWaitingWorker(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, func(c *Config) {
+		c.Platform = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
+		c.MaxDelay = 10 * time.Minute
+	})
+	defer s.Close()
+
+	s.load.Lock()
+	s.busy++
+	s.load.Unlock()
+	const v = graph.NodeID(42)
+	type answer struct {
+		res []Result
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		res, err := s.Predict([]graph.NodeID{v})
+		got <- answer{res, err}
+	}()
+	select {
+	case <-got:
+		t.Fatal("request dispatched while every peer was busy")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.batchFinished()
+	select {
+	case a := <-got:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		want := f.direct(t, v)
+		for i, w := range want {
+			if a.res[0].Scores[i] != w {
+				t.Fatal("released request's scores differ from single-request inference")
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer finishing did not release the waiting worker")
+	}
+}
+
+// TestFullQueueFailsFast: a request arriving at a full queue fails at
+// once with ErrOverloaded and is counted as rejected; the queued
+// requests still complete, and the server accepts work again once they
+// drain.
+func TestFullQueueFailsFast(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, nil)
+	defer s.Close()
+
+	pauseWorkers(s)
+	var queued []*pending
+	for len(s.reqs) < cap(s.reqs) {
+		p := &pending{ctx: context.Background(), nodes: []graph.NodeID{1}, enq: time.Now(), done: make(chan struct{})}
+		s.reqs <- p
+		queued = append(queued, p)
+	}
+	if _, err := s.Predict([]graph.NodeID{2}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Predict on a full queue: %v, want ErrOverloaded", err)
+	}
+	if got := s.Stats().Rejected; got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+	resumeWorkers(s)
+	for _, p := range queued {
+		<-p.done
+		if p.err != nil || len(p.res) != 1 {
+			t.Fatalf("queued request: %v, %d results", p.err, len(p.res))
+		}
+	}
+	if _, err := s.Predict([]graph.NodeID{2}); err != nil {
+		t.Fatalf("Predict after the queue drained: %v", err)
+	}
+}
+
+// TestCancelledRequestNotExecuted: a request whose caller gave up
+// before a worker collected it is dropped, never sampled or counted,
+// and the requests that share its batch get bit-identical answers.
+func TestCancelledRequestNotExecuted(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, func(c *Config) {
+		c.Platform = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
+	})
+	defer s.Close()
+
+	pauseWorkers(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		_, err := s.PredictContext(ctx, []graph.NodeID{77})
+		gone <- err
+	}()
+	waitQueued(s, 1)
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: %v, want context.Canceled", err)
+	}
+
+	live := []graph.NodeID{3, 40, 3}
+	errs := make(chan error, len(live))
+	var wg sync.WaitGroup
+	for _, v := range live {
+		wg.Add(1)
+		go func(v graph.NodeID) {
+			defer wg.Done()
+			res, err := s.Predict([]graph.NodeID{v})
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i, w := range f.direct(t, v) {
+				if res[0].Scores[i] != w {
+					errs <- errors.New("scores next to a dropped request differ from single-request inference")
+					return
+				}
+			}
+		}(v)
+	}
+	waitQueued(s, 1+len(live))
+	resumeWorkers(s)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Batches != 1 || st.Requests != int64(len(live)) || st.Seeds != 2 {
+		t.Fatalf("batches/requests/seeds = %d/%d/%d, want 1/%d/2 (the cancelled node executed?)",
+			st.Batches, st.Requests, st.Seeds, len(live))
 	}
 }

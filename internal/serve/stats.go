@@ -35,7 +35,7 @@ func newStats(reg *obs.Registry, maxBatch int, simSec func() float64) *Stats {
 		reg:      reg,
 		start:    time.Now(),
 		requests: reg.Counter("apt_serve_requests_total", "Completed predict requests."),
-		rejected: reg.Counter("apt_serve_rejected_total", "Requests refused after shutdown began."),
+		rejected: reg.Counter("apt_serve_rejected_total", "Requests refused at shutdown or on a full queue."),
 		seeds:    reg.Counter("apt_serve_seeds_total", "Seed nodes executed (deduplicated per batch)."),
 		batches:  reg.Counter("apt_serve_batches_total", "Coalesced micro-batches executed."),
 		latUs: reg.LogHistogram("apt_serve_latency_us",
@@ -90,7 +90,8 @@ func (s *Stats) recordBatch(latencies []time.Duration, seeds int, ld cache.LoadS
 	}
 }
 
-// recordRejected counts a request refused after shutdown began.
+// recordRejected counts a request refused at shutdown or on a full
+// queue.
 func (s *Stats) recordRejected() { s.rejected.Inc() }
 
 // BatchBucket is one batch-size histogram entry.

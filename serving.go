@@ -26,6 +26,10 @@ type (
 // ErrServerClosed is returned by Server.Predict after Server.Close.
 var ErrServerClosed = serve.ErrServerClosed
 
+// ErrOverloaded is returned by Server.Predict when the request queue is
+// full; the request is refused at once rather than blocking.
+var ErrOverloaded = serve.ErrOverloaded
+
 // Serve starts an online inference server over a trained model.
 // Options attach observers (WithObserver, WithTracePath) that flush
 // when the server closes and configure hot-swap (WithReload).
