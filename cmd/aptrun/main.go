@@ -91,8 +91,6 @@ func main() {
 		bad = "-rank needs -coord (the address rank 0 binds)"
 	case !ranked && (*coord != "" || *bind != "" || *measureWire):
 		bad = "-coord, -bind and -measure-wire apply to a multi-process job: give -rank"
-	case ranked && *simulate:
-		bad = "-simulate runs in-process only: drop -rank"
 	case *resume && *ckptDir == "":
 		bad = "-resume requires -ckpt-dir"
 	}
@@ -110,8 +108,8 @@ func main() {
 	fatal(err)
 	task.GradCompress = *gradComp
 
-	var tr comm.Transport // nil keeps every device in this process
-	local := 0            // the replica this process trains, evaluates and checksums
+	tr := comm.NewChanTransport(spec.Devices) // every device in this process
+	local := 0                                // the replica this process trains, evaluates and checksums
 	if ranked {
 		local = *rank
 		tr, err = transport.NewTCP(transport.TCPOptions{
@@ -215,9 +213,7 @@ func main() {
 			// writer goroutines so the snapshot collective's payloads
 			// reach the peers before this process disappears.
 			logf("simulated crash after epoch %d", ep)
-			if tr != nil {
-				tr.Close()
-			}
+			tr.Close()
 			os.Exit(3)
 		}
 	}
@@ -237,9 +233,7 @@ func main() {
 			logf("training snapshot written to %s", *save)
 		}
 	}
-	if tr != nil {
-		fatal(tr.Close())
-	}
+	fatal(tr.Close())
 	if *tracePth != "" {
 		fatal(obs.WriteChromeTraceFile(*tracePth, apt.Spans()))
 		logf("chrome trace written to %s (load in chrome://tracing)", *tracePth)

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Process-level fault-tolerance smoke: build the real binary, run a
@@ -53,10 +56,19 @@ func jobFlags(world int) []string {
 	}
 }
 
+// procDeadline bounds every spawned process: a hung rank is killed and
+// its test fails instead of stalling the suite.
+const procDeadline = 2 * time.Minute
+
 // run executes the binary once and returns its combined output plus
 // exit code.
 func run(bin string, args ...string) (string, int) {
-	out, err := exec.Command(bin, args...).CombinedOutput()
+	ctx, cancel := context.WithTimeout(context.Background(), procDeadline)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	if ctx.Err() != nil {
+		return string(out) + "\nkilled after " + procDeadline.String(), -1
+	}
 	if ee, ok := err.(*exec.ExitError); ok {
 		return string(out), ee.ExitCode()
 	} else if err != nil {
@@ -188,13 +200,71 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-rank", "-2"}, "-rank -2 outside"},
 		{[]string{"-coord", "127.0.0.1:1"}, "give -rank"},
 		{[]string{"-measure-wire"}, "give -rank"},
-		{[]string{"-rank", "0", "-coord", "127.0.0.1:1", "-simulate"}, "-simulate runs in-process only"},
 		{[]string{"-resume"}, "-resume requires -ckpt-dir"},
 	} {
 		out, code := run(bin, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
 			t.Errorf("aptrun %v: exit %d, output %q; want exit 2 and one line containing %q",
 				tc.args, code, out, tc.want)
+		}
+	}
+}
+
+var simRe = regexp.MustCompile(`epoch +\d+  sim ([0-9.]+)s`)
+
+// epochSims extracts each epoch's simulated seconds, in epoch order.
+func epochSims(t *testing.T, out string) []float64 {
+	t.Helper()
+	var sims []float64
+	for _, m := range simRe.FindAllStringSubmatch(out, -1) {
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims = append(sims, v)
+	}
+	if len(sims) == 0 {
+		t.Fatalf("no epoch lines in output:\n%s", out)
+	}
+	return sims
+}
+
+// TestSimulateRanksMatchInProcess: accounting mode runs per rank too. A
+// rank drives only its own device, so the job's simulated epoch time is
+// the maximum over the ranks' — and that must equal the in-process
+// run's, epoch by epoch, for every strategy.
+func TestSimulateRanksMatchInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildWorker(t)
+	for _, k := range []string{"GDP", "NFP", "SNP", "DNP"} {
+		flags := append(jobFlags(2), "-simulate", "-epochs", "2", "-strategy", k)
+		outs, codes := runJob(t, bin, 2, flags...)
+		for r, c := range codes {
+			if c != 0 {
+				t.Fatalf("%s: rank %d exited %d:\n%s", k, r, c, outs[r])
+			}
+		}
+		out, code := run(bin, flags...)
+		if code != 0 {
+			t.Fatalf("%s: in-process run exited %d:\n%s", k, code, out)
+		}
+		want := epochSims(t, out)
+		got := make([]float64, len(want))
+		for r := range outs {
+			sims := epochSims(t, outs[r])
+			if len(sims) != len(want) {
+				t.Fatalf("%s: rank %d ran %d epochs, in-process %d", k, r, len(sims), len(want))
+			}
+			for ep, v := range sims {
+				got[ep] = max(got[ep], v)
+			}
+		}
+		for ep := range want {
+			if got[ep] != want[ep] {
+				t.Errorf("%s epoch %d: max rank sim %gs != in-process %gs", k, ep+1, got[ep], want[ep])
+			}
 		}
 	}
 }

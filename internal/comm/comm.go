@@ -305,7 +305,7 @@ func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 
 // AllGatherNoCharge is AllGather's data movement without the
 // simulated charge: the exchange behind AllGather, Barrier and AnyTrue,
-// the engine's RNG-cursor sync and wire measurement (package
+// the engine's RNG-cursor exchange and wire measurement (package
 // transport).
 func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
 	c.broadcast(dev, p)

@@ -40,6 +40,9 @@ package comm
 type Transport interface {
 	// World returns the number of ranks.
 	World() int
+	// Ranks returns the ranks this process drives, ascending: all of
+	// them on the in-process channel fabric, one on a wire backend.
+	Ranks() []int
 	// Send delivers p from rank src to rank dst.
 	Send(src, dst int, p Payload)
 	// Recv returns the next payload sent from rank src to rank dst.
@@ -90,3 +93,11 @@ func (t *chanTransport) World() int                   { return len(t.boxes) }
 func (t *chanTransport) Send(src, dst int, p Payload) { t.boxes[src][dst] <- p }
 func (t *chanTransport) Recv(dst, src int) Payload    { return <-t.boxes[src][dst] }
 func (t *chanTransport) Close() error                 { return nil }
+
+func (t *chanTransport) Ranks() []int {
+	r := make([]int, len(t.boxes))
+	for i := range r {
+		r[i] = i
+	}
+	return r
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -257,24 +258,26 @@ func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode
 // configures the data layout (feature store, caches) and the unified
 // execution engine. Real mode is used when the task has features.
 func (a *APT) BuildEngine(k strategy.Kind) (*engine.Engine, error) {
-	return a.buildEngine(k, nil, 0)
+	return a.buildEngine(k, comm.NewChanTransport(a.task.Platform.NumDevices()))
 }
 
-// BuildEngineDistributed is BuildEngine for one rank of a
-// multi-process run: the engine's collectives cross tr (e.g. a
-// transport.TCP bootstrapped against the job's coordinator) and only
-// localRank's worker executes in this process. Every rank must call it
-// with an identical Task — planning inputs included — so the replicas
-// and the plan agree across processes; pair it with
-// Task.ProfileOverride to plan against measured wire speeds instead of
-// the simulated link model.
+// BuildEngineDistributed is BuildEngine over an explicit transport:
+// the engine's collectives cross tr (e.g. a transport.TCP
+// bootstrapped against the job's coordinator) and it drives the ranks
+// tr hosts, which must include localRank. For one rank of a
+// multi-process run every rank must call it with an identical Task —
+// planning inputs included — so the replicas and the plan agree across
+// processes; pair it with Task.ProfileOverride to plan against
+// measured wire speeds instead of the simulated link model.
 func (a *APT) BuildEngineDistributed(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
-	return a.buildEngine(k, tr, localRank)
+	if !slices.Contains(tr.Ranks(), localRank) {
+		return nil, fmt.Errorf("core: local rank %d is not driven by the transport (ranks %v)", localRank, tr.Ranks())
+	}
+	return a.buildEngine(k, tr)
 }
 
-// buildEngine is the one engine builder; a nil transport keeps every
-// worker in this process.
-func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
+// buildEngine is the one engine builder.
+func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport) (*engine.Engine, error) {
 	if !a.planned && a.dryRun == nil {
 		// The cache configuration needs access frequencies even when
 		// the user pins a strategy without planning.
@@ -293,7 +296,6 @@ func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport, localRank int) (*e
 	cfg := a.engineConfig(k, store, mode)
 	cfg.Spans = a.spans
 	cfg.Transport = tr
-	cfg.LocalRank = localRank
 	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
@@ -312,7 +314,7 @@ type Result struct {
 	// Replans lists the online re-planner's switches (TrainAdaptive
 	// runs only; empty when the initial plan held).
 	Replans []ReplanEvent
-	// Model is device 0's trained replica (real mode).
+	// Model is the first hosted rank's trained replica (real mode).
 	Model *nn.Model
 }
 
@@ -411,7 +413,7 @@ func (a *APT) train(ctx context.Context, k strategy.Kind, epochs int, rp *Replan
 	if rp != nil {
 		res.Replans = rp.Events
 	}
-	res.Model = e.Model(0)
+	res.Model = e.Model(e.Ranks()[0])
 	if err := a.obsO.Flush(a.spans, a.reg); err != nil && runErr == nil {
 		runErr = err
 	}

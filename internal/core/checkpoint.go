@@ -61,17 +61,18 @@ func (a *APT) Snapshot() (*checkpoint.Snapshot, error) {
 	return a.buildSnapshot(a.lastEngine, a.lastKind)
 }
 
-// buildSnapshot captures the training state from the rank-local
-// replica (rank 0 in-process). In a multi-process run this is a
-// COLLECTIVE: every rank must call Checkpoint/Snapshot at the same
-// epoch boundary (the sampler cursors are exchanged over the fabric),
-// and since replicas are synchronized, every rank builds the identical
-// snapshot — convention is that rank 0 persists it.
+// buildSnapshot captures the training state from the engine's first
+// hosted replica. It is a COLLECTIVE: every rank must call
+// Checkpoint/Snapshot at the same epoch boundary (the sampler cursors
+// are exchanged over the fabric), and since replicas are synchronized,
+// every rank builds the identical snapshot — convention is that rank 0
+// persists it.
 func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snapshot, error) {
-	if err := e.SyncRNGCursors(); err != nil {
+	samplerRNG, epochRNG, err := e.RNGCursors()
+	if err != nil {
 		return nil, err
 	}
-	local := e.LocalRank()
+	local := e.Ranks()[0]
 	var buf bytes.Buffer
 	if err := e.Model(local).SaveParams(&buf); err != nil {
 		return nil, err
@@ -86,12 +87,13 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 		Devices:       a.task.Platform.NumDevices(),
 		EpochsDone:    a.epochBase + e.EpochsRun(),
 		Model:         buf.Bytes(),
+		SamplerRNG:    samplerRNG,
+		EpochRNG:      epochRNG,
 	}
 	if so, ok := e.Optimizer(local).(nn.StatefulOptimizer); ok {
 		st := so.State(e.Model(local).Params())
 		s.Opt = &st
 	}
-	s.SamplerRNG, s.EpochRNG = e.RNGCursors()
 	if a.dryRun != nil {
 		s.Freq = a.dryRun.Freq
 	}
@@ -244,8 +246,8 @@ func (a *APT) EpochBase() int {
 }
 
 // ApplyResume restores the pending snapshot's training state into an
-// engine built from this APT: parameters into every replica, optimizer
-// moments into every device's optimizer, and — when the topology
+// engine built from this APT: parameters into every hosted replica,
+// optimizer moments into each one's optimizer, and — when the topology
 // matches — the RNG stream cursors. Train and TrainAdaptive call it
 // automatically on their first engine; callers driving
 // BuildEngine/BuildEngineDistributed themselves (e.g. one rank of a
@@ -256,8 +258,7 @@ func (a *APT) ApplyResume(e *engine.Engine) error {
 	if snap == nil {
 		return nil
 	}
-	devices := a.task.Platform.NumDevices()
-	for d := 0; d < devices; d++ {
+	for _, d := range e.Ranks() {
 		if err := e.Model(d).LoadParams(bytes.NewReader(snap.Model)); err != nil {
 			return fmt.Errorf("core: resume device %d params: %w", d, err)
 		}
@@ -270,7 +271,7 @@ func (a *APT) ApplyResume(e *engine.Engine) error {
 			}
 		}
 	}
-	if snap.HasRNG() && snap.Devices == devices {
+	if snap.HasRNG() && snap.Devices == a.task.Platform.NumDevices() {
 		if err := e.SetRNGCursors(snap.SamplerRNG, snap.EpochRNG); err != nil {
 			return fmt.Errorf("core: resume rng cursors: %w", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,10 +15,10 @@ import (
 // TestBuildEngineDistributedMatchesInProcess models a 2-rank job the
 // way separate OS processes would run it: each rank constructs its own
 // APT from the identical task, builds its engine with
-// BuildEngineDistributed, and shares nothing with its peer except the
-// transport. The accounting epoch is deterministic, so rank r's
-// per-device counters must equal worker r's counters from a plain
-// in-process run of the same task.
+// BuildEngineDistributed over its own loopback TCP transport, and
+// shares nothing with its peer except the sockets. The accounting epoch
+// is deterministic, so rank r's counters must equal worker r's counters
+// from a plain in-process run of the same task.
 func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 	const world = 2
 	base, err := New(testTask(t, "PS", world, 32))
@@ -30,7 +31,10 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 	}
 	baseStats := be.RunEpoch()
 
-	tr := comm.NewChanTransport(world)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("bind coordinator: %v", err)
+	}
 	stats := make([]engine.EpochStats, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
@@ -43,6 +47,16 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 				errs[r] = err
 				return
 			}
+			opts := transport.TCPOptions{Rank: r, World: world, Coord: ln.Addr().String()}
+			if r == 0 {
+				opts.CoordListener = ln
+			}
+			tr, err := transport.NewTCP(opts)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer tr.Close()
 			e, err := a.BuildEngineDistributed(strategy.SNP, tr, r)
 			if err != nil {
 				errs[r] = err
@@ -58,15 +72,12 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 		}
 	}
 	for r := 0; r < world; r++ {
-		if got, want := stats[r].PerDevice[r], baseStats.PerDevice[r]; !reflect.DeepEqual(got, want) {
-			t.Errorf("rank %d counters diverge from in-process worker %d:\n got  %+v\n want %+v", r, r, got, want)
+		// A rank process runs only its own worker.
+		if n := len(stats[r].PerDevice); n != 1 {
+			t.Fatalf("rank %d reports %d workers, want 1", r, n)
 		}
-		// A rank process runs only its own worker; the other slots must
-		// stay untouched.
-		for d := 0; d < world; d++ {
-			if d != r && !reflect.DeepEqual(stats[r].PerDevice[d], engine.WorkerStats{}) {
-				t.Errorf("rank %d has counters for foreign worker %d", r, d)
-			}
+		if got, want := stats[r].PerDevice[0], baseStats.PerDevice[r]; !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d counters diverge from in-process worker %d:\n got  %+v\n want %+v", r, r, got, want)
 		}
 	}
 }
@@ -81,6 +92,9 @@ func TestBuildEngineDistributedValidation(t *testing.T) {
 	}
 	if _, err := a.BuildEngineDistributed(strategy.GDP, comm.NewChanTransport(2), 5); err == nil {
 		t.Error("local rank 5 accepted for world 2")
+	}
+	if _, err := a.BuildEngineDistributed(strategy.GDP, comm.NewChanTransport(2), 2); err == nil {
+		t.Error("local rank 2, which the transport does not drive, accepted for world 2")
 	}
 }
 

@@ -312,13 +312,13 @@ func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) 
 	return best, true
 }
 
-// adoptParams copies trained parameters from src into every replica of
-// e. The engine keeps replicas synchronized, so device 0's weights are
-// the run's weights; optimizer moments are not carried (the rebuilt
-// optimizer restarts cold, which SGD-family optimizers tolerate — the
-// moments re-estimate within a few steps).
-func adoptParams(e *engine.Engine, devices int, src *nn.Model) {
-	for d := 0; d < devices; d++ {
+// adoptParams copies trained parameters from src into every hosted
+// replica of e. The engine keeps replicas synchronized, so any one's
+// weights are the run's weights; optimizer moments are not carried (the
+// rebuilt optimizer restarts cold, which SGD-family optimizers tolerate
+// — the moments re-estimate within a few steps).
+func adoptParams(e *engine.Engine, src *nn.Model) {
+	for _, d := range e.Ranks() {
 		dst := e.Model(d)
 		for li, layer := range dst.Layers {
 			sp := src.Layers[li].Params()
@@ -395,6 +395,6 @@ func (a *APT) replan(rp *Replanner, e *engine.Engine, done int, st engine.EpochS
 	if a.task.Pipeline && next.PipelineDepth > 0 {
 		rebuilt.EnablePipeline(next.PipelineDepth)
 	}
-	adoptParams(rebuilt, a.task.Platform.NumDevices(), e.Model(0))
+	adoptParams(rebuilt, e.Model(e.Ranks()[0]))
 	return rebuilt, nil
 }

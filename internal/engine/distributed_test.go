@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // Each rank is modeled as a separate process would be — its own
 // fixture (graph, features, partition), its own store, its own engine
 // instance, sharing nothing with its peers except real sockets — and
-// only runs its LocalRank worker. Bit-identity then follows from the
+// drives only its own rank. Bit-identity then follows from the
 // engine's determinism plus the wire moving exact f32/i32 values.
 
 // trainDistributed runs world rank-engines over loopback TCP for the
@@ -55,7 +56,6 @@ func trainDistributed(t *testing.T, world int, k strategy.Kind, fanouts []int, e
 				return nn.NewGraphSAGE(f.dim, 8, f.classes, 2)
 			}, plan, fanouts)
 			cfg.Transport = tr
-			cfg.LocalRank = r
 			cfg.Pipeline = pipelined
 			e, err := New(cfg)
 			if err != nil {
@@ -112,12 +112,20 @@ func TestDistributedTCPBitIdentical(t *testing.T) {
 					}
 
 					engines := trainDistributed(t, world, k, fanouts, epochs, pipelined)
+					// One rank shape: the in-process engine drives every rank,
+					// a TCP rank engine exactly its own.
+					if got := base.Ranks(); len(got) != world {
+						t.Fatalf("in-process engine drives ranks %v, want all %d", got, world)
+					}
 					for r := 0; r < world; r++ {
+						if got := engines[r].Ranks(); !reflect.DeepEqual(got, []int{r}) {
+							t.Fatalf("rank %d engine drives ranks %v, want [%d]", r, got, r)
+						}
 						requireParamsExact(t, fmt.Sprintf("rank %d vs in-process", r),
 							engines[r].Model(r).Params(), base.Model(0).Params())
 					}
 					// Replicas across rank processes must agree with each other
-					// too (rank r only ever touched its own worker's replica).
+					// too.
 					for r := 1; r < world; r++ {
 						requireParamsExact(t, fmt.Sprintf("rank %d vs rank 0", r),
 							engines[r].Model(r).Params(), engines[0].Model(0).Params())
@@ -140,11 +148,5 @@ func TestDistributedConfigValidation(t *testing.T) {
 	cfg.Transport = comm.NewChanTransport(3)
 	if _, err := New(cfg); err == nil {
 		t.Error("transport world 3 accepted for 2 devices")
-	}
-	cfg = f.config(strategy.GDP, mk, plan, []int{4, 4})
-	cfg.Transport = comm.NewChanTransport(2)
-	cfg.LocalRank = 2
-	if _, err := New(cfg); err == nil {
-		t.Error("local rank 2 accepted for world 2")
 	}
 }

@@ -8,6 +8,12 @@
 // Layers above the first always run data-parallel (paper §3.1: "All
 // strategies target the first layer").
 //
+// An engine drives exactly the ranks its Config.Transport hosts: every
+// device on the default in-process channel fabric, its own one on a
+// wire transport (one OS process per rank). Per-rank state — model,
+// optimizer, sampler, gradient sync, span tracks — exists only for
+// those ranks; the simulated device group is always the whole platform.
+//
 // The engine has two modes sharing one code path:
 //
 //   - Real: floats move and models train; used for correctness tests,
@@ -57,9 +63,9 @@ type Config struct {
 	// Store is the unified feature store (nil features => accounting).
 	Store *cache.Store
 	// NewModel constructs one model replica; the engine creates one
-	// per device and initializes all replicas identically from Seed.
+	// per hosted rank and initializes all replicas identically from Seed.
 	NewModel func() *nn.Model
-	// NewOptimizer constructs one optimizer per device (real mode).
+	// NewOptimizer constructs one optimizer per hosted rank (real mode).
 	NewOptimizer func() nn.Optimizer
 	// Labels are node class labels (real mode).
 	Labels []int32
@@ -104,18 +110,15 @@ type Config struct {
 	// text timeline exporters. Nil keeps the hot path allocation-free:
 	// every emission point is a nil *obs.Track no-op.
 	Spans *obs.Collector
-	// Transport, when non-nil, runs the engine distributed: the
-	// collectives cross this fabric (e.g. transport.TCP, one OS process
-	// per rank) instead of in-process channels, and only the worker for
-	// LocalRank runs here. Every rank process must build the engine
-	// from an IDENTICAL Config (same graph, seed, plan, store layout) —
-	// the engine's determinism then guarantees the replicas stay
-	// bit-identical without any parameter broadcast. Aggregated
-	// EpochStats cover only the local worker in this mode.
+	// Transport is the fabric the collectives cross; nil selects the
+	// in-process channel fabric, which hosts every rank. The engine
+	// drives exactly Transport.Ranks(): on a wire backend (e.g.
+	// transport.TCP, one OS process per rank) that is the process's own
+	// rank. Every rank process must build the engine from an IDENTICAL
+	// Config (same graph, seed, plan, store layout) — the engine's
+	// determinism then guarantees the replicas stay bit-identical
+	// without any parameter broadcast. EpochStats cover the hosted ranks.
 	Transport comm.Transport
-	// LocalRank is this process's rank/device ID; consulted only when
-	// Transport is non-nil.
-	LocalRank int
 	// GradCompress selects the gradient-allreduce wire codec: "" or
 	// "fp32" for exact float32, "fp16" for half precision, "int8" for
 	// 8-bit quantization with an error-feedback residual (DESIGN
@@ -130,12 +133,10 @@ type Engine struct {
 	cfg      Config
 	Group    *device.Group
 	Comm     *comm.Comm
-	models   []*nn.Model
-	opts     []nn.Optimizer
-	samplers []*sample.Sampler
 	place    placement
 	epochRNG *graph.RNG
-	workers  []*worker
+	// workers holds one worker per hosted rank, in ascending rank order.
+	workers []*worker
 	// gradCodec compresses the gradient allreduce wire (nil = fp32).
 	gradCodec comm.ChunkCodec
 	// spanBase offsets span start times by the simulated time of all
@@ -147,15 +148,16 @@ type Engine struct {
 	epochsRun int
 }
 
-// worker is the per-device execution state.
+// worker is the execution state of one hosted rank.
 type worker struct {
 	eng   *Engine
 	dev   *device.Device
 	model *nn.Model
 	// layer0 is model.Layers[0], which the strategy's placement runs.
-	layer0 nn.SplitLayer
-	opt    nn.Optimizer
-	stats  *WorkerStats
+	layer0  nn.SplitLayer
+	opt     nn.Optimizer
+	sampler *sample.Sampler
+	stats   *WorkerStats
 	// pipelinedSec is the worker's simulated finish time under the
 	// overlapped schedule (pipelined mode only); kept off WorkerStats so
 	// aggregation maxes it instead of summing.
@@ -215,20 +217,17 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("engine: batch size %d", cfg.BatchSize)
 	}
+	n := cfg.Platform.NumDevices()
+	tr := cfg.Transport
+	if tr == nil {
+		tr = comm.NewChanTransport(n)
+	}
+	if w := tr.World(); w != n {
+		return nil, fmt.Errorf("engine: transport world %d != %d devices", w, n)
+	}
 	e := &Engine{cfg: cfg}
 	e.Group = device.NewGroup(cfg.Platform)
-	n := cfg.Platform.NumDevices()
-	if cfg.Transport != nil {
-		if w := cfg.Transport.World(); w != n {
-			return nil, fmt.Errorf("engine: transport world %d != %d devices", w, n)
-		}
-		if cfg.LocalRank < 0 || cfg.LocalRank >= n {
-			return nil, fmt.Errorf("engine: local rank %d outside [0, %d)", cfg.LocalRank, n)
-		}
-		e.Comm = comm.NewWithTransport(e.Group, cfg.Transport)
-	} else {
-		e.Comm = comm.New(e.Group)
-	}
+	e.Comm = comm.NewWithTransport(e.Group, tr)
 
 	probe := cfg.NewModel()
 	if len(probe.Layers) == 0 {
@@ -244,17 +243,25 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: real mode requires labels")
 	}
 
-	for d := 0; d < n; d++ {
+	for _, d := range tr.Ranks() {
+		if d < 0 || d >= n {
+			return nil, fmt.Errorf("engine: transport rank %d outside [0, %d)", d, n)
+		}
 		m := cfg.NewModel()
 		m.Init(graph.NewRNG(cfg.Seed)) // identical replicas
-		e.models = append(e.models, m)
+		var opt nn.Optimizer = nn.NewSGD(0.1, 0)
 		if cfg.NewOptimizer != nil {
-			e.opts = append(e.opts, cfg.NewOptimizer())
-		} else {
-			e.opts = append(e.opts, nn.NewSGD(0.1, 0))
+			opt = cfg.NewOptimizer()
 		}
-		e.samplers = append(e.samplers, sample.NewSampler(
-			cfg.Graph, e.cfg.Sampling, graph.NewRNG(cfg.Seed^uint64(0x9e37+d*7919))))
+		e.workers = append(e.workers, &worker{
+			eng:     e,
+			dev:     e.Group.Devices[d],
+			model:   m,
+			layer0:  m.Layers[0].(nn.SplitLayer),
+			opt:     opt,
+			sampler: sample.NewSampler(cfg.Graph, e.cfg.Sampling, graph.NewRNG(cfg.Seed^uint64(0x9e37+d*7919))),
+			stats:   &WorkerStats{},
+		})
 	}
 	e.epochRNG = graph.NewRNG(cfg.Seed ^ 0xabcdef)
 
@@ -278,16 +285,6 @@ func New(cfg Config) (*Engine, error) {
 		cacheBytes += int64(len(cfg.Store.QCachedList(d))) * tensor.QuantRowBytes(cfg.Store.LoadDim)
 		e.Group.Devices[d].Alloc(cacheBytes)
 	}
-	for d := 0; d < n; d++ {
-		e.workers = append(e.workers, &worker{
-			eng:    e,
-			dev:    e.Group.Devices[d],
-			model:  e.models[d],
-			layer0: e.models[d].Layers[0].(nn.SplitLayer),
-			opt:    e.opts[d],
-			stats:  &WorkerStats{},
-		})
-	}
 	codec, err := transport.ChunkCodecByName(cfg.GradCompress)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -300,15 +297,15 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	if cfg.Spans != nil {
-		for d := 0; d < n; d++ {
-			e.workers[d].spanDev = cfg.Spans.AddTrack("device", fmt.Sprintf("dev%d", d))
+		for _, w := range e.workers {
+			w.spanDev = cfg.Spans.AddTrack("device", fmt.Sprintf("dev%d", w.dev.ID))
 		}
-		for d := 0; d < n; d++ {
-			e.workers[d].spanSmp = cfg.Spans.AddTrack("sampler", fmt.Sprintf("dev%d/sampler", d))
+		for _, w := range e.workers {
+			w.spanSmp = cfg.Spans.AddTrack("sampler", fmt.Sprintf("dev%d/sampler", w.dev.ID))
 		}
-		links := make([]*obs.Track, n)
-		for d := 0; d < n; d++ {
-			links[d] = cfg.Spans.AddTrack("comm", fmt.Sprintf("dev%d/comm", d))
+		links := make([]*obs.Track, n) // nil (a no-op) for ranks hosted elsewhere
+		for _, w := range e.workers {
+			links[w.dev.ID] = cfg.Spans.AddTrack("comm", fmt.Sprintf("dev%d/comm", w.dev.ID))
 		}
 		e.Comm.Spans = links
 		e.Comm.SpanBase = &e.spanBase
@@ -316,9 +313,23 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Model returns device dev's model replica (replicas stay identical
-// across devices after every step).
-func (e *Engine) Model(dev int) *nn.Model { return e.models[dev] }
+// Ranks returns the ranks (device IDs) this engine drives, ascending.
+func (e *Engine) Ranks() []int { return e.Comm.Transport().Ranks() }
+
+// worker returns hosted rank dev's worker; it panics for a rank driven
+// by another process.
+func (e *Engine) worker(dev int) *worker {
+	for _, w := range e.workers {
+		if w.dev.ID == dev {
+			return w
+		}
+	}
+	panic(fmt.Sprintf("engine: rank %d is not hosted by this engine (hosts %v)", dev, e.Ranks()))
+}
+
+// Model returns hosted rank dev's model replica (replicas stay
+// identical across ranks after every step).
+func (e *Engine) Model(dev int) *nn.Model { return e.worker(dev).model }
 
 // seedPlan builds the epoch's per-device seed assignment: partition
 // owners for SNP/DNP (paper §3.2), an even shuffle otherwise.
@@ -364,16 +375,7 @@ func (e *Engine) RunEpochContext(ctx context.Context) (EpochStats, error) {
 	}
 	plan := e.seedPlan()
 	nb := plan.NumBatches(e.cfg.BatchSize)
-	runWorker := func(dev int) { e.workerEpoch(ctx, e.workers[dev], plan, nb) }
-	if e.cfg.Transport != nil {
-		// Distributed: the other ranks run in their own processes; this
-		// engine instance holds their (identical) replicas but drives only
-		// its own worker. The collectives synchronize across the fabric
-		// exactly as RunParallel's goroutines do in-process.
-		runWorker(e.cfg.LocalRank)
-	} else {
-		comm.RunParallel(len(e.workers), runWorker)
-	}
+	comm.RunParallel(len(e.workers), func(i int) { e.workerEpoch(ctx, e.workers[i], plan, nb) })
 	st := e.collectStats(nb)
 	if ctx.Err() == nil {
 		e.epochsRun++
@@ -413,7 +415,7 @@ func (e *Engine) drawBatch(w *worker, plan *sample.SeedPlan, step int) batch {
 		b.mb = e.cfg.PreSampled[w.dev.ID][step]
 		b.seeds = b.mb.Seeds
 	} else {
-		b.mb = e.samplers[w.dev.ID].Sample(b.seeds)
+		b.mb = w.sampler.Sample(b.seeds)
 	}
 	for _, blk := range b.mb.Blocks {
 		b.edges += blk.NumEdges()

@@ -141,7 +141,7 @@ func paramsDiff(a, b *Engine) float64 {
 func replicasInSync(t *testing.T, e *Engine) {
 	t.Helper()
 	p0 := e.Model(0).Params()
-	for d := 1; d < len(e.models); d++ {
+	for d := 1; d < len(e.workers); d++ {
 		pd := e.Model(d).Params()
 		for i := range p0 {
 			if diff := p0[i].W.MaxAbsDiff(pd[i].W); diff > 1e-6 {

@@ -102,7 +102,7 @@ func TestLayer1Golden(t *testing.T) {
 			}
 			h := fnv.New64a()
 			var buf [4]byte
-			for d := range e.models {
+			for _, d := range e.Ranks() {
 				for _, p := range e.Model(d).Params() {
 					for _, v := range p.W.Data {
 						binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))

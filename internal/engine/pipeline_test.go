@@ -147,7 +147,7 @@ func TestPipelinedPreSampled(t *testing.T) {
 	pre := make([][]*sample.MiniBatch, 2)
 	for d := 0; d < 2; d++ {
 		for s := 0; s < nb; s++ {
-			pre[d] = append(pre[d], ref.samplers[d].Sample(plan.Batch(d, s, cfg.BatchSize)))
+			pre[d] = append(pre[d], ref.workers[d].sampler.Sample(plan.Batch(d, s, cfg.BatchSize)))
 		}
 	}
 

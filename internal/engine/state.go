@@ -14,25 +14,45 @@ import (
 // uninterrupted run would have drawn. All accessors are safe only
 // between epochs (no RunEpoch in flight).
 
-// RNGCursors returns each device sampler's RNG stream position plus
-// the epoch shuffler's, in device order.
-func (e *Engine) RNGCursors() (samplers [][4]uint64, epoch [4]uint64) {
-	samplers = make([][4]uint64, len(e.samplers))
-	for i, s := range e.samplers {
-		samplers[i] = s.RNGState()
+// RNGCursors returns every rank's sampler RNG stream position, in
+// rank order, plus the epoch shuffler's. It is a COLLECTIVE: each
+// hosted rank allgathers its own cursor, so every rank process of a
+// multi-process run must call it at the same epoch boundary. Each
+// cursor crosses the wire as eight u32 bit patterns in a Payload.Ints —
+// integers survive the codec exactly.
+func (e *Engine) RNGCursors() (samplers [][4]uint64, epoch [4]uint64, err error) {
+	got := make([][]comm.Payload, len(e.workers))
+	comm.RunParallel(len(e.workers), func(i int) {
+		w := e.workers[i]
+		st := w.sampler.RNGState()
+		ints := make([]int32, 8)
+		for j, u := range st {
+			ints[2*j] = int32(uint32(u))
+			ints[2*j+1] = int32(uint32(u >> 32))
+		}
+		got[i] = e.Comm.AllGatherNoCharge(w.dev.ID, comm.Payload{Ints: ints})
+	})
+	samplers = make([][4]uint64, len(got[0]))
+	for r, p := range got[0] {
+		if len(p.Ints) != 8 {
+			return nil, epoch, fmt.Errorf("engine: rank %d sent %d cursor words, want 8", r, len(p.Ints))
+		}
+		for j := range samplers[r] {
+			samplers[r][j] = uint64(uint32(p.Ints[2*j])) | uint64(uint32(p.Ints[2*j+1]))<<32
+		}
 	}
-	return samplers, e.epochRNG.State()
+	return samplers, e.epochRNG.State(), nil
 }
 
 // SetRNGCursors restores cursors captured by RNGCursors on an engine
-// with the same device count.
+// with the same device count; each hosted rank takes its own.
 func (e *Engine) SetRNGCursors(samplers [][4]uint64, epoch [4]uint64) error {
-	if len(samplers) != len(e.samplers) {
-		return fmt.Errorf("engine: %d rng cursors for %d samplers", len(samplers), len(e.samplers))
+	if n := e.cfg.Platform.NumDevices(); len(samplers) != n {
+		return fmt.Errorf("engine: %d rng cursors for %d ranks", len(samplers), n)
 	}
-	for i, st := range samplers {
-		if !e.samplers[i].SetRNGState(st) {
-			return fmt.Errorf("engine: sampler %d cursor is the degenerate all-zero state", i)
+	for _, w := range e.workers {
+		if !w.sampler.SetRNGState(samplers[w.dev.ID]) {
+			return fmt.Errorf("engine: sampler %d cursor is the degenerate all-zero state", w.dev.ID)
 		}
 	}
 	if !e.epochRNG.SetState(epoch) {
@@ -41,52 +61,9 @@ func (e *Engine) SetRNGCursors(samplers [][4]uint64, epoch [4]uint64) error {
 	return nil
 }
 
-// SyncRNGCursors makes every sampler's cursor locally readable. In a
-// multi-process run each rank advances only its own device's sampler,
-// so the peers' replicas of that stream sit at stale positions; this
-// exchanges the authoritative cursor of each rank with every other, a
-// COLLECTIVE operation every rank must enter at the same epoch
-// boundary. In-process engines advance all samplers locally and this
-// is a no-op. Each cursor crosses the wire as eight u32 bit patterns
-// in a Payload.Ints — integers survive the codec exactly.
-func (e *Engine) SyncRNGCursors() error {
-	if e.cfg.Transport == nil {
-		return nil
-	}
-	r := e.cfg.LocalRank
-	st := e.samplers[r].RNGState()
-	ints := make([]int32, 8)
-	for i, u := range st {
-		ints[2*i] = int32(uint32(u))
-		ints[2*i+1] = int32(uint32(u >> 32))
-	}
-	got := e.Comm.AllGatherNoCharge(r, comm.Payload{Ints: ints, Bytes: 0})
-	for peer, p := range got {
-		if peer == r {
-			continue
-		}
-		if len(p.Ints) != 8 {
-			return fmt.Errorf("engine: rank %d sent %d cursor words, want 8", peer, len(p.Ints))
-		}
-		var ps [4]uint64
-		for i := range ps {
-			ps[i] = uint64(uint32(p.Ints[2*i])) | uint64(uint32(p.Ints[2*i+1]))<<32
-		}
-		if !e.samplers[peer].SetRNGState(ps) {
-			return fmt.Errorf("engine: rank %d sent the degenerate all-zero cursor", peer)
-		}
-	}
-	return nil
-}
-
-// LocalRank returns the device this engine instance drives: the
-// process rank in a distributed run, 0 in-process (where the replicas
-// are all local and interchangeable after an epoch's collectives).
-func (e *Engine) LocalRank() int { return e.cfg.LocalRank }
-
-// Optimizer returns the device's optimizer (for checkpointing its
+// Optimizer returns hosted rank dev's optimizer (for checkpointing its
 // state; whether it is stateful is the caller's type assertion).
-func (e *Engine) Optimizer(dev int) nn.Optimizer { return e.opts[dev] }
+func (e *Engine) Optimizer(dev int) nn.Optimizer { return e.worker(dev).opt }
 
 // PipelineState reports whether the engine overlaps sampling with
 // compute and under what prefetch bound — the live values, including

@@ -178,6 +178,9 @@ func (t *TCP) World() int { return t.world }
 // Rank returns this process's rank.
 func (t *TCP) Rank() int { return t.rank }
 
+// Ranks implements comm.Transport: a TCP process drives its own rank.
+func (t *TCP) Ranks() []int { return []int{t.rank} }
+
 // fail poisons the transport with the first error and unblocks every
 // receiver by closing the inboxes.
 func (t *TCP) fail(err error) {
