@@ -43,7 +43,7 @@ examples-smoke:
 # concurrency-heavy packages (pipelined engine, the model forward that
 # serving runs concurrently on one shared model, pooled kernels,
 # inference server — including the blue/green reload path, span/metrics
-# collection, comm ledger, device clocks, the TCP transport's loopback
+# collection, comm collectives, device clocks, the TCP transport's loopback
 # collective tests, the checkpoint codec, and the int8 cache tier) under
 # the race detector.
 # bench-smoke keeps the benchmark module compiling against the

@@ -6,7 +6,7 @@
 // break: bit-identical logits across strategies (float addition does
 // not associate, so accumulating map values in random order changes the
 // result bits) and golden traces (sends and appends in map order
-// shuffle span/ledger sequences). The analyzer flags a `range m` over a
+// shuffle span sequences). The analyzer flags a `range m` over a
 // map when the body
 //
 //   - compound-assigns (+= -= *= /=) into a float or complex lvalue

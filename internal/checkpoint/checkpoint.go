@@ -45,7 +45,8 @@ type Snapshot struct {
 	// (strategy.Kind round-trips through it).
 	Strategy string
 	// Pipelined records whether the run overlapped sampling with
-	// compute; PipelineDepth is its prefetch bound (0 = engine default).
+	// compute. PipelineDepth is a format field only: the prefetch bound
+	// is an engine constant, so writers record 0 and readers ignore it.
 	Pipelined     bool
 	PipelineDepth int
 	// Int8Frac is the warm-tier share of the cache budget the run was

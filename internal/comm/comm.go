@@ -3,7 +3,9 @@
 // DGL kernel barriers (AllToAll, AllBroadcast/AllGather, AllReduce) as
 // message exchanges between device goroutines, with every payload's
 // bytes charged to the simulated device clocks using the platform's
-// link model and recorded in a volume ledger for the cost models.
+// link model. The volumes the cost models read are counted per worker
+// by the engine (engine.WorkerStats); the collectives' spans carry the
+// bytes each one moved.
 //
 // Collectives are synchronous: every device of the group must call the
 // same sequence of collectives (the engine runs devices in lockstep per
@@ -53,10 +55,9 @@ func (p Payload) SizeBytes() int64 {
 // ownership rule): in-process channels by default, or a wire backend
 // where each rank is its own OS process.
 type Comm struct {
-	Group  *device.Group
-	Ledger *Ledger
-	n      int
-	tr     Transport
+	Group *device.Group
+	n     int
+	tr    Transport
 	// Spans, when non-nil, holds one observability track per device on
 	// which every collective emits a span (operator name, bytes moved,
 	// charged seconds). Spans[dev] is only touched from dev's own
@@ -88,7 +89,7 @@ func NewWithTransport(g *device.Group, tr Transport) *Comm {
 	if tr.World() != n {
 		panic(fmt.Sprintf("comm: transport world %d != group size %d", tr.World(), n))
 	}
-	return &Comm{Group: g, Ledger: NewLedger(), n: n, tr: tr, ring: make([]*ringState, n)}
+	return &Comm{Group: g, n: n, tr: tr, ring: make([]*ringState, n)}
 }
 
 // Transport returns the fabric the collectives run on.
@@ -111,10 +112,7 @@ func (c *Comm) chargePairwise(dev int, stage, op string, sendTo, recvFrom []int6
 			continue
 		}
 		kind := p.InterconnectKind(dev, j)
-		if sendTo[j] > 0 {
-			sendBytes[kind] += sendTo[j]
-			c.Ledger.Add(op, kind, sendTo[j])
-		}
+		sendBytes[kind] += sendTo[j]
 		recvBytes[kind] += recvFrom[j]
 	}
 	dirTime := func(bytes [4]int64) float64 {
@@ -203,8 +201,8 @@ func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
 // (the paper's AllBroadcast used by NFP to share layer-1 computation
 // graphs). Returns all payloads indexed by source device. The single
 // payload is broadcast directly — no per-peer copies are materialized —
-// but the charge math and the ledger's "alltoall" op are byte-identical
-// to the AllToAll formulation this replaced.
+// but the charge math and the "alltoall" span are byte-identical to the
+// AllToAll formulation this replaced.
 func (c *Comm) AllGather(dev int, stage string, p Payload) []Payload {
 	in := c.AllGatherNoCharge(dev, p)
 	sendTo := make([]int64, c.n)
@@ -275,9 +273,8 @@ func (c *Comm) AllReduceCodec(dev int, stage string, mat *tensor.Matrix, bytes i
 			copy(result.Data, acc)
 		}
 	}
-	t, wire, kind := c.allReduceModel(elems, bytes, codec)
+	t, wire := c.allReduceModel(elems, bytes, codec)
 	c.chargeWithSpan(dev, stage, "allreduce", t, wire)
-	c.Ledger.Add("allreduce", kind, wire)
 	return result
 }
 

@@ -1,17 +1,41 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/hardware"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
 func newTestComm(p *hardware.Platform) (*Comm, *device.Group) {
 	g := device.NewGroup(p)
 	return New(g), g
+}
+
+// traceSpans gives c one span track per device and returns the
+// collector holding them.
+func traceSpans(c *Comm) *obs.Collector {
+	col := obs.NewCollector()
+	c.Spans = make([]*obs.Track, c.NumDevices())
+	for d := range c.Spans {
+		c.Spans[d] = col.AddTrack("comm", fmt.Sprintf("dev%d/comm", d))
+	}
+	return col
+}
+
+// spanBytes sums the Bytes of op's spans on one track.
+func spanBytes(tr *obs.Track, op string) int64 {
+	var n int64
+	for _, s := range tr.Spans() {
+		if s.Stage == op {
+			n += s.Bytes
+		}
+	}
+	return n
 }
 
 func TestAllToAllDelivery(t *testing.T) {
@@ -44,6 +68,7 @@ func TestAllToAllDelivery(t *testing.T) {
 func TestAllToAllChargesTime(t *testing.T) {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
 	c, g := newTestComm(p)
+	col := traceSpans(c)
 	RunParallel(4, func(dev int) {
 		outs := make([]Payload, 4)
 		for j := range outs {
@@ -60,8 +85,11 @@ func TestAllToAllChargesTime(t *testing.T) {
 			t.Errorf("dev %d shuffle time %v, want ~3ms", d.ID, e)
 		}
 	}
-	if c.Ledger.TotalOp("alltoall") != 4*3*12_000_000 {
-		t.Errorf("ledger alltoall = %d", c.Ledger.TotalOp("alltoall"))
+	// Each device's span carries the 36MB it sent plus the 36MB it received.
+	for d, tr := range col.Tracks() {
+		if got := spanBytes(tr, "alltoall"); got != 2*3*12_000_000 {
+			t.Errorf("dev %d alltoall span bytes = %d, want %d", d, got, 2*3*12_000_000)
+		}
 	}
 }
 
@@ -158,27 +186,6 @@ func TestPayloadSize(t *testing.T) {
 	pl := Payload{Mat: m, Ints: []int32{1, 2}, Bytes: 10}
 	if got := pl.SizeBytes(); got != 48+8+10 {
 		t.Errorf("SizeBytes = %d, want 66", got)
-	}
-}
-
-func TestLedger(t *testing.T) {
-	l := NewLedger()
-	l.Add("x", hardware.LinkPCIe, 100)
-	l.Add("x", hardware.LinkNetwork, 50)
-	l.Add("y", hardware.LinkPCIe, 7)
-	if l.Total("x", hardware.LinkPCIe) != 100 {
-		t.Error("Total wrong")
-	}
-	if l.TotalOp("x") != 150 {
-		t.Error("TotalOp wrong")
-	}
-	snap := l.Snapshot()
-	if len(snap) != 3 || snap[0].Op != "x" || snap[2].Op != "y" {
-		t.Errorf("Snapshot = %+v", snap)
-	}
-	l.Reset()
-	if l.TotalOp("x") != 0 {
-		t.Error("Reset failed")
 	}
 }
 

@@ -101,18 +101,18 @@ func chunkBounds(elems, n int) []int {
 
 // allReduceModel is the single source of truth for what one allreduce
 // of elems float32 values costs: simulated seconds, modeled wire bytes
-// per rank (ring: 2·(C-1)/C of the encoded volume), and the link kind
-// charged. rawBytes is the uncompressed wire size (callers pass the
-// exact byte count so accounting-mode charges with odd sizes stay
-// bit-identical to the pre-ring formula); a codec replaces it with the
-// summed encoded chunk sizes.
-func (c *Comm) allReduceModel(elems int, rawBytes int64, codec ChunkCodec) (secs float64, wire int64, kind hardware.LinkKind) {
+// per rank (ring: 2·(C-1)/C of the encoded volume), charged over the
+// ring's slowest link. rawBytes is the uncompressed wire size (callers
+// pass the exact byte count so accounting-mode charges with odd sizes
+// stay bit-identical to the pre-ring formula); a codec replaces it with
+// the summed encoded chunk sizes.
+func (c *Comm) allReduceModel(elems int, rawBytes int64, codec ChunkCodec) (secs float64, wire int64) {
 	p := c.Group.Platform
 	ringBW := p.Bandwidth[hardware.LinkPCIe]
 	if p.HasNVLink {
 		ringBW = p.Bandwidth[hardware.LinkNVLink]
 	}
-	kind = hardware.LinkPCIe
+	kind := hardware.LinkPCIe
 	if p.Machines > 1 {
 		if nb := p.Bandwidth[hardware.LinkNetwork]; nb < ringBW {
 			ringBW = nb
@@ -130,15 +130,15 @@ func (c *Comm) allReduceModel(elems int, rawBytes int64, codec ChunkCodec) (secs
 	}
 	wire = int64(2 * enc * float64(c.n-1) / float64(c.n))
 	secs = p.Latency[kind]*float64(2*(c.n-1)) + float64(wire)/ringBW
-	return secs, wire, kind
+	return secs, wire
 }
 
-// AllReduceModel returns the simulated seconds, modeled wire bytes and
-// link kind the ring model charges for one allreduce of elems float32
-// values under codec (nil = fp32). The engine's bucketed gradient sync
-// uses it to charge overlapped bucket allreduces itself — the data
-// plane (RingAllReduceData) never touches the clocks.
-func (c *Comm) AllReduceModel(elems int, codec ChunkCodec) (secs float64, wire int64, kind hardware.LinkKind) {
+// AllReduceModel returns the simulated seconds and modeled wire bytes
+// the ring model charges for one allreduce of elems float32 values
+// under codec (nil = fp32). The engine's bucketed gradient sync uses it
+// to charge overlapped bucket allreduces itself — the data plane
+// (RingAllReduceData) never touches the clocks.
+func (c *Comm) AllReduceModel(elems int, codec ChunkCodec) (secs float64, wire int64) {
 	return c.allReduceModel(elems, int64(elems)*4, codec)
 }
 

@@ -202,24 +202,28 @@ func TestRingWorld1NoOp(t *testing.T) {
 func TestAllReduceChargeModel(t *testing.T) {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
 	c, _ := newTestComm(p)
+	col := traceSpans(c)
 	const elems = 1000
-	_, wire, _ := c.AllReduceModel(elems, nil)
+	secFP32, wire := c.AllReduceModel(elems, nil)
 	if want := int64(2 * elems * 4 * 3 / 4); wire != want {
 		t.Errorf("fp32 ring wire = %d, want %d", wire, want)
 	}
-	secFP32, _, _ := c.AllReduceModel(elems, nil)
-	secTrunc, wireTrunc, _ := c.AllReduceModel(elems, truncCodec{})
+	secTrunc, wireTrunc := c.AllReduceModel(elems, truncCodec{})
 	if want := int64(2 * elems * 2 * 3 / 4); wireTrunc != want {
 		t.Errorf("trunc ring wire = %d, want %d", wireTrunc, want)
 	}
 	if secTrunc >= secFP32 {
 		t.Errorf("compressed allreduce modeled slower: %v >= %v", secTrunc, secFP32)
 	}
-	// The charged time and ledger volume follow the same model.
+	// The charged time and the spans' volume follow the same model.
 	RunParallel(4, func(dev int) {
 		c.AllReduce(dev, device.StageTrain, tensor.New(1, elems), 0)
 	})
-	if got := c.Ledger.TotalOp("allreduce"); got != 4*wire {
-		t.Errorf("ledger allreduce = %d, want %d", got, 4*wire)
+	var got int64
+	for _, tr := range col.Tracks() {
+		got += spanBytes(tr, "allreduce")
+	}
+	if got != 4*wire {
+		t.Errorf("allreduce span bytes = %d, want %d", got, 4*wire)
 	}
 }

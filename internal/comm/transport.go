@@ -29,14 +29,13 @@ package comm
 //     the engine's barrier-then-Put ownership rule).
 //
 // Ownership rule (the comm/transport concurrency contract): all
-// collective calls for rank r — and therefore every Ledger.Add, device
-// clock Charge, and Spans emission they perform — happen on rank r's
-// worker goroutine. A Transport may move bytes on internal goroutines,
-// but it must hand decoded payloads back through Recv on the caller's
-// goroutine and must never touch the Ledger, the device clocks, or the
-// span tracks itself. Ledger is the one piece of comm state that is
-// additionally mutex-guarded (the planner reads it while workers run);
-// Spans[r] and the clock charge path are single-goroutine by design.
+// collective calls for rank r — and therefore every device clock Charge
+// and Spans emission they perform — happen on rank r's worker
+// goroutine. A Transport may move bytes on internal goroutines, but it
+// must hand decoded payloads back through Recv on the caller's
+// goroutine and must never touch the device clocks or the span tracks
+// itself. Spans[r] and the clock charge path are single-goroutine by
+// design, so no comm state needs a lock.
 type Transport interface {
 	// World returns the number of ranks.
 	World() int

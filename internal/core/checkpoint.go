@@ -77,18 +77,16 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 	if err := e.Model(local).SaveParams(&buf); err != nil {
 		return nil, err
 	}
-	pipelined, depth := e.PipelineState()
 	s := &checkpoint.Snapshot{
-		Strategy:      k.String(),
-		Pipelined:     pipelined,
-		PipelineDepth: depth,
-		Int8Frac:      a.int8Frac,
-		Seed:          a.task.Seed,
-		Devices:       a.task.Platform.NumDevices(),
-		EpochsDone:    a.epochBase + e.EpochsRun(),
-		Model:         buf.Bytes(),
-		SamplerRNG:    samplerRNG,
-		EpochRNG:      epochRNG,
+		Strategy:   k.String(),
+		Pipelined:  a.task.Pipeline,
+		Int8Frac:   a.int8Frac,
+		Seed:       a.task.Seed,
+		Devices:    a.task.Platform.NumDevices(),
+		EpochsDone: a.epochBase + e.EpochsRun(),
+		Model:      buf.Bytes(),
+		SamplerRNG: samplerRNG,
+		EpochRNG:   epochRNG,
 	}
 	if so, ok := e.Optimizer(local).(nn.StatefulOptimizer); ok {
 		st := so.State(e.Model(local).Params())

@@ -115,7 +115,7 @@ func TestCalibrateTransport(t *testing.T) {
 	snpCost := func(p *comm.Profile) float64 {
 		cm := &CostModel{Profile: p, Devices: devices, IncludeTrain: true}
 		rp := NewReplanner(cm, a.DryRunStats().PerStrategy, a.DryRunStats().Freq,
-			a.Task().CacheBytes, a.Task().FeatDim, devices, false, Plan{Kind: strategy.SNP})
+			a.Task().CacheBytes, a.Task().FeatDim, devices, Plan{Kind: strategy.SNP})
 		return rp.planCost(Plan{Kind: strategy.SNP})
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cache"
@@ -22,23 +21,20 @@ import (
 // same numbers RecordEpochMetrics folds into the obs registry) against
 // the prediction for the running plan, derives per-stage correction
 // factors, re-runs strategy selection under the calibrated model, and
-// — behind a hysteresis guard — switches strategy, resizes the
-// pipeline depth, or resizes the fp32/int8 cache-tier split mid-run.
+// — behind a hysteresis guard — switches strategy or resizes the
+// fp32/int8 cache-tier split mid-run.
 
 // Plan is one concrete configuration the adaptive trainer can run: a
-// parallelization strategy, a prefetch bound, and a warm-tier split.
+// parallelization strategy and a warm-tier split.
 type Plan struct {
 	Kind strategy.Kind
-	// PipelineDepth bounds sampling prefetch when the task pipelines
-	// (0 keeps the engine default).
-	PipelineDepth int
 	// Int8Frac is the warm tier's share of the cache budget.
 	Int8Frac float64
 }
 
 // String implements fmt.Stringer.
 func (p Plan) String() string {
-	return fmt.Sprintf("%v(depth=%d,int8=%.2f)", p.Kind, p.PipelineDepth, p.Int8Frac)
+	return fmt.Sprintf("%v(int8=%.2f)", p.Kind, p.Int8Frac)
 }
 
 // The re-planner's bounds.
@@ -53,8 +49,6 @@ const (
 	// after one fires, so a switch's own transient (cold warm-tier, first
 	// pipelined epoch) cannot trigger an immediate switch back.
 	replanCooldownEpochs = 1
-	// replanMaxPipelineDepth caps the prefetch bound.
-	replanMaxPipelineDepth = 4
 )
 
 // ReplanEvent records one plan switch.
@@ -86,7 +80,6 @@ type Replanner struct {
 	cacheBytes int64
 	featDim    int
 	devices    int
-	pipeline   bool
 	// baseFrac is the split the dry-run volumes were collected under;
 	// candidate splits are costed relative to it.
 	baseFrac float64
@@ -143,13 +136,12 @@ func (r *Replanner) Restore(s ReplanState) {
 // first epoch runs under (its Int8Frac must be the split the dry-run
 // volumes were measured with).
 func NewReplanner(cm *CostModel, stats map[strategy.Kind]engine.EpochStats,
-	freq []int64, cacheBytes int64, featDim, devices int, pipeline bool, initial Plan) *Replanner {
+	freq []int64, cacheBytes int64, featDim, devices int, initial Plan) *Replanner {
 	sorted := append([]int64(nil), freq...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	return &Replanner{
 		cm: cm, stats: stats, int8Fracs: []float64{0, 0.25, 0.5},
-		freq: sorted, cacheBytes: cacheBytes, featDim: featDim,
-		devices: devices, pipeline: pipeline,
+		freq: sorted, cacheBytes: cacheBytes, featDim: featDim, devices: devices,
 		baseFrac: initial.Int8Frac, cur: initial,
 	}
 }
@@ -221,28 +213,6 @@ func (r *Replanner) planCost(p Plan) float64 {
 	return e.ComparableCost()
 }
 
-// pipelineDepth picks the prefetch bound from the calibrated stage
-// bars: enough queued batches to hide the sampling/build bar behind
-// the consume bar, clamped to [1, replanMaxPipelineDepth]. When the task
-// does not pipeline the current depth is kept.
-func (r *Replanner) pipelineDepth(e Estimate) int {
-	if !r.pipeline {
-		return r.cur.PipelineDepth
-	}
-	consume := e.LoadSec + e.TrainSec + e.ShuffleSec
-	if consume <= 0 || e.BuildSec <= 0 {
-		return 1
-	}
-	d := int(math.Ceil(e.BuildSec / consume))
-	if d < 1 {
-		d = 1
-	}
-	if d > replanMaxPipelineDepth {
-		d = replanMaxPipelineDepth
-	}
-	return d
-}
-
 // Observe ingests one measured epoch of the current plan and returns
 // the plan the next epoch should run, plus whether it changed. The
 // decision is a pure function of (dry-run stats, measured stages,
@@ -288,20 +258,14 @@ func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) 
 			}
 		}
 	}
-	best.PipelineDepth = r.pipelineDepth(r.cm.Estimate(best.Kind, r.stats[best.Kind]))
-
 	if best == r.cur {
 		return r.cur, false
 	}
-	// A depth-only resize costs nothing to apply (no store rebuild),
-	// so it bypasses the gain guard; anything touching the strategy or
-	// the tier split must clear the hysteresis bar.
-	depthOnly := best.Kind == r.cur.Kind && best.Int8Frac == r.cur.Int8Frac
 	gain := 0.0
 	if curCost > 0 {
 		gain = (curCost - bestCost) / curCost
 	}
-	if !depthOnly && gain < replanMinRelGain {
+	if gain < replanMinRelGain {
 		return r.cur, false
 	}
 	r.Events = append(r.Events, ReplanEvent{
@@ -332,8 +296,7 @@ func adoptParams(e *engine.Engine, src *nn.Model) {
 // TrainAdaptive runs the full pipeline with online re-planning: plan,
 // train, and at every epoch boundary recalibrate the cost model from
 // the measured stage times and — behind the hysteresis guard — switch
-// strategy, pipeline depth, or cache-tier split for the remaining
-// epochs.
+// strategy or cache-tier split for the remaining epochs.
 func (a *APT) TrainAdaptive(epochs int) (*Result, error) {
 	return a.TrainAdaptiveContext(context.Background(), epochs)
 }
@@ -349,7 +312,7 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, er
 	devices := a.task.Platform.NumDevices()
 	cm := &CostModel{Profile: a.profile, Devices: devices, IncludeTrain: true}
 	rp := NewReplanner(cm, a.dryRun.PerStrategy, a.dryRun.Freq,
-		a.task.CacheBytes, a.task.FeatDim, devices, a.task.Pipeline,
+		a.task.CacheBytes, a.task.FeatDim, devices,
 		Plan{Kind: a.Choice, Int8Frac: a.int8Frac})
 	if a.resumeReplan != nil {
 		// A resumed run adopts the interrupted run's learned state: the
@@ -368,22 +331,15 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, er
 }
 
 // replan shows the re-planner the epoch that just completed (done in
-// all) and applies its decision: nothing, a resize of the live
-// engine's prefetch bound, or a rebuilt engine that adopts the trained
-// parameters. It returns the engine the next epoch runs on — e unless a
-// rebuild succeeded.
+// all) and applies its decision: nothing, or a rebuilt engine that
+// adopts the trained parameters. It returns the engine the next epoch
+// runs on — e unless a rebuild succeeded.
 func (a *APT) replan(rp *Replanner, e *engine.Engine, done int, st engine.EpochStats) (*engine.Engine, error) {
-	prev := rp.Current()
 	next, switched := rp.Observe(done-1, st)
 	if !switched {
 		return e, nil
 	}
 	a.reg.Counter("apt_replan_switches_total", "Online re-planner plan switches applied.").Inc()
-	if next.Kind == prev.Kind && next.Int8Frac == prev.Int8Frac {
-		// Depth-only resize: no rebuild.
-		e.EnablePipeline(next.PipelineDepth)
-		return e, nil
-	}
 	a.int8Frac = next.Int8Frac
 	// Completed epochs move into the base across the rebuild, so the
 	// epoch counter (and any snapshot of it) spans engines.
@@ -391,9 +347,6 @@ func (a *APT) replan(rp *Replanner, e *engine.Engine, done int, st engine.EpochS
 	rebuilt, err := a.BuildEngine(next.Kind)
 	if err != nil {
 		return e, err
-	}
-	if a.task.Pipeline && next.PipelineDepth > 0 {
-		rebuilt.EnablePipeline(next.PipelineDepth)
 	}
 	adoptParams(rebuilt, e.Model(e.Ranks()[0]))
 	return rebuilt, nil

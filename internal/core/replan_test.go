@@ -85,7 +85,7 @@ func replanFreq() []int64 {
 func newTestReplanner() *Replanner {
 	cm := &CostModel{Profile: replanProfile(), Devices: 2, IncludeTrain: true}
 	return NewReplanner(cm, replanStats(), replanFreq(),
-		64*1024, 16, 2, false, Plan{Kind: strategy.GDP})
+		64*1024, 16, 2, Plan{Kind: strategy.GDP})
 }
 
 // measuredGDP is an honest epoch of the GDP plan: sampling and
@@ -160,6 +160,29 @@ func TestReplannerCooldownBlocksImmediateSwitchBack(t *testing.T) {
 	next, switched := rp.Observe(1, engine.EpochStats{SampleSec: 0.01, LoadSec: 0.001, TrainSec: 0.05, ShuffleSec: 0.04})
 	if switched || next != cur {
 		t.Fatalf("switched to %v during cooldown; want %v held", next, cur)
+	}
+}
+
+// TestPipelinedAdaptiveRunHoldsPlan: pipelining a task changes neither
+// its strategy nor its tier split, so a pipelined adaptive run whose
+// candidates never clear the hysteresis guard records no switch.
+func TestPipelinedAdaptiveRunHoldsPlan(t *testing.T) {
+	task := testTask(t, "PS", 4, 32)
+	task.Pipeline = true
+	task.Int8CacheFrac = 0.5
+	a, err := New(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.TrainAdaptive(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Replans) != 0 {
+		t.Errorf("pipelined adaptive run switched plans: %+v", res.Replans)
+	}
+	if n := a.Metrics().Counter("apt_replan_switches_total", "").Value(); n != 0 {
+		t.Errorf("apt_replan_switches_total = %d, want 0", n)
 	}
 }
 

@@ -95,15 +95,12 @@ type Config struct {
 	PreSampled [][]*sample.MiniBatch
 	// Pipeline overlaps each worker's sampling with its compute: a
 	// per-worker prefetch goroutine samples mini-batch t+1 while batch t
-	// computes, bounded by a channel of depth PipelineDepth. Real mode
-	// trains bit-identically to the synchronous path (the prefetcher
-	// preserves the sampler's RNG stream order); both modes additionally
-	// track the overlapped schedule on the simulated clocks and report
-	// it as EpochStats.MeasuredPipelinedSec.
+	// computes, with at most two sampled batches waiting ahead of
+	// compute. Real mode trains bit-identically to the synchronous path
+	// (the prefetcher preserves the sampler's RNG stream order); both
+	// modes additionally track the overlapped schedule on the simulated
+	// clocks and report it as EpochStats.MeasuredPipelinedSec.
 	Pipeline bool
-	// PipelineDepth bounds how many sampled batches may wait ahead of
-	// compute (<=0 selects the default of 2).
-	PipelineDepth int
 	// Spans, when non-nil, collects per-step spans (stage, device,
 	// step, bytes, simulated clock) onto one track per device — plus a
 	// sampler track and a comm track each — for the Chrome trace and
@@ -344,13 +341,6 @@ func (e *Engine) seedPlan() *sample.SeedPlan {
 	return sample.SplitEven(e.cfg.Seeds, n, e.epochRNG)
 }
 
-// EnablePipeline switches the engine to prefetch-overlapped execution
-// (see Config.Pipeline); depth <= 0 selects the default channel depth.
-func (e *Engine) EnablePipeline(depth int) {
-	e.cfg.Pipeline = true
-	e.cfg.PipelineDepth = depth
-}
-
 // RunEpoch executes one training epoch and returns its statistics.
 func (e *Engine) RunEpoch() EpochStats {
 	st, _ := e.RunEpochContext(context.Background())
@@ -436,8 +426,8 @@ func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPl
 	var ahead chan batch
 	var sched *overlapSchedule
 	if e.cfg.Pipeline {
-		sched = newOverlapSchedule(w.dev, numBatches, e.pipelineDepth())
-		ahead = make(chan batch, sched.depth) // the prefetch bound
+		sched = newOverlapSchedule(w.dev, numBatches)
+		ahead = make(chan batch, pipelineDepth) // the prefetch bound
 		go e.runPrefetcher(w, plan, numBatches, ahead)
 	}
 	var snap stageSnapshot
@@ -598,7 +588,7 @@ func (e *Engine) syncGradients(w *worker) {
 	// whole collective is exposed (nothing hides it), so the cost models
 	// see GradExposedSec == GradCommSec here, against which a bucketed
 	// real run's measured overlap can be compared.
-	sec, _, _ := e.Comm.AllReduceModel(total, e.gradCodec)
+	sec, _ := e.Comm.AllReduceModel(total, e.gradCodec)
 	w.stats.GradCommSec += sec
 	w.stats.GradExposedSec += sec
 	if w.real() {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/device"
-	"repro/internal/hardware"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -19,7 +18,7 @@ import (
 //
 // Concurrency contract: the sync goroutine issues ONLY ring data-plane
 // transfers (comm.RingAllReduceData) — it never touches the simulated
-// clocks, the ledger, or span tracks. The worker goroutine never
+// clocks or the span tracks. The worker goroutine never
 // issues collectives of its own while bucket transfers are in flight:
 // when the strategy's layer-1 backward communicates
 // (placement.backwardIsLocal() == false), the worker drains the
@@ -68,11 +67,10 @@ type gradBucket struct {
 	layer  int // model layer index (bucket order is reverse of this)
 	params []*nn.Param
 	flat   []float32
-	// commSec/wire/kind are the bucket's modeled allreduce cost
+	// commSec/wire are the bucket's modeled allreduce cost
 	// (comm.AllReduceModel), fixed for the run.
 	commSec float64
 	wire    int64
-	kind    hardware.LinkKind
 	// res holds the int8 error-feedback residual (DESIGN decision 18):
 	// the quantization error of this rank's previous contribution,
 	// added back before encoding the next one. enc/dq are the local
@@ -94,7 +92,7 @@ func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
 			elems += len(p.G.Data)
 		}
 		b.flat = make([]float32, elems)
-		b.commSec, b.wire, b.kind = w.eng.Comm.AllReduceModel(elems, codec)
+		b.commSec, b.wire = w.eng.Comm.AllReduceModel(elems, codec)
 		if ef {
 			b.res = make([]float32, elems)
 			b.enc = make([]byte, codec.EncodedLen(elems))
@@ -177,7 +175,7 @@ func (gs *gradSync) drainInFlight() {
 
 // settle places the launched-but-unscheduled buckets on the timeline —
 // each starts at max(its launch clock, the previous bucket's end) —
-// emits their spans and ledger entries, and charges the exposed tail
+// emits their spans, and charges the exposed tail
 // (scheduled end beyond the current compute clock) to the train stage.
 // Called at every join point, so simulated time never runs backwards
 // relative to collectives the worker issues afterwards.
@@ -199,7 +197,6 @@ func (gs *gradSync) settle() {
 			start = gs.prevEnd // transfers serialize on the ring
 		}
 		track.Emit("allreduce", b.layer, base+start, b.commSec, b.wire)
-		c.Ledger.Add("allreduce", b.kind, b.wire)
 		gs.prevEnd = start + b.commSec
 		w.stats.GradCommSec += b.commSec
 	}

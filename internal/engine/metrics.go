@@ -103,11 +103,11 @@ type EpochStats struct {
 	// MeasuredPipelinedSec is the epoch time actually tracked by the
 	// pipelined engine (Config.Pipeline): the max across workers of the
 	// overlapped sample/compute schedule on the simulated clocks. Zero
-	// when the engine ran synchronously. Always <= EpochTime() and >=
-	// the idealized PipelinedTime() lower bound is NOT guaranteed —
-	// PipelinedTime assumes three-way overlap of sampling, loading, and
-	// training, while the engine overlaps sampling against everything
-	// else, so the measured value sits between the two in practice.
+	// when the engine ran synchronously. It is always <= EpochTime().
+	// In practice it also lies above the idealized PipelinedTime(), but
+	// that is not guaranteed: PipelinedTime assumes three-way overlap of
+	// sampling, loading and training, while the engine overlaps only
+	// sampling against everything else.
 	MeasuredPipelinedSec float64
 	// MeanLoss is the average global mini-batch loss (real mode).
 	MeanLoss float64

@@ -26,7 +26,6 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 		}
 		cfg := f.config(k, newModel, plan, []int{5, 5})
 		cfg.Pipeline = true
-		cfg.PipelineDepth = 2
 		pip, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -67,11 +66,11 @@ func TestPipelinedMatchesSequentialGAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := f.config(strategy.GDP, newModel, plan, []int{4, 4})
+	cfg.Pipeline = true
 	pipEng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipEng.EnablePipeline(0) // 0 -> default depth
 	seq.RunEpoch()
 	pipEng.RunEpoch()
 	if d := paramsDiff(seq, pipEng); d != 0 {

@@ -65,13 +65,6 @@ func (e *Engine) SetRNGCursors(samplers [][4]uint64, epoch [4]uint64) error {
 // state; whether it is stateful is the caller's type assertion).
 func (e *Engine) Optimizer(dev int) nn.Optimizer { return e.worker(dev).opt }
 
-// PipelineState reports whether the engine overlaps sampling with
-// compute and under what prefetch bound — the live values, including
-// any EnablePipeline resize applied after construction.
-func (e *Engine) PipelineState() (pipelined bool, depth int) {
-	return e.cfg.Pipeline, e.cfg.PipelineDepth
-}
-
 // EpochsRun counts epochs this engine instance completed in full;
 // cancelled epochs do not count, so after a mid-epoch kill the counter
 // still names the last epoch boundary — exactly the state a snapshot

@@ -179,12 +179,12 @@ func (e *Env) AblationPipelining() (string, error) {
 			return "", err
 		}
 		measured := map[strategy.Kind]float64{}
+		res.APT.Task().Pipeline = true // res.Stats stay the synchronous dry-run's
 		for _, k := range strategy.Core {
 			eng, err := res.APT.BuildEngine(k)
 			if err != nil {
 				return "", err
 			}
-			eng.EnablePipeline(2)
 			measured[k] = eng.RunEpoch().MeasuredPipelinedSec
 		}
 		rows := [][]string{}

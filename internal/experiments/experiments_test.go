@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"flag"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -149,15 +151,26 @@ func TestMeanStats(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// wallClockLine matches the one report line that measures the host
+// rather than the simulated platform.
+var wallClockLine = regexp.MustCompile(`(?m)^dry-run \(plan\) wall time: .*\n`)
+
 // TestAllExperimentsSmoke runs every experiment in All — the list
 // aptbench dispatches on — end-to-end at a tiny scale (skipped with
-// -short). It guards the whole harness against regressions.
+// -short) and pins the reports against testdata/all.golden (rewrite it
+// with -update). The golden is what `aptbench -exp all -scale 0.03
+// -epochs 1 -devices 4 -batch 32 -o file` writes, minus the plan
+// wall-time line: every other number is simulated, so any change to a
+// report is a change to the reproduction.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: full experiment sweep")
 	}
 	e := NewEnv(Options{Scale: 0.03, Epochs: 1, Devices: 4, BatchSize: 32})
 	seen := map[string]bool{}
+	var all strings.Builder
 	for _, exp := range All {
 		if seen[exp.ID] {
 			t.Errorf("experiment id %q listed twice", exp.ID)
@@ -170,6 +183,31 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		if len(out) < 50 {
 			t.Errorf("%s: suspiciously short report", exp.ID)
 		}
+		all.WriteString(wallClockLine.ReplaceAllString(out, ""))
+		all.WriteString("\n")
+	}
+
+	golden := filepath.Join("testdata", "all.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (rerun with -update to regenerate): %v", err)
+	}
+	if got := all.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("reports differ from %s at line %d:\n got: %s\nwant: %s\n(rerun with -update if the change is intended)", golden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("reports differ from %s in length: %d lines, want %d (rerun with -update if the change is intended)", golden, len(gl), len(wl))
 	}
 }
 

@@ -56,7 +56,7 @@ func (m *Matrix) Zero() {
 }
 
 // Bytes returns the payload size in bytes (4 bytes per element), the
-// unit the communication volume ledger accounts in.
+// unit communication volumes are accounted in.
 func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 4 }
 
 // AddInPlace computes m += x.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/obs"
 )
 
 // TCPOptions configures a TCP transport rank.
@@ -39,14 +38,6 @@ type TCPOptions struct {
 	// MaxFrameBytes rejects frames larger than this (default
 	// DefaultMaxFrameBytes).
 	MaxFrameBytes int64
-	// Reg, when non-nil, receives wire metrics: apt_transport_tx/rx
-	// bytes and frame counters.
-	Reg *obs.Registry
-	// Spans, when non-nil, collects one receive track per peer with a
-	// span per inbound frame (wall-clock axis, bytes on the span) —
-	// the wire-level view next to the engine's simulated-clock comm
-	// spans.
-	Spans *obs.Collector
 }
 
 func (o *TCPOptions) normalize() error {
@@ -101,10 +92,6 @@ type TCP struct {
 
 	failMu sync.Mutex
 	failed error
-
-	start time.Time
-
-	txBytes, rxBytes, txFrames, rxFrames *obs.Counter
 }
 
 type tcpPeer struct {
@@ -112,7 +99,6 @@ type tcpPeer struct {
 	conn net.Conn
 	out  chan []byte       // encoded frames, drained by the writer
 	in   chan comm.Payload // decoded frames, filled by the reader
-	rx   *obs.Track
 }
 
 // outboxDepth bounds queued outbound frames per peer. Lockstep keeps
@@ -127,8 +113,6 @@ const inboxDepth = 16
 
 // NewTCP bootstraps this rank into the group (see bootstrap.go for
 // the rendezvous protocol) and returns the connected transport.
-//
-//apt:allow simclock connection management only: dial retry backoff and bootstrap deadlines are inherently wall-clock; no payload data or timing model depends on them
 func NewTCP(opts TCPOptions) (*TCP, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -142,13 +126,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 		world:    opts.World,
 		maxFrame: opts.MaxFrameBytes,
 		peers:    make([]*tcpPeer, opts.World),
-		start:    time.Now(),
-	}
-	if r := opts.Reg; r != nil {
-		t.txBytes = r.Counter("apt_transport_tx_bytes_total", "Payload bytes serialized onto the wire.")
-		t.rxBytes = r.Counter("apt_transport_rx_bytes_total", "Payload bytes decoded off the wire.")
-		t.txFrames = r.Counter("apt_transport_tx_frames_total", "Frames sent.")
-		t.rxFrames = r.Counter("apt_transport_rx_frames_total", "Frames received.")
 	}
 	for peer, conn := range conns {
 		if peer == opts.Rank {
@@ -159,9 +136,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 			conn: conn,
 			out:  make(chan []byte, outboxDepth),
 			in:   make(chan comm.Payload, inboxDepth),
-		}
-		if opts.Spans != nil {
-			p.rx = opts.Spans.AddTrack("wire", fmt.Sprintf("rank%d/rx%d", opts.Rank, peer))
 		}
 		t.peers[peer] = p
 		t.wgWrite.Add(1)
@@ -214,7 +188,7 @@ func (t *TCP) Send(src, dst int, p comm.Payload) {
 	if peer == nil {
 		panic(fmt.Sprintf("transport: rank %d send to self", t.rank))
 	}
-	t.countTx(t.enqueue(peer, t.encodeFrame(p)))
+	t.enqueue(peer, t.encodeFrame(p))
 }
 
 // Broadcast implements comm.Broadcaster: one serialization, one frame
@@ -231,7 +205,7 @@ func (t *TCP) Broadcast(src int, p comm.Payload) {
 		if dst == t.rank {
 			continue
 		}
-		t.countTx(t.enqueue(peer, frame))
+		t.enqueue(peer, frame)
 	}
 }
 
@@ -251,18 +225,8 @@ func (t *TCP) encodeFrame(p comm.Payload) []byte {
 	return frame
 }
 
-// countTx records one physically enqueued frame (Broadcast enqueues
-// the same frame once per peer, and each copy crosses its own socket).
-func (t *TCP) countTx(body int64) {
-	if t.txBytes != nil {
-		t.txBytes.Add(body)
-		t.txFrames.Inc()
-	}
-}
-
-// enqueue pushes a frame onto peer's outbox and returns its body
-// length for tx accounting.
-func (t *TCP) enqueue(peer *tcpPeer, frame []byte) int64 {
+// enqueue pushes a frame onto peer's outbox.
+func (t *TCP) enqueue(peer *tcpPeer, frame []byte) {
 	select {
 	case peer.out <- frame:
 	default:
@@ -274,7 +238,6 @@ func (t *TCP) enqueue(peer *tcpPeer, frame []byte) int64 {
 		}
 		peer.out <- frame
 	}
-	return int64(len(frame) - 4)
 }
 
 // Recv implements comm.Transport. dst must be this process's rank.
@@ -308,7 +271,6 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	}
 }
 
-//apt:allow simclock wire receive spans sit on a wall-clock axis by definition (they time real sockets, not the simulated platform)
 func (t *TCP) readLoop(p *tcpPeer) {
 	defer t.wgRead.Done()
 	defer close(p.in)
@@ -329,7 +291,6 @@ func (t *TCP) readLoop(p *tcpPeer) {
 			t.fail(fmt.Errorf("transport: rank %d from rank %d: %d-byte frame: %w", t.rank, p.rank, n, ErrOversized))
 			return
 		}
-		rxStart := time.Since(t.start).Seconds()
 		body := make([]byte, n)
 		if _, err := io.ReadFull(p.conn, body); err != nil {
 			t.fail(fmt.Errorf("transport: rank %d read from rank %d: %w", t.rank, p.rank, err))
@@ -340,11 +301,6 @@ func (t *TCP) readLoop(p *tcpPeer) {
 			t.fail(fmt.Errorf("transport: rank %d decode from rank %d: %w", t.rank, p.rank, err))
 			return
 		}
-		if t.rxBytes != nil {
-			t.rxBytes.Add(n)
-			t.rxFrames.Inc()
-		}
-		p.rx.Emit("rx", -1, rxStart, time.Since(t.start).Seconds()-rxStart, n)
 		p.in <- pl
 	}
 }
