@@ -17,6 +17,14 @@ import (
 // see all of its sources (the paper's §3.3 point about SNP/NFP paying
 // extra communication for attention models), which is why
 // NeedsDstInSrc is true: the destination's own projection feeds aL.
+//
+// The layer computes on the packed layout: one [rows, heads·dh] matrix
+// with head k in column band [k·dh, (k+1)·dh). All heads are projected
+// by one GEMM and their weight gradients accumulated by one pass, and
+// the attention kernels read and write each head's band in place. Per
+// output element every kernel adds in the order the per-head products
+// did, so the packed layer is bit-identical to running the heads one
+// at a time.
 type GATLayer struct {
 	// Ws[k] projects inputs for head k; ALs[k]/ARs[k] are the
 	// destination/source halves of head k's attention vector, stored as
@@ -63,12 +71,6 @@ func (l *GATLayer) Params() []*Param {
 // NeedsDstInSrc implements Layer.
 func (l *GATLayer) NeedsDstInSrc() bool { return true }
 
-type gatHeadCtx struct {
-	z     *tensor.Matrix // projected sources [nSrc, dh]
-	sRaw  []float32      // pre-LeakyReLU logits
-	alpha []float32      // attention probabilities
-}
-
 type gatCtx struct {
 	h    *tensor.Matrix    // layer input on the plain path
 	src  tensor.FeatSource // the feature store view when idx is set
@@ -76,32 +78,75 @@ type gatCtx struct {
 	attn *gatAttnCtx
 }
 
-// setHead copies the [rows, dh] matrix zk into head k's column band of
-// the packed [rows, heads·dh] matrix z; getHead is the reverse copy.
-// Projections and their gradients cross the wire packed, one row per
-// node, while the attention kernels work one head at a time.
-func setHead(z *tensor.Matrix, k int, zk *tensor.Matrix) {
-	dh := zk.Cols
-	for i := 0; i < zk.Rows; i++ {
-		copy(z.Row(i)[k*dh:(k+1)*dh], zk.Row(i))
-	}
+// gatAttnCtx carries the attention intermediates from Finish to
+// FinishBackward: the packed projection z of every block source, which
+// it owns, and per head the pre-LeakyReLU logits and the attention
+// probabilities.
+type gatAttnCtx struct {
+	z     *tensor.Matrix
+	sRaw  [][]float32
+	alpha [][]float32
+	out   *tensor.Matrix
 }
 
-func getHead(zk *tensor.Matrix, z *tensor.Matrix, k int) {
-	dh := zk.Cols
-	for i := 0; i < zk.Rows; i++ {
-		copy(zk.Row(i), z.Row(i)[k*dh:(k+1)*dh])
-	}
+// band is head k's column range in the packed layout.
+func (l *GATLayer) band(k int) (lo, hi int) {
+	dh := l.OutPerHead()
+	return k * dh, (k + 1) * dh
 }
 
-// projectHead computes head k's source projection Z = input · W_k over
-// a plain input h or — when idx is set — feature rows read through idx
-// with no gathered copy, dequantizing warm-tier rows on the fly.
-func (l *GATLayer) projectHead(k int, h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
+// packed returns rows [lo, hi) of every head's weight (or, with grad
+// set, gradient) side by side: a [hi-lo, heads·dh] matrix, pooled, that
+// the caller hands back to unpack. One head's matrix is used directly.
+func (l *GATLayer) packed(grad bool, lo, hi int) *tensor.Matrix {
+	if l.Heads == 1 {
+		return rowShard(weightOrGrad(l.Ws[0], grad), lo, hi)
+	}
+	p := tensor.Get(hi-lo, l.OutDim())
+	for k, w := range l.Ws {
+		b0, b1 := l.band(k)
+		m := weightOrGrad(w, grad)
+		for r := lo; r < hi; r++ {
+			copy(p.Row(r - lo)[b0:b1], m.Row(r))
+		}
+	}
+	return p
+}
+
+// unpack releases a matrix from packed, first copying each head's band
+// back into its gradient when grad is set.
+func (l *GATLayer) unpack(p *tensor.Matrix, grad bool, lo, hi int) {
+	if l.Heads == 1 {
+		return
+	}
+	if grad {
+		for k, w := range l.Ws {
+			b0, b1 := l.band(k)
+			for r := lo; r < hi; r++ {
+				copy(w.G.Row(r), p.Row(r - lo)[b0:b1])
+			}
+		}
+	}
+	tensor.Put(p)
+}
+
+func weightOrGrad(p *Param, grad bool) *tensor.Matrix {
+	if grad {
+		return p.G
+	}
+	return p.W
+}
+
+// project computes every head's source projection, packed, over a
+// plain input h or — when idx is set — feature rows read through idx.
+func (l *GATLayer) project(h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
 	if idx != nil {
-		return tensor.GatherMatMulSrc(src, idx, l.Ws[k].W)
+		return l.ProjectCols(src, idx, 0, l.InDim())
 	}
-	return tensor.MatMul(h, l.Ws[k].W)
+	w := l.packed(false, 0, l.InDim())
+	z := tensor.MatMul(h, w)
+	l.unpack(w, false, 0, l.InDim())
+	return z
 }
 
 // ProjWidth implements SplitLayer: all heads, packed side by side.
@@ -111,25 +156,23 @@ func (l *GATLayer) ProjWidth() int { return l.OutDim() }
 // source's full projection, so nothing can be reduced before shipping.
 func (l *GATLayer) PreSums() bool { return false }
 
-// ProjectCols implements SplitLayer: every head's projection, packed.
+// ProjectCols implements SplitLayer: every head's projection in one
+// GEMM over the packed weight; the kernel reads the feature store
+// through idx, dequantizing warm-tier rows once for all heads.
 func (l *GATLayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
-	z := tensor.New(len(idx), l.OutDim())
-	for k := range l.Ws {
-		zk := tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, rowShard(l.Ws[k].W, lo, hi))
-		setHead(z, k, zk)
-		tensor.Put(zk)
-	}
+	w := l.packed(false, lo, hi)
+	z := tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, w)
+	l.unpack(w, false, lo, hi)
 	return z
 }
 
-// ProjectColsBackward implements SplitLayer.
+// ProjectColsBackward implements SplitLayer: one accumulate into the
+// packed gradient, which is exactly each head's accumulate into its own
+// — also when a rank calls it several times per step into the same G.
 func (l *GATLayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
-	dZk := tensor.Get(dZ.Rows, l.OutPerHead())
-	for k := range l.Ws {
-		getHead(dZk, dZ, k)
-		tensor.GatherTMatMulAccSliceSrc(rowShard(l.Ws[k].G, lo, hi), feats, idx, lo, hi, dZk)
-	}
-	tensor.Put(dZk)
+	g := l.packed(true, lo, hi)
+	tensor.GatherTMatMulAccSliceSrc(g, feats, idx, lo, hi, dZ)
+	l.unpack(g, true, lo, hi)
 }
 
 // FLOPs implements Layer. Per head: projection, then attention scores
@@ -139,115 +182,96 @@ func (l *GATLayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
 	return 2 * float64(nSrc) * float64(cols) * out, 6 * float64(nEdges) * out
 }
 
-// headAttention runs one head's attention given the already-projected
-// sources z (rows aligned with blk.Src; rows [:NumDst] are the
-// destinations' own projections).
-func (l *GATLayer) headAttention(k int, blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, gatHeadCtx) {
-	er := tensor.MatMul(z, l.ARs[k].W) // [nSrc, 1]
-	nDst := blk.NumDst()
-	el := make([]float32, nDst)
-	zdst := tensor.FromData(nDst, z.Cols, z.Data[:nDst*z.Cols])
-	elm := tensor.MatMul(zdst, l.ALs[k].W)
-	copy(el, elm.Data)
-	tensor.Put(elm)
-	sRaw := tensor.SDDMMAdd(blk.EdgePtr, blk.SrcIdx, el, er.Data)
-	tensor.Put(er)
-	s := tensor.LeakyReLUSlice(sRaw, l.NegativeSlope)
-	alpha := tensor.SegmentSoftmax(blk.EdgePtr, s)
-	o := tensor.SegmentWeightedSum(blk.EdgePtr, blk.SrcIdx, alpha, z)
-	return o, gatHeadCtx{z: z, sRaw: sRaw, alpha: alpha}
-}
-
-// gatAttnCtx carries the attention intermediates of all heads between
-// attentionForward and attentionBackward.
-type gatAttnCtx struct {
-	heads []gatHeadCtx
-	out   *tensor.Matrix
-}
-
-// attentionForward runs every head's attention given the per-head
-// source projections zs (each aligned with blk.Src) and returns the
-// concatenated, activated output.
-func (l *GATLayer) attentionForward(blk *sample.Block, zs []*tensor.Matrix) (*tensor.Matrix, *gatAttnCtx) {
-	concat := tensor.Get(blk.NumDst(), l.OutDim())
-	ctx := &gatAttnCtx{heads: make([]gatHeadCtx, l.Heads)}
+// Finish implements SplitLayer: z holds every block source's packed
+// projection (rows [:NumDst] are the destinations' own); each head's
+// attention runs on its band and writes its band of the concatenated,
+// activated output. The context keeps z.
+func (l *GATLayer) Finish(blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
+	nDst, nSrc := blk.NumDst(), blk.NumSrc()
+	out := tensor.Get(nDst, l.OutDim())
+	c := &gatAttnCtx{z: z, sRaw: make([][]float32, l.Heads), alpha: make([][]float32, l.Heads), out: out}
+	e := tensor.Get(1, nDst+nSrc)
+	el, er := e.Data[:nDst], e.Data[nDst:]
 	for k := 0; k < l.Heads; k++ {
-		o, hc := l.headAttention(k, blk, zs[k])
-		ctx.heads[k] = hc
-		setHead(concat, k, o)
-		tensor.Put(o)
+		lo, hi := l.band(k)
+		tensor.MatVecSlice(el, z, lo, hi, l.ALs[k].W.Data)
+		tensor.MatVecSlice(er, z, lo, hi, l.ARs[k].W.Data)
+		c.sRaw[k] = tensor.SDDMMAdd(blk.EdgePtr, blk.SrcIdx, el, er)
+		c.alpha[k] = tensor.SegmentSoftmax(blk.EdgePtr, tensor.LeakyReLUSlice(c.sRaw[k], l.NegativeSlope))
+		tensor.SegmentWeightedSum(out, blk.EdgePtr, blk.SrcIdx, c.alpha[k], z, lo, hi)
 	}
-	// Activation applied in place on the concat buffer — no extra clone.
+	tensor.Put(e)
 	if l.Act == ActReLU {
-		tensor.ReLUInPlace(concat)
+		tensor.ReLUInPlace(out)
 	}
-	ctx.out = concat
-	return ctx.out, ctx
+	return out, c
 }
 
-// attentionBackward propagates dOut through activation and every
-// head's attention, accumulating aL/aR gradients, and returns the
-// per-head gradients w.r.t. the projections zs. The activation mask is
-// fused into the per-head slice extraction, eliminating the masked
-// copy of the full concatenated gradient.
-func (l *GATLayer) attentionBackward(blk *sample.Block, ctx *gatAttnCtx, dOut *tensor.Matrix) []*tensor.Matrix {
-	nDst := blk.NumDst()
-	dh := l.OutPerHead()
-	relu := l.Act == ActReLU
-	dZs := make([]*tensor.Matrix, l.Heads)
+// FinishBackward implements SplitLayer: the packed gradient of z,
+// accumulating the attention vectors' gradients. It releases z.
+func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	c := ctx.(*gatAttnCtx)
+	nDst, nSrc := blk.NumDst(), blk.NumSrc()
+	dO := dOut
+	if l.Act == ActReLU {
+		dO = tensor.ReLUBackward(c.out, dOut)
+	}
+	dZ := tensor.Get(nSrc, l.OutDim())
+	zdst := tensor.FromData(nDst, c.z.Cols, c.z.Data[:nDst*c.z.Cols])
+	dAlpha := make([]float32, len(blk.SrcIdx))
+	dE := tensor.Get(1, nDst+nSrc)
+	dEl, dEr := dE.Data[:nDst], dE.Data[nDst:]
 	for k := 0; k < l.Heads; k++ {
-		dO := tensor.Get(nDst, dh)
+		lo, hi := l.band(k)
+		tensor.SegmentWeightedSumBackward(dZ, dAlpha, blk.EdgePtr, blk.SrcIdx, c.alpha[k], c.z, dO, lo, hi)
+		dS := tensor.SegmentSoftmaxBackward(blk.EdgePtr, c.alpha[k], dAlpha)
+		dSRaw := tensor.LeakyReLUSliceBackward(c.sRaw[k], dS, l.NegativeSlope)
+		dE.Zero()
 		for i := 0; i < nDst; i++ {
-			dr := dOut.Row(i)[k*dh : (k+1)*dh]
-			dst := dO.Row(i)
-			if relu {
-				or := ctx.out.Row(i)[k*dh : (k+1)*dh]
-				for j := range dst {
-					if or[j] > 0 { // dO starts zeroed; masked entries stay 0
-						dst[j] = dr[j]
-					}
-				}
-			} else {
-				copy(dst, dr)
+			for e := blk.EdgePtr[i]; e < blk.EdgePtr[i+1]; e++ {
+				dEl[i] += dSRaw[e]
+				dEr[blk.SrcIdx[e]] += dSRaw[e]
 			}
 		}
-		dZs[k] = l.headBackwardToProjection(k, blk, ctx.heads[k], dO)
+		addAttnGrad(l.ALs[k].G, zdst, lo, hi, dEl)
+		addAttnGrad(l.ARs[k].G, c.z, lo, hi, dEr)
+		aL, aR := l.ALs[k].W.Data, l.ARs[k].W.Data
+		for i := 0; i < nDst; i++ {
+			row := dZ.Row(i)[lo:hi]
+			for j := range row {
+				row[j] += dEl[i] * aL[j]
+			}
+		}
+		for i := 0; i < nSrc; i++ {
+			row := dZ.Row(i)[lo:hi]
+			for j := range row {
+				row[j] += dEr[i] * aR[j]
+			}
+		}
+	}
+	if dO != dOut {
 		tensor.Put(dO)
 	}
-	return dZs
-}
-
-// Finish implements SplitLayer: z holds every block source's packed
-// projection; attention runs on its per-head columns.
-func (l *GATLayer) Finish(blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
-	zs := make([]*tensor.Matrix, l.Heads)
-	for k := range zs {
-		zs[k] = tensor.New(z.Rows, l.OutPerHead())
-		getHead(zs[k], z, k)
-	}
-	tensor.Put(z)
-	return l.attentionForward(blk, zs)
-}
-
-// FinishBackward implements SplitLayer: the packed gradient of z.
-func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	dZ := tensor.New(blk.NumSrc(), l.OutDim())
-	for k, dZk := range l.attentionBackward(blk, ctx.(*gatAttnCtx), dOut) {
-		setHead(dZ, k, dZk)
-		tensor.Put(dZk)
-	}
+	tensor.Put(dE)
+	tensor.Put(c.z)
 	return dZ
 }
 
+// addAttnGrad adds z[:, lo:hi]ᵀ · d to an attention vector's gradient
+// g. The product is formed from +0 before it is added, and keeps the
+// transposed accumulate's k-split at any GOMAXPROCS.
+func addAttnGrad(g, z *tensor.Matrix, lo, hi int, d []float32) {
+	t := tensor.Get(hi-lo, 1)
+	tensor.TMatMulAccSlice(t, z, lo, hi, tensor.FromData(len(d), 1, d))
+	g.AddInPlace(t)
+	tensor.Put(t)
+}
+
 // forward is the shared training forward over a plain or gather-fused
-// input.
+// input: Finish on the packed projection.
 func (l *GATLayer) forward(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
-	zs := make([]*tensor.Matrix, l.Heads)
-	for k := range zs {
-		zs[k] = l.projectHead(k, h, src, idx)
-	}
-	out, attn := l.attentionForward(blk, zs)
-	return out, &gatCtx{h: h, src: src, idx: idx, attn: attn}
+	out, attn := l.Finish(blk, l.project(h, src, idx))
+	return out, &gatCtx{h: h, src: src, idx: idx, attn: attn.(*gatAttnCtx)}
 }
 
 // Forward implements Layer.
@@ -258,7 +282,7 @@ func (l *GATLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix,
 	return l.forward(blk, h, tensor.FeatSource{}, nil)
 }
 
-// ForwardGathered implements GatherLayer: per-head projections read the
+// ForwardGathered implements GatherLayer: the projection reads the
 // feature store through idx, no gathered copy.
 func (l *GATLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
 	if len(idx) != blk.NumSrc() {
@@ -270,32 +294,33 @@ func (l *GATLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, i
 	return l.forward(blk, nil, feats, idx)
 }
 
-// backward is the shared backward: attention and projection parameter
-// gradients always; the input gradient (one dH GEMM per head) only when
-// wantInput is set, nil otherwise.
-func (l *GATLayer) backward(blk *sample.Block, ctx *gatCtx, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
-	dZs := l.attentionBackward(blk, ctx.attn, dOut)
-	var dHTotal *tensor.Matrix
-	if wantInput {
-		dHTotal = tensor.Get(blk.NumSrc(), l.InDim())
+// backward is the shared backward, FinishBackward then the projection's:
+// attention and projection parameter gradients always; the input
+// gradient (one dH GEMM per head) only when wantInput is set, nil
+// otherwise.
+func (l *GATLayer) backward(blk *sample.Block, c *gatCtx, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dZ := l.FinishBackward(blk, c.attn, dOut)
+	if c.idx != nil {
+		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
+	} else {
+		g := l.packed(true, 0, l.InDim())
+		tensor.TMatMulAcc(g, c.h, dZ)
+		l.unpack(g, true, 0, l.InDim())
 	}
-	for k, dZ := range dZs {
-		if ctx.idx != nil {
-			tensor.GatherTMatMulAccSrc(l.Ws[k].G, ctx.src, ctx.idx, dZ)
-		} else {
-			tensor.TMatMulAcc(l.Ws[k].G, ctx.h, dZ)
+	var dH *tensor.Matrix
+	for k := 0; wantInput && k < l.Heads; k++ {
+		lo, hi := l.band(k)
+		dHk := tensor.MatMulTSlice(dZ, lo, hi, l.Ws[k].W)
+		if dH == nil {
+			// +0 + dH₀ is dH₀: a +0-rooted sum is never −0.
+			dH = dHk
+			continue
 		}
-		if wantInput {
-			dH := tensor.MatMulT(dZ, l.Ws[k].W)
-			dHTotal.AddInPlace(dH)
-			tensor.Put(dH)
-		}
-		tensor.Put(dZ)
-		// zs[k] was created by this layer's forward; the head ctx is done
-		// with it once its gradient is propagated.
-		tensor.Put(ctx.attn.heads[k].z)
+		dH.AddInPlace(dHk)
+		tensor.Put(dHk)
 	}
-	return dHTotal
+	tensor.Put(dZ)
+	return dH
 }
 
 // Backward implements Layer.
@@ -307,43 +332,4 @@ func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix
 // parameter gradients only, no dIn and no per-head dH matrices.
 func (l *GATLayer) BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) {
 	l.backward(blk, ctx.(*gatCtx), dOut, false)
-}
-
-// headBackwardToProjection propagates one head's output gradient back
-// to the projected features Z, accumulating attention-vector gradients.
-func (l *GATLayer) headBackwardToProjection(k int, blk *sample.Block, c gatHeadCtx, dO *tensor.Matrix) *tensor.Matrix {
-	dh := l.OutPerHead()
-	nDst := blk.NumDst()
-	dZ, dAlpha := tensor.SegmentWeightedSumBackward(blk.EdgePtr, blk.SrcIdx, c.alpha, c.z, dO)
-	dS := tensor.SegmentSoftmaxBackward(blk.EdgePtr, c.alpha, dAlpha)
-	dSRaw := tensor.LeakyReLUSliceBackward(c.sRaw, dS, l.NegativeSlope)
-	dEl := make([]float32, nDst)
-	dEr := make([]float32, blk.NumSrc())
-	for i := 0; i < nDst; i++ {
-		for e := blk.EdgePtr[i]; e < blk.EdgePtr[i+1]; e++ {
-			dEl[i] += dSRaw[e]
-			dEr[blk.SrcIdx[e]] += dSRaw[e]
-		}
-	}
-	zdst := tensor.FromData(nDst, dh, c.z.Data[:nDst*dh])
-	gl := tensor.TMatMul(zdst, tensor.FromData(nDst, 1, dEl))
-	l.ALs[k].G.AddInPlace(gl)
-	tensor.Put(gl)
-	gr := tensor.TMatMul(c.z, tensor.FromData(blk.NumSrc(), 1, dEr))
-	l.ARs[k].G.AddInPlace(gr)
-	tensor.Put(gr)
-	aL, aR := l.ALs[k].W.Data, l.ARs[k].W.Data
-	for i := 0; i < nDst; i++ {
-		row := dZ.Row(i)
-		for j := 0; j < dh; j++ {
-			row[j] += dEl[i] * aL[j]
-		}
-	}
-	for i := 0; i < blk.NumSrc(); i++ {
-		row := dZ.Row(i)
-		for j := 0; j < dh; j++ {
-			row[j] += dEr[i] * aR[j]
-		}
-	}
-	return dZ
 }

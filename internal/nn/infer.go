@@ -6,7 +6,7 @@ import (
 )
 
 // Serving runs the training forward. A forward pass retains a LayerCtx
-// per layer (inputs, attention scores, per-head projections) for the
+// per layer (inputs, attention scores, the packed projection) for the
 // backward pass to consume; a serving path that never calls Backward
 // hands each context back as soon as its layer returns and recycles
 // every hidden output once the next layer has consumed it, so
@@ -58,13 +58,11 @@ func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.Fea
 
 // releaseCtx returns the pooled buffers a layer context owns for a
 // backward pass that will never run. Only GAT's context owns any: the
-// per-head source projections its Backward would Put. Every other
+// packed all-heads projection its Backward would Put. Every other
 // context holds only the layer's input and output, which the caller
 // owns.
 func releaseCtx(ctx LayerCtx) {
 	if c, ok := ctx.(*gatCtx); ok {
-		for _, hc := range c.attn.heads {
-			tensor.Put(hc.z)
-		}
+		tensor.Put(c.attn.z)
 	}
 }

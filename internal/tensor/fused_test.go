@@ -135,24 +135,78 @@ func TestGatherMatMulBitIdenticalToGatherThenMatMul(t *testing.T) {
 	Put(want)
 }
 
+// sliceCols copies columns [lo, hi) of m into a new matrix.
+func sliceCols(m *Matrix, lo, hi int) *Matrix {
+	out := New(m.Rows, hi-lo)
+	for i := 0; i < m.Rows; i++ {
+		copy(out.Row(i), m.Row(i)[lo:hi])
+	}
+	return out
+}
+
+// widen returns m as the column band [lo, lo+m.Cols) of a wider random
+// matrix, the packed layout's view of one head.
+func widen(m *Matrix, lo, cols int, rng *graph.RNG) *Matrix {
+	w := randomMatrix(m.Rows, cols, rng)
+	for i := 0; i < m.Rows; i++ {
+		copy(w.Row(i)[lo:lo+m.Cols], m.Row(i))
+	}
+	return w
+}
+
+// TestMatMulTBitIdenticalToNaive pins MatMulT, which runs on the
+// blocked GEMM against bᵀ, to the scalar dot product per element:
+// k > gemmKC crosses k-panels, n a multiple of 8 runs wholly on the
+// vector kernel while ragged n leaves it a tail, and m ≥ 32 at
+// GOMAXPROCS 2 takes the parallelTiles branch. The band form reads the
+// same a as a column band of a wider matrix.
 func TestMatMulTBitIdenticalToNaive(t *testing.T) {
 	rng := graph.NewRNG(35)
-	for _, dims := range [][3]int{{3, 5, 4}, {50, 30, gemmTB + 21}, {17, 130, 90}} {
-		a := randomMatrix(dims[0], dims[1], rng)
-		b := randomMatrix(dims[2], dims[1], rng)
-		want := New(a.Rows, b.Rows)
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < b.Rows; j++ {
-				var s float32
-				for k := 0; k < a.Cols; k++ {
-					s += a.At(i, k) * b.At(j, k)
+	shapes := [][3]int{
+		{3, 5, 4}, {50, 30, 85}, {17, 130, 90}, {40, gemmKC + 37, 64},
+		{64, 2*gemmKC + 3, 24}, {96, 33, gemmNB + 13}, {33, 8, 1},
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, dims := range shapes {
+			a := randomMatrix(dims[0], dims[1], rng)
+			b := randomMatrix(dims[2], dims[1], rng)
+			want := New(a.Rows, b.Rows)
+			for i := 0; i < a.Rows; i++ {
+				for j := 0; j < b.Rows; j++ {
+					var s float32
+					for k := 0; k < a.Cols; k++ {
+						s += a.At(i, k) * b.At(j, k)
+					}
+					want.Set(i, j, s)
 				}
-				want.Set(i, j, s)
 			}
+			got := MatMulT(a, b)
+			matricesExact(t, "MatMulT", got, want)
+			Put(got)
+			got = MatMulTSlice(widen(a, 5, a.Cols+11, rng), 5, 5+a.Cols, b)
+			matricesExact(t, "MatMulTSlice", got, want)
+			Put(got)
 		}
-		got := MatMulT(a, b)
-		matricesExact(t, "MatMulT", got, want)
-		Put(got)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestMatVecSliceBitIdenticalToMatMul pins the row-dot to the
+// one-column GEMM it replaces, on a band and on a prefix of the rows.
+func TestMatVecSliceBitIdenticalToMatMul(t *testing.T) {
+	rng := graph.NewRNG(40)
+	for _, dims := range [][2]int{{1, 1}, {7, 5}, {65, 32}, {130, gemmKC + 9}} {
+		a := randomMatrix(dims[0], dims[1], rng)
+		v := randomMatrix(dims[1], 1, rng)
+		want := MatMul(a, v)
+		got := make([]float32, a.Rows)
+		MatVecSlice(got, widen(a, 3, a.Cols+4, rng), 3, 3+a.Cols, v.Data)
+		matricesExact(t, "MatVecSlice", FromData(a.Rows, 1, got), want)
+		head := make([]float32, a.Rows/2)
+		MatVecSlice(head, a, 0, a.Cols, v.Data)
+		matricesExact(t, "MatVecSlice rows", FromData(len(head), 1, head), FromData(len(head), 1, want.Data[:len(head)]))
+		Put(want)
 	}
 }
 
@@ -204,6 +258,52 @@ func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
 	matricesExact(t, "GatherTMatMulAccSlice", got, want)
 	Put(got)
 	Put(want)
+}
+
+// TestSliceKernelsMatchWholeMatrixOnCopy holds each band kernel to the
+// same kernel on a copy of the band, bit for bit, at GOMAXPROCS 1 and
+// 2 (blocks large enough for the parallel paths): TMatMulAccSlice's
+// k-split and SegmentWeightedSumBackward's per-worker partials must
+// depend on the rows only, never on which columns they read.
+func TestSliceKernelsMatchWholeMatrixOnCopy(t *testing.T) {
+	rng := graph.NewRNG(42)
+	const lo, hi, cols = 7, 23, 37
+	nDst, nSrc := 2*segBackwardMinDst, 300
+	edgePtr, srcIdx := randomCSR(nDst, nSrc, 8, rng)
+	w := make([]float32, len(srcIdx))
+	for e := range w {
+		w[e] = rng.NormFloat32()
+	}
+	z := randomMatrix(nSrc, cols, rng)
+	sparsify(z, 0.3, rng)
+	dOut := randomMatrix(nDst, cols, rng)
+	zb, dOutb := sliceCols(z, lo, hi), sliceCols(dOut, lo, hi)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+
+		d := randomMatrix(nSrc, 3, rng)
+		want := randomMatrix(hi-lo, 3, rng)
+		got := want.Clone()
+		TMatMulAcc(want, zb, d)
+		TMatMulAccSlice(got, z, lo, hi, d)
+		matricesExact(t, "TMatMulAccSlice", got, want)
+
+		out := randomMatrix(nDst, cols, rng)
+		wantOut := sliceCols(out, lo, hi)
+		SegmentWeightedSum(wantOut, edgePtr, srcIdx, w, zb, 0, hi-lo)
+		SegmentWeightedSum(out, edgePtr, srcIdx, w, z, lo, hi)
+		matricesExact(t, "SegmentWeightedSum", sliceCols(out, lo, hi), wantOut)
+
+		dSrc := randomMatrix(nSrc, cols, rng)
+		wantSrc := sliceCols(dSrc, lo, hi)
+		gotW, wantW := make([]float32, len(w)), make([]float32, len(w))
+		SegmentWeightedSumBackward(wantSrc, wantW, edgePtr, srcIdx, w, zb, dOutb, 0, hi-lo)
+		SegmentWeightedSumBackward(dSrc, gotW, edgePtr, srcIdx, w, z, dOut, lo, hi)
+		matricesExact(t, "SegmentWeightedSumBackward dSrc", sliceCols(dSrc, lo, hi), wantSrc)
+		matricesExact(t, "SegmentWeightedSumBackward dW", FromData(1, len(gotW), gotW), FromData(1, len(wantW), wantW))
+
+		runtime.GOMAXPROCS(prev)
+	}
 }
 
 func TestSegmentAggFusedMatchesUnfusedComposition(t *testing.T) {
@@ -290,9 +390,10 @@ func TestReLUInPlaceMatchesReLU(t *testing.T) {
 // path: with the pool warm and GOMAXPROCS=1 (the inline kernel path;
 // the parallel fan-out allocates per worker by design), one
 // forward+backward step through the dense, fused and tiered-source
-// kernels must not touch the allocator. The pipelined engine depends on
-// it, and the int8 tier's pooled dequant scratch must not show up as
-// steady-state allocation either.
+// kernels — MatMulT, the row-dot and the band kernels of the packed
+// GAT layer among them — must not touch the allocator. The pipelined
+// engine depends on it, and the int8 tier's pooled dequant scratch must
+// not show up as steady-state allocation either.
 func TestFusedKernelsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -312,6 +413,17 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	}
 	grad := New(32, 16)
 	grad2 := New(16, 16)
+	// The packed-layout GAT kernels work on the band [8, 16) of wide.
+	wide := randomMatrix(200, 32, rng)
+	aV := randomMatrix(8, 1, rng)
+	wBand := randomMatrix(12, 8, rng)
+	gradBand := New(8, 1)
+	dots := FromData(200, 1, make([]float32, 200))
+	alpha := make([]float32, len(srcIdx))
+	for e := range alpha {
+		alpha[e] = rng.NormFloat32()
+	}
+	dAlpha := make([]float32, len(srcIdx))
 
 	step := func() {
 		z := GatherMatMulSrc(FS(feats), idx, w)
@@ -326,6 +438,16 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		zq := GatherMatMulSrc(tiered, idx, w)
 		GatherTMatMulAccSrc(grad, tiered, idx, zq)
 		Put(zq)
+		MatVecSlice(dots.Data, wide, 8, 16, aV.Data)
+		att := Get(120, 32)
+		SegmentWeightedSum(att, edgePtr, srcIdx, alpha, wide, 8, 16)
+		dWide := Get(200, 32)
+		SegmentWeightedSumBackward(dWide, dAlpha, edgePtr, srcIdx, alpha, wide, att, 8, 16)
+		TMatMulAccSlice(gradBand, wide, 8, 16, dots)
+		dHBand := MatMulTSlice(dWide, 8, 16, wBand)
+		Put(dHBand)
+		Put(dWide)
+		Put(att)
 		Put(h)
 		Put(dH)
 		Put(dZ)

@@ -59,9 +59,6 @@ const (
 	// gemmPackMinRows is the row-block size below which packing a B
 	// panel cannot amortize its copy.
 	gemmPackMinRows = 32
-	// gemmTB blocks the B rows of MatMulT so a panel of them is reused
-	// across many A rows.
-	gemmTB = 64
 )
 
 // parallelTiles partitions an m x n output into (row block x column
@@ -403,64 +400,70 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulT returns a @ bᵀ (a: m x k, b: n x k). Each output element is
-// one dot product accumulated in increasing k order; B rows are
-// processed in blocks so a panel of them is reused across many A rows.
+// MatMulT returns a @ bᵀ (a: m x k, b: n x k).
 //
 //apt:hotpath
 func MatMulT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
+	return MatMulTSlice(a, 0, a.Cols, b)
+}
+
+// MatMulTSlice returns a[:, lo:hi] @ bᵀ (b: n x (hi-lo)) — one head's
+// input gradient read from its column band of a packed matrix. It runs
+// as MatMul against a pooled transposed copy of b: per element both
+// forms are the one dot product ((+0 + a₀b₀) + a₁b₁) + … in k order,
+// every term added, and the vector kernel's lanes are output columns
+// (columns of bᵀ), so the blocked GEMM changes no bit.
+//
+//apt:hotpath
+func MatMulTSlice(a *Matrix, lo, hi int, b *Matrix) *Matrix {
+	if hi-lo != b.Cols {
 		panic("tensor: MatMulT inner dimension mismatch")
 	}
-	out := Get(a.Rows, b.Rows)
-	if runtime.GOMAXPROCS(0) == 1 || a.Rows < 32 {
-		matmulTRange(out, a, b, 0, a.Rows)
-		return out
+	bt := Get(b.Cols, b.Rows)
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			bt.Data[k*b.Rows+j] = v
+		}
 	}
-	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-	parallelRows(a.Rows, 16, func(lo, hi int) {
-		matmulTRange(out, a, b, lo, hi)
-	})
+	out := Get(a.Rows, b.Rows)
+	gemmInto(out, gemmA{src: a, lo: lo, hi: hi}, bt)
+	Put(bt)
 	return out
 }
 
+// MatVecSlice writes dst[i] = a[i][lo:hi] · v for the rows i <
+// len(dst) — the n = 1 product MatMul(a[:, lo:hi], v) without a
+// one-column GEMM panel. Each row's sum starts at +0 and adds its terms
+// in k order, as the GEMM's does; four rows run interleaved for ILP,
+// each with its own single accumulator, so no row's sum is reordered.
+//
 //apt:hotpath
-func matmulTRange(out, a, b *Matrix, lo, hi int) {
-	k := a.Cols
-	for j0 := 0; j0 < b.Rows; j0 += gemmTB {
-		j1 := j0 + gemmTB
-		if j1 > b.Rows {
-			j1 = b.Rows
+func MatVecSlice(dst []float32, a *Matrix, lo, hi int, v []float32) {
+	k := hi - lo
+	v = v[:k]
+	ad, c := a.Data, a.Cols
+	i := 0
+	for ; i+3 < len(dst); i += 4 {
+		r0 := ad[i*c+lo:][:k]
+		r1 := ad[(i+1)*c+lo:][:k]
+		r2 := ad[(i+2)*c+lo:][:k]
+		r3 := ad[(i+3)*c+lo:][:k]
+		var s0, s1, s2, s3 float32
+		for kk, vk := range v {
+			s0 += r0[kk] * vk
+			s1 += r1[kk] * vk
+			s2 += r2[kk] * vk
+			s3 += r3[kk] * vk
 		}
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := j0; j < j1; j++ {
-				br := b.Row(j)[:len(ar)]
-				var s float32
-				kk := 0
-				for ; kk+7 < k; kk += 8 {
-					s += ar[kk] * br[kk]
-					s += ar[kk+1] * br[kk+1]
-					s += ar[kk+2] * br[kk+2]
-					s += ar[kk+3] * br[kk+3]
-					s += ar[kk+4] * br[kk+4]
-					s += ar[kk+5] * br[kk+5]
-					s += ar[kk+6] * br[kk+6]
-					s += ar[kk+7] * br[kk+7]
-				}
-				for ; kk+3 < k; kk += 4 {
-					s += ar[kk] * br[kk]
-					s += ar[kk+1] * br[kk+1]
-					s += ar[kk+2] * br[kk+2]
-					s += ar[kk+3] * br[kk+3]
-				}
-				for ; kk < k; kk++ {
-					s += ar[kk] * br[kk]
-				}
-				or[j] = s
-			}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		r := ad[i*c+lo:][:k]
+		var s float32
+		for kk, vk := range v {
+			s += r[kk] * vk
 		}
+		dst[i] = s
 	}
 }
 
@@ -483,13 +486,22 @@ const tmatmulAccMinRows = 64
 //
 //apt:hotpath
 func TMatMulAcc(dst, a, b *Matrix) {
+	TMatMulAccSlice(dst, a, 0, a.Cols, b)
+}
+
+// TMatMulAccSlice accumulates dst += a[:, lo:hi]ᵀ @ b — TMatMulAcc on
+// the column band [lo, hi) of a, such as one head of a packed
+// projection.
+//
+//apt:hotpath
+func TMatMulAccSlice(dst, a *Matrix, lo, hi int, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic("tensor: TMatMulAcc outer dimension mismatch")
 	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+	if dst.Rows != hi-lo || dst.Cols != b.Cols {
 		panic("tensor: TMatMulAcc output shape mismatch")
 	}
-	gatherTMatMulAcc(dst, gemmA{src: a, hi: a.Cols}, b)
+	gatherTMatMulAcc(dst, gemmA{src: a, lo: lo, hi: hi}, b)
 }
 
 //apt:hotpath
@@ -730,17 +742,4 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 			}
 		}
 	}
-}
-
-// TMatMul returns aᵀ @ b (a: k x m, b: k x n); used for weight
-// gradients that cannot accumulate in place (fresh scratch).
-//
-//apt:hotpath
-func TMatMul(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("tensor: TMatMul outer dimension mismatch")
-	}
-	out := Get(a.Cols, b.Cols)
-	gatherTMatMulAcc(out, gemmA{src: a, hi: a.Cols}, b)
-	return out
 }

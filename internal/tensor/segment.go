@@ -144,39 +144,55 @@ func SegmentMeanBackward(edgePtr []int64, srcIdx []int32, dOut *Matrix, nSrc int
 	return dSrc
 }
 
-// SegmentWeightedSum computes out[i] = Σ_e w[e] * src[srcIdx[e]] — the
-// attention-weighted aggregation of GAT.
-func SegmentWeightedSum(edgePtr []int64, srcIdx []int32, w []float32, src *Matrix) *Matrix {
-	nDst := len(edgePtr) - 1
-	out := Get(nDst, src.Cols)
-	parallelRows(nDst, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			or := out.Row(i)
-			for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-				sr := src.Row(int(srcIdx[e]))
-				we := w[e]
-				for j := range or {
-					or[j] += we * sr[j]
-				}
-			}
-		}
-	})
-	return out
-}
-
-// segmentWeightedScatterRange accumulates destinations [lo, hi) of the
-// weighted-sum backward into dSrc and writes their edge gradients into
-// dW (each edge belongs to exactly one destination, so concurrent
-// ranges write disjoint dW entries).
+// SegmentWeightedSum accumulates out[i][lo:hi] += Σ_e w[e] *
+// src[srcIdx[e]][lo:hi] over the edges e of destination i — the
+// attention-weighted aggregation of GAT on one head's column band of
+// the packed [rows, heads·dh] layout; band [0, src.Cols) is the whole
+// matrix. out and src have the same width, and per element the edge
+// terms add onto out's value in edge order.
 //
 //apt:hotpath
-func segmentWeightedScatterRange(edgePtr []int64, srcIdx []int32, w []float32, src, dOut, dSrc *Matrix, dW []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dr := dOut.Row(i)
+func SegmentWeightedSum(out *Matrix, edgePtr []int64, srcIdx []int32, w []float32, src *Matrix, lo, hi int) {
+	nDst := len(edgePtr) - 1
+	if runtime.GOMAXPROCS(0) == 1 || nDst < 128 {
+		segmentWeightedSumRange(out, edgePtr, srcIdx, w, src, lo, hi, 0, nDst)
+		return
+	}
+	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
+	parallelRows(nDst, 64, func(i0, i1 int) {
+		segmentWeightedSumRange(out, edgePtr, srcIdx, w, src, lo, hi, i0, i1)
+	})
+}
+
+//apt:hotpath
+func segmentWeightedSumRange(out *Matrix, edgePtr []int64, srcIdx []int32, w []float32, src *Matrix, lo, hi, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		or := out.Row(i)[lo:hi]
+		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
+			sr := src.Row(int(srcIdx[e]))[lo:hi]
+			we := w[e]
+			for j := range or {
+				or[j] += we * sr[j]
+			}
+		}
+	}
+}
+
+// segmentWeightedScatterRange accumulates destinations [i0, i1) of the
+// weighted-sum backward on band [lo, hi) into dSrc's columns starting
+// at dlo, and writes their edge gradients into dW (each edge belongs to
+// exactly one destination, so concurrent ranges write disjoint dW
+// entries).
+//
+//apt:hotpath
+func segmentWeightedScatterRange(edgePtr []int64, srcIdx []int32, w []float32, src, dOut, dSrc *Matrix, dW []float32, lo, hi, dlo, i0, i1 int) {
+	n := hi - lo
+	for i := i0; i < i1; i++ {
+		dr := dOut.Row(i)[lo:hi]
 		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
 			si := int(srcIdx[e])
-			sr := src.Row(si)
-			ds := dSrc.Row(si)
+			sr := src.Row(si)[lo:hi]
+			ds := dSrc.Row(si)[dlo : dlo+n]
 			we := w[e]
 			var dot float32
 			for j := range dr {
@@ -188,47 +204,65 @@ func segmentWeightedScatterRange(edgePtr []int64, srcIdx []int32, w []float32, s
 	}
 }
 
-// SegmentWeightedSumBackward returns (dSrc, dW) for SegmentWeightedSum.
-// Large blocks parallelize over destination ranges with per-worker
-// partial dSrc matrices merged in worker order (same determinism
-// caveat as SegmentSumBackward); dW rows are disjoint per destination
+// SegmentWeightedSumBackward is the backward of SegmentWeightedSum on
+// band [lo, hi): it accumulates the source gradients into dSrc[:, lo:hi]
+// and writes every edge's weight gradient into dW. Large blocks
+// parallelize over destination ranges: the first worker scatters into
+// the band itself, every other one into a partial one band wide, and
+// the partials are merged into the band in worker order (same
+// determinism caveat as SegmentSumBackward). On a zero band — GAT's
+// case — that is bit for bit a zeroed partial per worker, since a
+// +0-rooted sum is never −0. dW entries are disjoint per destination
 // and are written in place by every worker.
-func SegmentWeightedSumBackward(edgePtr []int64, srcIdx []int32, w []float32, src, dOut *Matrix) (*Matrix, []float32) {
-	dSrc := Get(src.Rows, src.Cols)
-	dW := make([]float32, len(w))
+//
+//apt:hotpath
+func SegmentWeightedSumBackward(dSrc *Matrix, dW []float32, edgePtr []int64, srcIdx []int32, w []float32, src, dOut *Matrix, lo, hi int) {
 	nDst := dOut.Rows
 	workers := scatterWorkers(nDst)
 	if nDst < segBackwardMinDst || workers <= 1 {
-		segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, dSrc, dW, 0, nDst)
-		return dSrc, dW
+		segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, dSrc, dW, lo, hi, lo, 0, nDst)
+		return
 	}
+	n := hi - lo
+	//apt:allow hotalloc per-worker partials on the parallel fan-out; the steady-state bench path is the sequential branch above
 	partials := make([]*Matrix, workers)
 	var wg sync.WaitGroup
 	chunk := (nDst + workers - 1) / workers
 	for wk := 0; wk < workers; wk++ {
-		lo := wk * chunk
-		if lo >= nDst {
+		i0 := wk * chunk
+		if i0 >= nDst {
 			break
 		}
-		hi := lo + chunk
-		if hi > nDst {
-			hi = nDst
+		i1 := i0 + chunk
+		if i1 > nDst {
+			i1 = nDst
 		}
-		partials[wk] = Get(src.Rows, src.Cols)
+		dst, dlo := dSrc, lo
+		if wk > 0 {
+			partials[wk] = Get(src.Rows, n)
+			dst, dlo = partials[wk], 0
+		}
 		wg.Add(1)
-		go func(wk, lo, hi int) {
+		//apt:allow hotalloc parallel fan-out goroutines; see the partials allow above
+		go func(dst *Matrix, dlo, i0, i1 int) {
 			defer wg.Done()
-			segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, partials[wk], dW, lo, hi)
-		}(wk, lo, hi)
+			segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, dst, dW, lo, hi, dlo, i0, i1)
+		}(dst, dlo, i0, i1)
 	}
 	wg.Wait()
-	for _, p := range partials {
-		if p != nil {
-			dSrc.AddInPlace(p)
-			Put(p)
+	for _, p := range partials[1:] {
+		if p == nil {
+			continue
 		}
+		for r := 0; r < p.Rows; r++ {
+			pr := p.Data[r*n : (r+1)*n]
+			ds := dSrc.Data[r*dSrc.Cols+lo:][:len(pr)]
+			for j, v := range pr {
+				ds[j] += v
+			}
+		}
+		Put(p)
 	}
-	return dSrc, dW
 }
 
 // SDDMMAdd computes per-edge scores score[e] = dstVal[i] + srcVal[srcIdx[e]]

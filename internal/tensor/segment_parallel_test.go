@@ -81,10 +81,11 @@ func TestSegmentWeightedSumBackwardParallelMatchesSequential(t *testing.T) {
 		w[i] = rng.NormFloat32()
 	}
 
-	gotSrc, gotW := SegmentWeightedSumBackward(edgePtr, srcIdx, w, src, dOut)
+	gotSrc, gotW := Get(nSrc, src.Cols), make([]float32, len(w))
+	SegmentWeightedSumBackward(gotSrc, gotW, edgePtr, srcIdx, w, src, dOut, 0, src.Cols)
 	wantSrc := Get(nSrc, src.Cols)
 	wantW := make([]float32, len(w))
-	segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, wantSrc, wantW, 0, nDst)
+	segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, wantSrc, wantW, 0, src.Cols, 0, 0, nDst)
 
 	if d := gotSrc.MaxAbsDiff(wantSrc); d > 1e-3 {
 		t.Errorf("parallel SegmentWeightedSumBackward dSrc diff %g", d)

@@ -74,7 +74,9 @@ func TestTMatMulEquivalence(t *testing.T) {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
-	matricesClose(t, "TMatMul", TMatMul(a, b), naiveMatMul(at, b), 1e-3)
+	got := New(a.Cols, b.Cols)
+	TMatMulAccSlice(got, a, 0, a.Cols, b)
+	matricesClose(t, "TMatMulAccSlice", got, naiveMatMul(at, b), 1e-3)
 }
 
 func TestMatMulPanicsOnMismatch(t *testing.T) {
@@ -249,14 +251,20 @@ func TestSegmentWeightedSumBackwardNumerical(t *testing.T) {
 	src := randomMatrix(4, 2, rng)
 	w := []float32{0.5, -1, 2, 0.1, 1.5}
 	dOut := randomMatrix(3, 2, rng)
-	dSrc, dW := SegmentWeightedSumBackward(tEdgePtr, tSrcIdx, w, src, dOut)
+	dSrc, dW := New(src.Rows, src.Cols), make([]float32, len(w))
+	SegmentWeightedSumBackward(dSrc, dW, tEdgePtr, tSrcIdx, w, src, dOut, 0, src.Cols)
+	weightedSum := func() *Matrix {
+		out := New(len(tEdgePtr)-1, src.Cols)
+		SegmentWeightedSum(out, tEdgePtr, tSrcIdx, w, src, 0, src.Cols)
+		return out
+	}
 	const eps = 1e-3
 	for e := range w {
 		orig := w[e]
 		w[e] = orig + eps
-		up := inner(SegmentWeightedSum(tEdgePtr, tSrcIdx, w, src), dOut)
+		up := inner(weightedSum(), dOut)
 		w[e] = orig - eps
-		down := inner(SegmentWeightedSum(tEdgePtr, tSrcIdx, w, src), dOut)
+		down := inner(weightedSum(), dOut)
 		w[e] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(dW[e])) > 1e-2 {
@@ -267,9 +275,9 @@ func TestSegmentWeightedSumBackwardNumerical(t *testing.T) {
 		for c := 0; c < 2; c++ {
 			orig := src.At(r, c)
 			src.Set(r, c, orig+eps)
-			up := inner(SegmentWeightedSum(tEdgePtr, tSrcIdx, w, src), dOut)
+			up := inner(weightedSum(), dOut)
 			src.Set(r, c, orig-eps)
-			down := inner(SegmentWeightedSum(tEdgePtr, tSrcIdx, w, src), dOut)
+			down := inner(weightedSum(), dOut)
 			src.Set(r, c, orig)
 			num := (up - down) / (2 * eps)
 			if math.Abs(num-float64(dSrc.At(r, c))) > 1e-2 {
