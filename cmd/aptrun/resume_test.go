@@ -60,12 +60,14 @@ func jobFlags(world int) []string {
 // its test fails instead of stalling the suite.
 const procDeadline = 2 * time.Minute
 
-// run executes the binary once and returns its combined output plus
-// exit code.
-func run(bin string, args ...string) (string, int) {
+// run executes the binary once, with env added to the test's own
+// environment, and returns its combined output plus exit code.
+func run(bin string, env []string, args ...string) (string, int) {
 	ctx, cancel := context.WithTimeout(context.Background(), procDeadline)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.CombinedOutput()
 	if ctx.Err() != nil {
 		return string(out) + "\nkilled after " + procDeadline.String(), -1
 	}
@@ -81,6 +83,14 @@ func run(bin string, args ...string) (string, int) {
 // each rank's combined output plus exit code.
 func runJob(t *testing.T, bin string, world int, extra ...string) (outs []string, codes []int) {
 	t.Helper()
+	return runJobEnv(t, bin, make([][]string, world), extra...)
+}
+
+// runJobEnv is runJob with one process per entry of envs, rank r
+// running with envs[r] added to its environment.
+func runJobEnv(t *testing.T, bin string, envs [][]string, extra ...string) (outs []string, codes []int) {
+	t.Helper()
+	world := len(envs)
 	outs = make([]string, world)
 	codes = make([]int, world)
 	shared := append(jobFlags(world), "-coord", freeAddr(t))
@@ -90,7 +100,7 @@ func runJob(t *testing.T, bin string, world int, extra ...string) (outs []string
 		go func(r int) {
 			defer wg.Done()
 			args := append([]string{"-rank", fmt.Sprint(r)}, shared...)
-			outs[r], codes[r] = run(bin, append(args, extra...)...)
+			outs[r], codes[r] = run(bin, envs[r], append(args, extra...)...)
 		}(r)
 	}
 	wg.Wait()
@@ -162,7 +172,7 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 
 	// The same flags with every device in one process: the same
 	// parameters, uninterrupted ...
-	out, code := run(bin, jobFlags(2)...)
+	out, code := run(bin, nil, jobFlags(2)...)
 	if code != 0 {
 		t.Fatalf("in-process run exited %d:\n%s", code, out)
 	}
@@ -171,15 +181,40 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	}
 	// ... and across a crash after epoch 2 and a resume.
 	dir1 := t.TempDir()
-	if out, code = run(bin, append(jobFlags(2), "-ckpt-dir", dir1, "-die-after", "2")...); code != 3 {
+	if out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir1, "-die-after", "2")...); code != 3 {
 		t.Fatalf("in-process crash run exited %d, want 3:\n%s", code, out)
 	}
-	out, code = run(bin, append(jobFlags(2), "-ckpt-dir", dir1, "-resume")...)
+	out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir1, "-resume")...)
 	if code != 0 || !strings.Contains(out, "resuming from") {
 		t.Fatalf("in-process resume exited %d:\n%s", code, out)
 	}
 	if got := checksums(t, []string{out})[0]; got != want[0] {
 		t.Errorf("in-process resumed checksum %s != baseline %s", got, want[0])
+	}
+}
+
+// TestMixedCoreRanksBitIdentical: trained bits do not depend on the
+// host's core count. The ranks of one job run at GOMAXPROCS 1 and 3 —
+// two hosts of different sizes — and the in-process run at the
+// default, and all three print one parameter checksum.
+func TestMixedCoreRanksBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildWorker(t)
+	outs, codes := runJobEnv(t, bin, [][]string{{"GOMAXPROCS=1"}, {"GOMAXPROCS=3"}})
+	for r, c := range codes {
+		if c != 0 {
+			t.Fatalf("rank %d exited %d:\n%s", r, c, outs[r])
+		}
+	}
+	out, code := run(bin, nil, jobFlags(2)...)
+	if code != 0 {
+		t.Fatalf("in-process run exited %d:\n%s", code, out)
+	}
+	sums := checksums(t, append(outs, out))
+	if sums[0] != sums[1] || sums[1] != sums[2] {
+		t.Errorf("checksums differ: rank 0 at GOMAXPROCS=1 %s, rank 1 at GOMAXPROCS=3 %s, in-process %s", sums[0], sums[1], sums[2])
 	}
 }
 
@@ -202,7 +237,7 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-measure-wire"}, "give -rank"},
 		{[]string{"-resume"}, "-resume requires -ckpt-dir"},
 	} {
-		out, code := run(bin, tc.args...)
+		out, code := run(bin, nil, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
 			t.Errorf("aptrun %v: exit %d, output %q; want exit 2 and one line containing %q",
 				tc.args, code, out, tc.want)
@@ -246,7 +281,7 @@ func TestSimulateRanksMatchInProcess(t *testing.T) {
 				t.Fatalf("%s: rank %d exited %d:\n%s", k, r, c, outs[r])
 			}
 		}
-		out, code := run(bin, flags...)
+		out, code := run(bin, nil, flags...)
 		if code != 0 {
 			t.Fatalf("%s: in-process run exited %d:\n%s", k, code, out)
 		}

@@ -12,8 +12,8 @@
 // what it captures. Scratch space in a hot path comes from the tensor
 // pool (tensor.Get/Put), which the analyzer deliberately does not flag.
 //
-// One-time or fan-out paths inside a marked function (e.g. a parallel
-// dispatcher's per-worker partials) are excused with
+// One-time or fan-out paths inside a marked function (e.g. the closure
+// a parallel dispatcher hands its workers) are excused with
 // //apt:allow hotalloc <reason>.
 package hotalloc
 

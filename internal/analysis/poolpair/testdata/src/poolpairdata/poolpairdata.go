@@ -80,8 +80,8 @@ func storedInField(h *holder) {
 	h.m = tensor.Get(2, 2)
 }
 
-// workerPool mirrors the parallel-scatter kernels: per-worker partials
-// escape into a slice, closures borrow and return their own scratch.
+// workerPool is a parallel fan-out with per-worker scratch: the
+// matrices escape into a slice, closures borrow and return their own.
 func workerPool(n int) *tensor.Matrix {
 	dst := tensor.Get(n, n)
 	partials := make([]*tensor.Matrix, 2)

@@ -59,13 +59,9 @@ func collectInts(prefix string, v reflect.Value, out map[string]int64) {
 	}
 }
 
-func TestLayer1Golden(t *testing.T) {
-	// The parallel kernels fix their summation order per GOMAXPROCS and
-	// architectures that fuse multiply-add round differently, so the
-	// bit-exact half is pinned at one proc on amd64.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	bitExact := runtime.GOARCH == "amd64"
-
+// layer1Cells trains and accounts every (strategy, model) cell of the
+// golden file.
+func layer1Cells(t *testing.T) map[string]layer1Golden {
 	got := map[string]layer1Golden{}
 	kinds := []strategy.Kind{strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP, strategy.Hybrid}
 	for _, k := range kinds {
@@ -130,9 +126,17 @@ func TestLayer1Golden(t *testing.T) {
 			got[fmt.Sprintf("%v/%s", k, m.name)] = cell
 		}
 	}
+	return got
+}
 
+func TestLayer1Golden(t *testing.T) {
+	// Architectures that fuse multiply-add round differently, so the
+	// bit-exact half is pinned on amd64. The parallel kernels split only
+	// their outputs, so it holds at every worker count: the cells run at
+	// GOMAXPROCS 1, 2, 3 and 8 against the one golden.
+	bitExact := runtime.GOARCH == "amd64"
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
+		data, err := json.MarshalIndent(layer1Cells(t), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +153,16 @@ func TestLayer1Golden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			compareLayer1Golden(t, layer1Cells(t), want, bitExact)
+		})
+	}
+}
+
+// compareLayer1Golden reports every cell of got that differs from want.
+func compareLayer1Golden(t *testing.T, got, want map[string]layer1Golden, bitExact bool) {
 	if len(want) != len(got) {
 		t.Errorf("golden has %d cells, run produced %d", len(want), len(got))
 	}

@@ -258,8 +258,9 @@ func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.
 }
 
 // addAttnGrad adds z[:, lo:hi]ᵀ · d to an attention vector's gradient
-// g. The product is formed from +0 before it is added, and keeps the
-// transposed accumulate's k-split at any GOMAXPROCS.
+// g. The product is formed from +0 before it is added: those are the
+// bits the golden pins, a +0-rooted sum then one add, not the terms
+// accumulated onto g itself.
 func addAttnGrad(g, z *tensor.Matrix, lo, hi int, d []float32) {
 	t := tensor.Get(hi-lo, 1)
 	tensor.TMatMulAccSlice(t, z, lo, hi, tensor.FromData(len(d), 1, d))

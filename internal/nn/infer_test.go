@@ -98,7 +98,7 @@ func TestPredictGatheredKeepsNoIntermediates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	prev := runtime.GOMAXPROCS(1) // the inline kernel path; fan-out allocates per worker
+	prev := runtime.GOMAXPROCS(1) // the inline kernel path; spawning the fan-out's goroutines allocates
 	defer runtime.GOMAXPROCS(prev)
 	bytesPerOp := func(f func()) float64 {
 		const runs = 50

@@ -137,9 +137,9 @@ func (l *SAGELayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, 
 	return out, c
 }
 
-// backwardParams runs the fused aggregation backward (activation mask,
-// mean scaling, scatter in one pass) down to dZ and accumulates dW from
-// it; the caller owns the returned dZ.
+// backwardParams runs the fused aggregation backward (activation mask
+// and mean scaling in one pass, then the sum to source rows) down to dZ
+// and accumulates dW from it; the caller owns the returned dZ.
 func (l *SAGELayer) backwardParams(blk *sample.Block, c *sageCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	dZ := tensor.SegmentAggFusedBackward(blk.EdgePtr, blk.SrcIdx, c.out, dOut,
 		l.Agg == AggMean, l.Act == ActReLU, blk.NumSrc())

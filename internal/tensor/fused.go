@@ -1,18 +1,19 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
-	"sync"
 )
 
 // Gather- and epilogue-fused segment kernels. These collapse the
 // unfused chains the layers used to run as separate full passes —
-// SegmentSum/Mean → normalize → activation clone on the forward, and
-// ReLU mask → mean scale → scatter on the backward — into one pass per
-// output row while it is cache-hot. Per output element the edge terms
-// still accumulate in increasing edge order with a single accumulator,
-// and the normalization/activation apply only after a row's sum is
-// complete, so results are bit-identical to the unfused composition.
+// SegmentSum/Mean → normalize → activation clone on the forward into
+// one pass per output row while it is cache-hot, and ReLU mask → mean
+// scale on the backward into one pass ahead of the sum to source rows.
+// Per output element the edge terms still accumulate in increasing edge
+// order with a single accumulator, and the normalization/activation
+// apply only after a row's sum is complete, so results are
+// bit-identical to the unfused composition.
 
 // ReLUInPlace applies max(0, x) elementwise in place. Negative zero and
 // NaN map to +0, matching ReLU's zero-initialized copy semantics.
@@ -39,17 +40,25 @@ func ReLUInPlace(x *Matrix) {
 //
 //apt:hotpath
 func SegmentAggFused(edgePtr []int64, srcIdx []int32, src *Matrix, mean, relu bool) *Matrix {
+	out := Get(len(edgePtr)-1, src.Cols)
+	segmentAgg(edgePtr, srcIdx, src, out, mean, relu)
+	return out
+}
+
+// segmentAgg runs segmentAggRange over all of out's rows, split across
+// workers on large blocks: every worker owns whole output rows.
+//
+//apt:hotpath
+func segmentAgg(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, relu bool) {
 	nDst := len(edgePtr) - 1
-	out := Get(nDst, src.Cols)
 	if runtime.GOMAXPROCS(0) == 1 || nDst < 128 {
 		segmentAggRange(edgePtr, srcIdx, src, out, mean, relu, 0, nDst)
-		return out
+		return
 	}
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
 	parallelRows(nDst, 64, func(lo, hi int) {
 		segmentAggRange(edgePtr, srcIdx, src, out, mean, relu, lo, hi)
 	})
-	return out
 }
 
 // segmentAggRange is the fused aggregation's per-row inner loop. Edges
@@ -150,144 +159,59 @@ func segmentAggRange(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, re
 	}
 }
 
-// segmentAggScatterRange scatters destinations [lo, hi) of the fused
-// aggregation backward into dSrc. g is a cols-wide scratch row holding
-// the masked+scaled destination gradient, so the mask/scale work is
-// done once per destination rather than once per edge.
+// SegmentAggFusedBackward is the backward of SegmentAggFused: it masks
+// dOut by the forward output's support (relu) and scales it by the
+// inverse degree (mean) in one pass over the destinations, then gathers
+// each source row's sum of its edges' rows with the forward's own
+// segmentAggRange, over the block's source-major order. out is the
+// fused forward's output (only read when relu is set; may be nil
+// otherwise). Every source row adds its terms from +0 in edge order —
+// the sequential scatter's sum — and workers own whole source rows, so
+// the bits do not depend on GOMAXPROCS.
 //
 //apt:hotpath
-func segmentAggScatterRange(edgePtr []int64, srcIdx []int32, out, dOut, dSrc *Matrix, g []float32, mean, relu bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e0, e1 := edgePtr[i], edgePtr[i+1]
-		if e0 == e1 {
-			continue
-		}
-		dr := dOut.Row(i)
-		gr := g[:len(dr)]
-		if relu {
-			or := out.Row(i)[:len(dr)]
-			for j := range gr {
-				if or[j] > 0 {
-					gr[j] = dr[j]
-				} else {
-					gr[j] = 0
-				}
+func SegmentAggFusedBackward(edgePtr []int64, srcIdx []int32, out, dOut *Matrix, mean, relu bool, nSrc int) *Matrix {
+	g := dOut
+	if mean || relu {
+		g = Get(dOut.Rows, dOut.Cols)
+		for i := 0; i < dOut.Rows; i++ {
+			d := edgePtr[i+1] - edgePtr[i]
+			if d == 0 {
+				continue
 			}
-		} else {
-			copy(gr, dr)
-		}
-		if mean {
-			if d := e1 - e0; d > 1 {
+			dr, gr := dOut.Row(i), g.Row(i)
+			if relu {
+				or := out.Row(i)[:len(dr)]
+				for j, v := range or {
+					gr[j] = math.Float32frombits(math.Float32bits(dr[j]) & positiveMask(v))
+				}
+			} else {
+				copy(gr, dr)
+			}
+			if mean && d > 1 {
 				inv := float32(1.0 / float64(d))
 				for j := range gr {
 					gr[j] *= inv
 				}
 			}
 		}
-		// Scatter gr into the source rows four (then two) edges at a
-		// time: one load of gr[j] feeds all stores. Distinct rows touch
-		// disjoint memory; quads with a duplicated endpoint fall back to
-		// the pair logic, and a duplicated pair keeps its two adds
-		// sequential ((x+g)+g), matching the unpaired loop bit for bit.
-		dd, dc := dSrc.Data, dSrc.Cols
-		n := len(gr)
-		e := e0
-		for ; e+3 < e1; e += 4 {
-			r0, r1 := int(srcIdx[e]), int(srcIdx[e+1])
-			r2, r3 := int(srcIdx[e+2]), int(srcIdx[e+3])
-			if r0 == r1 || r0 == r2 || r0 == r3 || r1 == r2 || r1 == r3 || r2 == r3 {
-				break
-			}
-			sr0 := dd[r0*dc : r0*dc+n]
-			sr1 := dd[r1*dc : r1*dc+n]
-			sr2 := dd[r2*dc : r2*dc+n]
-			sr3 := dd[r3*dc : r3*dc+n]
-			for j := range gr {
-				g := gr[j]
-				sr0[j] += g
-				sr1[j] += g
-				sr2[j] += g
-				sr3[j] += g
-			}
-		}
-		for ; e+1 < e1; e += 2 {
-			r0, r1 := int(srcIdx[e]), int(srcIdx[e+1])
-			if r0 == r1 {
-				sr := dd[r0*dc : r0*dc+n]
-				for j := range gr {
-					s := sr[j]
-					s += gr[j]
-					s += gr[j]
-					sr[j] = s
-				}
-				continue
-			}
-			sr0 := dd[r0*dc : r0*dc+n]
-			sr1 := dd[r1*dc : r1*dc+n]
-			for j := range gr {
-				g := gr[j]
-				sr0[j] += g
-				sr1[j] += g
-			}
-		}
-		for ; e < e1; e++ {
-			r := int(srcIdx[e])
-			sr := dd[r*dc : r*dc+n]
-			for j := range gr {
-				sr[j] += gr[j]
-			}
-		}
 	}
-}
-
-// SegmentAggFusedBackward is the backward of SegmentAggFused: it masks
-// dOut by the forward output's support (relu), scales by the inverse
-// degree (mean), and scatters to source rows — one fused pass instead
-// of ReLUBackward + SegmentMeanBackward's two intermediate matrices.
-// out is the fused forward's output (only read when relu is set; may be
-// nil otherwise). Parallelizes like SegmentSumBackward: per-worker
-// partial matrices over destination ranges, merged in worker order.
-//
-//apt:hotpath
-func SegmentAggFusedBackward(edgePtr []int64, srcIdx []int32, out, dOut *Matrix, mean, relu bool, nSrc int) *Matrix {
+	t := getSrcMajor(edgePtr, srcIdx, nSrc)
 	dSrc := Get(nSrc, dOut.Cols)
-	nDst := dOut.Rows
-	workers := scatterWorkers(nDst)
-	if nDst < segBackwardMinDst || workers <= 1 {
-		g := Get(1, dOut.Cols)
-		segmentAggScatterRange(edgePtr, srcIdx, out, dOut, dSrc, g.Data, mean, relu, 0, nDst)
+	segmentAgg(t.ptr, t.dst, g, dSrc, false, false)
+	putSrcMajor(t)
+	if g != dOut {
 		Put(g)
-		return dSrc
-	}
-	//apt:allow hotalloc per-worker partials on the parallel fan-out; the steady-state bench path is the sequential branch above
-	partials := make([]*Matrix, workers)
-	var wg sync.WaitGroup
-	chunk := (nDst + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= nDst {
-			break
-		}
-		hi := lo + chunk
-		if hi > nDst {
-			hi = nDst
-		}
-		partials[w] = Get(nSrc, dOut.Cols)
-		wg.Add(1)
-		//apt:allow hotalloc parallel fan-out goroutines; see the partials allow above
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			g := Get(1, dOut.Cols)
-			segmentAggScatterRange(edgePtr, srcIdx, out, dOut, partials[w], g.Data, mean, relu, lo, hi)
-			Put(g)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, p := range partials {
-		if p != nil {
-			dSrc.AddInPlace(p)
-			Put(p)
-		}
 	}
 	return dSrc
+}
+
+// positiveMask returns all ones when v > 0 and zero otherwise (NaN
+// included), without a branch: a ReLU output's support is as random as
+// the signs before it, so a branch on it is mispredicted half the time.
+// As an int32, v's bits x are in (0, +Inf's bits] exactly when v > 0,
+// which is when both -x and x-(+Inf's bits)-1 are negative.
+func positiveMask(v float32) uint32 {
+	x := int32(math.Float32bits(v))
+	return uint32((-x & (x - 0x7f800001)) >> 31)
 }

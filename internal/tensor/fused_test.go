@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -210,23 +211,24 @@ func TestMatVecSliceBitIdenticalToMatMul(t *testing.T) {
 	}
 }
 
+// TestTMatMulAccBitIdenticalToNaive holds the weight-gradient kernel
+// to the naive rank-1 loop at every worker count: the small shapes run
+// inline, the large ones split dst's rows across workers. dst starts
+// with −0 entries, which a wrongly added +0 term would flip.
 func TestTMatMulAccBitIdenticalToNaive(t *testing.T) {
 	rng := graph.NewRNG(36)
-	for _, rows := range []int{7, 63, tmatmulAccMinRows + 31} { // sequential + (maybe) parallel
-		a := randomMatrix(rows, 12, rng)
-		sparsify(a, 0.5, rng) // exercise the zero-skip pairs
-		b := randomMatrix(rows, 15, rng)
-		got := randomMatrix(12, 15, rng) // nonzero dst: accumulate, not overwrite
-		want := got.Clone()
-		TMatMulAcc(got, a, b)
-		naiveTMatMulAccF32(want, a, b)
-		if runtime.GOMAXPROCS(0) == 1 || rows < tmatmulAccMinRows {
-			matricesExact(t, "TMatMulAcc", got, want)
-		} else if d := got.MaxAbsDiff(want); d > 1e-3 {
-			// Parallel partials merge in worker order: reassociation only.
-			t.Errorf("TMatMulAcc parallel diff %g", d)
+	forEachProcs(t, func(t *testing.T) {
+		for _, dims := range [][3]int{{7, 12, 15}, {63, 12, 15}, {300, 40, 15}, {1200, 9, 64}, {500, 130, 33}} {
+			a := simdMatrix(rng, dims[0], dims[1], 0)
+			sparsify(a, 0.5, rng) // exercise the zero-skip pairs
+			b := simdMatrix(rng, dims[0], dims[2], 0)
+			got := simdMatrix(rng, dims[1], dims[2], 0) // nonzero dst: accumulate, not overwrite
+			want := got.Clone()
+			TMatMulAcc(got, a, b)
+			naiveTMatMulAccF32(want, a, b)
+			bitsEqual(t, fmt.Sprintf("TMatMulAcc %v", dims), got.Data, want.Data)
 		}
-	}
+	})
 }
 
 func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
@@ -261,14 +263,13 @@ func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
 }
 
 // TestSliceKernelsMatchWholeMatrixOnCopy holds each band kernel to the
-// same kernel on a copy of the band, bit for bit, at GOMAXPROCS 1 and
-// 2 (blocks large enough for the parallel paths): TMatMulAccSlice's
-// k-split and SegmentWeightedSumBackward's per-worker partials must
-// depend on the rows only, never on which columns they read.
+// same kernel on a copy of the band, bit for bit, at every worker count
+// (blocks large enough for the parallel paths): which columns a band
+// kernel reads must not change a bit of what it computes.
 func TestSliceKernelsMatchWholeMatrixOnCopy(t *testing.T) {
 	rng := graph.NewRNG(42)
 	const lo, hi, cols = 7, 23, 37
-	nDst, nSrc := 2*segBackwardMinDst, 300
+	nDst, nSrc := 512, 300
 	edgePtr, srcIdx := randomCSR(nDst, nSrc, 8, rng)
 	w := make([]float32, len(srcIdx))
 	for e := range w {
@@ -278,9 +279,7 @@ func TestSliceKernelsMatchWholeMatrixOnCopy(t *testing.T) {
 	sparsify(z, 0.3, rng)
 	dOut := randomMatrix(nDst, cols, rng)
 	zb, dOutb := sliceCols(z, lo, hi), sliceCols(dOut, lo, hi)
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-
+	forEachProcs(t, func(t *testing.T) {
 		d := randomMatrix(nSrc, 3, rng)
 		want := randomMatrix(hi-lo, 3, rng)
 		got := want.Clone()
@@ -301,9 +300,7 @@ func TestSliceKernelsMatchWholeMatrixOnCopy(t *testing.T) {
 		SegmentWeightedSumBackward(dSrc, gotW, edgePtr, srcIdx, w, z, dOut, lo, hi)
 		matricesExact(t, "SegmentWeightedSumBackward dSrc", sliceCols(dSrc, lo, hi), wantSrc)
 		matricesExact(t, "SegmentWeightedSumBackward dW", FromData(1, len(gotW), gotW), FromData(1, len(wantW), wantW))
-
-		runtime.GOMAXPROCS(prev)
-	}
+	})
 }
 
 func TestSegmentAggFusedMatchesUnfusedComposition(t *testing.T) {
@@ -327,27 +324,11 @@ func TestSegmentAggFusedMatchesUnfusedComposition(t *testing.T) {
 			matricesExact(t, "SegmentAggFused", got, want)
 
 			// Backward: mask by forward support, scale by degree, scatter.
-			dOut := randomMatrix(got.Rows, got.Cols, rng)
-			var dWant *Matrix
-			{
-				d := dOut
-				if relu {
-					d = ReLUBackward(got, dOut)
-				}
-				if mean {
-					dWant = SegmentMeanBackward(edgePtr, srcIdx, d, src.Rows)
-				} else {
-					dWant = SegmentSumBackward(edgePtr, srcIdx, d, src.Rows)
-				}
-				if relu {
-					Put(d)
-				}
-			}
+			dOut := simdMatrix(rng, got.Rows, got.Cols, 0)
+			dWant := naiveAggBackward(edgePtr, srcIdx, got, dOut, mean, relu, src.Rows)
 			dGot := SegmentAggFusedBackward(edgePtr, srcIdx, got, dOut, mean, relu, src.Rows)
-			matricesExact(t, "SegmentAggFusedBackward", dGot, dWant)
+			bitsEqual(t, "SegmentAggFusedBackward", dGot.Data, dWant.Data)
 			Put(dGot)
-			Put(dWant)
-			Put(dOut)
 			Put(got)
 			Put(want)
 		}
@@ -356,22 +337,50 @@ func TestSegmentAggFusedMatchesUnfusedComposition(t *testing.T) {
 
 func TestSegmentAggFusedBackwardParallelMatchesSequential(t *testing.T) {
 	rng := graph.NewRNG(39)
-	nDst, nSrc := 4*segBackwardMinDst, 220
-	edgePtr, srcIdx := randomCSR(nDst, nSrc, 10, rng)
-	src := randomMatrix(nSrc, 9, rng)
+	nDst, nSrc := 1024, 220
+	edgePtr, srcIdx := edgeCaseCSR(nDst, nSrc, 10, rng)
+	src := simdMatrix(rng, nSrc, 9, 0)
 	out := SegmentAggFused(edgePtr, srcIdx, src, true, true)
-	dOut := randomMatrix(nDst, 9, rng)
-
-	got := SegmentAggFusedBackward(edgePtr, srcIdx, out, dOut, true, true, nSrc)
-	want := Get(nSrc, 9)
-	g := Get(1, 9)
-	segmentAggScatterRange(edgePtr, srcIdx, out, dOut, want, g.Data, true, true, 0, nDst)
-	if d := got.MaxAbsDiff(want); d > 1e-3 {
-		t.Errorf("parallel SegmentAggFusedBackward diff %g", d)
+	dOut := simdMatrix(rng, nDst, 9, 0)
+	modes := [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}}
+	want := make([]*Matrix, len(modes))
+	for m, mode := range modes {
+		want[m] = naiveAggBackward(edgePtr, srcIdx, out, dOut, mode[0], mode[1], nSrc)
 	}
-	Put(g)
-	Put(got)
-	Put(want)
+	forEachProcs(t, func(t *testing.T) {
+		for m, mode := range modes {
+			got := SegmentAggFusedBackward(edgePtr, srcIdx, out, dOut, mode[0], mode[1], nSrc)
+			bitsEqual(t, fmt.Sprintf("SegmentAggFusedBackward mean=%v relu=%v", mode[0], mode[1]), got.Data, want[m].Data)
+			Put(got)
+		}
+	})
+}
+
+// TestPositiveMaskMatchesComparison holds the branch-free ReLU support
+// test to v > 0 on every boundary of the float32 bit patterns (both
+// zeros, the denormals, +Inf and every kind of NaN) and on a sweep of
+// the rest.
+func TestPositiveMaskMatchesComparison(t *testing.T) {
+	bits := []uint32{
+		0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000,
+		0x7f800001, 0x7fc00000, 0x7fffffff,
+	}
+	for _, b := range bits[:len(bits):len(bits)] {
+		bits = append(bits, b|0x80000000)
+	}
+	for b := uint64(0); b < 1<<32; b += 65537 {
+		bits = append(bits, uint32(b))
+	}
+	for _, b := range bits {
+		v := math.Float32frombits(b)
+		want := uint32(0)
+		if v > 0 {
+			want = ^uint32(0)
+		}
+		if got := positiveMask(v); got != want {
+			t.Fatalf("positiveMask(%#08x) = %#08x, want %#08x", b, got, want)
+		}
+	}
 }
 
 func TestReLUInPlaceMatchesReLU(t *testing.T) {
@@ -388,12 +397,13 @@ func TestReLUInPlaceMatchesReLU(t *testing.T) {
 
 // TestFusedKernelsAllocFree is the allocation guard for the kernel hot
 // path: with the pool warm and GOMAXPROCS=1 (the inline kernel path;
-// the parallel fan-out allocates per worker by design), one
+// spawning the fan-out's goroutines and their closure allocates), one
 // forward+backward step through the dense, fused and tiered-source
 // kernels — MatMulT, the row-dot and the band kernels of the packed
 // GAT layer among them — must not touch the allocator. The pipelined
-// engine depends on it, and the int8 tier's pooled dequant scratch must
-// not show up as steady-state allocation either.
+// engine depends on it; neither the int8 tier's pooled dequant scratch
+// nor the backwards' source-major index buffers may show up as
+// steady-state allocation.
 func TestFusedKernelsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

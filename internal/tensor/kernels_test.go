@@ -177,9 +177,9 @@ func checkSIMDCase(t testing.TB, c simdCase) {
 			Put(scratch)
 			bitsEqual(t, fmt.Sprintf("tmatmulAccRange[%d,%d)", from, c.k), got.Data, want.Data)
 		}
-		if c.k < tmatmulAccMinRows || runtime.GOMAXPROCS(0) == 1 {
-			// The entry points, where they run the range kernel in one
-			// piece (larger inputs fan out over per-worker partials).
+		{
+			// The entry points, which split dst's rows across workers on
+			// large inputs: each row still runs all k in order.
 			got, want := dst0.Clone(), dst0.Clone()
 			aw, scratch := a.withScratch()
 			tmatmulAccRangeGeneric(want, aw, b, 0, c.k)

@@ -467,10 +467,9 @@ func MatVecSlice(dst []float32, a *Matrix, lo, hi int, v []float32) {
 	}
 }
 
-// tmatmulAccMinRows is the k extent below which the transposed
-// accumulate runs sequentially (per-worker partials are not worth
-// their zeroing/merging cost on small blocks).
-const tmatmulAccMinRows = 64
+// tmatmulAccMinWork is the multiply-add count (k·m·n) below which the
+// transposed accumulate runs inline, and the least each worker gets.
+const tmatmulAccMinWork = 1 << 15
 
 // TMatMulAcc accumulates dst += aᵀ @ b (a: k x m, b: k x n, dst: m x n)
 // — the weight-gradient kernel (Xᵀ @ dY) writing straight into the
@@ -479,10 +478,9 @@ const tmatmulAccMinRows = 64
 // that are entirely zero in a k-pair are skipped (post-ReLU sparsity),
 // which is value-identical for finite data.
 //
-// Large k parallelizes over k ranges with per-worker partial matrices
-// merged in worker order: deterministic for a fixed GOMAXPROCS, but
-// the summation order differs from the sequential path (same caveat as
-// the segment scatter backwards).
+// Large products parallelize over dst's rows: each worker owns a band
+// of output rows and runs all k for it, so every element adds its terms
+// in the one k order whatever GOMAXPROCS is.
 //
 //apt:hotpath
 func TMatMulAcc(dst, a, b *Matrix) {
@@ -506,44 +504,28 @@ func TMatMulAccSlice(dst, a *Matrix, lo, hi int, b *Matrix) {
 
 //apt:hotpath
 func gatherTMatMulAcc(dst *Matrix, a gemmA, b *Matrix) {
-	rows := b.Rows
-	workers := runtime.GOMAXPROCS(0)
-	if rows < tmatmulAccMinRows || workers == 1 {
-		aw, aScratch := a.withScratch()
-		tmatmulAccRange(dst, aw, b, 0, rows)
-		Put(aScratch)
+	work := b.Rows * dst.Cols
+	if runtime.GOMAXPROCS(0) == 1 || work*dst.Rows < 2*tmatmulAccMinWork {
+		tmatmulAccBand(dst, a, b, 0, dst.Rows)
 		return
 	}
-	//apt:allow hotalloc per-worker partials on the parallel fan-out; the steady-state bench path is the sequential branch above
-	partials := make([]*Matrix, workers)
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		partials[w] = Get(dst.Rows, dst.Cols)
-		wg.Add(1)
-		//apt:allow hotalloc parallel fan-out goroutines; see the partials allow above
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			aw, aScratch := a.withScratch()
-			tmatmulAccRange(partials[w], aw, b, lo, hi)
-			Put(aScratch)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, p := range partials {
-		if p != nil {
-			dst.AddInPlace(p)
-			Put(p)
-		}
-	}
+	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
+	parallelRows(dst.Rows, max(1, tmatmulAccMinWork/work), func(r0, r1 int) {
+		tmatmulAccBand(dst, a, b, r0, r1)
+	})
+}
+
+// tmatmulAccBand runs the accumulate over all k for dst's rows [r0, r1):
+// output row i is column a.lo+i of A, so the band is A's column window
+// narrowed to [a.lo+r0, a.lo+r1), written through a view of those rows.
+//
+//apt:hotpath
+func tmatmulAccBand(dst *Matrix, a gemmA, b *Matrix, r0, r1 int) {
+	a.lo, a.hi = a.lo+r0, a.lo+r1
+	band := Matrix{Rows: r1 - r0, Cols: dst.Cols, Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
+	aw, aScratch := a.withScratch()
+	tmatmulAccRange(&band, aw, b, 0, b.Rows)
+	Put(aScratch)
 }
 
 // tmatmulAccPair applies the rank-1 updates of one k-row pair to output

@@ -30,81 +30,94 @@ func SegmentSum(edgePtr []int64, srcIdx []int32, src *Matrix) *Matrix {
 	return out
 }
 
-// segBackwardMinDst is the destination count below which the scatter
-// backwards run sequentially (per-worker partial matrices are not
-// worth their zeroing/merging cost on small blocks).
-const segBackwardMinDst = 256
+// srcMajor is a block's edges in source-major order, the transpose
+// the backward kernels gather through: the edges of source row s are
+// positions ptr[s]..ptr[s+1], in increasing edge id, and position p is
+// edge eid[p] of destination dst[p]. A worker that owns a range of
+// source rows then adds each row's terms in the order the sequential
+// scatter over destinations would — the edge order — so a backward
+// partitions its outputs, never its sum.
+type srcMajor struct {
+	ptr []int64
+	dst []int32
+	eid []int32
+}
 
-// segmentScatterRange accumulates dOut rows [lo, hi) into dSrc.
-//
-//apt:hotpath
-func segmentScatterRange(edgePtr []int64, srcIdx []int32, dOut, dSrc *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dr := dOut.Row(i)
+// srcMajors pins released transposes across garbage collections, as
+// pool.go's strong free list pins matrices: a sync.Pool would drop
+// them every cycle and the kernels would reallocate their index
+// buffers in steady state.
+var srcMajors struct {
+	mu   sync.Mutex
+	free []*srcMajor
+}
+
+// getSrcMajor builds the source-major order of the block's edges over
+// nSrc source rows by a stable counting sort, into pinned buffers;
+// putSrcMajor releases it.
+func getSrcMajor(edgePtr []int64, srcIdx []int32, nSrc int) *srcMajor {
+	srcMajors.mu.Lock()
+	var t *srcMajor
+	if n := len(srcMajors.free); n > 0 {
+		t = srcMajors.free[n-1]
+		srcMajors.free = srcMajors.free[:n-1]
+	}
+	srcMajors.mu.Unlock()
+	if t == nil {
+		t = &srcMajor{}
+	}
+	nDst := len(edgePtr) - 1
+	nE := int(edgePtr[nDst] - edgePtr[0])
+	t.ptr = resize(t.ptr, nSrc+1)
+	t.dst = resize(t.dst, nE)
+	t.eid = resize(t.eid, nE)
+	clear(t.ptr)
+	for _, s := range srcIdx[edgePtr[0]:edgePtr[nDst]] {
+		t.ptr[s]++
+	}
+	var start int64
+	for s, n := range t.ptr {
+		t.ptr[s] = start
+		start += n
+	}
+	// Place each edge at its row's cursor, ptr[s], which walks to the
+	// row's end; shifting by one row then restores every start.
+	for i := 0; i < nDst; i++ {
 		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-			sr := dSrc.Row(int(srcIdx[e]))
-			for j := range dr {
-				sr[j] += dr[j]
-			}
+			s := srcIdx[e]
+			p := t.ptr[s]
+			t.ptr[s]++
+			t.dst[p], t.eid[p] = int32(i), int32(e)
 		}
 	}
+	copy(t.ptr[1:], t.ptr[:nSrc])
+	t.ptr[0] = 0
+	return t
 }
 
-// scatterWorkers picks the worker count for a parallel scatter over
-// nDst destinations into nSrc x cols partial accumulators, bounding the
-// zero+merge overhead relative to the scatter work itself.
-func scatterWorkers(nDst int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if w := nDst / (segBackwardMinDst / 4); w < workers {
-		workers = w
+func putSrcMajor(t *srcMajor) {
+	srcMajors.mu.Lock()
+	if len(srcMajors.free) < strongPerClass {
+		srcMajors.free = append(srcMajors.free, t)
 	}
-	return workers
+	srcMajors.mu.Unlock()
 }
 
-// SegmentSumBackward scatters dOut back to source rows:
-// dSrc[srcIdx[e]] += dOut[i] for each edge e of destination i.
-//
-// Multiple destinations may share a source row, so a naive parallel
-// scatter would race; large blocks instead scatter into per-worker
-// partial matrices merged in worker order (the TMatMul scheme). The
-// result is deterministic for a fixed GOMAXPROCS but sums in a
-// different order than the sequential path (float32 reassociation on
-// the order of the usual 1e-6 relative error).
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// SegmentSumBackward is the backward of SegmentSum:
+// dSrc[srcIdx[e]] += dOut[i] for each edge e of destination i — the
+// fused backward with neither mean nor ReLU. Each source row sums its
+// edges in edge order, so the result is the sequential scatter's, bit
+// for bit, at any GOMAXPROCS.
 func SegmentSumBackward(edgePtr []int64, srcIdx []int32, dOut *Matrix, nSrc int) *Matrix {
-	dSrc := Get(nSrc, dOut.Cols)
-	nDst := dOut.Rows
-	workers := scatterWorkers(nDst)
-	if nDst < segBackwardMinDst || workers <= 1 {
-		segmentScatterRange(edgePtr, srcIdx, dOut, dSrc, 0, nDst)
-		return dSrc
-	}
-	partials := make([]*Matrix, workers)
-	var wg sync.WaitGroup
-	chunk := (nDst + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= nDst {
-			break
-		}
-		hi := lo + chunk
-		if hi > nDst {
-			hi = nDst
-		}
-		partials[w] = Get(nSrc, dOut.Cols)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			segmentScatterRange(edgePtr, srcIdx, dOut, partials[w], lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, p := range partials {
-		if p != nil {
-			dSrc.AddInPlace(p)
-			Put(p)
-		}
-	}
-	return dSrc
+	return SegmentAggFusedBackward(edgePtr, srcIdx, nil, dOut, false, false, nSrc)
 }
 
 // SegmentMean computes out[i] = mean over segment i (zero for empty
@@ -122,26 +135,6 @@ func SegmentMean(edgePtr []int64, srcIdx []int32, src *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// SegmentMeanBackward is the backward of SegmentMean. It parallelizes
-// like SegmentSumBackward (same determinism caveat).
-func SegmentMeanBackward(edgePtr []int64, srcIdx []int32, dOut *Matrix, nSrc int) *Matrix {
-	scaled := Get(dOut.Rows, dOut.Cols)
-	copy(scaled.Data, dOut.Data)
-	for i := 0; i < scaled.Rows; i++ {
-		d := edgePtr[i+1] - edgePtr[i]
-		if d > 1 {
-			inv := float32(1.0 / float64(d))
-			sr := scaled.Row(i)
-			for j := range sr {
-				sr[j] *= inv
-			}
-		}
-	}
-	dSrc := SegmentSumBackward(edgePtr, srcIdx, scaled, nSrc)
-	Put(scaled)
-	return dSrc
 }
 
 // SegmentWeightedSum accumulates out[i][lo:hi] += Σ_e w[e] *
@@ -178,21 +171,20 @@ func segmentWeightedSumRange(out *Matrix, edgePtr []int64, srcIdx []int32, w []f
 	}
 }
 
-// segmentWeightedScatterRange accumulates destinations [i0, i1) of the
-// weighted-sum backward on band [lo, hi) into dSrc's columns starting
-// at dlo, and writes their edge gradients into dW (each edge belongs to
-// exactly one destination, so concurrent ranges write disjoint dW
-// entries).
+// segmentWeightedGatherRange runs source rows [s0, s1) of the
+// weighted-sum backward on band [lo, hi): each row adds its edges'
+// terms w[e]·dOut[i] into dSrc's band in edge order, and writes each of
+// those edges' gradient dW[e] = src[s]·dOut[i] (an edge has one source,
+// so concurrent ranges write disjoint dSrc rows and dW entries).
 //
 //apt:hotpath
-func segmentWeightedScatterRange(edgePtr []int64, srcIdx []int32, w []float32, src, dOut, dSrc *Matrix, dW []float32, lo, hi, dlo, i0, i1 int) {
-	n := hi - lo
-	for i := i0; i < i1; i++ {
-		dr := dOut.Row(i)[lo:hi]
-		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-			si := int(srcIdx[e])
-			sr := src.Row(si)[lo:hi]
-			ds := dSrc.Row(si)[dlo : dlo+n]
+func segmentWeightedGatherRange(t *srcMajor, w []float32, src, dOut, dSrc *Matrix, dW []float32, lo, hi, s0, s1 int) {
+	for s := s0; s < s1; s++ {
+		sr := src.Row(s)[lo:hi]
+		ds := dSrc.Row(s)[lo:hi]
+		for p := t.ptr[s]; p < t.ptr[s+1]; p++ {
+			e := t.eid[p]
+			dr := dOut.Row(int(t.dst[p]))[lo:hi]
 			we := w[e]
 			var dot float32
 			for j := range dr {
@@ -206,63 +198,25 @@ func segmentWeightedScatterRange(edgePtr []int64, srcIdx []int32, w []float32, s
 
 // SegmentWeightedSumBackward is the backward of SegmentWeightedSum on
 // band [lo, hi): it accumulates the source gradients into dSrc[:, lo:hi]
-// and writes every edge's weight gradient into dW. Large blocks
-// parallelize over destination ranges: the first worker scatters into
-// the band itself, every other one into a partial one band wide, and
-// the partials are merged into the band in worker order (same
-// determinism caveat as SegmentSumBackward). On a zero band — GAT's
-// case — that is bit for bit a zeroed partial per worker, since a
-// +0-rooted sum is never −0. dW entries are disjoint per destination
-// and are written in place by every worker.
+// and writes every edge's weight gradient into dW. It gathers through
+// the block's source-major order, and large blocks split the source
+// rows across workers, so each dSrc element adds its terms onto its
+// starting value in edge order — the sequential scatter's bits at any
+// GOMAXPROCS.
 //
 //apt:hotpath
 func SegmentWeightedSumBackward(dSrc *Matrix, dW []float32, edgePtr []int64, srcIdx []int32, w []float32, src, dOut *Matrix, lo, hi int) {
-	nDst := dOut.Rows
-	workers := scatterWorkers(nDst)
-	if nDst < segBackwardMinDst || workers <= 1 {
-		segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, dSrc, dW, lo, hi, lo, 0, nDst)
-		return
+	nSrc := src.Rows
+	t := getSrcMajor(edgePtr, srcIdx, nSrc)
+	if runtime.GOMAXPROCS(0) == 1 || nSrc < 128 {
+		segmentWeightedGatherRange(t, w, src, dOut, dSrc, dW, lo, hi, 0, nSrc)
+	} else {
+		//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
+		parallelRows(nSrc, 64, func(s0, s1 int) {
+			segmentWeightedGatherRange(t, w, src, dOut, dSrc, dW, lo, hi, s0, s1)
+		})
 	}
-	n := hi - lo
-	//apt:allow hotalloc per-worker partials on the parallel fan-out; the steady-state bench path is the sequential branch above
-	partials := make([]*Matrix, workers)
-	var wg sync.WaitGroup
-	chunk := (nDst + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		i0 := wk * chunk
-		if i0 >= nDst {
-			break
-		}
-		i1 := i0 + chunk
-		if i1 > nDst {
-			i1 = nDst
-		}
-		dst, dlo := dSrc, lo
-		if wk > 0 {
-			partials[wk] = Get(src.Rows, n)
-			dst, dlo = partials[wk], 0
-		}
-		wg.Add(1)
-		//apt:allow hotalloc parallel fan-out goroutines; see the partials allow above
-		go func(dst *Matrix, dlo, i0, i1 int) {
-			defer wg.Done()
-			segmentWeightedScatterRange(edgePtr, srcIdx, w, src, dOut, dst, dW, lo, hi, dlo, i0, i1)
-		}(dst, dlo, i0, i1)
-	}
-	wg.Wait()
-	for _, p := range partials[1:] {
-		if p == nil {
-			continue
-		}
-		for r := 0; r < p.Rows; r++ {
-			pr := p.Data[r*n : (r+1)*n]
-			ds := dSrc.Data[r*dSrc.Cols+lo:][:len(pr)]
-			for j, v := range pr {
-				ds[j] += v
-			}
-		}
-		Put(p)
-	}
+	putSrcMajor(t)
 }
 
 // SDDMMAdd computes per-edge scores score[e] = dstVal[i] + srcVal[srcIdx[e]]

@@ -66,17 +66,15 @@ func TestMatMulTEquivalence(t *testing.T) {
 
 func TestTMatMulEquivalence(t *testing.T) {
 	rng := graph.NewRNG(3)
-	a := randomMatrix(150, 6, rng) // tall enough to trigger parallel path
-	b := randomMatrix(150, 9, rng)
-	at := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	got := New(a.Cols, b.Cols)
-	TMatMulAccSlice(got, a, 0, a.Cols, b)
-	matricesClose(t, "TMatMulAccSlice", got, naiveMatMul(at, b), 1e-3)
+	a := randomMatrix(1500, 6, rng) // tall enough for the parallel path
+	b := randomMatrix(1500, 9, rng)
+	forEachProcs(t, func(t *testing.T) {
+		got := New(a.Cols, b.Cols)
+		TMatMulAccSlice(got, a, 0, a.Cols, b)
+		want := New(a.Cols, b.Cols)
+		naiveTMatMulAccF32(want, a, b)
+		bitsEqual(t, "TMatMulAccSlice", got.Data, want.Data)
+	})
 }
 
 func TestMatMulPanicsOnMismatch(t *testing.T) {
@@ -161,7 +159,7 @@ func TestSegmentMeanBackwardMatchesNumerical(t *testing.T) {
 	rng := graph.NewRNG(6)
 	src := randomMatrix(4, 2, rng)
 	dOut := randomMatrix(3, 2, rng)
-	dSrc := SegmentMeanBackward(tEdgePtr, tSrcIdx, dOut, 4)
+	dSrc := SegmentAggFusedBackward(tEdgePtr, tSrcIdx, nil, dOut, true, false, 4)
 	const eps = 1e-3
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 2; c++ {
