@@ -262,3 +262,42 @@ func TestTierRowsMatchAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionCandidatesFirstSeenOrder checks each device's DNP list
+// against a map-based reference: its own nodes ascending, then every
+// 1-hop neighbour once, in first-seen order.
+func TestPartitionCandidatesFirstSeenOrder(t *testing.T) {
+	g := graph.ErdosRenyi(graph.GenerateConfig{NumNodes: 300, AvgDegree: 6, Seed: 2})
+	rng := graph.NewRNG(5)
+	assign := make([]int32, g.NumNodes())
+	for v := range assign {
+		assign[v] = int32(rng.Intn(3))
+	}
+	got := partitionCandidates(assign, 3, g)
+	for d := range got {
+		var want []graph.NodeID
+		seen := map[graph.NodeID]bool{}
+		for v, a := range assign {
+			if int(a) == d {
+				want = append(want, graph.NodeID(v))
+				seen[graph.NodeID(v)] = true
+			}
+		}
+		for _, v := range append([]graph.NodeID(nil), want...) {
+			for _, u := range g.Neighbors(v) {
+				if !seen[u] {
+					seen[u] = true
+					want = append(want, u)
+				}
+			}
+		}
+		if len(got[d]) != len(want) {
+			t.Fatalf("device %d: %d candidates, want %d", d, len(got[d]), len(want))
+		}
+		for i := range want {
+			if got[d][i] != want[i] {
+				t.Fatalf("device %d: candidate %d is %d, want %d", d, i, got[d][i], want[i])
+			}
+		}
+	}
+}

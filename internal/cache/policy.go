@@ -6,7 +6,8 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -103,7 +104,7 @@ func rankedLists(cfg SelectConfig, k int) [][]graph.NodeID {
 func Select(cfg SelectConfig) [][]graph.NodeID {
 	out := rankedLists(cfg, cfg.CapacityNodes)
 	for d := range out {
-		sort.Slice(out[d], func(i, j int) bool { return out[d][i] < out[d][j] })
+		slices.Sort(out[d])
 	}
 	return out
 }
@@ -125,8 +126,8 @@ func SelectTiered(cfg SelectConfig, warmNodes int) (hot, warm [][]graph.NodeID) 
 			h = h[:cfg.CapacityNodes]
 		}
 		hot[d] = h
-		sort.Slice(hot[d], func(i, j int) bool { return hot[d][i] < hot[d][j] })
-		sort.Slice(warm[d], func(i, j int) bool { return warm[d][i] < warm[d][j] })
+		slices.Sort(hot[d])
+		slices.Sort(warm[d])
 	}
 	return hot, warm
 }
@@ -150,16 +151,20 @@ func partitionCandidates(assign []int32, devices int, g *graph.Graph) [][]graph.
 	if g == nil {
 		return cands
 	}
+	// seen[v] == d marks v as already in device d's list.
+	seen := make([]int32, len(assign))
+	for v := range seen {
+		seen[v] = -1
+	}
 	for d := range cands {
-		seen := make(map[graph.NodeID]struct{}, len(cands[d])*2)
-		for _, v := range cands[d] {
-			seen[v] = struct{}{}
-		}
 		base := cands[d]
 		for _, v := range base {
+			seen[v] = int32(d)
+		}
+		for _, v := range base {
 			for _, u := range g.Neighbors(v) {
-				if _, ok := seen[u]; !ok {
-					seen[u] = struct{}{}
+				if seen[u] != int32(d) {
+					seen[u] = int32(d)
 					cands[d] = append(cands[d], u)
 				}
 			}
@@ -172,12 +177,11 @@ func partitionCandidates(assign []int32, devices int, g *graph.Graph) [][]graph.
 // breaking ties by node ID for determinism.
 func topByScore(cands []graph.NodeID, score func(graph.NodeID) int64, k int) []graph.NodeID {
 	sorted := append([]graph.NodeID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		si, sj := score(sorted[i]), score(sorted[j])
-		if si != sj {
-			return si > sj
+	slices.SortFunc(sorted, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(score(b), score(a)); c != 0 {
+			return c
 		}
-		return sorted[i] < sorted[j]
+		return cmp.Compare(a, b)
 	})
 	if len(sorted) > k {
 		sorted = sorted[:k]

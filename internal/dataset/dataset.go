@@ -10,7 +10,7 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -193,8 +193,8 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 	testCount := seedCount / 4
 	d.TestSeeds = make([]graph.NodeID, testCount)
 	copy(d.TestSeeds, perm[seedCount:seedCount+testCount])
-	sort.Slice(d.TrainSeeds, func(i, j int) bool { return d.TrainSeeds[i] < d.TrainSeeds[j] })
-	sort.Slice(d.TestSeeds, func(i, j int) bool { return d.TestSeeds[i] < d.TestSeeds[j] })
+	slices.Sort(d.TrainSeeds)
+	slices.Sort(d.TestSeeds)
 
 	if withFeatures {
 		d.Feats = tensor.New(n, spec.FeatDim)

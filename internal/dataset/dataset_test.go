@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -152,5 +155,55 @@ func TestTrainTestSplitsDisjoint(t *testing.T) {
 		if seen[s] {
 			t.Fatalf("seed %d in both splits", s)
 		}
+	}
+}
+
+// TestBuildGolden pins every preset's graph, features and seed splits
+// bit for bit, as the fnv64a of their contents.
+func TestBuildGolden(t *testing.T) {
+	want := map[string]uint64{
+		"PS": 0x25dc4f4c16e437a7,
+		"FS": 0xc05ada76f8e8556c,
+		"IM": 0xce1af3df8d816877,
+	}
+	for _, spec := range Presets(0.02) {
+		d := Build(spec, true)
+		h := fnv.New64a()
+		put := func(xs ...uint32) {
+			var b [4]byte
+			for _, x := range xs {
+				binary.LittleEndian.PutUint32(b[:], x)
+				h.Write(b[:])
+			}
+		}
+		for _, p := range d.Graph.Indptr {
+			put(uint32(p))
+		}
+		for _, s := range [][]graph.NodeID{d.Graph.Indices, d.TrainSeeds, d.TestSeeds} {
+			for _, v := range s {
+				put(uint32(v))
+			}
+		}
+		for _, f := range d.Feats.Data {
+			put(math.Float32bits(f))
+		}
+		if got := h.Sum64(); got != want[spec.Abbr] {
+			t.Errorf("%s: dataset fnv64a %016x, want %016x", spec.Abbr, got, want[spec.Abbr])
+		}
+	}
+}
+
+var sinkDataset *Dataset
+
+// BenchmarkDatasetBuild builds the PS preset with features at the
+// benchmark workloads' scale (0.2).
+func BenchmarkDatasetBuild(b *testing.B) {
+	spec, err := ByAbbr("PS", 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDataset = Build(spec, true)
 	}
 }

@@ -9,7 +9,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node in the global graph.
@@ -128,7 +128,7 @@ func (b *Builder) Build(dropSelfLoops bool) *Graph {
 	newIndptr := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		row := indices[indptr[v]:indptr[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		var last NodeID = -1
 		for _, u := range row {
 			if u != last {

@@ -1,10 +1,6 @@
 package partition
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // MultilevelConfig tunes the multilevel partitioner.
 type MultilevelConfig struct {
@@ -97,10 +93,18 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 }
 
 // wgraph is a weighted undirected graph used internally during
-// coarsening: parallel edges merged, weights accumulated. Vertices
-// carry two weights: vw (the balance weight, edge mass under
-// multi-constraint partitioning) and nw (collapsed original node
-// count, always balanced).
+// coarsening, with weights accumulated on its edges. Vertices carry
+// two weights: vw (the balance weight, edge mass under multi-constraint
+// partitioning) and nw (collapsed original node count, always
+// balanced).
+//
+// Every row is sorted by target, but a coarse row may list a target
+// twice, with the weight split between the two entries (see coarsen).
+// The split is kept on purpose: heavy-edge matching at the next level
+// reads the entries' weights one by one, so merging them changes which
+// pairs match and moves the assignment. Nothing else depends on the
+// split: refinement sums a row's weights per part, growing skips
+// assigned targets, and a target's entries sit next to each other.
 type wgraph struct {
 	xadj []int64
 	adj  []int32
@@ -126,36 +130,68 @@ func caps(w *wgraph, k int, cfg MultilevelConfig) (vwCap, nwCap int64) {
 	return
 }
 
+// starts turns the per-bucket counts held at ptr[b+1] into bucket start
+// offsets, and returns a write cursor per bucket set to its start.
+func starts(ptr []int64) []int64 {
+	for b := 1; b < len(ptr); b++ {
+		ptr[b] += ptr[b-1]
+	}
+	return append([]int64(nil), ptr[:len(ptr)-1]...)
+}
+
 // symmetrize converts the CSR graph into a weighted undirected wgraph,
-// merging the u->v and v->u directions.
+// merging the u->v and v->u directions, repeated neighbours and
+// self-loops. Each row lists its neighbours in the order their
+// undirected edge is first met when g's rows are scanned by ascending
+// v, whatever g's rows hold: unsorted, repeated or one-directional.
 func symmetrize(g *graph.Graph) *wgraph {
 	n := g.NumNodes()
+	// lower[v] lists every x < v whose row lists v: the edges {x, v}
+	// met before row v is scanned.
+	lowPtr := make([]int64, n+1)
+	for x := 0; x < n; x++ {
+		for _, v := range g.Neighbors(graph.NodeID(x)) {
+			if int(v) > x {
+				lowPtr[v+1]++
+			}
+		}
+	}
+	cursor := starts(lowPtr)
+	lower := make([]int32, lowPtr[n])
+	for x := 0; x < n; x++ {
+		for _, v := range g.Neighbors(graph.NodeID(x)) {
+			if int(v) > x {
+				lower[cursor[v]] = int32(x)
+				cursor[v]++
+			}
+		}
+	}
+	// Before row v is scanned, stamp every x whose edge {x, v} is
+	// already listed; within the row, stamp each neighbour as its edge
+	// is listed. A neighbour stamped v is then a repeat.
 	type edge struct{ u, v int32 }
-	seen := make(map[edge]struct{}, len(g.Indices))
+	edges := make([]edge, 0, len(g.Indices)-len(lower)) // exact for a symmetric, duplicate-free g
 	deg := make([]int64, n+1)
-	var edges []edge
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			a, b := u, int32(v)
-			if a == b {
+	stamp := make([]int32, n)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	for v := int32(0); v < int32(n); v++ {
+		for _, x := range lower[lowPtr[v]:lowPtr[v+1]] {
+			stamp[x] = v
+		}
+		for _, u := range g.Neighbors(v) {
+			if u == v || stamp[u] == v {
 				continue
 			}
-			if a > b {
-				a, b = b, a
-			}
-			e := edge{a, b}
-			if _, ok := seen[e]; ok {
-				continue
-			}
-			seen[e] = struct{}{}
-			edges = append(edges, e)
+			stamp[u] = v
+			a, b := min(u, v), max(u, v)
+			edges = append(edges, edge{a, b})
 			deg[a+1]++
 			deg[b+1]++
 		}
 	}
-	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
-	}
+	cursor = starts(deg)
 	w := &wgraph{
 		xadj: deg,
 		adj:  make([]int32, deg[n]),
@@ -167,8 +203,6 @@ func symmetrize(g *graph.Graph) *wgraph {
 		w.vw[v] = 1
 		w.nw[v] = 1
 	}
-	cursor := make([]int64, n)
-	copy(cursor, deg[:n])
 	for _, e := range edges {
 		w.adj[cursor[e.u]] = e.v
 		w.adjw[cursor[e.u]] = 1
@@ -236,17 +270,21 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 		cvw[cmap[v]] += w.vw[v]
 		cnw[cmap[v]] += w.nw[v]
 	}
-	// Gather coarse edges per coarse node using a stamped scratch.
-	type centry struct {
-		to int32
-		w  int64
-	}
-	rows := make([][]centry, cn)
+	// Gather coarse entries (row, to, w) in fine-vertex order. stamp[cu]
+	// remembers only the last coarse row to touch cu, so the two
+	// members of a pair far apart in ID can each open an entry for cu:
+	// the repeated targets wgraph describes. Each fine entry opens at
+	// most one coarse entry.
+	erow := make([]int32, 0, len(w.adj))
+	eto := make([]int32, 0, len(w.adj))
+	ew := make([]int64, 0, len(w.adj))
+	rowPtr := make([]int64, cn+1)
+	toPtr := make([]int64, cn+1)
 	stamp := make([]int32, cn)
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	slot := make([]int32, cn)
+	slot := make([]int, cn)
 	for v := 0; v < n; v++ {
 		cv := cmap[v]
 		for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
@@ -255,27 +293,40 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 				continue
 			}
 			if stamp[cu] == cv {
-				rows[cv][slot[cu]].w += w.adjw[i]
-			} else {
-				stamp[cu] = cv
-				slot[cu] = int32(len(rows[cv]))
-				rows[cv] = append(rows[cv], centry{to: cu, w: w.adjw[i]})
+				ew[slot[cu]] += w.adjw[i]
+				continue
 			}
+			stamp[cu] = cv
+			slot[cu] = len(ew)
+			erow = append(erow, cv)
+			eto = append(eto, cu)
+			ew = append(ew, w.adjw[i])
+			rowPtr[cv+1]++
+			toPtr[cu+1]++
 		}
 	}
-	cw := &wgraph{xadj: make([]int64, cn+1), vw: cvw, nw: cnw}
-	for v := int32(0); v < cn; v++ {
-		cw.xadj[v+1] = cw.xadj[v] + int64(len(rows[v]))
+	// Two stable counting passes, by target and then by row, leave
+	// every row sorted by target.
+	byTo := make([]int32, len(eto))
+	cursor := starts(toPtr)
+	for e, cu := range eto {
+		byTo[cursor[cu]] = int32(e)
+		cursor[cu]++
 	}
-	cw.adj = make([]int32, cw.xadj[cn])
-	cw.adjw = make([]int64, cw.xadj[cn])
-	for v := int32(0); v < cn; v++ {
-		row := rows[v]
-		sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
-		base := cw.xadj[v]
-		for i, e := range row {
-			cw.adj[base+int64(i)] = e.to
-			cw.adjw[base+int64(i)] = e.w
+	cursor = starts(rowPtr)
+	cw := &wgraph{
+		xadj: rowPtr,
+		adj:  make([]int32, len(eto)),
+		adjw: make([]int64, len(eto)),
+		vw:   cvw,
+		nw:   cnw,
+	}
+	for cu := int32(0); cu < cn; cu++ {
+		for _, e := range byTo[toPtr[cu]:toPtr[cu+1]] {
+			p := cursor[erow[e]]
+			cursor[erow[e]]++
+			cw.adj[p] = cu
+			cw.adjw[p] = ew[e]
 		}
 	}
 	return cmap, cw
@@ -462,11 +513,4 @@ func rebalance(w *wgraph, assign []int32, k int, nwCap int64, vwSums, nwSums []i
 			vwSums[best] += w.vw[v]
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
