@@ -27,8 +27,13 @@
 // cross-rank maximum keeps every rank's plan identical); otherwise
 // planning uses the simulated hardware profile.
 //
-// Fault tolerance: with -ckpt-dir a rolling training snapshot is
-// written after every epoch (by rank 0 in a multi-process job). If the
+// In-process or as a rank, aptrun trains through core's one epoch loop
+// (core.APT.TrainWithContext over the transport it built) and prints
+// each epoch from APT.OnEpoch.
+//
+// Fault tolerance: with -ckpt-dir D a rolling training snapshot,
+// D/snapshot.aptc, is written after every epoch (by rank 0 in a
+// multi-process job); aptserve -checkpoint serves it. If the
 // job dies, relaunching it with the same flags plus -resume continues
 // from the last snapshot — bit-identically when the device count is
 // unchanged (the checksum matches an uninterrupted run), or
@@ -39,11 +44,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -52,6 +57,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/job"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -66,7 +72,6 @@ func main() {
 		simulate = flag.Bool("simulate", false, "accounting mode: no real training, timing only")
 		explain  = flag.Bool("explain", false, "print the adapted execution plan before training")
 		timeline = flag.Bool("timeline", false, "print per-step stage times for the last epoch")
-		save     = flag.String("save", "", "write the final training snapshot to this file")
 		tracePth = flag.String("trace", "", "write a Chrome trace of the run's spans to this file (chrome://tracing); give each rank its own path")
 		metrics  = flag.Bool("metrics", false, "dump the metrics registry (text exposition format) on exit")
 
@@ -109,18 +114,16 @@ func main() {
 	task.GradCompress = *gradComp
 
 	tr := comm.NewChanTransport(spec.Devices) // every device in this process
-	local := 0                                // the replica this process trains, evaluates and checksums
 	if ranked {
-		local = *rank
 		tr, err = transport.NewTCP(transport.TCPOptions{
-			Rank: local, World: spec.Devices, Coord: *coord, BindHost: *bind,
+			Rank: *rank, World: spec.Devices, Coord: *coord, BindHost: *bind,
 		})
 		fatal(err)
 		logf("connected: world %d via %s", spec.Devices, *coord)
 	}
 	if *measureWire {
 		c := comm.NewWithTransport(device.NewGroup(task.Platform), tr)
-		ws := transport.MeasureWire(c, local, 0, 0)
+		ws := transport.MeasureWire(c, *rank, 0, 0)
 		task.ProfileOverride = ws.ApplyTo(comm.MeasureProfile(task.Platform))
 		logf("measured wire: alltoall %.2e B/s  allgather %.2e B/s  allreduce %.2e B/s",
 			ws.AllToAllBps, ws.AllGatherBps, ws.AllReduceBps)
@@ -134,15 +137,12 @@ func main() {
 		// The per-step table is a view over the run's spans.
 		opts = append(opts, obs.WithObserver(spansOnly{}))
 	}
-	snapPath := ""
-	if *ckptDir != "" {
-		snapPath = filepath.Join(*ckptDir, checkpoint.DefaultName)
-	}
 	var apt *core.APT
 	if *resume {
 		// Every rank restores the identical snapshot, exactly as every
 		// rank rebuilds the identical task: resumed state is
 		// configuration, so it never crosses the wire.
+		snapPath := filepath.Join(*ckptDir, checkpoint.DefaultName)
 		apt, err = core.ResumeFile(task, snapPath, opts...)
 		fatal(err)
 		logf("resuming from %s after %d epoch(s)", snapPath, apt.EpochBase())
@@ -150,6 +150,8 @@ func main() {
 		apt, err = core.New(task, opts...)
 		fatal(err)
 	}
+	apt.Transport = tr
+	apt.CheckpointDir = *ckptDir
 
 	var choice strategy.Kind
 	if *pinned != "" {
@@ -174,68 +176,50 @@ func main() {
 		}
 	}
 
-	eng, err := apt.BuildEngineDistributed(choice, tr, local)
-	fatal(err)
-	fatal(apt.ApplyResume(eng))
+	// No earlier span ends after the last epoch's first begins: read
+	// the collector's end before that epoch, which is now if it is the
+	// run's first.
 	var lastEpochAt float64
-	for ep := apt.EpochBase() + 1; ep <= *epochs; ep++ {
-		if *timeline && ep == *epochs {
-			lastEpochAt = apt.Spans().MaxEnd() // no earlier span ends after this epoch's first begins
-		}
-		//apt:allow simclock CLI progress reporting; the wall epoch time is the clock the user waits on
-		start := time.Now()
-		st := eng.RunEpoch()
-		//apt:allow simclock CLI progress reporting; the wall epoch time is the clock the user waits on
-		wall := time.Since(start).Seconds()
-		engine.RecordEpochMetrics(apt.Metrics(), st)
-		line := fmt.Sprintf("epoch %2d  sim %.4fs  wall %.3fs  %s", ep, st.EpochTime(), wall, st.String())
+	if *timeline {
+		lastEpochAt = apt.Spans().MaxEnd()
+	}
+	apt.OnEpoch = func(ep int, st engine.EpochStats, m *nn.Model) {
+		line := fmt.Sprintf("epoch %2d  sim %.4fs  wall %.3fs  %s", ep, st.EpochTime(), st.WallSec, st.String())
 		if !*simulate {
-			acc := engine.Evaluate(ds.Graph, eng.Model(local), ds.Feats, ds.Labels,
-				ds.TestSeeds, task.Sampling, 256, 1)
+			acc := engine.Evaluate(ds.Graph, m, ds.Feats, ds.Labels, ds.TestSeeds, task.Sampling, 256, 1)
 			line += fmt.Sprintf("  loss %.4f  test-acc %.3f", st.MeanLoss, acc)
 		}
 		logf("%s", line)
-		if snapPath != "" {
-			// Snapshot building is collective (the sampler cursors are
-			// exchanged across ranks), so every rank enters it; the
-			// replicas are synchronized, so every rank holds the same
-			// snapshot and rank 0 persists it.
-			snap, err := apt.Snapshot()
-			fatal(err)
-			if local == 0 {
-				fatal(snap.WriteFile(snapPath))
-			}
+		if *timeline && ep == *epochs-1 {
+			lastEpochAt = apt.Spans().MaxEnd()
 		}
-		if *dieAfter > 0 && ep >= *dieAfter {
-			// Every rank gets the same -die-after, so the whole job dies
-			// at the same epoch boundary — the snapshot the relaunch
-			// will resume from has just been written. Close drains the
-			// writer goroutines so the snapshot collective's payloads
-			// reach the peers before this process disappears.
-			logf("simulated crash after epoch %d", ep)
-			tr.Close()
-			os.Exit(3)
+	}
+	// -die-after crashes at the first epoch boundary at or past it, so a
+	// run resumed at or beyond it still trains one more epoch first.
+	target, crash := *epochs, false
+	if *dieAfter > 0 {
+		if stop := max(*dieAfter, apt.EpochBase()+1); stop <= *epochs {
+			target, crash = stop, true
 		}
+	}
+	res, err := apt.TrainWithContext(context.Background(), choice, target)
+	fatal(err)
+	if crash {
+		// Every rank gets the same -die-after, so the whole job dies at
+		// the same epoch boundary, right after writing the snapshot the
+		// relaunch will resume from. Close drains the writer goroutines
+		// so the snapshot collective's payloads reach the peers before
+		// this process disappears.
+		logf("simulated crash after epoch %d", target)
+		tr.Close()
+		os.Exit(3)
 	}
 	if *timeline {
 		fmt.Print(trace.RenderStepTable("per-step stage times (last epoch, max over devices):",
 			apt.Spans(), device.StepStages[:], lastEpochAt))
 	}
-	if *save != "" {
-		// A full training snapshot (params + optimizer moments + RNG
-		// cursors), so the run can be resumed or served; aptserve's
-		// -checkpoint flag accepts it directly. Collective like the
-		// rolling one: every rank builds it, rank 0 writes it.
-		snap, err := apt.Snapshot()
-		fatal(err)
-		if local == 0 {
-			fatal(snap.WriteFile(*save))
-			logf("training snapshot written to %s", *save)
-		}
-	}
 	fatal(tr.Close())
 	if *tracePth != "" {
-		fatal(obs.WriteChromeTraceFile(*tracePth, apt.Spans()))
 		logf("chrome trace written to %s (load in chrome://tracing)", *tracePth)
 		fmt.Print(trace.RenderSpanBars("per-track span totals:", apt.Spans(), nil))
 	}
@@ -245,11 +229,11 @@ func main() {
 	// The checksum covers this process's trained replica bit-for-bit;
 	// the collectives keep replicas synchronized, so all ranks — and
 	// the in-process run of the same flags — must agree.
-	logf("params fnv64a %016x", eng.Model(local).Checksum())
+	logf("params fnv64a %016x", res.Model.Checksum())
 }
 
-// spansOnly turns span collection on without a sink of its own:
-// aptrun drives the epochs itself and reads the collector directly.
+// spansOnly turns span collection on without a sink of its own: the
+// per-step table reads the collector directly.
 type spansOnly struct{}
 
 func (spansOnly) ObserveSpans([]*obs.Track)    {}

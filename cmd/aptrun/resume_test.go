@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,6 +140,9 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	if want[0] != want[1] {
 		t.Fatalf("baseline ranks disagree: %s vs %s", want[0], want[1])
 	}
+	for r, out := range outs {
+		wantEpochs(t, fmt.Sprintf("baseline rank %d", r), out, 1, 2, 3, 4)
+	}
 
 	// Same job, crashing both ranks after epoch 2. The collective
 	// snapshot is a barrier, so both reach the simulated crash.
@@ -162,6 +166,8 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 		if !strings.Contains(outs[r], "resuming from") {
 			t.Fatalf("rank %d did not take the resume path:\n%s", r, outs[r])
 		}
+		// A resumed run continues the interrupted one's numbering.
+		wantEpochs(t, fmt.Sprintf("resumed rank %d", r), outs[r], 3, 4)
 	}
 	got := checksums(t, outs)
 	for r := range got {
@@ -184,12 +190,66 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	if out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir1, "-die-after", "2")...); code != 3 {
 		t.Fatalf("in-process crash run exited %d, want 3:\n%s", code, out)
 	}
+	// A resume that keeps -die-after 2 trains one more epoch before it
+	// crashes again, and a second resume still lands on the baseline.
+	dir2 := t.TempDir()
+	snap, err := os.ReadFile(filepath.Join(dir1, "snapshot.aptc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "snapshot.aptc"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir2, "-resume", "-die-after", "2")...)
+	if code != 3 || !strings.Contains(out, "simulated crash after epoch 3") {
+		t.Fatalf("resume with -die-after 2: exit %d, want 3 after epoch 3:\n%s", code, out)
+	}
+	wantEpochs(t, "resume with -die-after 2", out, 3)
+	out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir2, "-resume")...)
+	if code != 0 {
+		t.Fatalf("second resume exited %d:\n%s", code, out)
+	}
+	wantEpochs(t, "second resume", out, 4)
+	if got := checksums(t, []string{out})[0]; got != want[0] {
+		t.Errorf("twice-resumed checksum %s != baseline %s", got, want[0])
+	}
 	out, code = run(bin, nil, append(jobFlags(2), "-ckpt-dir", dir1, "-resume")...)
 	if code != 0 || !strings.Contains(out, "resuming from") {
 		t.Fatalf("in-process resume exited %d:\n%s", code, out)
 	}
 	if got := checksums(t, []string{out})[0]; got != want[0] {
 		t.Errorf("in-process resumed checksum %s != baseline %s", got, want[0])
+	}
+	wantEpochs(t, "in-process resumed run", out, 3, 4)
+
+	// The final snapshot is the rolling one in -ckpt-dir; there is no
+	// second path to write it.
+	if out, code := run(bin, nil, "-save", filepath.Join(dir1, "final.aptc")); code != 2 {
+		t.Errorf("aptrun -save: exit %d, want 2 (unknown flag):\n%s", code, out)
+	}
+}
+
+var epochLineRe = regexp.MustCompile(`(?m)^(?:\[rank \d+\] )?epoch +(\d+) .*$`)
+
+var wallRe = regexp.MustCompile(`^(?:\[rank \d+\] )?epoch +\d+  sim [0-9.]+s  wall [0-9.]+s  `)
+
+// wantEpochs requires out's epoch lines to be numbered exactly want, in
+// order, each carrying its wall-clock figure beside the simulated one.
+func wantEpochs(t *testing.T, what, out string, want ...int) {
+	t.Helper()
+	var got []int
+	for _, m := range epochLineRe.FindAllStringSubmatch(out, -1) {
+		if !wallRe.MatchString(m[0]) {
+			t.Errorf("%s: epoch line without a wall figure: %q", what, m[0])
+		}
+		n, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, n)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s printed epochs %v, want %v:\n%s", what, got, want, out)
 	}
 }
 

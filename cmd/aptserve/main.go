@@ -5,8 +5,8 @@
 // Serve a checkpoint trained by aptrun (same job flags — the two
 // binaries register the same set, internal/job):
 //
-//	aptrun   -data FS -model sage -hidden 32 -epochs 5 -save /tmp/fs.ckpt
-//	aptserve -data FS -model sage -hidden 32 -checkpoint /tmp/fs.ckpt -addr :8399
+//	aptrun   -data FS -model sage -hidden 32 -epochs 5 -ckpt-dir /tmp/fs
+//	aptserve -data FS -model sage -hidden 32 -checkpoint /tmp/fs/snapshot.aptc -addr :8399
 //
 //	curl -s localhost:8399/predict -d '{"nodes":[1,2,3]}'
 //	curl -s localhost:8399/stats     # JSON snapshot
@@ -16,10 +16,11 @@
 // A running daemon hot-swaps its model without dropping requests when
 // the checkpoint file is rewritten (e.g. by a fresh aptrun) and either
 // `curl -X POST localhost:8399/reload` or SIGHUP arrives. -checkpoint
-// takes a training snapshot (aptrun -save, or the rolling file in
-// aptrun -ckpt-dir); it also carries the training run's access
+// takes a training snapshot (the rolling file aptrun -ckpt-dir D
+// writes, D/snapshot.aptc); it also carries the training run's access
 // frequencies, which fill the serving caches by the paper's hotness
-// rule instead of by degree.
+// rule instead of by degree. A /predict request whose client has gone
+// before a worker collects it is dropped, never executed.
 //
 // Without -checkpoint the model is trained in-process first
 // (-train-epochs). -fanout 0 serves full neighborhoods. To benchmark
@@ -122,10 +123,12 @@ type predictResponse struct {
 	LatencyMs float64        `json:"latency_ms"`
 }
 
-// serveHTTP runs the HTTP daemon until SIGINT/SIGTERM, then drains.
+// newMux routes the daemon's endpoints to srv. A /predict request
+// runs under its HTTP request's context, so one whose client has gone
+// before a worker collects it is never executed.
 //
 //apt:allow simclock the per-request latency_ms field is a wall-clock serving metric
-func serveHTTP(srv *serve.Server, addr string) {
+func newMux(srv *serve.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
 		var req predictRequest
@@ -134,17 +137,9 @@ func serveHTTP(srv *serve.Server, addr string) {
 			return
 		}
 		start := time.Now()
-		res, err := srv.Predict(req.Nodes)
+		res, err := srv.PredictContext(r.Context(), req.Nodes)
 		if err != nil {
-			status := http.StatusServiceUnavailable
-			var unknown *serve.UnknownNodeError
-			if errors.As(err, &unknown) {
-				status = http.StatusNotFound
-			}
-			if errors.Is(err, serve.ErrOverloaded) {
-				w.Header().Set("Retry-After", "1")
-			}
-			http.Error(w, err.Error(), status)
+			predictError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -176,8 +171,27 @@ func serveHTTP(srv *serve.Server, addr string) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"model_version\":%d}\n", srv.ModelVersion())
 	})
+	return mux
+}
 
-	hs := &http.Server{Addr: addr, Handler: mux}
+// predictError answers a failed /predict: 404 for a node outside the
+// graph, 503 for everything else (a full queue, a closing server, a
+// cancelled request) — with Retry-After when the queue was full.
+func predictError(w http.ResponseWriter, err error) {
+	status := http.StatusServiceUnavailable
+	var unknown *serve.UnknownNodeError
+	if errors.As(err, &unknown) {
+		status = http.StatusNotFound
+	}
+	if errors.Is(err, serve.ErrOverloaded) {
+		w.Header().Set("Retry-After", "1")
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// serveHTTP runs the HTTP daemon until SIGINT/SIGTERM, then drains.
+func serveHTTP(srv *serve.Server, addr string) {
+	hs := &http.Server{Addr: addr, Handler: newMux(srv)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

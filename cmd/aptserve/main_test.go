@@ -1,0 +1,127 @@
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/hardware"
+	"repro/internal/nn"
+	"repro/internal/sample"
+	"repro/internal/serve"
+)
+
+// testServer is an inference server over a tiny graph with an
+// untrained model and full-neighborhood sampling; the handlers' routing
+// and status codes do not depend on what the model predicts.
+func testServer(t *testing.T) *serve.Server {
+	t.Helper()
+	ds := dataset.Build(dataset.Spec{
+		Name: "aptserve-test", Abbr: "AT",
+		NumNodes: 300, AvgDegree: 6, FeatDim: 8, Classes: 3,
+		SkewA: 0.45, HomophilyDegree: 4, TrainFraction: 0.3, Seed: 5,
+	}, true)
+	srv, err := serve.New(serve.Config{
+		Graph:    ds.Graph,
+		Feats:    ds.Feats,
+		Model:    nn.NewGraphSAGE(ds.FeatDim, 8, ds.Classes, 2),
+		Sampling: sample.Config{Fanouts: []int{0, 0}, Method: sample.Full},
+		Platform: hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2),
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// do sends one request through the daemon's mux.
+func do(mux http.Handler, req *http.Request) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestPredictDropsGoneClient: a /predict whose client has already gone
+// (its request context is done) is never executed, so the server's
+// answered-request count does not move.
+func TestPredictDropsGoneClient(t *testing.T) {
+	srv := testServer(t)
+	mux := newMux(srv)
+	before := srv.Stats().Requests
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"nodes":[1,2,3]}`)).WithContext(ctx)
+	if rec := do(mux, req); rec.Code == http.StatusOK {
+		t.Errorf("cancelled request answered 200: %s", rec.Body)
+	}
+	if after := srv.Stats().Requests; after != before {
+		t.Errorf("cancelled request was executed: requests %d -> %d", before, after)
+	}
+}
+
+func TestHandlers(t *testing.T) {
+	mux := newMux(testServer(t))
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"known nodes", http.MethodPost, "/predict", `{"nodes":[0,5,5,299]}`, http.StatusOK},
+		{"node outside the graph", http.MethodPost, "/predict", `{"nodes":[1,300]}`, http.StatusNotFound},
+		{"malformed body", http.MethodPost, "/predict", `{"nodes":[1,`, http.StatusBadRequest},
+		{"reload by GET", http.MethodGet, "/reload", "", http.StatusMethodNotAllowed},
+	} {
+		rec := do(mux, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", tc.name, ct)
+		}
+		var resp predictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v: %s", tc.name, err, rec.Body)
+		}
+		if len(resp.Results) != 4 || resp.Results[0].Node != 0 || resp.Results[3].Node != 299 {
+			t.Errorf("%s: results %+v, want nodes 0 5 5 299 in request order", tc.name, resp.Results)
+		}
+	}
+}
+
+// TestPredictErrorStatus pins the error -> status mapping: a full queue
+// and a closing server are both 503, and only the full queue invites a
+// retry.
+func TestPredictErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err        error
+		retryAfter string
+	}{
+		{serve.ErrOverloaded, "1"},
+		{serve.ErrServerClosed, ""},
+	} {
+		rec := httptest.NewRecorder()
+		predictError(rec, tc.err)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != tc.retryAfter {
+			t.Errorf("%v: status %d, Retry-After %q; want 503, %q",
+				tc.err, rec.Code, rec.Header().Get("Retry-After"), tc.retryAfter)
+		}
+	}
+
+	// The same mapping end to end: a request to a closed server.
+	srv := testServer(t)
+	mux := newMux(srv)
+	srv.Close()
+	rec := do(mux, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"nodes":[1]}`)))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), serve.ErrServerClosed.Error()) {
+		t.Errorf("closed server: status %d, body %q; want 503 naming %v", rec.Code, rec.Body, serve.ErrServerClosed)
+	}
+}

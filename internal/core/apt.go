@@ -57,6 +57,20 @@ type APT struct {
 	// single rolling snapshot.
 	CheckpointRetain int
 
+	// Transport is the fabric every engine this APT builds trains over;
+	// nil puts every device in this process on the channel fabric. Set it
+	// to one rank's wire transport (e.g. a transport.TCP bootstrapped
+	// against the job's coordinator) to make this process that rank of a
+	// multi-process job: every rank builds its APT from the identical
+	// Task, and the engines drive only the ranks the transport hosts. It
+	// is the deployment's fabric, not the job, so it is no Task field.
+	Transport comm.Transport
+	// OnEpoch, when set, is called at every epoch boundary of a training
+	// run, after that boundary's checkpoint, on the training goroutine:
+	// epoch is the total of completed epochs (a resumed run continues
+	// the snapshot's numbering), m the first hosted replica.
+	OnEpoch func(epoch int, st engine.EpochStats, m *nn.Model)
+
 	// Checkpoint/resume state: the most recently built engine and its
 	// strategy (what Checkpoint snapshots), the completed-epoch base
 	// carried across engine rebuilds and resumes, and the snapshot a
@@ -256,19 +270,19 @@ func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode
 
 // BuildEngine performs the Adapt step for the given strategy: it
 // configures the data layout (feature store, caches) and the unified
-// execution engine. Real mode is used when the task has features.
+// execution engine over Transport. Real mode is used when the task has
+// features.
 func (a *APT) BuildEngine(k strategy.Kind) (*engine.Engine, error) {
-	return a.buildEngine(k, comm.NewChanTransport(a.task.Platform.NumDevices()))
+	return a.buildEngine(k, a.Transport)
 }
 
-// BuildEngineDistributed is BuildEngine over an explicit transport:
-// the engine's collectives cross tr (e.g. a transport.TCP
-// bootstrapped against the job's coordinator) and it drives the ranks
-// tr hosts, which must include localRank. For one rank of a
-// multi-process run every rank must call it with an identical Task —
-// planning inputs included — so the replicas and the plan agree across
-// processes; pair it with Task.ProfileOverride to plan against
-// measured wire speeds instead of the simulated link model.
+// BuildEngineDistributed is BuildEngine over an explicit transport tr,
+// which must host localRank: the form of setting Transport for callers
+// that drive the engine themselves. Every rank must call it with an
+// identical Task — planning inputs included — so the replicas and the
+// plan agree across processes; pair it with Task.ProfileOverride to
+// plan against measured wire speeds instead of the simulated link
+// model.
 func (a *APT) BuildEngineDistributed(k strategy.Kind, tr comm.Transport, localRank int) (*engine.Engine, error) {
 	if !slices.Contains(tr.Ranks(), localRank) {
 		return nil, fmt.Errorf("core: local rank %d is not driven by the transport (ranks %v)", localRank, tr.Ranks())
@@ -370,8 +384,8 @@ func (a *APT) TrainWithContext(ctx context.Context, k strategy.Kind, epochs int)
 
 // train is the one epoch loop behind Train, TrainWith and
 // TrainAdaptive: run an epoch, record it, let the re-planner (if any)
-// see it and possibly swap the engine, checkpoint. A nil re-planner is
-// static training under k.
+// see it and possibly swap the engine, checkpoint, report to OnEpoch. A
+// nil re-planner is static training under k.
 func (a *APT) train(ctx context.Context, k strategy.Kind, epochs int, rp *Replanner) (*Result, error) {
 	e, err := a.BuildEngine(k)
 	if err != nil {
@@ -408,6 +422,9 @@ func (a *APT) train(ctx context.Context, k strategy.Kind, epochs int, rp *Replan
 		if err := a.maybeCheckpoint(e, res.Choice); err != nil {
 			runErr = err
 			break
+		}
+		if a.OnEpoch != nil {
+			a.OnEpoch(a.epochBase+e.EpochsRun(), st, e.Model(e.Ranks()[0]))
 		}
 	}
 	if rp != nil {

@@ -36,7 +36,7 @@ import (
 // of the most recently built engine. Call it between epochs (or after
 // Train returns); it is not safe while an epoch is in flight.
 func (a *APT) Checkpoint(w io.Writer) error {
-	snap, err := a.Snapshot()
+	snap, err := a.snapshot()
 	if err != nil {
 		return err
 	}
@@ -45,16 +45,16 @@ func (a *APT) Checkpoint(w io.Writer) error {
 
 // CheckpointFile is Checkpoint to an atomically-replaced file.
 func (a *APT) CheckpointFile(path string) error {
-	snap, err := a.Snapshot()
+	snap, err := a.snapshot()
 	if err != nil {
 		return err
 	}
 	return snap.WriteFile(path)
 }
 
-// Snapshot captures the current training state as a checkpoint
-// snapshot (the value Checkpoint serializes).
-func (a *APT) Snapshot() (*checkpoint.Snapshot, error) {
+// snapshot captures the current training state (the value Checkpoint
+// serializes).
+func (a *APT) snapshot() (*checkpoint.Snapshot, error) {
 	if a.lastEngine == nil {
 		return nil, fmt.Errorf("core: nothing to checkpoint: no engine has been built")
 	}
@@ -62,11 +62,10 @@ func (a *APT) Snapshot() (*checkpoint.Snapshot, error) {
 }
 
 // buildSnapshot captures the training state from the engine's first
-// hosted replica. It is a COLLECTIVE: every rank must call
-// Checkpoint/Snapshot at the same epoch boundary (the sampler cursors
-// are exchanged over the fabric), and since replicas are synchronized,
-// every rank builds the identical snapshot — convention is that rank 0
-// persists it.
+// hosted replica. It is a COLLECTIVE: every rank must call it at the
+// same epoch boundary (the sampler cursors are exchanged over the
+// fabric), and since replicas are synchronized, every rank builds the
+// identical snapshot — rank 0 persists it.
 func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snapshot, error) {
 	samplerRNG, epochRNG, err := e.RNGCursors()
 	if err != nil {
@@ -123,7 +122,9 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 // with a checkpoint directory and the completed-epoch count hits the
 // cadence: the single rolling file by default, or — with
 // CheckpointRetain set — an epoch-stamped file followed by pruning to
-// the newest CheckpointRetain.
+// the newest CheckpointRetain. Every rank builds the snapshot (a
+// collective); only the process hosting rank 0 writes and prunes, so
+// ranks sharing a directory never prune each other's files.
 func (a *APT) maybeCheckpoint(e *engine.Engine, k strategy.Kind) error {
 	if a.CheckpointDir == "" {
 		return nil
@@ -137,7 +138,7 @@ func (a *APT) maybeCheckpoint(e *engine.Engine, k strategy.Kind) error {
 		return nil
 	}
 	snap, err := a.buildSnapshot(e, k)
-	if err != nil {
+	if err != nil || e.Ranks()[0] != 0 {
 		return err
 	}
 	if a.CheckpointRetain > 0 {
@@ -197,7 +198,7 @@ func resume(task Task, snap *checkpoint.Snapshot, opts ...obs.Option) (*APT, err
 	a.epochBase = snap.EpochsDone
 	if snap.Devices != a.task.Platform.NumDevices() {
 		// Elastic resume: the plan and RNG cursors are functions of the
-		// worker layout, so Train re-plans; ApplyResume will restore
+		// worker layout, so Train re-plans; consumeResume will restore
 		// only topology-independent state.
 		return a, nil
 	}
@@ -237,21 +238,19 @@ func resume(task Task, snap *checkpoint.Snapshot, opts ...obs.Option) (*APT, err
 
 // EpochBase reports how many epochs were already complete when this
 // APT was constructed — zero for a fresh run, the snapshot's epoch
-// counter after Resume. Callers driving the epoch loop themselves
-// start at EpochBase()+1 and run to their TOTAL epoch target.
+// counter after Resume. A training run's first epoch is EpochBase()+1.
 func (a *APT) EpochBase() int {
 	return a.epochBase
 }
 
-// ApplyResume restores the pending snapshot's training state into an
-// engine built from this APT: parameters into every hosted replica,
-// optimizer moments into each one's optimizer, and — when the topology
-// matches — the RNG stream cursors. Train and TrainAdaptive call it
-// automatically on their first engine; callers driving
-// BuildEngine/BuildEngineDistributed themselves (e.g. one rank of a
-// multi-process run) call it once after building. A no-op when the APT
-// did not come from Resume.
-func (a *APT) ApplyResume(e *engine.Engine) error {
+// consumeResume restores the pending snapshot's training state into
+// the run's first engine — parameters into every hosted replica,
+// optimizer moments into each one's optimizer, and, when the topology
+// matches, the RNG stream cursors — and clears it, so engines rebuilt
+// later in the same run (re-planner switches) start from their live
+// adopted parameters instead. A no-op when the APT did not come from
+// Resume.
+func (a *APT) consumeResume(e *engine.Engine) error {
 	snap := a.resume
 	if snap == nil {
 		return nil
@@ -273,16 +272,6 @@ func (a *APT) ApplyResume(e *engine.Engine) error {
 		if err := e.SetRNGCursors(snap.SamplerRNG, snap.EpochRNG); err != nil {
 			return fmt.Errorf("core: resume rng cursors: %w", err)
 		}
-	}
-	return nil
-}
-
-// consumeResume applies the pending snapshot to the run's first engine
-// and clears it, so engines rebuilt later in the same run (re-planner
-// switches) start from their live adopted parameters instead.
-func (a *APT) consumeResume(e *engine.Engine) error {
-	if err := a.ApplyResume(e); err != nil {
-		return err
 	}
 	a.resume = nil
 	return nil

@@ -234,7 +234,7 @@ func TestResumeElastic(t *testing.T) {
 	}
 }
 
-// TestResumeWarmStartsFromSnapshotParams verifies ApplyResume actually
+// TestResumeWarmStartsFromSnapshotParams verifies consumeResume actually
 // installs the snapshot's parameters (elastic path, before training).
 func TestResumeWarmStartsFromSnapshotParams(t *testing.T) {
 	first, err := New(realResumeTask(t, 2, false))
@@ -269,7 +269,7 @@ func TestResumeWarmStartsFromSnapshotParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.ApplyResume(e); err != nil {
+	if err := resumed.consumeResume(e); err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < 4; d++ {

@@ -1,13 +1,21 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/engine"
+	"repro/internal/nn"
 	"repro/internal/strategy"
 	"repro/internal/transport"
 )
@@ -31,22 +39,46 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 	}
 	baseStats := be.RunEpoch()
 
+	stats := make([]engine.EpochStats, world)
+	loopbackRanks(t, world, func(r int, tr comm.Transport) error {
+		a, err := New(testTask(t, "PS", world, 32))
+		if err != nil {
+			return err
+		}
+		e, err := a.BuildEngineDistributed(strategy.SNP, tr, r)
+		if err != nil {
+			return err
+		}
+		stats[r] = e.RunEpoch()
+		return nil
+	})
+	for r := 0; r < world; r++ {
+		// A rank process runs only its own worker.
+		if n := len(stats[r].PerDevice); n != 1 {
+			t.Fatalf("rank %d reports %d workers, want 1", r, n)
+		}
+		if got, want := stats[r].PerDevice[0], baseStats.PerDevice[r]; !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d counters diverge from in-process worker %d:\n got  %+v\n want %+v", r, r, got, want)
+		}
+	}
+}
+
+// loopbackRanks runs fn once per rank of a world-rank job, each rank on
+// its own goroutine over its own loopback TCP transport — the way
+// separate OS processes would run it — and fails the test on any
+// rank's error.
+func loopbackRanks(t *testing.T, world int, fn func(r int, tr comm.Transport) error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("bind coordinator: %v", err)
 	}
-	stats := make([]engine.EpochStats, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			a, err := New(testTask(t, "PS", world, 32))
-			if err != nil {
-				errs[r] = err
-				return
-			}
 			opts := transport.TCPOptions{Rank: r, World: world, Coord: ln.Addr().String()}
 			if r == 0 {
 				opts.CoordListener = ln
@@ -57,12 +89,7 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 				return
 			}
 			defer tr.Close()
-			e, err := a.BuildEngineDistributed(strategy.SNP, tr, r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			stats[r] = e.RunEpoch()
+			errs[r] = fn(r, tr)
 		}(r)
 	}
 	wg.Wait()
@@ -71,14 +98,85 @@ func TestBuildEngineDistributedMatchesInProcess(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+}
+
+// TestRankTrainsThroughTheOneLoop runs one rank of a 2-process job per
+// goroutine through core's own epoch loop (Transport set, TrainWith)
+// with epoch-stamped checkpoints. Every rank must end on the in-process
+// run's parameters and see epochs 1..3 in OnEpoch; rank 0 writes the
+// in-process run's snapshots byte for byte and rank 1 writes none; and
+// adaptive training, which needs the whole job's epoch stats, is
+// refused on a rank before it plans or touches the wire.
+func TestRankTrainsThroughTheOneLoop(t *testing.T) {
+	const world, epochs, retain = 2, 3, 2
+	wantDir := t.TempDir()
+	base, err := New(realResumeTask(t, world, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.CheckpointDir, base.CheckpointRetain = wantDir, retain
+	baseRes, err := base.TrainWith(strategy.SNP, epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := paramChecksum(baseRes.Model)
+
+	dirs := []string{t.TempDir(), t.TempDir()}
+	sums := make([]uint64, world)
+	seen := make([][]int, world)
+	loopbackRanks(t, world, func(r int, tr comm.Transport) error {
+		a, err := New(realResumeTask(t, world, false))
+		if err != nil {
+			return err
+		}
+		a.Transport = tr
+		a.CheckpointDir, a.CheckpointRetain = dirs[r], retain
+		a.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) { seen[r] = append(seen[r], ep) }
+		res, err := a.TrainWith(strategy.SNP, epochs)
+		if err != nil {
+			return err
+		}
+		sums[r] = paramChecksum(res.Model)
+		refused := make(chan error, 1)
+		go func() {
+			_, err := a.TrainAdaptive(epochs + 1)
+			refused <- err
+		}()
+		select {
+		case err := <-refused:
+			if err == nil {
+				return fmt.Errorf("TrainAdaptive accepted a transport hosting one rank of %d", world)
+			}
+		case <-time.After(30 * time.Second):
+			return fmt.Errorf("TrainAdaptive did not return within 30s")
+		}
+		return nil
+	})
+
 	for r := 0; r < world; r++ {
-		// A rank process runs only its own worker.
-		if n := len(stats[r].PerDevice); n != 1 {
-			t.Fatalf("rank %d reports %d workers, want 1", r, n)
+		if sums[r] != want {
+			t.Errorf("rank %d params %016x != in-process %016x", r, sums[r], want)
 		}
-		if got, want := stats[r].PerDevice[0], baseStats.PerDevice[r]; !reflect.DeepEqual(got, want) {
-			t.Errorf("rank %d counters diverge from in-process worker %d:\n got  %+v\n want %+v", r, r, got, want)
+		if !slices.Equal(seen[r], []int{1, 2, 3}) {
+			t.Errorf("rank %d OnEpoch saw %v, want [1 2 3]", r, seen[r])
 		}
+	}
+	for _, ep := range []int{2, 3} {
+		name := checkpoint.SnapshotName(ep)
+		got, err := os.ReadFile(filepath.Join(dirs[0], name))
+		if err != nil {
+			t.Fatalf("rank 0: %v", err)
+		}
+		wantSnap, err := os.ReadFile(filepath.Join(wantDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantSnap) {
+			t.Errorf("rank 0 %s differs from the in-process run's", name)
+		}
+	}
+	if names, err := os.ReadDir(dirs[1]); err != nil || len(names) != 0 {
+		t.Errorf("rank 1 wrote %d file(s) (err %v), want none", len(names), err)
 	}
 }
 

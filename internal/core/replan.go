@@ -301,10 +301,17 @@ func (a *APT) TrainAdaptive(epochs int) (*Result, error) {
 	return a.TrainAdaptiveContext(context.Background(), epochs)
 }
 
-// TrainAdaptiveContext is TrainAdaptive under a context.
+// TrainAdaptiveContext is TrainAdaptive under a context. It refuses a
+// Transport that hosts only some of the platform's devices: a rank's
+// EpochStats cover its own workers only, and the re-planner must see
+// the whole job's epoch.
 func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, error) {
 	if epochs <= 0 {
 		return nil, fmt.Errorf("core: epochs = %d", epochs)
+	}
+	if tr := a.Transport; tr != nil && len(tr.Ranks()) < a.task.Platform.NumDevices() {
+		return nil, fmt.Errorf("core: adaptive training needs every device's epoch stats, but the transport hosts ranks %v of %d (each rank's EpochStats cover only its own workers)",
+			tr.Ranks(), a.task.Platform.NumDevices())
 	}
 	if _, err := a.Plan(); err != nil {
 		return nil, err

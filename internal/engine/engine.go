@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/comm"
@@ -355,7 +356,10 @@ func (e *Engine) RunEpoch() EpochStats {
 // that actually ran; the error is ctx.Err() when the epoch was cut
 // short, nil otherwise. A background (non-cancellable) context adds no
 // per-step synchronization.
+//
+//apt:allow simclock EpochStats.WallSec reports the host's wall epoch time; nothing simulated or planned reads it
 func (e *Engine) RunEpochContext(ctx context.Context) (EpochStats, error) {
+	start := time.Now()
 	e.Group.ResetClocks()
 	for _, w := range e.workers {
 		*w.stats = WorkerStats{}
@@ -367,6 +371,7 @@ func (e *Engine) RunEpochContext(ctx context.Context) (EpochStats, error) {
 	nb := plan.NumBatches(e.cfg.BatchSize)
 	comm.RunParallel(len(e.workers), func(i int) { e.workerEpoch(ctx, e.workers[i], plan, nb) })
 	st := e.collectStats(nb)
+	st.WallSec = time.Since(start).Seconds()
 	if ctx.Err() == nil {
 		e.epochsRun++
 	}

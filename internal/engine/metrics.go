@@ -113,6 +113,11 @@ type EpochStats struct {
 	MeanLoss float64
 	// OOM reports whether any device overflowed its memory.
 	OOM bool
+	// WallSec is the measured wall-clock time of the epoch on this host
+	// (RunEpochContext entry to its statistics), the clock a user waits
+	// on beside the simulated one. Nothing planned or simulated reads it,
+	// and the checkpoint codec does not carry it.
+	WallSec float64
 }
 
 // EpochTime is the total epoch time under synchronous stages.
