@@ -20,10 +20,24 @@ import (
 // the model runs its inference-only forward on a simulated device.
 // Each InferWorker owns one device and one sampler; the serving layer
 // drives one goroutine per worker.
+//
+// Layer 0 projects before it aggregates (paper Eq. 1), and with the
+// weights fixed the projection of a node's features depends on the
+// node alone. An Inferencer therefore projects every feature row once,
+// at construction, into a table per distinct feature view, and each
+// batch runs only layer 0's sparse half over the table rows it
+// samples. The GEMM kernels give each output element one accumulator
+// over k in order whatever rows share its block (DESIGN decision 13),
+// so a table row holds exactly what the per-batch projection computed
+// and every answer is bit-identical to PredictGathered. The simulated
+// device still charges the per-batch projection: it models the
+// paper's GPU, which runs it.
 
 // InferConfig assembles everything an inference pool needs. The Store
-// must be configured (host placement + caches) by the caller and must
-// hold real features.
+// must hold real features and be fully configured — host placement and
+// every device's cache tiers — before NewInferencer: the projection
+// tables are built from the feature views the store has then, so a
+// warm tier installed afterwards would not reach the answers.
 type InferConfig struct {
 	Platform *hardware.Platform
 	Graph    *graph.Graph
@@ -45,6 +59,7 @@ type InferConfig struct {
 // Inferencer is a pool of inference workers over the simulated devices.
 type Inferencer struct {
 	cfg     InferConfig
+	layer0  nn.SplitLayer
 	group   *device.Group
 	workers []*InferWorker
 }
@@ -56,6 +71,13 @@ type InferWorker struct {
 	inf     *Inferencer
 	dev     *device.Device
 	sampler *sample.Sampler
+	// table holds layer 0's projection of every feature row of the
+	// worker's feature view, shared with the workers reading the same
+	// view; read-only once built.
+	table *tensor.Matrix
+	// rows is the batch's per-edge table row, Src[SrcIdx[e]], for the
+	// pre-summing layers; reused across batches.
+	rows []int32
 	// span, when non-nil, receives one sample/load/train span per batch
 	// on the worker's serialized device clock; batchSeq numbers them.
 	span     *obs.Track
@@ -79,8 +101,9 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	if len(cfg.Model.Layers) == 0 {
 		return nil, fmt.Errorf("engine: model %q has no layers", cfg.Model.Name)
 	}
-	if _, ok := cfg.Model.Layers[0].(nn.GatherLayer); !ok {
-		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.GatherLayer", cfg.Model.Layers[0], cfg.Model.Name)
+	layer0, ok := cfg.Model.Layers[0].(nn.SplitLayer)
+	if !ok {
+		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.SplitLayer", cfg.Model.Layers[0], cfg.Model.Name)
 	}
 	if len(cfg.Sampling.Fanouts) != len(cfg.Model.Layers) {
 		return nil, fmt.Errorf("engine: %d fanouts for %d model layers",
@@ -93,11 +116,29 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	if cfg.Workers > 0 && cfg.Workers < n {
 		n = cfg.Workers
 	}
-	inf := &Inferencer{cfg: cfg, group: device.NewGroup(cfg.Platform)}
+	inf := &Inferencer{cfg: cfg, layer0: layer0, group: device.NewGroup(cfg.Platform)}
+	all := make([]int32, cfg.Store.Feats.Rows)
+	for v := range all {
+		all[v] = int32(v)
+	}
+	// One table per distinct feature view: every device without an
+	// int8 warm tier reads the fp32 master and shares one; a device
+	// with a tier reads its own dequantized rows and gets its own.
+	var master *tensor.Matrix
 	for w := 0; w < n; w++ {
+		dev := inf.group.Devices[w]
+		view := cfg.Store.FeatView(dev.ID)
+		table := master
+		if view.Q != nil || master == nil {
+			table = layer0.ProjectCols(view, all, 0, layer0.InDim())
+		}
+		if view.Q == nil {
+			master = table
+		}
 		inf.workers = append(inf.workers, &InferWorker{
-			inf: inf,
-			dev: inf.group.Devices[w],
+			inf:   inf,
+			dev:   dev,
+			table: table,
 			sampler: sample.NewSampler(cfg.Graph, cfg.Sampling,
 				graph.NewRNG(cfg.Seed^uint64(0x51e+w*7919))),
 		})
@@ -172,7 +213,27 @@ func (w *InferWorker) Infer(seeds []graph.NodeID) (*tensor.Matrix, cache.LoadSta
 		w.dev.Charge(device.StageTrain, w.inf.cfg.Platform.DenseTime(dense))
 		w.dev.Charge(device.StageTrain, w.inf.cfg.Platform.SparseTime(sparse))
 	}
-	logits := w.inf.cfg.Model.PredictGathered(mb, w.inf.cfg.Store.FeatView(w.dev.ID), mb.Layer1().Src)
+	logits := w.inf.cfg.Model.PredictProjected(mb, w.project(mb.Layer1()))
 	emit(device.StageTrain, 0)
 	return logits, st
+}
+
+// project assembles layer 0's Finish input for blk from the worker's
+// table, as the engine's placements assemble it from shipped
+// projections: the per-destination sums of the sources' table rows
+// when the layer pre-sums, every source's table row otherwise. The
+// result is pool-backed and owned by the caller.
+func (w *InferWorker) project(blk *sample.Block) *tensor.Matrix {
+	if w.inf.layer0.PreSums() {
+		w.rows = w.rows[:0]
+		for _, s := range blk.SrcIdx {
+			w.rows = append(w.rows, blk.Src[s])
+		}
+		return tensor.SegmentSum(blk.EdgePtr, w.rows, w.table)
+	}
+	z := tensor.Get(blk.NumSrc(), w.table.Cols)
+	for i, v := range blk.Src {
+		copy(z.Row(i), w.table.Row(int(v)))
+	}
+	return z
 }

@@ -21,7 +21,7 @@ import (
 // reads model parameters, so one Model may serve concurrent Predict
 // calls from multiple goroutines.
 func (m *Model) Predict(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
-	return m.predict(mb, x, tensor.FeatSource{}, nil)
+	return m.predict(mb, x, tensor.FeatSource{}, nil, false)
 }
 
 // PredictGathered is Predict with the input gather fused into layer 0:
@@ -31,24 +31,42 @@ func (m *Model) Predict(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
 // Ownership mirrors Predict: feats stays with the caller, the logits
 // transfer to it.
 func (m *Model) PredictGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
-	return m.predict(mb, nil, feats, idx)
+	return m.predict(mb, nil, feats, idx, false)
 }
 
-// predict is the inference loop behind both: layer 0 reads x, or —
-// when x is nil — the feature rows (feats, idx) gather-fused.
-func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
+// PredictProjected is Predict with layer 0's projection already done:
+// x is what layer 0's Finish consumes (see SplitLayer) — per
+// destination, the sum of its sources' projected rows when the layer
+// PreSums, otherwise the projected row of every block source. Built
+// from rows that hold exactly what ProjectCols computes, it is
+// bit-identical to PredictGathered on the same feature view. Layer 0
+// must be a SplitLayer. It takes ownership of x; the logits transfer to
+// the caller.
+func (m *Model) PredictProjected(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
+	return m.predict(mb, x, tensor.FeatSource{}, nil, true)
+}
+
+// predict is the inference loop behind all three: layer 0 runs Finish
+// on x when projected is set, reads x when it is not, or — when x is
+// nil — reads the feature rows (feats, idx) gather-fused.
+func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.FeatSource, idx []int32, projected bool) *tensor.Matrix {
 	m.checkBlocks(mb)
 	h := x
 	for l, layer := range m.Layers {
 		var out *tensor.Matrix
 		var ctx LayerCtx
-		if l == 0 && x == nil {
-			out, ctx = layer.(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
-		} else {
+		switch {
+		case l > 0:
 			out, ctx = layer.Forward(mb.Blocks[l], h)
+		case projected:
+			out, ctx = layer.(SplitLayer).Finish(mb.Blocks[0], x)
+		case x == nil:
+			out, ctx = layer.(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
+		default:
+			out, ctx = layer.Forward(mb.Blocks[0], x)
 		}
 		releaseCtx(ctx)
-		if l > 0 { // recycle the previous hidden output; x stays the caller's
+		if l > 0 { // recycle the previous hidden output; x is the caller's or Finish's
 			tensor.Put(h)
 		}
 		h = out
@@ -57,12 +75,15 @@ func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.Fea
 }
 
 // releaseCtx returns the pooled buffers a layer context owns for a
-// backward pass that will never run. Only GAT's context owns any: the
-// packed all-heads projection its Backward would Put. Every other
-// context holds only the layer's input and output, which the caller
-// owns.
+// backward pass that will never run. Only GAT's contexts own any: the
+// packed all-heads projection its Backward (or, after Finish alone,
+// FinishBackward) would Put. Every other context holds only the
+// layer's input and output, which the caller owns.
 func releaseCtx(ctx LayerCtx) {
-	if c, ok := ctx.(*gatCtx); ok {
+	switch c := ctx.(type) {
+	case *gatCtx:
 		tensor.Put(c.attn.z)
+	case *gatAttnCtx:
+		tensor.Put(c.z)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -49,6 +50,44 @@ func TestReloadSwapsModel(t *testing.T) {
 	}
 	if same {
 		t.Fatal("scores identical after swapping to a different model")
+	}
+}
+
+// TestReloadRebuildsProjection checks that a swap serves the new
+// model's own layer-0 projection: under Full sampling every answer
+// after Reload(m2) equals m2's direct Predict bit for bit and differs
+// from m1's — a projection table kept with the shared feature store
+// instead of with the generation would keep answering with m1's.
+func TestReloadRebuildsProjection(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, nil)
+	defer s.Close()
+	nodes := []graph.NodeID{0, 5, 42, 230, 599}
+	for _, v := range nodes { // serve m1 first, so its generation is live
+		if _, err := s.Predict([]graph.NodeID{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2 := f.altModel(99)
+	if err := s.Reload(m2); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Predict(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range nodes {
+		want, old := f.directWith(m2, v), f.direct(t, v)
+		same := true
+		for j, w := range want {
+			if math.Float32bits(res[i].Scores[j]) != math.Float32bits(w) {
+				t.Fatalf("node %d: score %d = %v after reload, m2 predicts %v", v, j, res[i].Scores[j], w)
+			}
+			same = same && w == old[j]
+		}
+		if same {
+			t.Fatalf("node %d: m2 answers as m1 does; the swap is not observable", v)
+		}
 	}
 }
 

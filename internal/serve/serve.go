@@ -9,6 +9,13 @@
 // time: the workers reuse the unified engine's real-mode block
 // execution, the unified feature store, and the hotness caches, so
 // hot-node requests skip feature loading entirely.
+//
+// With the weights fixed, layer 0's projection of a node's features
+// depends on the node alone: each model generation projects every
+// feature row once when it is built (engine.NewInferencer), and a batch
+// runs only the aggregation over the rows it samples — the same bits
+// as projecting per batch, at a fraction of the compute. New and Reload
+// pay that projection before any request reaches the generation.
 package serve
 
 import (
@@ -231,7 +238,8 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 
 // buildStore assembles the serving feature store: host placement plus
 // the per-device caches. The store is model-independent — it outlives
-// model swaps, so a reload re-admits nothing.
+// model swaps, so a reload re-admits nothing — and fully admitted
+// before the first generation builds its projection table from it.
 func buildStore(cfg *Config) *cache.Store {
 	store := cache.NewStore(cfg.Platform, cfg.Graph.NumNodes(), cfg.Feats.Cols, cfg.Feats)
 	store.HostByRange()
@@ -272,9 +280,10 @@ func (s *Server) startWorkers(inf *engine.Inferencer, quit chan struct{}) {
 // model they started with, queued requests are picked up by the new
 // generation, and no request is ever dropped — there is no instant
 // with zero live workers. The feature store is shared (it holds
-// features, not model state), so a swap costs worker construction,
-// nothing more. m must match the architecture the server was built
-// with only in input/output contract; its parameters are used as-is.
+// features, not model state); the layer-0 projection table is model
+// state, so each generation builds its own, here, before the swap. m
+// must match the architecture the server was built with only in
+// input/output contract; its parameters are used as-is.
 func (s *Server) Reload(m *nn.Model) error {
 	if m == nil {
 		return fmt.Errorf("serve: reload with nil model")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -74,10 +75,15 @@ func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Opt
 // sampler and the inference-only forward, no batching involved.
 func (f *testFixture) direct(t testing.TB, v graph.NodeID) []float32 {
 	t.Helper()
+	return f.directWith(f.model, v)
+}
+
+// directWith is direct on model m.
+func (f *testFixture) directWith(m *nn.Model, v graph.NodeID) []float32 {
 	smp := sample.NewSampler(f.ds.Graph, f.smp, graph.NewRNG(99))
 	mb := smp.Sample([]graph.NodeID{v})
 	x := tensor.Gather(f.ds.Feats, mb.Layer1().Src)
-	logits := f.model.Predict(mb, x)
+	logits := m.Predict(mb, x)
 	defer tensor.Put(logits)
 	return append([]float32(nil), logits.Row(0)...)
 }
@@ -111,7 +117,7 @@ func TestBatchedEqualsSingle(t *testing.T) {
 					return
 				}
 				for i, w := range want[v] {
-					if res[0].Scores[i] != w {
+					if math.Float32bits(res[0].Scores[i]) != math.Float32bits(w) {
 						errs <- errors.New("batched scores differ from single-request inference")
 						return
 					}

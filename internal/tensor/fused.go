@@ -16,14 +16,14 @@ import (
 // bit-identical to the unfused composition.
 
 // ReLUInPlace applies max(0, x) elementwise in place. Negative zero and
-// NaN map to +0, matching ReLU's zero-initialized copy semantics.
+// NaN map to +0, matching ReLU's zero-initialized copy semantics. It
+// masks by positiveMask rather than branching on the sign, which is
+// random on a layer's pre-activations.
 //
 //apt:hotpath
 func ReLUInPlace(x *Matrix) {
 	for i, v := range x.Data {
-		if !(v > 0) {
-			x.Data[i] = 0
-		}
+		x.Data[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(v))
 	}
 }
 
@@ -35,8 +35,9 @@ func ReLUInPlace(x *Matrix) {
 // single-edge segments are untouched, matching SegmentMean) and act is
 // ReLU when relu is set. This is the SpMM forward with the aggregator
 // epilogue fused: the sum completes before the epilogue touches the
-// row, so the result is bit-identical to
-// ReLU(SegmentMean(...)) / ReLU(SegmentSum(...)).
+// row, so the result is bit-identical to the per-edge sum followed by
+// the normalization and ReLU as separate passes. With both off it is
+// SegmentSum, which calls it.
 //
 //apt:hotpath
 func SegmentAggFused(edgePtr []int64, srcIdx []int32, src *Matrix, mean, relu bool) *Matrix {

@@ -11,23 +11,13 @@ import (
 // products of the paper's Figure 5 tensor abstraction.
 
 // SegmentSum computes out[i] = Σ_{e in segment i} src[srcIdx[e]] — the
-// SpMM forward with sum aggregation. The result is pool-backed (see
-// Get/Put).
+// SpMM forward with sum aggregation. It is the fused kernel with
+// neither mean nor ReLU: each row adds its edges in order from +0 into
+// one accumulator. The result is pool-backed (see Get/Put).
+//
+//apt:hotpath
 func SegmentSum(edgePtr []int64, srcIdx []int32, src *Matrix) *Matrix {
-	nDst := len(edgePtr) - 1
-	out := Get(nDst, src.Cols)
-	parallelRows(nDst, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			or := out.Row(i)
-			for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-				sr := src.Row(int(srcIdx[e]))
-				for j := range or {
-					or[j] += sr[j]
-				}
-			}
-		}
-	})
-	return out
+	return SegmentAggFused(edgePtr, srcIdx, src, false, false)
 }
 
 // srcMajor is a block's edges in source-major order, the transpose

@@ -86,6 +86,36 @@ func naiveScatter(edgePtr []int64, srcIdx []int32, g, dSrc *Matrix) {
 	}
 }
 
+// naiveAgg is the unfused aggregation forward written out one edge at
+// a time: each destination row sums its edges' source rows from +0 in
+// edge order, then a separate pass scales by the inverse degree (mean,
+// degree > 1) and another clamps to +0 (relu).
+func naiveAgg(edgePtr []int64, srcIdx []int32, src *Matrix, mean, relu bool) *Matrix {
+	out := New(len(edgePtr)-1, src.Cols)
+	for i := 0; i < out.Rows; i++ {
+		or := out.Row(i)
+		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
+			for j, v := range src.Row(int(srcIdx[e])) {
+				or[j] += v
+			}
+		}
+		if d := edgePtr[i+1] - edgePtr[i]; mean && d > 1 {
+			inv := float32(1.0 / float64(d))
+			for j := range or {
+				or[j] *= inv
+			}
+		}
+		if relu {
+			for j, v := range or {
+				if !(v > 0) {
+					or[j] = 0
+				}
+			}
+		}
+	}
+	return out
+}
+
 // naiveAggBackward is SegmentAggFusedBackward spelled out: mask dOut by
 // out's support (relu), scale each row by its inverse degree (mean),
 // then scatter from +0.
