@@ -64,9 +64,10 @@ bench:
 # count prints the sizes a simplicity PR quotes before and after: code
 # lines outside tests and bench/, exported functions and methods of
 # internal/ (non-test), the root package's exported names, experiment
-# ids, option fields (core.APT's settable ones among them), binaries
-# and CLI flags (the flags two binaries share are declared once, in
-# internal/job, and counted once).
+# ids, option fields (core.APT's settable ones among them), binaries,
+# CLI flags (the flags two binaries share are declared once, in
+# internal/job, and counted once) and the //apt:allow directives of
+# non-test code, bench/ included (aptlint -audit's "allow directive(s)").
 count:
 	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 	@printf 'exported funcs + methods in internal/ (non-test): '; find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]'
@@ -78,3 +79,4 @@ count:
 	@printf 'serve.Config fields: '; $(GO) doc ./internal/serve Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
 	@printf 'cmd/ binaries: '; ls cmd | wc -l
 	@printf 'cmd/ flags (incl. the shared set in internal/job): '; grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(' cmd internal/job/job.go --include='*.go' | wc -l
+	@printf '//apt:allow directives (non-test): '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs grep -hE '^\s*//apt:allow' | wc -l

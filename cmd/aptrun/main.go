@@ -216,7 +216,7 @@ func main() {
 	}
 	if *timeline {
 		fmt.Print(trace.RenderStepTable("per-step stage times (last epoch, max over devices):",
-			apt.Spans(), device.StepStages[:], lastEpochAt))
+			apt.Spans(), device.StageNames(), lastEpochAt))
 	}
 	fatal(tr.Close())
 	if *tracePth != "" {

@@ -167,7 +167,7 @@ func TestLoadGathersAndCharges(t *testing.T) {
 	if st.Bytes[LocLocalCPU] != 2*3*4 {
 		t.Errorf("cpu bytes = %d, want 24", st.Bytes[LocLocalCPU])
 	}
-	if dev.Elapsed(device.StageLoad) <= 0 {
+	if dev.Clock().At(device.StageLoad) <= 0 {
 		t.Error("no load time charged")
 	}
 	// NFP shard accounting: a read is charged at the shard width.

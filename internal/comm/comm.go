@@ -104,7 +104,7 @@ func (c *Comm) NumDevices() int { return c.n }
 // per-message latencies of concurrent peer connections pipeline, so
 // latency is charged once per link kind used; send and receive overlap
 // (full duplex), so the charge is the max of the two directions.
-func (c *Comm) chargePairwise(dev int, stage, op string, sendTo, recvFrom []int64) {
+func (c *Comm) chargePairwise(dev int, stage device.Stage, op string, sendTo, recvFrom []int64) {
 	p := c.Group.Platform
 	var sendBytes, recvBytes [4]int64 // indexed by hardware.LinkKind
 	for j := 0; j < c.n; j++ {
@@ -148,7 +148,7 @@ func (c *Comm) chargePairwise(dev int, stage, op string, sendTo, recvFrom []int6
 // they are owned serially by the device's compute goroutine, so the
 // axis is strictly monotone and independent of how a concurrent
 // prefetcher interleaves sample-clock charges.
-func (c *Comm) chargeWithSpan(dev int, stage, op string, secs float64, bytes int64) {
+func (c *Comm) chargeWithSpan(dev int, stage device.Stage, op string, secs float64, bytes int64) {
 	d := c.Group.Devices[dev]
 	if c.Spans == nil {
 		d.Charge(stage, secs)
@@ -184,7 +184,7 @@ func (c *Comm) AnyTrue(dev int, v bool) bool {
 // and returns the payloads received by dev (indexed by sender). The
 // paper's strategies use it to ship subgraphs (SNP/DNP Shuffle) and
 // hidden embeddings (Reshuffle).
-func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
+func (c *Comm) AllToAll(dev int, stage device.Stage, outs []Payload) []Payload {
 	in := c.AllToAllNoCharge(dev, outs)
 	sendTo := make([]int64, c.n)
 	recvFrom := make([]int64, c.n)
@@ -203,7 +203,7 @@ func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
 // payload is broadcast directly — no per-peer copies are materialized —
 // but the charge math and the "alltoall" span are byte-identical to the
 // AllToAll formulation this replaced.
-func (c *Comm) AllGather(dev int, stage string, p Payload) []Payload {
+func (c *Comm) AllGather(dev int, stage device.Stage, p Payload) []Payload {
 	in := c.AllGatherNoCharge(dev, p)
 	sendTo := make([]int64, c.n)
 	recvFrom := make([]int64, c.n)
@@ -238,7 +238,7 @@ func (c *Comm) broadcast(dev int, p Payload) {
 // slowest link on the ring — and since PR 9 the data plane actually
 // moves those bytes (chunked reduce-scatter + allgather) instead of a
 // full-mesh gather-then-sum.
-func (c *Comm) AllReduce(dev int, stage string, mat *tensor.Matrix, bytes int64) *tensor.Matrix {
+func (c *Comm) AllReduce(dev int, stage device.Stage, mat *tensor.Matrix, bytes int64) *tensor.Matrix {
 	return c.AllReduceCodec(dev, stage, mat, bytes, nil)
 }
 
@@ -247,7 +247,7 @@ func (c *Comm) AllReduce(dev int, stage string, mat *tensor.Matrix, bytes int64)
 // (safe to Put without a barrier); mat is never shipped by reference
 // and stays untouched. At world 1 the reduction degenerates to 0+mat,
 // matching the pre-ring bits exactly (including -0 normalization).
-func (c *Comm) AllReduceCodec(dev int, stage string, mat *tensor.Matrix, bytes int64, codec ChunkCodec) *tensor.Matrix {
+func (c *Comm) AllReduceCodec(dev int, stage device.Stage, mat *tensor.Matrix, bytes int64, codec ChunkCodec) *tensor.Matrix {
 	elems := int(bytes / 4)
 	if mat != nil {
 		bytes = mat.Bytes()

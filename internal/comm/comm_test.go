@@ -80,7 +80,7 @@ func TestAllToAllChargesTime(t *testing.T) {
 	})
 	// 36MB over 12GB/s PCIe = ~3ms.
 	for _, d := range g.Devices {
-		e := d.Elapsed(device.StageShuffle)
+		e := d.Clock().At(device.StageShuffle)
 		if e < 0.002 || e > 0.01 {
 			t.Errorf("dev %d shuffle time %v, want ~3ms", d.ID, e)
 		}
@@ -107,7 +107,7 @@ func TestCrossMachineCostsMore(t *testing.T) {
 			}
 			c.AllToAll(dev, device.StageShuffle, outs)
 		})
-		return g.StageMax(device.StageShuffle)[device.StageShuffle]
+		return g.StageMax().At(device.StageShuffle)
 	}
 	if ti, tx := run(intra), run(inter); tx <= ti {
 		t.Errorf("cross-machine alltoall %v not slower than intra %v", tx, ti)
@@ -173,9 +173,9 @@ func TestSequentialCollectivesNoDeadlock(t *testing.T) {
 			for j := range outs {
 				outs[j] = Payload{Bytes: 1}
 			}
-			c.AllToAll(dev, "s", outs)
-			c.AllGather(dev, "s", Payload{Bytes: 1})
-			c.AllReduce(dev, "s", nil, 64)
+			c.AllToAll(dev, device.StageShuffle, outs)
+			c.AllGather(dev, device.StageShuffle, Payload{Bytes: 1})
+			c.AllReduce(dev, device.StageShuffle, nil, 64)
 			c.Barrier(dev)
 		}
 	})
@@ -244,16 +244,16 @@ func TestDeviceMemoryAccounting(t *testing.T) {
 
 func TestStageMaxAndReset(t *testing.T) {
 	g := device.NewGroup(hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2))
-	g.Devices[0].Charge("a", 1)
-	g.Devices[1].Charge("a", 3)
-	if g.StageMax("a")["a"] != 3 {
+	g.Devices[0].Charge(device.StageTrain, 1)
+	g.Devices[1].Charge(device.StageTrain, 3)
+	if g.StageMax().At(device.StageTrain) != 3 {
 		t.Error("StageMax wrong")
 	}
 	if g.Devices[1].TotalElapsed() != 3 {
 		t.Error("TotalElapsed wrong")
 	}
 	g.ResetClocks()
-	if g.StageMax("a")["a"] != 0 {
+	if g.StageMax() != (device.Clock{}) {
 		t.Error("ResetClocks failed")
 	}
 }

@@ -82,28 +82,30 @@ func MeasureProfile(p *hardware.Platform) *Profile {
 				outs[j] = Payload{Bytes: per}
 			}
 		}
-		c.AllToAll(dev, "trial", outs)
+		c.AllToAll(dev, device.StageTrain, outs)
 	})
-	prof.AllToAllBps = float64(per*int64(n-1)) / maxStage(g, "trial")
+	prof.AllToAllBps = float64(per*int64(n-1)) / g.StageMax().At(device.StageTrain)
 
 	// AllGather trial: each device broadcasts trialBytes, putting
 	// (n-1)*trialBytes on the wire per device.
 	g2 := device.NewGroup(p)
 	c2 := New(g2)
 	RunParallel(n, func(dev int) {
-		c2.AllGather(dev, "trial", Payload{Bytes: trialBytes})
+		c2.AllGather(dev, device.StageTrain, Payload{Bytes: trialBytes})
 	})
-	prof.AllGatherBps = float64(int64(n-1)*trialBytes) / maxStage(g2, "trial")
+	prof.AllGatherBps = float64(int64(n-1)*trialBytes) / g2.StageMax().At(device.StageTrain)
 
 	// AllReduce trial on a trialBytes tensor.
 	g3 := device.NewGroup(p)
 	c3 := New(g3)
 	RunParallel(n, func(dev int) {
-		c3.AllReduce(dev, "trial", nil, trialBytes)
+		c3.AllReduce(dev, device.StageTrain, nil, trialBytes)
 	})
-	prof.AllReduceBps = float64(trialBytes) / maxStage(g3, "trial")
+	prof.AllReduceBps = float64(trialBytes) / g3.StageMax().At(device.StageTrain)
 
-	// Near-empty-payload trials isolate the per-call latencies.
+	// Near-empty-payload trials isolate the per-call latencies. Both
+	// run on one group, each charging its own stage; a charge depends
+	// on the payload bytes alone, not on the clock it lands on.
 	g4 := device.NewGroup(p)
 	c4 := New(g4)
 	RunParallel(n, func(dev int) {
@@ -113,20 +115,11 @@ func MeasureProfile(p *hardware.Platform) *Profile {
 				outs[j] = Payload{Bytes: 1}
 			}
 		}
-		c4.AllToAll(dev, "lat-a2a", outs)
-		c4.AllGather(dev, "lat-bcast", Payload{Bytes: 1})
+		c4.AllToAll(dev, device.StageBuild, outs)
+		c4.AllGather(dev, device.StageShuffle, Payload{Bytes: 1})
 	})
-	prof.AllToAllCallSec = maxStage(g4, "lat-a2a")
-	prof.AllGatherCallSec = maxStage(g4, "lat-bcast")
+	lat := g4.StageMax()
+	prof.AllToAllCallSec = lat.At(device.StageBuild)
+	prof.AllGatherCallSec = lat.At(device.StageShuffle)
 	return prof
-}
-
-func maxStage(g *device.Group, stage string) float64 {
-	var mx float64
-	for _, d := range g.Devices {
-		if e := d.Elapsed(stage); e > mx {
-			mx = e
-		}
-	}
-	return mx
 }

@@ -142,7 +142,8 @@ func (a *APT) Prepare() error {
 	if a.task.Partition != nil {
 		a.part = a.task.Partition
 	} else {
-		a.part = a.task.partitionGraph()
+		a.part = partition.Multilevel(a.task.Graph, a.task.Platform.NumDevices(),
+			partition.MultilevelConfig{Seed: a.task.Seed, EdgeBalanced: true})
 	}
 	if err := a.part.Validate(false); err != nil {
 		return err

@@ -250,29 +250,6 @@ func TestAccessSkewFromDryRun(t *testing.T) {
 	}
 }
 
-func TestRandomPartitionOption(t *testing.T) {
-	task := testTask(t, "PS", 4, 32)
-	task.Partitioner = PartitionRandom
-	a, err := New(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	// Random partition must have a worse cut than multilevel.
-	taskML := testTask(t, "PS", 4, 32)
-	aML, _ := New(taskML)
-	if err := aML.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	qr := a.Partition()
-	qm := aML.Partition()
-	if qr == nil || qm == nil {
-		t.Fatal("missing partitions")
-	}
-}
-
 func TestCostModelIncludeTrainAblation(t *testing.T) {
 	a, err := New(testTask(t, "PS", 4, 32))
 	if err != nil {

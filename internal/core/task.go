@@ -21,18 +21,6 @@ import (
 	"repro/internal/transport"
 )
 
-// PartitionerKind selects how SNP/DNP partition the graph.
-type PartitionerKind int
-
-// Partitioners.
-const (
-	// PartitionMultilevel is the METIS-quality multilevel partitioner
-	// (the paper's default).
-	PartitionMultilevel PartitionerKind = iota
-	// PartitionRandom is the Fig. 11 baseline.
-	PartitionRandom
-)
-
 // Task is the user-facing specification of a GNN training job.
 type Task struct {
 	// Graph is the data graph (in-neighbor CSR).
@@ -77,12 +65,11 @@ type Task struct {
 	// hand the planner a mis-ranked profile and show the calibrated
 	// re-planner recovering.
 	ProfileOverride *comm.Profile
-	// Partitioner selects the SNP/DNP graph partitioner.
-	Partitioner PartitionerKind
 	// Partition supplies a precomputed partitioning — the paper's
 	// offline DGL-style partitioning step, done once per graph and
 	// reused across tasks (the experiments' cache and the benchmark's
-	// set-ups do this); when set, Prepare skips partitioning.
+	// set-ups do this); when nil, Prepare runs the multilevel
+	// partitioner.
 	Partition *partition.Partitioning
 	// CachePolicyOverride pins one cache policy for every strategy
 	// (nil uses the paper's per-strategy rules); the cache-policy
@@ -154,15 +141,4 @@ func (t *Task) normalize() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
-}
-
-// partitionGraph runs the configured partitioner over the task graph.
-func (t *Task) partitionGraph() *partition.Partitioning {
-	k := t.Platform.NumDevices()
-	switch t.Partitioner {
-	case PartitionRandom:
-		return partition.Random(t.Graph, k, t.Seed)
-	default:
-		return partition.Multilevel(t.Graph, k, partition.MultilevelConfig{Seed: t.Seed, EdgeBalanced: true})
-	}
 }

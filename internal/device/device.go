@@ -1,33 +1,70 @@
 // Package device provides the simulated GPU runtime: each Device owns
-// a simulated clock split into named stage buckets (sample, build,
-// load, train — the paper's Eq. 2 decomposition) and a device-memory
-// arena with capacity accounting. One goroutine drives each device
-// during parallel execution; a Device's methods are safe for use only
-// from its owning goroutine unless noted.
+// a simulated clock split into one bucket per Stage (sample, build,
+// load, train, shuffle — the paper's Eq. 2 decomposition) and a
+// device-memory arena with capacity accounting. One goroutine drives
+// each device during parallel execution; a Device's methods are safe
+// for use only from its owning goroutine unless noted.
 package device
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/hardware"
 )
 
-// Stage names matching the paper's cost decomposition T = T_build +
-// T_load + T_shuffle + T_train (sampling is reported inside T_build's
-// "sampling" bucket in the figures).
+// Stage names one bucket of the simulated clock, matching the paper's
+// cost decomposition T = T_build + T_load + T_shuffle + T_train
+// (sampling is reported inside T_build's "sampling" bucket in the
+// figures). Spans and tables carry the name itself.
+type Stage string
+
+// The stages of one mini-batch step.
 const (
-	StageSample  = "sample"
-	StageBuild   = "build"   // permute + subgraph shuffle
-	StageLoad    = "load"    // input feature loading
-	StageTrain   = "train"   // model compute
-	StageShuffle = "shuffle" // hidden-embedding shuffle (reported inside train in figures)
+	StageSample  Stage = "sample"
+	StageBuild   Stage = "build"   // permute + subgraph shuffle
+	StageLoad    Stage = "load"    // input feature loading
+	StageTrain   Stage = "train"   // model compute
+	StageShuffle Stage = "shuffle" // hidden-embedding shuffle (reported inside train in figures)
 )
 
-// StepStages lists the stages of one mini-batch step in execution
-// order.
-var StepStages = [5]string{StageSample, StageBuild, StageLoad, StageTrain, StageShuffle}
+// Stages lists the stages in a step's execution order; slot i of a
+// Clock holds Stages[i].
+var Stages = [...]Stage{StageSample, StageBuild, StageLoad, StageTrain, StageShuffle}
+
+// slot is s's index in a Clock, -1 for a name outside Stages.
+func (s Stage) slot() int {
+	for i, t := range Stages {
+		if t == s {
+			return i
+		}
+	}
+	return -1
+}
+
+// StageNames lists the stage names in step order.
+func StageNames() []string {
+	names := make([]string, len(Stages))
+	for i, s := range Stages {
+		names[i] = string(s)
+	}
+	return names
+}
+
+// Clock is a device's accumulated simulated seconds, one slot per
+// stage in step order.
+type Clock [len(Stages)]float64
+
+// At returns the seconds on stage s, one of Stages.
+func (c Clock) At(s Stage) float64 { return c[s.slot()] }
+
+// Sub returns the per-stage time charged between prev and c.
+func (c Clock) Sub(prev Clock) Clock {
+	for i := range c {
+		c[i] -= prev[i]
+	}
+	return c
+}
 
 // Device is one simulated GPU.
 type Device struct {
@@ -35,7 +72,7 @@ type Device struct {
 	Machine int
 
 	mu      sync.Mutex
-	clock   map[string]float64
+	clock   Clock
 	memUsed int64
 	memCap  int64
 	// oom records that an allocation exceeded capacity (the paper's
@@ -57,29 +94,33 @@ func NewGroup(p *hardware.Platform) *Group {
 		g.Devices = append(g.Devices, &Device{
 			ID:      d,
 			Machine: p.MachineOf(d),
-			clock:   map[string]float64{},
 			memCap:  p.GPUMemBytes,
 		})
 	}
 	return g
 }
 
-// Charge adds secs of simulated time to the named stage bucket.
-// Safe for concurrent use. Called for every kernel and collective on
-// the training loop.
+// Charge adds secs of simulated time to the stage's bucket; a name
+// outside Stages has no bucket and is charged nowhere. Safe for
+// concurrent use. Called for every kernel and collective on the
+// training loop.
 //
 //apt:hotpath
-func (d *Device) Charge(stage string, secs float64) {
+func (d *Device) Charge(s Stage, secs float64) {
+	i := s.slot()
+	if i < 0 {
+		return
+	}
 	d.mu.Lock()
-	d.clock[stage] += secs
+	d.clock[i] += secs
 	d.mu.Unlock()
 }
 
-// Elapsed returns the accumulated simulated seconds for a stage.
-func (d *Device) Elapsed(stage string) float64 {
+// Clock returns the device's clock. Safe for concurrent use.
+func (d *Device) Clock() Clock {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.clock[stage]
+	return d.clock
 }
 
 // ComputeElapsed sums the compute-side stage clocks — every stage but
@@ -89,34 +130,21 @@ func (d *Device) Elapsed(stage string) float64 {
 // shuffle is fixed: float addition does not associate, and span start
 // times are compared bit for bit.
 func (d *Device) ComputeElapsed() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.clock[StageBuild] + d.clock[StageLoad] + d.clock[StageTrain] + d.clock[StageShuffle]
+	c := d.Clock()
+	return c.At(StageBuild) + c.At(StageLoad) + c.At(StageTrain) + c.At(StageShuffle)
 }
 
-// TotalElapsed sums all stage buckets. Buckets are added in sorted
-// stage order: float addition does not associate, so summing in map
-// iteration order would make the total's low bits vary run to run and
-// break the deterministic-trace guarantee (caught by aptlint/detrange).
+// TotalElapsed sums all stage buckets in the stage names' alphabetical
+// order, fixed for the same reason.
 func (d *Device) TotalElapsed() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	stages := make([]string, 0, len(d.clock))
-	for s := range d.clock {
-		stages = append(stages, s)
-	}
-	sort.Strings(stages)
-	var t float64
-	for _, s := range stages {
-		t += d.clock[s]
-	}
-	return t
+	c := d.Clock()
+	return c.At(StageBuild) + c.At(StageLoad) + c.At(StageSample) + c.At(StageShuffle) + c.At(StageTrain)
 }
 
 // ResetClock clears all stage buckets (between epochs or trials).
 func (d *Device) ResetClock() {
 	d.mu.Lock()
-	d.clock = map[string]float64{}
+	d.clock = Clock{}
 	d.mu.Unlock()
 }
 
@@ -156,18 +184,18 @@ func (d *Device) OOM() bool {
 	return d.oom
 }
 
-// StageMax returns, for each named stage, the maximum accumulated time
+// StageMax returns, for each stage, the maximum accumulated time
 // across devices — the synchronous-execution epoch decomposition.
-func (g *Group) StageMax(stages ...string) map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range stages {
-		for _, d := range g.Devices {
-			if e := d.Elapsed(s); e > out[s] {
-				out[s] = e
+func (g *Group) StageMax() Clock {
+	var mx Clock
+	for _, d := range g.Devices {
+		for s, e := range d.Clock() {
+			if e > mx[s] {
+				mx[s] = e
 			}
 		}
 	}
-	return out
+	return mx
 }
 
 // AnyOOM reports whether any device overflowed its memory.

@@ -29,7 +29,7 @@ func TestChargeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if e := d.Elapsed(StageLoad); e < 0.0999 || e > 0.1001 {
+	if e := d.Clock().At(StageLoad); e < 0.0999 || e > 0.1001 {
 		t.Errorf("concurrent charges lost: %v", e)
 	}
 }
@@ -73,8 +73,38 @@ func TestStageMaxAcrossDevices(t *testing.T) {
 	g.Devices[1].Charge(StageTrain, 5)
 	g.Devices[2].Charge(StageTrain, 3)
 	g.Devices[2].Charge(StageLoad, 9)
-	mx := g.StageMax(StageTrain, StageLoad)
-	if mx[StageTrain] != 5 || mx[StageLoad] != 9 {
+	if mx := g.StageMax(); mx.At(StageTrain) != 5 || mx.At(StageLoad) != 9 || mx.At(StageSample) != 0 {
 		t.Errorf("StageMax = %v", mx)
+	}
+}
+
+// TestClockSlots checks that slot i of a Clock is Stages[i], that a
+// name outside Stages is charged nowhere, and that Sub, ComputeElapsed
+// and TotalElapsed read the slots they name.
+func TestClockSlots(t *testing.T) {
+	d := NewGroup(hardware.SingleMachine8GPU()).Devices[0]
+	for i, s := range Stages {
+		d.ResetClock()
+		d.Charge(s, 1)
+		var want Clock
+		want[i] = 1
+		if got := d.Clock(); got != want || got.At(s) != 1 || StageNames()[i] != string(s) {
+			t.Errorf("charging %s: clock %v, want %v", s, got, want)
+		}
+	}
+	d.ResetClock()
+	d.Charge("trian", 1)
+	if d.Clock() != (Clock{}) {
+		t.Errorf("a name outside Stages opened a bucket: %v", d.Clock())
+	}
+	d.Charge(StageSample, 1)
+	before := d.Clock()
+	d.Charge(StageLoad, 2)
+	d.Charge(StageTrain, 4)
+	if got := d.Clock().Sub(before); got.At(StageLoad) != 2 || got.At(StageTrain) != 4 || got.At(StageSample) != 0 {
+		t.Errorf("Sub = %v", got)
+	}
+	if d.TotalElapsed() != 7 || d.ComputeElapsed() != 6 {
+		t.Errorf("TotalElapsed = %v, ComputeElapsed = %v", d.TotalElapsed(), d.ComputeElapsed())
 	}
 }

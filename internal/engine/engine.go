@@ -435,9 +435,9 @@ func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPl
 		ahead = make(chan batch, pipelineDepth) // the prefetch bound
 		go e.runPrefetcher(w, plan, numBatches, ahead)
 	}
-	var snap stageSnapshot
+	var clk device.Clock
 	if w.spanDev != nil {
-		snap = snapshotOf(w.dev)
+		clk = w.dev.Clock()
 	}
 	for step := 0; step < numBatches; step++ {
 		// Agree before drawing: a synchronous stop leaves the sampler's
@@ -472,24 +472,24 @@ func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPl
 			w.pipelinedSec = sched.computeDone[step]
 		}
 		if w.spanDev != nil {
-			cur := snapshotOf(w.dev)
-			d := cur.since(snap)
-			snap = cur
+			prev := clk
+			clk = w.dev.Clock()
+			d := clk.Sub(prev)
 			base := e.spanBase
 			if sched == nil {
 				// Synchronous stages really do serialize on the device, so
 				// laying them end to end on its track is the truth, not a
 				// rendering choice.
 				at := base + w.spanCursor
-				w.spanCursor = w.emitStepSpans(w.spanDev, step, d, at, at+d[0]) - base
+				sampleSec := d.At(device.StageSample)
+				w.spanCursor = emitStepSpans(w.spanDev, w.spanDev, step, at, sampleSec, at+sampleSec, d, 0) - base
 			} else {
 				// The prefetcher charges the sample clock ahead of compute,
 				// so the step's sampling time comes from the batch itself;
 				// its span goes on the sampler track ending at sampleDone,
 				// where sampling of step t+1 visibly overlaps compute of
 				// step t.
-				d[0] = b.sampleSec
-				w.emitStepSpans(w.spanSmp, step, d, base+sampleDone-d[0], base+computeStart)
+				emitStepSpans(w.spanSmp, w.spanDev, step, base+sampleDone-b.sampleSec, b.sampleSec, base+computeStart, d, 0)
 			}
 		}
 	}

@@ -79,8 +79,10 @@ type InferWorker struct {
 	// pre-summing layers; reused across batches.
 	rows []int32
 	// span, when non-nil, receives one sample/load/train span per batch
-	// on the worker's serialized device clock; batchSeq numbers them.
+	// on the worker's serialized device clock, where spanAt is the
+	// last batch's end; batchSeq numbers the batches.
 	span     *obs.Track
+	spanAt   float64
 	batchSeq int
 }
 
@@ -152,6 +154,7 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 func (inf *Inferencer) AttachSpans(c *obs.Collector) {
 	for i, w := range inf.workers {
 		w.span = c.AddTrack("infer", fmt.Sprintf("worker%d", i))
+		w.spanAt = w.dev.TotalElapsed()
 	}
 }
 
@@ -181,32 +184,17 @@ func (w *InferWorker) Device() *device.Device { return w.dev }
 // caller should tensor.Put them when done) and the batch's feature-load
 // statistics, whose location counts give the cache hit rate.
 func (w *InferWorker) Infer(seeds []graph.NodeID) (*tensor.Matrix, cache.LoadStats) {
-	step := -1
-	mark := 0.0
+	var clk device.Clock
 	if w.span != nil {
-		step = w.batchSeq
-		w.batchSeq++
-		mark = w.dev.TotalElapsed()
+		clk = w.dev.Clock()
 	}
-	emit := func(stage string, bytes int64) {
-		if w.span == nil {
-			return
-		}
-		now := w.dev.TotalElapsed()
-		w.span.Emit(stage, step, mark, now-mark, bytes)
-		mark = now
-	}
-
 	mb := w.sampler.Sample(seeds)
 	var edges int64
 	for _, b := range mb.Blocks {
 		edges += b.NumEdges()
 	}
 	w.dev.Charge(device.StageSample, w.inf.cfg.Platform.SampleTime(edges))
-	emit(device.StageSample, 0)
-
 	st := w.inf.cfg.Store.Charge(w.dev, mb.Layer1().Src)
-	emit(device.StageLoad, int64(mb.Layer1().NumSrc())*int64(w.inf.cfg.Store.Dim)*4)
 	for l, layer := range w.inf.cfg.Model.Layers {
 		blk := mb.Blocks[l]
 		dense, sparse := layer.FLOPs(int64(blk.NumSrc()), int64(layer.InDim()), blk.NumEdges())
@@ -214,7 +202,13 @@ func (w *InferWorker) Infer(seeds []graph.NodeID) (*tensor.Matrix, cache.LoadSta
 		w.dev.Charge(device.StageTrain, w.inf.cfg.Platform.SparseTime(sparse))
 	}
 	logits := w.inf.cfg.Model.PredictProjected(mb, w.project(mb.Layer1()))
-	emit(device.StageTrain, 0)
+	if w.span != nil {
+		d := w.dev.Clock().Sub(clk)
+		loadBytes := int64(mb.Layer1().NumSrc()) * int64(w.inf.cfg.Store.Dim) * 4
+		sampleSec := d.At(device.StageSample)
+		w.spanAt = emitStepSpans(w.span, w.span, w.batchSeq, w.spanAt, sampleSec, w.spanAt+sampleSec, d, loadBytes)
+		w.batchSeq++
+	}
 	return logits, st
 }
 

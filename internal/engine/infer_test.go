@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/tensor"
 )
@@ -305,5 +307,44 @@ func TestInferWarmAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(50, infer); got > tc.bound {
 			t.Errorf("%s: warm Infer allocates %v times per call, want at most %v", tc.m.Name, got, tc.bound)
 		}
+	}
+}
+
+// TestInferSpansTileClock checks that a serving batch's sample, load
+// and train spans tile the worker's clock: each starts where the last
+// ended, each lasts exactly its stage's clock advance over the batch,
+// and the load span carries the batch's input-feature bytes.
+func TestInferSpansTileClock(t *testing.T) {
+	inf, g, _, feats := inferFixture(t, false)
+	col := obs.NewCollector()
+	inf.AttachSpans(col)
+	w := inf.Worker(0)
+	smp := sample.NewSampler(g, sample.Config{Fanouts: []int{0, 0}, Method: sample.Full}, graph.NewRNG(1))
+	stages := []device.Stage{device.StageSample, device.StageLoad, device.StageTrain}
+	at := 0.0
+	for b, seeds := range [][]graph.NodeID{{3, 50, 299}, {7}, {10, 20, 30, 40}} {
+		before := w.Device().Clock()
+		logits, _ := w.Infer(seeds)
+		tensor.Put(logits)
+		adv := w.Device().Clock().Sub(before)
+		spans := col.Tracks()[0].Spans()
+		if len(spans) != len(stages)*(b+1) {
+			t.Fatalf("batch %d: %d spans on the worker's track, want %d", b, len(spans), len(stages)*(b+1))
+		}
+		loadBytes := int64(smp.Sample(seeds).Layer1().NumSrc()) * int64(feats.Cols) * 4
+		for i, s := range stages {
+			sp := spans[len(stages)*b+i]
+			var bytes int64
+			if s == device.StageLoad {
+				bytes = loadBytes
+			}
+			if sp.Stage != string(s) || sp.Step != b || sp.Start != at || sp.Dur != adv.At(s) || sp.Bytes != bytes {
+				t.Errorf("batch %d: span %+v, want %s step %d at %v for %v with %d bytes", b, sp, s, b, at, adv.At(s), bytes)
+			}
+			at = sp.End()
+		}
+	}
+	if n := col.Tracks()[1].Len(); n != 0 {
+		t.Errorf("idle worker's track holds %d spans", n)
 	}
 }

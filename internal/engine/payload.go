@@ -10,7 +10,7 @@ type payload = comm.Payload
 
 // allToAll is the worker-scoped collective shorthand; calls are
 // counted per stage so the cost model can charge per-call latency.
-func (w *worker) allToAll(stage string, outs []payload) []payload {
+func (w *worker) allToAll(stage device.Stage, outs []payload) []payload {
 	if stage == device.StageBuild {
 		w.stats.BuildA2ACalls++
 	} else {
@@ -20,7 +20,7 @@ func (w *worker) allToAll(stage string, outs []payload) []payload {
 }
 
 // allGather broadcasts p from every worker and returns all payloads.
-func (w *worker) allGather(stage string, p payload) []payload {
+func (w *worker) allGather(stage device.Stage, p payload) []payload {
 	if stage == device.StageBuild {
 		w.stats.BuildBcastCalls++
 	} else {

@@ -27,14 +27,14 @@ func TestTimelineRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.RunEpoch()
-	rows := trace.StepRowsFromSpans(col.Tracks(), device.StepStages[:], 0)
+	rows := trace.StepRowsFromSpans(col.Tracks(), device.StageNames(), 0)
 	if len(rows) != st.NumBatches {
 		t.Fatalf("timeline has %d steps, want %d", len(rows), st.NumBatches)
 	}
 	var total float64
 	for _, row := range rows {
-		if len(row.Segments) != len(device.StepStages) {
-			t.Errorf("step %s has %d stage segments, want %d", row.Label, len(row.Segments), len(device.StepStages))
+		if len(row.Segments) != len(device.Stages) {
+			t.Errorf("step %s has %d stage segments, want %d", row.Label, len(row.Segments), len(device.Stages))
 		}
 		total += row.Total()
 	}
@@ -46,8 +46,8 @@ func TestTimelineRecording(t *testing.T) {
 	if total > 3*st.EpochTime() {
 		t.Errorf("timeline total %v suspiciously exceeds epoch time %v", total, st.EpochTime())
 	}
-	out := trace.RenderStepTable("steps", col, device.StepStages[:], 0)
-	for _, name := range append([]string{"step", "total"}, device.StepStages[:]...) {
+	out := trace.RenderStepTable("steps", col, device.StageNames(), 0)
+	for _, name := range append([]string{"step", "total"}, device.StageNames()...) {
 		if !strings.Contains(out, name) {
 			t.Errorf("step table lacks the %q column:\n%s", name, out)
 		}
@@ -56,7 +56,7 @@ func TestTimelineRecording(t *testing.T) {
 	// A second epoch extends the trace; from selects it alone.
 	second := col.MaxEnd()
 	st2 := e.RunEpoch()
-	if rows := trace.StepRowsFromSpans(col.Tracks(), device.StepStages[:], second); len(rows) != st2.NumBatches {
+	if rows := trace.StepRowsFromSpans(col.Tracks(), device.StageNames(), second); len(rows) != st2.NumBatches {
 		t.Errorf("second epoch's table has %d steps, want %d", len(rows), st2.NumBatches)
 	} else {
 		var total2 float64

@@ -123,15 +123,16 @@ func (e *env) Dataset(abbr string) *dataset.Dataset {
 	return d
 }
 
-// Partition builds (and caches) a partitioning of a dataset.
-func (e *env) Partition(abbr string, devices int, kind core.PartitionerKind) *partition.Partitioning {
-	key := fmt.Sprintf("%s/%d/%d", abbr, devices, kind)
+// Partition builds (and caches) a partitioning of a dataset: the
+// multilevel partitioner, or Fig. 11's random baseline.
+func (e *env) Partition(abbr string, devices int, random bool) *partition.Partitioning {
+	key := fmt.Sprintf("%s/%d/%t", abbr, devices, random)
 	if p, ok := e.part[key]; ok {
 		return p
 	}
 	d := e.Dataset(abbr)
 	var p *partition.Partitioning
-	if kind == core.PartitionRandom {
+	if random {
 		p = partition.Random(d.Graph, devices, 7)
 	} else {
 		p = partition.Multilevel(d.Graph, devices, partition.MultilevelConfig{Seed: 7, EdgeBalanced: true})
@@ -167,7 +168,7 @@ type taskConfig struct {
 	platform  *hardware.Platform // nil = single machine with opts.Devices
 	cacheFrac float64            // 0 = opts default
 	int8Frac  float64            // warm-tier share of the cache budget
-	partKind  core.PartitionerKind
+	randPart  bool               // Fig. 11's random-partitioning baseline
 }
 
 func (e *env) task(tc taskConfig) core.Task {
@@ -208,8 +209,7 @@ func (e *env) task(tc taskConfig) core.Task {
 	task.Platform = p
 	task.CacheBytes = p.DefaultCacheBytes
 	task.Int8CacheFrac = tc.int8Frac
-	task.Partition = e.Partition(tc.abbr, p.NumDevices(), tc.partKind)
-	task.Partitioner = tc.partKind
+	task.Partition = e.Partition(tc.abbr, p.NumDevices(), tc.randPart)
 	return task
 }
 

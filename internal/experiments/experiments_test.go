@@ -33,8 +33,8 @@ func TestEnvCachesDatasetsAndPartitions(t *testing.T) {
 	if d1 != d2 {
 		t.Error("dataset not cached")
 	}
-	p1 := e.Partition("PS", 4, 0)
-	p2 := e.Partition("PS", 4, 0)
+	p1 := e.Partition("PS", 4, false)
+	p2 := e.Partition("PS", 4, false)
 	if p1 != p2 {
 		t.Error("partition not cached")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/hardware"
@@ -145,7 +144,7 @@ func (e *Env) Figure11() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rd, err := e.RunCase(e.task(taskConfig{abbr: abbr, hidden: 32, partKind: core.PartitionRandom}))
+		rd, err := e.RunCase(e.task(taskConfig{abbr: abbr, hidden: 32, randPart: true}))
 		if err != nil {
 			return "", err
 		}

@@ -58,12 +58,13 @@ type Sampler struct {
 	rng *graph.RNG
 
 	// stamp/epoch is scratch for within-call set membership
-	// (pickNeighbors' Floyd sampling, sampleLayerWise's chosen set).
+	// (pickNeighbors' Floyd sampling, sampleLayerWise's chosen set):
+	// u is chosen iff stamp[u] == epoch.
 	stamp []int32
 	epoch int32
 	// srcStamp/srcPos/srcGen is the per-layer dedup scratch: node u is
 	// already in the block's src list iff srcStamp[u] == srcGen, at
-	// position srcPos[u]. Bumping srcGen resets the map in O(1).
+	// position srcPos[u]. Both generations advance through nextGen.
 	srcStamp []int32
 	srcPos   []int32
 	srcGen   int32
@@ -80,9 +81,6 @@ func NewSampler(g *graph.Graph, cfg Config, rng *graph.RNG) *Sampler {
 		srcStamp: make([]int32, g.NumNodes()),
 		srcPos:   make([]int32, g.NumNodes()),
 	}
-	for i := range s.stamp {
-		s.stamp[i] = -1
-	}
 	return s
 }
 
@@ -98,17 +96,18 @@ func (s *Sampler) RNGState() [4]uint64 { return s.rng.State() }
 // all-zero state.
 func (s *Sampler) SetRNGState(st [4]uint64) bool { return s.rng.SetState(st) }
 
-// nextSrcGen advances the dedup generation, clearing the scratch on
-// the (practically unreachable) int32 wraparound.
-func (s *Sampler) nextSrcGen() int32 {
-	s.srcGen++
-	if s.srcGen == int32(^uint32(0)>>1) { // MaxInt32
-		for i := range s.srcStamp {
-			s.srcStamp[i] = 0
-		}
-		s.srcGen = 1
+// nextGen advances a stamp generation, which resets the stamped set
+// in O(1). Generations are positive and stamps start at 0; when the
+// counter leaves the positive range (the int32 wraparound, which a
+// long-lived serving sampler reaches) the stamps are cleared and
+// counting restarts at 1, so no stale stamp equals a live generation.
+func nextGen(gen *int32, stamps []int32) int32 {
+	*gen++
+	if *gen <= 0 {
+		clear(stamps)
+		*gen = 1
 	}
-	return s.srcGen
+	return *gen
 }
 
 // Sample builds the mini-batch computation graph for the given seeds.
@@ -156,7 +155,7 @@ func (s *Sampler) sampleLayerWise(dst []graph.NodeID, budget int) *Block {
 	}
 	b.Src = nodeSlices.get(budget)
 	b.SrcIdx = int32Slices.get(budget)
-	gen := s.nextSrcGen()
+	gen := nextGen(&s.srcGen, s.srcStamp)
 	addSrc := func(u graph.NodeID) int32 {
 		if s.srcStamp[u] == gen {
 			return s.srcPos[u]
@@ -176,8 +175,7 @@ func (s *Sampler) sampleLayerWise(dst []graph.NodeID, budget int) *Block {
 	// multiplicity-weighted pool samples nodes with probability
 	// proportional to their in-union degree. The chosen set lives in
 	// the stamp scratch (pickNeighbors is not used on this path).
-	s.epoch++
-	chosenGen := s.epoch
+	chosenGen := nextGen(&s.epoch, s.stamp)
 	nChosen := 0
 	if len(pool) <= budget {
 		for _, u := range pool {
@@ -227,7 +225,7 @@ func (s *Sampler) sampleLayer(dst []graph.NodeID, fanout int) *Block {
 	b.Src = nodeSlices.get(capHint)
 	// Position map: src node -> index in b.Src, held in the stamped
 	// scratch arrays (O(1) reset between layers, no per-layer map).
-	gen := s.nextSrcGen()
+	gen := nextGen(&s.srcGen, s.srcStamp)
 	addSrc := func(u graph.NodeID) int32 {
 		if s.srcStamp[u] == gen {
 			return s.srcPos[u]
@@ -264,15 +262,15 @@ func (s *Sampler) pickNeighbors(v graph.NodeID, fanout int) []graph.NodeID {
 		return s.picks
 	}
 	// Floyd's algorithm for sampling fanout distinct indices from [0,d).
-	s.epoch++
+	gen := nextGen(&s.epoch, s.stamp)
 	chosen := s.picks
 	for j := d - fanout; j < d; j++ {
 		t := s.rng.Intn(j + 1)
 		u := nb[t]
-		if s.stamp[u] == s.epoch {
+		if s.stamp[u] == gen {
 			u = nb[j]
 		}
-		s.stamp[u] = s.epoch
+		s.stamp[u] = gen
 		chosen = append(chosen, u)
 	}
 	s.picks = chosen

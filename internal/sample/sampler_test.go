@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +216,34 @@ func TestZeroFanoutLayer(t *testing.T) {
 	}
 	if err := mb.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStampWrapDrawsLikeFresh puts a sampler's stamp generations next
+// to the int32 wraparound — at MaxInt32, the last value before the
+// wrap, and at -2, where an unchecked counter lands after 2^32 - 2
+// draws, one bump short of -1 — with stale stamps left by earlier
+// draws, and checks that it draws exactly what a fresh sampler with
+// the same RNG state draws, node-wise (Floyd) and layer-wise.
+func TestStampWrapDrawsLikeFresh(t *testing.T) {
+	g := testGraph(t)
+	seeds := []graph.NodeID{5, 6, 7, 40, 41, 300}
+	for _, method := range []Method{NodeWise, LayerWise} {
+		for _, at := range []int32{math.MaxInt32, -2} {
+			cfg := Config{Fanouts: []int{3, 3}, Method: method}
+			worn := NewSampler(g, cfg, graph.NewRNG(11))
+			for i := 0; i < 4; i++ {
+				worn.Sample(seeds)
+			}
+			fresh := NewSampler(g, cfg, graph.NewRNG(1))
+			fresh.SetRNGState(worn.RNGState())
+			worn.epoch, worn.srcGen = at, at
+			for i := 0; i < 4; i++ {
+				want, got := fresh.Sample(seeds), worn.Sample(seeds)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("method %d, counters at %d: batch %d differs from a fresh sampler's", method, at, i)
+				}
+			}
+		}
 	}
 }

@@ -89,18 +89,6 @@ func (q *QuantMatrix) QuantizeRow(r int, src []float32) {
 	}
 }
 
-// DequantRowInto reconstructs row r into dst (len >= Cols).
-//
-//apt:hotpath
-func (q *QuantMatrix) DequantRowInto(dst []float32, r int) {
-	qr := q.Data[r*q.Cols : (r+1)*q.Cols]
-	s, z := q.Scale[r], q.Zero[r]
-	dst = dst[:len(qr)]
-	for j, qv := range qr {
-		dst[j] = s*float32(qv) + z
-	}
-}
-
 // FeatSource is the unified read view of a feature store: a master
 // fp32 matrix plus an optional int8 warm tier. Rows whose bit is set
 // in QMask are served by dequantizing Q; all other rows read F

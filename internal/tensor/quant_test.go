@@ -43,6 +43,17 @@ func quantFixture(rows, cols int, seed uint64) (*Matrix, *QuantMatrix, []uint64)
 	return m, q, mask
 }
 
+// dequantRowInto reconstructs row r of q into dst (len >= Cols), the
+// round-trip oracle.
+func dequantRowInto(q *QuantMatrix, dst []float32, r int) {
+	qr := q.Data[r*q.Cols : (r+1)*q.Cols]
+	s, z := q.Scale[r], q.Zero[r]
+	dst = dst[:len(qr)]
+	for j, qv := range qr {
+		dst[j] = s*float32(qv) + z
+	}
+}
+
 // rowRange is max-min of a row.
 func rowRange(row []float32) float64 {
 	mn, mx := row[0], row[0]
@@ -66,7 +77,7 @@ func TestQuantRoundTripProperty(t *testing.T) {
 	dst := make([]float32, cols)
 	for r := 0; r < rows; r++ {
 		src := m.Row(r)
-		q.DequantRowInto(dst, r)
+		dequantRowInto(q, dst, r)
 		// Half a quantization step, plus a few float32 ULPs at the
 		// row's magnitude: scale*q+zero rounds once more than the real
 		// arithmetic the half-step bound assumes.
