@@ -12,6 +12,7 @@
 //	curl -s localhost:8399/stats     # JSON snapshot
 //	curl -s localhost:8399/metrics   # text exposition format
 //	curl -s localhost:8399/healthz
+//	go tool pprof localhost:8399/debug/pprof/profile?seconds=10
 //
 // A running daemon hot-swaps its model without dropping requests when
 // the checkpoint file is rewritten (e.g. by a fresh aptrun) and either
@@ -23,9 +24,20 @@
 // before a worker collects it is dropped, never executed.
 //
 // Without -checkpoint the model is trained in-process first
-// (-train-epochs). -fanout 0 serves full neighborhoods. To benchmark
-// the serving path use the repo's load generator:
-// `bash bench/run.sh -workload serve-ps-zipf-open`.
+// (-train-epochs). -fanout 0 serves full neighborhoods; any fanout
+// serves deterministic answers, because the neighbourhood draws are
+// keyed by the node (a hub's answer averages up to four), so each
+// loaded model computes a node once and keeps the answer for every
+// later request. The daemon's own profiles are under /debug/pprof/
+// (net/http/pprof). To benchmark the serving path use the repo's load
+// generator: `bash bench/run.sh -workload serve-ps-zipf-open`.
+//
+// Every endpoint is open to anyone who can reach -addr: /reload swaps
+// the model, and /debug/pprof/ shows the command line (checkpoint
+// paths) and the heap and runs CPU profiles and execution traces of
+// any length, which slow the daemon while they run. The default :8399
+// listens on every interface; serve on loopback (-addr
+// 127.0.0.1:8399) or behind a trusted network.
 package main
 
 import (
@@ -35,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -159,6 +172,11 @@ func newMux(srv *serve.Server) *http.ServeMux {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)

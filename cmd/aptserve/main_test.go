@@ -125,3 +125,15 @@ func TestPredictErrorStatus(t *testing.T) {
 		t.Errorf("closed server: status %d, body %q; want 503 naming %v", rec.Code, rec.Body, serve.ErrServerClosed)
 	}
 }
+
+// TestPprofEndpoints: the daemon serves its own profiles on its mux,
+// the index and a heap profile in text form among them.
+func TestPprofEndpoints(t *testing.T) {
+	mux := newMux(testServer(t))
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1"} {
+		rec := do(mux, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+			t.Errorf("GET %s: status %d with %d body bytes, want 200 and a body", path, rec.Code, rec.Body.Len())
+		}
+	}
+}

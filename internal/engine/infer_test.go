@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -135,6 +136,10 @@ func TestInferencerValidation(t *testing.T) {
 		Sampling: sample.Config{Fanouts: []int{2}}}); err == nil {
 		t.Fatal("fanout/layer mismatch accepted")
 	}
+	if _, err := NewInferencer(InferConfig{Platform: p, Graph: g, Store: store, Model: m,
+		Sampling: sample.Config{Fanouts: []int{2, 2}, Method: sample.LayerWise}}); err == nil {
+		t.Fatal("layer-wise sampling accepted: its answers would depend on the batch")
+	}
 }
 
 // tableFixture is a graph whose batches reach every layer-0 edge case:
@@ -174,7 +179,7 @@ func tableFixture() (*graph.Graph, *tensor.Matrix) {
 
 // TestInferTableMatchesPredictGathered holds every answer of the
 // projection-table path to Model.PredictGathered on the worker's own
-// feature view and the same sampled batch, by math.Float32bits: SAGE
+// feature view and the same keyed sample, by math.Float32bits: SAGE
 // with mean and with sum aggregation, packed-head GAT; fanout and Full
 // sampling; a store with no warm tier and one whose int8 tier is on
 // device 0 only (worker 0 then has its own table, worker 1 shares the
@@ -251,10 +256,7 @@ func TestInferTableMatchesPredictGathered(t *testing.T) {
 						name := mc.name + "/" + sc.name + "/" + stc.name
 						for wi := 0; wi < inf.NumWorkers(); wi++ {
 							w := inf.Worker(wi)
-							// The worker and the reference draw the same batches
-							// from twin samplers.
-							w.sampler = sample.NewSampler(g, inf.cfg.Sampling, graph.NewRNG(uint64(17+wi)))
-							ref := sample.NewSampler(g, inf.cfg.Sampling, graph.NewRNG(uint64(17+wi)))
+							ref := keyedSampler(g, inf.cfg.Sampling, 13)
 							view := store.FeatView(w.Device().ID)
 							for bi, seeds := range batches {
 								got, _ := w.Infer(seeds)
@@ -275,7 +277,12 @@ func TestInferTableMatchesPredictGathered(t *testing.T) {
 // TestInferWarmAllocs bounds a warm worker's per-batch allocations at
 // GOMAXPROCS 1 by the counts measured on this fixture with the
 // per-batch projection GEMM, before the projection table: 12 per Infer
-// call for GraphSAGE, 30 for GAT (the table path makes 11 and 29).
+// call for GraphSAGE, 30 for GAT (the table path makes 11 and 29). An
+// Answer batch whose every seed misses the answer table — the table is
+// emptied before each call — runs draw k over the seeds that need more
+// than k draws and must allocate what those draws do alone, to within
+// a fraction of one allocation per call: picking the sets, averaging
+// and filling allocate nothing.
 func TestInferWarmAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the inline kernel path; the fan-out's goroutines allocate
 	g, feats := tableFixture()
@@ -297,17 +304,60 @@ func TestInferWarmAllocs(t *testing.T) {
 		}
 		w := inf.Worker(0)
 		seeds := []graph.NodeID{0, 1, 2, 3, 240, 280, 17, 100}
-		infer := func() {
-			logits, _ := w.Infer(seeds)
+		requireEveryDrawCount(t, inf, seeds)
+		perDraw := make([]func(), maxDraws) // draw k over its seeds; draw 0 is Infer
+		for k := range perDraw {
+			var set []graph.NodeID
+			for _, v := range seeds {
+				if inf.draws(v) > k {
+					set = append(set, v)
+				}
+			}
+			perDraw[k] = func() {
+				logits, _ := w.draw(k, set)
+				tensor.Put(logits)
+			}
+		}
+		fill := func() {
+			for i := range w.answers.state {
+				w.answers.state[i].Store(answerEmpty)
+			}
+			logits, _, hits := w.Answer(seeds)
+			if hits != 0 {
+				t.Fatalf("%s: %d answer-table hits in an emptied table", tc.m.Name, hits)
+			}
 			tensor.Put(logits)
 		}
 		for i := 0; i < 5; i++ {
-			infer() // warm the pools and the worker's buffers
+			for _, run := range perDraw {
+				run() // warm the pools and the worker's buffers
+			}
+			fill()
 		}
-		if got := testing.AllocsPerRun(50, infer); got > tc.bound {
+		if got := testing.AllocsPerRun(50, perDraw[0]); got > tc.bound {
 			t.Errorf("%s: warm Infer allocates %v times per call, want at most %v", tc.m.Name, got, tc.bound)
 		}
+		var draws float64
+		for _, run := range perDraw {
+			draws += mallocsPerRun(200, run)
+		}
+		if got := mallocsPerRun(200, fill); got >= draws+0.5 {
+			t.Errorf("%s: warm Answer (all misses) allocates %.2f times per call, its draws alone %.2f", tc.m.Name, got, draws)
+		}
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its truncation to a
+// whole count: the mean heap allocations of runs calls of f.
+func mallocsPerRun(runs int, f func()) float64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64(ms.Mallocs-before) / float64(runs)
 }
 
 // TestInferSpansTileClock checks that a serving batch's sample, load
@@ -346,5 +396,202 @@ func TestInferSpansTileClock(t *testing.T) {
 	}
 	if n := col.Tracks()[1].Len(); n != 0 {
 		t.Errorf("idle worker's track holds %d spans", n)
+	}
+}
+
+// keyedSampler returns a sampler keyed by key.
+func keyedSampler(g *graph.Graph, cfg sample.Config, key uint64) *sample.Sampler {
+	s := sample.NewSampler(g, cfg, graph.NewRNG(key))
+	s.SetKey(key)
+	return s
+}
+
+// recomputeAnswers is Answer's reference, computed anew: the mean of
+// each seed's first n keyed draws' Model.PredictGathered on view,
+// summed in draw order, where n is one under Full sampling and
+// otherwise ⌈degree / product of the fanouts⌉ between one and four.
+// cfg is the inferencer's sampling configuration (self-inclusion
+// already forced for GAT).
+func recomputeAnswers(g *graph.Graph, cfg sample.Config, seed uint64, m *nn.Model, view tensor.FeatSource, seeds []graph.NodeID) *tensor.Matrix {
+	draw := func(k uint64) *tensor.Matrix {
+		mb := keyedSampler(g, cfg, seed^k).Sample(seeds)
+		return m.PredictGathered(mb, view, mb.Layer1().Src)
+	}
+	a := draw(0)
+	if cfg.Method == sample.Full {
+		return a
+	}
+	tree := 1
+	for _, f := range cfg.Fanouts {
+		tree *= f
+	}
+	more := []*tensor.Matrix{draw(1), draw(2), draw(3)}
+	for i, v := range seeds {
+		n := min(4, max(1, (g.Degree(v)+tree-1)/tree))
+		ra := a.Row(i)
+		for _, d := range more[:n-1] {
+			for j, x := range d.Row(i) {
+				ra[j] += x
+			}
+		}
+		if n > 1 {
+			for j := range ra {
+				ra[j] /= float32(n)
+			}
+		}
+	}
+	for _, d := range more {
+		tensor.Put(d)
+	}
+	return a
+}
+
+// requireEveryDrawCount fails t unless seeds hold a node answered with
+// each number of draws, one to maxDraws.
+func requireEveryDrawCount(t *testing.T, inf *Inferencer, seeds []graph.NodeID) {
+	t.Helper()
+	seen := make([]bool, maxDraws+1)
+	for _, v := range seeds {
+		seen[inf.draws(v)] = true
+	}
+	for n := 1; n <= maxDraws; n++ {
+		if !seen[n] {
+			t.Fatalf("no seed of %v is answered with %d draws (tree of %d nodes): the fixture no longer covers every answer", seeds, n, inf.treeNodes)
+		}
+	}
+}
+
+// TestAnswerTableHitEqualsRecompute holds every answer the answer table
+// serves to recomputation — recomputeAnswers on the worker's own
+// feature view — by math.Float32bits, for
+// SAGE and GAT, with a store whose int8 tier is on device 0 only (so
+// worker 0 keeps its own tables and worker 1 the fp32 ones): a batch
+// of misses fills the table, the same batch again is all hits and
+// charges nothing, a batch mixing hits and misses keeps its row order,
+// and on a shared view one worker's fills are the other's hits.
+func TestAnswerTableHitEqualsRecompute(t *testing.T) {
+	g, feats := tableFixture()
+	dim := feats.Cols
+	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 3)
+	for _, mc := range []struct {
+		name  string
+		build func() *nn.Model
+	}{
+		{"sage", func() *nn.Model { return nn.NewGraphSAGE(dim, 16, 4, 2) }},
+		{"gat", func() *nn.Model { return nn.NewGAT(dim, 4, 3, 4, 2) }},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			m := mc.build()
+			m.Init(graph.NewRNG(11))
+			store := cache.NewStore(p, g.NumNodes(), dim, feats)
+			store.HostByRange()
+			var warm []graph.NodeID
+			for v := 1; v < g.NumNodes(); v += 3 {
+				warm = append(warm, graph.NodeID(v))
+			}
+			store.ConfigureCacheTiered(0, nil, warm)
+			inf, err := NewInferencer(InferConfig{Platform: p, Graph: g, Store: store, Model: m,
+				Sampling: sample.Config{Fanouts: []int{4, 3}}, Seed: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inf.Worker(0).answers == inf.Worker(1).answers || inf.Worker(1).answers != inf.Worker(2).answers {
+				t.Fatal("answer tables not shared exactly by the workers of one feature view")
+			}
+			check := func(wi int, seeds []graph.NodeID, wantHits int) {
+				t.Helper()
+				w := inf.Worker(wi)
+				before := w.Device().Clock()
+				got, st, hits := w.Answer(seeds)
+				defer tensor.Put(got)
+				if hits != wantHits {
+					t.Fatalf("worker %d, seeds %v: %d answer-table hits, want %d", wi, seeds, hits, wantHits)
+				}
+				if hits == len(seeds) && (w.Device().Clock() != before || st != (cache.LoadStats{})) {
+					t.Fatalf("worker %d, seeds %v: an all-hit batch charged the device or loaded features", wi, seeds)
+				}
+				want := recomputeAnswers(g, inf.cfg.Sampling, 13, m, store.FeatView(w.Device().ID), seeds)
+				requireBitsEqual(t, fmt.Sprintf("worker %d answers %v vs recomputation", wi, seeds), got, want)
+			}
+			first := []graph.NodeID{0, 1, 2, 3, 240, 280, 17, 100}
+			requireEveryDrawCount(t, inf, first)
+			check(1, first, 0)                                        // fills the fp32 table
+			check(1, first, len(first))                               // all hits
+			check(2, first, len(first))                               // another worker's fills
+			check(0, first, 0)                                        // the int8 view has its own table
+			check(0, []graph.NodeID{100, 5, 17, 299, 0}, 3)           // hits and misses interleaved
+			check(2, []graph.NodeID{299, 5, 250, 1}, 1)               // the int8 view's fills are not the fp32 view's
+			check(1, []graph.NodeID{250, 299, 5, 100, 0, 240, 17}, 7) // every row a hit, new order
+		})
+	}
+}
+
+// TestAnswerConcurrentFills has every worker of one feature view answer
+// every node at once, released together and walking the nodes in one
+// order in batches of different shapes, so workers race to claim and
+// fill the same slots; under -race (make verify) it checks the claim
+// protocol, and every answer must still equal recomputation by
+// math.Float32bits.
+func TestAnswerConcurrentFills(t *testing.T) {
+	g, feats := tableFixture()
+	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
+	store := cache.NewStore(p, g.NumNodes(), feats.Cols, feats)
+	store.HostByRange()
+	m := nn.NewGraphSAGE(feats.Cols, 16, 4, 2)
+	m.Init(graph.NewRNG(11))
+	smp := sample.Config{Fanouts: []int{4, 3}}
+	inf, err := NewInferencer(InferConfig{Platform: p, Graph: g, Store: store, Model: m, Sampling: smp, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float32, g.NumNodes())
+	for v := range want {
+		want[v] = recomputeAnswers(g, smp, 13, m, store.FeatView(0), []graph.NodeID{graph.NodeID(v)}).Row(0)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, inf.NumWorkers())
+	for wi := 0; wi < inf.NumWorkers(); wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			w := inf.Worker(wi)
+			rng := graph.NewRNG(uint64(wi))
+			<-start
+			for lo := 0; lo < g.NumNodes(); {
+				hi := min(lo+1+rng.Intn(4), g.NumNodes())
+				seeds := make([]graph.NodeID, 0, hi-lo)
+				for v := lo; v < hi; v++ {
+					seeds = append(seeds, graph.NodeID(v))
+				}
+				got, _, _ := w.Answer(seeds)
+				for i, v := range seeds {
+					for j, x := range got.Row(i) {
+						if math.Float32bits(x) != math.Float32bits(want[v][j]) {
+							errs <- fmt.Errorf("worker %d: node %d logit %d = %v, recomputation gives %v", wi, v, j, x, want[v][j])
+							tensor.Put(got)
+							return
+						}
+					}
+				}
+				tensor.Put(got)
+				lo = hi
+			}
+		}(wi)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var hits int
+	for v := range want {
+		if inf.Worker(0).answers.state[v].Load() == answerReady {
+			hits++
+		}
+	}
+	if hits != g.NumNodes() {
+		t.Fatalf("%d of %d nodes ready in the answer table after every worker answered all", hits, g.NumNodes())
 	}
 }

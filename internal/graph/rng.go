@@ -14,6 +14,13 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed repositions the generator at the start of NewRNG(seed)'s
+// stream, without allocating.
+func (r *RNG) Reseed(seed uint64) {
 	// SplitMix64 to expand the seed into the xoshiro state.
 	x := seed
 	for i := range r.s {
@@ -23,7 +30,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -56,6 +56,10 @@ type Sampler struct {
 	g   *graph.Graph
 	cfg Config
 	rng *graph.RNG
+	// keyed, set by SetKey, reseeds rng before each node-wise draw
+	// from key and the (layer, node) it draws for.
+	keyed bool
+	key   uint64
 
 	// stamp/epoch is scratch for within-call set membership
 	// (pickNeighbors' Floyd sampling, sampleLayerWise's chosen set):
@@ -82,6 +86,19 @@ func NewSampler(g *graph.Graph, cfg Config, rng *graph.RNG) *Sampler {
 		srcPos:   make([]int32, g.NumNodes()),
 	}
 	return s
+}
+
+// SetKey makes every later node-wise draw a function of (key, layer,
+// node): before the sampler draws node v's neighbours at layer l it
+// reseeds its generator from a SplitMix64 hash of the three, so no
+// state carries from one draw to the next and a batch samples every
+// (l, v) exactly as a batch of v alone would. Full sampling draws
+// nothing; LayerWise draws from the whole batch by definition, so it
+// stays a sequential stream seeded from key and is not keyed. Online
+// inference samples this way (engine.InferWorker).
+func (s *Sampler) SetKey(key uint64) {
+	s.rng.Reseed(key)
+	s.key, s.keyed = s.rng.Uint64(), true
 }
 
 // RNGState returns the sampler's RNG stream position for
@@ -122,9 +139,9 @@ func (s *Sampler) Sample(seeds []graph.NodeID) *MiniBatch {
 		case LayerWise:
 			b = s.sampleLayerWise(dst, fanout*len(dst))
 		case Full:
-			b = s.sampleLayer(dst, int(^uint(0)>>1))
+			b = s.sampleLayer(l, dst, int(^uint(0)>>1))
 		default:
-			b = s.sampleLayer(dst, fanout)
+			b = s.sampleLayer(l, dst, fanout)
 		}
 		blocks[l] = b
 		dst = b.Src
@@ -204,8 +221,8 @@ func (s *Sampler) sampleLayerWise(dst []graph.NodeID, budget int) *Block {
 }
 
 // sampleLayer samples up to fanout neighbors (without replacement) for
-// each destination and assembles the bipartite block.
-func (s *Sampler) sampleLayer(dst []graph.NodeID, fanout int) *Block {
+// each destination and assembles the bipartite block of layer l.
+func (s *Sampler) sampleLayer(l int, dst []graph.NodeID, fanout int) *Block {
 	b := &Block{
 		Dst:     dst,
 		EdgePtr: newEdgePtr(len(dst)),
@@ -242,7 +259,7 @@ func (s *Sampler) sampleLayer(dst []graph.NodeID, fanout int) *Block {
 		}
 	}
 	for i, v := range dst {
-		picks := s.pickNeighbors(v, fanout)
+		picks := s.pickNeighbors(l, v, fanout)
 		for _, u := range picks {
 			b.SrcIdx = append(b.SrcIdx, addSrc(u))
 		}
@@ -251,15 +268,19 @@ func (s *Sampler) sampleLayer(dst []graph.NodeID, fanout int) *Block {
 	return b
 }
 
-// pickNeighbors samples min(fanout, degree) distinct neighbors of v.
-// The returned slice is scratch owned by the sampler.
-func (s *Sampler) pickNeighbors(v graph.NodeID, fanout int) []graph.NodeID {
+// pickNeighbors samples min(fanout, degree) distinct neighbors of v
+// for layer l. The returned slice belongs to the sampler and is
+// reused by its next call.
+func (s *Sampler) pickNeighbors(l int, v graph.NodeID, fanout int) []graph.NodeID {
 	nb := s.g.Neighbors(v)
 	d := len(nb)
 	s.picks = s.picks[:0]
 	if d <= fanout {
 		s.picks = append(s.picks, nb...)
 		return s.picks
+	}
+	if s.keyed {
+		s.rng.Reseed(s.key ^ uint64(l)<<32 ^ uint64(uint32(v)))
 	}
 	// Floyd's algorithm for sampling fanout distinct indices from [0,d).
 	gen := nextGen(&s.epoch, s.stamp)

@@ -247,3 +247,49 @@ func TestStampWrapDrawsLikeFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedSamplerDrawsPerNode: a keyed sampler draws each (layer,
+// node) as a batch of that node alone would, whatever shares its batch
+// and whatever the sampler drew before, and the key changes the draw.
+func TestKeyedSamplerDrawsPerNode(t *testing.T) {
+	g := testGraph(t)
+	cfg := Config{Fanouts: []int{4, 3}}
+	// picks lists each destination's sampled neighbours per layer.
+	picks := func(mb *MiniBatch) []map[graph.NodeID][]graph.NodeID {
+		out := make([]map[graph.NodeID][]graph.NodeID, len(mb.Blocks))
+		for l, b := range mb.Blocks {
+			out[l] = map[graph.NodeID][]graph.NodeID{}
+			for i, v := range b.Dst {
+				for e := b.EdgePtr[i]; e < b.EdgePtr[i+1]; e++ {
+					out[l][v] = append(out[l][v], b.Src[b.SrcIdx[e]])
+				}
+			}
+		}
+		return out
+	}
+	keyed := func(key uint64) *Sampler {
+		s := NewSampler(g, cfg, graph.NewRNG(key))
+		s.SetKey(key)
+		return s
+	}
+	batched := keyed(5)
+	batched.Sample([]graph.NodeID{9, 8, 7}) // advance any state a draw could carry
+	batch := []graph.NodeID{3, 77, 200, 444, 0, 1}
+	got := picks(batched.Sample(batch))
+	differs := false
+	for _, v := range batch {
+		alone := picks(keyed(5).Sample([]graph.NodeID{v}))
+		other := picks(keyed(6).Sample([]graph.NodeID{v}))
+		for l := range alone {
+			for u, want := range alone[l] {
+				if !reflect.DeepEqual(got[l][u], want) {
+					t.Fatalf("layer %d, node %d: batched draw %v, alone %v", l, u, got[l][u], want)
+				}
+			}
+		}
+		differs = differs || !reflect.DeepEqual(alone, other)
+	}
+	if !differs {
+		t.Fatal("keys 5 and 6 draw the same neighbours for every node")
+	}
+}

@@ -167,13 +167,14 @@ func (p *pending) live() bool {
 }
 
 // runBatch executes one coalesced micro-batch on worker w and
-// completes every member request.
+// completes every member request. Seeds the generation has answered
+// before come from its answer table; only the rest are computed.
 func (s *Server) runBatch(w *engine.InferWorker, rs *sample.RequestSet, batch []*pending) {
 	rs.Reset()
 	for _, p := range batch {
 		rs.Add(p.nodes)
 	}
-	logits, ld := w.Infer(rs.Seeds())
+	logits, ld, hits := w.Answer(rs.Seeds())
 	latencies := make([]time.Duration, len(batch))
 	//apt:allow simclock request latency is a wall-clock serving metric by design
 	now := time.Now()
@@ -190,7 +191,7 @@ func (s *Server) runBatch(w *engine.InferWorker, rs *sample.RequestSet, batch []
 	tensor.Put(logits)
 	// Count the batch before releasing its callers: a client that has
 	// its answer must find it in Stats().
-	s.stats.recordBatch(latencies, rs.NumSeeds(), ld)
+	s.stats.recordBatch(latencies, rs.NumSeeds(), hits, ld)
 	for _, p := range batch {
 		close(p.done)
 	}

@@ -14,14 +14,16 @@ import (
 
 // TestMetricsExposition drives a few requests and checks the /metrics
 // registry exposes the serving counters in the text format, agreeing
-// with the JSON snapshot.
+// with the JSON snapshot. Nine requests ask for distinct nodes; the
+// tenth asks for the first again, after its answer, so the model
+// generation's answer table serves exactly one seed.
 func TestMetricsExposition(t *testing.T) {
 	f := newFixture(t)
 	s := f.server(t, nil)
 	defer s.Close()
 
 	for i := 0; i < 10; i++ {
-		if _, err := s.Predict([]graph.NodeID{graph.NodeID(i * 7 % 600)}); err != nil {
+		if _, err := s.Predict([]graph.NodeID{graph.NodeID(i % 9 * 7)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,6 +36,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE apt_serve_batch_seeds histogram",
 		"apt_serve_uptime_seconds",
 		"apt_serve_sim_seconds",
+		"# TYPE apt_serve_answer_hits_total counter",
+		"apt_serve_answer_hits_total 1",
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition missing %q", want)
@@ -45,6 +49,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if snap.Batches <= 0 || snap.Seeds <= 0 {
 		t.Errorf("snapshot lost batches/seeds: %+v", snap)
+	}
+	if snap.AnswerHits != 1 || snap.Seeds != 10 {
+		t.Errorf("snapshot answer hits / seeds = %d / %d, want 1 / 10", snap.AnswerHits, snap.Seeds)
 	}
 }
 

@@ -54,12 +54,22 @@ func TestReloadSwapsModel(t *testing.T) {
 }
 
 // TestReloadRebuildsProjection checks that a swap serves the new
-// model's own layer-0 projection: under Full sampling every answer
-// after Reload(m2) equals m2's direct Predict bit for bit and differs
-// from m1's — a projection table kept with the shared feature store
-// instead of with the generation would keep answering with m1's.
+// model's own layer-0 projection and answers: under full and under
+// fanout sampling every answer after Reload(m2) equals m2's direct
+// Predict bit for bit and differs from m1's — a projection or answer
+// table kept with the shared feature store instead of with the
+// generation would keep answering with m1's.
 func TestReloadRebuildsProjection(t *testing.T) {
-	f := newFixture(t)
+	for _, sc := range samplings {
+		t.Run(sc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.smp = sc.cfg
+			testReloadRebuildsProjection(t, f)
+		})
+	}
+}
+
+func testReloadRebuildsProjection(t *testing.T, f *testFixture) {
 	s := f.server(t, nil)
 	defer s.Close()
 	nodes := []graph.NodeID{0, 5, 42, 230, 599}

@@ -16,6 +16,17 @@
 // runs only the aggregation over the rows it samples — the same bits
 // as projecting per batch, at a fraction of the compute. New and Reload
 // pay that projection before any request reaches the generation.
+//
+// Every answer is deterministic under any sampling method the server
+// accepts: an answer is one keyed draw, or for a hub, a node with more
+// neighbours than the product of the fanouts, the mean of up to four.
+// In each draw a node's neighbours at each layer come from a stream
+// keyed by (Config.Seed, draw, layer, node), so the answer is a
+// function of (model generation, node) — the same in any batch, on any
+// worker. Each generation therefore keeps the answers it has
+// computed, one row per node in a table it starts empty, and a batch
+// computes only the seeds not yet in it. A Reload's new generation
+// starts with an empty table.
 package serve
 
 import (
@@ -69,8 +80,10 @@ type Config struct {
 	// Model is the trained model; only its parameters are read.
 	Model *nn.Model
 	// Sampling configures neighbor sampling per request. Use the
-	// training fanouts for the training-matched latency/accuracy point,
-	// or Method: sample.Full for deterministic answers.
+	// training fanouts for the training-matched latency/accuracy point.
+	// Node-wise draws are keyed by (Seed, draw, layer, node), so
+	// answers are deterministic under every method but
+	// sample.LayerWise, which New refuses.
 	Sampling sample.Config
 	// Platform describes the simulated cluster; defaults to
 	// hardware.SingleMachine8GPU.

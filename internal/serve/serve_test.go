@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -24,9 +25,11 @@ import (
 )
 
 // testFixture builds a small dataset and a (randomly initialized)
-// model for serving tests. Full sampling makes every prediction
-// deterministic, so batched and single-request answers must agree
-// bit-for-bit.
+// model for serving tests, served under Full sampling unless a test
+// sets smp. Every sampling method a server accepts makes a prediction
+// a function of (model, node) — node-wise draws are keyed by
+// (fixtureSeed, draw, layer, node) — so batched and single-request
+// answers must agree bit-for-bit.
 type testFixture struct {
 	ds    *dataset.Dataset
 	model *nn.Model
@@ -49,6 +52,20 @@ func newFixture(t testing.TB) *testFixture {
 	}
 }
 
+// fixtureSeed is the servers' Config.Seed, the key of their draws.
+const fixtureSeed = 3
+
+// samplings are the methods the answer-identity tests run under: full
+// neighbourhoods, and fanout sampling small enough that most nodes'
+// neighbourhoods are drawn from.
+var samplings = []struct {
+	name string
+	cfg  sample.Config
+}{
+	{"full", sample.Config{Fanouts: []int{0, 0}, Method: sample.Full}},
+	{"fanout", sample.Config{Fanouts: []int{3, 3}}},
+}
+
 func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Option) *Server {
 	t.Helper()
 	cfg := Config{
@@ -59,7 +76,7 @@ func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Opt
 		Platform: hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2),
 		MaxBatch: 32,
 		MaxDelay: time.Millisecond,
-		Seed:     3,
+		Seed:     fixtureSeed,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -71,8 +88,9 @@ func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Opt
 	return s
 }
 
-// direct computes the reference answer for one node with a fresh
-// sampler and the inference-only forward, no batching involved.
+// direct computes the reference answer for one node with fresh keyed
+// samplers and the inference-only forward, no batching involved: the
+// mean of its first f.draws(v) keyed draws, summed in draw order.
 func (f *testFixture) direct(t testing.TB, v graph.NodeID) []float32 {
 	t.Helper()
 	return f.directWith(f.model, v)
@@ -80,28 +98,75 @@ func (f *testFixture) direct(t testing.TB, v graph.NodeID) []float32 {
 
 // directWith is direct on model m.
 func (f *testFixture) directWith(m *nn.Model, v graph.NodeID) []float32 {
-	smp := sample.NewSampler(f.ds.Graph, f.smp, graph.NewRNG(99))
-	mb := smp.Sample([]graph.NodeID{v})
-	x := tensor.Gather(f.ds.Feats, mb.Layer1().Src)
-	logits := m.Predict(mb, x)
-	defer tensor.Put(logits)
-	return append([]float32(nil), logits.Row(0)...)
+	draw := func(k uint64) []float32 {
+		smp := sample.NewSampler(f.ds.Graph, f.smp, graph.NewRNG(0))
+		smp.SetKey(fixtureSeed ^ k)
+		mb := smp.Sample([]graph.NodeID{v})
+		logits := m.Predict(mb, tensor.Gather(f.ds.Feats, mb.Layer1().Src))
+		defer tensor.Put(logits)
+		return append([]float32(nil), logits.Row(0)...)
+	}
+	a := draw(0)
+	n := f.draws(v)
+	if n == 1 {
+		return a
+	}
+	for k := 1; k < n; k++ {
+		for i, x := range draw(uint64(k)) {
+			a[i] += x
+		}
+	}
+	for i := range a {
+		a[i] /= float32(n)
+	}
+	return a
+}
+
+// draws is how many keyed draws the fixture's sampling averages for v:
+// one under Full sampling, otherwise ⌈degree / product of the
+// fanouts⌉ between one and four.
+func (f *testFixture) draws(v graph.NodeID) int {
+	if f.smp.Method == sample.Full {
+		return 1
+	}
+	tree := 1
+	for _, fo := range f.smp.Fanouts {
+		tree *= fo
+	}
+	return min(4, max(1, (f.ds.Graph.Degree(v)+tree-1)/tree))
 }
 
 // TestBatchedEqualsSingle fires many concurrent single-node requests
 // (forcing coalesced batches) and checks every answer is bit-identical
-// to unbatched inference, duplicates included.
+// to unbatched inference, duplicates included, under full and under
+// fanout sampling.
 func TestBatchedEqualsSingle(t *testing.T) {
-	f := newFixture(t)
+	for _, sc := range samplings {
+		t.Run(sc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.smp = sc.cfg
+			testBatchedEqualsSingle(t, f)
+		})
+	}
+}
+
+func testBatchedEqualsSingle(t *testing.T, f *testFixture) {
 	s := f.server(t, nil)
 	defer s.Close()
 
 	nodes := []graph.NodeID{0, 1, 17, 17, 99, 230, 599, 42, 1, 0}
 	want := make(map[graph.NodeID][]float32)
+	hubs := 0
 	for _, v := range nodes {
 		if _, ok := want[v]; !ok {
 			want[v] = f.direct(t, v)
 		}
+		if f.draws(v) > 1 {
+			hubs++
+		}
+	}
+	if f.smp.Method != sample.Full && (hubs == 0 || hubs == len(nodes)) {
+		t.Fatalf("%d of nodes %v are averaged over several draws: the fixture no longer covers both kinds of answer", hubs, nodes)
 	}
 
 	var wg sync.WaitGroup
@@ -627,5 +692,67 @@ func TestCancelledRequestNotExecuted(t *testing.T) {
 	if st.Batches != 1 || st.Requests != int64(len(live)) || st.Seeds != 2 {
 		t.Fatalf("batches/requests/seeds = %d/%d/%d, want 1/%d/2 (the cancelled node executed?)",
 			st.Batches, st.Requests, st.Seeds, len(live))
+	}
+}
+
+// TestOneAnswerPerNode asks for node 17 two dozen times under fanout
+// sampling ([3, 3], below its degree, so its neighbourhood is drawn):
+// from concurrent clients of a two-worker server, mixed into requests
+// with different companions, and each round on a fresh model generation
+// (a Reload of the same model) whose answer table starts empty, so
+// either worker may compute it in any batch. Every answer must be the
+// one its direct keyed computation gives, by math.Float32bits.
+func TestOneAnswerPerNode(t *testing.T) {
+	f := newFixture(t)
+	f.smp = sample.Config{Fanouts: []int{3, 3}}
+	const v = 17
+	if d := f.ds.Graph.Degree(v); d <= 3 {
+		t.Fatalf("node %d has degree %d: fanout 3 would not sample it", v, d)
+	}
+	s := f.server(t, nil)
+	defer s.Close()
+	want := f.direct(t, v)
+	var (
+		wg    sync.WaitGroup
+		asked atomic.Int64
+	)
+	errs := make(chan error, 64)
+	for round := 0; round < 6; round++ {
+		if err := s.Reload(f.model); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				a, b := graph.NodeID(100+round*31+c), graph.NodeID(400+round*7+c*13)
+				req := [][]graph.NodeID{{v}, {a, v}, {v, b, a}, {b, v}}[c]
+				res, err := s.Predict(req)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, r := range res {
+					if r.Node != v {
+						continue
+					}
+					asked.Add(1)
+					for j, w := range want {
+						if math.Float32bits(r.Scores[j]) != math.Float32bits(w) {
+							errs <- fmt.Errorf("round %d, request %v: node %d score %d = %v, want %v", round, req, v, j, r.Scores[j], w)
+							return
+						}
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := asked.Load(); n < 20 {
+		t.Fatalf("node %d answered %d times, want at least 20", v, n)
 	}
 }

@@ -14,12 +14,18 @@ import (
 // registry's log-scale histogram (microsecond octaves, ~19% worst-case
 // relative error on reported percentiles), batch sizes into a linear
 // one bucket per seed count. All methods are safe for concurrent use.
+//
+// Seeds counts every deduplicated batch seed, answered from the
+// generation's answer table or computed; AnswerHits counts the former.
+// The work metrics — feature reads and simulated seconds — count the
+// computed seeds only: a table hit samples, loads and charges nothing.
 type Stats struct {
 	reg        *obs.Registry
 	start      time.Time
 	requests   *obs.Counter
 	rejected   *obs.Counter
 	seeds      *obs.Counter
+	answerHits *obs.Counter
 	batches    *obs.Counter
 	latUs      *obs.Histogram
 	batchSeeds *obs.Histogram
@@ -36,8 +42,10 @@ func newStats(reg *obs.Registry, maxBatch int, simSec func() float64) *Stats {
 		start:    time.Now(),
 		requests: reg.Counter("apt_serve_requests_total", "Completed predict requests."),
 		rejected: reg.Counter("apt_serve_rejected_total", "Requests refused at shutdown or on a full queue."),
-		seeds:    reg.Counter("apt_serve_seeds_total", "Seed nodes executed (deduplicated per batch)."),
-		batches:  reg.Counter("apt_serve_batches_total", "Coalesced micro-batches executed."),
+		seeds:    reg.Counter("apt_serve_seeds_total", "Seed nodes answered (deduplicated per batch), answer-table hits included."),
+		answerHits: reg.Counter("apt_serve_answer_hits_total",
+			"Batch seeds answered from the model generation's answer table."),
+		batches: reg.Counter("apt_serve_batches_total", "Coalesced micro-batches executed."),
 		latUs: reg.LogHistogram("apt_serve_latency_us",
 			"Request latency, microseconds, enqueue to completion."),
 		batchSeeds: reg.LinearHistogram("apt_serve_batch_seeds",
@@ -75,9 +83,10 @@ func locMetricName(l cache.Location) string {
 }
 
 // recordBatch folds one executed micro-batch into the registry.
-func (s *Stats) recordBatch(latencies []time.Duration, seeds int, ld cache.LoadStats) {
+func (s *Stats) recordBatch(latencies []time.Duration, seeds, hits int, ld cache.LoadStats) {
 	s.batches.Inc()
 	s.seeds.Add(int64(seeds))
+	s.answerHits.Add(int64(hits))
 	s.requests.Add(int64(len(latencies)))
 	for _, d := range latencies {
 		s.latUs.Observe(d.Microseconds())
@@ -107,7 +116,10 @@ type Snapshot struct {
 	Requests  int64   `json:"requests"`
 	Rejected  int64   `json:"rejected"`
 	Seeds     int64   `json:"seeds"`
-	Batches   int64   `json:"batches"`
+	// AnswerHits counts the seeds answered from the model generation's
+	// answer table, a subset of Seeds.
+	AnswerHits int64 `json:"answer_hits"`
+	Batches    int64 `json:"batches"`
 	// ThroughputRPS is completed requests per wall-clock second since
 	// the server started.
 	ThroughputRPS float64 `json:"throughput_rps"`
@@ -125,9 +137,11 @@ type Snapshot struct {
 	// CacheHitRate is the fraction of feature reads served from the
 	// worker's own GPU cache, either tier (fp32 or int8).
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// FeatureReads counts feature rows read per location.
+	// FeatureReads counts feature rows read per location, by the
+	// computed seeds only (table hits read none).
 	FeatureReads map[string]int64 `json:"feature_reads"`
-	// SimSeconds is the simulated device time consumed by inference.
+	// SimSeconds is the simulated device time consumed by inference,
+	// which only computed seeds charge.
 	SimSeconds float64 `json:"sim_seconds"`
 }
 
@@ -141,6 +155,7 @@ func (s *Stats) Snapshot() Snapshot {
 		Requests:      s.requests.Value(),
 		Rejected:      s.rejected.Value(),
 		Seeds:         s.seeds.Value(),
+		AnswerHits:    s.answerHits.Value(),
 		Batches:       s.batches.Value(),
 		MaxBatchSeeds: s.batchSeeds.Max(),
 		P50Ms:         float64(s.latUs.Quantile(0.50)) / 1e3,
