@@ -7,6 +7,7 @@ package cache
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -174,17 +175,47 @@ func partitionCandidates(assign []int32, devices int, g *graph.Graph) [][]graph.
 }
 
 // topByScore returns up to k candidates with the highest score,
-// breaking ties by node ID for determinism.
+// breaking ties by node ID for determinism. While every score fits in
+// 32 bits, each candidate becomes one key — the score's complement
+// above the ID — and ascending keys are that order, sorted with no
+// comparator; larger scores sort (score, ID) pairs instead.
 func topByScore(cands []graph.NodeID, score func(graph.NodeID) int64, k int) []graph.NodeID {
-	sorted := append([]graph.NodeID(nil), cands...)
-	slices.SortFunc(sorted, func(a, b graph.NodeID) int {
-		if c := cmp.Compare(score(b), score(a)); c != 0 {
+	keys := make([]uint64, len(cands))
+	for i, v := range cands {
+		s := score(v)
+		if s < 0 || s > math.MaxUint32 {
+			return topByScorePairs(cands, score, k)
+		}
+		keys[i] = uint64(math.MaxUint32-s)<<32 | uint64(uint32(v))
+	}
+	slices.Sort(keys)
+	top := make([]graph.NodeID, min(k, len(keys)))
+	for i := range top {
+		top[i] = graph.NodeID(uint32(keys[i]))
+	}
+	return top
+}
+
+// topByScorePairs is topByScore's order over (score, ID) pairs, for
+// scores a packed key cannot hold.
+func topByScorePairs(cands []graph.NodeID, score func(graph.NodeID) int64, k int) []graph.NodeID {
+	type scored struct {
+		s int64
+		v graph.NodeID
+	}
+	ps := make([]scored, len(cands))
+	for i, v := range cands {
+		ps[i] = scored{score(v), v}
+	}
+	slices.SortFunc(ps, func(a, b scored) int {
+		if c := cmp.Compare(b.s, a.s); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(a.v, b.v)
 	})
-	if len(sorted) > k {
-		sorted = sorted[:k]
+	top := make([]graph.NodeID, min(k, len(ps)))
+	for i := range top {
+		top[i] = ps[i].v
 	}
-	return sorted
+	return top
 }

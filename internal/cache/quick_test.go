@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,3 +125,57 @@ func TestLocateConsistencyQuick(t *testing.T) {
 }
 
 func hwFour() *hardware.Platform { return hardware.FourMachines4GPU() }
+
+// sortFuncTop is the ranking topByScore replaced: every candidate
+// sorted by a comparator that reads the score closure, hottest first,
+// ties by node ID.
+func sortFuncTop(cands []graph.NodeID, score func(graph.NodeID) int64, k int) []graph.NodeID {
+	sorted := append([]graph.NodeID(nil), cands...)
+	slices.SortFunc(sorted, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(score(b), score(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	if len(sorted) > k {
+		sorted = sorted[:k]
+	}
+	return sorted
+}
+
+// TestTopByScoreMatchesSortFunc: topByScore returns the comparator
+// ranking's list exactly, on shuffled candidates whose scores tie often,
+// for small scores (the packed keys) and for scores past 32 bits (the
+// pair sort), k below, at and above the candidate count.
+func TestTopByScoreMatchesSortFunc(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, levels uint8, big bool) bool {
+		r := graph.NewRNG(seed)
+		n := int(nRaw % 3000)
+		score := make([]int64, n)
+		for i := range score {
+			score[i] = int64(r.Intn(int(levels%16) + 1))
+			if big {
+				score[i] = score[i]<<33 | int64(r.Intn(2))
+			}
+		}
+		cands := r.Perm(n)
+		by := func(v graph.NodeID) int64 { return score[v] }
+		for _, k := range []int{0, 1, n / 3, n, n + 5} {
+			if !slices.Equal(topByScore(cands, by, k), sortFuncTop(cands, by, k)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	// The packed key's edges: score 0 and 2^32-1 pack, 2^32 does not.
+	cands := []graph.NodeID{4, 0, 3, 1, 2}
+	for _, s := range [][]int64{{0, 0, math.MaxUint32, 0, math.MaxUint32}, {1 << 32, 0, 1 << 32, 7, 7}} {
+		by := func(v graph.NodeID) int64 { return s[v] }
+		if got, want := topByScore(cands, by, 5), sortFuncTop(cands, by, 5); !slices.Equal(got, want) {
+			t.Errorf("scores %v: topByScore %v, want %v", s, got, want)
+		}
+	}
+}

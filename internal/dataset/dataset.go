@@ -100,10 +100,21 @@ func ByAbbr(abbr string, scale float64) (Spec, error) {
 	return Spec{}, fmt.Errorf("dataset: unknown dataset %q", abbr)
 }
 
+// featBlock is how many feature rows one worker task fills. It sizes
+// tasks only: each block starts from its recorded RNG state, so the
+// features are the same whatever the block size or the worker count.
+const featBlock = 512
+
 // Build materializes a spec. withFeatures additionally synthesizes
 // label-correlated features (needed only for real-mode training).
+//
+// The RMAT edges and the feature rows are generated on every core,
+// each chunk from the RNG state a sequential skip pass recorded for it
+// (graph.RNG.Skip, SkipNormFloat32), and the final CSR is built while
+// the features are generated: the dataset is the same bit for bit at
+// any GOMAXPROCS.
 func Build(spec Spec, withFeatures bool) *Dataset {
-	g := graph.RMAT(graph.RMATConfig{
+	rmat := graph.RMAT(graph.RMATConfig{
 		GenerateConfig: graph.GenerateConfig{
 			NumNodes: spec.NumNodes, AvgDegree: spec.AvgDegree, Seed: spec.Seed,
 		},
@@ -119,15 +130,15 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 	// space before assigning class blocks: real graphs' hubs spread
 	// across communities (and hence METIS partitions), instead of all
 	// landing in one partition and turning its device into a hotspot.
+	// Node x becomes remap[x]; the builder takes the renamed edges.
 	remap := rng.Perm(n)
-	{
-		b := graph.NewBuilder(n)
-		for v := 0; v < n; v++ {
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				b.AddEdge(remap[u], remap[v])
-			}
+	inv := make([]graph.NodeID, n)
+	b := graph.NewBuilder(n)
+	for x := 0; x < n; x++ {
+		inv[remap[x]] = graph.NodeID(x)
+		for _, u := range rmat.Neighbors(graph.NodeID(x)) {
+			b.AddEdge(remap[u], remap[x])
 		}
-		g = b.Build(true)
 	}
 
 	// Labels: contiguous ID blocks map to classes.
@@ -144,18 +155,12 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 	// degree, so the extra mass lands on the hubs the access skew
 	// already concentrates on instead of diluting it.
 	if spec.HomophilyDegree > 0 {
-		b := graph.NewBuilder(n)
-		for v := 0; v < n; v++ {
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				b.AddEdge(u, graph.NodeID(v))
-			}
-		}
 		// Per-block degree-endpoint pools: sampling a uniform element
 		// picks a block member proportionally to its RMAT degree.
 		pools := make([][]graph.NodeID, spec.Classes)
 		for v := 0; v < n; v++ {
 			c := int32(v) / int32(per)
-			deg := g.Degree(graph.NodeID(v))
+			deg := rmat.Degree(inv[v])
 			for i := 0; i < deg; i++ {
 				pools[c] = append(pools[c], graph.NodeID(v))
 			}
@@ -181,9 +186,10 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 				}
 			}
 		}
-		g = b.Build(true)
 	}
-	d.Graph = g
+	// The CSR is built beside the rest, which reads no graph.
+	built := make(chan *graph.Graph, 1)
+	go func() { built <- b.Build(true) }()
 
 	// Train/test split over a TrainFraction sample of nodes.
 	seedCount := int(spec.TrainFraction * float64(n))
@@ -198,14 +204,23 @@ func Build(spec Spec, withFeatures bool) *Dataset {
 
 	if withFeatures {
 		d.Feats = tensor.New(n, spec.FeatDim)
-		for v := 0; v < n; v++ {
-			row := d.Feats.Row(v)
-			for j := range row {
-				row[j] = 0.3 * rng.NormFloat32()
-			}
-			// Inject the label signal into a class-specific coordinate.
-			row[int(d.Labels[v])%spec.FeatDim] += 1
+		blocks := make([]graph.RNG, (n+featBlock-1)/featBlock)
+		for k := range blocks {
+			blocks[k] = *rng
+			rng.SkipNormFloat32(min(featBlock, n-k*featBlock) * spec.FeatDim)
 		}
+		graph.ForChunks(len(blocks), func(k int) {
+			r := blocks[k]
+			for v := k * featBlock; v < min(n, (k+1)*featBlock); v++ {
+				row := d.Feats.Row(v)
+				for j := range row {
+					row[j] = 0.3 * r.NormFloat32()
+				}
+				// Inject the label signal into a class-specific coordinate.
+				row[int(d.Labels[v])%spec.FeatDim] += 1
+			}
+		})
 	}
+	d.Graph = <-built
 	return d
 }

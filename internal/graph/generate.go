@@ -1,6 +1,11 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // GenerateConfig configures the synthetic graph generators.
 type GenerateConfig struct {
@@ -94,41 +99,84 @@ type RMATConfig struct {
 	A, B, C float64 // D is implied: 1-A-B-C
 }
 
+// rmatChunk is how many edges one RMAT worker task decodes. It sizes
+// tasks only: every edge lands in the same slot whatever the chunking.
+const rmatChunk = 1 << 15
+
 // RMAT generates a Kronecker-style power-law graph (Graph500 RMAT).
 // Larger A concentrates edges on low-ID nodes, producing tunable skew —
 // this is the knob the dataset presets use to match the paper's Table 3
 // access-skew ordering.
+//
+// Every edge makes exactly scale Float64 draws, so one sequential
+// Skip pass records where each chunk of edges starts in the stream, and
+// ForChunks decodes the chunks into fixed slots of the edge list. The
+// graph is the same bit for bit at any GOMAXPROCS.
 func RMAT(cfg RMATConfig) *Graph {
 	n := cfg.NumNodes
 	scale := int(math.Ceil(math.Log2(float64(n))))
 	size := 1 << scale
-	rng := NewRNG(cfg.Seed)
-	b := NewBuilder(n)
 	edges := n * cfg.AvgDegree / 2
-	a, bb, c := cfg.A, cfg.B, cfg.C
-	for i := 0; i < edges; i++ {
-		u, v := 0, 0
-		for bit := size >> 1; bit >= 1; bit >>= 1 {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+bb:
-				v |= bit
-			case r < a+bb+c:
-				u |= bit
-			default:
-				u |= bit
-				v |= bit
-			}
-		}
-		// Fold IDs beyond n back into range to keep exactly n nodes.
-		u %= n
-		v %= n
-		if u == v {
-			continue
-		}
-		b.AddUndirected(NodeID(u), NodeID(v))
+	a, ab, abc := cfg.A, cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
+	rng := NewRNG(cfg.Seed)
+	chunks := make([]RNG, (edges+rmatChunk-1)/rmatChunk)
+	for c := range chunks {
+		chunks[c] = *rng
+		rng.Skip(min(rmatChunk, edges-c*rmatChunk) * scale)
 	}
+	// Edge i fills slots 2i and 2i+1 in both directions. A self-loop is
+	// kept here and dropped by Build.
+	b := &Builder{numNodes: n, srcs: make([]NodeID, 2*edges), dsts: make([]NodeID, 2*edges)}
+	ForChunks(len(chunks), func(c int) {
+		r := chunks[c]
+		for i := c * rmatChunk; i < min(edges, (c+1)*rmatChunk); i++ {
+			u, v := 0, 0
+			for bit := size >> 1; bit >= 1; bit >>= 1 {
+				x := r.Float64()
+				switch {
+				case x < a:
+					// top-left: no bits set
+				case x < ab:
+					v |= bit
+				case x < abc:
+					u |= bit
+				default:
+					u |= bit
+					v |= bit
+				}
+			}
+			// Fold IDs beyond n back into range to keep exactly n nodes.
+			u %= n
+			v %= n
+			b.srcs[2*i], b.dsts[2*i] = NodeID(u), NodeID(v)
+			b.srcs[2*i+1], b.dsts[2*i+1] = NodeID(v), NodeID(u)
+		}
+	})
 	return b.Build(true)
+}
+
+// ForChunks runs fn(c) for every c in [0, n) on up to GOMAXPROCS
+// goroutines and returns when all have run. A chunk must write only
+// outputs of its own, so the result does not depend on the worker
+// count.
+func ForChunks(n int, fn func(c int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for c := 0; c < n; c++ {
+			fn(c)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1) - 1); c < n; c = int(next.Add(1) - 1) {
+				fn(c)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,10 +7,7 @@
 // edge offsets are int64 (edge counts can exceed 2^31).
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // NodeID identifies a node in the global graph.
 type NodeID = int32
@@ -99,45 +96,60 @@ func (b *Builder) AddUndirected(u, v NodeID) {
 }
 
 // Build produces the CSR graph, merging duplicates and dropping
-// self-loops if dropSelfLoops is set.
+// self-loops if dropSelfLoops is set. Two stable counting passes, by
+// source and then by destination, leave every row sorted by source, so
+// a row's duplicates sit next to each other and are merged in place.
 func (b *Builder) Build(dropSelfLoops bool) *Graph {
 	n := b.numNodes
+	skip := func(i int) bool { return dropSelfLoops && b.srcs[i] == b.dsts[i] }
+	srcPtr := make([]int64, n+1)
 	indptr := make([]int64, n+1)
-	for i, v := range b.dsts {
-		if dropSelfLoops && b.srcs[i] == v {
-			continue
+	for i, u := range b.srcs {
+		if !skip(i) {
+			srcPtr[u+1]++
+			indptr[b.dsts[i]+1]++
 		}
-		indptr[v+1]++
 	}
-	for v := 0; v < n; v++ {
-		indptr[v+1] += indptr[v]
+	prefixSum(srcPtr)
+	cursor := append([]int64(nil), srcPtr[:n]...)
+	bySrc := make([]NodeID, srcPtr[n]) // destinations, grouped by source
+	for i, u := range b.srcs {
+		if !skip(i) {
+			bySrc[cursor[u]] = b.dsts[i]
+			cursor[u]++
+		}
 	}
-	indices := make([]NodeID, indptr[n])
-	cursor := make([]int64, n)
+	prefixSum(indptr)
 	copy(cursor, indptr[:n])
-	for i, v := range b.dsts {
-		u := b.srcs[i]
-		if dropSelfLoops && u == v {
-			continue
+	indices := make([]NodeID, indptr[n])
+	for u := 0; u < n; u++ {
+		for _, v := range bySrc[srcPtr[u]:srcPtr[u+1]] {
+			indices[cursor[v]] = NodeID(u)
+			cursor[v]++
 		}
-		indices[cursor[v]] = u
-		cursor[v]++
 	}
-	// Sort each adjacency list and dedup in place.
-	out := make([]NodeID, 0, len(indices))
-	newIndptr := make([]int64, n+1)
+	// Dedup each sorted row in place, compacting toward the front.
+	var w, lo int64
 	for v := 0; v < n; v++ {
-		row := indices[indptr[v]:indptr[v+1]]
-		slices.Sort(row)
-		var last NodeID = -1
-		for _, u := range row {
+		hi := indptr[v+1]
+		last := NodeID(-1)
+		for _, u := range indices[lo:hi] {
 			if u != last {
-				out = append(out, u)
+				indices[w] = u
+				w++
 				last = u
 			}
 		}
-		newIndptr[v+1] = int64(len(out))
+		lo = hi
+		indptr[v+1] = w
 	}
-	g := &Graph{Indptr: newIndptr, Indices: out}
-	return g
+	return &Graph{Indptr: indptr, Indices: indices[:w]}
+}
+
+// prefixSum turns the per-bucket counts held at ptr[b+1] into bucket
+// start offsets.
+func prefixSum(ptr []int64) {
+	for b := 1; b < len(ptr); b++ {
+		ptr[b] += ptr[b-1]
+	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,53 @@ func TestBuilderKeepSelfLoops(t *testing.T) {
 	g := b.Build(false)
 	if got := g.NumEdges(); got != 2 {
 		t.Errorf("NumEdges = %d, want 2", got)
+	}
+}
+
+// refBuild is Build's contract stated directly: each destination's
+// sources, sorted and deduplicated, self-loops dropped if asked.
+func refBuild(n int, srcs, dsts []NodeID, dropSelfLoops bool) *Graph {
+	rows := make([][]NodeID, n)
+	for i, v := range dsts {
+		if dropSelfLoops && srcs[i] == v {
+			continue
+		}
+		rows[v] = append(rows[v], srcs[i])
+	}
+	g := &Graph{Indptr: make([]int64, n+1)}
+	for v, row := range rows {
+		slices.Sort(row)
+		g.Indices = append(g.Indices, slices.Compact(row)...)
+		g.Indptr[v+1] = int64(len(g.Indices))
+	}
+	return g
+}
+
+// TestBuilderMatchesSortDedup: Build equals the sort-and-dedup reference
+// on random edge lists dense in duplicates and self-loops, with and
+// without dropping self-loops, isolated nodes and empty lists included.
+func TestBuilderMatchesSortDedup(t *testing.T) {
+	f := func(seed uint64, nRaw uint8, mRaw uint16, drop bool) bool {
+		n := int(nRaw%60) + 1
+		m := int(mRaw % 2000)
+		r := NewRNG(seed)
+		b := NewBuilder(n)
+		// A small target range for half the edges makes repeats common.
+		for i := 0; i < m; i++ {
+			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+			if i%2 == 1 {
+				v = NodeID(r.Intn(min(n, 4)))
+			}
+			if i%9 == 0 {
+				u = v
+			}
+			b.AddEdge(u, v)
+		}
+		g := b.Build(drop)
+		return g.Validate() == nil && csrEqual(g, refBuild(n, b.srcs, b.dsts, drop))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -220,5 +268,37 @@ func TestDegreeStatsEmpty(t *testing.T) {
 	st := ComputeDegreeStats(g)
 	if st.Mean != 0 {
 		t.Errorf("empty graph mean = %v", st.Mean)
+	}
+}
+
+var sinkGraph *Graph
+
+// BenchmarkBuilderBuild builds the CSR of a shuffled edge list the size
+// of the PS preset's RMAT edges at the benchmark workloads' scale (44000
+// nodes, 24 average degree, both directions), one edge in eight
+// repeated.
+func BenchmarkBuilderBuild(b *testing.B) {
+	g := RMAT(RMATConfig{
+		GenerateConfig: GenerateConfig{NumNodes: 44000, AvgDegree: 24, Seed: 1001},
+		A:              0.72, B: 0.28 / 3, C: 0.28 / 3,
+	})
+	bld := NewBuilder(g.NumNodes())
+	r := NewRNG(5)
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, u := range g.Neighbors(NodeID(v)) {
+			bld.AddEdge(u, NodeID(v))
+			if r.Intn(8) == 0 {
+				bld.AddEdge(u, NodeID(v))
+			}
+		}
+	}
+	r.Shuffle(len(bld.srcs), func(i, j int) {
+		bld.srcs[i], bld.srcs[j] = bld.srcs[j], bld.srcs[i]
+		bld.dsts[i], bld.dsts[j] = bld.dsts[j], bld.dsts[i]
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkGraph = bld.Build(true)
 	}
 }

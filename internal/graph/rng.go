@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (SplitMix64 seeded xoshiro256**). Every randomized component in this
@@ -32,19 +35,34 @@ func (r *RNG) Reseed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It is written to stay within
+// the inliner's budget, and so are Float64 and Float32 over it.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
+}
+
+// step is Uint64's step over state words held in locals, so a skip
+// loop keeps the state in registers: the output and the next state.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	s2 ^= s0
+	s3 ^= s1
+	return bits.RotateLeft64(s1*5, 7) * 9, s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)
+}
+
+// Skip advances the generator to the state k calls to Uint64 would
+// leave, without producing their output: a parallel generator records
+// where each chunk of its stream starts and hands the chunks to
+// workers.
+func (r *RNG) Skip(k int) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; k > 0; k-- {
+		_, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -80,7 +98,12 @@ func mul64(x, y uint64) (hi, lo uint64) {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unitFloat64(r.Uint64())
+}
+
+// unitFloat64 maps 64 random bits to a uniform float64 in [0, 1).
+func unitFloat64(x uint64) float64 {
+	return float64(x>>11) / (1 << 53)
 }
 
 // Float32 returns a uniform float32 in [0, 1).
@@ -91,13 +114,40 @@ func (r *RNG) Float32() float32 {
 // NormFloat32 returns a standard normal variate using the polar method.
 func (r *RNG) NormFloat32() float32 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
+		u, s, ok := polar(r.Uint64(), r.Uint64())
+		if ok {
 			return float32(u * math.Sqrt(-2*math.Log(s)/s))
 		}
 	}
+}
+
+// polar is one attempt of the polar method on two uniform draws: the
+// point (u, v) in the square, s = u² + v², and whether it falls inside
+// the unit disc. NormFloat32 and SkipNormFloat32 share it, so the
+// skip accepts exactly the attempts the draw accepts.
+func polar(x, y uint64) (u, s float64, ok bool) {
+	u = 2*unitFloat64(x) - 1
+	v := 2*unitFloat64(y) - 1
+	s = u*u + v*v
+	return u, s, s > 0 && s < 1
+}
+
+// SkipNormFloat32 advances the generator to the state k calls to
+// NormFloat32 would leave. It repeats each call's rejection test and
+// skips the logarithm and square root of the accepted attempt.
+func (r *RNG) SkipNormFloat32(k int) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x, y uint64
+	for ; k > 0; k-- {
+		for {
+			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			y, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			if _, _, ok := polar(x, y); ok {
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // State returns the generator's xoshiro256** state words — its exact

@@ -1,6 +1,11 @@
 package partition
 
-import "repro/internal/graph"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/graph"
+)
 
 // MultilevelConfig tunes the multilevel partitioner.
 type MultilevelConfig struct {
@@ -47,7 +52,14 @@ func (c *MultilevelConfig) defaults() {
 // graph-growing initial partitioning on the coarsest graph, and
 // boundary Kernighan–Lin/FM refinement during uncoarsening. This plays
 // the role of METIS in the paper.
+//
+// Edge weights are int32: a weight counts the fine edges it stands for,
+// at most the graph's directed edge count, so Multilevel panics on a
+// graph with 2^31 or more directed edges.
 func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
+	if g.NumEdges() > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: Multilevel takes fewer than 2^31 directed edges, graph has %d", g.NumEdges()))
+	}
 	cfg.defaults()
 	if k <= 1 {
 		return &Partitioning{Assign: make([]int32, g.NumNodes()), NumParts: max(k, 1)}
@@ -108,7 +120,7 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 type wgraph struct {
 	xadj []int64
 	adj  []int32
-	adjw []int64 // edge weights
+	adjw []int32 // edge weights
 	vw   []int64 // balance weight (1, or 1+degree when edge-balanced)
 	nw   []int64 // original node count
 }
@@ -195,7 +207,7 @@ func symmetrize(g *graph.Graph) *wgraph {
 	w := &wgraph{
 		xadj: deg,
 		adj:  make([]int32, deg[n]),
-		adjw: make([]int64, deg[n]),
+		adjw: make([]int32, deg[n]),
 		vw:   make([]int64, n),
 		nw:   make([]int64, n),
 	}
@@ -228,7 +240,7 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 			continue
 		}
 		best := int32(-1)
-		var bestW int64 = -1
+		var bestW int32 = -1
 		for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
 			u := w.adj[i]
 			if match[u] != -1 {
@@ -277,7 +289,7 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 	// most one coarse entry.
 	erow := make([]int32, 0, len(w.adj))
 	eto := make([]int32, 0, len(w.adj))
-	ew := make([]int64, 0, len(w.adj))
+	ew := make([]int32, 0, len(w.adj))
 	rowPtr := make([]int64, cn+1)
 	toPtr := make([]int64, cn+1)
 	stamp := make([]int32, cn)
@@ -317,7 +329,7 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 	cw := &wgraph{
 		xadj: rowPtr,
 		adj:  make([]int32, len(eto)),
-		adjw: make([]int64, len(eto)),
+		adjw: make([]int32, len(eto)),
 		vw:   cvw,
 		nw:   cnw,
 	}
@@ -433,7 +445,7 @@ func refine(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *graph.R
 				if conn[p] == 0 {
 					touched = append(touched, p)
 				}
-				conn[p] += w.adjw[i]
+				conn[p] += int64(w.adjw[i])
 				if p != home {
 					boundary = true
 				}

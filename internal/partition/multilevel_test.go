@@ -138,7 +138,7 @@ func TestCoarsenInvariants(t *testing.T) {
 			for v := 0; v < w.n(); v++ {
 				for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
 					if cmap[v] != cmap[w.adj[i]] {
-						cross += w.adjw[i]
+						cross += int64(w.adjw[i])
 					}
 				}
 			}
@@ -151,7 +151,7 @@ func TestCoarsenInvariants(t *testing.T) {
 					if i > c.xadj[v] && c.adj[i] < c.adj[i-1] {
 						t.Fatalf("level %d: coarse row %d not sorted by target", lvl, v)
 					}
-					total += c.adjw[i]
+					total += int64(c.adjw[i])
 				}
 			}
 			if total != cross {

@@ -529,14 +529,17 @@ func TestIdleWorkerDispatchesAtOnce(t *testing.T) {
 	}
 }
 
-// TestBusyWorkersStillCoalesce: under a burst that keeps both workers
-// busy, requests still share batches.
+// TestBusyWorkersStillCoalesce: a burst that queues up while both
+// workers are busy is served in shared batches. The workers are paused
+// until the whole burst is queued, so a worker never finds the queue
+// dry and the coalescing does not depend on goroutine scheduling.
 func TestBusyWorkersStillCoalesce(t *testing.T) {
 	f := newFixture(t)
 	s := f.server(t, nil)
 	defer s.Close()
 
 	const n = 256
+	pauseWorkers(s)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -547,6 +550,8 @@ func TestBusyWorkersStillCoalesce(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(s, n)
+	resumeWorkers(s)
 	wg.Wait()
 	st := s.Stats()
 	if st.Requests != n {
