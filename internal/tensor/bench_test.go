@@ -98,6 +98,25 @@ func BenchmarkGatherMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkGatherMatMulLayer0 is the training workloads' layer-0
+// projection at its real shape: one batch's ~2 300 distinct source rows
+// gathered out of PS 0.2's 44 000 × 128 feature matrix, times a
+// 128 × 32 weight — the shape the four-row panel kernel is sized on.
+func BenchmarkGatherMatMulLayer0(b *testing.B) {
+	const rows, srcN, in, out = 2300, 44000, 128, 32
+	rng := graph.NewRNG(8)
+	feats := benchRandMat(rng, srcN, in)
+	idx := benchIdx(rows, srcN, rng)
+	w := benchRandMat(rng, in, out)
+	b.SetBytes(int64(rows * in * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := GatherMatMulSrc(FS(feats), idx, w)
+		Put(m)
+	}
+}
+
 // BenchmarkGatherThenMatMul is the old hot path: materialize the
 // gathered rows, then multiply the copy.
 func BenchmarkGatherThenMatMul(b *testing.B) {

@@ -1,10 +1,10 @@
 package tensor
 
-// Dispatch to the AVX2 micro-kernels of kernels_amd64.s. Which path runs
-// is decided once, at init, by what the CPU and the OS report — an
-// observation about the platform, not an option: there is no flag,
-// environment variable or exported symbol that selects it, and both
-// paths produce the same bits (see the .s file), so nothing outside
+// Dispatch to the AVX2 and AVX-512 micro-kernels of kernels_amd64.s.
+// Which path runs is decided once, at init, by what the CPU and the OS
+// report — an observation about the platform, not an option: there is
+// no flag, environment variable or exported symbol that selects it, and
+// all paths produce the same bits (see the .s file), so nothing outside
 // this package can tell them apart except by the clock.
 //
 // The kernels take raw pointers. Each wrapper below first slices (and
@@ -12,6 +12,9 @@ package tensor
 
 //go:noescape
 func gemmRowK(or *float32, n int, a *float32, k int, b *float32, bw int)
+
+//go:noescape
+func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int)
 
 //go:noescape
 func tmatmulAcc8(dst *float32, i, m, n int, ap *[8]*float32, b *float32, bw int) int
@@ -43,6 +46,24 @@ var hasAVX2 = func() bool {
 	return b&avx2 != 0
 }()
 
+// hasAVX512 reports whether, on top of hasAVX2, the CPU implements
+// AVX-512F and the OS saves the whole ZMM state (XCR0 enabling the SSE,
+// AVX, opmask, ZMM_Hi256 and Hi16_ZMM components).
+var hasAVX512 = func() bool {
+	const (
+		avx512f = 1 << 16 // CPUID.(7,0):EBX
+		xcr0ZMM = 0xE6    // XCR0 bits 1, 2, 5, 6 and 7
+	)
+	if !hasAVX2 {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&xcr0ZMM != xcr0ZMM {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512f != 0
+}()
+
 // gemmPanelVec is the vector-width form of gemmPanelDense. It computes
 // the leading len(or)&^7 output columns and returns how many it did
 // (0 when the CPU lacks AVX2); the caller finishes the rest.
@@ -57,6 +78,28 @@ func gemmPanelVec(or, arp, bd []float32, bw, bj int) int {
 	// &bd[bj], the last here.
 	_ = bd[bj+(k-1)*bw+n-1]
 	gemmRowK(&or[0], n, &arp[0], k, &bd[bj], bw)
+	return n
+}
+
+// gemmPanelQuadVec is gemmPanelVec for four output rows over one
+// panel: or[r] += ar[r] @ panel for r in [0, 4), all four rows of one
+// width and one depth. It computes the leading width&^15 columns of
+// every row and returns how many it did (0 without AVX-512); the caller
+// finishes the rest.
+//
+//apt:hotpath
+func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int {
+	n, k := len(or[0])&^15, len(ar[0])
+	if !hasAVX512 || n == 0 || k == 0 {
+		return 0
+	}
+	_ = bd[bj+(k-1)*bw+n-1]
+	var op, ap [4]*float32
+	for r := range op {
+		_, _ = or[r][n-1], ar[r][k-1]
+		op[r], ap[r] = &or[r][0], &ar[r][0]
+	}
+	gemmQuadK(&op, n, &ap, k, &bd[bj], bw)
 	return n
 }
 

@@ -1,12 +1,13 @@
 #include "textflag.h"
 
-// AVX2 micro-kernels for the two dense inner loops of matmul.go. One
-// SIMD lane is one output element with its single accumulator; terms
-// are added in strictly increasing k, each as a rounded VMULPS followed
-// by a VADDPS — the operation sequence of the Go loops (MULSS, ADDSS)
-// per lane, so results are bit-identical. No fused multiply-add, no
-// reduction across lanes. The accumulator is always the first source of
-// the add, as in `s += a*b`. Every exit runs VZEROUPPER.
+// AVX2 and AVX-512 micro-kernels for the two dense inner loops of
+// matmul.go. One SIMD lane is one output element with its single
+// accumulator; terms are added in strictly increasing k, each as a
+// rounded VMULPS followed by a VADDPS — the operation sequence of the
+// Go loops (MULSS, ADDSS) per lane, so results are bit-identical. No
+// fused multiply-add, no reduction across lanes. The accumulator is
+// always the first source of the add, as in `s += a*b`. Every exit runs
+// VZEROUPPER.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -101,6 +102,136 @@ gemm_k8:
 	JMP     gemm_c8
 
 gemm_done:
+	VZEROUPPER
+	RET
+
+// QLOAD / QSTORE move output row r's 16 columns at byte offset off+DI
+// between memory and accumulator zr (row pointers from the array at SI,
+// R13 as scratch).
+#define QLOAD(r, off, zr) \
+	MOVQ r*8(SI), R13; \
+	VMOVUPS off(R13)(DI*1), zr
+
+#define QSTORE(r, off, zr) \
+	MOVQ r*8(SI), R13; \
+	VMOVUPS zr, off(R13)(DI*1)
+
+// func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int)
+//
+// gemmRowK for four output rows at once: or[r][j] += Σ_kk a[r][kk] *
+// b[kk*bw+j] for r in [0, 4), j in [0, n), kk in [0, k) increasing. n
+// is a positive multiple of 16 and k > 0. Each k loads the B row's
+// block once and broadcasts the four rows' coefficients against it; a
+// block of 4 rows × 32 columns keeps eight ZMM accumulators (eight
+// independent add chains), a last block of 16 columns four. Per lane it
+// is gemmRowK's sequence: VMULPS with the coefficient as first source,
+// then VADDPS with the accumulator as first source.
+TEXT ·gemmQuadK(SB), NOSPLIT, $0-48
+	MOVQ or+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ a+16(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ k+24(FP), R12
+	MOVQ b+32(FP), DX
+	MOVQ bw+40(FP), BX
+	SHLQ $2, BX            // B row stride in bytes
+	XORQ DI, DI            // column byte offset j*4
+
+quad_c32:
+	CMPQ CX, $32
+	JLT  quad_c16
+	QLOAD(0, 0, Z0)
+	QLOAD(0, 64, Z1)
+	QLOAD(1, 0, Z2)
+	QLOAD(1, 64, Z3)
+	QLOAD(2, 0, Z4)
+	QLOAD(2, 64, Z5)
+	QLOAD(3, 0, Z6)
+	QLOAD(3, 64, Z7)
+	LEAQ (DX)(DI*1), AX    // &b[kk*bw + j]
+	XORQ R13, R13          // kk
+
+quad_k32:
+	VMOVUPS      0(AX), Z8
+	VMOVUPS      64(AX), Z9
+	VBROADCASTSS (R8)(R13*4), Z10
+	VBROADCASTSS (R9)(R13*4), Z11
+	VBROADCASTSS (R10)(R13*4), Z12
+	VBROADCASTSS (R11)(R13*4), Z13
+	VMULPS       Z8, Z10, Z14
+	VMULPS       Z9, Z10, Z15
+	VMULPS       Z8, Z11, Z16
+	VMULPS       Z9, Z11, Z17
+	VMULPS       Z8, Z12, Z18
+	VMULPS       Z9, Z12, Z19
+	VMULPS       Z8, Z13, Z20
+	VMULPS       Z9, Z13, Z21
+	VADDPS       Z14, Z0, Z0
+	VADDPS       Z15, Z1, Z1
+	VADDPS       Z16, Z2, Z2
+	VADDPS       Z17, Z3, Z3
+	VADDPS       Z18, Z4, Z4
+	VADDPS       Z19, Z5, Z5
+	VADDPS       Z20, Z6, Z6
+	VADDPS       Z21, Z7, Z7
+	ADDQ         BX, AX
+	INCQ         R13
+	CMPQ         R13, R12
+	JLT          quad_k32
+
+	QSTORE(0, 0, Z0)
+	QSTORE(0, 64, Z1)
+	QSTORE(1, 0, Z2)
+	QSTORE(1, 64, Z3)
+	QSTORE(2, 0, Z4)
+	QSTORE(2, 64, Z5)
+	QSTORE(3, 0, Z6)
+	QSTORE(3, 64, Z7)
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  quad_c32
+
+quad_c16:
+	CMPQ CX, $16
+	JLT  quad_done
+	QLOAD(0, 0, Z0)
+	QLOAD(1, 0, Z1)
+	QLOAD(2, 0, Z2)
+	QLOAD(3, 0, Z3)
+	LEAQ (DX)(DI*1), AX
+	XORQ R13, R13
+
+quad_k16:
+	VMOVUPS      (AX), Z8
+	VBROADCASTSS (R8)(R13*4), Z10
+	VBROADCASTSS (R9)(R13*4), Z11
+	VBROADCASTSS (R10)(R13*4), Z12
+	VBROADCASTSS (R11)(R13*4), Z13
+	VMULPS       Z8, Z10, Z14
+	VMULPS       Z8, Z11, Z15
+	VMULPS       Z8, Z12, Z16
+	VMULPS       Z8, Z13, Z17
+	VADDPS       Z14, Z0, Z0
+	VADDPS       Z15, Z1, Z1
+	VADDPS       Z16, Z2, Z2
+	VADDPS       Z17, Z3, Z3
+	ADDQ         BX, AX
+	INCQ         R13
+	CMPQ         R13, R12
+	JLT          quad_k16
+
+	QSTORE(0, 0, Z0)
+	QSTORE(1, 0, Z1)
+	QSTORE(2, 0, Z2)
+	QSTORE(3, 0, Z3)
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JMP  quad_c16
+
+quad_done:
 	VZEROUPPER
 	RET
 

@@ -26,6 +26,19 @@ func requireVectorKernels(t testing.TB) {
 	}
 }
 
+// requireAVX512 skips unless the four-row kernel really runs, so its
+// comparisons never pass by running gemmPanelDense against the Go loop
+// (see TestAVX512DetectionMatchesCPUInfo for the detection itself).
+func requireAVX512(t testing.TB) {
+	t.Helper()
+	row := func() []float32 { return make([]float32, 16) }
+	or := [4][]float32{row(), row(), row(), row()}
+	ar := [4][]float32{{1}, {1}, {1}, {1}}
+	if gemmPanelQuadVec(&or, &ar, make([]float32, 16), 16, 0) == 0 {
+		t.Skipf("no four-row kernel on this platform (GOARCH=%s; on amd64 it needs AVX-512F and OS support for the ZMM state)", runtime.GOARCH)
+	}
+}
+
 var simdNegZero = float32(math.Copysign(0, -1))
 
 // simdSpecials are the values most likely to expose a lane that does
@@ -197,19 +210,84 @@ func checkSIMDCase(t testing.TB, c simdCase) {
 	}
 }
 
-// simdTable crosses the column counts around the 8- and 32-lane block
-// edges with the reduction lengths around the 8-row block and gemmKC.
-// The operand form is the visitor's to choose.
+// simdTable crosses the column counts around the 8-, 16- and 32-lane
+// block edges with the reduction lengths around the 8-row block and
+// gemmKC. The operand form is the visitor's to choose. The counts
+// around the 16-lane edge come last, so every earlier case keeps its
+// seed and its name.
 func simdTable(visit func(simdCase)) {
 	seed := uint64(1)
-	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 128, 130} {
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 128, 130, 15, 16, 17, 48, 64} {
 		for _, k := range []int{1, 7, 8, 9, 127, 128, 129, 200} {
 			// m walks through 1..40 so both the output-row loop inside
 			// the backward kernel and the forward tile scheduler (inline
-			// below 32 rows) see short, odd and long extents.
+			// below 32 rows) see short, odd and long extents; four
+			// consecutive seeds give m every residue mod 4, so each n
+			// ends its row quads with 0, 1, 2 and 3 leftover rows.
 			visit(simdCase{seed: seed, n: n, k: k, m: 1 + int(seed*7)%40})
 			seed++
 		}
+	}
+}
+
+// TestSIMDQuadKernelMatchesGeneric compares the four-row panel kernel
+// with four gemmPanelDenseGeneric calls, first on its own and then
+// inside gemmTile on the packed-panel path.
+func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
+	requireAVX512(t)
+	rng := graph.NewRNG(91)
+
+	// Four rows that are windows of wider output rows, whose neighbours
+	// must stay untouched, over a window of a wider B (stride > n,
+	// unaligned first column).
+	for _, n := range []int{15, 16, 17, 31, 32, 33, 48, 64, 70} {
+		for _, k := range []int{1, 7, 128} {
+			const pad = 3
+			bw := n + 2*pad
+			bd := simdMatrix(rng, k, bw, 0).Data
+			a := simdMatrix(rng, 4, k, 0)
+			got := simdMatrix(rng, 4, bw, 0)
+			want := got.Clone()
+			var or [4][]float32
+			ar := [4][]float32{a.Row(0), a.Row(1), a.Row(2), a.Row(3)}
+			for r := range or {
+				or[r] = got.Row(r)[pad : pad+n]
+				gemmPanelDenseGeneric(want.Row(r)[pad:pad+n], ar[r], bd, bw, pad)
+			}
+			gemmPanelQuad(&or, &ar, bd, bw, pad)
+			bitsEqual(t, fmt.Sprintf("gemmPanelQuad n%d k%d", n, k), got.Data, want.Data)
+
+			// The kernel itself takes every whole 16-column block.
+			got = want.Clone()
+			for r := range or {
+				or[r] = got.Row(r)[pad : pad+n]
+			}
+			if done := gemmPanelQuadVec(&or, &ar, bd, bw, pad); done != n&^15 {
+				t.Fatalf("n%d: the kernel did %d columns, want %d", n, done, n&^15)
+			}
+		}
+	}
+
+	// gemmTile on a column block narrower than n and a row block of at
+	// least gemmPackMinRows rows starting at an odd row — the packed
+	// panel — in every operand form, the int8 tier's among them. The
+	// block's 61 columns are 48 for the kernel, 8 for gemmRowK and 5
+	// for the Go tail.
+	const m, n, k = 43, 70, 133
+	const i0, i1, j0, j1 = 1, 40, 5, 66
+	for form := 0; form < 4; form++ {
+		c := simdCase{form: form}
+		a, _, _, _, _ := c.operand(rng, m, k, 6)
+		b := simdMatrix(rng, k, n, 0)
+		got := simdMatrix(rng, m, n, 0)
+		want := got.Clone()
+		aw, scratch := a.withScratch()
+		for i := i0; i < i1; i++ {
+			gemmPanelDenseGeneric(want.Row(i)[j0:j1], aw.row(i), b.Data, n, j0)
+		}
+		Put(scratch)
+		gemmTile(got, a, b, i0, i1, j0, j1)
+		bitsEqual(t, fmt.Sprintf("gemmTile form%d", form), got.Data, want.Data)
 	}
 }
 

@@ -318,6 +318,22 @@ func gemmPanelDenseGeneric(or, arp, bd []float32, bw, bj int) {
 	}
 }
 
+// gemmPanelQuad is gemmPanelDense for four output rows over one panel.
+// The four-row vector kernel takes the leading multiple of sixteen
+// columns of all four where the platform has one; each row's remaining
+// columns go through gemmPanelDense. Rows and columns are independent,
+// so neither split changes a bit.
+//
+//apt:hotpath
+func gemmPanelQuad(or, ar *[4][]float32, bd []float32, bw, bj int) {
+	done := gemmPanelQuadVec(or, ar, bd, bw, bj)
+	for r := range or {
+		if done < len(or[r]) {
+			gemmPanelDense(or[r][done:], ar[r], bd, bw, bj+done)
+		}
+	}
+}
+
 // gemmTile computes one output tile [i0,i1) x [j0,j1) of out += A @ b,
 // k-panels low-to-high.
 //
@@ -350,7 +366,17 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, i0, i1, j0, j1 int) {
 			}
 			bd, bw, bj = pack, jw, 0
 		}
-		for i := i0; i < i1; i++ {
+		i := i0
+		if hasAVX512 && jw >= 16 {
+			// Four rows per call share each B load; the four A rows
+			// stay live together, which the dequant scratch covers.
+			for ; i+3 < i1; i += 4 {
+				or := [4][]float32{out.Row(i)[j0:j1], out.Row(i + 1)[j0:j1], out.Row(i + 2)[j0:j1], out.Row(i + 3)[j0:j1]}
+				ar := [4][]float32{a.row(i)[k0:k1], a.row(i + 1)[k0:k1], a.row(i + 2)[k0:k1], a.row(i + 3)[k0:k1]}
+				gemmPanelQuad(&or, &ar, bd, bw, bj)
+			}
+		}
+		for ; i < i1; i++ {
 			gemmPanelDense(out.Row(i)[j0:j1], a.row(i)[k0:k1], bd, bw, bj)
 		}
 	}
