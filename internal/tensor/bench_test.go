@@ -117,6 +117,41 @@ func BenchmarkGatherMatMulLayer0(b *testing.B) {
 	}
 }
 
+// BenchmarkGatherTMatMulAccLayer0 is the same layer's weight gradient,
+// dW += X[idx]ᵀ · dZ: the ~2 300 gathered rows of the 44 000 × 128
+// feature matrix against a 2 300 × 32 dZ, into a 128 × 32 dW — the
+// shape the eight-row tile kernel is sized on.
+func BenchmarkGatherTMatMulAccLayer0(b *testing.B) {
+	const rows, srcN, in, out = 2300, 44000, 128, 32
+	rng := graph.NewRNG(8)
+	feats := benchRandMat(rng, srcN, in)
+	idx := benchIdx(rows, srcN, rng)
+	dz := benchRandMat(rng, rows, out)
+	dst := New(in, out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GatherTMatMulAccSrc(dst, FS(feats), idx, dz)
+	}
+}
+
+// BenchmarkTMatMulAccLayer1 is layer 1's weight gradient, dW += hᵀ · dZ:
+// 700 post-ReLU rows of width 32, half of them zeros, against a
+// 700 × 32 dZ — the zero-skipping case.
+func BenchmarkTMatMulAccLayer1(b *testing.B) {
+	const rows, in, out = 700, 32, 32
+	rng := graph.NewRNG(9)
+	h := benchRandMat(rng, rows, in)
+	sparsify(h, 0.5, rng)
+	dz := benchRandMat(rng, rows, out)
+	dst := New(in, out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TMatMulAcc(dst, h, dz)
+	}
+}
+
 // BenchmarkGatherThenMatMul is the old hot path: materialize the
 // gathered rows, then multiply the copy.
 func BenchmarkGatherThenMatMul(b *testing.B) {

@@ -57,7 +57,7 @@ func segmentAgg(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, relu bo
 		return
 	}
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-	parallelRows(nDst, 64, func(lo, hi int) {
+	parallelRows(nDst, 64, 1, func(lo, hi int) {
 		segmentAggRange(edgePtr, srcIdx, src, out, mean, relu, lo, hi)
 	})
 }

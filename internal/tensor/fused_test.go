@@ -397,8 +397,8 @@ func TestReLUInPlaceMatchesReLU(t *testing.T) {
 // kernels — MatMulT, the row-dot and the band kernels of the packed
 // GAT layer among them — must not touch the allocator. The pipelined
 // engine depends on it; neither the int8 tier's pooled dequant scratch
-// nor the backwards' source-major index buffers may show up as
-// steady-state allocation.
+// (the weight gradient's dequant panel among it) nor the backwards'
+// source-major index buffers may show up as steady-state allocation.
 func TestFusedKernelsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -418,6 +418,10 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	}
 	grad := New(32, 16)
 	grad2 := New(16, 16)
+	// n = 32 weight gradients (32 × 32, whole row octets): the eight-row
+	// kernel's row table and int8 dequant panel must not allocate.
+	w32 := randomMatrix(32, 32, rng)
+	grad32 := New(32, 32)
 	// The packed-layout GAT kernels work on the band [8, 16) of wide.
 	wide := randomMatrix(200, 32, rng)
 	aV := randomMatrix(8, 1, rng)
@@ -443,6 +447,11 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		zq := GatherMatMulSrc(tiered, idx, w)
 		GatherTMatMulAccSrc(grad, tiered, idx, zq)
 		Put(zq)
+		z32 := GatherMatMulSrc(FS(feats), idx, w32)
+		TMatMulAcc(grad32, z32, z32)
+		GatherTMatMulAccSrc(grad32, FS(feats), idx, z32)
+		GatherTMatMulAccSrc(grad32, tiered, idx, z32)
+		Put(z32)
 		MatVecSlice(dots.Data, wide, 8, 16, aV.Data)
 		att := Get(120, 32)
 		SegmentWeightedSum(att, edgePtr, srcIdx, alpha, wide, 8, 16)

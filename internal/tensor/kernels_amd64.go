@@ -17,7 +17,10 @@ func gemmRowK(or *float32, n int, a *float32, k int, b *float32, bw int)
 func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int)
 
 //go:noescape
-func tmatmulAcc8(dst *float32, i, m, n int, ap *[8]*float32, b *float32, bw int) int
+func tmatmulAcc8(dst *float32, i, m, n, ds int, ap *[8]*float32, b *float32, bw int) int
+
+//go:noescape
+func tmatmulAccOct(dst *float32, m, n, ds int, tbl **float32, k int, b *float32, bw int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -108,21 +111,71 @@ func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int {
 // it applies dst[i] += Σ_r ar[r][i]·b8[r*bw:][:n] (r increasing) to
 // consecutive rows while all eight coefficients are nonzero, and
 // returns the first row it left untouched: m, or a row with a zero
-// coefficient for the caller's zero-skipping code. Without AVX2 it
-// returns i.
+// coefficient for the caller's zero-skipping code. dst row i starts at
+// dd[i*ds]. Without AVX2 it returns i.
 //
 //apt:hotpath
-func tmatmulAcc8Vec(dd []float32, i, m, n int, ar *[8][]float32, b8 []float32, bw int) int {
+func tmatmulAcc8Vec(dd []float32, i, m, n, ds int, ar *[8][]float32, b8 []float32, bw int) int {
 	if !hasAVX2 || n == 0 {
 		return i
 	}
-	// dst rows [i, m) of width n, eight b rows of width n at stride bw,
-	// and elements [i, m) of each A row (the caller's loop has i < m).
-	_ = dd[m*n-1]
+	// dst rows [i, m) of width n at stride ds, eight b rows of width n
+	// at stride bw, and elements [i, m) of each A row (the caller's loop
+	// has i < m).
+	_ = dd[(m-1)*ds+n-1]
 	_ = b8[7*bw+n-1]
 	var ap [8]*float32
 	for r := range ap {
 		ap[r] = &ar[r][:m][0]
 	}
-	return tmatmulAcc8(&dd[0], i, m, n, &ap, &b8[0], bw)
+	return tmatmulAcc8(&dd[0], i, m, n, ds, &ap, &b8[0], bw)
+}
+
+// octPrefetch is how far ahead, in k rows, tmatmulAccOct prefetches a
+// tile's coefficients (OCTPF in kernels_amd64.s). The row table carries
+// that many extra entries, so the look-ahead never reads past it.
+const octPrefetch = 16
+
+// octKC is the k-panel of the tile kernel. A panel's b rows and
+// coefficient lines (for n = 32, 32 KiB of b and 16 KiB of coefficients
+// per tile pair) stay cached while every tile of a column block streams
+// through them, where a whole long reduction would fall out of L2.
+const octKC = 256
+
+// tmatmulAccOctVec is tmatmulAccRows over k rows [lo, hi) for the
+// leading dst.Rows&^7 output rows and dst.Cols&^15 columns, eight rows
+// at a time through the AVX-512 tile kernel; it returns that extent,
+// (0, 0) when it did nothing (no AVX-512, or fewer than 8 rows or 16
+// columns), and the caller finishes the rest.
+//
+// It runs the kernel once per k-panel of octKC rows, panels in
+// increasing k, so each element still adds its terms in k order. Per
+// panel the kernel reads the coefficient rows through a table of their
+// addresses on the stack (gemmA.rowTable): fp32 rows in place, int8-tier
+// rows dequantized once each into a pooled panel-sized buffer.
+//
+//apt:hotpath
+func tmatmulAccOctVec(dst *Matrix, a gemmA, b *Matrix, lo, hi int) (m8, n16 int) {
+	m8, n16, k := dst.Rows&^7, dst.Cols&^15, hi-lo
+	if !hasAVX512 || m8 == 0 || n16 == 0 || k <= 0 {
+		return 0, 0
+	}
+	var deq *Matrix
+	if nq := a.tierRows(lo, hi); nq > 0 {
+		deq = Get(min(nq, octKC), m8)
+	}
+	var tbl [octKC + octPrefetch]*float32
+	n, bw := dst.Cols, b.Cols
+	_ = dst.Data[(m8-1)*n+n16-1]
+	_ = b.Data[(hi-1)*bw+n16-1]
+	for k0 := lo; k0 < hi; k0 += octKC {
+		kp := min(octKC, hi-k0)
+		a.rowTable(tbl[:kp], k0, m8, deq)
+		for t := kp; t < kp+octPrefetch; t++ {
+			tbl[t] = tbl[kp-1]
+		}
+		tmatmulAccOct(&dst.Data[0], m8, n16, n, &tbl[0], kp, &b.Data[k0*bw], bw)
+	}
+	Put(deq)
+	return m8, n16
 }

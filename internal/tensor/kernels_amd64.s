@@ -6,8 +6,9 @@
 // rounded VMULPS followed by a VADDPS — the operation sequence of the
 // Go loops (MULSS, ADDSS) per lane, so results are bit-identical. No
 // fused multiply-add, no reduction across lanes. The accumulator is
-// always the first source of the add, as in `s += a*b`. Every exit runs
-// VZEROUPPER.
+// always the first source of the add, as in `s += a*b`; where the Go
+// loop skips a zero coefficient's term, the add is merge-masked off.
+// Every exit runs VZEROUPPER.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -268,26 +269,26 @@ quad_done:
 	VADDSS X4, X0, X0; \
 	ADDQ   R8, R13
 
-// func tmatmulAcc8(dst *float32, i, m, n int, ap *[8]*float32, b *float32, bw int) int
+// func tmatmulAcc8(dst *float32, i, m, n, ds int, ap *[8]*float32, b *float32, bw int) int
 //
 // For output rows i, i+1, … < m whose eight coefficients ap[r][i] are
-// all nonzero: dst[i*n+j] += Σ_r ap[r][i] * b[r*bw+j] for j in [0, n),
+// all nonzero: dst[i*ds+j] += Σ_r ap[r][i] * b[r*bw+j] for j in [0, n),
 // r = 0..7 increasing. Returns the first row not processed: m, or the
 // first row with a ±0 coefficient, which is left untouched so that the
 // caller's zero-skipping code decides about it exactly as it always
 // has. Columns past the last multiple of 8 use the scalar forms of the
 // same two instructions.
-TEXT ·tmatmulAcc8(SB), NOSPLIT, $0-64
+TEXT ·tmatmulAcc8(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ i+8(FP), AX
 	MOVQ m+16(FP), BX
 	MOVQ n+24(FP), CX
-	MOVQ ap+32(FP), SI
-	MOVQ b+40(FP), DX
-	MOVQ bw+48(FP), R8
-	SHLQ $2, R8            // b row stride in bytes
-	MOVQ CX, R9
+	MOVQ ds+32(FP), R9
 	SHLQ $2, R9            // dst row stride in bytes
+	MOVQ ap+40(FP), SI
+	MOVQ b+48(FP), DX
+	MOVQ bw+56(FP), R8
+	SHLQ $2, R8            // b row stride in bytes
 	MOVQ AX, R10
 	IMULQ R9, R10
 	ADDQ R10, DI           // &dst[i*n]
@@ -376,6 +377,179 @@ tacc_next:
 	JMP  tacc_row
 
 tacc_done:
-	MOVQ AX, ret+56(FP)
+	MOVQ AX, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// OCTPF is how many k rows ahead tmatmulAccOct prefetches the tile's
+// coefficients; the Go wrapper's octPrefetch must equal it.
+#define OCTPF 16
+
+// OROWS points R14 at tile row 4 and puts 3·ds in R15, so that OLOAD and
+// OSTORE reach rows 0–3 from R12 and rows 4–7 from R14 (R8 = ds bytes).
+#define OROWS \
+	LEAQ (R8)(R8*2), R15; \
+	LEAQ (R12)(R8*4), R14
+
+// OLOAD / OSTORE move the tile's eight rows of one 16-column block at
+// byte offset off between dst and accumulators z0..z7.
+#define OLOAD(off, z0, z1, z2, z3, z4, z5, z6, z7) \
+	VMOVUPS off(R12), z0; \
+	VMOVUPS off(R12)(R8*1), z1; \
+	VMOVUPS off(R12)(R8*2), z2; \
+	VMOVUPS off(R12)(R15*1), z3; \
+	VMOVUPS off(R14), z4; \
+	VMOVUPS off(R14)(R8*1), z5; \
+	VMOVUPS off(R14)(R8*2), z6; \
+	VMOVUPS off(R14)(R15*1), z7
+
+#define OSTORE(off, z0, z1, z2, z3, z4, z5, z6, z7) \
+	VMOVUPS z0, off(R12); \
+	VMOVUPS z1, off(R12)(R8*1); \
+	VMOVUPS z2, off(R12)(R8*2); \
+	VMOVUPS z3, off(R12)(R15*1); \
+	VMOVUPS z4, off(R14); \
+	VMOVUPS z5, off(R14)(R8*1); \
+	VMOVUPS z6, off(R14)(R8*2); \
+	VMOVUPS z7, off(R14)(R15*1)
+
+// OSTEP32 / OSTEP16 add tile row r's term of one k to its accumulators
+// of a 32- or 16-column block (the b row's block in Z16, Z17). The
+// coefficient, tbl[kk][i0+r] at R15 + R9 + 4r, is broadcast and
+// compared not-equal (unordered: NaN is live) against the zero in Z31
+// into opmask kr; the add is merge-masked by it, so a ±0 coefficient
+// leaves every lane of the row as it was — the Go loop's `if a != 0`.
+#define OSTEP32(r, acc0, acc1, zc, zp0, zp1, kr) \
+	VBROADCASTSS r*4(R15)(R9*1), zc; \
+	VCMPPS       $4, Z31, zc, kr; \
+	VMULPS       Z16, zc, zp0; \
+	VMULPS       Z17, zc, zp1; \
+	VADDPS       zp0, acc0, kr, acc0; \
+	VADDPS       zp1, acc1, kr, acc1
+
+#define OSTEP16(r, acc, zc, zp, kr) \
+	VBROADCASTSS r*4(R15)(R9*1), zc; \
+	VCMPPS       $4, Z31, zc, kr; \
+	VMULPS       Z16, zc, zp; \
+	VADDPS       zp, acc, kr, acc
+
+// OKROW prefetches the tile's coefficients OCTPF rows ahead and loads
+// this k's coefficient row pointer (the table entry at AX) into R15.
+#define OKROW \
+	MOVQ       OCTPF*8(AX), R15; \
+	PREFETCHT0 (R15)(R9*1); \
+	MOVQ       (AX), R15
+
+// func tmatmulAccOct(dst *float32, m, n, ds int, tbl **float32, k int, b *float32, bw int)
+//
+// dst[i*ds+j] += tbl[kk][i] * b[kk*bw+j] for every kk in [0, k),
+// increasing, whose tbl[kk][i] is not ±0 — i in [0, m), j in [0, n); m
+// is a positive multiple of 8, n of 16, k > 0, and tbl holds at least
+// k+OCTPF row pointers (those past k are only prefetched). A tile of
+// 8 rows × 32 columns lives in sixteen ZMM accumulators (then a tile of
+// 8 × 16 in eight) while all k rows stream through it, so dst is loaded
+// and stored once per tile. Column blocks are the outer loop, so the
+// tiles of one block share its b columns in cache. Per k the b row's
+// block is loaded once and each tile row does a VMULPS (coefficient
+// first) and a merge-masked VADDPS (accumulator first): one lane is one
+// output element with its single accumulator, and a skipped term
+// leaves it bit for bit untouched, −0 and 0·Inf included.
+TEXT ·tmatmulAccOct(SB), NOSPLIT, $0-64
+	MOVQ   dst+0(FP), DI   // &dst[j], the block's first column
+	MOVQ   m+8(FP), R10
+	SHLQ   $2, R10         // end of the coefficient byte offsets
+	MOVQ   n+16(FP), R11   // columns left
+	MOVQ   ds+24(FP), R8
+	SHLQ   $2, R8          // dst row stride in bytes
+	MOVQ   tbl+32(FP), SI
+	MOVQ   k+40(FP), CX
+	LEAQ   (SI)(CX*8), CX  // end of the table's k live entries
+	MOVQ   b+48(FP), DX    // &b[j]
+	MOVQ   bw+56(FP), BX
+	SHLQ   $2, BX          // b row stride in bytes
+	VPXORD Z31, Z31, Z31
+
+oct_c32:
+	CMPQ R11, $32
+	JLT  oct_c16
+	XORQ R9, R9            // tile's first row i0, as a byte offset i0*4
+	MOVQ DI, R12           // &dst[i0*ds + j]
+
+oct_r32:
+	OROWS
+	OLOAD(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	OLOAD(64, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ SI, AX            // &tbl[kk]
+	MOVQ DX, R14           // &b[kk*bw + j]
+
+oct_k32:
+	OKROW
+	VMOVUPS 0(R14), Z16
+	VMOVUPS 64(R14), Z17
+	OSTEP32(0, Z0, Z8, Z18, Z19, Z20, K1)
+	OSTEP32(1, Z1, Z9, Z21, Z22, Z23, K2)
+	OSTEP32(2, Z2, Z10, Z24, Z25, Z26, K3)
+	OSTEP32(3, Z3, Z11, Z27, Z28, Z29, K4)
+	OSTEP32(4, Z4, Z12, Z18, Z19, Z20, K1)
+	OSTEP32(5, Z5, Z13, Z21, Z22, Z23, K2)
+	OSTEP32(6, Z6, Z14, Z24, Z25, Z26, K3)
+	OSTEP32(7, Z7, Z15, Z27, Z28, Z29, K4)
+	ADDQ    $8, AX
+	ADDQ    BX, R14
+	CMPQ    AX, CX
+	JLT     oct_k32
+
+	OROWS
+	OSTORE(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	OSTORE(64, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	LEAQ (R12)(R8*8), R12  // next tile: eight dst rows down
+	ADDQ $32, R9           // and eight coefficients along
+	CMPQ R9, R10
+	JLT  oct_r32
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, R11
+	JMP  oct_c32
+
+oct_c16:
+	CMPQ R11, $16
+	JLT  oct_done
+	XORQ R9, R9
+	MOVQ DI, R12
+
+oct_r16:
+	OROWS
+	OLOAD(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ SI, AX
+	MOVQ DX, R14
+
+oct_k16:
+	OKROW
+	VMOVUPS (R14), Z16
+	OSTEP16(0, Z0, Z18, Z19, K1)
+	OSTEP16(1, Z1, Z21, Z22, K2)
+	OSTEP16(2, Z2, Z24, Z25, K3)
+	OSTEP16(3, Z3, Z27, Z28, K4)
+	OSTEP16(4, Z4, Z18, Z19, K1)
+	OSTEP16(5, Z5, Z21, Z22, K2)
+	OSTEP16(6, Z6, Z24, Z25, K3)
+	OSTEP16(7, Z7, Z27, Z28, K4)
+	ADDQ    $8, AX
+	ADDQ    BX, R14
+	CMPQ    AX, CX
+	JLT     oct_k16
+
+	OROWS
+	OSTORE(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	LEAQ (R12)(R8*8), R12
+	ADDQ $32, R9
+	CMPQ R9, R10
+	JLT  oct_r16
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $16, R11
+	JMP  oct_c16
+
+oct_done:
 	VZEROUPPER
 	RET

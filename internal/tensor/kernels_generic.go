@@ -12,6 +12,8 @@ func gemmPanelVec(or, arp, bd []float32, bw, bj int) int { return 0 }
 
 func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int { return 0 }
 
-func tmatmulAcc8Vec(dd []float32, i, m, n int, ar *[8][]float32, b8 []float32, bw int) int {
+func tmatmulAcc8Vec(dd []float32, i, m, n, ds int, ar *[8][]float32, b8 []float32, bw int) int {
 	return i
 }
+
+func tmatmulAccOctVec(dst *Matrix, a gemmA, b *Matrix, lo, hi int) (m8, n16 int) { return 0, 0 }

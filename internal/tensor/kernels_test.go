@@ -39,6 +39,20 @@ func requireAVX512(t testing.TB) {
 	}
 }
 
+// requireOctKernel skips unless the eight-row weight-gradient kernel
+// really runs, so its comparisons never pass by running the Go loops
+// against themselves.
+func requireOctKernel(t testing.TB) {
+	t.Helper()
+	a := New(1, 8)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
+	if m8, _ := tmatmulAccOctVec(New(8, 16), gemmA{src: a, hi: 8}, New(1, 16), 0, 1); m8 == 0 {
+		t.Skipf("no eight-row kernel on this platform (GOARCH=%s; on amd64 it needs AVX-512F and OS support for the ZMM state)", runtime.GOARCH)
+	}
+}
+
 var simdNegZero = float32(math.Copysign(0, -1))
 
 // simdSpecials are the values most likely to expose a lane that does
@@ -291,6 +305,97 @@ func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestSIMDOctKernelMatchesGeneric compares the eight-row tile kernel of
+// the weight gradient, and the Go loops that finish its last rows and
+// columns, with tmatmulAccRangeGeneric — over the row counts around the
+// 8-row tile, the column counts around the 16- and 32-column blocks, k
+// past the prefetch distance and past one k-panel, and every operand
+// form. The inputs hold
+// what the merge mask must get exactly right: ±0 and NaN coefficients
+// (a NaN is live, as in the Go loop's `a != 0`), a destination that
+// starts with −0 entries (a +0 term added for a zero coefficient would
+// flip them), and ±Inf in b on the k rows whose coefficients are all
+// zero (an unmasked add would turn 0·Inf into NaN).
+func TestSIMDOctKernelMatchesGeneric(t *testing.T) {
+	requireOctKernel(t)
+	rng := graph.NewRNG(97)
+	nan := float32(math.NaN())
+	for _, m := range []int{8, 9, 15, 16, 26, 64, 128} {
+		for _, n := range []int{16, 17, 31, 32, 33, 48, 64} {
+			for _, k := range []int{1, 7, 8, 129, 700} {
+				for form := 0; form < 4; form++ {
+					c := simdCase{n: n, k: k, m: m, form: form}
+					a, src, idx, lo, hi := c.operand(rng, k, m, 16)
+					// Two NaN coefficients: each makes one output row NaN
+					// from its k on, so there are only ever a few.
+					for range 2 {
+						a.src.Data[rng.Intn(len(a.src.Data))] = nan
+					}
+					b := simdMatrix(rng, k, n, 0)
+					aw, scratch := a.withScratch()
+					for kk := 0; kk < k; kk++ {
+						if !allZero(aw.row(kk)) {
+							continue
+						}
+						for j := range b.Row(kk) {
+							if rng.Intn(3) == 0 {
+								b.Set(kk, j, float32(math.Inf(1-2*rng.Intn(2))))
+							}
+						}
+					}
+					Put(scratch)
+					dst0 := simdMatrix(rng, m, n, 0)
+					for i := range dst0.Data {
+						if rng.Intn(4) == 0 {
+							dst0.Data[i] = simdNegZero
+						}
+					}
+
+					want := dst0.Clone()
+					aw, scratch = a.withScratch()
+					tmatmulAccRangeGeneric(want, aw, b, 0, k)
+					Put(scratch)
+					got := dst0.Clone()
+					aw, scratch = a.withScratch()
+					tmatmulAccRange(got, aw, b, 0, k)
+					Put(scratch)
+					bitsEqual(t, c.String(), got.Data, want.Data)
+
+					// The kernel itself takes every whole octet and
+					// 16-column block.
+					aw, scratch = a.withScratch()
+					m8, n16 := tmatmulAccOctVec(got, aw, b, 0, k)
+					Put(scratch)
+					if m8 != m&^7 || n16 != n&^15 {
+						t.Fatalf("%v: the kernel did %d x %d, want %d x %d", c, m8, n16, m&^7, n&^15)
+					}
+
+					// The entry points, whose bands are whole octets.
+					got = dst0.Clone()
+					switch form {
+					case 0:
+						TMatMulAcc(got, src.F, b)
+					case 1:
+						GatherTMatMulAccSrc(got, src, idx, b)
+					default:
+						GatherTMatMulAccSliceSrc(got, src, idx, lo, hi, b)
+					}
+					bitsEqual(t, c.String()+" entry point", got.Data, want.Data)
+				}
+			}
+		}
+	}
+}
+
+func allZero(row []float32) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSIMDKernelsMatchGeneric(t *testing.T) {
 	requireVectorKernels(t)
 	simdTable(func(c simdCase) {
@@ -316,15 +421,25 @@ func FuzzSIMDMatchesGeneric(f *testing.F) {
 // whose sign makes a live term −0 (which keeps −0) and a zero
 // coefficient's term +0 (which would flip it), and every third output
 // row has one zero coefficient, at each of the eight positions in turn,
-// between runs of all-live rows that send the kernel past it. The
-// kernel must hand exactly those rows back to the zero-skipping code.
+// between runs of all-live rows that send the kernel past it. The AVX2
+// kernel must hand exactly those rows back to the zero-skipping code;
+// the AVX-512 eight-row kernel (at n = 32 all its columns) must mask
+// exactly those terms out.
 func TestSIMDZeroCoefficientRowsKeepSignOfZero(t *testing.T) {
 	requireVectorKernels(t)
-	const m, n, k = 26, 41, 8
-	for _, cfg := range []struct{ live, zero, b float32 }{
-		{live: -1, zero: 0, b: 0},                    // −1·+0 = −0, +0·+0 = +0
-		{live: 1, zero: simdNegZero, b: simdNegZero}, // 1·−0 = −0, −0·−0 = +0
+	const m, k = 26, 8
+	for _, cfg := range []struct {
+		n             int
+		live, zero, b float32
+	}{
+		{n: 41, live: -1, zero: 0, b: 0},                    // −1·+0 = −0, +0·+0 = +0
+		{n: 41, live: 1, zero: simdNegZero, b: simdNegZero}, // 1·−0 = −0, −0·−0 = +0
+		// n = 32: on AVX-512 the eight-row kernel takes every row but
+		// the last two, every column, and decides the skips itself.
+		{n: 32, live: -1, zero: 0, b: 0},
+		{n: 32, live: 1, zero: simdNegZero, b: simdNegZero},
 	} {
+		n := cfg.n
 		a := New(k, m)
 		for i := range a.Data {
 			a.Data[i] = cfg.live
@@ -343,7 +458,7 @@ func TestSIMDZeroCoefficientRowsKeepSignOfZero(t *testing.T) {
 		want := got.Clone()
 		tmatmulAccRange(got, gemmA{src: a, hi: m}, b, 0, k)
 		tmatmulAccRangeGeneric(want, gemmA{src: a, hi: m}, b, 0, k)
-		bitsEqual(t, "tmatmulAccRange", got.Data, want.Data)
+		bitsEqual(t, fmt.Sprintf("tmatmulAccRange n%d", n), got.Data, want.Data)
 		for i, v := range want.Data {
 			if math.Float32bits(v) != math.Float32bits(simdNegZero) {
 				t.Fatalf("generic element %d = %#08x: the fixture no longer keeps −0", i, math.Float32bits(v))

@@ -19,8 +19,9 @@ import (
 // multi-accumulator reductions would reassociate and are not used.
 
 // parallelRows runs fn over row ranges [lo, hi) on up to GOMAXPROCS
-// goroutines. Small matrices run inline to avoid goroutine overhead.
-func parallelRows(rows int, minRowsPerTask int, fn func(lo, hi int)) {
+// goroutines, each range but the last a multiple of align rows. Small
+// matrices run inline to avoid goroutine overhead.
+func parallelRows(rows, minRowsPerTask, align int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if rows < 2*minRowsPerTask || workers == 1 {
 		fn(0, rows)
@@ -31,6 +32,7 @@ func parallelRows(rows int, minRowsPerTask int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (rows + workers - 1) / workers
+	chunk = (chunk + align - 1) / align * align
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		if lo >= rows {
@@ -193,8 +195,17 @@ func (g *gemmA) dequantRow(r int) []float32 {
 	o := g.slot * w
 	g.slot = (g.slot + 1) & (gemmAScratchSlots - 1)
 	dst := g.scratch[o : o+w]
+	g.dequantInto(dst, r)
+	return dst
+}
+
+// dequantInto writes source row r's int8-tier columns [lo, lo+len(dst))
+// dequantized into dst.
+//
+//apt:hotpath
+func (g *gemmA) dequantInto(dst []float32, r int) {
 	q := g.q
-	qr := q.Data[r*q.Cols+g.lo : r*q.Cols+g.hi]
+	qr := q.Data[r*q.Cols+g.lo : r*q.Cols+g.lo+len(dst)]
 	s, z := q.Scale[r], q.Zero[r]
 	j := 0
 	// Four independent convert+FMA chains per iteration keep the int8
@@ -208,7 +219,56 @@ func (g *gemmA) dequantRow(r int) []float32 {
 	for ; j < len(qr); j++ {
 		dst[j] = s*float32(qr[j]) + z
 	}
-	return dst
+}
+
+// tierRows counts the rows in [lo, hi) that the int8 tier serves.
+func (g *gemmA) tierRows(lo, hi int) int {
+	if g.qmask == nil {
+		return 0
+	}
+	nq := 0
+	for r := lo; r < hi; r++ {
+		if g.inTier(g.srcRow(r)) {
+			nq++
+		}
+	}
+	return nq
+}
+
+// rowTable points tbl[t] at the first w elements of row lo+t — what
+// row(lo+t) returns — for every t. fp32 rows are read in place;
+// int8-tier rows are dequantized into consecutive rows of deq, which
+// must have one for each.
+//
+//apt:hotpath
+func (g *gemmA) rowTable(tbl []*float32, lo, w int, deq *Matrix) {
+	q := 0
+	for t := range tbl {
+		r := g.srcRow(lo + t)
+		var row []float32
+		if g.inTier(r) {
+			row = deq.Row(q)
+			g.dequantInto(row, r)
+			q++
+		} else {
+			base := r*g.src.Cols + g.lo
+			row = g.src.Data[base : base+g.hi-g.lo]
+		}
+		tbl[t] = &row[:w][0]
+	}
+}
+
+// inTier reports whether source row r is served by the int8 tier.
+func (g *gemmA) inTier(r int) bool {
+	return g.qmask != nil && g.qmask[r>>6]&(1<<(uint(r)&63)) != 0
+}
+
+// srcRow is the source row that row r reads.
+func (g *gemmA) srcRow(r int) int {
+	if g.idx != nil {
+		return int(g.idx[r])
+	}
+	return r
 }
 
 func (g gemmA) k() int { return g.hi - g.lo }
@@ -535,23 +595,30 @@ func gatherTMatMulAcc(dst *Matrix, a gemmA, b *Matrix) {
 		tmatmulAccBand(dst, a, b, 0, dst.Rows)
 		return
 	}
+	// Bands of whole row octets, so that only the last band has rows
+	// for the zero-skipping Go loop (tmatmulAccRows).
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
-	parallelRows(dst.Rows, max(1, tmatmulAccMinWork/work), func(r0, r1 int) {
+	parallelRows(dst.Rows, max(1, tmatmulAccMinWork/work), 8, func(r0, r1 int) {
 		tmatmulAccBand(dst, a, b, r0, r1)
 	})
 }
 
-// tmatmulAccBand runs the accumulate over all k for dst's rows [r0, r1):
-// output row i is column a.lo+i of A, so the band is A's column window
-// narrowed to [a.lo+r0, a.lo+r1), written through a view of those rows.
+// tmatmulAccBand runs the accumulate over all k for dst's rows [r0, r1).
 //
 //apt:hotpath
 func tmatmulAccBand(dst *Matrix, a gemmA, b *Matrix, r0, r1 int) {
-	a.lo, a.hi = a.lo+r0, a.lo+r1
-	band := Matrix{Rows: r1 - r0, Cols: dst.Cols, Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
+	band, a := tmatmulAccView(dst, a, r0, r1)
 	aw, aScratch := a.withScratch()
 	tmatmulAccRange(&band, aw, b, 0, b.Rows)
 	Put(aScratch)
+}
+
+// tmatmulAccView narrows the accumulate to dst's rows [r0, r1): output
+// row i is column a.lo+i of A, so A's column window narrows to
+// [a.lo+r0, a.lo+r1), written through a view of those rows.
+func tmatmulAccView(dst *Matrix, a gemmA, r0, r1 int) (Matrix, gemmA) {
+	a.lo, a.hi = a.lo+r0, a.lo+r1
+	return Matrix{Rows: r1 - r0, Cols: dst.Cols, Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}, a
 }
 
 // tmatmulAccPair applies the rank-1 updates of one k-row pair to output
@@ -585,11 +652,9 @@ func tmatmulAccPair(or []float32, a0, a1 float32, br0, br1 []float32) {
 }
 
 // tmatmulAccRange applies the rank-1 updates of k rows [lo, hi) to dst,
-// eight (then four) k rows at a time. The wide forms amortize the pass
-// over dst when all coefficients are live (the common layer-0 case:
-// raw features are dense); mixed zero patterns fall back to zero-
-// skipping pair updates. Per element the adds stay sequential in k
-// order, so the association is identical to the separate iterations.
+// skipping zero coefficients (post-ReLU sparsity). Per element the adds
+// stay sequential in k order, so the association is identical to the
+// separate iterations.
 //
 //apt:hotpath
 func tmatmulAccRange(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
@@ -597,19 +662,49 @@ func tmatmulAccRange(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
 }
 
 // tmatmulAccRangeGeneric is tmatmulAccRange in portable Go only — the
-// reference the vector kernel is tested against bit for bit.
+// reference the vector kernels are tested against bit for bit.
 func tmatmulAccRangeGeneric(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
 	tmatmulAccRows(dst, a, b, lo, hi, false)
 }
 
-// tmatmulAccRows is the one body behind both: with vec set, runs of
-// output rows whose eight coefficients are all live go to the
-// platform's vector kernel (if it has one). Which rows are all-live,
-// and everything about the others, is decided here either way.
+// tmatmulAccRows is the one body behind both. With vec set, the
+// platform's tile kernel takes the leading row octets and 16-column
+// blocks where it has one (tmatmulAccOctVec); the Go loops take what is
+// left: the last m mod 8 rows and the columns past the last multiple
+// of 16. Rows and columns are independent, so the split moves no bit.
 //
 //apt:hotpath
 func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
+	m8, n16 := 0, 0
+	if vec {
+		m8, n16 = tmatmulAccOctVec(dst, a, b, lo, hi)
+	}
+	if m8 == 0 {
+		tmatmulAccCols(dst, a, b, lo, hi, 0, vec)
+		return
+	}
+	if n16 < dst.Cols {
+		head, ah := tmatmulAccView(dst, a, 0, m8)
+		tmatmulAccCols(&head, ah, b, lo, hi, n16, vec)
+	}
+	if m8 < dst.Rows {
+		tail, at := tmatmulAccView(dst, a, m8, dst.Rows)
+		tmatmulAccCols(&tail, at, b, lo, hi, 0, vec)
+	}
+}
+
+// tmatmulAccCols applies the updates to dst's columns [j0, n), eight
+// (then four) k rows at a time. The wide forms amortize the pass over
+// dst when all coefficients are live (raw features are dense); mixed
+// zero patterns fall back to zero-skipping pair updates. With vec set,
+// runs of output rows whose eight coefficients are all live go to the
+// platform's AVX2 kernel (if it has one). Which rows are all-live, and
+// everything about the others, is decided here either way.
+//
+//apt:hotpath
+func tmatmulAccCols(dst *Matrix, a gemmA, b *Matrix, lo, hi, j0 int, vec bool) {
 	m, n := dst.Rows, dst.Cols
+	w := n - j0
 	dd := dst.Data
 	kk := lo
 	for ; kk+7 < hi; kk += 8 {
@@ -623,14 +718,14 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 		ar5 := a.row(kk + 5)[:m]
 		ar6 := a.row(kk + 6)[:m]
 		ar7 := a.row(kk + 7)[:m]
-		br0 := b.Row(kk)[:n]
-		br1 := b.Row(kk + 1)[:n]
-		br2 := b.Row(kk + 2)[:n]
-		br3 := b.Row(kk + 3)[:n]
-		br4 := b.Row(kk + 4)[:n]
-		br5 := b.Row(kk + 5)[:n]
-		br6 := b.Row(kk + 6)[:n]
-		br7 := b.Row(kk + 7)[:n]
+		br0 := b.Row(kk)[j0:][:w]
+		br1 := b.Row(kk + 1)[j0:][:w]
+		br2 := b.Row(kk + 2)[j0:][:w]
+		br3 := b.Row(kk + 3)[j0:][:w]
+		br4 := b.Row(kk + 4)[j0:][:w]
+		br5 := b.Row(kk + 5)[j0:][:w]
+		br6 := b.Row(kk + 6)[j0:][:w]
+		br7 := b.Row(kk + 7)[j0:][:w]
 		for i := 0; i < m; i++ {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
 			a4, a5, a6, a7 := ar4[i], ar5[i], ar6[i], ar7[i]
@@ -640,17 +735,17 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 					// The kernel takes this row and the all-live rows
 					// that follow it, and stops at the first that is not.
 					ar := [8][]float32{ar0, ar1, ar2, ar3, ar4, ar5, ar6, ar7}
-					if next := tmatmulAcc8Vec(dd, i, m, n, &ar, b.Data[kk*b.Cols:], b.Cols); next > i {
+					if next := tmatmulAcc8Vec(dd[j0:], i, m, w, n, &ar, b.Data[kk*b.Cols+j0:], b.Cols); next > i {
 						i = next - 1
 						continue
 					}
 				}
-				or := dd[i*n : i*n+n]
+				or := dd[i*n+j0:][:w]
 				// Two columns per pass — independent accumulator
 				// chains, per-column k order unchanged (see
 				// gemmPanelDense).
 				j := 0
-				for ; j+1 < n; j += 2 {
+				for ; j+1 < w; j += 2 {
 					s0, s1 := or[j], or[j+1]
 					s0 += a0 * br0[j]
 					s1 += a0 * br0[j+1]
@@ -671,7 +766,7 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 					or[j] = s0
 					or[j+1] = s1
 				}
-				for ; j < n; j++ {
+				for ; j < w; j++ {
 					s := or[j]
 					s += a0 * br0[j]
 					s += a1 * br1[j]
@@ -685,7 +780,7 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 				}
 				continue
 			}
-			or := dd[i*n : i*n+n]
+			or := dd[i*n+j0:][:w]
 			tmatmulAccPair(or, a0, a1, br0, br1)
 			tmatmulAccPair(or, a2, a3, br2, br3)
 			tmatmulAccPair(or, a4, a5, br4, br5)
@@ -697,14 +792,14 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 		ar1 := a.row(kk + 1)[:m]
 		ar2 := a.row(kk + 2)[:m]
 		ar3 := a.row(kk + 3)[:m]
-		br0 := b.Row(kk)[:n]
-		br1 := b.Row(kk + 1)[:n]
-		br2 := b.Row(kk + 2)[:n]
-		br3 := b.Row(kk + 3)[:n]
+		br0 := b.Row(kk)[j0:][:w]
+		br1 := b.Row(kk + 1)[j0:][:w]
+		br2 := b.Row(kk + 2)[j0:][:w]
+		br3 := b.Row(kk + 3)[j0:][:w]
 		for i := 0; i < m; i++ {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				or := dd[i*n : i*n+n]
+				or := dd[i*n+j0:][:w]
 				for j := range or {
 					s := or[j]
 					s += a0 * br0[j]
@@ -718,7 +813,7 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			or := dd[i*n : i*n+n]
+			or := dd[i*n+j0:][:w]
 			tmatmulAccPair(or, a0, a1, br0, br1)
 			tmatmulAccPair(or, a2, a3, br2, br3)
 		}
@@ -726,25 +821,25 @@ func tmatmulAccRows(dst *Matrix, a gemmA, b *Matrix, lo, hi int, vec bool) {
 	if kk+1 < hi {
 		ar0 := a.row(kk)
 		ar1 := a.row(kk + 1)
-		br0 := b.Row(kk)[:n]
-		br1 := b.Row(kk + 1)[:n]
+		br0 := b.Row(kk)[j0:][:w]
+		br1 := b.Row(kk + 1)[j0:][:w]
 		for i := 0; i < m; i++ {
 			a0, a1 := ar0[i], ar1[i]
 			if a0 == 0 && a1 == 0 {
 				continue
 			}
-			tmatmulAccPair(dd[i*n:i*n+n], a0, a1, br0, br1)
+			tmatmulAccPair(dd[i*n+j0:][:w], a0, a1, br0, br1)
 		}
 		kk += 2
 	}
 	for ; kk < hi; kk++ {
 		ar := a.row(kk)
-		br := b.Row(kk)[:n]
+		br := b.Row(kk)[j0:][:w]
 		for i, av := range ar {
 			if av == 0 {
 				continue
 			}
-			or := dst.Data[i*n : i*n+n]
+			or := dd[i*n+j0:][:w]
 			for j := range or {
 				or[j] += av * br[j]
 			}

@@ -142,7 +142,7 @@ func SegmentWeightedSum(out *Matrix, edgePtr []int64, srcIdx []int32, w []float3
 		return
 	}
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-	parallelRows(nDst, 64, func(i0, i1 int) {
+	parallelRows(nDst, 64, 1, func(i0, i1 int) {
 		segmentWeightedSumRange(out, edgePtr, srcIdx, w, src, lo, hi, i0, i1)
 	})
 }
@@ -202,7 +202,7 @@ func SegmentWeightedSumBackward(dSrc *Matrix, dW []float32, edgePtr []int64, src
 		segmentWeightedGatherRange(t, w, src, dOut, dSrc, dW, lo, hi, 0, nSrc)
 	} else {
 		//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-		parallelRows(nSrc, 64, func(s0, s1 int) {
+		parallelRows(nSrc, 64, 1, func(s0, s1 int) {
 			segmentWeightedGatherRange(t, w, src, dOut, dSrc, dW, lo, hi, s0, s1)
 		})
 	}
