@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke examples-smoke count
+.PHONY: build test lint verify bench bench-smoke examples-smoke count pair
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,14 @@ verify: lint bench-smoke examples-smoke
 # -seed or -trace.
 bench:
 	bash bench/run.sh
+
+# pair compares the working tree with BASE on workload W over N pairs
+# of benchmark runs that alternate which side goes first, and prints
+# both sides' medians and quartiles, the gap against the base's spread
+# and the wins (scripts/pair.sh). A report, not a gate:
+# make pair BASE=<rev> W=<workload> N=<pairs> [TRACE=1]
+pair:
+	BASE=$(BASE) W=$(W) N=$(N) TRACE=$(TRACE) bash scripts/pair.sh
 
 # count prints the sizes a simplicity PR quotes before and after: code
 # lines outside tests and bench/, exported functions and methods of

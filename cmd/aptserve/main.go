@@ -21,7 +21,8 @@
 // writes, D/snapshot.aptc); it also carries the training run's access
 // frequencies, which fill the serving caches by the paper's hotness
 // rule instead of by degree. A /predict request whose client has gone
-// before a worker collects it is dropped, never executed.
+// before a worker collects it is dropped, never executed, and one whose
+// body is over 1 MiB (about 100 k node ids) is answered 413.
 //
 // Without -checkpoint the model is trained in-process first
 // (-train-epochs). -fanout 0 serves full neighborhoods; any fanout
@@ -136,6 +137,11 @@ type predictResponse struct {
 	LatencyMs float64        `json:"latency_ms"`
 }
 
+// maxPredictBody bounds a /predict body at 1 MiB, about 100 k node ids:
+// a larger one is answered 413 before anything is decoded past the
+// limit or asked of the server.
+const maxPredictBody = 1 << 20
+
 // newMux routes the daemon's endpoints to srv. A /predict request
 // runs under its HTTP request's context, so one whose client has gone
 // before a worker collects it is never executed.
@@ -145,8 +151,13 @@ func newMux(srv *serve.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
 		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad request: "+err.Error(), status)
 			return
 		}
 		start := time.Now()

@@ -20,24 +20,29 @@ import (
 // and status codes do not depend on what the model predicts.
 func testServer(t *testing.T) *serve.Server {
 	t.Helper()
+	srv, err := serve.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// testConfig is testServer's configuration.
+func testConfig() serve.Config {
 	ds := dataset.Build(dataset.Spec{
 		Name: "aptserve-test", Abbr: "AT",
 		NumNodes: 300, AvgDegree: 6, FeatDim: 8, Classes: 3,
 		SkewA: 0.45, HomophilyDegree: 4, TrainFraction: 0.3, Seed: 5,
 	}, true)
-	srv, err := serve.New(serve.Config{
+	return serve.Config{
 		Graph:    ds.Graph,
 		Feats:    ds.Feats,
 		Model:    nn.NewGraphSAGE(ds.FeatDim, 8, ds.Classes, 2),
 		Sampling: sample.Config{Fanouts: []int{0, 0}, Method: sample.Full},
 		Platform: hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2),
 		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
 }
 
 // do sends one request through the daemon's mux.
@@ -63,6 +68,65 @@ func TestPredictDropsGoneClient(t *testing.T) {
 	if after := srv.Stats().Requests; after != before {
 		t.Errorf("cancelled request was executed: requests %d -> %d", before, after)
 	}
+}
+
+// oversizedBody is a well-formed /predict body of valid node ids that
+// is larger than maxPredictBody.
+func oversizedBody() string {
+	return `{"nodes":[` + strings.Repeat("1,", maxPredictBody/2) + `1]}`
+}
+
+// TestPredictRejectsOversizedBody: a body over the limit is answered
+// 413 without reaching the server, however valid its ids are.
+func TestPredictRejectsOversizedBody(t *testing.T) {
+	srv := testServer(t)
+	mux := newMux(srv)
+	before := srv.Stats().Requests
+	rec := do(mux, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(oversizedBody())))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413 (%.80s)", rec.Code, rec.Body)
+	}
+	if after := srv.Stats().Requests; after != before {
+		t.Errorf("oversized body was executed: requests %d -> %d", before, after)
+	}
+}
+
+// FuzzPredictBody drives /predict with arbitrary bodies: every answer is
+// 200 with one result per node of the body's first JSON value, 400 (not
+// a request), 404 (a node outside the graph) or 413 (over the limit),
+// and only a body over the limit is 413.
+func FuzzPredictBody(f *testing.F) {
+	for _, body := range []string{
+		`{"nodes":[0,5,5,299]}`, `{"nodes":[]}`, ``, `{"nodes":[1,`, `{"nodes":[1,300]}`,
+		`{"nodes":[-1]}`, `[1,2]`, oversizedBody(),
+	} {
+		f.Add(body)
+	}
+	srv, err := serve.New(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer srv.Close()
+	mux := newMux(srv)
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := do(mux, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var req predictRequest
+			var resp predictResponse
+			if json.NewDecoder(strings.NewReader(body)).Decode(&req) != nil || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+				len(resp.Results) != len(req.Nodes) {
+				t.Errorf("200 for %.80q: %.200s", body, rec.Body)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		case http.StatusRequestEntityTooLarge:
+			if len(body) <= maxPredictBody {
+				t.Errorf("413 for a %d-byte body", len(body))
+			}
+		default:
+			t.Errorf("status %d for %.80q: %.200s", rec.Code, body, rec.Body)
+		}
+	})
 }
 
 func TestHandlers(t *testing.T) {

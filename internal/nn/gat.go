@@ -9,7 +9,7 @@ import (
 
 // GATLayer implements multi-head additive attention (Velickovic et al.):
 //
-//	e_uv   = LeakyReLU( aL · (W h_v) + aR · (W h_u) )
+//	e_uv   = LeakyReLU_0.2( aL · (W h_v) + aR · (W h_u) )
 //	α_uv   = softmax_{u in N(v)}(e_uv)
 //	h_v^k  = act( ||_heads Σ_u α_uv (W_k h_u) )
 //
@@ -21,10 +21,10 @@ import (
 // The layer computes on the packed layout: one [rows, heads·dh] matrix
 // with head k in column band [k·dh, (k+1)·dh). All heads are projected
 // by one GEMM and their weight gradients accumulated by one pass, and
-// the attention kernels read and write each head's band in place. Per
-// output element every kernel adds in the order the per-head products
-// did, so the packed layer is bit-identical to running the heads one
-// at a time.
+// the attention runs every head in one kernel call each way
+// (tensor.SegmentAttention and its backward). Per output element every
+// kernel adds in the order the per-head products did, so the packed
+// layer is bit-identical to running the heads one at a time.
 type GATLayer struct {
 	// Ws[k] projects inputs for head k; ALs[k]/ARs[k] are the
 	// destination/source halves of head k's attention vector, stored as
@@ -34,18 +34,24 @@ type GATLayer struct {
 	ARs   []*Param
 	Heads int
 	Act   Activation
-	// NegativeSlope of the LeakyReLU on attention logits.
-	NegativeSlope float32
+	// a packs the attention vectors as the attention kernels take them,
+	// [2, heads·dh]: row 0 every head's aL, row 1 every head's aR, head
+	// k in band k. ALs[k].W and ARs[k].W are views of its bands, and
+	// their gradients views of aG's.
+	a, aG *tensor.Matrix
 }
 
 // NewGATLayer creates a GAT layer with the given head count; the output
 // dimension is heads*outPerHead (concatenation).
 func NewGATLayer(name string, in, outPerHead, heads int, act Activation) *GATLayer {
-	l := &GATLayer{Heads: heads, Act: act, NegativeSlope: 0.2}
+	l := &GATLayer{Heads: heads, Act: act, a: tensor.New(2, heads*outPerHead), aG: tensor.New(2, heads*outPerHead)}
+	band := func(m *tensor.Matrix, row, k int) *tensor.Matrix {
+		return tensor.FromData(outPerHead, 1, m.Row(row)[k*outPerHead:(k+1)*outPerHead])
+	}
 	for k := 0; k < heads; k++ {
 		l.Ws = append(l.Ws, NewParam(fmt.Sprintf("%s.W%d", name, k), in, outPerHead))
-		l.ALs = append(l.ALs, NewParam(fmt.Sprintf("%s.aL%d", name, k), outPerHead, 1))
-		l.ARs = append(l.ARs, NewParam(fmt.Sprintf("%s.aR%d", name, k), outPerHead, 1))
+		l.ALs = append(l.ALs, &Param{Name: fmt.Sprintf("%s.aL%d", name, k), W: band(l.a, 0, k), G: band(l.aG, 0, k)})
+		l.ARs = append(l.ARs, &Param{Name: fmt.Sprintf("%s.aR%d", name, k), W: band(l.a, 1, k), G: band(l.aG, 1, k)})
 	}
 	return l
 }
@@ -79,14 +85,18 @@ type gatCtx struct {
 }
 
 // gatAttnCtx carries the attention intermediates from Finish to
-// FinishBackward: the packed projection z of every block source, which
-// it owns, and per head the pre-LeakyReLU logits and the attention
-// probabilities.
+// FinishBackward: the packed projection z of every block source and the
+// edge-major [E, heads] logits and weights, which it owns, and the
+// output, which the caller owns.
 type gatAttnCtx struct {
-	z     *tensor.Matrix
-	sRaw  [][]float32
-	alpha [][]float32
-	out   *tensor.Matrix
+	z, scores, alpha, out *tensor.Matrix
+}
+
+// release returns the matrices the context owns to the pool.
+func (c *gatAttnCtx) release() {
+	tensor.Put(c.z)
+	tensor.Put(c.scores)
+	tensor.Put(c.alpha)
 }
 
 // band is head k's column range in the packed layout.
@@ -183,89 +193,24 @@ func (l *GATLayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
 }
 
 // Finish implements SplitLayer: z holds every block source's packed
-// projection (rows [:NumDst] are the destinations' own); each head's
-// attention runs on its band and writes its band of the concatenated,
-// activated output. The context keeps z.
+// projection (rows [:NumDst] are the destinations' own); the attention
+// of every head writes its band of the concatenated, activated output.
+// The context keeps z.
 func (l *GATLayer) Finish(blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
-	nDst, nSrc := blk.NumDst(), blk.NumSrc()
-	out := tensor.Get(nDst, l.OutDim())
-	c := &gatAttnCtx{z: z, sRaw: make([][]float32, l.Heads), alpha: make([][]float32, l.Heads), out: out}
-	e := tensor.Get(1, nDst+nSrc)
-	el, er := e.Data[:nDst], e.Data[nDst:]
-	for k := 0; k < l.Heads; k++ {
-		lo, hi := l.band(k)
-		tensor.MatVecSlice(el, z, lo, hi, l.ALs[k].W.Data)
-		tensor.MatVecSlice(er, z, lo, hi, l.ARs[k].W.Data)
-		c.sRaw[k] = tensor.SDDMMAdd(blk.EdgePtr, blk.SrcIdx, el, er)
-		c.alpha[k] = tensor.SegmentSoftmax(blk.EdgePtr, tensor.LeakyReLUSlice(c.sRaw[k], l.NegativeSlope))
-		tensor.SegmentWeightedSum(out, blk.EdgePtr, blk.SrcIdx, c.alpha[k], z, lo, hi)
-	}
-	tensor.Put(e)
-	if l.Act == ActReLU {
-		tensor.ReLUInPlace(out)
-	}
-	return out, c
+	out, scores, alpha := tensor.SegmentAttention(blk.EdgePtr, blk.SrcIdx, z, l.a, l.Heads, l.Act == ActReLU)
+	return out, &gatAttnCtx{z: z, scores: scores, alpha: alpha, out: out}
 }
 
 // FinishBackward implements SplitLayer: the packed gradient of z,
-// accumulating the attention vectors' gradients. It releases z.
+// adding the attention vectors' gradients onto theirs. It releases the
+// context.
 func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	c := ctx.(*gatAttnCtx)
-	nDst, nSrc := blk.NumDst(), blk.NumSrc()
-	dO := dOut
-	if l.Act == ActReLU {
-		dO = tensor.ReLUBackward(c.out, dOut)
-	}
-	dZ := tensor.Get(nSrc, l.OutDim())
-	zdst := tensor.FromData(nDst, c.z.Cols, c.z.Data[:nDst*c.z.Cols])
-	dAlpha := make([]float32, len(blk.SrcIdx))
-	dE := tensor.Get(1, nDst+nSrc)
-	dEl, dEr := dE.Data[:nDst], dE.Data[nDst:]
-	for k := 0; k < l.Heads; k++ {
-		lo, hi := l.band(k)
-		tensor.SegmentWeightedSumBackward(dZ, dAlpha, blk.EdgePtr, blk.SrcIdx, c.alpha[k], c.z, dO, lo, hi)
-		dS := tensor.SegmentSoftmaxBackward(blk.EdgePtr, c.alpha[k], dAlpha)
-		dSRaw := tensor.LeakyReLUSliceBackward(c.sRaw[k], dS, l.NegativeSlope)
-		dE.Zero()
-		for i := 0; i < nDst; i++ {
-			for e := blk.EdgePtr[i]; e < blk.EdgePtr[i+1]; e++ {
-				dEl[i] += dSRaw[e]
-				dEr[blk.SrcIdx[e]] += dSRaw[e]
-			}
-		}
-		addAttnGrad(l.ALs[k].G, zdst, lo, hi, dEl)
-		addAttnGrad(l.ARs[k].G, c.z, lo, hi, dEr)
-		aL, aR := l.ALs[k].W.Data, l.ARs[k].W.Data
-		for i := 0; i < nDst; i++ {
-			row := dZ.Row(i)[lo:hi]
-			for j := range row {
-				row[j] += dEl[i] * aL[j]
-			}
-		}
-		for i := 0; i < nSrc; i++ {
-			row := dZ.Row(i)[lo:hi]
-			for j := range row {
-				row[j] += dEr[i] * aR[j]
-			}
-		}
-	}
-	if dO != dOut {
-		tensor.Put(dO)
-	}
-	tensor.Put(dE)
-	tensor.Put(c.z)
+	dZ, dA := tensor.SegmentAttentionBackward(blk.EdgePtr, blk.SrcIdx, c.z, l.a, c.scores, c.alpha, c.out, dOut, l.Act == ActReLU)
+	l.aG.AddInPlace(dA)
+	tensor.Put(dA)
+	c.release()
 	return dZ
-}
-
-// addAttnGrad adds z[:, lo:hi]ᵀ · d to an attention vector's gradient
-// g. The product is formed from +0 before it is added: those are the
-// bits the golden pins, a +0-rooted sum then one add, not the terms
-// accumulated onto g itself.
-func addAttnGrad(g, z *tensor.Matrix, lo, hi int, d []float32) {
-	t := tensor.Get(hi-lo, 1)
-	tensor.TMatMulAccSlice(t, z, lo, hi, tensor.FromData(len(d), 1, d))
-	g.AddInPlace(t)
-	tensor.Put(t)
 }
 
 // forward is the shared training forward over a plain or gather-fused

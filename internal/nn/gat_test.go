@@ -14,10 +14,11 @@ import (
 // The packed GAT layer promises bit-identity with running its heads one
 // at a time. The oracle below is that per-head composition, kept as the
 // reference: one projection GEMM per head, setHead packing, the
-// attention kernels on whole per-head matrices (band [0, dh)), the
-// n = 1 score products on one-column GEMM panels, a fresh transposed
-// product per attention-vector gradient, one weight-gradient pass per
-// head, and each head's input gradient as a scalar dot product.
+// attention on whole per-head matrices (the test-local segment kernels
+// below), the n = 1 score products on one-column GEMM panels, a fresh
+// transposed product per attention-vector gradient, one weight-gradient
+// pass per head, and each head's input gradient as a scalar dot
+// product.
 
 // setHead copies the [rows, dh] matrix zk into head k's column band of
 // the packed [rows, heads·dh] matrix z; getHead is the reverse copy.
@@ -34,6 +35,112 @@ func getHead(z *tensor.Matrix, k, dh int) *tensor.Matrix {
 		copy(zk.Row(i), z.Row(i)[k*dh:(k+1)*dh])
 	}
 	return zk
+}
+
+// The oracle's attention kernels on whole per-head matrices: the
+// segment kernels GAT ran one head at a time before the all-heads
+// tensor.SegmentAttention, sequential.
+
+// oracleSlope is the LeakyReLU slope on the attention logits.
+const oracleSlope float32 = 0.2
+
+func leakyReLUSlice(x []float32, slope float32) []float32 {
+	out := make([]float32, len(x))
+	for i, v := range x {
+		if v >= 0 {
+			out[i] = v
+		} else {
+			out[i] = slope * v
+		}
+	}
+	return out
+}
+
+func leakyReLUSliceBackward(x, dOut []float32, slope float32) []float32 {
+	d := make([]float32, len(x))
+	for i, v := range x {
+		if v >= 0 {
+			d[i] = dOut[i]
+		} else {
+			d[i] = slope * dOut[i]
+		}
+	}
+	return d
+}
+
+func segmentSoftmax(edgePtr []int64, scores []float32) []float32 {
+	out := make([]float32, len(scores))
+	for i := 0; i+1 < len(edgePtr); i++ {
+		lo, hi := edgePtr[i], edgePtr[i+1]
+		if lo == hi {
+			continue
+		}
+		mx := scores[lo]
+		for e := lo + 1; e < hi; e++ {
+			if scores[e] > mx {
+				mx = scores[e]
+			}
+		}
+		var sum float64
+		for e := lo; e < hi; e++ {
+			v := math.Exp(float64(scores[e] - mx))
+			out[e] = float32(v)
+			sum += v
+		}
+		inv := float32(1 / sum)
+		for e := lo; e < hi; e++ {
+			out[e] *= inv
+		}
+	}
+	return out
+}
+
+func segmentSoftmaxBackward(edgePtr []int64, probs, dOut []float32) []float32 {
+	dScores := make([]float32, len(probs))
+	for i := 0; i+1 < len(edgePtr); i++ {
+		lo, hi := edgePtr[i], edgePtr[i+1]
+		var dot float64
+		for e := lo; e < hi; e++ {
+			dot += float64(probs[e]) * float64(dOut[e])
+		}
+		for e := lo; e < hi; e++ {
+			dScores[e] = probs[e] * (dOut[e] - float32(dot))
+		}
+	}
+	return dScores
+}
+
+// segmentWeightedSum accumulates out[i] += Σ_e w[e]·src[srcIdx[e]] over
+// the edges of each destination i, in edge order.
+func segmentWeightedSum(out *tensor.Matrix, edgePtr []int64, srcIdx []int32, w []float32, src *tensor.Matrix) {
+	for i := 0; i+1 < len(edgePtr); i++ {
+		or := out.Row(i)
+		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
+			sr := src.Row(int(srcIdx[e]))
+			for j := range or {
+				or[j] += w[e] * sr[j]
+			}
+		}
+	}
+}
+
+// segmentWeightedSumBackward is its backward as the sequential
+// scatter: per edge, in order, dSrc's row gains w[e]·dOut[i] and dW[e]
+// is the dot of the source and dOut rows from +0.
+func segmentWeightedSumBackward(dSrc *tensor.Matrix, dW []float32, edgePtr []int64, srcIdx []int32, w []float32, src, dOut *tensor.Matrix) {
+	for i := 0; i+1 < len(edgePtr); i++ {
+		dr := dOut.Row(i)
+		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
+			s := int(srcIdx[e])
+			sr, ds := src.Row(s), dSrc.Row(s)
+			var dot float32
+			for j := range dr {
+				ds[j] += w[e] * dr[j]
+				dot += sr[j] * dr[j]
+			}
+			dW[e] = dot
+		}
+	}
 }
 
 type oracleHead struct {
@@ -67,9 +174,9 @@ func (o *gatOracle) forward(blk *sample.Block, h *tensor.Matrix, src tensor.Feat
 		er := tensor.MatMul(z, l.ARs[k].W)
 		el := tensor.MatMul(tensor.FromData(nDst, dh, z.Data[:nDst*dh]), l.ALs[k].W)
 		sRaw := tensor.SDDMMAdd(blk.EdgePtr, blk.SrcIdx, el.Data, er.Data)
-		alpha := tensor.SegmentSoftmax(blk.EdgePtr, tensor.LeakyReLUSlice(sRaw, l.NegativeSlope))
+		alpha := segmentSoftmax(blk.EdgePtr, leakyReLUSlice(sRaw, oracleSlope))
 		ok := tensor.New(nDst, dh)
-		tensor.SegmentWeightedSum(ok, blk.EdgePtr, blk.SrcIdx, alpha, z, 0, dh)
+		segmentWeightedSum(ok, blk.EdgePtr, blk.SrcIdx, alpha, z)
 		setHead(o.out, k, ok)
 		o.heads[k] = oracleHead{z: z, sRaw: sRaw, alpha: alpha}
 	}
@@ -95,9 +202,9 @@ func (o *gatOracle) backward(blk *sample.Block, h *tensor.Matrix, src tensor.Fea
 		}
 		dZ := tensor.New(nSrc, dh)
 		dAlpha := make([]float32, len(c.alpha))
-		tensor.SegmentWeightedSumBackward(dZ, dAlpha, blk.EdgePtr, blk.SrcIdx, c.alpha, c.z, dO, 0, dh)
-		dS := tensor.SegmentSoftmaxBackward(blk.EdgePtr, c.alpha, dAlpha)
-		dSRaw := tensor.LeakyReLUSliceBackward(c.sRaw, dS, l.NegativeSlope)
+		segmentWeightedSumBackward(dZ, dAlpha, blk.EdgePtr, blk.SrcIdx, c.alpha, c.z, dO)
+		dS := segmentSoftmaxBackward(blk.EdgePtr, c.alpha, dAlpha)
+		dSRaw := leakyReLUSliceBackward(c.sRaw, dS, oracleSlope)
 		dEl, dEr := make([]float32, nDst), make([]float32, nSrc)
 		for i := 0; i < nDst; i++ {
 			for e := blk.EdgePtr[i]; e < blk.EdgePtr[i+1]; e++ {

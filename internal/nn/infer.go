@@ -76,14 +76,15 @@ func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.Fea
 
 // releaseCtx returns the pooled buffers a layer context owns for a
 // backward pass that will never run. Only GAT's contexts own any: the
-// packed all-heads projection its Backward (or, after Finish alone,
-// FinishBackward) would Put. Every other context holds only the
-// layer's input and output, which the caller owns.
+// packed all-heads projection and the attention logits and weights its
+// Backward (or, after Finish alone, FinishBackward) would Put. Every
+// other context holds only the layer's input and output, which the
+// caller owns.
 func releaseCtx(ctx LayerCtx) {
 	switch c := ctx.(type) {
 	case *gatCtx:
-		tensor.Put(c.attn.z)
+		c.attn.release()
 	case *gatAttnCtx:
-		tensor.Put(c.z)
+		c.release()
 	}
 }

@@ -22,8 +22,17 @@ import (
 //
 //apt:hotpath
 func ReLUInPlace(x *Matrix) {
-	for i, v := range x.Data {
-		x.Data[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(v))
+	maskPositive(x.Data, x.Data, x.Data)
+}
+
+// maskPositive writes x[c] into dst[c] where by[c] > 0 and +0 elsewhere:
+// ReLU when x is by, its backward when x is the gradient and by the
+// output.
+//
+//apt:hotpath
+func maskPositive(dst, x, by []float32) {
+	for c, v := range by {
+		dst[c] = math.Float32frombits(math.Float32bits(x[c]) & positiveMask(v))
 	}
 }
 
@@ -182,10 +191,7 @@ func SegmentAggFusedBackward(edgePtr []int64, srcIdx []int32, out, dOut *Matrix,
 			}
 			dr, gr := dOut.Row(i), g.Row(i)
 			if relu {
-				or := out.Row(i)[:len(dr)]
-				for j, v := range or {
-					gr[j] = math.Float32frombits(math.Float32bits(dr[j]) & positiveMask(v))
-				}
+				maskPositive(gr, dr, out.Row(i)[:len(dr)])
 			} else {
 				copy(gr, dr)
 			}

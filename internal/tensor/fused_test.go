@@ -202,11 +202,14 @@ func TestMatVecSliceBitIdenticalToMatMul(t *testing.T) {
 		v := randomMatrix(dims[1], 1, rng)
 		want := MatMul(a, v)
 		got := make([]float32, a.Rows)
-		MatVecSlice(got, widen(a, 3, a.Cols+4, rng), 3, 3+a.Cols, v.Data)
-		matricesExact(t, "MatVecSlice", FromData(a.Rows, 1, got), want)
+		matVecSlice(got, widen(a, 3, a.Cols+4, rng), 0, 3, 3+a.Cols, v.Data)
+		matricesExact(t, "matVecSlice", FromData(a.Rows, 1, got), want)
 		head := make([]float32, a.Rows/2)
-		MatVecSlice(head, a, 0, a.Cols, v.Data)
-		matricesExact(t, "MatVecSlice rows", FromData(len(head), 1, head), FromData(len(head), 1, want.Data[:len(head)]))
+		matVecSlice(head, a, 0, 0, a.Cols, v.Data)
+		matricesExact(t, "matVecSlice rows", FromData(len(head), 1, head), FromData(len(head), 1, want.Data[:len(head)]))
+		tail := make([]float32, a.Rows-a.Rows/2)
+		matVecSlice(tail, a, a.Rows/2, 0, a.Cols, v.Data)
+		matricesExact(t, "matVecSlice from", FromData(len(tail), 1, tail), FromData(len(tail), 1, want.Data[a.Rows/2:]))
 		Put(want)
 	}
 }
@@ -264,42 +267,37 @@ func TestGatherTMatMulAccMatchesGatherThenAcc(t *testing.T) {
 
 // TestSliceKernelsMatchWholeMatrixOnCopy holds each band kernel to the
 // same kernel on a copy of the band, bit for bit, at every worker count
-// (blocks large enough for the parallel paths): which columns a band
+// (operands large enough for the parallel paths): which columns a band
 // kernel reads must not change a bit of what it computes.
 func TestSliceKernelsMatchWholeMatrixOnCopy(t *testing.T) {
 	rng := graph.NewRNG(42)
 	const lo, hi, cols = 7, 23, 37
-	nDst, nSrc := 512, 300
-	edgePtr, srcIdx := randomCSR(nDst, nSrc, 8, rng)
-	w := make([]float32, len(srcIdx))
-	for e := range w {
-		w[e] = rng.NormFloat32()
-	}
+	nSrc := 300
 	z := randomMatrix(nSrc, cols, rng)
 	sparsify(z, 0.3, rng)
-	dOut := randomMatrix(nDst, cols, rng)
-	zb, dOutb := sliceCols(z, lo, hi), sliceCols(dOut, lo, hi)
+	zb := sliceCols(z, lo, hi)
+	idx := make([]int32, 2*nSrc)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(nSrc))
+	}
 	forEachProcs(t, func(t *testing.T) {
-		d := randomMatrix(nSrc, 3, rng)
-		want := randomMatrix(hi-lo, 3, rng)
+		d := randomMatrix(len(idx), 40, rng)
+		want := randomMatrix(hi-lo, 40, rng)
 		got := want.Clone()
-		TMatMulAcc(want, zb, d)
-		TMatMulAccSlice(got, z, lo, hi, d)
-		matricesExact(t, "TMatMulAccSlice", got, want)
+		GatherTMatMulAccSrc(want, FS(zb), idx, d)
+		GatherTMatMulAccSliceSrc(got, FS(z), idx, lo, hi, d)
+		matricesExact(t, "GatherTMatMulAccSliceSrc", got, want)
 
-		out := randomMatrix(nDst, cols, rng)
-		wantOut := sliceCols(out, lo, hi)
-		SegmentWeightedSum(wantOut, edgePtr, srcIdx, w, zb, 0, hi-lo)
-		SegmentWeightedSum(out, edgePtr, srcIdx, w, z, lo, hi)
-		matricesExact(t, "SegmentWeightedSum", sliceCols(out, lo, hi), wantOut)
+		w := randomMatrix(hi-lo, 40, rng)
+		wantZ, gotZ := GatherMatMulSrc(FS(zb), idx, w), GatherMatMulSliceSrc(FS(z), idx, lo, hi, w)
+		matricesExact(t, "GatherMatMulSliceSrc", gotZ, wantZ)
 
-		dSrc := randomMatrix(nSrc, cols, rng)
-		wantSrc := sliceCols(dSrc, lo, hi)
-		gotW, wantW := make([]float32, len(w)), make([]float32, len(w))
-		SegmentWeightedSumBackward(wantSrc, wantW, edgePtr, srcIdx, w, zb, dOutb, 0, hi-lo)
-		SegmentWeightedSumBackward(dSrc, gotW, edgePtr, srcIdx, w, z, dOut, lo, hi)
-		matricesExact(t, "SegmentWeightedSumBackward dSrc", sliceCols(dSrc, lo, hi), wantSrc)
-		matricesExact(t, "SegmentWeightedSumBackward dW", FromData(1, len(gotW), gotW), FromData(1, len(wantW), wantW))
+		b := randomMatrix(50, hi-lo, rng)
+		wantH, gotH := MatMulT(zb, b), MatMulTSlice(z, lo, hi, b)
+		matricesExact(t, "MatMulTSlice", gotH, wantH)
+		for _, m := range []*Matrix{wantZ, gotZ, wantH, gotH} {
+			Put(m)
+		}
 	})
 }
 
@@ -394,11 +392,13 @@ func TestReLUInPlaceMatchesReLU(t *testing.T) {
 // path: with the pool warm and GOMAXPROCS=1 (the inline kernel path;
 // spawning the fan-out's goroutines and their closure allocates), one
 // forward+backward step through the dense, fused and tiered-source
-// kernels — MatMulT, the row-dot and the band kernels of the packed
-// GAT layer among them — must not touch the allocator. The pipelined
-// engine depends on it; neither the int8 tier's pooled dequant scratch
-// (the weight gradient's dequant panel among it) nor the backwards'
-// source-major index buffers may show up as steady-state allocation.
+// kernels — MatMulT, the band kernels and the attention forward and
+// backward of the packed GAT layer among them — must not touch the
+// allocator. The pipelined engine depends on it; neither the int8
+// tier's pooled dequant scratch (the weight gradient's dequant panel
+// among it), the backwards' source-major index buffers nor the
+// attention's job and edge-major buffers may show up as steady-state
+// allocation.
 func TestFusedKernelsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -422,17 +422,11 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	// kernel's row table and int8 dequant panel must not allocate.
 	w32 := randomMatrix(32, 32, rng)
 	grad32 := New(32, 32)
-	// The packed-layout GAT kernels work on the band [8, 16) of wide.
-	wide := randomMatrix(200, 32, rng)
-	aV := randomMatrix(8, 1, rng)
+	// Two-head attention over the packed [200, 2·8] projection.
+	att := randomMatrix(200, 16, rng)
+	aVecs := randomMatrix(2, 16, rng)
 	wBand := randomMatrix(12, 8, rng)
-	gradBand := New(8, 1)
-	dots := FromData(200, 1, make([]float32, 200))
-	alpha := make([]float32, len(srcIdx))
-	for e := range alpha {
-		alpha[e] = rng.NormFloat32()
-	}
-	dAlpha := make([]float32, len(srcIdx))
+	attEdgePtr, attSrcIdx := randomCSR(120, 200, 6, rng)
 
 	step := func() {
 		z := GatherMatMulSrc(FS(feats), idx, w)
@@ -452,16 +446,15 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 		GatherTMatMulAccSrc(grad32, FS(feats), idx, z32)
 		GatherTMatMulAccSrc(grad32, tiered, idx, z32)
 		Put(z32)
-		MatVecSlice(dots.Data, wide, 8, 16, aV.Data)
-		att := Get(120, 32)
-		SegmentWeightedSum(att, edgePtr, srcIdx, alpha, wide, 8, 16)
-		dWide := Get(200, 32)
-		SegmentWeightedSumBackward(dWide, dAlpha, edgePtr, srcIdx, alpha, wide, att, 8, 16)
-		TMatMulAccSlice(gradBand, wide, 8, 16, dots)
-		dHBand := MatMulTSlice(dWide, 8, 16, wBand)
+		ao, scores, alpha := SegmentAttention(attEdgePtr, attSrcIdx, att, aVecs, 2, true)
+		dAtt, dA := SegmentAttentionBackward(attEdgePtr, attSrcIdx, att, aVecs, scores, alpha, ao, ao, true)
+		dHBand := MatMulTSlice(dAtt, 8, 16, wBand)
 		Put(dHBand)
-		Put(dWide)
-		Put(att)
+		Put(dAtt)
+		Put(dA)
+		Put(scores)
+		Put(alpha)
+		Put(ao)
 		Put(h)
 		Put(dH)
 		Put(dZ)

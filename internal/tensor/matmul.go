@@ -517,17 +517,17 @@ func MatMulTSlice(a *Matrix, lo, hi int, b *Matrix) *Matrix {
 	return out
 }
 
-// MatVecSlice writes dst[i] = a[i][lo:hi] · v for the rows i <
-// len(dst) — the n = 1 product MatMul(a[:, lo:hi], v) without a
-// one-column GEMM panel. Each row's sum starts at +0 and adds its terms
-// in k order, as the GEMM's does; four rows run interleaved for ILP,
-// each with its own single accumulator, so no row's sum is reordered.
+// matVecSlice writes dst[i] = a[from+i][lo:hi] · v for i < len(dst) —
+// the n = 1 product MatMul(a[:, lo:hi], v) without a one-column GEMM
+// panel. Each row's sum starts at +0 and adds its terms in k order, as
+// the GEMM's does; four rows run interleaved for ILP, each with its own
+// single accumulator, so no row's sum is reordered.
 //
 //apt:hotpath
-func MatVecSlice(dst []float32, a *Matrix, lo, hi int, v []float32) {
+func matVecSlice(dst []float32, a *Matrix, from, lo, hi int, v []float32) {
 	k := hi - lo
 	v = v[:k]
-	ad, c := a.Data, a.Cols
+	ad, c := a.Data[from*a.Cols:], a.Cols
 	i := 0
 	for ; i+3 < len(dst); i += 4 {
 		r0 := ad[i*c+lo:][:k]
@@ -570,22 +570,13 @@ const tmatmulAccMinWork = 1 << 15
 //
 //apt:hotpath
 func TMatMulAcc(dst, a, b *Matrix) {
-	TMatMulAccSlice(dst, a, 0, a.Cols, b)
-}
-
-// TMatMulAccSlice accumulates dst += a[:, lo:hi]ᵀ @ b — TMatMulAcc on
-// the column band [lo, hi) of a, such as one head of a packed
-// projection.
-//
-//apt:hotpath
-func TMatMulAccSlice(dst, a *Matrix, lo, hi int, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic("tensor: TMatMulAcc outer dimension mismatch")
 	}
-	if dst.Rows != hi-lo || dst.Cols != b.Cols {
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: TMatMulAcc output shape mismatch")
 	}
-	gatherTMatMulAcc(dst, gemmA{src: a, lo: lo, hi: hi}, b)
+	gatherTMatMulAcc(dst, gemmA{src: a, hi: a.Cols}, b)
 }
 
 //apt:hotpath

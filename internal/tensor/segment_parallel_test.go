@@ -142,25 +142,6 @@ func naiveAggBackward(edgePtr []int64, srcIdx []int32, out, dOut *Matrix, mean, 
 	return dSrc
 }
 
-// naiveWeightedBackward is SegmentWeightedSumBackward's sequential
-// scatter on band [lo, hi): per edge, in order, dSrc's band gains
-// w[e]·dOut[i] and dW[e] is the dot of the source and dOut rows.
-func naiveWeightedBackward(dSrc *Matrix, dW []float32, edgePtr []int64, srcIdx []int32, w []float32, src, dOut *Matrix, lo, hi int) {
-	for i := 0; i+1 < len(edgePtr); i++ {
-		dr := dOut.Row(i)[lo:hi]
-		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
-			s := int(srcIdx[e])
-			sr, ds := src.Row(s)[lo:hi], dSrc.Row(s)[lo:hi]
-			var dot float32
-			for j := range dr {
-				ds[j] += w[e] * dr[j]
-				dot += sr[j] * dr[j]
-			}
-			dW[e] = dot
-		}
-	}
-}
-
 func TestSegmentSumBackwardParallelMatchesSequential(t *testing.T) {
 	rng := graph.NewRNG(21)
 	nDst, nSrc := 1024, 300
@@ -188,58 +169,34 @@ func TestSegmentMeanBackwardParallelMatchesSequential(t *testing.T) {
 	})
 }
 
-func TestSegmentWeightedSumBackwardParallelMatchesSequential(t *testing.T) {
-	rng := graph.NewRNG(23)
-	nDst, nSrc := 1024, 200
-	edgePtr, srcIdx := edgeCaseCSR(nDst, nSrc, 10, rng)
-	src := simdMatrix(rng, nSrc, 11, 0)
-	dOut := simdMatrix(rng, nDst, 11, 0)
-	w := make([]float32, len(srcIdx))
-	for i := range w {
-		w[i] = rng.NormFloat32()
-	}
-	// A non-zero starting gradient with −0 entries: the kernel adds onto
-	// it and must leave the rows no edge reaches exactly as they were.
-	dSrc0 := simdMatrix(rng, nSrc, 11, 0)
-	wantSrc, wantW := dSrc0.Clone(), make([]float32, len(w))
-	naiveWeightedBackward(wantSrc, wantW, edgePtr, srcIdx, w, src, dOut, 0, src.Cols)
-	forEachProcs(t, func(t *testing.T) {
-		gotSrc, gotW := dSrc0.Clone(), make([]float32, len(w))
-		SegmentWeightedSumBackward(gotSrc, gotW, edgePtr, srcIdx, w, src, dOut, 0, src.Cols)
-		bitsEqual(t, "SegmentWeightedSumBackward dSrc", gotSrc.Data, wantSrc.Data)
-		bitsEqual(t, "SegmentWeightedSumBackward dW", gotW, wantW)
-	})
-}
-
 // TestBackwardsConcurrentCallers runs the gathering backwards from
 // several goroutines at once, on blocks of different sizes, so pinned
-// transposes pass between callers and are regrown and reused while
-// others are in flight (run it under -race).
+// transposes and attention jobs pass between callers and are regrown
+// and reused while others are in flight (run it under -race).
 func TestBackwardsConcurrentCallers(t *testing.T) {
 	type block struct {
-		edgePtr   []int64
-		srcIdx    []int32
-		src, dOut *Matrix
-		w         []float32
-		wantAgg   *Matrix
-		wantSrc   *Matrix
-		wantW     []float32
+		attnCase
+		scores, alpha, out *Matrix
+		wantAgg            *Matrix
+		wantDZ, wantDA     *Matrix
 	}
 	rng := graph.NewRNG(24)
 	blocks := make([]block, 4)
 	for i := range blocks {
 		b := &blocks[i]
-		nDst, nSrc := 100+150*i, 60+90*i
-		b.edgePtr, b.srcIdx = edgeCaseCSR(nDst, nSrc, 3+2*i, rng)
-		b.src = simdMatrix(rng, nSrc, 9, 0)
-		b.dOut = simdMatrix(rng, nDst, 9, 0)
-		b.w = make([]float32, len(b.srcIdx))
-		for e := range b.w {
-			b.w[e] = rng.NormFloat32()
+		b.attnCase = newAttnCase(rng, 100+150*i, 160+190*i, 3+2*i, 1+i%3, 3)
+		b.wantAgg = naiveAggBackward(b.edgePtr, b.srcIdx, nil, b.dOut, true, false, b.z.Rows)
+		var s, a [][]float32
+		b.out, s, a = refAttention(b.edgePtr, b.srcIdx, b.z, b.a, b.heads, true)
+		b.wantDA = New(2, b.z.Cols)
+		b.wantDZ = refAttentionBackward(b.edgePtr, b.srcIdx, b.z, b.a, s, a, b.out, b.dOut, true, b.wantDA)
+		b.scores, b.alpha = New(len(b.srcIdx), b.heads), New(len(b.srcIdx), b.heads)
+		for k := range s {
+			for e := range b.srcIdx {
+				b.scores.Set(e, k, s[k][e])
+				b.alpha.Set(e, k, a[k][e])
+			}
 		}
-		b.wantAgg = naiveAggBackward(b.edgePtr, b.srcIdx, nil, b.dOut, true, false, nSrc)
-		b.wantSrc, b.wantW = New(nSrc, 9), make([]float32, len(b.w))
-		naiveWeightedBackward(b.wantSrc, b.wantW, b.edgePtr, b.srcIdx, b.w, b.src, b.dOut, 0, 9)
 	}
 	// same reports the first element whose bits differ; t.Fatal is not
 	// for goroutines other than the test's own.
@@ -260,13 +217,14 @@ func TestBackwardsConcurrentCallers(t *testing.T) {
 				defer wg.Done()
 				for it := 0; it < 20; it++ {
 					b := &blocks[(g+it)%len(blocks)]
-					got := SegmentAggFusedBackward(b.edgePtr, b.srcIdx, nil, b.dOut, true, false, b.src.Rows)
-					gotSrc, gotW := New(b.src.Rows, 9), make([]float32, len(b.w))
-					SegmentWeightedSumBackward(gotSrc, gotW, b.edgePtr, b.srcIdx, b.w, b.src, b.dOut, 0, 9)
+					got := SegmentAggFusedBackward(b.edgePtr, b.srcIdx, nil, b.dOut, true, false, b.z.Rows)
+					dZ, dA := SegmentAttentionBackward(b.edgePtr, b.srcIdx, b.z, b.a, b.scores, b.alpha, b.out, b.dOut, true)
 					ok := same(t, g, "mean backward", got.Data, b.wantAgg.Data) &&
-						same(t, g, "weighted dSrc", gotSrc.Data, b.wantSrc.Data) &&
-						same(t, g, "weighted dW", gotW, b.wantW)
+						same(t, g, "attention dZ", dZ.Data, b.wantDZ.Data) &&
+						same(t, g, "attention dA", dA.Data, b.wantDA.Data)
 					Put(got)
+					Put(dZ)
+					Put(dA)
 					if !ok {
 						return
 					}

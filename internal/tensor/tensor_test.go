@@ -70,10 +70,10 @@ func TestTMatMulEquivalence(t *testing.T) {
 	b := randomMatrix(1500, 9, rng)
 	forEachProcs(t, func(t *testing.T) {
 		got := New(a.Cols, b.Cols)
-		TMatMulAccSlice(got, a, 0, a.Cols, b)
+		TMatMulAcc(got, a, b)
 		want := New(a.Cols, b.Cols)
 		naiveTMatMulAccF32(want, a, b)
-		bitsEqual(t, "TMatMulAccSlice", got.Data, want.Data)
+		bitsEqual(t, "TMatMulAcc", got.Data, want.Data)
 	})
 }
 
@@ -185,9 +185,17 @@ func inner(a, b *Matrix) float64 {
 	return s
 }
 
+// attnWeights runs a one-head, one-column attention whose logits are
+// z[i] + z[src e] and returns its weights.
+func attnWeights(edgePtr []int64, srcIdx []int32, z []float32) []float32 {
+	out, scores, alpha := SegmentAttention(edgePtr, srcIdx, FromData(len(z), 1, z), FromData(2, 1, []float32{1, 1}), 1, false)
+	Put(out)
+	Put(scores)
+	return alpha.Data
+}
+
 func TestSegmentSoftmaxNormalizes(t *testing.T) {
-	scores := []float32{1, 2, 0.5, -1, 3}
-	p := SegmentSoftmax(tEdgePtr, scores)
+	p := attnWeights(tEdgePtr, tSrcIdx, []float32{1, 2, 0.5, -1})
 	for i := 0; i+1 < len(tEdgePtr); i++ {
 		lo, hi := tEdgePtr[i], tEdgePtr[i+1]
 		if lo == hi {
@@ -207,80 +215,10 @@ func TestSegmentSoftmaxNormalizes(t *testing.T) {
 }
 
 func TestSegmentSoftmaxStability(t *testing.T) {
-	scores := []float32{1000, 1001, 0, 0, 0}
-	p := SegmentSoftmax(tEdgePtr, scores)
+	p := attnWeights(tEdgePtr, tSrcIdx, []float32{1000, 1001, 0, -3000})
 	for _, v := range p {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("softmax produced %v on large inputs", v)
-		}
-	}
-}
-
-func TestSegmentSoftmaxBackwardNumerical(t *testing.T) {
-	scores := []float32{0.3, -0.7, 1.2, 0.1, -0.2}
-	dOut := []float32{1, -2, 0.5, 3, -1}
-	probs := SegmentSoftmax(tEdgePtr, scores)
-	dScores := SegmentSoftmaxBackward(tEdgePtr, probs, dOut)
-	const eps = 1e-3
-	for e := range scores {
-		orig := scores[e]
-		scores[e] = orig + eps
-		up := sdot(SegmentSoftmax(tEdgePtr, scores), dOut)
-		scores[e] = orig - eps
-		down := sdot(SegmentSoftmax(tEdgePtr, scores), dOut)
-		scores[e] = orig
-		num := (up - down) / (2 * eps)
-		if math.Abs(num-float64(dScores[e])) > 1e-2 {
-			t.Errorf("dScores[%d] = %v, numerical %v", e, dScores[e], num)
-		}
-	}
-}
-
-func sdot(a, b []float32) float64 {
-	var s float64
-	for i := range a {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
-func TestSegmentWeightedSumBackwardNumerical(t *testing.T) {
-	rng := graph.NewRNG(7)
-	src := randomMatrix(4, 2, rng)
-	w := []float32{0.5, -1, 2, 0.1, 1.5}
-	dOut := randomMatrix(3, 2, rng)
-	dSrc, dW := New(src.Rows, src.Cols), make([]float32, len(w))
-	SegmentWeightedSumBackward(dSrc, dW, tEdgePtr, tSrcIdx, w, src, dOut, 0, src.Cols)
-	weightedSum := func() *Matrix {
-		out := New(len(tEdgePtr)-1, src.Cols)
-		SegmentWeightedSum(out, tEdgePtr, tSrcIdx, w, src, 0, src.Cols)
-		return out
-	}
-	const eps = 1e-3
-	for e := range w {
-		orig := w[e]
-		w[e] = orig + eps
-		up := inner(weightedSum(), dOut)
-		w[e] = orig - eps
-		down := inner(weightedSum(), dOut)
-		w[e] = orig
-		num := (up - down) / (2 * eps)
-		if math.Abs(num-float64(dW[e])) > 1e-2 {
-			t.Errorf("dW[%d] = %v, numerical %v", e, dW[e], num)
-		}
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 2; c++ {
-			orig := src.At(r, c)
-			src.Set(r, c, orig+eps)
-			up := inner(weightedSum(), dOut)
-			src.Set(r, c, orig-eps)
-			down := inner(weightedSum(), dOut)
-			src.Set(r, c, orig)
-			num := (up - down) / (2 * eps)
-			if math.Abs(num-float64(dSrc.At(r, c))) > 1e-2 {
-				t.Errorf("dSrc[%d][%d] = %v, numerical %v", r, c, dSrc.At(r, c), num)
-			}
 		}
 	}
 }
@@ -316,14 +254,11 @@ func TestReLUAndBackward(t *testing.T) {
 }
 
 func TestLeakyReLU(t *testing.T) {
-	x := []float32{-2, 3}
-	y := LeakyReLUSlice(x, 0.2)
-	if y[0] != -0.4 || y[1] != 3 {
-		t.Errorf("LeakyReLU = %v", y)
+	if y0, y1 := leaky(-2, -2), leaky(3, 3); y0 != -0.4 || y1 != 3 {
+		t.Errorf("LeakyReLU = %v %v", y0, y1)
 	}
-	d := LeakyReLUSliceBackward(x, []float32{1, 1}, 0.2)
-	if d[0] != 0.2 || d[1] != 1 {
-		t.Errorf("LeakyReLU backward = %v", d)
+	if d0, d1 := leaky(-2, 1), leaky(3, 1); d0 != 0.2 || d1 != 1 {
+		t.Errorf("LeakyReLU backward = %v %v", d0, d1)
 	}
 }
 
