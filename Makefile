@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke examples-smoke count pair
+.PHONY: build test lint verify bench bench-smoke examples-smoke count pair reach
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,7 @@ examples-smoke:
 # everything (including the serving daemon), then run the
 # concurrency-heavy packages (pipelined engine, the model forward that
 # serving runs concurrently on one shared model, pooled kernels,
-# inference server — including the blue/green reload path, span/metrics
+# inference server — including the model reload path, span/metrics
 # collection, comm collectives, device clocks, the TCP transport's loopback
 # collective tests, the checkpoint codec, and the int8 cache tier) under
 # the race detector.
@@ -68,6 +68,15 @@ bench:
 # make pair BASE=<rev> W=<workload> N=<pairs> [TRACE=1]
 pair:
 	BASE=$(BASE) W=$(W) N=$(N) TRACE=$(TRACE) bash scripts/pair.sh
+
+# reach reports which code the benchmark's traffic runs: it builds the
+# benchmark with coverage of the whole module, runs every workload
+# untraced and traced for a few seconds, and prints each package's
+# statement coverage and every function at 0 % (scripts/reach.sh). A
+# report, not a gate: a function at 0 % is a question, not a deletion
+# verdict.
+reach:
+	bash scripts/reach.sh
 
 # count prints the sizes a simplicity PR quotes before and after: code
 # lines outside tests and bench/, exported functions and methods of

@@ -6,7 +6,8 @@
 // drained through its ack/done channels before the schedule is
 // charged, the prefetcher closes its output channel and the consumer
 // drains it, transport loops signal WaitGroups that Close waits on,
-// serve workers retire through a quit channel and a WaitGroup. A `go`
+// serve workers exit when Close closes the request channel and signal
+// the WaitGroup Close waits on. A `go`
 // statement with none of those is a leak: it outlives its owner,
 // races teardown, and (for the gradsync class) silently breaks the
 // drain-before-collective contract.

@@ -20,9 +20,6 @@ type Partitioning struct {
 	NumParts int
 }
 
-// Part returns the part of node v.
-func (p *Partitioning) Part(v graph.NodeID) int32 { return p.Assign[v] }
-
 // Sizes returns the node count of each part.
 func (p *Partitioning) Sizes() []int {
 	sizes := make([]int, p.NumParts)

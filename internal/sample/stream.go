@@ -42,9 +42,6 @@ func (r *RequestSet) Add(nodes []graph.NodeID) int {
 	return len(r.rows) - 1
 }
 
-// NumRequests returns how many requests have been added since Reset.
-func (r *RequestSet) NumRequests() int { return len(r.rows) }
-
 // NumSeeds returns the deduplicated seed count.
 func (r *RequestSet) NumSeeds() int { return len(r.seeds) }
 

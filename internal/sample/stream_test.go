@@ -10,8 +10,8 @@ func TestRequestSetCoalesces(t *testing.T) {
 	rs := NewRequestSet()
 	a := rs.Add([]graph.NodeID{5, 9, 5})
 	b := rs.Add([]graph.NodeID{9, 2})
-	if rs.NumRequests() != 2 {
-		t.Fatalf("NumRequests = %d", rs.NumRequests())
+	if a != 0 || b != 1 {
+		t.Fatalf("request ids %d, %d, want 0, 1", a, b)
 	}
 	wantSeeds := []graph.NodeID{5, 9, 2}
 	if got := rs.Seeds(); len(got) != len(wantSeeds) {
@@ -38,11 +38,13 @@ func TestRequestSetReset(t *testing.T) {
 	rs := NewRequestSet()
 	rs.Add([]graph.NodeID{1, 2, 3})
 	rs.Reset()
-	if rs.NumRequests() != 0 || rs.NumSeeds() != 0 {
-		t.Fatalf("reset left %d requests, %d seeds", rs.NumRequests(), rs.NumSeeds())
+	if rs.NumSeeds() != 0 {
+		t.Fatalf("reset left %d seeds", rs.NumSeeds())
 	}
 	// Seeds added before Reset must not leak into the next batch's dedup.
-	rs.Add([]graph.NodeID{2})
+	if id := rs.Add([]graph.NodeID{2}); id != 0 {
+		t.Fatalf("first request after reset has id %d, want 0", id)
+	}
 	if rows := rs.Rows(0); rows[0] != 0 {
 		t.Fatalf("rows after reset = %v", rows)
 	}

@@ -23,17 +23,16 @@ import (
 // feature loading across requests. A lone worker never waits: its
 // batches are whatever queued during its previous one.
 
-// worker drives one inference worker until the request channel closes
-// (shutdown) or quit closes (this worker's generation was retired by a
-// model reload). A batch claimed before either signal still executes
-// to completion on this generation's model — retirement never drops a
-// request.
-func (s *Server) worker(w *engine.InferWorker, quit chan struct{}) {
+// worker drives inference worker i until the request channel closes
+// (shutdown). Each batch runs on worker i of the generation live when
+// the batch is filled, so a Reload takes effect at the next batch and
+// every generation's worker i is driven by this one goroutine.
+func (s *Server) worker(i int) {
 	defer s.wg.Done()
 	rs := sample.NewRequestSet()
 	var batch []*pending
 	for {
-		p, ok := s.next(quit)
+		p, ok := s.next()
 		if !ok {
 			return
 		}
@@ -45,6 +44,9 @@ func (s *Server) worker(w *engine.InferWorker, quit chan struct{}) {
 		s.load.Lock()
 		s.busy++
 		s.load.Unlock()
+		s.mu.RLock()
+		w := s.inf.Worker(i)
+		s.mu.RUnlock()
 		s.runBatch(w, rs, batch)
 		s.batchFinished()
 	}
@@ -52,14 +54,8 @@ func (s *Server) worker(w *engine.InferWorker, quit chan struct{}) {
 
 // next claims the worker's next request. A worker blocked on an empty
 // queue counts as idle, which tells filling peers not to wait. ok is
-// false at shutdown or retirement; a retired worker claims nothing
-// more, even from a non-empty queue.
-func (s *Server) next(quit chan struct{}) (p *pending, ok bool) {
-	select {
-	case <-quit:
-		return nil, false
-	default:
-	}
+// false at shutdown.
+func (s *Server) next() (p *pending, ok bool) {
 	select {
 	case p, ok = <-s.reqs:
 		return p, ok
@@ -68,17 +64,11 @@ func (s *Server) next(quit chan struct{}) (p *pending, ok bool) {
 	s.load.Lock()
 	s.idle++
 	s.load.Unlock()
-	defer func() {
-		s.load.Lock()
-		s.idle--
-		s.load.Unlock()
-	}()
-	select {
-	case <-quit:
-		return nil, false
-	case p, ok = <-s.reqs:
-		return p, ok
-	}
+	p, ok = <-s.reqs
+	s.load.Lock()
+	s.idle--
+	s.load.Unlock()
+	return p, ok
 }
 
 // batchFinished marks the end of one worker's batch and wakes every

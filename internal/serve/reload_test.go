@@ -6,12 +6,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
+	"repro/internal/hardware"
 	"repro/internal/nn"
 )
 
@@ -241,5 +244,52 @@ func TestReloadAfterCloseFails(t *testing.T) {
 	}
 	if err := s.Reload(f.altModel(4)); err != ErrServerClosed {
 		t.Fatalf("reload after close: %v, want ErrServerClosed", err)
+	}
+}
+
+// TestPostReloadRequestGetsNewModel: a request sent after Reload returns
+// is answered by the new model, even when a worker claimed an earlier
+// request before the swap and is still filling its batch. The one
+// worker waits for company behind a peer stood in for by the busy
+// count, so request A holds its batch open across the Reload; B, sent
+// after it, joins that batch, which runs on the generation live when
+// it leaves fill. The requests go straight onto the queue, as Predict
+// sends them, so the test knows when each has been handed over.
+func TestPostReloadRequestGetsNewModel(t *testing.T) {
+	f := newFixture(t)
+	s := f.server(t, func(c *Config) {
+		c.Platform = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
+		c.MaxDelay = 10 * time.Minute
+	})
+	defer s.Close()
+
+	s.load.Lock()
+	s.busy++
+	s.load.Unlock()
+	a := enqueue(s, 5)
+	for len(s.reqs) > 0 { // until the worker has claimed A
+		runtime.Gosched()
+	}
+	// Let the worker settle into fill's wait. The answer checked below
+	// does not depend on it; it keeps the test sharp against a pool
+	// whose reload leaves a worker of the old generation filling.
+	time.Sleep(10 * time.Millisecond)
+	m2 := f.altModel(99)
+	if err := s.Reload(m2); err != nil {
+		t.Fatal(err)
+	}
+	const v = graph.NodeID(42)
+	b := enqueue(s, v)
+	s.batchFinished()
+	for _, p := range []*pending{a, b} {
+		<-p.done
+		if p.err != nil || len(p.res) != 1 {
+			t.Fatalf("request for node %d: %v, %d results", p.nodes[0], p.err, len(p.res))
+		}
+	}
+	for i, w := range f.directWith(m2, v) {
+		if got := b.res[0].Scores[i]; math.Float32bits(got) != math.Float32bits(w) {
+			t.Fatalf("request sent after Reload: score %d = %v, the new model predicts %v", i, got, w)
+		}
 	}
 }

@@ -17,6 +17,12 @@
 // as projecting per batch, at a fraction of the compute. New and Reload
 // pay that projection before any request reaches the generation.
 //
+// The worker pool lives as long as the server: New starts one goroutine
+// per worker and Close ends them. A model generation is only what the
+// workers read: goroutine i runs each batch it has filled on the live
+// generation's worker i, so Reload swaps one pointer and a request sent
+// after Reload returns is answered by the new model.
+//
 // Every answer is deterministic under any sampling method the server
 // accepts: an answer is one keyed draw, or for a hub, a node with more
 // neighbours than the product of the fanouts, the mean of up to four.
@@ -192,12 +198,10 @@ type Server struct {
 
 	mu     sync.RWMutex
 	closed bool
-	// Blue/green state under mu: inf is the live generation's worker
-	// pool, quit tells the previous generation's workers to stop
-	// claiming requests, retiredSimSec accumulates the simulated time
-	// of retired generations, and modelVersion counts swaps.
+	// The model generation under mu: inf is the live one, which each
+	// batch reads as it starts; retiredSimSec accumulates the simulated
+	// time of replaced generations, and modelVersion counts swaps.
 	inf           *engine.Inferencer
-	quit          chan struct{}
 	retiredSimSec float64
 	modelVersion  int
 
@@ -207,12 +211,23 @@ type Server struct {
 	flushErr  error
 }
 
-// New builds the feature store (host placement + per-device caches),
-// the inference worker pool, and starts the micro-batcher. Options
+// New builds the feature store (host placement + per-device caches)
+// and the first model generation, and starts the worker pool. Options
 // attach observers: obs.WithTracePath exports a Chrome trace of the
 // workers' simulated-clock spans on Close, obs.WithObserver receives
 // the span tracks and the metrics registry on Close.
 func New(cfg Config, opts ...obs.Option) (*Server, error) {
+	s, err := newServer(cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// newServer is New without starting the workers: requests queue until
+// start.
+func newServer(cfg Config, opts ...obs.Option) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -225,7 +240,6 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 		cfg:      cfg,
 		store:    store,
 		inf:      inf,
-		quit:     make(chan struct{}),
 		reg:      obs.NewRegistry(),
 		obsO:     obs.BuildOptions(opts...),
 		reqs:     make(chan *pending, queueCap),
@@ -245,8 +259,16 @@ func New(cfg Config, opts ...obs.Option) (*Server, error) {
 		s.spans = obs.NewCollector()
 		inf.AttachSpans(s.spans)
 	}
-	s.startWorkers(inf, s.quit)
 	return s, nil
+}
+
+// start launches one goroutine per inference worker; they run until
+// Close.
+func (s *Server) start() {
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.wg.Add(1)
+		go s.worker(i)
+	}
 }
 
 // buildStore assembles the serving feature store: host placement plus
@@ -264,8 +286,7 @@ func buildStore(cfg *Config) *cache.Store {
 	return store
 }
 
-// newInferencer builds one generation's worker pool over the shared
-// store.
+// newInferencer builds one model generation over the shared store.
 func newInferencer(cfg *Config, store *cache.Store, m *nn.Model) (*engine.Inferencer, error) {
 	return engine.NewInferencer(engine.InferConfig{
 		Platform: cfg.Platform,
@@ -278,25 +299,15 @@ func newInferencer(cfg *Config, store *cache.Store, m *nn.Model) (*engine.Infere
 	})
 }
 
-// startWorkers launches one goroutine per inference worker of a
-// generation; quit retires them without touching the shared queue.
-func (s *Server) startWorkers(inf *engine.Inferencer, quit chan struct{}) {
-	for w := 0; w < inf.NumWorkers(); w++ {
-		s.wg.Add(1)
-		go s.worker(inf.Worker(w), quit)
-	}
-}
-
-// Reload blue/green-swaps the serving model: a new generation of
-// workers over m starts consuming the shared request queue, then the
-// old generation is told to retire. In-flight batches complete on the
-// model they started with, queued requests are picked up by the new
-// generation, and no request is ever dropped — there is no instant
-// with zero live workers. The feature store is shared (it holds
-// features, not model state); the layer-0 projection table is model
-// state, so each generation builds its own, here, before the swap. m
-// must match the architecture the server was built with only in
-// input/output contract; its parameters are used as-is.
+// Reload swaps the serving model: every batch that starts after Reload
+// returns runs on m, so a request sent after it is answered by m.
+// In-flight batches complete on the model they started with, and the
+// workers and the request queue are untouched, so no request is
+// dropped. The feature store is shared (it holds features, not model
+// state); the layer-0 projection table is model state, so each
+// generation builds its own, here, before the swap. m must match the
+// architecture the server was built with only in input/output
+// contract; its parameters are used as-is.
 func (s *Server) Reload(m *nn.Model) error {
 	if m == nil {
 		return fmt.Errorf("serve: reload with nil model")
@@ -313,15 +324,9 @@ func (s *Server) Reload(m *nn.Model) error {
 	if s.spans != nil {
 		inf.AttachSpans(s.spans)
 	}
-	oldInf, oldQuit := s.inf, s.quit
-	s.retiredSimSec += oldInf.SimSeconds()
+	s.retiredSimSec += s.inf.SimSeconds()
 	s.inf = inf
-	s.quit = make(chan struct{})
 	s.modelVersion++
-	// Green before blue: the new workers are live before the old ones
-	// are told to go, so the queue never loses its consumers.
-	s.startWorkers(inf, s.quit)
-	close(oldQuit)
 	s.reloads.Inc()
 	s.mu.Unlock()
 	return nil
@@ -417,12 +422,8 @@ func (s *Server) Stats() Snapshot { return s.stats.Snapshot() }
 // endpoint renders it in the text exposition format).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// NumWorkers returns the live generation's inference pool size.
-func (s *Server) NumWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inf.NumWorkers()
-}
+// NumWorkers returns the inference pool size.
+func (s *Server) NumWorkers() int { return s.cfg.Workers }
 
 // Close stops the server: new Predict calls fail with ErrServerClosed,
 // while already-queued and in-flight requests drain and complete.

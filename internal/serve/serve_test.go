@@ -68,6 +68,15 @@ var samplings = []struct {
 
 func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Option) *Server {
 	t.Helper()
+	s := f.unstarted(t, mutate, opts...)
+	s.start()
+	return s
+}
+
+// unstarted is server without its workers: requests queue until the
+// test calls s.start.
+func (f *testFixture) unstarted(t testing.TB, mutate func(*Config), opts ...obs.Option) *Server {
+	t.Helper()
 	cfg := Config{
 		Graph:    f.ds.Graph,
 		Feats:    f.ds.Feats,
@@ -81,7 +90,7 @@ func (f *testFixture) server(t testing.TB, mutate func(*Config), opts ...obs.Opt
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := New(cfg, opts...)
+	s, err := newServer(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,18 +262,17 @@ func TestUnknownNode(t *testing.T) {
 
 // TestMicroBatchingCoalesces floods one worker and checks batches
 // bigger than one request actually formed. A lone worker never waits
-// for company, so the flood is queued while it is paused: what it then
+// for company, so the flood is queued before it starts: what it then
 // finds queued is what it batches, on any number of processors.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	f := newFixture(t)
-	s := f.server(t, func(c *Config) {
+	s := f.unstarted(t, func(c *Config) {
 		c.Platform = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
 		c.MaxDelay = 5 * time.Millisecond
 	})
 	defer s.Close()
 
 	const n = 128
-	pauseWorkers(s)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -276,7 +284,7 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 		}(i)
 	}
 	waitQueued(s, n)
-	resumeWorkers(s)
+	s.start()
 	wg.Wait()
 	st := s.Stats()
 	if st.Requests != n {
@@ -486,21 +494,12 @@ func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 	}
 }
 
-// pauseWorkers retires the live generation's workers and waits until
-// they have exited, so requests stay queued until resumeWorkers starts a
-// new generation over the same inferencer.
-func pauseWorkers(s *Server) {
-	s.mu.Lock()
-	close(s.quit)
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-func resumeWorkers(s *Server) {
-	s.mu.Lock()
-	s.quit = make(chan struct{})
-	s.startWorkers(s.inf, s.quit)
-	s.mu.Unlock()
+// enqueue puts a request for v straight onto s's queue, as Predict does
+// once it has checked it, and returns it for the test to wait on.
+func enqueue(s *Server, v graph.NodeID) *pending {
+	p := &pending{ctx: context.Background(), nodes: []graph.NodeID{v}, enq: time.Now(), done: make(chan struct{})}
+	s.reqs <- p
+	return p
 }
 
 // waitQueued yields until the request queue holds n requests.
@@ -530,16 +529,15 @@ func TestIdleWorkerDispatchesAtOnce(t *testing.T) {
 }
 
 // TestBusyWorkersStillCoalesce: a burst that queues up while both
-// workers are busy is served in shared batches. The workers are paused
-// until the whole burst is queued, so a worker never finds the queue
+// workers are busy is served in shared batches. The workers start only
+// once the whole burst is queued, so a worker never finds the queue
 // dry and the coalescing does not depend on goroutine scheduling.
 func TestBusyWorkersStillCoalesce(t *testing.T) {
 	f := newFixture(t)
-	s := f.server(t, nil)
+	s := f.unstarted(t, nil)
 	defer s.Close()
 
 	const n = 256
-	pauseWorkers(s)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -551,7 +549,7 @@ func TestBusyWorkersStillCoalesce(t *testing.T) {
 		}(i)
 	}
 	waitQueued(s, n)
-	resumeWorkers(s)
+	s.start()
 	wg.Wait()
 	st := s.Stats()
 	if st.Requests != n {
@@ -615,15 +613,12 @@ func TestPeerFinishReleasesWaitingWorker(t *testing.T) {
 // drain.
 func TestFullQueueFailsFast(t *testing.T) {
 	f := newFixture(t)
-	s := f.server(t, nil)
+	s := f.unstarted(t, nil)
 	defer s.Close()
 
-	pauseWorkers(s)
 	var queued []*pending
 	for len(s.reqs) < cap(s.reqs) {
-		p := &pending{ctx: context.Background(), nodes: []graph.NodeID{1}, enq: time.Now(), done: make(chan struct{})}
-		s.reqs <- p
-		queued = append(queued, p)
+		queued = append(queued, enqueue(s, 1))
 	}
 	if _, err := s.Predict([]graph.NodeID{2}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Predict on a full queue: %v, want ErrOverloaded", err)
@@ -631,7 +626,7 @@ func TestFullQueueFailsFast(t *testing.T) {
 	if got := s.Stats().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
-	resumeWorkers(s)
+	s.start()
 	for _, p := range queued {
 		<-p.done
 		if p.err != nil || len(p.res) != 1 {
@@ -648,12 +643,11 @@ func TestFullQueueFailsFast(t *testing.T) {
 // and the requests that share its batch get bit-identical answers.
 func TestCancelledRequestNotExecuted(t *testing.T) {
 	f := newFixture(t)
-	s := f.server(t, func(c *Config) {
+	s := f.unstarted(t, func(c *Config) {
 		c.Platform = hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
 	})
 	defer s.Close()
 
-	pauseWorkers(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 1)
 	go func() {
@@ -687,7 +681,7 @@ func TestCancelledRequestNotExecuted(t *testing.T) {
 		}(v)
 	}
 	waitQueued(s, 1+len(live))
-	resumeWorkers(s)
+	s.start()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -67,9 +67,9 @@ func BenchmarkMatMulDense(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulPackedWide exercises the packed-B panel path: enough
-// rows to amortize packing and a wide-enough N to need column tiles.
-func BenchmarkMatMulPackedWide(b *testing.B) {
+// BenchmarkMatMulWide runs an output one full column block (gemmNB)
+// wide.
+func BenchmarkMatMulWide(b *testing.B) {
 	rng := graph.NewRNG(2)
 	a := benchRandMat(rng, benchRows, 128)
 	w := benchRandMat(rng, 128, 256)

@@ -72,11 +72,11 @@ func sparsify(m *Matrix, frac float64, rng *graph.RNG) {
 func TestTiledMatMulBitIdenticalToNaive(t *testing.T) {
 	rng := graph.NewRNG(31)
 	// Shapes chosen to cross every blocking boundary: single k-panel,
-	// multiple k-panels (k > gemmKC), column blocking + packing
-	// (n > gemmNB with a tall row block), and ragged remainders.
+	// multiple k-panels (k > gemmKC), column blocking (n > gemmNB,
+	// short and tall row bands), and ragged remainders.
 	for _, dims := range [][3]int{
 		{1, 1, 1}, {3, 4, 5}, {17, 9, 23}, {64, 32, 48},
-		{40, gemmKC + 37, gemmNB + 61}, {gemmPackMinRows + 5, 2 * gemmKC, gemmNB + 1},
+		{40, gemmKC + 37, gemmNB + 61}, {37, 2 * gemmKC, gemmNB + 1},
 		{100, 7, 3}, {5, 300, 300},
 	} {
 		a := randomMatrix(dims[0], dims[1], rng)
@@ -159,7 +159,7 @@ func widen(m *Matrix, lo, cols int, rng *graph.RNG) *Matrix {
 // blocked GEMM against bᵀ, to the scalar dot product per element:
 // k > gemmKC crosses k-panels, n a multiple of 8 runs wholly on the
 // vector kernel while ragged n leaves it a tail, and m ≥ 32 at
-// GOMAXPROCS 2 takes the parallelTiles branch. The band form reads the
+// GOMAXPROCS 2 splits the rows into parallel bands. The band form reads the
 // same a as a column band of a wider matrix.
 func TestMatMulTBitIdenticalToNaive(t *testing.T) {
 	rng := graph.NewRNG(35)

@@ -246,7 +246,7 @@ func simdTable(visit func(simdCase)) {
 
 // TestSIMDQuadKernelMatchesGeneric compares the four-row panel kernel
 // with four gemmPanelDenseGeneric calls, first on its own and then
-// inside gemmTile on the packed-panel path.
+// inside gemmTile on a column block narrower than the output.
 func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 	requireAVX512(t)
 	rng := graph.NewRNG(91)
@@ -282,11 +282,11 @@ func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 		}
 	}
 
-	// gemmTile on a column block narrower than n and a row block of at
-	// least gemmPackMinRows rows starting at an odd row — the packed
-	// panel — in every operand form, the int8 tier's among them. The
-	// block's 61 columns are 48 for the kernel, 8 for gemmRowK and 5
-	// for the Go tail.
+	// gemmTile on a column block narrower than n and a row band
+	// starting at an odd row — B read in place at the block's offset
+	// into its full rows — in every operand form, the int8 tier's among
+	// them. The block's 61 columns are 48 for the kernel, 8 for
+	// gemmRowK and 5 for the Go tail.
 	const m, n, k = 43, 70, 133
 	const i0, i1, j0, j1 = 1, 40, 5, 66
 	for form := 0; form < 4; form++ {

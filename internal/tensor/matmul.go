@@ -3,7 +3,6 @@ package tensor
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Dense GEMM kernels, cache-blocked and fused.
@@ -52,81 +51,13 @@ func parallelRows(rows, minRowsPerTask, align int, fn func(lo, hi int)) {
 }
 
 // Blocking parameters. gemmKC bounds the k-panel so a panel of B rows
-// stays cache-resident across a row block; gemmNB bounds the output
-// column block so one block of B columns (and its packed panel) fits
-// comfortably in L1/L2 alongside the A row.
+// stays cache-resident across a row band; gemmNB bounds the output
+// column block so one block of B columns fits comfortably in L1/L2
+// alongside the A row.
 const (
 	gemmKC = 128
 	gemmNB = 256
-	// gemmPackMinRows is the row-block size below which packing a B
-	// panel cannot amortize its copy.
-	gemmPackMinRows = 32
 )
-
-// parallelTiles partitions an m x n output into (row block x column
-// block) tiles and runs fn over them on up to GOMAXPROCS goroutines
-// pulling tiles from a shared counter — 2D parallelism with disjoint
-// output regions. Small problems (or GOMAXPROCS=1) run inline.
-func parallelTiles(rows, cols, minRowsPerTask, colBlock int, fn func(i0, i1, j0, j1 int)) {
-	jb := (cols + colBlock - 1) / colBlock
-	if jb < 1 {
-		jb = 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	rb := 1
-	if minRowsPerTask > 0 {
-		rb = rows / minRowsPerTask
-	}
-	if rb > workers {
-		rb = workers
-	}
-	if rb < 1 {
-		rb = 1
-	}
-	tiles := rb * jb
-	if workers == 1 || tiles == 1 {
-		for j0 := 0; j0 < cols; j0 += colBlock {
-			j1 := j0 + colBlock
-			if j1 > cols {
-				j1 = cols
-			}
-			fn(0, rows, j0, j1)
-		}
-		return
-	}
-	chunk := (rows + rb - 1) / rb
-	if workers > tiles {
-		workers = tiles
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= tiles {
-					return
-				}
-				i0 := (t / jb) * chunk
-				i1 := i0 + chunk
-				if i1 > rows {
-					i1 = rows
-				}
-				j0 := (t % jb) * colBlock
-				j1 := j0 + colBlock
-				if j1 > cols {
-					j1 = cols
-				}
-				if i0 < i1 {
-					fn(i0, i1, j0, j1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // gemmA is the left-operand view of the blocked GEMM: plain matrix
 // rows, gathered rows (row r reads src[idx[r]]), or a column window
@@ -403,53 +334,44 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, i0, i1, j0, j1 int) {
 	// separate goroutines and row() mutates the slot cursor.
 	a, aScratch := a.withScratch()
 	k, n := a.k(), out.Cols
-	jw := j1 - j0
-	// Pack the B panel when column blocking is active and the row block
-	// is tall enough to amortize the copy: the packed panel is
-	// contiguous, so the inner kernels stream it without striding across
-	// the full B row.
-	var packMat *Matrix
-	var pack []float32
-	if jw < n && i1-i0 >= gemmPackMinRows {
-		packMat = Get(gemmKC, jw)
-		pack = packMat.Data
-	}
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		k1 := k0 + gemmKC
 		if k1 > k {
 			k1 = k
 		}
-		bd, bw, bj := b.Data[k0*n:], n, j0
-		if pack != nil {
-			for kk := k0; kk < k1; kk++ {
-				copy(pack[(kk-k0)*jw:(kk-k0)*jw+jw], b.Data[kk*n+j0:kk*n+j1])
-			}
-			bd, bw, bj = pack, jw, 0
-		}
+		bd := b.Data[k0*n:]
 		i := i0
-		if hasAVX512 && jw >= 16 {
+		if hasAVX512 && j1-j0 >= 16 {
 			// Four rows per call share each B load; the four A rows
 			// stay live together, which the dequant scratch covers.
 			for ; i+3 < i1; i += 4 {
 				or := [4][]float32{out.Row(i)[j0:j1], out.Row(i + 1)[j0:j1], out.Row(i + 2)[j0:j1], out.Row(i + 3)[j0:j1]}
 				ar := [4][]float32{a.row(i)[k0:k1], a.row(i + 1)[k0:k1], a.row(i + 2)[k0:k1], a.row(i + 3)[k0:k1]}
-				gemmPanelQuad(&or, &ar, bd, bw, bj)
+				gemmPanelQuad(&or, &ar, bd, n, j0)
 			}
 		}
 		for ; i < i1; i++ {
-			gemmPanelDense(out.Row(i)[j0:j1], a.row(i)[k0:k1], bd, bw, bj)
+			gemmPanelDense(out.Row(i)[j0:j1], a.row(i)[k0:k1], bd, n, j0)
 		}
-	}
-	if packMat != nil {
-		Put(packMat)
 	}
 	Put(aScratch)
 }
 
-// gemmInto computes out += A @ b tiled. Single-proc (and small)
-// problems walk the column blocks directly — no closure, no goroutines,
-// zero allocations in steady state; larger ones go through the 2D tile
-// scheduler.
+// gemmBand computes the output rows [i0, i1) of out += A @ b, one
+// column block after another.
+//
+//apt:hotpath
+func gemmBand(out *Matrix, a gemmA, b *Matrix, i0, i1 int) {
+	n := out.Cols
+	for j0 := 0; j0 < n; j0 += gemmNB {
+		gemmTile(out, a, b, i0, i1, j0, min(j0+gemmNB, n))
+	}
+}
+
+// gemmInto computes out += A @ b in row bands, each walking the column
+// blocks. Single-proc (and small) problems run one band inline — no
+// closure, no goroutines, zero allocations in steady state; larger ones
+// split the rows across goroutines.
 //
 //apt:hotpath
 func gemmInto(out *Matrix, a gemmA, b *Matrix) {
@@ -461,19 +383,11 @@ func gemmInto(out *Matrix, a gemmA, b *Matrix) {
 		return
 	}
 	if runtime.GOMAXPROCS(0) == 1 || m < 32 {
-		for j0 := 0; j0 < n; j0 += gemmNB {
-			j1 := j0 + gemmNB
-			if j1 > n {
-				j1 = n
-			}
-			gemmTile(out, a, b, 0, m, j0, j1)
-		}
+		gemmBand(out, a, b, 0, m)
 		return
 	}
 	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
-	parallelTiles(m, n, 16, gemmNB, func(i0, i1, j0, j1 int) {
-		gemmTile(out, a, b, i0, i1, j0, j1)
-	})
+	parallelRows(m, 16, 4, func(i0, i1 int) { gemmBand(out, a, b, i0, i1) })
 }
 
 // MatMul returns a @ b (a: m x k, b: k x n). The result is pool-backed

@@ -77,9 +77,6 @@ type Encoder struct {
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.B = append(e.B, v) }
 
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.B = binary.LittleEndian.AppendUint16(e.B, v) }
-
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.B = binary.LittleEndian.AppendUint32(e.B, v) }
 
@@ -162,15 +159,6 @@ func (d *Decoder) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a little-endian uint32.

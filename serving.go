@@ -2,10 +2,10 @@ package repro
 
 // Serving surface of the facade: online inference over a trained
 // model with adaptive micro-batching (package internal/serve), plus
-// blue/green model hot-swap — Server.Reload installs a new model
-// without dropping a single in-flight request, and
-// Server.ReloadCheckpoint does the same from the checkpoint file
-// named by WithReload.
+// live model swap — Server.Reload installs a new model without
+// dropping a request, and every request sent after it returns is
+// answered by the new model; Server.ReloadCheckpoint does the same
+// from the checkpoint file named by WithReload.
 
 import "repro/internal/serve"
 
