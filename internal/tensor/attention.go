@@ -109,6 +109,7 @@ func attnDots(j attnJob, r0, r1 int) {
 //apt:hotpath
 func attnForwardRows(j attnJob, i0, i1 int) {
 	h, sc, al := j.heads, j.scores.Data, j.alpha.Data
+	sum := rowTerms{src: j.z.Data, ss: j.z.Cols, ws: h, dh: j.dh}
 	for i := i0; i < i1; i++ {
 		e0, e1 := int(j.edgePtr[i]), int(j.edgePtr[i+1])
 		for k := 0; k < h; k++ {
@@ -135,9 +136,8 @@ func attnForwardRows(j attnJob, i0, i1 int) {
 			}
 		}
 		or := j.out.Row(i)
-		for e := e0; e < e1; e++ {
-			addBands(or, al[e*h:(e+1)*h], j.z.Row(int(j.srcIdx[e])), j.dh)
-		}
+		sum.idx, sum.m, sum.w = j.srcIdx[e0:e1], e1-e0, al[e0*h:]
+		rowAccum(or, &sum)
 		if j.relu {
 			maskPositive(or, or, or)
 		}
@@ -209,28 +209,33 @@ func attnBackwardDstRows(j attnJob, i0, i1 int) {
 }
 
 // attnBackwardSrcRows runs source rows [s0, s1) over the block's
-// source-major order: per edge, in ascending edge order, the row of dZ
-// gathers α·dO per head and the row's dEr (from +0) adds the edge's
-// dS; then the rank-1 terms dEl·aL (destination rows) and dEr·aR.
+// source-major order, in ascending edge order: the row's dEr (from +0)
+// adds each edge's dS, the row of dZ gathers each edge's α·dO per head,
+// then takes the rank-1 terms dEl·aL (destination rows) and dEr·aR.
 //
 //apt:hotpath
 func attnBackwardSrcRows(j attnJob, s0, s1 int) {
 	h, dh, nDst := j.heads, j.dh, len(j.edgePtr)-1
 	al, ds, t := j.alpha.Data, j.dS.Data, j.t
+	gather := rowTerms{src: j.dO.Data, ss: j.dO.Cols, w: al, ws: h, dh: dh}
+	rank1 := rowTerms{ss: j.a.Cols, ws: h, dh: dh}
 	for s := s0; s < s1; s++ {
 		dzr, dE := j.dZ.Row(s), j.dE.Row(s)
 		p0, p1 := t.ptr[s], t.ptr[s+1]
-		for p := p0; p < p1; p++ {
-			e := int(t.eid[p])
-			addBands(dzr, al[e*h:(e+1)*h], j.dO.Row(int(t.dst[p])), dh)
-			for k, g := range ds[e*h : (e+1)*h] {
+		for _, e := range t.eid[p0:p1] {
+			for k, g := range ds[int(e)*h : (int(e)+1)*h] {
 				dE[h+k] += g
 			}
 		}
+		gather.idx, gather.wi, gather.m = t.dst[p0:p1], t.eid[p0:p1], int(p1-p0)
+		rowAccum(dzr, &gather)
+		// Rows 0 and 1 of a weighted by dE's halves: dEl·aL, then dEr·aR.
 		if s < nDst {
-			addBands(dzr, dE[:h], j.a.Row(0), dh)
+			rank1.src, rank1.m, rank1.w = j.a.Data, 2, dE
+		} else {
+			rank1.src, rank1.m, rank1.w = j.a.Row(1), 1, dE[h:]
 		}
-		addBands(dzr, dE[h:], j.a.Row(1), dh)
+		rowAccum(dzr, &rank1)
 	}
 }
 
@@ -242,24 +247,11 @@ func attnBackwardSrcRows(j attnJob, s0, s1 int) {
 //apt:hotpath
 func attnVecGrads(j attnJob, dA *Matrix) {
 	h, nDst := j.heads, len(j.edgePtr)-1
-	for s := 0; s < j.z.Rows; s++ {
-		zr, dE := j.z.Row(s), j.dE.Row(s)
-		if s < nDst {
-			addBands(dA.Row(0), dE[:h], zr, j.dh)
-		}
-		addBands(dA.Row(1), dE[h:], zr, j.dh)
+	if j.z.Rows == 0 { // no dE rows to take the aR half of
+		return
 	}
-}
-
-// addBands adds w[k]·x[band k] onto dst's band k for every head k, the
-// bands dh wide.
-//
-//apt:hotpath
-func addBands(dst, w, x []float32, dh int) {
-	for k, wk := range w {
-		db, xb := dst[k*dh:(k+1)*dh], x[k*dh:(k+1)*dh]
-		for c := range db {
-			db[c] += wk * xb[c]
-		}
-	}
+	dEl := rowTerms{src: j.z.Data, ss: j.z.Cols, m: nDst, w: j.dE.Data, ws: 2 * h, dh: j.dh}
+	rowAccum(dA.Row(0), &dEl)
+	dEr := rowTerms{src: j.z.Data, ss: j.z.Cols, m: j.z.Rows, w: j.dE.Data[h:], ws: 2 * h, dh: j.dh}
+	rowAccum(dA.Row(1), &dEr)
 }

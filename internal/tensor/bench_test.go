@@ -293,3 +293,37 @@ func BenchmarkSegmentAggFusedBackward(b *testing.B) {
 		Put(dz)
 	}
 }
+
+// --- GAT attention, all heads (the GAT workload's 4 × 32) ---
+
+// benchAttention is a layer-0-sized attention block: 700 destinations
+// of degree 6 over 3 000 sources, four heads of 32 columns.
+func benchAttention() (edgePtr []int64, srcIdx []int32, z, a, dOut *Matrix) {
+	rng := graph.NewRNG(8)
+	edgePtr, srcIdx = benchSegments(700, 6, 3000, rng)
+	return edgePtr, srcIdx, benchRandMat(rng, 3000, 128), benchRandMat(rng, 2, 128), benchRandMat(rng, 700, 128)
+}
+
+func BenchmarkSegmentAttention(b *testing.B) {
+	edgePtr, srcIdx, z, a, _ := benchAttention()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, scores, alpha := SegmentAttention(edgePtr, srcIdx, z, a, 4, true)
+		Put(out)
+		Put(scores)
+		Put(alpha)
+	}
+}
+
+func BenchmarkSegmentAttentionBackward(b *testing.B) {
+	edgePtr, srcIdx, z, a, dOut := benchAttention()
+	out, scores, alpha := SegmentAttention(edgePtr, srcIdx, z, a, 4, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dZ, dA := SegmentAttentionBackward(edgePtr, srcIdx, z, a, scores, alpha, out, dOut, true)
+		Put(dZ)
+		Put(dA)
+	}
+}

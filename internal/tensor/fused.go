@@ -71,79 +71,20 @@ func segmentAgg(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, relu bo
 	})
 }
 
-// segmentAggRange is the fused aggregation's per-row inner loop. Edges
-// are consumed eight (then four) at a time so each pass over the output
-// row fuses that many source rows — per element the adds stay
-// sequential in edge order with a single accumulator, matching the
-// separate edge iterations bit for bit (source rows are read-only, so
-// duplicate edge endpoints cannot alias the accumulator). The mean
-// scale and ReLU mask run as one fused epilogue pass: each element's
-// ops (scale, then clamp) are independent across elements, so fusing
-// the passes changes no bit.
+// segmentAggRange is the fused aggregation's per-row loop: the row's
+// edge sum (rowAccum), then the mean scale and ReLU mask as one fused
+// epilogue pass — each element's ops (scale, then clamp) are
+// independent across elements, so fusing the passes changes no bit.
 //
 //apt:hotpath
 func segmentAggRange(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, relu bool, lo, hi int) {
-	sd, sc := src.Data, src.Cols
+	sum := rowTerms{src: src.Data, ss: src.Cols}
 	for i := lo; i < hi; i++ {
 		or := out.Row(i)
-		n := len(or)
-		e, e1 := edgePtr[i], edgePtr[i+1]
-		for ; e+7 < e1; e += 8 {
-			p0 := int(srcIdx[e]) * sc
-			p1 := int(srcIdx[e+1]) * sc
-			p2 := int(srcIdx[e+2]) * sc
-			p3 := int(srcIdx[e+3]) * sc
-			p4 := int(srcIdx[e+4]) * sc
-			p5 := int(srcIdx[e+5]) * sc
-			p6 := int(srcIdx[e+6]) * sc
-			p7 := int(srcIdx[e+7]) * sc
-			sr0 := sd[p0 : p0+n]
-			sr1 := sd[p1 : p1+n]
-			sr2 := sd[p2 : p2+n]
-			sr3 := sd[p3 : p3+n]
-			sr4 := sd[p4 : p4+n]
-			sr5 := sd[p5 : p5+n]
-			sr6 := sd[p6 : p6+n]
-			sr7 := sd[p7 : p7+n]
-			for j := range or {
-				s := or[j]
-				s += sr0[j]
-				s += sr1[j]
-				s += sr2[j]
-				s += sr3[j]
-				s += sr4[j]
-				s += sr5[j]
-				s += sr6[j]
-				s += sr7[j]
-				or[j] = s
-			}
-		}
-		for ; e+3 < e1; e += 4 {
-			p0 := int(srcIdx[e]) * sc
-			p1 := int(srcIdx[e+1]) * sc
-			p2 := int(srcIdx[e+2]) * sc
-			p3 := int(srcIdx[e+3]) * sc
-			sr0 := sd[p0 : p0+n]
-			sr1 := sd[p1 : p1+n]
-			sr2 := sd[p2 : p2+n]
-			sr3 := sd[p3 : p3+n]
-			for j := range or {
-				s := or[j]
-				s += sr0[j]
-				s += sr1[j]
-				s += sr2[j]
-				s += sr3[j]
-				or[j] = s
-			}
-		}
-		for ; e < e1; e++ {
-			p := int(srcIdx[e]) * sc
-			sr := sd[p : p+n]
-			for j := range or {
-				or[j] += sr[j]
-			}
-		}
-		d := edgePtr[i+1] - edgePtr[i]
+		e0, e1 := edgePtr[i], edgePtr[i+1]
+		sum.idx, sum.m = srcIdx[e0:e1], int(e1-e0)
+		rowAccum(or, &sum)
+		d := e1 - e0
 		switch {
 		case mean && d > 1 && relu:
 			inv := float32(1.0 / float64(d))
@@ -166,6 +107,146 @@ func segmentAggRange(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, re
 				}
 			}
 		}
+	}
+}
+
+// rowTerms are the terms a row accumulation adds onto one output row,
+// edge by edge for e in [0, m): source row row(e) of src (stride ss),
+// where row(e) is idx[e], or e when idx is nil; scaled, when w is set,
+// in each head band of dh columns by w[we(e)·ws + band], where we(e) is
+// wi[e], or e when wi is nil.
+type rowTerms struct {
+	src []float32
+	ss  int
+	idx []int32
+	m   int
+	w   []float32
+	wi  []int32
+	ws  int
+	dh  int
+}
+
+// row returns row(e).
+func (t *rowTerms) row(e int) int {
+	if t.idx == nil {
+		return e
+	}
+	return int(t.idx[e])
+}
+
+// rowAccum adds t's terms onto dst: per element in increasing edge
+// order with a single accumulator, so the bits are those of the
+// per-edge loop. The AVX-512 kernel takes the leading 16-column blocks
+// where it runs (rowAccVec); rowAccGo the rest.
+//
+//apt:hotpath
+func rowAccum(dst []float32, t *rowTerms) {
+	if c := rowAccVec(dst, t); c < len(dst) {
+		rowAccGo(dst, t, c)
+	}
+}
+
+// rowAccGo is rowAccum's Go loop over dst's columns [c0, len(dst)).
+// Unweighted, it takes the edges eight (then four) at a time, so each
+// pass over the row fuses that many source rows; per element the adds
+// stay sequential in edge order with a single accumulator, matching the
+// separate edge iterations bit for bit (source rows are read-only, so
+// repeated rows cannot alias the accumulator).
+//
+//apt:hotpath
+func rowAccGo(dst []float32, t *rowTerms, c0 int) {
+	n := len(dst)
+	if c0 >= n {
+		return
+	}
+	// Capped at its length, so an out-of-range row panics here too
+	// rather than reading a pooled matrix's spare capacity.
+	sd, ss := t.src[:len(t.src):len(t.src)], t.ss
+	if t.w != nil {
+		for e := 0; e < t.m; e++ {
+			we := e
+			if t.wi != nil {
+				we = int(t.wi[e])
+			}
+			p := t.row(e) * ss
+			addBands(dst, t.w[we*t.ws:], sd[p:p+n], t.dh, c0)
+		}
+		return
+	}
+	or := dst[c0:]
+	cols := len(or)
+	e := 0
+	for ; e+7 < t.m; e += 8 {
+		p0 := t.row(e)*ss + c0
+		p1 := t.row(e+1)*ss + c0
+		p2 := t.row(e+2)*ss + c0
+		p3 := t.row(e+3)*ss + c0
+		p4 := t.row(e+4)*ss + c0
+		p5 := t.row(e+5)*ss + c0
+		p6 := t.row(e+6)*ss + c0
+		p7 := t.row(e+7)*ss + c0
+		sr0 := sd[p0 : p0+cols]
+		sr1 := sd[p1 : p1+cols]
+		sr2 := sd[p2 : p2+cols]
+		sr3 := sd[p3 : p3+cols]
+		sr4 := sd[p4 : p4+cols]
+		sr5 := sd[p5 : p5+cols]
+		sr6 := sd[p6 : p6+cols]
+		sr7 := sd[p7 : p7+cols]
+		for j := range or {
+			s := or[j]
+			s += sr0[j]
+			s += sr1[j]
+			s += sr2[j]
+			s += sr3[j]
+			s += sr4[j]
+			s += sr5[j]
+			s += sr6[j]
+			s += sr7[j]
+			or[j] = s
+		}
+	}
+	for ; e+3 < t.m; e += 4 {
+		p0 := t.row(e)*ss + c0
+		p1 := t.row(e+1)*ss + c0
+		p2 := t.row(e+2)*ss + c0
+		p3 := t.row(e+3)*ss + c0
+		sr0 := sd[p0 : p0+cols]
+		sr1 := sd[p1 : p1+cols]
+		sr2 := sd[p2 : p2+cols]
+		sr3 := sd[p3 : p3+cols]
+		for j := range or {
+			s := or[j]
+			s += sr0[j]
+			s += sr1[j]
+			s += sr2[j]
+			s += sr3[j]
+			or[j] = s
+		}
+	}
+	for ; e < t.m; e++ {
+		p := t.row(e)*ss + c0
+		sr := sd[p : p+cols]
+		for j := range or {
+			or[j] += sr[j]
+		}
+	}
+}
+
+// addBands adds w[k]·x[band k] onto dst's band k for every head band k
+// of dh columns that reaches column c0 or beyond, from c0 on.
+//
+//apt:hotpath
+func addBands(dst, w, x []float32, dh, c0 int) {
+	for lo := c0; lo < len(dst); {
+		k := lo / dh
+		hi := min((k+1)*dh, len(dst))
+		wk := w[k]
+		db, xb := dst[lo:hi], x[lo:hi]
+		for c := range db {
+			db[c] += wk * xb[c]
+		}
+		lo = hi
 	}
 }
 

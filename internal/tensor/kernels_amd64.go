@@ -22,6 +22,9 @@ func tmatmulAcc8(dst *float32, i, m, n, ds int, ap *[8]*float32, b *float32, bw 
 //go:noescape
 func tmatmulAccOct(dst *float32, m, n, ds int, tbl **float32, k int, b *float32, bw int)
 
+//go:noescape
+func rowAcc(dst *float32, n int, src *float32, ss int, idx *int32, m int, w *float32, wi *int32, ws, hb int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -178,4 +181,49 @@ func tmatmulAccOctVec(dst *Matrix, a gemmA, b *Matrix, lo, hi int) (m8, n16 int)
 	}
 	Put(deq)
 	return m8, n16
+}
+
+// rowAccVec is rowAccum's AVX-512 kernel: it adds t's terms onto the
+// leading len(dst)&^15 columns of dst and returns how many it did (0
+// without AVX-512, without edges, or when a weighted t's head width is
+// not a multiple of 16); rowAccGo finishes the rest.
+//
+//apt:hotpath
+func rowAccVec(dst []float32, t *rowTerms) int {
+	n, m := len(dst)&^15, t.m
+	if !hasAVX512 || n == 0 || m == 0 || t.w != nil && t.dh%16 != 0 {
+		return 0
+	}
+	// Every row and weight index the kernel reads is checked here: the
+	// largest, as unsigned so a negative one is the largest of all, must
+	// reach in bounds the last element the kernel touches.
+	var ip, wp *int32
+	last := m - 1
+	if t.idx != nil {
+		last, ip = maxIndex(t.idx[:m]), &t.idx[0]
+	}
+	_ = t.src[last*t.ss+n-1]
+	var wq *float32
+	if t.w != nil {
+		last = m - 1
+		if t.wi != nil {
+			last, wp = maxIndex(t.wi[:m]), &t.wi[0]
+		}
+		_ = t.w[last*t.ws+int(uint32(n-1)/uint32(t.dh))]
+		wq = &t.w[0]
+	}
+	rowAcc(&dst[0], n, &t.src[0], t.ss, ip, m, wq, wp, t.ws, t.dh/16)
+	return n
+}
+
+// maxIndex returns the largest of idx as unsigned values: a negative
+// index comes back as a huge one, which no bounds check lets through.
+//
+//apt:hotpath
+func maxIndex(idx []int32) int {
+	var mx uint32
+	for _, r := range idx {
+		mx = max(mx, uint32(r))
+	}
+	return int(mx)
 }

@@ -1,14 +1,411 @@
 #include "textflag.h"
 
 // AVX2 and AVX-512 micro-kernels for the two dense inner loops of
-// matmul.go. One SIMD lane is one output element with its single
-// accumulator; terms are added in strictly increasing k, each as a
-// rounded VMULPS followed by a VADDPS — the operation sequence of the
-// Go loops (MULSS, ADDSS) per lane, so results are bit-identical. No
-// fused multiply-add, no reduction across lanes. The accumulator is
-// always the first source of the add, as in `s += a*b`; where the Go
-// loop skips a zero coefficient's term, the add is merge-masked off.
-// Every exit runs VZEROUPPER.
+// matmul.go and for the row accumulation under the segment and
+// attention kernels (fused.go, attention.go). One SIMD lane is one
+// output element with its single accumulator; terms are added in
+// strictly increasing k (edge), each as a rounded VMULPS followed by a
+// VADDPS — the operation sequence of the Go loops (MULSS, ADDSS) per
+// lane, so results are bit-identical. No fused multiply-add, no
+// reduction across lanes. In the GEMMs the accumulator is always the
+// first source of the add, as in `s += a*b`; where the Go loop skips a
+// zero coefficient's term, the add is merge-masked off. Every exit
+// runs VZEROUPPER.
+
+// Row accumulation: the edge loops that add a block's source rows onto
+// one output row — SAGE's segment sum, GAT's weighted sums and gathers.
+// It comes first in the file because its macros name rowAcc's
+// arguments, and vet's asmdecl would check a macro defined after
+// another function's TEXT line against that function's frame.
+//
+// A pass holds P ∈ {8, 4, 2, 1} sixteen-column blocks of the row in
+// Z0–Z7 while every edge of the row streams through them, so the row is
+// loaded and stored once per pass; the widest pass that fits goes first.
+// Per lane the operations are those of the Go loops as compiled: the
+// weighted step `dst[j] += w·x` is a VMULPS with x as first source and
+// the weight (an embedded broadcast) as second, then a VADDPS with the
+// product as first source and the accumulator as second; the plain step
+// `dst[j] += x` is a VADDPS with the accumulator as first source. Two
+// NaNs of different payloads are the only inputs that tell operand
+// orders apart, and with this order they come out as the Go loop's.
+//
+// Frame: 0(SP) the pass's first column in bytes, 8(SP) the columns
+// left, 16(SP) the head of the pass's first column and 24(SP) how many
+// blocks of that head are left from it.
+//
+// During a pass's edge loop: CX the edge, AX idx (0 when nil), BX wi
+// (0 when nil), DX the source at the pass's column, SI the weights at
+// the pass's first head, R9 the edge's source row, R10 its weight row,
+// and DI, R8, R11–R15 the weight byte offsets of blocks 1–7 from R10.
+
+// RADVANCE moves (R9, R10) = (head from the pass's first, blocks left
+// in it) one block on: at a head's last block the head grows by one and
+// the count restarts at hb (in DX). CX is scratch; LEAQ and CMOV leave
+// the flags.
+#define RADVANCE \
+	LEAQ    1(R9), CX; \
+	DECQ    R10; \
+	CMOVQEQ CX, R9; \
+	CMOVQEQ DX, R10
+
+// ROFF advances one block and puts its weight byte offset into reg.
+#define ROFF(reg) \
+	RADVANCE; \
+	LEAQ (R9*4), reg
+
+// RWSETUP starts a weighted pass: SI at the pass's first head's weight,
+// (R9, R10) at its first block, DX = hb until REDGES.
+#define RWSETUP \
+	MOVQ hb+72(FP), DX; \
+	MOVQ 16(SP), SI; \
+	MOVQ w+48(FP), R9; \
+	LEAQ (R9)(SI*4), SI; \
+	XORQ R9, R9; \
+	MOVQ 24(SP), R10
+
+// RWSAVE advances past the pass's last block and keeps the head state
+// for the next pass.
+#define RWSAVE \
+	RADVANCE; \
+	ADDQ R9, 16(SP); \
+	MOVQ R10, 24(SP)
+
+// REDGES starts a pass's edge loop.
+#define REDGES \
+	XORQ CX, CX; \
+	MOVQ idx+32(FP), AX; \
+	MOVQ wi+56(FP), BX; \
+	MOVQ src+16(FP), DX; \
+	ADDQ 0(SP), DX
+
+// RROW points R9 at edge CX's source row, at the pass's column:
+// row(e) = idx[e], or e when idx is nil.
+#define RROW \
+	MOVQ    CX, R9; \
+	TESTQ   AX, AX; \
+	JZ      2(PC); \
+	MOVLQSX (AX)(CX*4), R9; \
+	IMULQ   ss+24(FP), R9; \
+	LEAQ    (DX)(R9*4), R9
+
+// RWROW points R10 at edge CX's weight row, at the pass's first head:
+// wi[e], or e when wi is nil, times ws.
+#define RWROW \
+	MOVQ    CX, R10; \
+	TESTQ   BX, BX; \
+	JZ      2(PC); \
+	MOVLQSX (BX)(CX*4), R10; \
+	IMULQ   ws+64(FP), R10; \
+	LEAQ    (SI)(R10*4), R10
+
+// RDST points R9 at the pass's first column of dst.
+#define RDST \
+	MOVQ dst+0(FP), R9; \
+	ADDQ 0(SP), R9
+
+// RNEXT ends a pass of cols columns.
+#define RNEXT(cols) \
+	ADDQ $(cols*4), 0(SP); \
+	SUBQ $cols, 8(SP)
+
+// RW0 / RW add one edge's weighted term to block acc (at byte offset
+// off of the row, weight at R10 plus roff; block 0's offset is 0).
+#define RW0(acc, zx) \
+	VMOVUPS     (R9), zx; \
+	VMULPS.BCST (R10), zx, zx; \
+	VADDPS      acc, zx, acc
+
+#define RW(off, roff, acc, zx) \
+	VMOVUPS     off(R9), zx; \
+	VMULPS.BCST (R10)(roff*1), zx, zx; \
+	VADDPS      acc, zx, acc
+
+// func rowAcc(dst *float32, n int, src *float32, ss int, idx *int32, m int, w *float32, wi *int32, ws, hb int)
+//
+// For edges e in [0, m), increasing: dst[j] += w[we(e)*ws + j/(16*hb)] *
+// src[row(e)*ss + j] for j in [0, n), where row(e) = idx[e] (e when idx
+// is nil) and we(e) = wi[e] (e when wi is nil); with w nil, dst[j] +=
+// src[row(e)*ss + j]. n is a positive multiple of 16, m > 0, hb > 0
+// when w is set; every index is checked by the caller.
+TEXT ·rowAcc(SB), NOSPLIT, $32-80
+	MOVQ $0, 0(SP)
+	MOVQ n+8(FP), AX
+	MOVQ AX, 8(SP)
+	MOVQ $0, 16(SP)
+	MOVQ hb+72(FP), AX
+	MOVQ AX, 24(SP)
+	MOVQ w+48(FP), AX
+	TESTQ AX, AX
+	JZ   rsum
+
+rw:
+	MOVQ 8(SP), AX
+	CMPQ AX, $128
+	JGE  rw8
+	CMPQ AX, $64
+	JGE  rw4
+	CMPQ AX, $32
+	JGE  rw2
+	CMPQ AX, $16
+	JGE  rw1
+	JMP  rdone
+
+rw8:
+	RWSETUP
+	ROFF(DI)
+	ROFF(R8)
+	ROFF(R11)
+	ROFF(R12)
+	ROFF(R13)
+	ROFF(R14)
+	ROFF(R15)
+	RWSAVE
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	VMOVUPS 128(R9), Z2
+	VMOVUPS 192(R9), Z3
+	VMOVUPS 256(R9), Z4
+	VMOVUPS 320(R9), Z5
+	VMOVUPS 384(R9), Z6
+	VMOVUPS 448(R9), Z7
+	REDGES
+
+rw8_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rw8_store
+	RROW
+	RWROW
+	RW0(Z0, Z8)
+	RW(64, DI, Z1, Z9)
+	RW(128, R8, Z2, Z10)
+	RW(192, R11, Z3, Z11)
+	RW(256, R12, Z4, Z12)
+	RW(320, R13, Z5, Z13)
+	RW(384, R14, Z6, Z14)
+	RW(448, R15, Z7, Z15)
+	INCQ CX
+	JMP  rw8_edge
+
+rw8_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	VMOVUPS Z2, 128(R9)
+	VMOVUPS Z3, 192(R9)
+	VMOVUPS Z4, 256(R9)
+	VMOVUPS Z5, 320(R9)
+	VMOVUPS Z6, 384(R9)
+	VMOVUPS Z7, 448(R9)
+	RNEXT(128)
+	JMP  rw
+
+rw4:
+	RWSETUP
+	ROFF(DI)
+	ROFF(R8)
+	ROFF(R11)
+	RWSAVE
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	VMOVUPS 128(R9), Z2
+	VMOVUPS 192(R9), Z3
+	REDGES
+
+rw4_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rw4_store
+	RROW
+	RWROW
+	RW0(Z0, Z8)
+	RW(64, DI, Z1, Z9)
+	RW(128, R8, Z2, Z10)
+	RW(192, R11, Z3, Z11)
+	INCQ CX
+	JMP  rw4_edge
+
+rw4_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	VMOVUPS Z2, 128(R9)
+	VMOVUPS Z3, 192(R9)
+	RNEXT(64)
+	JMP  rw
+
+rw2:
+	RWSETUP
+	ROFF(DI)
+	RWSAVE
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	REDGES
+
+rw2_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rw2_store
+	RROW
+	RWROW
+	RW0(Z0, Z8)
+	RW(64, DI, Z1, Z9)
+	INCQ CX
+	JMP  rw2_edge
+
+rw2_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	RNEXT(32)
+	JMP  rw
+
+rw1:
+	RWSETUP
+	RWSAVE
+	RDST
+	VMOVUPS 0(R9), Z0
+	REDGES
+
+rw1_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rw1_store
+	RROW
+	RWROW
+	RW0(Z0, Z8)
+	INCQ CX
+	JMP  rw1_edge
+
+rw1_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	RNEXT(16)
+	JMP  rw
+
+rsum:
+	MOVQ 8(SP), AX
+	CMPQ AX, $128
+	JGE  rs8
+	CMPQ AX, $64
+	JGE  rs4
+	CMPQ AX, $32
+	JGE  rs2
+	CMPQ AX, $16
+	JGE  rs1
+	JMP  rdone
+
+rs8:
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	VMOVUPS 128(R9), Z2
+	VMOVUPS 192(R9), Z3
+	VMOVUPS 256(R9), Z4
+	VMOVUPS 320(R9), Z5
+	VMOVUPS 384(R9), Z6
+	VMOVUPS 448(R9), Z7
+	REDGES
+
+rs8_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rs8_store
+	RROW
+	VADDPS 0(R9), Z0, Z0
+	VADDPS 64(R9), Z1, Z1
+	VADDPS 128(R9), Z2, Z2
+	VADDPS 192(R9), Z3, Z3
+	VADDPS 256(R9), Z4, Z4
+	VADDPS 320(R9), Z5, Z5
+	VADDPS 384(R9), Z6, Z6
+	VADDPS 448(R9), Z7, Z7
+	INCQ CX
+	JMP  rs8_edge
+
+rs8_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	VMOVUPS Z2, 128(R9)
+	VMOVUPS Z3, 192(R9)
+	VMOVUPS Z4, 256(R9)
+	VMOVUPS Z5, 320(R9)
+	VMOVUPS Z6, 384(R9)
+	VMOVUPS Z7, 448(R9)
+	RNEXT(128)
+	JMP  rsum
+
+rs4:
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	VMOVUPS 128(R9), Z2
+	VMOVUPS 192(R9), Z3
+	REDGES
+
+rs4_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rs4_store
+	RROW
+	VADDPS 0(R9), Z0, Z0
+	VADDPS 64(R9), Z1, Z1
+	VADDPS 128(R9), Z2, Z2
+	VADDPS 192(R9), Z3, Z3
+	INCQ CX
+	JMP  rs4_edge
+
+rs4_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	VMOVUPS Z2, 128(R9)
+	VMOVUPS Z3, 192(R9)
+	RNEXT(64)
+	JMP  rsum
+
+rs2:
+	RDST
+	VMOVUPS 0(R9), Z0
+	VMOVUPS 64(R9), Z1
+	REDGES
+
+rs2_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rs2_store
+	RROW
+	VADDPS 0(R9), Z0, Z0
+	VADDPS 64(R9), Z1, Z1
+	INCQ CX
+	JMP  rs2_edge
+
+rs2_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	VMOVUPS Z1, 64(R9)
+	RNEXT(32)
+	JMP  rsum
+
+rs1:
+	RDST
+	VMOVUPS 0(R9), Z0
+	REDGES
+
+rs1_edge:
+	CMPQ CX, m+40(FP)
+	JGE  rs1_store
+	RROW
+	VADDPS 0(R9), Z0, Z0
+	INCQ CX
+	JMP  rs1_edge
+
+rs1_store:
+	RDST
+	VMOVUPS Z0, 0(R9)
+	RNEXT(16)
+	JMP  rsum
+
+rdone:
+	VZEROUPPER
+	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

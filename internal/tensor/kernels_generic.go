@@ -17,3 +17,5 @@ func tmatmulAcc8Vec(dd []float32, i, m, n, ds int, ar *[8][]float32, b8 []float3
 }
 
 func tmatmulAccOctVec(dst *Matrix, a gemmA, b *Matrix, lo, hi int) (m8, n16 int) { return 0, 0 }
+
+func rowAccVec(dst []float32, t *rowTerms) int { return 0 }

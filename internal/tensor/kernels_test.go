@@ -466,3 +466,140 @@ func TestSIMDZeroCoefficientRowsKeepSignOfZero(t *testing.T) {
 		}
 	}
 }
+
+// requireRowAccKernel skips unless the AVX-512 row accumulation really
+// runs, so its comparisons never pass by running rowAccGo against
+// itself.
+func requireRowAccKernel(t testing.TB) {
+	t.Helper()
+	if !rowAccKernelRuns() {
+		t.Skipf("no row accumulation kernel on this platform (GOARCH=%s; on amd64 it needs AVX-512F and OS support for the ZMM state)", runtime.GOARCH)
+	}
+}
+
+func rowAccKernelRuns() bool {
+	return rowAccVec(make([]float32, 16), &rowTerms{src: make([]float32, 16), ss: 16, m: 1}) > 0
+}
+
+// rowAccSpecials are simdSpecials plus what only an add can get wrong in
+// its operand order: NaNs of both signs and several payloads (when two
+// meet, the first source's survives; 0·Inf and Inf−Inf make the CPU's
+// own −NaN) and both infinities.
+var rowAccSpecials = append([]float32{
+	math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00123),
+	math.Float32frombits(0x7f800001), math.Float32frombits(0x7fc0abcd),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+}, simdSpecials...)
+
+// rowAccValues draws n unit normals with about a sixth replaced by
+// rowAccSpecials. Under the race detector the Go loop is compiled with
+// its instrumentation and the compiler picks other operand orders, so
+// there only the finite specials go in: bit-identity with NaNs is a
+// property of the default build's code, which the kernel copies.
+func rowAccValues(rng *graph.RNG, n int) []float32 {
+	specials := rowAccSpecials
+	if raceEnabled {
+		specials = simdSpecials
+	}
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = rng.NormFloat32()
+		if rng.Intn(6) == 0 {
+			v[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return v
+}
+
+// TestSIMDRowAccMatchesGeneric compares the row accumulation kernel
+// (rowAccVec, then rowAccGo on the columns it leaves) with rowAccGo on
+// every column, by math.Float32bits: widths on and off the 16-column
+// blocks and past one 128-column pass, head widths 16, 32, 48 and 64
+// and the unweighted sum, 0 to 33 edges with repeated rows, indexed and
+// nil (consecutive) rows and weights, and NaN, ±Inf, ±0 and denormals
+// in the row, the sources and the weights.
+func TestSIMDRowAccMatchesGeneric(t *testing.T) {
+	requireRowAccKernel(t)
+	rng := graph.NewRNG(46)
+	const nSrc, nW = 40, 35
+	for _, width := range []int{16, 17, 32, 48, 128, 144} {
+		for _, dh := range []int{0, 16, 32, 48, 64} { // 0: unweighted
+			for _, m := range []int{0, 1, 7, 33} {
+				for form := 0; form < 4; form++ { // bit 0: rows indexed, bit 1: weights indexed
+					ss := width + 3
+					tr := rowTerms{src: rowAccValues(rng, nSrc*ss), ss: ss, m: m}
+					if form&1 != 0 {
+						tr.idx = make([]int32, m)
+						for e := range tr.idx {
+							tr.idx[e] = int32(rng.Intn(nSrc))
+							if e > 0 && rng.Intn(3) == 0 {
+								tr.idx[e] = tr.idx[e-1]
+							}
+						}
+					}
+					if dh > 0 {
+						tr.dh, tr.ws = dh, (width+dh-1)/dh+1
+						tr.w = rowAccValues(rng, nW*tr.ws)
+						if form&2 != 0 {
+							tr.wi = make([]int32, m)
+							for e := range tr.wi {
+								tr.wi[e] = int32(rng.Intn(nW))
+							}
+						}
+					}
+					name := fmt.Sprintf("width%d_dh%d_m%d_form%d", width, dh, m, form)
+					want := rowAccValues(rng, width)
+					got := append([]float32(nil), want...)
+					rowAccGo(want, &tr, 0)
+					c := rowAccVec(got, &tr)
+					if wc := width &^ 15; m > 0 && c != wc {
+						t.Fatalf("%s: kernel did %d columns, want %d", name, c, wc)
+					}
+					rowAccGo(got, &tr, c)
+					bitsEqual(t, name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowAccOutOfRangeIndexPanics checks that a row or weight index out
+// of range, or negative, panics on the kernel's path (rowAccVec checks
+// every index before the kernel reads through it; where there is no
+// kernel that path is skipped) and on the Go loop's, and through
+// SegmentAggFused at a width the kernel takes.
+func TestRowAccOutOfRangeIndexPanics(t *testing.T) {
+	kernel := rowAccKernelRuns()
+	const rows, width = 5, 32
+	// src has spare capacity past its rows, as a pooled matrix would.
+	src := make([]float32, rows*width, 4*rows*width)
+	w := make([]float32, 2*rows)
+	for _, bad := range []int32{rows, -1} {
+		for _, tr := range []rowTerms{
+			{src: src, ss: width, idx: []int32{0, bad}, m: 2},
+			{src: src, ss: width, idx: []int32{0, bad}, m: 2, w: w, ws: 2, dh: 16},
+			{src: src, ss: width, idx: []int32{0, 1}, m: 2, w: w, wi: []int32{1, bad}, ws: 2, dh: 16},
+		} {
+			name := fmt.Sprintf("index %d weighted %v", bad, tr.w != nil)
+			if kernel {
+				mustPanic(t, name+" kernel", func() {
+					rowAccVec(make([]float32, width), &tr)
+				})
+			}
+			mustPanic(t, name+" Go loop", func() { rowAccGo(make([]float32, width), &tr, 0) })
+		}
+		mustPanic(t, fmt.Sprintf("SegmentAggFused index %d", bad), func() {
+			SegmentAggFused([]int64{0, 2}, []int32{0, bad}, FromData(rows, width, src), false, false)
+		})
+	}
+}
+
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
+}
