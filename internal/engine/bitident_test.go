@@ -145,7 +145,7 @@ func TestBitIdenticalToReferenceGAT(t *testing.T) {
 
 // TestBitIdenticalToReferenceGCN runs the same check on a layer the
 // engine has never heard of (gcn_test.go): its only contact with the
-// strategies is the nn.SplitLayer interface.
+// strategies is the nn.Layer interface.
 func TestBitIdenticalToReferenceGCN(t *testing.T) {
 	f := newFixture(t, 1, 160)
 	runBitIdentity(t, f, func() *nn.Model { return newGCN(f.dim, 8, f.classes) })

@@ -148,11 +148,9 @@ type Engine struct {
 
 // worker is the execution state of one hosted rank.
 type worker struct {
-	eng   *Engine
-	dev   *device.Device
-	model *nn.Model
-	// layer0 is model.Layers[0], which the strategy's placement runs.
-	layer0  nn.SplitLayer
+	eng     *Engine
+	dev     *device.Device
+	model   *nn.Model
 	opt     nn.Optimizer
 	sampler *sample.Sampler
 	stats   *WorkerStats
@@ -231,9 +229,6 @@ func New(cfg Config) (*Engine, error) {
 	if len(probe.Layers) == 0 {
 		return nil, fmt.Errorf("engine: model %q has no layers", probe.Name)
 	}
-	if _, ok := probe.Layers[0].(nn.SplitLayer); !ok {
-		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.SplitLayer", probe.Layers[0], probe.Name)
-	}
 	if probe.NeedsDstInSrc() {
 		e.cfg.Sampling.IncludeDstInSrc = true
 	}
@@ -255,7 +250,6 @@ func New(cfg Config) (*Engine, error) {
 			eng:     e,
 			dev:     e.Group.Devices[d],
 			model:   m,
-			layer0:  m.Layers[0].(nn.SplitLayer),
 			opt:     opt,
 			sampler: sample.NewSampler(cfg.Graph, e.cfg.Sampling, graph.NewRNG(cfg.Seed^uint64(0x9e37+d*7919))),
 			stats:   &WorkerStats{},

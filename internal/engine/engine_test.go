@@ -202,7 +202,7 @@ func TestSemanticEquivalenceGAT(t *testing.T) {
 
 // TestSemanticEquivalenceGCN: the test-only GCN layer (gcn_test.go)
 // under the same check at world 4, Hybrid included — it reaches the
-// strategies through nn.SplitLayer alone.
+// strategies through nn.Layer alone.
 func TestSemanticEquivalenceGCN(t *testing.T) {
 	f := newFixture(t, 4, 400)
 	f.platform = hardware.WithDevices(hardware.FourMachines4GPU(), 2, 2)
@@ -442,29 +442,6 @@ func TestEngineValidation(t *testing.T) {
 	cfg3.Store = nil
 	if _, err := New(cfg3); err == nil {
 		t.Error("nil store accepted")
-	}
-}
-
-// TestRejectsLayerWithoutSplitContract: a first layer that offers only
-// nn.Layer is refused when the engine (or the inference pool) is built,
-// with an error rather than a panic in the first step.
-func TestRejectsLayerWithoutSplitContract(t *testing.T) {
-	f := newFixture(t, 2, 100)
-	type plainLayer struct{ nn.Layer } // hides every method beyond nn.Layer
-	newModel := func() *nn.Model {
-		m := nn.NewGraphSAGE(f.dim, 8, f.classes, 2)
-		m.Layers[0] = plainLayer{m.Layers[0]}
-		return m
-	}
-	if _, err := New(f.config(strategy.GDP, newModel, nil, []int{4, 4})); err == nil {
-		t.Error("engine accepted a first layer that is not an nn.SplitLayer")
-	}
-	_, err := NewInferencer(InferConfig{
-		Platform: f.platform, Graph: f.g, Store: f.newStore(40, cache.PolicyHotGlobal),
-		Model: newModel(), Sampling: sample.Config{Fanouts: []int{4, 4}},
-	})
-	if err == nil {
-		t.Error("inferencer accepted a first layer that is not an nn.GatherLayer")
 	}
 }
 

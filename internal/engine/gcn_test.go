@@ -13,7 +13,7 @@ import (
 //
 //	h_v = act( (Σ_{u in N(v)} W · x_u) / sqrt(deg v) )
 //
-// It exists to show that implementing nn.SplitLayer is all a model
+// It exists to show that implementing nn.Layer is all a model
 // needs to train under every strategy — the tests below add it to the
 // bit-identity and semantic-equivalence checks and the engine has no
 // line that knows about it.
@@ -23,9 +23,7 @@ type gcnLayer struct {
 }
 
 type gcnCtx struct {
-	h   *tensor.Matrix    // plain input, or
-	src tensor.FeatSource // feature rows read through idx
-	idx []int32
+	h   *tensor.Matrix
 	fin nn.LayerCtx
 }
 
@@ -91,43 +89,23 @@ func (l *gcnLayer) FinishBackward(blk *sample.Block, ctx nn.LayerCtx, dOut *tens
 	return dS
 }
 
-func (l *gcnLayer) forward(blk *sample.Block, z *tensor.Matrix, c *gcnCtx) (*tensor.Matrix, nn.LayerCtx) {
+func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, nn.LayerCtx) {
+	z := tensor.MatMul(h, l.W.W)
 	s := tensor.SegmentSum(blk.EdgePtr, blk.SrcIdx, z)
 	tensor.Put(z)
+	c := &gcnCtx{h: h}
 	var out *tensor.Matrix
 	out, c.fin = l.Finish(blk, s)
 	return out, c
 }
 
-func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, nn.LayerCtx) {
-	return l.forward(blk, tensor.MatMul(h, l.W.W), &gcnCtx{h: h})
-}
-
-func (l *gcnLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, nn.LayerCtx) {
-	return l.forward(blk, l.ProjectCols(feats, idx, 0, l.InDim()), &gcnCtx{src: feats, idx: idx})
-}
-
-// backwardParams accumulates dW and returns dZ, which the caller owns.
-func (l *gcnLayer) backwardParams(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+func (l *gcnLayer) Backward(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	c := ctx.(*gcnCtx)
 	dS := l.FinishBackward(blk, c.fin, dOut)
 	dZ := tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
 	tensor.Put(dS)
-	if c.h != nil {
-		tensor.TMatMulAcc(l.W.G, c.h, dZ)
-	} else {
-		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
-	}
-	return dZ
-}
-
-func (l *gcnLayer) Backward(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	dZ := l.backwardParams(blk, ctx, dOut)
+	tensor.TMatMulAcc(l.W.G, c.h, dZ)
 	dH := tensor.MatMulT(dZ, l.W.W)
 	tensor.Put(dZ)
 	return dH
-}
-
-func (l *gcnLayer) BackwardParams(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) {
-	tensor.Put(l.backwardParams(blk, ctx, dOut))
 }

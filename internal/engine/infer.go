@@ -83,8 +83,7 @@ type InferConfig struct {
 
 // Inferencer is a pool of inference workers over the simulated devices.
 type Inferencer struct {
-	cfg    InferConfig
-	layer0 nn.SplitLayer
+	cfg InferConfig
 	// treeNodes is what one draw's tree holds, the product of the
 	// fanouts; 0 under Full sampling, where every draw is the same.
 	treeNodes int
@@ -140,10 +139,6 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	if len(cfg.Model.Layers) == 0 {
 		return nil, fmt.Errorf("engine: model %q has no layers", cfg.Model.Name)
 	}
-	layer0, ok := cfg.Model.Layers[0].(nn.SplitLayer)
-	if !ok {
-		return nil, fmt.Errorf("engine: first layer %T of model %q does not implement nn.SplitLayer", cfg.Model.Layers[0], cfg.Model.Name)
-	}
 	if cfg.Sampling.Method == sample.LayerWise {
 		return nil, fmt.Errorf("engine: inference cannot sample layer-wise: its draw depends on the whole batch, so answers would too")
 	}
@@ -158,7 +153,7 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	if cfg.Workers > 0 && cfg.Workers < n {
 		n = cfg.Workers
 	}
-	inf := &Inferencer{cfg: cfg, layer0: layer0, group: device.NewGroup(cfg.Platform)}
+	inf := &Inferencer{cfg: cfg, group: device.NewGroup(cfg.Platform)}
 	if cfg.Sampling.Method != sample.Full {
 		inf.treeNodes = 1
 		for _, f := range cfg.Sampling.Fanouts {
@@ -169,7 +164,7 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	for v := range all {
 		all[v] = int32(v)
 	}
-	out := cfg.Model.Layers[len(cfg.Model.Layers)-1].OutDim()
+	layer0, out := cfg.Model.Layers[0], cfg.Model.Layers[len(cfg.Model.Layers)-1].OutDim()
 	// One projection and one answer table per distinct feature view:
 	// every device without an int8 warm tier reads the fp32 master and
 	// shares them; a device with a tier reads its own dequantized rows
@@ -355,7 +350,7 @@ func (w *InferWorker) draw(k int, seeds []graph.NodeID) (*tensor.Matrix, cache.L
 // when the layer pre-sums, every source's table row otherwise. The
 // result is pool-backed and owned by the caller.
 func (w *InferWorker) project(blk *sample.Block) *tensor.Matrix {
-	if w.inf.layer0.PreSums() {
+	if w.inf.cfg.Model.Layers[0].PreSums() {
 		w.rows = w.rows[:0]
 		for _, s := range blk.SrcIdx {
 			w.rows = append(w.rows, blk.Src[s])

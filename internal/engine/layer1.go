@@ -12,7 +12,7 @@ import (
 )
 
 // Layer 1 under every strategy is one walk of the paper's four stages
-// (§4.2) around the two halves of an nn.SplitLayer: Permute groups the
+// (§4.2) around the two halves of an nn.Layer: Permute groups the
 // block's work by the rank that will run it, Shuffle ships it, Execute
 // runs the dense projection (and as much of the sparse half as the
 // layer allows) where the features live, Reshuffle ships result rows
@@ -53,9 +53,9 @@ type placement struct {
 	// shard makes every rank multiply only its own share of the feature
 	// columns by the matching weight rows, so replies are partial sums.
 	shard bool
-	// whole makes the serving rank run the whole layer; otherwise it runs
-	// the projection half, pre-summed per destination when the layer
-	// allows, and the block's rank finishes.
+	// whole makes the serving rank also run Finish, so it runs the whole
+	// layer; otherwise it runs the projection half, pre-summed per
+	// destination when the layer allows, and the block's rank finishes.
 	whole bool
 	// holdsPartials charges the reply matrices to device memory from
 	// forward to backward: a rank that materializes partials for every
@@ -111,11 +111,11 @@ func (p *placement) columns(inDim, c, n int) (lo, hi int) {
 // perDst reports whether replies carry one row per destination — the
 // serving rank ran the aggregation, or the whole layer — rather than one
 // per source.
-func (p *placement) perDst(layer nn.SplitLayer) bool { return p.whole || layer.PreSums() }
+func (p *placement) perDst(layer nn.Layer) bool { return p.whole || layer.PreSums() }
 
 // replyShape returns the shape of the reply for block b, which is also
 // the shape of the gradient that later travels the other way.
-func (p *placement) replyShape(layer nn.SplitLayer, b *sample.Block) (rows, width int) {
+func (p *placement) replyShape(layer nn.Layer, b *sample.Block) (rows, width int) {
 	rows, width = b.NumSrc(), layer.ProjWidth()
 	if p.perDst(layer) {
 		rows = b.NumDst()
@@ -246,7 +246,8 @@ type layer1Ctx struct {
 	// when only projections were asked for — a block of sources with no
 	// destinations.
 	served []*sample.Block
-	// lcts[rq] is the whole-layer backward context of served[rq].
+	// lcts[rq] is the Finish context of served[rq] when the serving rank
+	// ran the whole layer.
 	lcts []nn.LayerCtx
 	// fin is the block's own Finish context.
 	fin   nn.LayerCtx
@@ -255,7 +256,7 @@ type layer1Ctx struct {
 
 // permute builds the routed strategies' per-peer requests (the Permute
 // stage), recording in ctx.pos which rows each peer's reply will carry.
-func (p *placement) permute(w *worker, blk *sample.Block, layer nn.SplitLayer, ctx *layer1Ctx) []payload {
+func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *layer1Ctx) []payload {
 	n, me := w.eng.Comm.NumDevices(), w.dev.ID
 	ctx.pos = make([][]int32, n)
 	payloads := make([]payload, n)
@@ -302,7 +303,7 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.SplitLayer, c
 // forward returns the layer-1 output for the worker's own block (nil in
 // accounting mode) plus the context for backward.
 func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *layer1Ctx) {
-	e, layer := w.eng, w.layer0
+	e, layer := w.eng, w.model.Layers[0]
 	n, me := e.Comm.NumDevices(), w.dev.ID
 	blk := mb.Layer1()
 	lo, hi := p.columns(layer.InDim(), me, n)
@@ -357,19 +358,19 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 			w.chargeSparse(sparse)
 		}
 		bytes := wireFloats(p.replyShape(layer, sb))
-		switch {
-		case !w.real():
-			replies[rq].Bytes = bytes
-		case p.whole:
-			replies[rq].Mat, ctx.lcts[rq] = layer.ForwardGathered(sb, feats, sb.Src)
-		default:
-			z := layer.ProjectCols(feats, sb.Src, lo, hi)
+		if w.real() {
+			x := layer.ProjectCols(feats, sb.Src, lo, hi)
 			if presum {
-				replies[rq].Mat = tensor.SegmentSum(sb.EdgePtr, sb.SrcIdx, z)
-				tensor.Put(z)
-			} else {
-				replies[rq].Mat = z
+				s := tensor.SegmentSum(sb.EdgePtr, sb.SrcIdx, x)
+				tensor.Put(x)
+				x = s
 			}
+			if p.whole {
+				x, ctx.lcts[rq] = layer.Finish(sb, x)
+			}
+			replies[rq].Mat = x
+		} else {
+			replies[rq].Bytes = bytes
 		}
 		if rq != me {
 			w.stats.HiddenA2ABytes += bytes
@@ -428,7 +429,7 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 // backward consumes the gradient w.r.t. the worker's layer-1 output
 // (nil in accounting mode).
 func (p *placement) backward(w *worker, mb *sample.MiniBatch, ctx *layer1Ctx, dH *tensor.Matrix) {
-	e, layer := w.eng, w.layer0
+	e, layer := w.eng, w.model.Layers[0]
 	n, me := e.Comm.NumDevices(), w.dev.ID
 	blk := mb.Layer1()
 	lo, hi := p.columns(layer.InDim(), me, n)
@@ -509,15 +510,21 @@ func (p *placement) backward(w *worker, mb *sample.MiniBatch, ctx *layer1Ctx, dH
 		if in != nil {
 			g = in[rq].Mat
 		}
-		switch {
-		case p.whole:
-			layer.BackwardParams(sb, ctx.lcts[rq], g)
-		case presum:
-			dZ := tensor.SegmentSumBackward(sb.EdgePtr, sb.SrcIdx, g, sb.NumSrc())
+		dS := g
+		if p.whole {
+			// g is this rank's to overwrite: the upper layers' gradient,
+			// or the copy the requester shipped.
+			dS = layer.FinishBackward(sb, ctx.lcts[rq], g)
+		}
+		if presum {
+			dZ := tensor.SegmentSumBackward(sb.EdgePtr, sb.SrcIdx, dS, sb.NumSrc())
 			layer.ProjectColsBackward(feats, sb.Src, lo, hi, dZ)
 			tensor.Put(dZ)
-		default:
-			layer.ProjectColsBackward(feats, sb.Src, lo, hi, g)
+		} else {
+			layer.ProjectColsBackward(feats, sb.Src, lo, hi, dS)
+		}
+		if dS != g {
+			tensor.Put(dS)
 		}
 	}
 }

@@ -78,9 +78,7 @@ func (l *GATLayer) Params() []*Param {
 func (l *GATLayer) NeedsDstInSrc() bool { return true }
 
 type gatCtx struct {
-	h    *tensor.Matrix    // layer input on the plain path
-	src  tensor.FeatSource // the feature store view when idx is set
-	idx  []int32           // non-nil: input row r is src row idx[r] (gather-fused)
+	h    *tensor.Matrix // layer input
 	attn *gatAttnCtx
 }
 
@@ -147,26 +145,14 @@ func weightOrGrad(p *Param, grad bool) *tensor.Matrix {
 	return p.W
 }
 
-// project computes every head's source projection, packed, over a
-// plain input h or — when idx is set — feature rows read through idx.
-func (l *GATLayer) project(h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
-	if idx != nil {
-		return l.ProjectCols(src, idx, 0, l.InDim())
-	}
-	w := l.packed(false, 0, l.InDim())
-	z := tensor.MatMul(h, w)
-	l.unpack(w, false, 0, l.InDim())
-	return z
-}
-
-// ProjWidth implements SplitLayer: all heads, packed side by side.
+// ProjWidth implements Layer: all heads, packed side by side.
 func (l *GATLayer) ProjWidth() int { return l.OutDim() }
 
-// PreSums implements SplitLayer: attention weights depend on every
+// PreSums implements Layer: attention weights depend on every
 // source's full projection, so nothing can be reduced before shipping.
 func (l *GATLayer) PreSums() bool { return false }
 
-// ProjectCols implements SplitLayer: every head's projection in one
+// ProjectCols implements Layer: every head's projection in one
 // GEMM over the packed weight; the kernel reads the feature store
 // through idx, dequantizing warm-tier rows once for all heads.
 func (l *GATLayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
@@ -176,7 +162,7 @@ func (l *GATLayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int)
 	return z
 }
 
-// ProjectColsBackward implements SplitLayer: one accumulate into the
+// ProjectColsBackward implements Layer: one accumulate into the
 // packed gradient, which is exactly each head's accumulate into its own
 // — also when a rank calls it several times per step into the same G.
 func (l *GATLayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
@@ -192,7 +178,7 @@ func (l *GATLayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
 	return 2 * float64(nSrc) * float64(cols) * out, 6 * float64(nEdges) * out
 }
 
-// Finish implements SplitLayer: z holds every block source's packed
+// Finish implements Layer: z holds every block source's packed
 // projection (rows [:NumDst] are the destinations' own); the attention
 // of every head writes its band of the concatenated, activated output.
 // The context keeps z.
@@ -201,7 +187,7 @@ func (l *GATLayer) Finish(blk *sample.Block, z *tensor.Matrix) (*tensor.Matrix, 
 	return out, &gatAttnCtx{z: z, scores: scores, alpha: alpha, out: out}
 }
 
-// FinishBackward implements SplitLayer: the packed gradient of z,
+// FinishBackward implements Layer: the packed gradient of z,
 // adding the attention vectors' gradients onto theirs. It releases the
 // context.
 func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
@@ -213,48 +199,29 @@ func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.
 	return dZ
 }
 
-// forward is the shared training forward over a plain or gather-fused
-// input: Finish on the packed projection.
-func (l *GATLayer) forward(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
-	out, attn := l.Finish(blk, l.project(h, src, idx))
-	return out, &gatCtx{h: h, src: src, idx: idx, attn: attn.(*gatAttnCtx)}
-}
-
-// Forward implements Layer.
+// Forward implements Layer: every head's projection of h in one GEMM
+// over the packed weight, then Finish.
 func (l *GATLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
 	if h.Rows != blk.NumSrc() {
 		panic(fmt.Sprintf("nn: GAT forward got %d src rows, block has %d", h.Rows, blk.NumSrc()))
 	}
-	return l.forward(blk, h, tensor.FeatSource{}, nil)
+	w := l.packed(false, 0, l.InDim())
+	z := tensor.MatMul(h, w)
+	l.unpack(w, false, 0, l.InDim())
+	out, attn := l.Finish(blk, z)
+	return out, &gatCtx{h: h, attn: attn.(*gatAttnCtx)}
 }
 
-// ForwardGathered implements GatherLayer: the projection reads the
-// feature store through idx, no gathered copy.
-func (l *GATLayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
-	if len(idx) != blk.NumSrc() {
-		panic(fmt.Sprintf("nn: GAT forward got %d src indices, block has %d", len(idx), blk.NumSrc()))
-	}
-	if idx == nil {
-		idx = []int32{} // empty block: stay on the gather-fused path
-	}
-	return l.forward(blk, nil, feats, idx)
-}
-
-// backward is the shared backward, FinishBackward then the projection's:
-// attention and projection parameter gradients always; the input
-// gradient (one dH GEMM per head) only when wantInput is set, nil
-// otherwise.
-func (l *GATLayer) backward(blk *sample.Block, c *gatCtx, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+// Backward implements Layer: FinishBackward, then the projection's
+// weight gradient and the input gradient, one dH GEMM per head.
+func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	c := ctx.(*gatCtx)
 	dZ := l.FinishBackward(blk, c.attn, dOut)
-	if c.idx != nil {
-		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
-	} else {
-		g := l.packed(true, 0, l.InDim())
-		tensor.TMatMulAcc(g, c.h, dZ)
-		l.unpack(g, true, 0, l.InDim())
-	}
+	g := l.packed(true, 0, l.InDim())
+	tensor.TMatMulAcc(g, c.h, dZ)
+	l.unpack(g, true, 0, l.InDim())
 	var dH *tensor.Matrix
-	for k := 0; wantInput && k < l.Heads; k++ {
+	for k := 0; k < l.Heads; k++ {
 		lo, hi := l.band(k)
 		dHk := tensor.MatMulTSlice(dZ, lo, hi, l.Ws[k].W)
 		if dH == nil {
@@ -267,15 +234,4 @@ func (l *GATLayer) backward(blk *sample.Block, c *gatCtx, dOut *tensor.Matrix, w
 	}
 	tensor.Put(dZ)
 	return dH
-}
-
-// Backward implements Layer.
-func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	return l.backward(blk, ctx.(*gatCtx), dOut, true)
-}
-
-// BackwardParams implements GatherLayer: attention + projection
-// parameter gradients only, no dIn and no per-head dH matrices.
-func (l *GATLayer) BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) {
-	l.backward(blk, ctx.(*gatCtx), dOut, false)
 }

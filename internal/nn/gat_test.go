@@ -357,9 +357,9 @@ func TestGATPackedMatchesPerHeadOracle(t *testing.T) {
 				want = o.forward(blk, nil, feats, idx)
 				o.backward(blk, nil, feats, idx, dOut)
 				wantG = takeGrads(l)
-				out, ctx = l.ForwardGathered(blk, feats, idx)
+				out, fctx := forwardFeats(l, blk, feats, idx)
 				bitsEqual(t, name+" gathered forward", out.Data, want.Data)
-				l.BackwardParams(blk, ctx, dOut)
+				backwardFeats(l, blk, fctx, dOut)
 				gradsEqual(t, name+" gathered", l, wantG)
 				takeGrads(l)
 
@@ -420,7 +420,7 @@ func BenchmarkGATLayerForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, ctx := l.ForwardGathered(blk, feats, idx)
+		out, ctx := forwardFeats(l, blk, feats, idx)
 		releaseCtx(ctx)
 		tensor.Put(out)
 	}
@@ -435,9 +435,9 @@ func BenchmarkGATLayerBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		out, ctx := l.ForwardGathered(blk, feats, idx)
+		out, ctx := forwardFeats(l, blk, feats, idx)
 		b.StartTimer()
-		l.BackwardParams(blk, ctx, dOut)
+		backwardFeats(l, blk, ctx, dOut)
 		tensor.Put(out)
 	}
 }

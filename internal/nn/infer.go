@@ -27,21 +27,20 @@ func (m *Model) Predict(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
 // PredictGathered is Predict with the input gather fused into layer 0:
 // it reads feature rows through idx directly instead of consuming a
 // materialized x, and is bit-identical to
-// Predict(mb, Gather(feats, idx)). Layer 0 must be a GatherLayer.
-// Ownership mirrors Predict: feats stays with the caller, the logits
+// Predict(mb, Gather(feats, idx)) over a FeatSource with no quantized
+// tier. Ownership mirrors Predict: feats stays with the caller, the logits
 // transfer to it.
 func (m *Model) PredictGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *tensor.Matrix {
 	return m.predict(mb, nil, feats, idx, false)
 }
 
 // PredictProjected is Predict with layer 0's projection already done:
-// x is what layer 0's Finish consumes (see SplitLayer) — per
+// x is what layer 0's Finish consumes (see Layer) — per
 // destination, the sum of its sources' projected rows when the layer
 // PreSums, otherwise the projected row of every block source. Built
 // from rows that hold exactly what ProjectCols computes, it is
-// bit-identical to PredictGathered on the same feature view. Layer 0
-// must be a SplitLayer. It takes ownership of x; the logits transfer to
-// the caller.
+// bit-identical to PredictGathered on the same feature view. It takes
+// ownership of x; the logits transfer to the caller.
 func (m *Model) PredictProjected(mb *sample.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
 	return m.predict(mb, x, tensor.FeatSource{}, nil, true)
 }
@@ -59,9 +58,9 @@ func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.Fea
 		case l > 0:
 			out, ctx = layer.Forward(mb.Blocks[l], h)
 		case projected:
-			out, ctx = layer.(SplitLayer).Finish(mb.Blocks[0], x)
+			out, ctx = layer.Finish(mb.Blocks[0], x)
 		case x == nil:
-			out, ctx = layer.(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
+			out, ctx = forwardFeats(layer, mb.Blocks[0], feats, idx)
 		default:
 			out, ctx = layer.Forward(mb.Blocks[0], x)
 		}
@@ -82,6 +81,8 @@ func (m *Model) predict(mb *sample.MiniBatch, x *tensor.Matrix, feats tensor.Fea
 // caller owns.
 func releaseCtx(ctx LayerCtx) {
 	switch c := ctx.(type) {
+	case *featsCtx:
+		releaseCtx(c.fin)
 	case *gatCtx:
 		c.attn.release()
 	case *gatAttnCtx:

@@ -100,13 +100,23 @@ func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
 }
 
 // Backward propagates dLogits through all layers, accumulating
-// parameter gradients. The gradient w.r.t. the input features is
-// discarded (features are not trained) — so layer 0, which must be a
-// GatherLayer, runs its params-only backward, skipping the dIn GEMM
-// entirely.
+// parameter gradients; dLogits stays the caller's, unchanged. The
+// gradient w.r.t. the input features is discarded (features are not
+// trained) — so when layer 0 read the feature store (ForwardGathered),
+// its backward stops at the weight gradient, with no dIn GEMM.
 func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor.Matrix) {
 	d := m.BackwardPartial(mb, st, 0, dLogits, nil)
-	m.Layers[0].(GatherLayer).BackwardParams(mb.Blocks[0], st.Ctxs[0], d)
+	if c, ok := st.Ctxs[0].(*featsCtx); ok {
+		if d == dLogits {
+			// A one-layer model: layer 0's FinishBackward may overwrite
+			// its dOut, which here is the caller's.
+			d = tensor.Get(dLogits.Rows, dLogits.Cols)
+			copy(d.Data, dLogits.Data)
+		}
+		backwardFeats(m.Layers[0], mb.Blocks[0], c, d)
+	} else {
+		tensor.Put(m.Layers[0].Backward(mb.Blocks[0], st.Ctxs[0], d))
+	}
 	if d != dLogits {
 		tensor.Put(d)
 	}
@@ -130,11 +140,12 @@ func (m *Model) ReleaseActivations(st *ForwardState, fromLayer int) {
 }
 
 // ForwardGathered is Forward with the input gather fused into layer 0:
-// instead of materializing x = Gather(feats, idx), layer 0 reads the
-// feature rows through idx directly. Layer 0 must be a GatherLayer.
+// instead of materializing x = Gather(feats, idx), layer 0 runs as its
+// two halves over the feature rows (feats, idx), the projection reading
+// them through idx directly. idx must have Blocks[0].NumSrc() entries.
 func (m *Model) ForwardGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *ForwardState {
 	m.checkBlocks(mb)
-	h, ctx := m.Layers[0].(GatherLayer).ForwardGathered(mb.Blocks[0], feats, idx)
+	h, ctx := forwardFeats(m.Layers[0], mb.Blocks[0], feats, idx)
 	st := m.ForwardPartial(mb, 1, h)
 	st.Ctxs[0] = ctx
 	return st

@@ -36,8 +36,8 @@ func (a Aggregator) String() string {
 //
 // The computation is decomposed into a projection (dense: Z = H W) and
 // an aggregation (sparse: segment sum/mean), matching the Figure 5
-// tensor abstraction; SplitLayer exposes the two halves so the
-// execution engine can distribute them independently (NFP partitions
+// tensor abstraction; the Layer interface exposes the two halves so
+// the execution engine can distribute them independently (NFP partitions
 // the projection's columns; SNP/DNP split the aggregation by
 // source/destination nodes).
 type SAGELayer struct {
@@ -66,36 +66,25 @@ func (l *SAGELayer) Params() []*Param { return []*Param{l.W} }
 func (l *SAGELayer) NeedsDstInSrc() bool { return false }
 
 type sageCtx struct {
-	h   *tensor.Matrix    // layer input (sources) on the plain path
-	src tensor.FeatSource // the feature store view when idx is set
-	idx []int32           // non-nil: input row r is src row idx[r] (gather-fused)
-	out *tensor.Matrix    // post-activation output
+	h   *tensor.Matrix // layer input (sources)
+	out *tensor.Matrix // post-activation output
 }
 
-// project computes Z = input · W, the dense half of the layer, over a
-// plain input h or — when idx is set — feature rows read through idx.
-func (l *SAGELayer) project(h *tensor.Matrix, src tensor.FeatSource, idx []int32) *tensor.Matrix {
-	if idx != nil {
-		return l.ProjectCols(src, idx, 0, l.InDim())
-	}
-	return tensor.MatMul(h, l.W.W)
-}
-
-// ProjWidth implements SplitLayer.
+// ProjWidth implements Layer.
 func (l *SAGELayer) ProjWidth() int { return l.OutDim() }
 
-// PreSums implements SplitLayer: mean and sum aggregation are segment
+// PreSums implements Layer: mean and sum aggregation are segment
 // sums of projection rows (paper Table 1).
 func (l *SAGELayer) PreSums() bool { return true }
 
-// ProjectCols implements SplitLayer; the kernel reads the feature store
+// ProjectCols implements Layer; the kernel reads the feature store
 // through idx with no gathered copy, dequantizing warm-tier rows on the
 // fly.
 func (l *SAGELayer) ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
 	return tensor.GatherMatMulSliceSrc(feats, idx, lo, hi, rowShard(l.W.W, lo, hi))
 }
 
-// ProjectColsBackward implements SplitLayer: dW[lo:hi] += feats[idx][:, lo:hi]ᵀ dZ.
+// ProjectColsBackward implements Layer: dW[lo:hi] += feats[idx][:, lo:hi]ᵀ dZ.
 func (l *SAGELayer) ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix) {
 	tensor.GatherTMatMulAccSliceSrc(rowShard(l.W.G, lo, hi), feats, idx, lo, hi, dZ)
 }
@@ -106,64 +95,30 @@ func (l *SAGELayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
 	return 2 * float64(nSrc) * float64(cols) * out, 2 * float64(nEdges) * out
 }
 
-// forward is the shared fused forward: projection (plain or gathered),
-// then segment aggregation with the mean normalization and activation
-// fused into the same pass over each output row.
-func (l *SAGELayer) forward(blk *sample.Block, h *tensor.Matrix, src tensor.FeatSource, idx []int32) (*tensor.Matrix, *sageCtx) {
-	z := l.project(h, src, idx)
-	s := tensor.SegmentAggFused(blk.EdgePtr, blk.SrcIdx, z, l.Agg == AggMean, l.Act == ActReLU)
-	tensor.Put(z)
-	return s, &sageCtx{h: h, src: src, idx: idx, out: s}
-}
-
-// Forward implements Layer.
+// Forward implements Layer: the projection Z = h · W, then segment
+// aggregation with the mean normalization and activation fused into the
+// same pass over each output row.
 func (l *SAGELayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
 	if h.Rows != blk.NumSrc() {
 		panic(fmt.Sprintf("nn: SAGE forward got %d src rows, block has %d", h.Rows, blk.NumSrc()))
 	}
-	out, c := l.forward(blk, h, tensor.FeatSource{}, nil)
-	return out, c
+	z := tensor.MatMul(h, l.W.W)
+	s := tensor.SegmentAggFused(blk.EdgePtr, blk.SrcIdx, z, l.Agg == AggMean, l.Act == ActReLU)
+	tensor.Put(z)
+	return s, &sageCtx{h: h, out: s}
 }
 
-// ForwardGathered implements GatherLayer.
-func (l *SAGELayer) ForwardGathered(blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
-	if len(idx) != blk.NumSrc() {
-		panic(fmt.Sprintf("nn: SAGE forward got %d src indices, block has %d", len(idx), blk.NumSrc()))
-	}
-	if idx == nil {
-		idx = []int32{} // empty block: stay on the gather-fused path
-	}
-	out, c := l.forward(blk, nil, feats, idx)
-	return out, c
-}
-
-// backwardParams runs the fused aggregation backward (activation mask
-// and mean scaling in one pass, then the sum to source rows) down to dZ
-// and accumulates dW from it; the caller owns the returned dZ.
-func (l *SAGELayer) backwardParams(blk *sample.Block, c *sageCtx, dOut *tensor.Matrix) *tensor.Matrix {
+// Backward implements Layer: the fused aggregation backward (activation
+// mask and mean scaling in one pass, then the sum to source rows) down
+// to dZ, then dW and dIn from it.
+func (l *SAGELayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
+	c := ctx.(*sageCtx)
 	dZ := tensor.SegmentAggFusedBackward(blk.EdgePtr, blk.SrcIdx, c.out, dOut,
 		l.Agg == AggMean, l.Act == ActReLU, blk.NumSrc())
-	if c.idx != nil {
-		l.ProjectColsBackward(c.src, c.idx, 0, l.InDim(), dZ)
-	} else {
-		tensor.TMatMulAcc(l.W.G, c.h, dZ)
-	}
-	return dZ
-}
-
-// Backward implements Layer.
-func (l *SAGELayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	dZ := l.backwardParams(blk, ctx.(*sageCtx), dOut)
+	tensor.TMatMulAcc(l.W.G, c.h, dZ)
 	dH := tensor.MatMulT(dZ, l.W.W)
 	tensor.Put(dZ)
 	return dH
-}
-
-// BackwardParams implements GatherLayer: parameter gradients only, no
-// dIn — the layer-0 hot path, where the input gradient was always
-// discarded.
-func (l *SAGELayer) BackwardParams(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) {
-	tensor.Put(l.backwardParams(blk, ctx.(*sageCtx), dOut))
 }
 
 // normalize applies the aggregator's normalization to per-destination
@@ -184,7 +139,7 @@ func (l *SAGELayer) normalize(blk *sample.Block, s *tensor.Matrix) {
 	}
 }
 
-// Finish implements SplitLayer: normalize the summed projections and
+// Finish implements Layer: normalize the summed projections and
 // activate, both in place. The context is the output itself.
 func (l *SAGELayer) Finish(blk *sample.Block, s *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
 	l.normalize(blk, s)
@@ -194,7 +149,7 @@ func (l *SAGELayer) Finish(blk *sample.Block, s *tensor.Matrix) (*tensor.Matrix,
 	return s, s
 }
 
-// FinishBackward implements SplitLayer.
+// FinishBackward implements Layer.
 func (l *SAGELayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	dS := activationBackward(l.Act, ctx.(*tensor.Matrix), dOut)
 	l.normalize(blk, dS)
