@@ -7,7 +7,7 @@
 // The library lives under internal/: see internal/core for the APT
 // system, internal/engine for the unified execution engine (one layer-1
 // runner; a strategy is a placement value), internal/nn for the models
-// (adding a model = implementing the one nn.SplitLayer interface),
+// (adding a model = implementing the one nn.Layer interface),
 // internal/strategy for the strategy kinds, and internal/experiments
 // for the paper's evaluation harness. Entry points are the commands under
 // cmd/ and the runnable examples under examples/.

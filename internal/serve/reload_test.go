@@ -106,7 +106,8 @@ func testReloadRebuildsProjection(t *testing.T, f *testFixture) {
 
 // TestReloadDropsNoRequests hammers Predict from many goroutines while
 // repeatedly hot-swapping the model: every request must complete
-// without error — the blue/green handoff may never drop or fail one.
+// without error — swapping the generation the workers read may never
+// drop or fail one.
 func TestReloadDropsNoRequests(t *testing.T) {
 	f := newFixture(t)
 	s := f.server(t, nil)
