@@ -63,7 +63,10 @@ func trainBitIdentReference(f *testFixture, newModel func() *nn.Model,
 
 func runBitIdentity(t *testing.T, f *testFixture, newModel func() *nn.Model) {
 	const epochs = 2
-	fullFanout := []int{1000, 1000}
+	fullFanout := make([]int, len(newModel().Layers))
+	for i := range fullFanout {
+		fullFanout[i] = 1000
+	}
 	plan := sample.SplitEven(f.seeds, 1, graph.NewRNG(3))
 	ref := trainBitIdentReference(f, newModel, plan, fullFanout, epochs, 16)
 
@@ -148,5 +151,20 @@ func TestBitIdenticalToReferenceGAT(t *testing.T) {
 // strategies is the nn.Layer interface.
 func TestBitIdenticalToReferenceGCN(t *testing.T) {
 	f := newFixture(t, 1, 160)
-	runBitIdentity(t, f, func() *nn.Model { return newGCN(f.dim, 8, f.classes) })
+	runBitIdentity(t, f, func() *nn.Model { return newGCN(f.dim, 8, f.classes, 2) })
+}
+
+// TestBitIdenticalToReferenceThreeLayers runs the same check on three
+// layers of each model, so that a hidden layer above the first — a
+// layer that reads the one below's output and returns an input
+// gradient — runs in the engine's walk.
+func TestBitIdenticalToReferenceThreeLayers(t *testing.T) {
+	f := newFixture(t, 1, 160)
+	for name, newModel := range map[string]func() *nn.Model{
+		"sage": func() *nn.Model { return nn.NewGraphSAGE(f.dim, 8, f.classes, 3) },
+		"gat":  func() *nn.Model { return nn.NewGAT(f.dim, 4, 2, f.classes, 3) },
+		"gcn":  func() *nn.Model { return newGCN(f.dim, 8, f.classes, 3) },
+	} {
+		t.Run(name, func(t *testing.T) { runBitIdentity(t, f, newModel) })
+	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"repro/internal/device"
-	"repro/internal/nn"
 	"repro/internal/sample"
 )
 
@@ -22,29 +21,6 @@ func (w *worker) chargeDense(f float64) {
 //apt:hotpath
 func (w *worker) chargeSparse(f float64) {
 	w.dev.Charge(device.StageTrain, w.eng.cfg.Platform.SparseTime(f))
-}
-
-// chargeLayerCompute charges one whole layer's compute on a block;
-// backward passes cost roughly twice the forward.
-//
-//apt:hotpath
-func (w *worker) chargeLayerCompute(l nn.Layer, blk *sample.Block, backward bool) {
-	dense, sparse := l.FLOPs(int64(blk.NumSrc()), int64(l.InDim()), blk.NumEdges())
-	if backward {
-		dense *= 2
-		sparse *= 2
-	}
-	w.chargeDense(dense)
-	w.chargeSparse(sparse)
-}
-
-// chargeUpperLayers charges the data-parallel layers above layer 1.
-//
-//apt:hotpath
-func (e *Engine) chargeUpperLayers(w *worker, mb *sample.MiniBatch, backward bool) {
-	for l := 1; l < len(w.model.Layers); l++ {
-		w.chargeLayerCompute(w.model.Layers[l], mb.Blocks[l], backward)
-	}
 }
 
 // wireInts returns the accounted bytes of shipping n int32 values.

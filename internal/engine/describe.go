@@ -11,8 +11,8 @@ import (
 // DescribePlan renders the adapted execution plan for a strategy: the
 // computation and communication operators the Adapt step inserts
 // around the single-device kernels at each Permute / Shuffle / Execute
-// / Reshuffle stage (paper §4.2). Purely informational — the layer-1
-// runner executes exactly these plans from the strategy's placement.
+// / Reshuffle stage (paper §4.2). Purely informational — the layer
+// walk executes exactly these plans from the strategy's placement.
 func DescribePlan(k strategy.Kind, m *nn.Model) string {
 	attention := m.NeedsDstInSrc()
 	var b strings.Builder

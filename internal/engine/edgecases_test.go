@@ -122,3 +122,53 @@ func TestMultiEpochStability(t *testing.T) {
 		replicasInSync(t, e)
 	}
 }
+
+// TestIsolatedSeedsMatchGDP trains under DNP and SNP at world 2 on a
+// graph whose seeds owned by device 0 have no edges at all, against
+// GDP on the same batches. Under DNP every request to device 0 then
+// carries destinations that sampled no edges, so device 0 serves blocks
+// with no sources (Src nil) at layer 0 of the one-layer model; SNP
+// ships nothing for them. Either way the layer's projection must read
+// no rows.
+func TestIsolatedSeedsMatchGDP(t *testing.T) {
+	f := newFixture(t, 2, 200)
+	isolated := func(v graph.NodeID) bool { return v%4 == 0 }
+	b := graph.NewBuilder(f.g.NumNodes())
+	for v := 0; v < f.g.NumNodes(); v++ {
+		for _, u := range f.g.Neighbors(graph.NodeID(v)) {
+			if !isolated(graph.NodeID(v)) && !isolated(u) {
+				b.AddEdge(graph.NodeID(v), u)
+			}
+		}
+	}
+	f.g = b.Build(true)
+	// Seeds are the even nodes: the isolated ones (v%4 == 0) belong to
+	// device 0, the rest to device 1.
+	for v := range f.assign {
+		f.assign[v] = int32(v / 2 % 2)
+	}
+	plan := sample.SplitEven(f.seeds, 2, graph.NewRNG(4))
+	for layers := 1; layers <= 2; layers++ {
+		newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 8, f.classes, layers) }
+		fanouts := []int{4, 4}[:layers]
+		gdp, err := New(f.config(strategy.GDP, newModel, plan, fanouts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gdp.RunEpoch()
+		for _, k := range []strategy.Kind{strategy.DNP, strategy.SNP} {
+			e, err := New(f.config(k, newModel, plan, fanouts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.RunEpoch()
+			if st.MeanLoss != st.MeanLoss {
+				t.Fatalf("%v, %d layers: loss NaN", k, layers)
+			}
+			replicasInSync(t, e)
+			if d := paramsDiff(gdp, e); d > 1e-3 {
+				t.Errorf("%v, %d layers: diverges from GDP by %g", k, layers, d)
+			}
+		}
+	}
+}

@@ -3,10 +3,9 @@
 // the four parallelization strategies. Each simulated GPU is driven by
 // one goroutine; every mini-batch step decomposes into the paper's
 // Permute / Shuffle / Execute / Reshuffle stages, realized by the one
-// layer-1 runner in layer1.go, which each strategy parameterizes with a
-// placement.
-// Layers above the first always run data-parallel (paper §3.1: "All
-// strategies target the first layer").
+// layer walk in layer1.go, which each strategy parameterizes with a
+// placement at layer 1. Layers above the first run GDP's placement,
+// data-parallel (paper §3.1: "All strategies target the first layer").
 //
 // An engine drives exactly the ranks its Config.Transport hosts: every
 // device on the default in-process channel fabric, its own one on a
@@ -177,6 +176,9 @@ type worker struct {
 	unionPos   []int32
 	// labelBuf is the per-step label gather scratch, reused across steps.
 	labelBuf []int32
+	// ctxs holds the step's per-layer forward contexts, reused across
+	// steps.
+	ctxs []*layerCtx
 	// gsync is the bucketed backward-overlapped gradient sync (real
 	// mode, more than one device; nil otherwise — see gradsync.go).
 	gsync *gradSync
@@ -498,9 +500,11 @@ func (e *Engine) workerEpoch(ctx context.Context, w *worker, plan *sample.SeedPl
 	}
 }
 
-// computeStep runs everything past sampling for one mini-batch: the
-// strategy's layer 1, the data-parallel upper layers, loss/backward in
-// real mode, and gradient synchronization.
+// computeStep runs everything past sampling for one mini-batch: every
+// layer's forward through its placement, the loss in real mode, every
+// layer's backward top-down, and gradient synchronization. With the
+// bucketed sync each layer's gradient bucket is launched as soon as its
+// backward is done, so its ring transfer overlaps the layers below.
 func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds []graph.NodeID, mb *sample.MiniBatch) {
 	global := 0
 	for d := range plan.PerWorker {
@@ -509,13 +513,18 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 	w.stats.Layer1Dst += int64(mb.Layer1().NumDst())
 	w.stats.SeedsProcessed += int64(len(seeds))
 
-	h, ctx := e.place.forward(w, mb)
+	layers := len(w.model.Layers)
+	if cap(w.ctxs) < layers {
+		w.ctxs = make([]*layerCtx, layers)
+	}
+	ctxs := w.ctxs[:layers]
+	var h *tensor.Matrix
+	for l := range ctxs {
+		h, ctxs[l] = e.placementAt(l).forward(w, mb, l, h)
+	}
 
-	var st *nn.ForwardState
-	var dLogits, dH *tensor.Matrix
+	var dLogits *tensor.Matrix
 	if w.real() {
-		st = w.model.ForwardPartial(mb, 1, h)
-		e.chargeUpperLayers(w, mb, false)
 		if cap(w.labelBuf) < len(seeds) {
 			w.labelBuf = make([]int32, len(seeds))
 		}
@@ -524,34 +533,42 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 			labels[i] = e.cfg.Labels[s]
 		}
 		var loss float64
-		loss, dLogits = nn.SoftmaxCrossEntropy(st.Logits, labels, maxInt(global, 1))
+		loss, dLogits = nn.SoftmaxCrossEntropy(h, labels, maxInt(global, 1))
 		w.stats.LossSum += loss
-		if w.gsync != nil {
-			// Bucketed DDP-style sync: as each upper layer's backward
-			// completes, charge its compute and launch its gradient
-			// bucket's ring allreduce — the transfers overlap the
-			// remaining backward work on the sync goroutine.
-			w.gsync.beginStep()
-			dH = w.model.BackwardPartial(mb, st, 0, dLogits, func(l int) {
-				blk := mb.Blocks[l]
-				w.chargeLayerCompute(w.model.Layers[l], blk, true)
-				w.gsync.launchLayer(l)
-			})
-			if !e.place.backwardIsLocal() {
-				// The layer-1 backward issues collectives of its own; the
-				// in-flight buckets must complete first so only one
-				// goroutine per rank touches the transport at a time.
-				w.gsync.drainInFlight()
-			}
-			e.place.backward(w, mb, ctx, dH)
-			w.gsync.launchLayer(0)
-			w.gsync.finish()
-		} else {
-			dH = w.model.BackwardPartial(mb, st, 0, dLogits, nil)
-			e.chargeUpperLayers(w, mb, true)
-			e.place.backward(w, mb, ctx, dH)
-			e.syncGradients(w)
+	}
+	if w.gsync != nil {
+		w.gsync.beginStep()
+	}
+	// held is the gradient a communicating backward read: a peer may
+	// still read it through a shipped reference until the step's sync
+	// completes. A local backward's input goes back to the pool at once.
+	var held *tensor.Matrix
+	d := dLogits
+	for l := layers - 1; l >= 0; l-- {
+		p := e.placementAt(l)
+		if w.gsync != nil && !p.backwardIsLocal() {
+			// This backward issues collectives of its own; the in-flight
+			// buckets must complete first so only one goroutine per rank
+			// touches the transport at a time.
+			w.gsync.drainInFlight()
 		}
+		dIn := p.backward(w, mb, l, ctxs[l], d)
+		if p.backwardIsLocal() {
+			tensor.Put(d)
+		} else {
+			held = d
+		}
+		if w.gsync != nil {
+			w.gsync.launchLayer(l)
+		}
+		d = dIn
+	}
+	if w.gsync != nil {
+		w.gsync.finish()
+	} else {
+		e.syncGradients(w)
+	}
+	if w.real() {
 		w.opt.Step(w.model.Params())
 		w.model.ZeroGrad()
 		// Completing the step's gradient sync guarantees every worker is
@@ -563,18 +580,13 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 		// this the activations are the loop's steadiest garbage, and the
 		// GC they force keeps flushing the very pools the kernels rely
 		// on for allocation-free steady state.
-		w.model.ReleaseActivations(st, 1)
-		tensor.Put(h)
-		if dH != dLogits {
-			tensor.Put(dH)
+		for _, c := range ctxs[1:] {
+			tensor.Put(c.h)
 		}
-		tensor.Put(dLogits)
-	} else {
-		e.chargeUpperLayers(w, mb, false)
-		e.chargeUpperLayers(w, mb, true)
-		e.place.backward(w, mb, ctx, nil)
-		e.syncGradients(w)
+		tensor.Put(h)
+		tensor.Put(held)
 	}
+	clear(ctxs)
 }
 
 // syncGradients is the unbucketed gradient synchronization: one flat

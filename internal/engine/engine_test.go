@@ -206,7 +206,7 @@ func TestSemanticEquivalenceGAT(t *testing.T) {
 func TestSemanticEquivalenceGCN(t *testing.T) {
 	f := newFixture(t, 4, 400)
 	f.platform = hardware.WithDevices(hardware.FourMachines4GPU(), 2, 2)
-	newModel := func() *nn.Model { return newGCN(f.dim, 12, f.classes) }
+	newModel := func() *nn.Model { return newGCN(f.dim, 12, f.classes, 2) }
 	plan := sample.SplitEven(f.seeds, 4, graph.NewRNG(5))
 
 	engines := map[strategy.Kind]*Engine{}

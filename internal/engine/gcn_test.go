@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/nn"
@@ -22,16 +23,21 @@ type gcnLayer struct {
 	relu bool
 }
 
-type gcnCtx struct {
-	h   *tensor.Matrix
-	fin nn.LayerCtx
-}
-
-func newGCN(inDim, hidden, classes int) *nn.Model {
-	return &nn.Model{Name: "GCN", Layers: []nn.Layer{
-		&gcnLayer{W: nn.NewParam("gcn0.W", inDim, hidden), relu: true},
-		&gcnLayer{W: nn.NewParam("gcn1.W", hidden, classes)},
-	}}
+// newGCN builds layers GCN layers: hidden ones of width hidden with
+// ReLU, and a linear output layer.
+func newGCN(inDim, hidden, classes, layers int) *nn.Model {
+	m := &nn.Model{Name: "GCN"}
+	for l := 0; l < layers; l++ {
+		in, out := hidden, hidden
+		if l == 0 {
+			in = inDim
+		}
+		if l == layers-1 {
+			out = classes
+		}
+		m.Layers = append(m.Layers, &gcnLayer{W: nn.NewParam(fmt.Sprintf("gcn%d.W", l), in, out), relu: l < layers-1})
+	}
+	return m
 }
 
 func (l *gcnLayer) InDim() int          { return l.W.W.Rows }
@@ -89,23 +95,6 @@ func (l *gcnLayer) FinishBackward(blk *sample.Block, ctx nn.LayerCtx, dOut *tens
 	return dS
 }
 
-func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, nn.LayerCtx) {
-	z := tensor.MatMul(h, l.W.W)
-	s := tensor.SegmentSum(blk.EdgePtr, blk.SrcIdx, z)
-	tensor.Put(z)
-	c := &gcnCtx{h: h}
-	var out *tensor.Matrix
-	out, c.fin = l.Finish(blk, s)
-	return out, c
-}
-
-func (l *gcnLayer) Backward(blk *sample.Block, ctx nn.LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	c := ctx.(*gcnCtx)
-	dS := l.FinishBackward(blk, c.fin, dOut)
-	dZ := tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
-	tensor.Put(dS)
-	tensor.TMatMulAcc(l.W.G, c.h, dZ)
-	dH := tensor.MatMulT(dZ, l.W.W)
-	tensor.Put(dZ)
-	return dH
+func (l *gcnLayer) InputGrad(dZ *tensor.Matrix) *tensor.Matrix {
+	return tensor.MatMulT(dZ, l.W.W)
 }

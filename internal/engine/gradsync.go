@@ -20,7 +20,7 @@ import (
 // transfers (comm.RingAllReduceData) — it never touches the simulated
 // clocks or the span tracks. The worker goroutine never
 // issues collectives of its own while bucket transfers are in flight:
-// when the strategy's layer-1 backward communicates
+// before any layer whose placement's backward communicates
 // (placement.backwardIsLocal() == false), the worker drains the
 // in-flight buckets first. That keeps every rank's transport-operation
 // order identical — the lockstep invariant all collectives rely on —

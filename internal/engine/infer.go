@@ -160,10 +160,7 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 			inf.treeNodes *= f
 		}
 	}
-	all := make([]int32, cfg.Store.Feats.Rows)
-	for v := range all {
-		all[v] = int32(v)
-	}
+	all := tensor.Iota(cfg.Store.Feats.Rows)
 	layer0, out := cfg.Model.Layers[0], cfg.Model.Layers[len(cfg.Model.Layers)-1].OutDim()
 	// One projection and one answer table per distinct feature view:
 	// every device without an int8 warm tier reads the fp32 master and

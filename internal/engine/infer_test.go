@@ -55,7 +55,8 @@ func inferFixture(t *testing.T, cacheAll bool) (*Inferencer, *graph.Graph, *nn.M
 }
 
 // TestInferMatchesDirectPredict checks worker inference equals a
-// direct sampler+Predict run (deterministic under Full sampling).
+// direct sampler+PredictGathered run (deterministic under Full
+// sampling).
 func TestInferMatchesDirectPredict(t *testing.T) {
 	inf, g, m, feats := inferFixture(t, false)
 	seeds := []graph.NodeID{3, 50, 299}
@@ -74,8 +75,7 @@ func TestInferMatchesDirectPredict(t *testing.T) {
 
 	smp := sample.NewSampler(g, sample.Config{Fanouts: []int{0, 0}, Method: sample.Full}, graph.NewRNG(1))
 	mb := smp.Sample(seeds)
-	x := tensor.Gather(feats, mb.Layer1().Src)
-	want := m.Predict(mb, x)
+	want := m.PredictGathered(mb, tensor.FS(feats), mb.Layer1().Src)
 	defer tensor.Put(want)
 	requireBitsEqual(t, "worker inference vs direct predict", logits, want)
 }

@@ -11,17 +11,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer 1 under every strategy is one walk of the paper's four stages
-// (§4.2) around the two halves of an nn.Layer: Permute groups the
-// block's work by the rank that will run it, Shuffle ships it, Execute
-// runs the dense projection (and as much of the sparse half as the
-// layer allows) where the features live, Reshuffle ships result rows
-// back, and the block's own rank finishes. A strategy is a placement:
-// which rank gets which rows, which feature columns it multiplies, and
-// how much of the layer it runs. The backward pass is the same walk
-// transposed, with gradient rows travelling the reply route backwards.
+// Every layer, under every strategy, is one walk of the paper's four
+// stages (§4.2) around the two halves of an nn.Layer: Permute groups
+// the block's work by the rank that will run it, Shuffle ships it,
+// Execute runs the dense projection (and as much of the sparse half as
+// the layer allows) where the input rows live, Reshuffle ships result
+// rows back, and the block's own rank finishes. A strategy is a
+// placement: which rank gets which rows, which input columns it
+// multiplies, and how much of the layer it runs. The backward pass is
+// the same walk transposed, with gradient rows travelling the reply
+// route backwards. Strategies differ at layer 1 only (paper §3.1: "All
+// strategies target the first layer"); every layer above runs GDP's
+// placement on the rank's own output of the layer below.
 
-// route says which rank runs a block's layer-1 work (paper §3.1).
+// route says which rank runs a block's work (paper §3.1).
 type route int
 
 const (
@@ -38,7 +41,7 @@ const (
 	routeBroadcast
 )
 
-// placement is what a strategy decides about layer 1.
+// placement is what a strategy decides about a layer.
 //
 //	GDP     {routeNone,      all columns, whole layer}
 //	DNP     {routeByDest,    all columns, whole layer}
@@ -62,6 +65,18 @@ type placement struct {
 	// rank's block is what overflows at large hidden sizes (paper
 	// Fig. 10).
 	holdsPartials bool
+}
+
+// upperPlacement runs every layer above the first: GDP's, on the
+// worker's own block.
+var upperPlacement = placement{route: routeNone, whole: true}
+
+// placementAt returns layer l's placement.
+func (e *Engine) placementAt(l int) *placement {
+	if l == 0 {
+		return &e.place
+	}
+	return &upperPlacement
 }
 
 func placementFor(e *Engine) (placement, error) {
@@ -235,8 +250,12 @@ func (w *worker) buildMiniBlock(q *adjRequest, includeDst bool) *sample.Block {
 	return b
 }
 
-// layer1Ctx carries one step's forward state to its backward.
-type layer1Ctx struct {
+// layerCtx carries one layer's forward state to its backward.
+type layerCtx struct {
+	// h is the layer's input above layer 0 (real mode): the worker's
+	// output of the layer below, which the dense half read in row order.
+	// Nil at layer 0, which reads the feature store.
+	h *tensor.Matrix
 	// pos[o] lists which of this rank's rows (destination positions, or
 	// source positions when the layer cannot pre-sum) peer o's reply
 	// carries, in reply order; nil when nothing was asked of o. Unused
@@ -256,7 +275,7 @@ type layer1Ctx struct {
 
 // permute builds the routed strategies' per-peer requests (the Permute
 // stage), recording in ctx.pos which rows each peer's reply will carry.
-func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *layer1Ctx) []payload {
+func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *layerCtx) []payload {
 	n, me := w.eng.Comm.NumDevices(), w.dev.ID
 	ctx.pos = make([][]int32, n)
 	payloads := make([]payload, n)
@@ -300,15 +319,16 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *l
 	return payloads
 }
 
-// forward returns the layer-1 output for the worker's own block (nil in
-// accounting mode) plus the context for backward.
-func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *layer1Ctx) {
-	e, layer := w.eng, w.model.Layers[0]
+// forward returns layer l's output for the worker's own block (nil in
+// accounting mode) plus the context for backward. h is the layer's
+// input above layer 0: the worker's output of layer l-1.
+func (p *placement) forward(w *worker, mb *sample.MiniBatch, l int, h *tensor.Matrix) (*tensor.Matrix, *layerCtx) {
+	e, layer := w.eng, w.model.Layers[l]
 	n, me := e.Comm.NumDevices(), w.dev.ID
-	blk := mb.Layer1()
+	blk := mb.Blocks[l]
 	lo, hi := p.columns(layer.InDim(), me, n)
 	presum, perDst := layer.PreSums(), p.perDst(layer)
-	ctx := &layer1Ctx{served: make([]*sample.Block, n)}
+	ctx := &layerCtx{h: h, served: make([]*sample.Block, n)}
 
 	// Permute + Shuffle: every rank learns what it is to run for whom.
 	switch p.route {
@@ -339,11 +359,12 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 		}
 	}
 
-	// Execute. Feature reads for all requesters share one deduplicated
-	// charge; the kernels read the store through each source list
-	// directly.
-	w.chargeUnionLoad(ctx.served)
-	feats := e.cfg.Store.FeatView(me)
+	// Execute. At layer 0, feature reads for all requesters share one
+	// deduplicated charge, and the kernels read the store through each
+	// source list directly.
+	if l == 0 {
+		w.chargeUnionLoad(ctx.served)
+	}
 	replies := make([]payload, n)
 	if p.whole {
 		ctx.lcts = make([]nn.LayerCtx, n)
@@ -359,7 +380,8 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 		}
 		bytes := wireFloats(p.replyShape(layer, sb))
 		if w.real() {
-			x := layer.ProjectCols(feats, sb.Src, lo, hi)
+			feats, idx := w.input(ctx, sb)
+			x := layer.ProjectCols(feats, idx, lo, hi)
 			if presum {
 				s := tensor.SegmentSum(sb.EdgePtr, sb.SrcIdx, x)
 				tensor.Put(x)
@@ -426,12 +448,13 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch) (*tensor.Matrix, *l
 	return out, ctx
 }
 
-// backward consumes the gradient w.r.t. the worker's layer-1 output
-// (nil in accounting mode).
-func (p *placement) backward(w *worker, mb *sample.MiniBatch, ctx *layer1Ctx, dH *tensor.Matrix) {
-	e, layer := w.eng, w.model.Layers[0]
+// backward consumes the gradient w.r.t. the worker's layer-l output
+// (nil in accounting mode) and returns the gradient w.r.t. the layer's
+// input above layer 0 (nil at layer 0 and in accounting mode).
+func (p *placement) backward(w *worker, mb *sample.MiniBatch, l int, ctx *layerCtx, dH *tensor.Matrix) *tensor.Matrix {
+	e, layer := w.eng, w.model.Layers[l]
 	n, me := e.Comm.NumDevices(), w.dev.ID
-	blk := mb.Layer1()
+	blk := mb.Blocks[l]
 	lo, hi := p.columns(layer.InDim(), me, n)
 	presum, perDst := layer.PreSums(), p.perDst(layer)
 	rows, width := p.replyShape(layer, blk)
@@ -492,8 +515,8 @@ func (p *placement) backward(w *worker, mb *sample.MiniBatch, ctx *layer1Ctx, dH
 	}
 
 	// Every rank turns the gradients of what it served into parameter
-	// gradients.
-	feats := e.cfg.Store.FeatView(me)
+	// gradients, and above layer 0 into the input gradient.
+	var dIn *tensor.Matrix
 	for rq, sb := range ctx.served {
 		if sb == nil {
 			continue
@@ -512,19 +535,36 @@ func (p *placement) backward(w *worker, mb *sample.MiniBatch, ctx *layer1Ctx, dH
 		}
 		dS := g
 		if p.whole {
-			// g is this rank's to overwrite: the upper layers' gradient,
-			// or the copy the requester shipped.
+			// g is this rank's to overwrite: the layer above's gradient
+			// (the step's dLogits at the top), or the copy the requester
+			// shipped.
 			dS = layer.FinishBackward(sb, ctx.lcts[rq], g)
 		}
+		dZ := dS
 		if presum {
-			dZ := tensor.SegmentSumBackward(sb.EdgePtr, sb.SrcIdx, dS, sb.NumSrc())
-			layer.ProjectColsBackward(feats, sb.Src, lo, hi, dZ)
+			dZ = tensor.SegmentSumBackward(sb.EdgePtr, sb.SrcIdx, dS, sb.NumSrc())
+		}
+		feats, idx := w.input(ctx, sb)
+		layer.ProjectColsBackward(feats, idx, lo, hi, dZ)
+		if ctx.h != nil {
+			dIn = layer.InputGrad(dZ)
+		}
+		if dZ != dS {
 			tensor.Put(dZ)
-		} else {
-			layer.ProjectColsBackward(feats, sb.Src, lo, hi, dS)
 		}
 		if dS != g {
 			tensor.Put(dS)
 		}
 	}
+	return dIn
+}
+
+// input returns the rows the dense half reads for served block sb:
+// the feature store's rows sb.Src at layer 0, the layer input's rows in
+// order above it.
+func (w *worker) input(ctx *layerCtx, sb *sample.Block) (tensor.FeatSource, []int32) {
+	if ctx.h != nil {
+		return tensor.FS(ctx.h), tensor.Iota(sb.NumSrc())
+	}
+	return w.eng.cfg.Store.FeatView(w.dev.ID), sb.Src
 }

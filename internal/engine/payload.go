@@ -5,7 +5,7 @@ import (
 	"repro/internal/device"
 )
 
-// payload aliases comm.Payload; the layer-1 runner builds a lot of them.
+// payload aliases comm.Payload; the layer walk builds a lot of them.
 type payload = comm.Payload
 
 // allToAll is the worker-scoped collective shorthand; calls are

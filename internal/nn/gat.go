@@ -77,11 +77,6 @@ func (l *GATLayer) Params() []*Param {
 // NeedsDstInSrc implements Layer.
 func (l *GATLayer) NeedsDstInSrc() bool { return true }
 
-type gatCtx struct {
-	h    *tensor.Matrix // layer input
-	attn *gatAttnCtx
-}
-
 // gatAttnCtx carries the attention intermediates from Finish to
 // FinishBackward: the packed projection z of every block source and the
 // edge-major [E, heads] logits and weights, which it owns, and the
@@ -199,27 +194,11 @@ func (l *GATLayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.
 	return dZ
 }
 
-// Forward implements Layer: every head's projection of h in one GEMM
-// over the packed weight, then Finish.
-func (l *GATLayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
-	if h.Rows != blk.NumSrc() {
-		panic(fmt.Sprintf("nn: GAT forward got %d src rows, block has %d", h.Rows, blk.NumSrc()))
-	}
-	w := l.packed(false, 0, l.InDim())
-	z := tensor.MatMul(h, w)
-	l.unpack(w, false, 0, l.InDim())
-	out, attn := l.Finish(blk, z)
-	return out, &gatCtx{h: h, attn: attn.(*gatAttnCtx)}
-}
-
-// Backward implements Layer: FinishBackward, then the projection's
-// weight gradient and the input gradient, one dH GEMM per head.
-func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	c := ctx.(*gatCtx)
-	dZ := l.FinishBackward(blk, c.attn, dOut)
-	g := l.packed(true, 0, l.InDim())
-	tensor.TMatMulAcc(g, c.h, dZ)
-	l.unpack(g, true, 0, l.InDim())
+// InputGrad implements Layer: one dZ_k · W_kᵀ per head, read from
+// head k's band of the packed dZ and summed in head order. One GEMM
+// over the packed weight would add the heads' terms in one k loop,
+// which rounds differently.
+func (l *GATLayer) InputGrad(dZ *tensor.Matrix) *tensor.Matrix {
 	var dH *tensor.Matrix
 	for k := 0; k < l.Heads; k++ {
 		lo, hi := l.band(k)
@@ -232,6 +211,5 @@ func (l *GATLayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix
 		dH.AddInPlace(dHk)
 		tensor.Put(dHk)
 	}
-	tensor.Put(dZ)
 	return dH
 }

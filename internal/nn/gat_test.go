@@ -346,9 +346,11 @@ func TestGATPackedMatchesPerHeadOracle(t *testing.T) {
 				want := o.forward(blk, h, tensor.FeatSource{}, nil)
 				wantIn := o.backward(blk, h, tensor.FeatSource{}, nil, dOut)
 				wantG := takeGrads(l)
-				out, ctx := l.Forward(blk, h)
+				hc := featsCtx{feats: tensor.FS(h), idx: tensor.Iota(h.Rows)}
+				var out *tensor.Matrix
+				out, hc.fin = forwardFeats(l, blk, hc.feats, hc.idx)
 				bitsEqual(t, name+" plain forward", out.Data, want.Data)
-				dIn := l.Backward(blk, ctx, dOut)
+				dIn := backwardFeats(l, blk, &hc, dOut, true)
 				bitsEqual(t, name+" plain dIn", dIn.Data, wantIn.Data)
 				gradsEqual(t, name+" plain", l, wantG)
 				takeGrads(l)
@@ -357,9 +359,10 @@ func TestGATPackedMatchesPerHeadOracle(t *testing.T) {
 				want = o.forward(blk, nil, feats, idx)
 				o.backward(blk, nil, feats, idx, dOut)
 				wantG = takeGrads(l)
-				out, fctx := forwardFeats(l, blk, feats, idx)
+				fc := featsCtx{feats: feats, idx: idx}
+				out, fc.fin = forwardFeats(l, blk, feats, idx)
 				bitsEqual(t, name+" gathered forward", out.Data, want.Data)
-				backwardFeats(l, blk, fctx, dOut)
+				backwardFeats(l, blk, &fc, dOut, false)
 				gradsEqual(t, name+" gathered", l, wantG)
 				takeGrads(l)
 
@@ -435,9 +438,11 @@ func BenchmarkGATLayerBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		out, ctx := forwardFeats(l, blk, feats, idx)
+		c := featsCtx{feats: feats, idx: idx}
+		var out *tensor.Matrix
+		out, c.fin = forwardFeats(l, blk, feats, idx)
 		b.StartTimer()
-		backwardFeats(l, blk, ctx, dOut)
+		backwardFeats(l, blk, &c, dOut, false)
 		tensor.Put(out)
 	}
 }

@@ -35,12 +35,13 @@ func paramGrads(m *Model) [][]float32 {
 	return gs
 }
 
-// TestForwardGatheredMatchesForward holds the gather-fused layer-0 path
-// (ForwardGathered, then Backward on its state) to Forward on the
-// gathered copy of the same rows, then Backward, by math.Float32bits:
-// the logits and every parameter gradient, for SAGE mean and sum and
-// GAT with one and four heads, at one to three layers, and for SAGE on a
-// layer-0 block with no sources.
+// TestForwardGatheredMatchesForward holds the model's forward and
+// backward (ForwardGathered, every layer as its two halves, then
+// Backward on its state) to the reference composition (refForward on
+// the gathered copy of the same rows, then refBackward) by
+// math.Float32bits: the logits and every parameter gradient, for SAGE
+// mean and sum and GAT with one and four heads, at one to three layers,
+// and for SAGE on a layer-0 block with no sources.
 func TestForwardGatheredMatchesForward(t *testing.T) {
 	const in, classes = 12, 5
 	g := smallGraph()
@@ -69,13 +70,13 @@ func TestForwardGatheredMatchesForward(t *testing.T) {
 				dLogits := randomFeatures(len(mb.Seeds), classes, graph.NewRNG(24))
 
 				m.ZeroGrad()
-				want := m.Forward(mb, tensor.Gather(feats, idx))
-				m.Backward(mb, want, dLogits.Clone())
+				want := refForward(m, mb, tensor.Gather(feats, idx))
+				refBackward(m, mb, want, dLogits.Clone())
 				wantG := paramGrads(m)
 
 				m.ZeroGrad()
 				got := m.ForwardGathered(mb, tensor.FS(feats), idx)
-				bitsEqual(t, name+" logits", got.Logits.Data, want.Logits.Data)
+				bitsEqual(t, name+" logits", got.Logits.Data, want.logits.Data)
 				m.Backward(mb, got, dLogits.Clone())
 				for i, gg := range paramGrads(m) {
 					bitsEqual(t, fmt.Sprintf("%s grad %s", name, m.Params()[i].Name), gg, wantG[i])
@@ -86,28 +87,30 @@ func TestForwardGatheredMatchesForward(t *testing.T) {
 }
 
 // TestBackwardLeavesDLogitsUntouched: Backward reads the caller's
-// dLogits and never writes it, also for a one-layer model, whose layer
-// 0 receives dLogits itself.
+// dLogits and never writes it, at every depth: the output layer's
+// FinishBackward may overwrite its dOut (SAGE's, with no activation,
+// scales it in place), and the output layer receives dLogits.
 func TestBackwardLeavesDLogitsUntouched(t *testing.T) {
 	const in, classes = 12, 5
 	g := smallGraph()
 	feats := randomFeatures(g.NumNodes(), in, graph.NewRNG(31))
 	seeds := []graph.NodeID{5, 9, 60, 77}
 	for _, tc := range gatheredCases(classes) {
-		if tc.name == "gat-4head" {
-			continue // a one-layer GAT's only layer is its one-head output layer
-		}
-		m := tc.build(in, 1)
-		m.Init(graph.NewRNG(32))
-		mb := sampleBatch(g, []int{5}, m.NeedsDstInSrc(), seeds, 33)
-		idx := mb.Layer1().Src
-		dLogits := randomFeatures(len(mb.Seeds), classes, graph.NewRNG(34))
-		keep := dLogits.Clone()
+		for layers := 1; layers <= 2; layers++ {
+			m := tc.build(in, layers)
+			m.Init(graph.NewRNG(32))
+			fanouts := make([]int, layers)
+			for i := range fanouts {
+				fanouts[i] = 5
+			}
+			mb := sampleBatch(g, fanouts, m.NeedsDstInSrc(), seeds, 33)
+			idx := mb.Layer1().Src
+			dLogits := randomFeatures(len(mb.Seeds), classes, graph.NewRNG(34))
+			keep := dLogits.Clone()
 
-		m.Backward(mb, m.ForwardGathered(mb, tensor.FS(feats), idx), dLogits)
-		bitsEqual(t, tc.name+" gathered dLogits", dLogits.Data, keep.Data)
-		m.Backward(mb, m.Forward(mb, tensor.Gather(feats, idx)), dLogits)
-		bitsEqual(t, tc.name+" plain dLogits", dLogits.Data, keep.Data)
+			m.Backward(mb, m.ForwardGathered(mb, tensor.FS(feats), idx), dLogits)
+			bitsEqual(t, fmt.Sprintf("%s/layers%d dLogits", tc.name, layers), dLogits.Data, keep.Data)
+		}
 	}
 }
 

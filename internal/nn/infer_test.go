@@ -29,8 +29,9 @@ func inferEnv(t testing.TB, cfg sample.Config) (*sample.MiniBatch, *tensor.Matri
 	return mb, x, inDim
 }
 
-// TestPredictMatchesForward checks the serving path's logits are
-// bit-identical to the training forward pass for both model families.
+// TestPredictMatchesForward checks the serving path's logits
+// (PredictGathered) are bit-identical to the training forward pass for
+// both model families.
 func TestPredictMatchesForward(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -47,8 +48,8 @@ func TestPredictMatchesForward(t *testing.T) {
 			mb, x, inDim := inferEnv(t, tc.smp)
 			m := tc.build(inDim)
 			m.Init(graph.NewRNG(7))
-			st := m.Forward(mb, x)
-			logits := m.Predict(mb, x)
+			st := forward(m, mb, x)
+			logits := m.PredictGathered(mb, tensor.FS(x), tensor.Iota(x.Rows))
 			if logits.Rows != len(mb.Seeds) {
 				t.Fatalf("predict rows = %d, want %d", logits.Rows, len(mb.Seeds))
 			}
@@ -60,18 +61,19 @@ func TestPredictMatchesForward(t *testing.T) {
 	}
 }
 
-// TestPredictConcurrent runs Predict from many goroutines against one
+// TestPredictConcurrent runs PredictGathered from many goroutines against one
 // shared model; the race detector guards the read-only contract.
 func TestPredictConcurrent(t *testing.T) {
 	mb, x, inDim := inferEnv(t, sample.Config{Fanouts: []int{4, 4}})
 	m := NewGraphSAGE(inDim, 16, 5, 2)
 	m.Init(graph.NewRNG(7))
-	want := m.Predict(mb, x)
+	predict := func() *tensor.Matrix { return m.PredictGathered(mb, tensor.FS(x), tensor.Iota(x.Rows)) }
+	want := predict()
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 20; j++ {
-				got := m.Predict(mb, x)
+				got := predict()
 				d := want.MaxAbsDiff(got)
 				tensor.Put(got)
 				if d != 0 {
@@ -146,11 +148,12 @@ func BenchmarkModelPredict(b *testing.B) {
 	mb, x, inDim := inferEnv(b, sample.Config{Fanouts: []int{10, 10}})
 	m := NewGraphSAGE(inDim, 32, 8, 2)
 	m.Init(graph.NewRNG(7))
-	tensor.Put(m.Predict(mb, x)) // warm the pools
+	idx := tensor.Iota(x.Rows)
+	tensor.Put(m.PredictGathered(mb, tensor.FS(x), idx)) // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Put(m.Predict(mb, x))
+		tensor.Put(m.PredictGathered(mb, tensor.FS(x), idx))
 	}
 }
 
@@ -163,7 +166,7 @@ func BenchmarkModelForwardTraining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := m.Forward(mb, x)
+		st := forward(m, mb, x)
 		_ = st
 	}
 }

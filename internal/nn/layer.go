@@ -8,29 +8,21 @@ import (
 )
 
 // Layer is one GNN layer: it computes destination embeddings from
-// source embeddings over a bipartite block. Forward returns the output
-// and an opaque context consumed by Backward; Backward accumulates
-// parameter gradients and returns the gradient w.r.t. the layer input.
-//
-// A layer is also its two halves as separate calls (paper §3.1,
-// Fig. 5), which is how it runs as layer 0 over the feature store:
-// the dense half projects source features, Z = X[idx][:, lo:hi] ·
-// W[lo:hi]; the sparse half turns projections into destination
-// embeddings. A parallelization strategy decides where each half runs
-// and what is exchanged between them, so implementing this interface
-// is all it takes for a new model to train under every strategy.
+// source embeddings over a bipartite block, as its two halves (paper
+// §3.1, Fig. 5). The dense half projects input rows, Z = X[idx][:,
+// lo:hi] · W[lo:hi], where X is the feature store at layer 0 and the
+// layer below's output above it; the sparse half turns projections into
+// destination embeddings. Every layer runs as these calls, in the model
+// and in the engine alike: a parallelization strategy decides where
+// each half runs and what is exchanged between them, so implementing
+// this interface is all it takes for a new model to train under every
+// strategy.
 type Layer interface {
 	// InDim and OutDim are the source and destination embedding widths.
 	InDim() int
 	OutDim() int
 	// Params lists the layer's trainable parameters.
 	Params() []*Param
-	// Forward computes dst embeddings from src embeddings h
-	// (shape [block.NumSrc(), InDim()]).
-	Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx)
-	// Backward propagates dOut (shape [NumDst, OutDim]) to dIn
-	// (shape [NumSrc, InDim]), accumulating parameter gradients.
-	Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix
 	// NeedsDstInSrc reports whether the layer requires every
 	// destination to appear in its block's source list (attention).
 	NeedsDstInSrc() bool
@@ -43,19 +35,22 @@ type Layer interface {
 
 	// ProjWidth is the column count of the projection Z.
 	ProjWidth() int
-	// ProjectCols computes Z for the feature rows idx, multiplying
-	// feature columns [lo, hi) by the matching rows of the weights; the
-	// full range gives the complete projection, a sub-range a partial
-	// one whose sum over a partition of the columns is the complete one.
+	// ProjectCols computes Z for the input rows idx, multiplying
+	// columns [lo, hi) by the matching rows of the weights; the full
+	// range gives the complete projection, a sub-range a partial one
+	// whose sum over a partition of the columns is the complete one.
 	// Rows are served fp32 or — when the store's warm tier holds them —
 	// dequantized from int8. The result is owned by the caller and may
 	// be shipped to a peer.
 	ProjectCols(feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix
 	// ProjectColsBackward accumulates the weight gradient of rows
 	// [lo, hi) from dZ, the gradient of what ProjectCols returned for
-	// the same arguments. Raw features are not trained, so no input
-	// gradient exists.
+	// the same arguments.
 	ProjectColsBackward(feats tensor.FeatSource, idx []int32, lo, hi int, dZ *tensor.Matrix)
+	// InputGrad returns the gradient w.r.t. the input rows of the whole
+	// projection, dZ · Wᵀ (shape [dZ.Rows, InDim]). Only a hidden input
+	// has one: raw features are not trained.
+	InputGrad(dZ *tensor.Matrix) *tensor.Matrix
 	// PreSums reports whether the aggregate is a plain per-destination
 	// sum of Z rows. A rank holding only some of a destination's sources
 	// may then reduce them to one row (tensor.SegmentSum) before
@@ -76,22 +71,21 @@ type Layer interface {
 // LayerCtx carries forward-pass intermediates to the backward pass.
 type LayerCtx interface{}
 
-// featsCtx is layer 0's context when it read the feature store: the
-// rows it projected and its sparse half's context.
+// featsCtx is one layer's forward context: the input rows its dense
+// half read (the feature store at layer 0, the layer below's output
+// above it) and its sparse half's context.
 type featsCtx struct {
 	feats tensor.FeatSource
 	idx   []int32
 	fin   LayerCtx
 }
 
-// forwardFeats runs l as layer 0 over the feature rows (feats, idx),
-// as its two halves: ProjectCols, SegmentSum when the layer pre-sums,
-// then Finish. Logical input row r is feats row idx[r]; a FeatSource
-// with no quantized tier makes this bit-identical to Forward on the
-// gathered copy.
-func forwardFeats(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, *featsCtx) {
+// forwardFeats runs l over the input rows (feats, idx) as its two
+// halves: ProjectCols, SegmentSum when the layer pre-sums, then Finish.
+// Logical input row r is feats row idx[r].
+func forwardFeats(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
 	if len(idx) != blk.NumSrc() {
-		panic(fmt.Sprintf("nn: layer 0 got %d src indices, block has %d", len(idx), blk.NumSrc()))
+		panic(fmt.Sprintf("nn: layer got %d src indices, block has %d", len(idx), blk.NumSrc()))
 	}
 	x := l.ProjectCols(feats, idx, 0, l.InDim())
 	if l.PreSums() {
@@ -99,26 +93,31 @@ func forwardFeats(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int
 		tensor.Put(x)
 		x = s
 	}
-	out, fin := l.Finish(blk, x)
-	return out, &featsCtx{feats: feats, idx: idx, fin: fin}
+	return l.Finish(blk, x)
 }
 
 // backwardFeats is forwardFeats' backward: FinishBackward, then
-// SegmentSumBackward when the layer pre-sums, then
-// ProjectColsBackward. It accumulates parameter gradients only — raw
-// features are not trained — and may overwrite dOut.
-func backwardFeats(l Layer, blk *sample.Block, c *featsCtx, dOut *tensor.Matrix) {
-	dS := l.FinishBackward(blk, c.fin, dOut)
+// SegmentSumBackward when the layer pre-sums, then ProjectColsBackward,
+// and — when in is set — InputGrad, whose result it returns (nil
+// otherwise). It may overwrite dOut.
+func backwardFeats(l Layer, blk *sample.Block, c *featsCtx, dOut *tensor.Matrix, in bool) *tensor.Matrix {
+	dZ := l.FinishBackward(blk, c.fin, dOut)
+	dS := dZ
 	if l.PreSums() {
-		dZ := tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
-		l.ProjectColsBackward(c.feats, c.idx, 0, l.InDim(), dZ)
+		dZ = tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
+	}
+	l.ProjectColsBackward(c.feats, c.idx, 0, l.InDim(), dZ)
+	var dIn *tensor.Matrix
+	if in {
+		dIn = l.InputGrad(dZ)
+	}
+	if dZ != dS {
 		tensor.Put(dZ)
-	} else {
-		l.ProjectColsBackward(c.feats, c.idx, 0, l.InDim(), dS)
 	}
 	if dS != dOut {
 		tensor.Put(dS)
 	}
+	return dIn
 }
 
 // rowShard returns rows [lo, hi) of a parameter matrix as a view (rows

@@ -79,11 +79,11 @@ func (m *Model) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// ForwardState carries all layer contexts of a forward pass.
+// ForwardState carries every layer's context of a forward pass to
+// Backward.
 type ForwardState struct {
-	Inputs []*tensor.Matrix // input to each layer
-	Ctxs   []LayerCtx
 	Logits *tensor.Matrix
+	ctxs   []featsCtx
 }
 
 // checkBlocks panics unless mb carries one block per layer.
@@ -93,104 +93,40 @@ func (m *Model) checkBlocks(mb *sample.MiniBatch) {
 	}
 }
 
-// Forward runs the full model on mini-batch mb with gathered input
-// features x (rows aligned with mb.Blocks[0].Src).
-func (m *Model) Forward(mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
-	return m.ForwardPartial(mb, 0, x)
-}
-
-// Backward propagates dLogits through all layers, accumulating
-// parameter gradients; dLogits stays the caller's, unchanged. The
-// gradient w.r.t. the input features is discarded (features are not
-// trained) — so when layer 0 read the feature store (ForwardGathered),
-// its backward stops at the weight gradient, with no dIn GEMM.
-func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor.Matrix) {
-	d := m.BackwardPartial(mb, st, 0, dLogits, nil)
-	if c, ok := st.Ctxs[0].(*featsCtx); ok {
-		if d == dLogits {
-			// A one-layer model: layer 0's FinishBackward may overwrite
-			// its dOut, which here is the caller's.
-			d = tensor.Get(dLogits.Rows, dLogits.Cols)
-			copy(d.Data, dLogits.Data)
-		}
-		backwardFeats(m.Layers[0], mb.Blocks[0], c, d)
-	} else {
-		tensor.Put(m.Layers[0].Backward(mb.Blocks[0], st.Ctxs[0], d))
-	}
-	if d != dLogits {
-		tensor.Put(d)
-	}
-}
-
-// ReleaseActivations recycles every activation a forward state owns
-// above fromLayer: the outputs of layers fromLayer..end, i.e.
-// Inputs[fromLayer+1..] plus Logits. Inputs[fromLayer] itself (the
-// caller-provided input) is left alone. The state and its layer
-// contexts must not be used afterwards — call only after the backward
-// pass is fully done with them.
-func (m *Model) ReleaseActivations(st *ForwardState, fromLayer int) {
-	for l := fromLayer + 1; l < len(m.Layers); l++ {
-		tensor.Put(st.Inputs[l])
-		st.Inputs[l] = nil
-	}
-	if fromLayer < len(m.Layers) {
-		tensor.Put(st.Logits)
-	}
-	st.Logits = nil
-}
-
-// ForwardGathered is Forward with the input gather fused into layer 0:
-// instead of materializing x = Gather(feats, idx), layer 0 runs as its
-// two halves over the feature rows (feats, idx), the projection reading
-// them through idx directly. idx must have Blocks[0].NumSrc() entries.
+// ForwardGathered runs the model on mini-batch mb, every layer as its
+// two halves (forwardFeats): layer 0's projection reads the feature
+// rows (feats, idx) directly, with no gathered copy, and each layer
+// above reads the one below's output in row order. idx must have
+// Blocks[0].NumSrc() entries.
 func (m *Model) ForwardGathered(mb *sample.MiniBatch, feats tensor.FeatSource, idx []int32) *ForwardState {
 	m.checkBlocks(mb)
-	h, ctx := forwardFeats(m.Layers[0], mb.Blocks[0], feats, idx)
-	st := m.ForwardPartial(mb, 1, h)
-	st.Ctxs[0] = ctx
-	return st
-}
-
-// ForwardPartial runs layers [fromLayer, end) given h already computed
-// for Blocks[fromLayer].Src — the one training forward loop. The unified
-// engine calls it from layer 1, having executed layer 0 via a
-// parallelization strategy.
-func (m *Model) ForwardPartial(mb *sample.MiniBatch, fromLayer int, h *tensor.Matrix) *ForwardState {
-	m.checkBlocks(mb)
-	st := &ForwardState{
-		Inputs: make([]*tensor.Matrix, len(m.Layers)),
-		Ctxs:   make([]LayerCtx, len(m.Layers)),
-	}
-	for l := fromLayer; l < len(m.Layers); l++ {
-		st.Inputs[l] = h
-		out, ctx := m.Layers[l].Forward(mb.Blocks[l], h)
-		st.Ctxs[l] = ctx
-		h = out
+	st := &ForwardState{ctxs: make([]featsCtx, len(m.Layers))}
+	var h *tensor.Matrix
+	for l, layer := range m.Layers {
+		if l > 0 {
+			feats, idx = tensor.FS(h), tensor.Iota(h.Rows)
+		}
+		c := &st.ctxs[l]
+		c.feats, c.idx = feats, idx
+		h, c.fin = forwardFeats(layer, mb.Blocks[l], feats, idx)
 	}
 	st.Logits = h
 	return st
 }
 
-// BackwardPartial propagates dLogits down to (and excluding) layer
-// toLayer, returning the gradient w.r.t. Blocks[toLayer].Dst embeddings
-// — i.e. the input gradient of layer toLayer+1. onLayer(l), when
-// non-nil, runs right after layer l's backward has fully accumulated
-// that layer's parameter gradients: the engine's DDP-style gradient
-// sync uses it to launch a layer's allreduce bucket while the remaining
-// (lower) layers are still computing.
-func (m *Model) BackwardPartial(mb *sample.MiniBatch, st *ForwardState, toLayer int, dLogits *tensor.Matrix, onLayer func(l int)) *tensor.Matrix {
-	d := dLogits
-	for l := len(m.Layers) - 1; l > toLayer; l-- {
-		nd := m.Layers[l].Backward(mb.Blocks[l], st.Ctxs[l], d)
-		if d != dLogits { // recycle the intermediate gradient chain
-			tensor.Put(d)
-		}
-		d = nd
-		if onLayer != nil {
-			onLayer(l)
-		}
+// Backward propagates dLogits through all layers, accumulating
+// parameter gradients; dLogits stays the caller's, unchanged (it is
+// copied once: a layer's FinishBackward may overwrite its dOut). The
+// input gradient of layer 0 is never formed — raw features are not
+// trained — so its backward stops at the weight gradient.
+func (m *Model) Backward(mb *sample.MiniBatch, st *ForwardState, dLogits *tensor.Matrix) {
+	d := tensor.Get(dLogits.Rows, dLogits.Cols)
+	copy(d.Data, dLogits.Data)
+	for l := len(m.Layers) - 1; l >= 0; l-- {
+		dIn := backwardFeats(m.Layers[l], mb.Blocks[l], &st.ctxs[l], d, l > 0)
+		tensor.Put(d)
+		d = dIn
 	}
-	return d
 }
 
 // GradBuckets groups the parameters per layer in reverse layer order —

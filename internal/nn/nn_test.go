@@ -31,9 +31,15 @@ func gatherInput(feats *tensor.Matrix, blk *sample.Block) *tensor.Matrix {
 	return tensor.Gather(feats, blk.Src)
 }
 
+// forward runs m's training forward with layer 0 reading the rows of x
+// in order (x holds one row per layer-0 source).
+func forward(m *Model, mb *sample.MiniBatch, x *tensor.Matrix) *ForwardState {
+	return m.ForwardGathered(mb, tensor.FS(x), tensor.Iota(x.Rows))
+}
+
 // lossOf runs a forward pass and returns the loss.
 func lossOf(m *Model, mb *sample.MiniBatch, x *tensor.Matrix, labels []int32) float64 {
-	st := m.Forward(mb, x)
+	st := forward(m, mb, x)
 	loss, _ := SoftmaxCrossEntropy(st.Logits, labels, len(labels))
 	return loss
 }
@@ -42,7 +48,7 @@ func lossOf(m *Model, mb *sample.MiniBatch, x *tensor.Matrix, labels []int32) fl
 func checkModelGradients(t *testing.T, m *Model, mb *sample.MiniBatch, x *tensor.Matrix, labels []int32, tol float64) {
 	t.Helper()
 	m.ZeroGrad()
-	st := m.Forward(mb, x)
+	st := forward(m, mb, x)
 	_, dLogits := SoftmaxCrossEntropy(st.Logits, labels, len(labels))
 	m.Backward(mb, st, dLogits)
 	const eps = 1e-2
@@ -95,7 +101,7 @@ func TestSAGEForwardShapes(t *testing.T) {
 	m.Init(graph.NewRNG(1))
 	mb := sampleBatch(g, []int{3, 3, 3}, false, []graph.NodeID{1, 2, 3, 4}, 1)
 	x := randomFeatures(mb.Layer1().NumSrc(), 8, graph.NewRNG(2))
-	st := m.Forward(mb, x)
+	st := forward(m, mb, x)
 	if st.Logits.Rows != 4 || st.Logits.Cols != 4 {
 		t.Errorf("logits shape %dx%d, want 4x4", st.Logits.Rows, st.Logits.Cols)
 	}
@@ -214,7 +220,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	first := lossOf(m, mb, x, lb)
 	for it := 0; it < 120; it++ {
 		m.ZeroGrad()
-		st := m.Forward(mb, x)
+		st := forward(m, mb, x)
 		_, dL := SoftmaxCrossEntropy(st.Logits, lb, len(lb))
 		m.Backward(mb, st, dL)
 		opt.Step(m.Params())
@@ -236,53 +242,6 @@ func TestModelInitDeterministic(t *testing.T) {
 			t.Fatal("same-seed init differs")
 		}
 	}
-}
-
-func TestForwardBackwardPartialMatchesFull(t *testing.T) {
-	// Running layer 0 manually then ForwardPartial from layer 1 must
-	// match a full Forward — the invariant the unified engine relies on.
-	g := smallGraph()
-	rng := graph.NewRNG(11)
-	feats := randomFeatures(g.NumNodes(), 6, rng)
-	m := NewGraphSAGE(6, 8, 3, 3)
-	m.Init(graph.NewRNG(12))
-	mb := sampleBatch(g, []int{4, 4, 4}, false, []graph.NodeID{2, 3}, 13)
-	x := gatherInput(feats, mb.Layer1())
-
-	full := m.Forward(mb, x)
-
-	h0, _ := m.Layers[0].Forward(mb.Blocks[0], x)
-	part := m.ForwardPartial(mb, 1, h0)
-	if part.Logits.MaxAbsDiff(full.Logits) > 1e-5 {
-		t.Error("ForwardPartial diverges from Forward")
-	}
-
-	labels := []int32{0, 1}
-	_, dL := SoftmaxCrossEntropy(full.Logits, labels, 2)
-
-	m.ZeroGrad()
-	m.Backward(mb, full, dL)
-	fullGrads := snapshotGrads(m)
-
-	m.ZeroGrad()
-	st2 := m.Forward(mb, x)
-	dH0 := m.BackwardPartial(mb, st2, 0, dL, nil)
-	m.Layers[0].Backward(mb.Blocks[0], st2.Ctxs[0], dH0)
-	partGrads := snapshotGrads(m)
-
-	for i := range fullGrads {
-		if fullGrads[i].MaxAbsDiff(partGrads[i]) > 1e-5 {
-			t.Errorf("param %d grads differ between full and partial backward", i)
-		}
-	}
-}
-
-func snapshotGrads(m *Model) []*tensor.Matrix {
-	var out []*tensor.Matrix
-	for _, p := range m.Params() {
-		out = append(out, p.G.Clone())
-	}
-	return out
 }
 
 func TestNumParamElements(t *testing.T) {

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"fmt"
-
 	"repro/internal/sample"
 	"repro/internal/tensor"
 )
@@ -65,11 +63,6 @@ func (l *SAGELayer) Params() []*Param { return []*Param{l.W} }
 // neighbor embeddings.
 func (l *SAGELayer) NeedsDstInSrc() bool { return false }
 
-type sageCtx struct {
-	h   *tensor.Matrix // layer input (sources)
-	out *tensor.Matrix // post-activation output
-}
-
 // ProjWidth implements Layer.
 func (l *SAGELayer) ProjWidth() int { return l.OutDim() }
 
@@ -95,30 +88,9 @@ func (l *SAGELayer) FLOPs(nSrc, cols, nEdges int64) (dense, sparse float64) {
 	return 2 * float64(nSrc) * float64(cols) * out, 2 * float64(nEdges) * out
 }
 
-// Forward implements Layer: the projection Z = h · W, then segment
-// aggregation with the mean normalization and activation fused into the
-// same pass over each output row.
-func (l *SAGELayer) Forward(blk *sample.Block, h *tensor.Matrix) (*tensor.Matrix, LayerCtx) {
-	if h.Rows != blk.NumSrc() {
-		panic(fmt.Sprintf("nn: SAGE forward got %d src rows, block has %d", h.Rows, blk.NumSrc()))
-	}
-	z := tensor.MatMul(h, l.W.W)
-	s := tensor.SegmentAggFused(blk.EdgePtr, blk.SrcIdx, z, l.Agg == AggMean, l.Act == ActReLU)
-	tensor.Put(z)
-	return s, &sageCtx{h: h, out: s}
-}
-
-// Backward implements Layer: the fused aggregation backward (activation
-// mask and mean scaling in one pass, then the sum to source rows) down
-// to dZ, then dW and dIn from it.
-func (l *SAGELayer) Backward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
-	c := ctx.(*sageCtx)
-	dZ := tensor.SegmentAggFusedBackward(blk.EdgePtr, blk.SrcIdx, c.out, dOut,
-		l.Agg == AggMean, l.Act == ActReLU, blk.NumSrc())
-	tensor.TMatMulAcc(l.W.G, c.h, dZ)
-	dH := tensor.MatMulT(dZ, l.W.W)
-	tensor.Put(dZ)
-	return dH
+// InputGrad implements Layer: dZ · Wᵀ.
+func (l *SAGELayer) InputGrad(dZ *tensor.Matrix) *tensor.Matrix {
+	return tensor.MatMulT(dZ, l.W.W)
 }
 
 // normalize applies the aggregator's normalization to per-destination
@@ -149,7 +121,9 @@ func (l *SAGELayer) Finish(blk *sample.Block, s *tensor.Matrix) (*tensor.Matrix,
 	return s, s
 }
 
-// FinishBackward implements Layer.
+// FinishBackward implements Layer: the activation's mask, then the
+// normalization. With no activation (an output layer) it scales dOut
+// in place and returns it.
 func (l *SAGELayer) FinishBackward(blk *sample.Block, ctx LayerCtx, dOut *tensor.Matrix) *tensor.Matrix {
 	dS := activationBackward(l.Act, ctx.(*tensor.Matrix), dOut)
 	l.normalize(blk, dS)

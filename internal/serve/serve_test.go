@@ -111,7 +111,7 @@ func (f *testFixture) directWith(m *nn.Model, v graph.NodeID) []float32 {
 		smp := sample.NewSampler(f.ds.Graph, f.smp, graph.NewRNG(0))
 		smp.SetKey(fixtureSeed ^ k)
 		mb := smp.Sample([]graph.NodeID{v})
-		logits := m.Predict(mb, tensor.Gather(f.ds.Feats, mb.Layer1().Src))
+		logits := m.PredictGathered(mb, tensor.FS(f.ds.Feats), mb.Layer1().Src)
 		defer tensor.Put(logits)
 		return append([]float32(nil), logits.Row(0)...)
 	}

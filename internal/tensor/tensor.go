@@ -9,6 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -108,4 +109,34 @@ func Gather(src *Matrix, idx []int32) *Matrix {
 		copy(out.Row(i), src.Row(int(r)))
 	}
 	return out
+}
+
+// iotaRows is the identity index Iota hands out prefixes of.
+var iotaRows atomic.Pointer[[]int32]
+
+// Iota returns the identity index 0, 1, …, n-1: the idx under which a
+// gather-fused kernel reads a plain matrix's rows in order (an upper
+// layer's hidden input, FS(h)). It is a prefix of one shared slice,
+// grown when a caller needs more rows than it holds, so a steady-state
+// call allocates nothing. The result is read-only and capped at n.
+func Iota(n int) []int32 {
+	for {
+		p := iotaRows.Load()
+		if p != nil && len(*p) >= n {
+			return (*p)[:n:n]
+		}
+		m := n
+		if p != nil {
+			m = max(n, 2*len(*p))
+		}
+		s := make([]int32, m)
+		for i := range s {
+			s[i] = int32(i)
+		}
+		// A concurrent grower that installed first wins; its slice is a
+		// complete identity too, and the next pass reads it.
+		if iotaRows.CompareAndSwap(p, &s) {
+			return s[:n:n]
+		}
+	}
 }

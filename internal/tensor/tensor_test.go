@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,41 @@ var (
 	tEdgePtr = []int64{0, 2, 2, 5}
 	tSrcIdx  = []int32{0, 1, 1, 2, 3}
 )
+
+// TestIotaConcurrent has goroutines ask for identity indices of
+// growing lengths at once, so that growers race each other and readers
+// race growers (run it under -race): every result must be exactly
+// 0..n-1, with length and capacity n, however the shared slice grew.
+func TestIotaConcurrent(t *testing.T) {
+	const goroutines, rounds = 8, 200
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				n := r*37 + g*11
+				idx := Iota(n)
+				if len(idx) != n || cap(idx) != n {
+					errs <- "wrong length or capacity"
+					return
+				}
+				for i, v := range idx {
+					if v != int32(i) {
+						errs <- "not the identity"
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
 
 func TestSegmentSumAndMean(t *testing.T) {
 	src := FromData(4, 2, []float32{1, 2, 3, 4, 5, 6, 7, 8})
