@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -128,6 +129,12 @@ func (a *APT) Profile() *comm.Profile { return a.profile }
 // DryRunStats returns the planner statistics (after Plan).
 func (a *APT) DryRunStats() *DryRunStats { return a.dryRun }
 
+// ErrPartitionMismatch is the error Prepare returns, wrapped with the
+// numbers, for a Task.Partition that does not fit the task: an Assign
+// whose length is not the graph's node count, or more parts than the
+// platform has devices. Fewer parts than devices is accepted.
+var ErrPartitionMismatch = errors.New("core: partition does not fit the task")
+
 // Prepare runs the paper's Prepare step: communication-operator
 // bandwidth trials and graph partitioning.
 //
@@ -144,6 +151,12 @@ func (a *APT) Prepare() error {
 	} else {
 		a.part = partition.Multilevel(a.task.Graph, a.task.Platform.NumDevices(),
 			partition.MultilevelConfig{Seed: a.task.Seed, EdgeBalanced: true})
+	}
+	if n := a.task.Graph.NumNodes(); len(a.part.Assign) != n {
+		return fmt.Errorf("%w: Assign has %d entries, the graph has %d nodes", ErrPartitionMismatch, len(a.part.Assign), n)
+	}
+	if d := a.task.Platform.NumDevices(); a.part.NumParts > d {
+		return fmt.Errorf("%w: %d parts, the platform has %d devices", ErrPartitionMismatch, a.part.NumParts, d)
 	}
 	if err := a.part.Validate(false); err != nil {
 		return err

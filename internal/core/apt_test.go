@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/nn"
+	"repro/internal/partition"
 	"repro/internal/sample"
 	"repro/internal/strategy"
 )
@@ -72,6 +76,53 @@ func TestPrepareProducesProfileAndPartition(t *testing.T) {
 	}
 	if err := part.Validate(true); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPrepareRejectsMismatchedPartition hands Prepare supplied
+// partitions that do not fit a 2-device PS task. Each used to panic
+// in the store or the cache policy during Plan's dry-run, or fail only
+// in engine.New; Prepare must reject it with ErrPartitionMismatch,
+// naming both numbers. Fewer parts than devices stays accepted.
+func TestPrepareRejectsMismatchedPartition(t *testing.T) {
+	task := testTask(t, "PS", 2, 16)
+	n := task.Graph.NumNodes()
+	assign := partition.Range(task.Graph, 2).Assign
+	for _, c := range []struct {
+		name string
+		part *partition.Partitioning
+		nums []int // both numbers the error must name; none: accepted
+	}{
+		{"assign 3 too long", &partition.Partitioning{Assign: append(slices.Clone(assign), 0, 1, 0), NumParts: 2}, []int{n + 3, n}},
+		{"4 parts on 2 devices", &partition.Partitioning{Assign: assign, NumParts: 4}, []int{4, 2}},
+		{"assign 5 too short", &partition.Partitioning{Assign: assign[:n-5], NumParts: 2}, []int{n - 5, n}},
+		{"1 part on 2 devices", &partition.Partitioning{Assign: make([]int32, n), NumParts: 1}, nil},
+	} {
+		task := task
+		task.Partition = c.part
+		a, err := New(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = a.Prepare()
+		if c.nums == nil {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrPartitionMismatch) {
+			t.Errorf("%s: Prepare returned %v, want ErrPartitionMismatch", c.name, err)
+			continue
+		}
+		for _, x := range c.nums {
+			if !strings.Contains(err.Error(), strconv.Itoa(x)) {
+				t.Errorf("%s: error %q does not name %d", c.name, err, x)
+			}
+		}
+		if _, err := a.Plan(); !errors.Is(err, ErrPartitionMismatch) {
+			t.Errorf("%s: Plan returned %v, want ErrPartitionMismatch", c.name, err)
+		}
 	}
 }
 

@@ -65,25 +65,7 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 		return &Partitioning{Assign: make([]int32, g.NumNodes()), NumParts: max(k, 1)}
 	}
 	rng := graph.NewRNG(cfg.Seed)
-	w := symmetrize(g)
-	if cfg.EdgeBalanced {
-		for v := 0; v < w.n(); v++ {
-			w.vw[v] = 1 + (w.xadj[v+1] - w.xadj[v])
-		}
-	}
-
-	// Coarsening phase: stack of graphs and fine->coarse maps.
-	graphs := []*wgraph{w}
-	var maps [][]int32
-	for graphs[len(graphs)-1].n() > k*cfg.CoarsenTarget {
-		cur := graphs[len(graphs)-1]
-		cmap, coarse := coarsen(cur, rng)
-		if coarse.n() >= cur.n()*9/10 {
-			break // matching stalled; further coarsening is pointless
-		}
-		graphs = append(graphs, coarse)
-		maps = append(maps, cmap)
-	}
+	graphs, maps := hierarchy(g, k, cfg, rng)
 
 	// Initial partition on the coarsest graph.
 	coarsest := graphs[len(graphs)-1]
@@ -102,6 +84,31 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 		refine(fine, assign, k, cfg, rng)
 	}
 	return &Partitioning{Assign: assign, NumParts: k}
+}
+
+// hierarchy symmetrizes g, weights its vertices as cfg asks and
+// coarsens it until at most k*cfg.CoarsenTarget vertices are left or
+// matching stalls. It returns the graphs, finest first, and the
+// fine->coarse map of every step.
+func hierarchy(g *graph.Graph, k int, cfg MultilevelConfig, rng *graph.RNG) ([]*wgraph, [][]int32) {
+	w := symmetrize(g)
+	if cfg.EdgeBalanced {
+		for v := 0; v < w.n(); v++ {
+			w.vw[v] = 1 + (w.xadj[v+1] - w.xadj[v])
+		}
+	}
+	graphs := []*wgraph{w}
+	var maps [][]int32
+	for graphs[len(graphs)-1].n() > k*cfg.CoarsenTarget {
+		cur := graphs[len(graphs)-1]
+		cmap, coarse := coarsen(cur, rng)
+		if coarse.n() >= cur.n()*9/10 {
+			break // matching stalled; further coarsening is pointless
+		}
+		graphs = append(graphs, coarse)
+		maps = append(maps, cmap)
+	}
+	return graphs, maps
 }
 
 // wgraph is a weighted undirected graph used internally during
@@ -282,14 +289,15 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 		cvw[cmap[v]] += w.vw[v]
 		cnw[cmap[v]] += w.nw[v]
 	}
-	// Gather coarse entries (row, to, w) in fine-vertex order. stamp[cu]
-	// remembers only the last coarse row to touch cu, so the two
-	// members of a pair far apart in ID can each open an entry for cu:
-	// the repeated targets wgraph describes. Each fine entry opens at
-	// most one coarse entry.
-	erow := make([]int32, 0, len(w.adj))
-	eto := make([]int32, 0, len(w.adj))
-	ew := make([]int32, 0, len(w.adj))
+	// Gather coarse entries (target, weight) in fine-vertex order: fine
+	// vertex v opens ents[run[v]:run[v+1]], all in coarse row cmap[v],
+	// so no entry stores its row. stamp[cu] remembers only the last
+	// coarse row to touch cu, so the two members of a pair far apart in
+	// ID can each open an entry for cu: the repeated targets wgraph
+	// describes. Each fine entry opens at most one coarse entry.
+	type pair struct{ v, w int32 }
+	ents := make([]pair, 0, len(w.adj))
+	run := make([]int64, n+1)
 	rowPtr := make([]int64, cn+1)
 	toPtr := make([]int64, cn+1)
 	stamp := make([]int32, cn)
@@ -305,41 +313,49 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 				continue
 			}
 			if stamp[cu] == cv {
-				ew[slot[cu]] += w.adjw[i]
+				ents[slot[cu]].w += w.adjw[i]
 				continue
 			}
 			stamp[cu] = cv
-			slot[cu] = len(ew)
-			erow = append(erow, cv)
-			eto = append(eto, cu)
-			ew = append(ew, w.adjw[i])
+			slot[cu] = len(ents)
+			ents = append(ents, pair{cu, w.adjw[i]})
 			rowPtr[cv+1]++
 			toPtr[cu+1]++
 		}
+		run[v+1] = int64(len(ents))
 	}
 	// Two stable counting passes, by target and then by row, leave
-	// every row sorted by target.
-	byTo := make([]int32, len(eto))
+	// every row sorted by target. Each scatters (vertex, weight) pairs:
+	// the first each entry's row into its target's bucket, the second
+	// each target back into its row, over ents, which the first pass
+	// leaves free. Both read their input in order; only the writes land
+	// at random.
+	byTo := make([]pair, len(ents))
 	cursor := starts(toPtr)
-	for e, cu := range eto {
-		byTo[cursor[cu]] = int32(e)
-		cursor[cu]++
+	for v := 0; v < n; v++ {
+		cv := cmap[v]
+		for _, e := range ents[run[v]:run[v+1]] {
+			byTo[cursor[e.v]] = pair{cv, e.w}
+			cursor[e.v]++
+		}
 	}
 	cursor = starts(rowPtr)
+	for cu := int32(0); cu < cn; cu++ {
+		for _, e := range byTo[toPtr[cu]:toPtr[cu+1]] {
+			ents[cursor[e.v]] = pair{cu, e.w}
+			cursor[e.v]++
+		}
+	}
 	cw := &wgraph{
 		xadj: rowPtr,
-		adj:  make([]int32, len(eto)),
-		adjw: make([]int32, len(eto)),
+		adj:  make([]int32, len(ents)),
+		adjw: make([]int32, len(ents)),
 		vw:   cvw,
 		nw:   cnw,
 	}
-	for cu := int32(0); cu < cn; cu++ {
-		for _, e := range byTo[toPtr[cu]:toPtr[cu+1]] {
-			p := cursor[erow[e]]
-			cursor[erow[e]]++
-			cw.adj[p] = cu
-			cw.adjw[p] = ew[e]
-		}
+	for i, e := range ents {
+		cw.adj[i] = e.v
+		cw.adjw[i] = e.w
 	}
 	return cmap, cw
 }
@@ -422,62 +438,74 @@ func growInitial(w *wgraph, k int, cfg MultilevelConfig, rng *graph.RNG) []int32
 // refine performs boundary FM-style refinement: sweeps over boundary
 // vertices moving each to the adjacent part with the highest cut gain,
 // subject to both balance constraints.
+//
+// conn[v*k+p] is the weight of v's edges into part p. One scan of the
+// level builds it and a move updates only the mover's neighbours, so a
+// visit costs O(k), not a row scan. int32 holds it: a row's weight sum
+// is at most the input's directed edge count (see Multilevel). Every
+// edge weight is at least 1, so v is on the boundary exactly when
+// conn[v*k+p] > 0 for some p other than its part.
+//
+// Among feasible parts tied on the best gain, the one met first in v's
+// row wins; only on such a tie is the row read.
 func refine(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *graph.RNG) {
 	n := w.n()
 	vwCap, nwCap := caps(w, k, cfg)
 	vwSums := make([]int64, k)
 	nwSums := make([]int64, k)
+	conn := make([]int32, n*k)
 	for v := 0; v < n; v++ {
 		vwSums[assign[v]] += w.vw[v]
 		nwSums[assign[v]] += w.nw[v]
+		cv := conn[v*k : v*k+k]
+		for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
+			cv[assign[w.adj[i]]] += w.adjw[i]
+		}
 	}
-	conn := make([]int64, k) // scratch: connectivity of v to each part
-	touched := make([]int32, 0, 8)
+	feasible := func(v, p int32) bool {
+		return vwSums[p]+w.vw[v] <= vwCap && nwSums[p]+w.nw[v] <= nwCap
+	}
 	for pass := 0; pass < cfg.RefinePasses; pass++ {
 		moved := 0
 		order := rng.Perm(n)
 		for _, v := range order {
 			home := assign[v]
-			touched = touched[:0]
-			boundary := false
-			for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
-				p := assign[w.adj[i]]
-				if conn[p] == 0 {
-					touched = append(touched, p)
+			cv := conn[int(v)*k : int(v)*k+k]
+			bestPart, bestGain, ties := home, int32(0), 0
+			for p, c := range cv {
+				if c == 0 || int32(p) == home || !feasible(v, int32(p)) {
+					continue
 				}
-				conn[p] += int64(w.adjw[i])
-				if p != home {
-					boundary = true
+				switch gain := c - cv[home]; {
+				case gain > bestGain:
+					bestPart, bestGain, ties = int32(p), gain, 1
+				case gain == bestGain && ties > 0:
+					ties++
 				}
 			}
-			if boundary {
-				bestPart := home
-				bestGain := int64(0)
-				for _, p := range touched {
-					if p == home {
-						continue
-					}
-					if vwSums[p]+w.vw[v] > vwCap || nwSums[p]+w.nw[v] > nwCap {
-						continue
-					}
-					gain := conn[p] - conn[home]
-					if gain > bestGain {
-						bestGain = gain
+			if ties == 0 {
+				continue
+			}
+			if ties > 1 { // a tied part has conn > 0, so the row lists it
+				for i := w.xadj[v]; ; i++ {
+					p := assign[w.adj[i]]
+					if p != home && cv[p]-cv[home] == bestGain && feasible(v, p) {
 						bestPart = p
+						break
 					}
 				}
-				if bestPart != home {
-					vwSums[home] -= w.vw[v]
-					vwSums[bestPart] += w.vw[v]
-					nwSums[home] -= w.nw[v]
-					nwSums[bestPart] += w.nw[v]
-					assign[v] = bestPart
-					moved++
-				}
 			}
-			for _, p := range touched {
-				conn[p] = 0
+			vwSums[home] -= w.vw[v]
+			vwSums[bestPart] += w.vw[v]
+			nwSums[home] -= w.nw[v]
+			nwSums[bestPart] += w.nw[v]
+			assign[v] = bestPart
+			for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
+				cu := conn[int(w.adj[i])*k:]
+				cu[home] -= w.adjw[i]
+				cu[bestPart] += w.adjw[i]
 			}
+			moved++
 		}
 		if moved == 0 {
 			break

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -168,20 +169,148 @@ func TestCoarsenInvariants(t *testing.T) {
 	}
 }
 
+// referenceGraphs are the inputs the reference tests run on: raw CSR
+// graphs (unsorted rows, repeats, self-loops, one-way edges),
+// preferential-attachment and Erdős–Rényi graphs, three seeds each.
+func referenceGraphs() map[string]*graph.Graph {
+	gs := map[string]*graph.Graph{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		gs[fmt.Sprintf("raw/s%d", seed)] = rawGraph(700, seed)
+		gs[fmt.Sprintf("BA/s%d", seed)] = graph.PreferentialAttachment(graph.GenerateConfig{NumNodes: 1200, AvgDegree: 8, Seed: seed})
+		gs[fmt.Sprintf("ER/s%d", seed)] = graph.ErdosRenyi(graph.GenerateConfig{NumNodes: 1000, AvgDegree: 8, Seed: seed})
+	}
+	return gs
+}
+
+// TestCoarsenMatchesTwoPass holds coarsen to coarsenTwoPass, the form
+// that kept every entry's row and gathered rows and weights by index:
+// the fine->coarse map and the coarse graph must be equal at every
+// level of a full coarsening, both balance weightings included.
+func TestCoarsenMatchesTwoPass(t *testing.T) {
+	for name, g := range referenceGraphs() {
+		for _, eb := range []bool{false, true} {
+			cfg := MultilevelConfig{EdgeBalanced: eb}
+			cfg.defaults()
+			graphs, _ := hierarchy(g, g.NumNodes(), cfg, nil) // k*CoarsenTarget >= n: level 0 only
+			w := graphs[0]
+			rng, ref := graph.NewRNG(7), graph.NewRNG(7)
+			for lvl := 0; w.n() > 20; lvl++ {
+				cmap, c := coarsen(w, rng)
+				wantMap, want := coarsenTwoPass(w, ref)
+				id := fmt.Sprintf("%s/eb=%v/level %d", name, eb, lvl)
+				switch {
+				case !slices.Equal(cmap, wantMap):
+					t.Fatalf("%s: cmap differs", id)
+				case !slices.Equal(c.xadj, want.xadj):
+					t.Fatalf("%s: xadj differs", id)
+				case !slices.Equal(c.adj, want.adj):
+					t.Fatalf("%s: adj differs", id)
+				case !slices.Equal(c.adjw, want.adjw):
+					t.Fatalf("%s: adjw differs", id)
+				case !slices.Equal(c.vw, want.vw) || !slices.Equal(c.nw, want.nw):
+					t.Fatalf("%s: vertex weights differ", id)
+				}
+				if c.n() >= w.n()*9/10 {
+					break
+				}
+				w = c
+			}
+		}
+	}
+}
+
+// TestRefineMatchesRowScan holds refine, which keeps a connectivity
+// table, to refineScan, which rescans a vertex's row at every visit:
+// both must leave the same assignment and the same RNG state. It walks
+// every level of a real coarsening, finest last, as Multilevel does,
+// and at every level also refines a uniformly random assignment, which
+// moves many vertices. Level 0 has unit edge weights, and without edge
+// balance unit vertex weights too, so at k >= 3 gains often tie and the
+// row-order tie rule decides the move.
+func TestRefineMatchesRowScan(t *testing.T) {
+	for name, g := range referenceGraphs() {
+		for _, k := range []int{2, 3, 4, 5, 8} {
+			for _, eb := range []bool{false, true} {
+				id := fmt.Sprintf("%s/k%d/eb=%v", name, k, eb)
+				cfg := MultilevelConfig{Seed: uint64(k), EdgeBalanced: eb}
+				cfg.defaults()
+				rng := graph.NewRNG(cfg.Seed)
+				check := func(lvl int, input string, w *wgraph, assign []int32) []int32 {
+					t.Helper()
+					want := slices.Clone(assign)
+					ref := *rng
+					refine(w, assign, k, cfg, rng)
+					refineScan(w, want, k, cfg, &ref)
+					if !slices.Equal(assign, want) {
+						t.Fatalf("%s/level %d/%s input: assignments differ", id, lvl, input)
+					}
+					if *rng != ref {
+						t.Fatalf("%s/level %d/%s input: RNG states differ", id, lvl, input)
+					}
+					return assign
+				}
+				graphs, maps := hierarchy(g, k, cfg, rng)
+				lvl := len(graphs) - 1
+				assign := check(lvl, "grown", graphs[lvl], growInitial(graphs[lvl], k, cfg, rng))
+				for ; lvl >= 0; lvl-- {
+					w := graphs[lvl]
+					if lvl < len(maps) {
+						fine := make([]int32, w.n())
+						for v := range fine {
+							fine[v] = assign[maps[lvl][v]]
+						}
+						assign = check(lvl, "projected", w, fine)
+					}
+					random := make([]int32, w.n())
+					for v := range random {
+						random[v] = int32(rng.Intn(k))
+					}
+					check(lvl, "random", w, random)
+				}
+			}
+		}
+	}
+}
+
 var sinkPartitioning *Partitioning
 
-// BenchmarkMultilevel partitions the PS preset at the benchmark
-// workloads' scale (0.2) in two, edge-balanced, as a world-2 job's
-// set-up does.
+// BenchmarkMultilevel partitions every workload's graph at the
+// benchmark's scale as a world-2 job's set-up does (edge-balanced, in
+// two), and PS in eight as well. Each case reports the number of coarse
+// levels and their total entries, the work coarsen and refine scale
+// with.
 func BenchmarkMultilevel(b *testing.B) {
-	spec, err := dataset.ByAbbr("PS", 0.2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := dataset.Build(spec, false).Graph
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkPartitioning = Multilevel(g, 2, MultilevelConfig{Seed: 1, EdgeBalanced: true})
+	for _, c := range []struct {
+		abbr  string
+		scale float64
+		k     int
+	}{
+		{"PS", 0.2, 2},
+		{"FS", 0.1, 2},
+		{"IM", 0.1, 2},
+		{"PS", 0.2, 8},
+	} {
+		b.Run(fmt.Sprintf("%s/k%d", c.abbr, c.k), func(b *testing.B) {
+			spec, err := dataset.ByAbbr(c.abbr, c.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := dataset.Build(spec, false).Graph
+			cfg := MultilevelConfig{Seed: 1, EdgeBalanced: true}
+			lcfg := cfg
+			lcfg.defaults()
+			graphs, _ := hierarchy(g, c.k, lcfg, graph.NewRNG(cfg.Seed))
+			var entries int
+			for _, w := range graphs[1:] {
+				entries += len(w.adj)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkPartitioning = Multilevel(g, c.k, cfg)
+			}
+			b.ReportMetric(float64(len(graphs)-1), "levels")
+			b.ReportMetric(float64(entries), "coarse-entries")
+		})
 	}
 }
