@@ -245,32 +245,20 @@ func (c *Comm) AllReduce(dev int, stage device.Stage, mat *tensor.Matrix, bytes 
 // AllReduceCodec is AllReduce with an optional chunk codec compressing
 // the wire (nil = exact fp32). The returned matrix is locally owned
 // (safe to Put without a barrier); mat is never shipped by reference
-// and stays untouched. At world 1 the reduction degenerates to 0+mat,
-// matching the pre-ring bits exactly (including -0 normalization).
+// and stays untouched. The data moves through RingAllReduceData; at
+// world 1 the reduction degenerates to 0+mat, matching the pre-ring
+// bits exactly (including -0 normalization).
 func (c *Comm) AllReduceCodec(dev int, stage device.Stage, mat *tensor.Matrix, bytes int64, codec ChunkCodec) *tensor.Matrix {
 	elems := int(bytes / 4)
-	if mat != nil {
-		bytes = mat.Bytes()
-		elems = len(mat.Data)
-	}
 	var result *tensor.Matrix
 	if mat != nil {
+		bytes, elems = mat.Bytes(), len(mat.Data)
+		result = tensor.Get(mat.Rows, mat.Cols)
 		if c.n == 1 {
-			result = tensor.Get(mat.Rows, mat.Cols)
 			result.AddInPlace(mat)
 		} else {
-			rs := c.ringFor(dev, elems)
-			acc := rs.acc[rs.cur][:elems]
-			rs.cur = 1 - rs.cur
-			copy(acc, mat.Data)
-			bounds := chunkBounds(elems, c.n)
-			if codec == nil {
-				c.ringReduceF32(dev, rs, acc, bounds)
-			} else {
-				c.ringReduceCodec(dev, rs, acc, bounds, codec)
-			}
-			result = tensor.Get(mat.Rows, mat.Cols)
-			copy(result.Data, acc)
+			copy(result.Data, mat.Data)
+			c.RingAllReduceData(dev, result.Data, codec)
 		}
 	}
 	t, wire := c.allReduceModel(elems, bytes, codec)

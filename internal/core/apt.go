@@ -195,11 +195,12 @@ func (a *APT) Plan() (strategy.Kind, error) {
 
 // buildStore assembles the unified feature store for one strategy:
 // host placement, per-strategy cache policy, and NFP's dimension-shard
-// accounting (paper §3.2 and §4.2).
-func (a *APT) buildStore(k strategy.Kind, freq []int64, real bool) *cache.Store {
+// accounting (paper §3.2 and §4.2). Without the task's features
+// (withFeats false: the dry run) an engine over it only charges.
+func (a *APT) buildStore(k strategy.Kind, freq []int64, withFeats bool) *cache.Store {
 	t := &a.task
 	var feats = t.Feats
-	if !real {
+	if !withFeats {
 		feats = nil
 	}
 	s := cache.NewStore(t.Platform, t.Graph.NumNodes(), t.FeatDim, feats)
@@ -257,8 +258,9 @@ func (a *APT) configureCPUCaches(s *cache.Store, freq []int64) {
 	}
 }
 
-// engineConfig assembles an engine configuration (the Adapt step).
-func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode) engine.Config {
+// engineConfig assembles an engine configuration (the Adapt step). The
+// store's features decide the engine's mode: with them it trains.
+func (a *APT) engineConfig(k strategy.Kind, store *cache.Store) engine.Config {
 	t := &a.task
 	cfg := engine.Config{
 		Platform:     t.Platform,
@@ -266,18 +268,15 @@ func (a *APT) engineConfig(k strategy.Kind, store *cache.Store, mode engine.Mode
 		Store:        store,
 		NewModel:     t.NewModel,
 		NewOptimizer: t.NewOptimizer,
+		Labels:       t.Labels,
 		Seeds:        t.Seeds,
 		Sampling:     t.Sampling,
 		BatchSize:    t.BatchSize,
 		Assign:       a.part.Assign,
 		Kind:         k,
-		Mode:         mode,
 		Seed:         t.Seed,
 		GradCompress: t.GradCompress,
 		Pipeline:     t.Pipeline,
-	}
-	if mode == engine.Real {
-		cfg.Labels = t.Labels
 	}
 	return cfg
 }
@@ -316,12 +315,7 @@ func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport) (*engine.Engine, e
 		}
 		a.dryRun = &DryRunStats{Freq: a.collectFrequencies()}
 	}
-	mode := engine.Accounting
-	if a.task.Feats != nil {
-		mode = engine.Real
-	}
-	store := a.buildStore(k, a.dryRun.Freq, mode == engine.Real)
-	cfg := a.engineConfig(k, store, mode)
+	cfg := a.engineConfig(k, a.buildStore(k, a.dryRun.Freq, true))
 	cfg.Spans = a.spans
 	cfg.Transport = tr
 	e, err := engine.New(cfg)

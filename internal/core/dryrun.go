@@ -63,7 +63,7 @@ func (a *APT) collectFrequencies() []int64 {
 func (a *APT) dryRunStrategy(k strategy.Kind, plan *sample.SeedPlan,
 	batches [][]*sample.MiniBatch, freq []int64) (engine.EpochStats, error) {
 	store := a.buildStore(k, freq, false)
-	cfg := a.engineConfig(k, store, engine.Accounting)
+	cfg := a.engineConfig(k, store)
 	cfg.ForceSeedPlan = plan
 	cfg.PreSampled = batches
 	e, err := engine.New(cfg)

@@ -13,15 +13,21 @@
 // optimizer, sampler, gradient sync, span tracks — exists only for
 // those ranks; the simulated device group is always the whole platform.
 //
-// The engine has two modes sharing one code path:
+// Execute runs a layer's dense half as nn.Project / nn.ProjectBackward
+// over the placement's rows and columns, the composition the model's
+// own forward and backward use, so the two cannot drift apart.
 //
-//   - Real: floats move and models train; used for correctness tests,
-//     the semantic-equivalence sanity check (paper Fig. 6), and the
-//     examples.
-//   - Accounting: the same sampling, partitioning, caching, and
-//     dispatch logic runs and every payload is charged to the simulated
-//     clocks, but numeric kernels are skipped; used by the benchmark
-//     harness to reproduce the paper's epoch-time figures quickly.
+// The engine has two modes sharing one code path, and the feature
+// store alone decides which:
+//
+//   - Real (Config.Store holds features): floats move and models
+//     train; used for correctness tests, the semantic-equivalence
+//     sanity check (paper Fig. 6), and the examples.
+//   - Accounting (a store without features): the same sampling,
+//     partitioning, caching, and dispatch logic runs and every payload
+//     is charged to the simulated clocks, but numeric kernels are
+//     skipped; used by the planner's dry run and the benchmark harness
+//     to reproduce the paper's epoch-time figures quickly.
 package engine
 
 import (
@@ -43,31 +49,22 @@ import (
 	"repro/internal/transport"
 )
 
-// Mode selects real execution or volume accounting.
-type Mode int
-
-// Execution modes.
-const (
-	// Real moves floats and trains the model.
-	Real Mode = iota
-	// Accounting runs the full dispatch logic but skips numeric work.
-	Accounting
-)
-
 // Config assembles everything one engine run needs. The Store must
 // already be configured (caches + host placement) by the caller — APT's
 // Adapt step does that in package core.
 type Config struct {
 	Platform *hardware.Platform
 	Graph    *graph.Graph
-	// Store is the unified feature store (nil features => accounting).
+	// Store is the unified feature store. Its features decide the mode:
+	// with Store.Feats the engine trains (real mode), without them it
+	// only charges (accounting mode).
 	Store *cache.Store
 	// NewModel constructs one model replica; the engine creates one
 	// per hosted rank and initializes all replicas identically from Seed.
 	NewModel func() *nn.Model
 	// NewOptimizer constructs one optimizer per hosted rank (real mode).
 	NewOptimizer func() nn.Optimizer
-	// Labels are node class labels (real mode).
+	// Labels are node class labels; real mode requires them.
 	Labels []int32
 	// Seeds are the training seed nodes.
 	Seeds []graph.NodeID
@@ -80,7 +77,6 @@ type Config struct {
 	Assign []int32
 	// Kind selects the parallelization strategy.
 	Kind strategy.Kind
-	Mode Mode
 	Seed uint64
 	// ForceSeedPlan overrides per-strategy seed assignment with a fixed
 	// plan; the strategy-equivalence tests use it so every strategy
@@ -184,7 +180,9 @@ type worker struct {
 	gsync *gradSync
 }
 
-func (w *worker) real() bool { return w.eng.cfg.Mode == Real }
+// real reports whether the engine trains: exactly when its store holds
+// features.
+func (w *worker) real() bool { return w.eng.cfg.Store.Feats != nil }
 
 // New validates the configuration and assembles an engine.
 func New(cfg Config) (*Engine, error) {
@@ -234,8 +232,8 @@ func New(cfg Config) (*Engine, error) {
 	if probe.NeedsDstInSrc() {
 		e.cfg.Sampling.IncludeDstInSrc = true
 	}
-	if cfg.Mode == Real && cfg.Labels == nil {
-		return nil, fmt.Errorf("engine: real mode requires labels")
+	if cfg.Store.Feats != nil && cfg.Labels == nil {
+		return nil, fmt.Errorf("engine: a store with features trains, and training requires labels")
 	}
 
 	for _, d := range tr.Ranks() {
@@ -284,7 +282,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	e.gradCodec = codec
-	if cfg.Mode == Real && n > 1 {
+	if cfg.Store.Feats != nil && n > 1 {
 		ef := codec != nil && codec.Name() == "int8"
 		for _, w := range e.workers {
 			w.gsync = newGradSync(w, codec, ef)
@@ -590,9 +588,10 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 }
 
 // syncGradients is the unbucketed gradient synchronization: one flat
-// allreduce per step, charged to the train stage. Real mode reaches it
-// only at world 1 (multi-device real runs use the bucketed overlapped
-// gradSync); accounting mode always charges this single collective.
+// allreduce per step, charged to the train stage. Accounting mode always
+// charges this single collective; real mode reaches it only at world 1
+// (multi-device real runs use the bucketed overlapped gradSync), where
+// the sum over one rank is the gradient itself, so no data moves.
 func (e *Engine) syncGradients(w *worker) {
 	total := w.model.NumParamElements()
 	// Record the gradient-sync cost explicitly even on this path: the
@@ -602,26 +601,7 @@ func (e *Engine) syncGradients(w *worker) {
 	sec, _ := e.Comm.AllReduceModel(total, e.gradCodec)
 	w.stats.GradCommSec += sec
 	w.stats.GradExposedSec += sec
-	if w.real() {
-		flat := tensor.Get(1, total)
-		off := 0
-		for _, p := range w.model.Params() {
-			copy(flat.Data[off:], p.G.Data)
-			off += len(p.G.Data)
-		}
-		sum := e.Comm.AllReduceCodec(w.dev.ID, device.StageTrain, flat, 0, e.gradCodec)
-		off = 0
-		for _, p := range w.model.Params() {
-			copy(p.G.Data, sum.Data[off:off+len(p.G.Data)])
-			off += len(p.G.Data)
-		}
-		tensor.Put(sum)
-		// The ring ships views of its own scratch, never flat itself, so
-		// flat can return to the pool immediately — no barrier needed.
-		tensor.Put(flat)
-	} else {
-		e.Comm.AllReduceCodec(w.dev.ID, device.StageTrain, nil, int64(total)*4, e.gradCodec)
-	}
+	e.Comm.AllReduceCodec(w.dev.ID, device.StageTrain, nil, int64(total)*4, e.gradCodec)
 }
 
 func maxInt(a, b int) int {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -107,7 +108,6 @@ func (f *testFixture) config(kind strategy.Kind, newModel func() *nn.Model, plan
 		BatchSize:     16,
 		Assign:        f.assign,
 		Kind:          kind,
-		Mode:          Real,
 		Seed:          99,
 		ForceSeedPlan: plan,
 	}
@@ -318,7 +318,6 @@ func TestAccountingModeVolumes(t *testing.T) {
 	stats := map[strategy.Kind]EpochStats{}
 	for _, k := range strategy.Core {
 		cfg := f.config(k, newModel, nil, []int{5, 5})
-		cfg.Mode = Accounting
 		cfg.Store = cache.NewStore(f.platform, f.g.NumNodes(), f.dim, nil) // no features
 		cfg.Store.HostByRange()
 		cfg.Labels = nil
@@ -379,7 +378,6 @@ func TestAccountingAndRealChargeSameVolumes(t *testing.T) {
 		stReal := eReal.RunEpoch()
 
 		cfgAcc := f.config(k, newModel, plan, []int{4, 4})
-		cfgAcc.Mode = Accounting
 		// Same store shape, no feature payload.
 		cfgAcc.Store = f.newStore(40, policyFor(k))
 		cfgAcc.Store.Feats = nil
@@ -403,6 +401,46 @@ func TestAccountingAndRealChargeSameVolumes(t *testing.T) {
 	}
 }
 
+// TestModeFollowsStore pins the one switch between the modes, the
+// store's features: over a store without them (and with no labels)
+// every strategy trains nothing — each replica keeps its initial
+// parameters bit for bit and the epoch's loss is 0 — and a store with
+// features but no labels is refused when the engine is built, not
+// mid-epoch.
+func TestModeFollowsStore(t *testing.T) {
+	f := newFixture(t, 2, 200)
+	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 8, f.classes, 2) }
+	for _, k := range strategy.Core {
+		cfg := f.config(k, newModel, nil, []int{4, 4})
+		cfg.Store = cache.NewStore(f.platform, f.g.NumNodes(), f.dim, nil)
+		cfg.Store.HostByRange()
+		cfg.Labels = nil
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if st := e.RunEpoch(); st.MeanLoss != 0 {
+			t.Errorf("%v: featureless store reported loss %v", k, st.MeanLoss)
+		}
+		init := newModel()
+		init.Init(graph.NewRNG(cfg.Seed))
+		for _, d := range e.Ranks() {
+			for i, p := range e.Model(d).Params() {
+				for j, v := range p.W.Data {
+					if w := init.Params()[i].W.Data[j]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%v: rank %d param %d[%d] moved %v -> %v over a featureless store", k, d, i, j, w, v)
+					}
+				}
+			}
+		}
+	}
+	cfg := f.config(strategy.GDP, newModel, nil, []int{4, 4})
+	cfg.Labels = nil
+	if _, err := New(cfg); err == nil {
+		t.Fatal("engine.New accepted a store with features but no labels")
+	}
+}
+
 func TestNFPOOMAtLargeHidden(t *testing.T) {
 	f := newFixture(t, 4, 400)
 	tiny := *f.platform
@@ -411,7 +449,6 @@ func TestNFPOOMAtLargeHidden(t *testing.T) {
 	f.platform = &tiny
 	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 256, f.classes, 2) }
 	cfg := f.config(strategy.NFP, newModel, nil, []int{8, 8})
-	cfg.Mode = Accounting
 	cfg.Store = cache.NewStore(f.platform, f.g.NumNodes(), f.dim, nil)
 	cfg.Store.HostByRange()
 	cfg.Labels = nil

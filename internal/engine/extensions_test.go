@@ -76,7 +76,6 @@ func TestVolumeInvariantsProperty(t *testing.T) {
 		stats := map[strategy.Kind]EpochStats{}
 		for _, k := range strategy.Core {
 			cfg := f.config(k, newModel, plan, []int{4, 4})
-			cfg.Mode = Accounting
 			cfg.Store = f.newStore(40, policyFor(k))
 			cfg.Store.Feats = nil
 			cfg.Labels = nil

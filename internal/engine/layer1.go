@@ -381,12 +381,7 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch, l int, h *tensor.Ma
 		bytes := wireFloats(p.replyShape(layer, sb))
 		if w.real() {
 			feats, idx := w.input(ctx, sb)
-			x := layer.ProjectCols(feats, idx, lo, hi)
-			if presum {
-				s := tensor.SegmentSum(sb.EdgePtr, sb.SrcIdx, x)
-				tensor.Put(x)
-				x = s
-			}
+			x := nn.Project(layer, sb, feats, idx, lo, hi)
 			if p.whole {
 				x, ctx.lcts[rq] = layer.Finish(sb, x)
 			}
@@ -540,18 +535,8 @@ func (p *placement) backward(w *worker, mb *sample.MiniBatch, l int, ctx *layerC
 			// shipped.
 			dS = layer.FinishBackward(sb, ctx.lcts[rq], g)
 		}
-		dZ := dS
-		if presum {
-			dZ = tensor.SegmentSumBackward(sb.EdgePtr, sb.SrcIdx, dS, sb.NumSrc())
-		}
 		feats, idx := w.input(ctx, sb)
-		layer.ProjectColsBackward(feats, idx, lo, hi, dZ)
-		if ctx.h != nil {
-			dIn = layer.InputGrad(dZ)
-		}
-		if dZ != dS {
-			tensor.Put(dZ)
-		}
+		dIn = nn.ProjectBackward(layer, sb, feats, idx, lo, hi, dS, ctx.h != nil)
 		if dS != g {
 			tensor.Put(dS)
 		}

@@ -109,7 +109,6 @@ func layer1Cells(t *testing.T) map[string]layer1Golden {
 			cell.Params = fmt.Sprintf("%016x", h.Sum64())
 
 			acc := f.config(k, m.new, nil, []int{5, 5})
-			acc.Mode = Accounting
 			acc.Store.Feats = nil
 			acc.Labels = nil
 			ea, err := New(acc)

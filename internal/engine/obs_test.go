@@ -119,7 +119,6 @@ func TestChromeTraceGoldenPipelined(t *testing.T) {
 	f := newFixture(t, 2, 200)
 	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 8, f.classes, 2) }
 	cfg := f.config(strategy.SNP, newModel, nil, []int{4, 4})
-	cfg.Mode = Accounting
 	cfg.Store = cache.NewStore(f.platform, f.g.NumNodes(), f.dim, nil)
 	cfg.Store.HostByRange()
 	cfg.Labels = nil

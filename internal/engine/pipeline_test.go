@@ -87,7 +87,6 @@ func TestPipelinedAccountingBounded(t *testing.T) {
 	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 12, f.classes, 2) }
 	for _, k := range strategy.Core {
 		cfg := f.config(k, newModel, nil, []int{5, 5})
-		cfg.Mode = Accounting
 		cfg.Store = cache.NewStore(f.platform, f.g.NumNodes(), f.dim, nil)
 		cfg.Store.HostByRange()
 		cfg.Labels = nil

@@ -80,33 +80,37 @@ type featsCtx struct {
 	fin   LayerCtx
 }
 
-// forwardFeats runs l over the input rows (feats, idx) as its two
-// halves: ProjectCols, SegmentSum when the layer pre-sums, then Finish.
-// Logical input row r is feats row idx[r].
-func forwardFeats(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
+// Project is a layer's dense half over input columns [lo, hi) of the
+// input rows (feats, idx): ProjectCols, then — when the layer pre-sums
+// — SegmentSum over blk, one row per destination. Over all columns it
+// returns what Finish takes; over a column shard, a partial sum of it.
+// Logical input row r is feats row idx[r]. Every caller that runs the
+// dense half — the model's forward and the engine's Execute step, for
+// any placement — runs it as this call.
+func Project(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
 	if len(idx) != blk.NumSrc() {
 		panic(fmt.Sprintf("nn: layer got %d src indices, block has %d", len(idx), blk.NumSrc()))
 	}
-	x := l.ProjectCols(feats, idx, 0, l.InDim())
+	x := l.ProjectCols(feats, idx, lo, hi)
 	if l.PreSums() {
 		s := tensor.SegmentSum(blk.EdgePtr, blk.SrcIdx, x)
 		tensor.Put(x)
 		x = s
 	}
-	return l.Finish(blk, x)
+	return x
 }
 
-// backwardFeats is forwardFeats' backward: FinishBackward, then
-// SegmentSumBackward when the layer pre-sums, then ProjectColsBackward,
-// and — when in is set — InputGrad, whose result it returns (nil
-// otherwise). It may overwrite dOut.
-func backwardFeats(l Layer, blk *sample.Block, c *featsCtx, dOut *tensor.Matrix, in bool) *tensor.Matrix {
-	dZ := l.FinishBackward(blk, c.fin, dOut)
-	dS := dZ
+// ProjectBackward is Project's backward, given dS, the gradient w.r.t.
+// what Project returned for the same arguments: SegmentSumBackward when
+// the layer pre-sums, ProjectColsBackward, and — when in is set, for a
+// hidden input — InputGrad, whose result it returns (nil otherwise).
+// dS stays the caller's.
+func ProjectBackward(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32, lo, hi int, dS *tensor.Matrix, in bool) *tensor.Matrix {
+	dZ := dS
 	if l.PreSums() {
 		dZ = tensor.SegmentSumBackward(blk.EdgePtr, blk.SrcIdx, dS, blk.NumSrc())
 	}
-	l.ProjectColsBackward(c.feats, c.idx, 0, l.InDim(), dZ)
+	l.ProjectColsBackward(feats, idx, lo, hi, dZ)
 	var dIn *tensor.Matrix
 	if in {
 		dIn = l.InputGrad(dZ)
@@ -114,6 +118,21 @@ func backwardFeats(l Layer, blk *sample.Block, c *featsCtx, dOut *tensor.Matrix,
 	if dZ != dS {
 		tensor.Put(dZ)
 	}
+	return dIn
+}
+
+// forwardFeats runs l over the input rows (feats, idx) as its two
+// halves: Project over every column, then Finish.
+func forwardFeats(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32) (*tensor.Matrix, LayerCtx) {
+	return l.Finish(blk, Project(l, blk, feats, idx, 0, l.InDim()))
+}
+
+// backwardFeats is forwardFeats' backward: FinishBackward, then
+// ProjectBackward over every column, returning the input gradient when
+// in is set (nil otherwise). It may overwrite dOut.
+func backwardFeats(l Layer, blk *sample.Block, c *featsCtx, dOut *tensor.Matrix, in bool) *tensor.Matrix {
+	dS := l.FinishBackward(blk, c.fin, dOut)
+	dIn := ProjectBackward(l, blk, c.feats, c.idx, 0, l.InDim(), dS, in)
 	if dS != dOut {
 		tensor.Put(dS)
 	}
