@@ -87,7 +87,7 @@ func TestPrepareProducesProfileAndPartition(t *testing.T) {
 func TestPrepareRejectsMismatchedPartition(t *testing.T) {
 	task := testTask(t, "PS", 2, 16)
 	n := task.Graph.NumNodes()
-	assign := partition.Range(task.Graph, 2).Assign
+	assign := partition.Random(task.Graph, 2, 1).Assign
 	for _, c := range []struct {
 		name string
 		part *partition.Partitioning

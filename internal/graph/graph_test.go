@@ -109,37 +109,54 @@ func csrEqual(a, b *Graph) bool {
 	return true
 }
 
+// degreeShape returns what the generator tests check about a graph's
+// degrees: the mean, the median, the maximum and the Gini coefficient
+// (0 when every degree is equal; power-law graphs score high).
+func degreeShape(g *Graph) (mean float64, p50, mx int, gini float64) {
+	n := g.NumNodes()
+	degs := make([]int, n)
+	for v := range degs {
+		degs[v] = g.Degree(NodeID(v))
+	}
+	slices.Sort(degs)
+	var sum, weighted float64
+	for i, d := range degs {
+		sum += float64(d)
+		weighted += float64(i+1) * float64(d)
+	}
+	return sum / float64(n), degs[(n-1)/2], degs[n-1], 2*weighted/(float64(n)*sum) - float64(n+1)/float64(n)
+}
+
 func TestPreferentialAttachment(t *testing.T) {
 	g := PreferentialAttachment(GenerateConfig{NumNodes: 1000, AvgDegree: 8, Seed: 1})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	st := ComputeDegreeStats(g)
-	if st.Mean < 4 || st.Mean > 16 {
-		t.Errorf("mean degree = %.1f, want near 8", st.Mean)
+	mean, p50, mx, gini := degreeShape(g)
+	if mean < 4 || mean > 16 {
+		t.Errorf("mean degree = %.1f, want near 8", mean)
 	}
 	// Power-law graphs have highly unequal degrees.
-	if st.GiniCoefficient < 0.2 {
-		t.Errorf("gini = %.3f, want power-law inequality > 0.2", st.GiniCoefficient)
+	if gini < 0.2 {
+		t.Errorf("gini = %.3f, want power-law inequality > 0.2", gini)
 	}
-	if st.Max < 5*st.P50 {
-		t.Errorf("max degree %d not heavy-tailed vs median %d", st.Max, st.P50)
+	if mx < 5*p50 {
+		t.Errorf("max degree %d not heavy-tailed vs median %d", mx, p50)
 	}
 }
 
 func TestErdosRenyiUniformity(t *testing.T) {
 	g := ErdosRenyi(GenerateConfig{NumNodes: 2000, AvgDegree: 10, Seed: 7})
-	st := ComputeDegreeStats(g)
-	if st.GiniCoefficient > 0.3 {
-		t.Errorf("gini = %.3f, want near-uniform < 0.3", st.GiniCoefficient)
+	if _, _, _, gini := degreeShape(g); gini > 0.3 {
+		t.Errorf("gini = %.3f, want near-uniform < 0.3", gini)
 	}
 }
 
 func TestRMATSkewOrdering(t *testing.T) {
 	skewed := RMAT(RMATConfig{GenerateConfig: GenerateConfig{NumNodes: 2000, AvgDegree: 10, Seed: 3}, A: 0.57, B: 0.19, C: 0.19})
 	flat := RMAT(RMATConfig{GenerateConfig: GenerateConfig{NumNodes: 2000, AvgDegree: 10, Seed: 3}, A: 0.25, B: 0.25, C: 0.25})
-	gs := ComputeDegreeStats(skewed).GiniCoefficient
-	gf := ComputeDegreeStats(flat).GiniCoefficient
+	_, _, _, gs := degreeShape(skewed)
+	_, _, _, gf := degreeShape(flat)
 	if gs <= gf {
 		t.Errorf("RMAT skew knob ineffective: gini skewed %.3f <= flat %.3f", gs, gf)
 	}
@@ -260,14 +277,6 @@ func TestRNGNormFloat32Moments(t *testing.T) {
 	}
 	if variance < 0.9 || variance > 1.1 {
 		t.Errorf("normal variance = %.4f, want ~1", variance)
-	}
-}
-
-func TestDegreeStatsEmpty(t *testing.T) {
-	g := NewBuilder(0).Build(true)
-	st := ComputeDegreeStats(g)
-	if st.Mean != 0 {
-		t.Errorf("empty graph mean = %v", st.Mean)
 	}
 }
 

@@ -6,59 +6,6 @@ import (
 	"strings"
 )
 
-// DegreeStats summarizes the degree distribution of a graph.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	// P50, P90, P99 are degree percentiles.
-	P50, P90, P99 int
-	// GiniCoefficient in [0,1] measures degree inequality; power-law
-	// graphs score high, uniform graphs low.
-	GiniCoefficient float64
-}
-
-// ComputeDegreeStats scans the graph once and returns its degree summary.
-func ComputeDegreeStats(g *Graph) DegreeStats {
-	n := g.NumNodes()
-	if n == 0 {
-		return DegreeStats{}
-	}
-	degs := make([]int, n)
-	var sum int64
-	mn, mx := int(^uint(0)>>1), 0
-	for v := 0; v < n; v++ {
-		d := g.Degree(NodeID(v))
-		degs[v] = d
-		sum += int64(d)
-		if d < mn {
-			mn = d
-		}
-		if d > mx {
-			mx = d
-		}
-	}
-	sort.Ints(degs)
-	pct := func(p float64) int { return degs[int(p*float64(n-1))] }
-	// Gini over the sorted degrees.
-	var cum, weighted float64
-	for i, d := range degs {
-		cum += float64(d)
-		weighted += float64(i+1) * float64(d)
-	}
-	gini := 0.0
-	if cum > 0 {
-		gini = (2*weighted/(float64(n)*cum) - float64(n+1)/float64(n))
-	}
-	return DegreeStats{
-		Min: mn, Max: mx,
-		Mean:            float64(sum) / float64(n),
-		P50:             pct(0.50),
-		P90:             pct(0.90),
-		P99:             pct(0.99),
-		GiniCoefficient: gini,
-	}
-}
-
 // SkewBucket is one row of an access-skew table (paper Table 3): the
 // fraction of all accesses attributable to nodes in a popularity-rank
 // band.

@@ -84,9 +84,9 @@ type featsCtx struct {
 // input rows (feats, idx): ProjectCols, then — when the layer pre-sums
 // — SegmentSum over blk, one row per destination. Over all columns it
 // returns what Finish takes; over a column shard, a partial sum of it.
-// Logical input row r is feats row idx[r]. Every caller that runs the
-// dense half — the model's forward and the engine's Execute step, for
-// any placement — runs it as this call.
+// Logical input row r is feats row idx[r]. The model's forward and the
+// engine's Execute step, under every placement, run the dense half as
+// this call.
 func Project(l Layer, blk *sample.Block, feats tensor.FeatSource, idx []int32, lo, hi int) *tensor.Matrix {
 	if len(idx) != blk.NumSrc() {
 		panic(fmt.Sprintf("nn: layer got %d src indices, block has %d", len(idx), blk.NumSrc()))

@@ -104,19 +104,3 @@ func Random(g *graph.Graph, k int, seed uint64) *Partitioning {
 	}
 	return &Partitioning{Assign: assign, NumParts: k}
 }
-
-// Range assigns contiguous node-ID blocks to parts. Cheap and
-// deterministic; cut quality depends entirely on ID locality.
-func Range(g *graph.Graph, k int) *Partitioning {
-	n := g.NumNodes()
-	assign := make([]int32, n)
-	per := (n + k - 1) / k
-	for v := 0; v < n; v++ {
-		a := v / per
-		if a >= k {
-			a = k - 1
-		}
-		assign[v] = int32(a)
-	}
-	return &Partitioning{Assign: assign, NumParts: k}
-}

@@ -48,17 +48,6 @@ func TestRandomBalanced(t *testing.T) {
 	}
 }
 
-func TestRangePartition(t *testing.T) {
-	g := communityGraph(2, 50, 1)
-	p := Range(g, 3)
-	if err := p.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if p.Assign[0] != 0 || p.Assign[99] != 2 {
-		t.Errorf("range assignment endpoints: %d, %d", p.Assign[0], p.Assign[99])
-	}
-}
-
 func TestMultilevelBeatsRandomOnCommunities(t *testing.T) {
 	g := communityGraph(8, 150, 3)
 	ml := Multilevel(g, 8, MultilevelConfig{Seed: 11})
