@@ -233,7 +233,7 @@ func New(cfg Config) (*Engine, error) {
 		e.cfg.Sampling.IncludeDstInSrc = true
 	}
 	if cfg.Store.Feats != nil && cfg.Labels == nil {
-		return nil, fmt.Errorf("engine: a store with features trains, and training requires labels")
+		return nil, fmt.Errorf("engine: a store with features trains, which needs labels")
 	}
 
 	for _, d := range tr.Ranks() {
