@@ -57,6 +57,17 @@ func jobFlags(world int) []string {
 	}
 }
 
+// gatTwinFlags are the GAT/SNP twin recipe's task flags. Attention
+// cannot pre-sum, so each rank's SNP request to a peer carries the
+// sources it needs projected and no adjacency.
+func gatTwinFlags(world int) []string {
+	return []string{
+		"-devices", fmt.Sprint(world),
+		"-data", "IM", "-scale", "0.05", "-model", "gat", "-hidden", "8", "-heads", "4",
+		"-fanout", "5", "-batch", "64", "-epochs", "2", "-strategy", "SNP",
+	}
+}
+
 // procDeadline bounds every spawned process: a hung rank is killed and
 // its test fails instead of stalling the suite.
 const procDeadline = 2 * time.Minute
@@ -84,17 +95,18 @@ func run(bin string, env []string, args ...string) (string, int) {
 // each rank's combined output plus exit code.
 func runJob(t *testing.T, bin string, world int, extra ...string) (outs []string, codes []int) {
 	t.Helper()
-	return runJobEnv(t, bin, make([][]string, world), extra...)
+	return runJobEnv(t, bin, jobFlags, make([][]string, world), extra...)
 }
 
-// runJobEnv is runJob with one process per entry of envs, rank r
-// running with envs[r] added to its environment.
-func runJobEnv(t *testing.T, bin string, envs [][]string, extra ...string) (outs []string, codes []int) {
+// runJobEnv is runJob over the task flags job(world), with one process
+// per entry of envs, rank r running with envs[r] added to its
+// environment.
+func runJobEnv(t *testing.T, bin string, job func(world int) []string, envs [][]string, extra ...string) (outs []string, codes []int) {
 	t.Helper()
 	world := len(envs)
 	outs = make([]string, world)
 	codes = make([]int, world)
-	shared := append(jobFlags(world), "-coord", freeAddr(t))
+	shared := append(job(world), "-coord", freeAddr(t))
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
@@ -256,25 +268,36 @@ func wantEpochs(t *testing.T, what, out string, want ...int) {
 // TestMixedCoreRanksBitIdentical: trained bits do not depend on the
 // host's core count. The ranks of one job run at GOMAXPROCS 1 and 3 —
 // two hosts of different sizes — and the in-process run at the
-// default, and all three print one parameter checksum.
+// default, and all three print one parameter checksum, for the
+// SAGE/GDP recipe and for the GAT/SNP twin.
 func TestMixedCoreRanksBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
 	bin := buildWorker(t)
-	outs, codes := runJobEnv(t, bin, [][]string{{"GOMAXPROCS=1"}, {"GOMAXPROCS=3"}})
-	for r, c := range codes {
-		if c != 0 {
-			t.Fatalf("rank %d exited %d:\n%s", r, c, outs[r])
-		}
-	}
-	out, code := run(bin, nil, jobFlags(2)...)
-	if code != 0 {
-		t.Fatalf("in-process run exited %d:\n%s", code, out)
-	}
-	sums := checksums(t, append(outs, out))
-	if sums[0] != sums[1] || sums[1] != sums[2] {
-		t.Errorf("checksums differ: rank 0 at GOMAXPROCS=1 %s, rank 1 at GOMAXPROCS=3 %s, in-process %s", sums[0], sums[1], sums[2])
+	for _, tc := range []struct {
+		name string
+		job  func(world int) []string
+	}{
+		{"sage-gdp", jobFlags},
+		{"gat-snp", gatTwinFlags},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outs, codes := runJobEnv(t, bin, tc.job, [][]string{{"GOMAXPROCS=1"}, {"GOMAXPROCS=3"}})
+			for r, c := range codes {
+				if c != 0 {
+					t.Fatalf("rank %d exited %d:\n%s", r, c, outs[r])
+				}
+			}
+			out, code := run(bin, nil, tc.job(2)...)
+			if code != 0 {
+				t.Fatalf("in-process run exited %d:\n%s", code, out)
+			}
+			sums := checksums(t, append(outs, out))
+			if sums[0] != sums[1] || sums[1] != sums[2] {
+				t.Errorf("checksums differ: rank 0 at GOMAXPROCS=1 %s, rank 1 at GOMAXPROCS=3 %s, in-process %s", sums[0], sums[1], sums[2])
+			}
+		})
 	}
 }
 
