@@ -78,7 +78,6 @@ func main() {
 		rank        = flag.Int("rank", -1, "run as this rank in [0, devices) of a multi-process job (-1: every device in-process)")
 		coord       = flag.String("coord", "", "coordinator rendezvous address, e.g. 127.0.0.1:29500 (rank 0 binds it)")
 		bind        = flag.String("bind", "", "host for this rank's data listener (default 127.0.0.1; set for multi-machine)")
-		gradComp    = flag.String("grad-compress", "", "gradient wire codec: fp32 (default), fp16, or int8")
 		measureWire = flag.Bool("measure-wire", false, "calibrate the planner against measured collective wire speeds")
 		ckptDir     = flag.String("ckpt-dir", "", "write a rolling training snapshot here after every epoch")
 		resume      = flag.Bool("resume", false, "resume from the snapshot in -ckpt-dir instead of starting fresh")
@@ -111,7 +110,6 @@ func main() {
 
 	ds, task, err := spec.Build(!*simulate, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
 	fatal(err)
-	task.GradCompress = *gradComp
 
 	tr := comm.NewChanTransport(spec.Devices) // every device in this process
 	if ranked {

@@ -245,7 +245,8 @@ func (c *Comm) AllReduce(dev int, stage device.Stage, mat *tensor.Matrix, bytes 
 // AllReduceCodec is AllReduce with an optional chunk codec compressing
 // the wire (nil = exact fp32). The returned matrix is locally owned
 // (safe to Put without a barrier); mat is never shipped by reference
-// and stays untouched. The data moves through RingAllReduceData; at
+// and stays untouched. The data moves through the ring of
+// RingAllReduceData, read from mat and written to the result; at
 // world 1 the reduction degenerates to 0+mat, matching the pre-ring
 // bits exactly (including -0 normalization).
 func (c *Comm) AllReduceCodec(dev int, stage device.Stage, mat *tensor.Matrix, bytes int64, codec ChunkCodec) *tensor.Matrix {
@@ -257,8 +258,7 @@ func (c *Comm) AllReduceCodec(dev int, stage device.Stage, mat *tensor.Matrix, b
 		if c.n == 1 {
 			result.AddInPlace(mat)
 		} else {
-			copy(result.Data, mat.Data)
-			c.RingAllReduceData(dev, result.Data, codec)
+			c.ringAllReduce(dev, result.Data, mat.Data, codec)
 		}
 	}
 	t, wire := c.allReduceModel(elems, bytes, codec)

@@ -134,12 +134,12 @@ func (c *Comm) allReduceModel(elems int, rawBytes int64, codec ChunkCodec) (secs
 }
 
 // AllReduceModel returns the simulated seconds and modeled wire bytes
-// the ring model charges for one allreduce of elems float32 values
-// under codec (nil = fp32). The engine's bucketed gradient sync uses it
-// to charge overlapped bucket allreduces itself — the data plane
+// the ring model charges for one allreduce of elems exact float32
+// values. The engine's bucketed gradient sync uses it to charge
+// overlapped bucket allreduces itself — the data plane
 // (RingAllReduceData) never touches the clocks.
-func (c *Comm) AllReduceModel(elems int, codec ChunkCodec) (secs float64, wire int64) {
-	return c.allReduceModel(elems, int64(elems)*4, codec)
+func (c *Comm) AllReduceModel(elems int) (secs float64, wire int64) {
+	return c.allReduceModel(elems, int64(elems)*4, nil)
 }
 
 // RingAllReduceData sums data element-wise across all ranks in place —
@@ -153,17 +153,24 @@ func (c *Comm) RingAllReduceData(dev int, data []float32, codec ChunkCodec) {
 	if c.n == 1 {
 		return
 	}
-	rs := c.ringFor(dev, len(data))
-	acc := rs.acc[rs.cur][:len(data)]
+	c.ringAllReduce(dev, data, data, codec)
+}
+
+// ringAllReduce is the ring at world > 1: it reads src into the
+// rank's accumulator, reduces there, and writes the sum to dst (which
+// may alias src).
+func (c *Comm) ringAllReduce(dev int, dst, src []float32, codec ChunkCodec) {
+	rs := c.ringFor(dev, len(src))
+	acc := rs.acc[rs.cur][:len(src)]
 	rs.cur = 1 - rs.cur
-	copy(acc, data)
-	bounds := chunkBounds(len(data), c.n)
+	copy(acc, src)
+	bounds := chunkBounds(len(src), c.n)
 	if codec == nil {
 		c.ringReduceF32(dev, rs, acc, bounds)
 	} else {
 		c.ringReduceCodec(dev, rs, acc, bounds, codec)
 	}
-	copy(data, acc)
+	copy(dst, acc)
 }
 
 // ringReduceF32 runs the uncompressed ring on acc. Chunks are sent as

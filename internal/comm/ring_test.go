@@ -198,17 +198,18 @@ func TestRingWorld1NoOp(t *testing.T) {
 
 // TestAllReduceChargeModel pins the ring timing/volume model: wire
 // bytes per rank are 2·(n-1)/n of the (encoded) volume, and a codec
-// shrinks the charge by its encoding ratio.
+// (AllReduceCodec's, through allReduceModel) shrinks the charge by its
+// encoding ratio.
 func TestAllReduceChargeModel(t *testing.T) {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
 	c, _ := newTestComm(p)
 	col := traceSpans(c)
 	const elems = 1000
-	secFP32, wire := c.AllReduceModel(elems, nil)
+	secFP32, wire := c.AllReduceModel(elems)
 	if want := int64(2 * elems * 4 * 3 / 4); wire != want {
 		t.Errorf("fp32 ring wire = %d, want %d", wire, want)
 	}
-	secTrunc, wireTrunc := c.AllReduceModel(elems, truncCodec{})
+	secTrunc, wireTrunc := c.allReduceModel(elems, elems*4, truncCodec{})
 	if want := int64(2 * elems * 2 * 3 / 4); wireTrunc != want {
 		t.Errorf("trunc ring wire = %d, want %d", wireTrunc, want)
 	}

@@ -275,7 +275,6 @@ func (a *APT) engineConfig(k strategy.Kind, store *cache.Store) engine.Config {
 		Assign:       a.part.Assign,
 		Kind:         k,
 		Seed:         t.Seed,
-		GradCompress: t.GradCompress,
 		Pipeline:     t.Pipeline,
 	}
 	return cfg

@@ -119,10 +119,8 @@ type CostModel struct {
 	// GradOverlap is the measured fraction of the gradient allreduce
 	// the backward pass hides (1 - GradExposedSec/GradCommSec from the
 	// engine's bucketed sync). The dry-run charges the collective fully
-	// exposed, so the train term subtracts the hidden share; the
-	// codec's compression ratio is already inside GradCommSec (the
-	// allreduce model prices the encoded wire). Zero means no overlap
-	// correction.
+	// exposed, so the train term subtracts the hidden share. Zero
+	// means no overlap correction.
 	GradOverlap float64
 }
 

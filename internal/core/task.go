@@ -18,7 +18,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sample"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // Task is the user-facing specification of a GNN training job.
@@ -75,13 +74,6 @@ type Task struct {
 	// (nil uses the paper's per-strategy rules); the cache-policy
 	// ablation sets it to the degree-based PaGraph baseline.
 	CachePolicyOverride *cache.Policy
-	// GradCompress selects the gradient-allreduce wire codec: "" or
-	// "fp32" moves exact floats, "fp16" halves the wire, "int8" quarters
-	// it with per-chunk scales and error feedback. Compression changes
-	// only the wire — replicas stay bit-identical to each other (every
-	// rank decodes the chunk owner's single final encoding), but a
-	// compressed run is no longer bit-identical to an uncompressed one.
-	GradCompress string
 	// Pipeline runs training epochs with per-worker sampling prefetch
 	// overlapped against compute (engine.Config.Pipeline); epoch stats
 	// then carry the measured overlapped time.
@@ -136,9 +128,6 @@ func (t *Task) normalize() error {
 	}
 	if t.Int8CacheFrac < 0 || t.Int8CacheFrac >= 1 {
 		return fmt.Errorf("core: Int8CacheFrac %v outside [0, 1)", t.Int8CacheFrac)
-	}
-	if _, err := transport.ChunkCodecByName(t.GradCompress); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

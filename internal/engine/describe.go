@@ -30,10 +30,10 @@ func DescribePlan(k strategy.Kind, m *nn.Model) string {
 		line("Permute", "encode layer-1 block into a contiguous chunk")
 		line("Shuffle", "AllBroadcast all layer-1 computation graphs")
 		if attention {
-			line("Execute", "load feature shard, partial per-head projections for every block (SegmentedSpMM)")
+			line("Execute", "load feature shard, partial per-head projections for every block (nn.Project: gather-GEMM over the shard's columns)")
 			line("Reshuffle", "AllToAll partial projections to block owners; owners sum and attend; backward AllBroadcast of projection gradients")
 		} else {
-			line("Execute", "load feature shard, partial projection + partial aggregation for every block (SegmentedSpMM)")
+			line("Execute", "load feature shard, partial projection + partial aggregation for every block (nn.Project: gather-GEMM over the shard's columns, then SegmentSum)")
 			line("Reshuffle", "SparseAllreduce partial embeddings to destination owners; backward AllBroadcast of destination gradients")
 		}
 	case strategy.SNP:

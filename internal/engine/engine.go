@@ -46,7 +46,6 @@ import (
 	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // Config assembles everything one engine run needs. The Store must
@@ -112,13 +111,6 @@ type Config struct {
 	// determinism then guarantees the replicas stay bit-identical
 	// without any parameter broadcast. EpochStats cover the hosted ranks.
 	Transport comm.Transport
-	// GradCompress selects the gradient-allreduce wire codec: "" or
-	// "fp32" for exact float32, "fp16" for half precision, "int8" for
-	// 8-bit quantization with an error-feedback residual (DESIGN
-	// decision 18). Compression changes only what crosses the wire;
-	// every rank still decodes identical bytes, so the replicas stay
-	// bit-identical to each other (not to an uncompressed run).
-	GradCompress string
 }
 
 // Engine executes GNN training under one strategy.
@@ -130,8 +122,6 @@ type Engine struct {
 	epochRNG *graph.RNG
 	// workers holds one worker per hosted rank, in ascending rank order.
 	workers []*worker
-	// gradCodec compresses the gradient allreduce wire (nil = fp32).
-	gradCodec comm.ChunkCodec
 	// spanBase offsets span start times by the simulated time of all
 	// previous epochs, so a multi-epoch trace reads as one timeline
 	// (device clocks reset every epoch).
@@ -277,15 +267,9 @@ func New(cfg Config) (*Engine, error) {
 		cacheBytes += int64(len(cfg.Store.QCachedList(d))) * tensor.QuantRowBytes(cfg.Store.LoadDim)
 		e.Group.Devices[d].Alloc(cacheBytes)
 	}
-	codec, err := transport.ChunkCodecByName(cfg.GradCompress)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	e.gradCodec = codec
 	if cfg.Store.Feats != nil && n > 1 {
-		ef := codec != nil && codec.Name() == "int8"
 		for _, w := range e.workers {
-			w.gsync = newGradSync(w, codec, ef)
+			w.gsync = newGradSync(w)
 		}
 	}
 	if cfg.Spans != nil {
@@ -598,10 +582,10 @@ func (e *Engine) syncGradients(w *worker) {
 	// whole collective is exposed (nothing hides it), so the cost models
 	// see GradExposedSec == GradCommSec here, against which a bucketed
 	// real run's measured overlap can be compared.
-	sec, _ := e.Comm.AllReduceModel(total, e.gradCodec)
+	sec, _ := e.Comm.AllReduceModel(total)
 	w.stats.GradCommSec += sec
 	w.stats.GradExposedSec += sec
-	e.Comm.AllReduceCodec(w.dev.ID, device.StageTrain, nil, int64(total)*4, e.gradCodec)
+	e.Comm.AllReduce(w.dev.ID, device.StageTrain, nil, int64(total)*4)
 }
 
 func maxInt(a, b int) int {

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
-	"repro/internal/comm"
 	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -37,8 +34,7 @@ import (
 // scheduled start, so the Chrome trace shows the buckets overlapping
 // the device track's backward compute.
 type gradSync struct {
-	w     *worker
-	codec comm.ChunkCodec
+	w *worker
 
 	buckets []*gradBucket
 	// launchClk[i] is the device's compute clock (ComputeElapsed) when
@@ -71,20 +67,11 @@ type gradBucket struct {
 	// (comm.AllReduceModel), fixed for the run.
 	commSec float64
 	wire    int64
-	// res holds the int8 error-feedback residual (DESIGN decision 18):
-	// the quantization error of this rank's previous contribution,
-	// added back before encoding the next one. enc/dq are the local
-	// quantize/dequantize scratch that measures the error. Nil for
-	// exact and fp16 codecs.
-	res []float32
-	enc []byte
-	dq  []float32
 }
 
-// newGradSync builds the bucket layout for w's model replica. ef
-// enables the per-bucket error-feedback residual (int8).
-func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
-	gs := &gradSync{w: w, codec: codec}
+// newGradSync builds the bucket layout for w's model replica.
+func newGradSync(w *worker) *gradSync {
+	gs := &gradSync{w: w}
 	for i, ps := range w.model.GradBuckets() {
 		b := &gradBucket{layer: len(w.model.Layers) - 1 - i, params: ps}
 		elems := 0
@@ -92,12 +79,7 @@ func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
 			elems += len(p.G.Data)
 		}
 		b.flat = make([]float32, elems)
-		b.commSec, b.wire = w.eng.Comm.AllReduceModel(elems, codec)
-		if ef {
-			b.res = make([]float32, elems)
-			b.enc = make([]byte, codec.EncodedLen(elems))
-			b.dq = make([]float32, elems)
-		}
+		b.commSec, b.wire = w.eng.Comm.AllReduceModel(elems)
 		gs.buckets = append(gs.buckets, b)
 	}
 	gs.launchClk = make([]float64, len(gs.buckets))
@@ -119,16 +101,16 @@ func (gs *gradSync) run() {
 	for k := 0; k < len(gs.buckets); k++ {
 		i := <-gs.reqs
 		b := gs.buckets[i]
-		gs.w.eng.Comm.RingAllReduceData(gs.w.dev.ID, b.flat, gs.codec)
+		gs.w.eng.Comm.RingAllReduceData(gs.w.dev.ID, b.flat, nil)
 		gs.acks <- i
 	}
 	gs.done <- struct{}{}
 }
 
-// launchLayer flattens layer's gradients into its bucket, applies
-// error feedback, snapshots the launch clock, and hands the bucket to
-// the sync goroutine. Called right after that layer's backward has
-// accumulated its parameter gradients.
+// launchLayer flattens layer's gradients into its bucket, snapshots
+// the launch clock, and hands the bucket to the sync goroutine. Called
+// right after that layer's backward has accumulated its parameter
+// gradients.
 func (gs *gradSync) launchLayer(layer int) {
 	i := len(gs.buckets) - 1 - layer
 	b := gs.buckets[i]
@@ -136,22 +118,6 @@ func (gs *gradSync) launchLayer(layer int) {
 	for _, p := range b.params {
 		copy(b.flat[off:], p.G.Data)
 		off += len(p.G.Data)
-	}
-	if b.res != nil {
-		// u = g + e, then e' = u - deQ(Q(u)): the error of quantizing
-		// this rank's own contribution, measured against a whole-bucket
-		// encoding (the wire additionally requantizes per ring chunk and
-		// per hop; that error is not fed back — DESIGN decision 18).
-		for j, r := range b.res {
-			b.flat[j] += r
-		}
-		gs.codec.EncodeChunk(b.enc, b.flat)
-		if err := gs.codec.DecodeChunk(b.dq, b.enc); err != nil {
-			panic(fmt.Sprintf("engine: error-feedback decode (%s): %v", gs.codec.Name(), err))
-		}
-		for j := range b.res {
-			b.res[j] = b.flat[j] - b.dq[j]
-		}
 	}
 	gs.launchClk[i] = gs.w.dev.ComputeElapsed()
 	gs.sent++

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -13,26 +12,22 @@ import (
 	"repro/internal/strategy"
 )
 
-// trainCompressed runs a world-2 in-process engine with the given
-// gradient codec for `epochs` epochs and returns the engine plus the
-// per-epoch mean losses.
-func trainCompressed(t *testing.T, k strategy.Kind, codec string, epochs int) (*Engine, []float64) {
+// trainWorld2 runs a world-2 in-process GraphSAGE engine under k for
+// `epochs` epochs and returns it.
+func trainWorld2(t *testing.T, k strategy.Kind, epochs int) *Engine {
 	t.Helper()
 	f := newFixture(t, 2, 160)
 	plan := sample.SplitEven(f.seeds, 2, graph.NewRNG(3))
-	cfg := f.config(k, func() *nn.Model {
+	e, err := New(f.config(k, func() *nn.Model {
 		return nn.NewGraphSAGE(f.dim, 8, f.classes, 2)
-	}, plan, []int{4, 4})
-	cfg.GradCompress = codec
-	e, err := New(cfg)
+	}, plan, []int{4, 4}))
 	if err != nil {
-		t.Fatalf("engine (%s/%s): %v", k, codec, err)
+		t.Fatalf("engine (%s): %v", k, err)
 	}
-	losses := make([]float64, epochs)
 	for ep := 0; ep < epochs; ep++ {
-		losses[ep] = e.RunEpoch().MeanLoss
+		e.RunEpoch()
 	}
-	return e, losses
+	return e
 }
 
 // TestGradSyncDirectRace drives the per-worker gradient-sync protocol
@@ -44,7 +39,7 @@ func trainCompressed(t *testing.T, k strategy.Kind, codec string, epochs int) (*
 // only synchronization between them, so any racy access to bucket
 // state surfaces here without needing a full training epoch.
 func TestGradSyncDirectRace(t *testing.T) {
-	e, _ := trainCompressed(t, strategy.GDP, "fp16", 1)
+	e := trainWorld2(t, strategy.GDP, 1)
 	layers := len(e.workers[0].model.Layers)
 	for step := 0; step < 4; step++ {
 		drain := step%2 == 0
@@ -62,62 +57,6 @@ func TestGradSyncDirectRace(t *testing.T) {
 			gs.launchLayer(0)
 			gs.finish()
 		})
-	}
-}
-
-// TestGradCompressionTolerance is the tolerance gate for lossy gradient
-// codecs: training still converges, the final loss stays within a
-// codec-specific band of the exact-fp32 run, and — the compressed ring's
-// determinism guarantee — the device replicas remain bit-identical to
-// EACH OTHER even though they are no longer bit-identical to the
-// uncompressed run.
-func TestGradCompressionTolerance(t *testing.T) {
-	const epochs = 3
-	for _, k := range []strategy.Kind{strategy.GDP, strategy.SNP} {
-		base, baseLoss := trainCompressed(t, k, "", epochs)
-		if !(baseLoss[epochs-1] < baseLoss[0]) {
-			t.Fatalf("%v fp32: loss did not decrease: %v", k, baseLoss)
-		}
-		for _, tc := range []struct {
-			codec string
-			tol   float64 // relative band around the fp32 final loss
-		}{
-			{"fp16", 0.05},
-			{"int8", 0.30},
-		} {
-			t.Run(fmt.Sprintf("%v/%s", k, tc.codec), func(t *testing.T) {
-				e, losses := trainCompressed(t, k, tc.codec, epochs)
-				if !(losses[epochs-1] < losses[0]) {
-					t.Errorf("loss did not decrease under %s: %v", tc.codec, losses)
-				}
-				rel := math.Abs(losses[epochs-1]-baseLoss[epochs-1]) / baseLoss[epochs-1]
-				if rel > tc.tol {
-					t.Errorf("final loss %v vs fp32 %v: relative drift %.4f > %.2f",
-						losses[epochs-1], baseLoss[epochs-1], rel, tc.tol)
-				}
-				// Replicas must stay in lockstep under compression: every
-				// rank decodes the chunk owner's single final encoding.
-				replicasInSync(t, e)
-				// And the codec must actually have engaged: a lossy wire
-				// cannot reproduce the exact-fp32 parameters bit for bit.
-				if paramsDiff(e, base) == 0 {
-					t.Errorf("%s run is bit-identical to fp32 — compression never engaged", tc.codec)
-				}
-			})
-		}
-	}
-}
-
-// TestGradCompressUnknownRejected pins config validation.
-func TestGradCompressUnknownRejected(t *testing.T) {
-	f := newFixture(t, 2, 160)
-	plan := sample.SplitEven(f.seeds, 2, graph.NewRNG(3))
-	cfg := f.config(strategy.GDP, func() *nn.Model {
-		return nn.NewGraphSAGE(f.dim, 8, f.classes, 2)
-	}, plan, []int{4, 4})
-	cfg.GradCompress = "zfp"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("unknown GradCompress accepted")
 	}
 }
 

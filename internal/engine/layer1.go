@@ -141,15 +141,26 @@ func (p *placement) replyShape(layer nn.Layer, b *sample.Block) (rows, width int
 	return rows, width
 }
 
+// sourcesOnly reports whether the Permute requests carry only sources:
+// routed by source under a layer that cannot pre-sum, each owner
+// projects its sources and the requester aggregates. Sender and
+// receiver both read it from the placement they share.
+func (p *placement) sourcesOnly(layer nn.Layer) bool {
+	return p.route == routeBySource && !layer.PreSums()
+}
+
 // backwardIsLocal reports whether backward issues no collectives,
 // letting the bucketed gradient sync keep its ring transfers in flight
 // across the call (see gradSync's concurrency contract).
 func (p *placement) backwardIsLocal() bool { return p.route == routeNone }
 
-// adjRequest is the Permute-stage encoding of the destinations one rank
-// ships to one peer, each with those of its sampled in-neighbors the
-// peer is to aggregate. It crosses the wire under two names, one per
-// route.
+// adjRequest is the Permute-stage encoding of the work one rank ships
+// to one peer: the destinations the peer is to aggregate, each with
+// those of its sampled in-neighbors the peer owns or manages, or — when
+// the layer cannot pre-sum under routeBySource (attention, paper §3.3)
+// — only the unique sources the requester needs projected. Every rank
+// shares the placement, so the receiver reads which of the two it got
+// from its own placement, not from the message.
 type adjRequest struct {
 	// DstIdx are requester-local destination positions (reply routing).
 	DstIdx []int32
@@ -158,18 +169,6 @@ type adjRequest struct {
 	// EdgePtr/SrcIDs list each destination's sources.
 	EdgePtr []int64
 	SrcIDs  []graph.NodeID
-}
-
-// snpRequest carries one rank's virtual nodes for one source owner.
-type snpRequest adjRequest
-
-// dnpRequest carries the destinations one rank ships to one manager.
-type dnpRequest adjRequest
-
-// snpGatRequest carries the unique sources a requester needs projected
-// by one owner when the layer cannot pre-sum (attention, paper §3.3).
-type snpGatRequest struct {
-	SrcIDs []graph.NodeID
 }
 
 func (q *adjRequest) wireBytes() int64 {
@@ -280,7 +279,7 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *l
 	ctx.pos = make([][]int32, n)
 	payloads := make([]payload, n)
 	owner := func(u graph.NodeID) int32 { return p.owner(w, u) }
-	if p.route == routeBySource && !layer.PreSums() {
+	if p.sourcesOnly(layer) {
 		// Unique sources per owner, in block order.
 		srcIDs := make([][]graph.NodeID, n)
 		for at, u := range blk.Src {
@@ -290,21 +289,14 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *l
 		}
 		for o, ids := range srcIDs {
 			if len(ids) > 0 {
-				payloads[o] = payload{Data: &snpGatRequest{SrcIDs: ids}, Bytes: wireInts(len(ids))}
+				payloads[o] = payload{Data: &adjRequest{SrcIDs: ids}, Bytes: wireInts(len(ids))}
 			}
 		}
 	} else {
-		byDst := p.route == routeByDest
-		for o, q := range buildAdjRequests(blk, n, byDst, owner) {
-			if q == nil {
-				continue
-			}
-			ctx.pos[o] = q.DstIdx
-			payloads[o].Bytes = q.wireBytes()
-			if byDst {
-				payloads[o].Data = (*dnpRequest)(q)
-			} else {
-				payloads[o].Data = (*snpRequest)(q)
+		for o, q := range buildAdjRequests(blk, n, p.route == routeByDest, owner) {
+			if q != nil {
+				ctx.pos[o] = q.DstIdx
+				payloads[o] = payload{Data: q, Bytes: q.wireBytes()}
 			}
 		}
 	}
@@ -341,20 +333,16 @@ func (p *placement) forward(w *worker, mb *sample.MiniBatch, l int, h *tensor.Ma
 			ctx.served[j] = in.Data.(*sample.Block)
 		}
 	default:
+		srcOnly := p.sourcesOnly(layer)
+		withDst := p.route == routeByDest && layer.NeedsDstInSrc()
 		for rq, in := range w.allToAll(device.StageBuild, p.permute(w, blk, layer, ctx)) {
-			switch q := in.Data.(type) {
-			case *snpRequest:
-				if q != nil && len(q.DstIdx) > 0 {
-					ctx.served[rq] = w.buildMiniBlock((*adjRequest)(q), false)
-				}
-			case *dnpRequest:
-				if q != nil && len(q.DstIdx) > 0 {
-					ctx.served[rq] = w.buildMiniBlock((*adjRequest)(q), layer.NeedsDstInSrc())
-				}
-			case *snpGatRequest:
-				if q != nil && len(q.SrcIDs) > 0 {
-					ctx.served[rq] = &sample.Block{Src: q.SrcIDs, EdgePtr: []int64{0}}
-				}
+			q, _ := in.Data.(*adjRequest)
+			switch {
+			case q == nil:
+			case srcOnly:
+				ctx.served[rq] = &sample.Block{Src: q.SrcIDs, EdgePtr: []int64{0}}
+			default:
+				ctx.served[rq] = w.buildMiniBlock(q, withDst)
 			}
 		}
 	}

@@ -7,23 +7,21 @@ import (
 )
 
 // Wire codecs for the engine-internal structures the strategies ship
-// through Payload.Data: NFP broadcasts layer-1 blocks, SNP/DNP
-// exchange virtual-node requests. Registered in an init so every
-// binary that links the engine — every aptrun rank — agrees on the
-// (id, type, layout) triples; the ids below are part of the wire
-// format and must never be reused.
+// through Payload.Data: NFP broadcasts layer-1 blocks, the routed
+// strategies (SNP, DNP, Hybrid) exchange Permute requests. Registered
+// in an init so every binary that links the engine — every aptrun rank
+// — agrees on the (id, type, layout) pairs; the ids below are part of
+// the wire format and must never be reused; ids 3 and 4 are retired.
 //
-// All four types are pointers and SNP/DNP legitimately ship typed
-// nils for empty request slots, so each codec leads with a presence
-// byte. graph.NodeID is an alias of int32, which is why node slices
-// encode through the i32 primitives without conversion.
+// Both types are pointers and a typed nil must survive the trip, so
+// each codec leads with a presence byte. graph.NodeID is an alias of
+// int32, which is why node slices encode through the i32 primitives
+// without conversion.
 
 // Wire ids for Payload.Data types (see RegisterData).
 const (
-	wireDataBlock     = 1
-	wireDataSNPReq    = 2
-	wireDataSNPGatReq = 3
-	wireDataDNPReq    = 4
+	wireDataBlock      = 1
+	wireDataAdjRequest = 2
 )
 
 func init() {
@@ -52,9 +50,9 @@ func init() {
 			}
 		},
 	})
-	transport.RegisterData(wireDataSNPReq, (*snpRequest)(nil), transport.DataCodec{
+	transport.RegisterData(wireDataAdjRequest, (*adjRequest)(nil), transport.DataCodec{
 		Encode: func(e *transport.Encoder, v any) {
-			q := v.(*snpRequest)
+			q := v.(*adjRequest)
 			if q == nil {
 				e.U8(0)
 				return
@@ -67,51 +65,9 @@ func init() {
 		},
 		Decode: func(d *transport.Decoder) any {
 			if !d.Presence() {
-				return (*snpRequest)(nil)
+				return (*adjRequest)(nil)
 			}
-			return &snpRequest{
-				DstIdx:  d.I32s(),
-				DstIDs:  []graph.NodeID(d.I32s()),
-				EdgePtr: d.I64s(),
-				SrcIDs:  []graph.NodeID(d.I32s()),
-			}
-		},
-	})
-	transport.RegisterData(wireDataSNPGatReq, (*snpGatRequest)(nil), transport.DataCodec{
-		Encode: func(e *transport.Encoder, v any) {
-			q := v.(*snpGatRequest)
-			if q == nil {
-				e.U8(0)
-				return
-			}
-			e.U8(1)
-			e.I32s(q.SrcIDs)
-		},
-		Decode: func(d *transport.Decoder) any {
-			if !d.Presence() {
-				return (*snpGatRequest)(nil)
-			}
-			return &snpGatRequest{SrcIDs: []graph.NodeID(d.I32s())}
-		},
-	})
-	transport.RegisterData(wireDataDNPReq, (*dnpRequest)(nil), transport.DataCodec{
-		Encode: func(e *transport.Encoder, v any) {
-			q := v.(*dnpRequest)
-			if q == nil {
-				e.U8(0)
-				return
-			}
-			e.U8(1)
-			e.I32s(q.DstIdx)
-			e.I32s(q.DstIDs)
-			e.I64s(q.EdgePtr)
-			e.I32s(q.SrcIDs)
-		},
-		Decode: func(d *transport.Decoder) any {
-			if !d.Presence() {
-				return (*dnpRequest)(nil)
-			}
-			return &dnpRequest{
+			return &adjRequest{
 				DstIdx:  d.I32s(),
 				DstIDs:  []graph.NodeID(d.I32s()),
 				EdgePtr: d.I64s(),

@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, p comm.Payload) comm.Payload {
 }
 
 // TestEngineWireGolden pins the exact Payload.Data byte layout of the
-// four engine wire types (data ids 1-4). These bytes cross version
+// two engine wire types (data ids 1 and 2; 3 and 4 are retired). These bytes cross version
 // skew during live model swap, so any diff here is a protocol break:
 // bump the data id instead of changing a layout.
 func TestEngineWireGolden(t *testing.T) {
@@ -53,8 +53,8 @@ func TestEngineWireGolden(t *testing.T) {
 				"01000000" + "00000000", // SrcIdx
 		},
 		{
-			name: "snpRequest",
-			data: &snpRequest{DstIdx: []int32{1}, DstIDs: []graph.NodeID{2}, EdgePtr: []int64{0, 1}, SrcIDs: []graph.NodeID{3}},
+			name: "adjRequest",
+			data: &adjRequest{DstIdx: []int32{1}, DstIDs: []graph.NodeID{2}, EdgePtr: []int64{0, 1}, SrcIDs: []graph.NodeID{3}},
 			want: frame + "02" + "2d000000" + // id 2, body length 45
 				"01" +
 				"01000000" + "01000000" + // DstIdx
@@ -63,25 +63,18 @@ func TestEngineWireGolden(t *testing.T) {
 				"01000000" + "03000000", // SrcIDs
 		},
 		{
-			name: "snpGatRequest",
-			data: &snpGatRequest{SrcIDs: []graph.NodeID{4, 5}},
-			want: frame + "03" + "0d000000" + // id 3, body length 13
-				"01" + "02000000" + "04000000" + "05000000",
+			// The sources-only form routeBySource sends when the layer
+			// cannot pre-sum.
+			name: "adjRequestSrcOnly",
+			data: &adjRequest{SrcIDs: []graph.NodeID{4, 5}},
+			want: frame + "02" + "19000000" + // id 2, body length 25
+				"01" + "00000000" + "00000000" + "00000000" + // empty DstIdx, DstIDs, EdgePtr
+				"02000000" + "04000000" + "05000000", // SrcIDs
 		},
 		{
-			name: "dnpRequest",
-			data: &dnpRequest{DstIdx: []int32{4}, DstIDs: []graph.NodeID{8}, EdgePtr: []int64{0, 2}, SrcIDs: []graph.NodeID{1, 2}},
-			want: frame + "04" + "31000000" + // id 4, body length 49
-				"01" +
-				"01000000" + "04000000" + // DstIdx
-				"01000000" + "08000000" + // DstIDs
-				"02000000" + "0000000000000000" + "0200000000000000" + // EdgePtr
-				"02000000" + "01000000" + "02000000", // SrcIDs
-		},
-		{
-			name: "dnpRequestNil",
-			data: (*dnpRequest)(nil),
-			want: frame + "04" + "01000000" + "00", // typed nil = absent presence byte
+			name: "adjRequestNil",
+			data: (*adjRequest)(nil),
+			want: frame + "02" + "01000000" + "00", // typed nil = absent presence byte
 		},
 	}
 	for _, tc := range cases {
@@ -109,12 +102,12 @@ func TestEngineDataCodecs(t *testing.T) {
 		SrcIdx:  []int32{0, 2, 1, 3},
 	}
 	cases := map[string]any{
-		"block":      blk,
-		"snpReq":     &snpRequest{DstIdx: []int32{0, 1}, DstIDs: []graph.NodeID{5, 6}, EdgePtr: []int64{0, 1, 3}, SrcIDs: []graph.NodeID{9, 10, 11}},
-		"snpReqNil":  (*snpRequest)(nil),
-		"snpGatReq":  &snpGatRequest{SrcIDs: []graph.NodeID{1, 2, 3}},
-		"dnpReq":     &dnpRequest{DstIdx: []int32{4}, DstIDs: []graph.NodeID{8}, EdgePtr: []int64{0, 2}, SrcIDs: []graph.NodeID{1, 2}},
-		"dnpReqNil":  (*dnpRequest)(nil),
+		"block": blk,
+		// The request shapes each routed strategy sends, all one type.
+		"snpReq":     &adjRequest{DstIdx: []int32{0, 1}, DstIDs: []graph.NodeID{5, 6}, EdgePtr: []int64{0, 1, 3}, SrcIDs: []graph.NodeID{9, 10, 11}},
+		"snpReqNil":  (*adjRequest)(nil),
+		"snpGatReq":  &adjRequest{SrcIDs: []graph.NodeID{1, 2, 3}},
+		"dnpReq":     &adjRequest{DstIdx: []int32{4}, DstIDs: []graph.NodeID{8}, EdgePtr: []int64{0, 2}, SrcIDs: []graph.NodeID{1, 2}},
 		"blockEmpty": &sample.Block{EdgePtr: []int64{0}},
 	}
 	for name, data := range cases {

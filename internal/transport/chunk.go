@@ -8,8 +8,10 @@ import (
 	"repro/internal/comm"
 )
 
-// Gradient-compression chunk codecs for the ring allreduce
-// (comm.ChunkCodec). Both live here, next to the rest of the wire
+// Compression chunk codecs for the ring allreduce (comm.ChunkCodec).
+// Training reduces its gradients in exact fp32; these codecs are the
+// ring data plane's compressed variants, which the benchmark times.
+// Both live here, next to the rest of the wire
 // format, because their byte layouts are wire contracts: every rank of
 // a job must produce identical encodings for the ring's
 // decode-the-owner's-bytes determinism to hold, and the golden tests
@@ -31,8 +33,9 @@ const (
 )
 
 // wireDataChunk is the Payload.Data wire id for comm.CompressedChunk.
-// Ids 1-4 belong to the engine's block/request codecs (see
-// engine/wirecodec.go); the data-id space is shared and append-only.
+// Ids 1 and 2 belong to the engine's block and request codecs (see
+// engine/wirecodec.go), 3 and 4 are retired; the data-id space is
+// shared and append-only.
 const wireDataChunk = 5
 
 func init() {
@@ -90,9 +93,7 @@ func (FP16Chunk) DecodeChunk(dst []float32, src []byte) error {
 
 // Int8Chunk compresses chunks to one int8 per value against a
 // per-chunk absmax scale: 4× wire reduction (minus a 4-byte header).
-// The quantization is much coarser than fp16, which is why the
-// engine's gradient sync pairs it with an error-feedback residual
-// (DESIGN decision 18).
+// The quantization is much coarser than fp16.
 type Int8Chunk struct{}
 
 func (Int8Chunk) ChunkID() uint8       { return chunkCodecInt8 }
@@ -140,9 +141,9 @@ func (Int8Chunk) DecodeChunk(dst []float32, src []byte) error {
 	return nil
 }
 
-// ChunkCodecByName maps a job-level codec selection ("", "fp32",
-// "fp16", "int8") to the ChunkCodec the comm layer uses; nil means
-// exact fp32 (no compression).
+// ChunkCodecByName maps a codec name ("", "fp32", "fp16", "int8") to
+// the ChunkCodec the ring data plane takes; nil means exact fp32 (no
+// compression).
 func ChunkCodecByName(name string) (comm.ChunkCodec, error) {
 	switch name {
 	case "", "fp32", "none":
@@ -152,7 +153,7 @@ func ChunkCodecByName(name string) (comm.ChunkCodec, error) {
 	case "int8":
 		return Int8Chunk{}, nil
 	default:
-		return nil, fmt.Errorf("transport: unknown gradient codec %q (want fp32, fp16 or int8)", name)
+		return nil, fmt.Errorf("transport: unknown chunk codec %q (want fp32, fp16 or int8)", name)
 	}
 }
 
