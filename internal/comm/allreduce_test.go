@@ -13,7 +13,7 @@ import (
 )
 
 // TestAllReduceCodecIsRingData pins the charged allreduce to the pure
-// data plane: at worlds 2–4, under every gradient codec and at vector
+// data plane: at worlds 2–4, under every chunk codec and at vector
 // lengths below, at and well above the world size, AllReduceCodec
 // returns, bit for bit, what RingAllReduceData leaves in place on the
 // same inputs.

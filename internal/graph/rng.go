@@ -73,27 +73,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method.
 	v := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, v)
+	hi, lo := bits.Mul64(x, v)
 	if lo < v {
 		thresh := -v % v
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, v)
+			hi, lo = bits.Mul64(x, v)
 		}
 	}
 	return int(hi)
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

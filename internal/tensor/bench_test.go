@@ -98,41 +98,78 @@ func BenchmarkGatherMatMul(b *testing.B) {
 	}
 }
 
+// layer0Rows, layer0In and layer0Out are the training workloads'
+// layer-0 shape: one batch's ~2 300 distinct source rows of width 128
+// projected to 32 columns. layer0StoreRows is PS 0.2's feature store
+// (44 000 × 128, 22.5 MB, far past L2), layer0ResidentRows
+// a 1 000-row store that stays in L2. The gap between a benchmark and
+// its …Resident twin is what the kernel loses to stalls on gathered
+// rows.
+const (
+	layer0Rows, layer0In, layer0Out = 2300, 128, 32
+	layer0StoreRows                 = 44000
+	layer0ResidentRows              = 1000
+)
+
+// reportGFLOPs reports a kernel's arithmetic rate from its madds
+// multiply-adds per iteration, two flops each.
+func reportGFLOPs(b *testing.B, madds int) {
+	b.ReportMetric(2*float64(madds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 // BenchmarkGatherMatMulLayer0 is the training workloads' layer-0
-// projection at its real shape: one batch's ~2 300 distinct source rows
-// gathered out of PS 0.2's 44 000 × 128 feature matrix, times a
-// 128 × 32 weight — the shape the four-row panel kernel is sized on.
-func BenchmarkGatherMatMulLayer0(b *testing.B) {
-	const rows, srcN, in, out = 2300, 44000, 128, 32
+// projection at its real shape: the gathered rows of PS 0.2's feature
+// store times a 128 × 32 weight — the shape the four-row panel kernel
+// is sized on.
+func BenchmarkGatherMatMulLayer0(b *testing.B) { benchGatherMatMulLayer0(b, layer0StoreRows) }
+
+// BenchmarkGatherMatMulLayer0Resident gathers as many rows from a
+// cache-resident store.
+func BenchmarkGatherMatMulLayer0Resident(b *testing.B) {
+	benchGatherMatMulLayer0(b, layer0ResidentRows)
+}
+
+func benchGatherMatMulLayer0(b *testing.B, srcN int) {
 	rng := graph.NewRNG(8)
-	feats := benchRandMat(rng, srcN, in)
-	idx := benchIdx(rows, srcN, rng)
-	w := benchRandMat(rng, in, out)
-	b.SetBytes(int64(rows * in * 4))
+	feats := benchRandMat(rng, srcN, layer0In)
+	idx := benchIdx(layer0Rows, srcN, rng)
+	w := benchRandMat(rng, layer0In, layer0Out)
+	b.SetBytes(int64(layer0Rows * layer0In * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := GatherMatMulSrc(FS(feats), idx, w)
 		Put(m)
 	}
+	reportGFLOPs(b, layer0Rows*layer0In*layer0Out)
 }
 
 // BenchmarkGatherTMatMulAccLayer0 is the same layer's weight gradient,
-// dW += X[idx]ᵀ · dZ: the ~2 300 gathered rows of the 44 000 × 128
-// feature matrix against a 2 300 × 32 dZ, into a 128 × 32 dW — the
-// shape the eight-row tile kernel is sized on.
+// dW += X[idx]ᵀ · dZ: the gathered rows of the feature store against a
+// 2 300 × 32 dZ, into a 128 × 32 dW — the shape the eight-row tile
+// kernel is sized on.
 func BenchmarkGatherTMatMulAccLayer0(b *testing.B) {
-	const rows, srcN, in, out = 2300, 44000, 128, 32
+	benchGatherTMatMulAccLayer0(b, layer0StoreRows)
+}
+
+// BenchmarkGatherTMatMulAccLayer0Resident gathers as many rows from a
+// cache-resident store.
+func BenchmarkGatherTMatMulAccLayer0Resident(b *testing.B) {
+	benchGatherTMatMulAccLayer0(b, layer0ResidentRows)
+}
+
+func benchGatherTMatMulAccLayer0(b *testing.B, srcN int) {
 	rng := graph.NewRNG(8)
-	feats := benchRandMat(rng, srcN, in)
-	idx := benchIdx(rows, srcN, rng)
-	dz := benchRandMat(rng, rows, out)
-	dst := New(in, out)
+	feats := benchRandMat(rng, srcN, layer0In)
+	idx := benchIdx(layer0Rows, srcN, rng)
+	dz := benchRandMat(rng, layer0Rows, layer0Out)
+	dst := New(layer0In, layer0Out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GatherTMatMulAccSrc(dst, FS(feats), idx, dz)
 	}
+	reportGFLOPs(b, layer0Rows*layer0In*layer0Out)
 }
 
 // BenchmarkTMatMulAccLayer1 is layer 1's weight gradient, dW += hᵀ · dZ:

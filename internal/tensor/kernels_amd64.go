@@ -14,7 +14,7 @@ package tensor
 func gemmRowK(or *float32, n int, a *float32, k int, b *float32, bw int)
 
 //go:noescape
-func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int)
+func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int, pf *quadAhead)
 
 //go:noescape
 func tmatmulAcc8(dst *float32, i, m, n, ds int, ap *[8]*float32, b *float32, bw int) int
@@ -91,10 +91,10 @@ func gemmPanelVec(or, arp, bd []float32, bw, bj int) int {
 // panel: or[r] += ar[r] @ panel for r in [0, 4), all four rows of one
 // width and one depth. It computes the leading width&^15 columns of
 // every row and returns how many it did (0 without AVX-512); the caller
-// finishes the rest.
+// finishes the rest. Meanwhile the kernel prefetches the spans of pf.
 //
 //apt:hotpath
-func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int {
+func gemmPanelQuadVec(or, ar *[4][]float32, pf *quadAhead, bd []float32, bw, bj int) int {
 	n, k := len(or[0])&^15, len(ar[0])
 	if !hasAVX512 || n == 0 || k == 0 {
 		return 0
@@ -105,7 +105,7 @@ func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int {
 		_, _ = or[r][n-1], ar[r][k-1]
 		op[r], ap[r] = &or[r][0], &ar[r][0]
 	}
-	gemmQuadK(&op, n, &ap, k, &bd[bj], bw)
+	gemmQuadK(&op, n, &ap, k, &bd[bj], bw, pf)
 	return n
 }
 

@@ -514,7 +514,28 @@ gemm_done:
 	MOVQ r*8(SI), R13; \
 	VMOVUPS zr, off(R13)(DI*1)
 
-// func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int)
+// QPF prefetches the look-ahead line of row r at byte offset kk*4
+// (R13 = kk) from the span table at R14 — starts at 0–24, ends at
+// 32–56 — unless the line lies at or past the span's end (R15 scratch).
+#define QPF(r) \
+	MOVQ       r*8(R14), R15; \
+	LEAQ       (R15)(R13*4), R15; \
+	CMPQ       R15, 32+r*8(R14); \
+	JAE        2(PC); \
+	PREFETCHT0 (R15)
+
+// QAHEAD runs QPF for the four look-ahead rows at every sixteenth kk —
+// one 64-byte line of an fp32 row per sixteen k — and falls through to
+// label skip otherwise.
+#define QAHEAD(skip) \
+	TESTQ $15, R13; \
+	JNZ   skip; \
+	QPF(0); \
+	QPF(1); \
+	QPF(2); \
+	QPF(3)
+
+// func gemmQuadK(or *[4]*float32, n int, a *[4]*float32, k int, b *float32, bw int, pf *quadAhead)
 //
 // gemmRowK for four output rows at once: or[r][j] += Σ_kk a[r][kk] *
 // b[kk*bw+j] for r in [0, 4), j in [0, n), kk in [0, k) increasing. n
@@ -524,7 +545,13 @@ gemm_done:
 // independent add chains), a last block of 16 columns four. Per lane it
 // is gemmRowK's sequence: VMULPS with the coefficient as first source,
 // then VADDPS with the accumulator as first source.
-TEXT ·gemmQuadK(SB), NOSPLIT, $0-48
+//
+// While it computes, it prefetches the rows the caller will hand it
+// next: pf holds four byte spans [start, end), start at a line
+// boundary, and the lines at start + 4·kk for every sixteenth kk below
+// k that lie inside their span are prefetched. A prefetch reads no
+// operand and faults on no address, so it moves no bit.
+TEXT ·gemmQuadK(SB), NOSPLIT, $0-56
 	MOVQ or+0(FP), SI
 	MOVQ n+8(FP), CX
 	MOVQ a+16(FP), AX
@@ -536,6 +563,7 @@ TEXT ·gemmQuadK(SB), NOSPLIT, $0-48
 	MOVQ b+32(FP), DX
 	MOVQ bw+40(FP), BX
 	SHLQ $2, BX            // B row stride in bytes
+	MOVQ pf+48(FP), R14
 	XORQ DI, DI            // column byte offset j*4
 
 quad_c32:
@@ -553,6 +581,9 @@ quad_c32:
 	XORQ R13, R13          // kk
 
 quad_k32:
+	QAHEAD(quad_k32_mul)
+
+quad_k32_mul:
 	VMOVUPS      0(AX), Z8
 	VMOVUPS      64(AX), Z9
 	VBROADCASTSS (R8)(R13*4), Z10
@@ -603,6 +634,9 @@ quad_c16:
 	XORQ R13, R13
 
 quad_k16:
+	QAHEAD(quad_k16_mul)
+
+quad_k16_mul:
 	VMOVUPS      (AX), Z8
 	VBROADCASTSS (R8)(R13*4), Z10
 	VBROADCASTSS (R9)(R13*4), Z11

@@ -10,7 +10,7 @@ const hasAVX512 = false
 
 func gemmPanelVec(or, arp, bd []float32, bw, bj int) int { return 0 }
 
-func gemmPanelQuadVec(or, ar *[4][]float32, bd []float32, bw, bj int) int { return 0 }
+func gemmPanelQuadVec(or, ar *[4][]float32, pf *quadAhead, bd []float32, bw, bj int) int { return 0 }
 
 func tmatmulAcc8Vec(dd []float32, i, m, n, ds int, ar *[8][]float32, b8 []float32, bw int) int {
 	return i

@@ -34,7 +34,7 @@ func requireAVX512(t testing.TB) {
 	row := func() []float32 { return make([]float32, 16) }
 	or := [4][]float32{row(), row(), row(), row()}
 	ar := [4][]float32{{1}, {1}, {1}, {1}}
-	if gemmPanelQuadVec(&or, &ar, make([]float32, 16), 16, 0) == 0 {
+	if gemmPanelQuadVec(&or, &ar, &quadAhead{}, make([]float32, 16), 16, 0) == 0 {
 		t.Skipf("no four-row kernel on this platform (GOARCH=%s; on amd64 it needs AVX-512F and OS support for the ZMM state)", runtime.GOARCH)
 	}
 }
@@ -246,20 +246,24 @@ func simdTable(visit func(simdCase)) {
 
 // TestSIMDQuadKernelMatchesGeneric compares the four-row panel kernel
 // with four gemmPanelDenseGeneric calls, first on its own and then
-// inside gemmTile on a column block narrower than the output.
+// inside gemmTile on a column block narrower than the output, where it
+// prefetches the next block's rows.
 func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 	requireAVX512(t)
 	rng := graph.NewRNG(91)
 
 	// Four rows that are windows of wider output rows, whose neighbours
 	// must stay untouched, over a window of a wider B (stride > n,
-	// unaligned first column).
+	// unaligned first column). The kernel prefetches the four A rows
+	// themselves as it goes, which must change nothing.
 	for _, n := range []int{15, 16, 17, 31, 32, 33, 48, 64, 70} {
 		for _, k := range []int{1, 7, 128} {
 			const pad = 3
 			bw := n + 2*pad
 			bd := simdMatrix(rng, k, bw, 0).Data
 			a := simdMatrix(rng, 4, k, 0)
+			var pf quadAhead
+			(&gemmA{src: a, hi: k}).ahead(&pf, 0, 4, 0, k)
 			got := simdMatrix(rng, 4, bw, 0)
 			want := got.Clone()
 			var or [4][]float32
@@ -268,7 +272,7 @@ func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 				or[r] = got.Row(r)[pad : pad+n]
 				gemmPanelDenseGeneric(want.Row(r)[pad:pad+n], ar[r], bd, bw, pad)
 			}
-			gemmPanelQuad(&or, &ar, bd, bw, pad)
+			gemmPanelQuad(&or, &ar, &pf, bd, bw, pad)
 			bitsEqual(t, fmt.Sprintf("gemmPanelQuad n%d k%d", n, k), got.Data, want.Data)
 
 			// The kernel itself takes every whole 16-column block.
@@ -276,32 +280,41 @@ func TestSIMDQuadKernelMatchesGeneric(t *testing.T) {
 			for r := range or {
 				or[r] = got.Row(r)[pad : pad+n]
 			}
-			if done := gemmPanelQuadVec(&or, &ar, bd, bw, pad); done != n&^15 {
+			if done := gemmPanelQuadVec(&or, &ar, &pf, bd, bw, pad); done != n&^15 {
 				t.Fatalf("n%d: the kernel did %d columns, want %d", n, done, n&^15)
 			}
 		}
 	}
 
-	// gemmTile on a column block narrower than n and a row band
-	// starting at an odd row — B read in place at the block's offset
-	// into its full rows — in every operand form, the int8 tier's among
-	// them. The block's 61 columns are 48 for the kernel, 8 for
-	// gemmRowK and 5 for the Go tail.
+	// gemmTile on a column block narrower than n — B read in place at
+	// the block's offset into its full rows — in every operand form:
+	// forms 2 and 3 read a column window lo > 0 of each source row, as
+	// NFP's shard does, and form 3 serves every other source row from
+	// the int8 tier, so look-ahead blocks mix tier and fp32 rows. The
+	// block's 61 columns are 48 for the kernel, 8 for gemmRowK and 5 for
+	// the Go tail; k = 133 is two k-panels, the second 5 deep. The row
+	// bands start at odd and even rows, and the look-ahead of their last
+	// block runs one row past the band (1–40), wholly past the band
+	// inside the matrix (6–14), and wholly past the matrix's last row
+	// (3–43).
 	const m, n, k = 43, 70, 133
-	const i0, i1, j0, j1 = 1, 40, 5, 66
-	for form := 0; form < 4; form++ {
-		c := simdCase{form: form}
-		a, _, _, _, _ := c.operand(rng, m, k, 6)
-		b := simdMatrix(rng, k, n, 0)
-		got := simdMatrix(rng, m, n, 0)
-		want := got.Clone()
-		aw, scratch := a.withScratch()
-		for i := i0; i < i1; i++ {
-			gemmPanelDenseGeneric(want.Row(i)[j0:j1], aw.row(i), b.Data, n, j0)
+	const j0, j1 = 5, 66
+	for _, band := range [][2]int{{1, 40}, {6, 14}, {3, m}} {
+		i0, i1 := band[0], band[1]
+		for form := 0; form < 4; form++ {
+			c := simdCase{form: form}
+			a, _, _, _, _ := c.operand(rng, m, k, 6)
+			b := simdMatrix(rng, k, n, 0)
+			got := simdMatrix(rng, m, n, 0)
+			want := got.Clone()
+			aw, scratch := a.withScratch()
+			for i := i0; i < i1; i++ {
+				gemmPanelDenseGeneric(want.Row(i)[j0:j1], aw.row(i), b.Data, n, j0)
+			}
+			Put(scratch)
+			gemmTile(got, a, b, i0, i1, j0, j1)
+			bitsEqual(t, fmt.Sprintf("gemmTile rows %d-%d form%d", i0, i1, form), got.Data, want.Data)
 		}
-		Put(scratch)
-		gemmTile(got, a, b, i0, i1, j0, j1)
-		bitsEqual(t, fmt.Sprintf("gemmTile form%d", form), got.Data, want.Data)
 	}
 }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // Dense GEMM kernels, cache-blocked and fused.
@@ -189,6 +190,43 @@ func (g *gemmA) rowTable(tbl []*float32, lo, w int, deq *Matrix) {
 	}
 }
 
+// quadAhead is where the four rows gemmTile hands the four-row kernel
+// next lie: row t's bytes are [start[t], end[t]) with start[t] rounded
+// down to its cache line, and the kernel prefetches them while it
+// computes the current rows. A zero span prefetches nothing. The
+// addresses are only ever prefetched, never dereferenced, so a stale
+// one costs a wasted line, not a fault.
+type quadAhead struct{ start, end [4]uintptr }
+
+// gemmAhead is how many rows past a four-row block gemmTile's
+// prefetch looks: one block, so a block's rows arrive while the block
+// before it computes. Tuned with BenchmarkGatherMatMulLayer0, like
+// octPrefetch.
+const gemmAhead = 4
+
+// ahead sets pf to where rows [r, r+4) keep the columns [k0, k1) of
+// their window — where row() reads them, without dequantizing: an fp32
+// row's floats in src, an int8-tier row's bytes in q. Rows at or past
+// end keep the zero span pf starts with.
+//
+//apt:hotpath
+func (g *gemmA) ahead(pf *quadAhead, r, end, k0, k1 int) {
+	for t := range pf.start {
+		if r+t >= end {
+			return
+		}
+		s := g.srcRow(r + t)
+		var p unsafe.Pointer
+		n := k1 - k0
+		if g.inTier(s) {
+			p = unsafe.Pointer(&g.q.Data[s*g.q.Cols+g.lo+k0])
+		} else {
+			p, n = unsafe.Pointer(&g.src.Data[s*g.src.Cols+g.lo+k0]), 4*n
+		}
+		pf.start[t], pf.end[t] = uintptr(p)&^63, uintptr(p)+uintptr(n)
+	}
+}
+
 // inTier reports whether source row r is served by the int8 tier.
 func (g *gemmA) inTier(r int) bool {
 	return g.qmask != nil && g.qmask[r>>6]&(1<<(uint(r)&63)) != 0
@@ -311,13 +349,14 @@ func gemmPanelDenseGeneric(or, arp, bd []float32, bw, bj int) {
 
 // gemmPanelQuad is gemmPanelDense for four output rows over one panel.
 // The four-row vector kernel takes the leading multiple of sixteen
-// columns of all four where the platform has one; each row's remaining
-// columns go through gemmPanelDense. Rows and columns are independent,
-// so neither split changes a bit.
+// columns of all four where the platform has one, prefetching pf's
+// spans as it goes; each row's remaining columns go through
+// gemmPanelDense. Rows and columns are independent, so neither split
+// changes a bit.
 //
 //apt:hotpath
-func gemmPanelQuad(or, ar *[4][]float32, bd []float32, bw, bj int) {
-	done := gemmPanelQuadVec(or, ar, bd, bw, bj)
+func gemmPanelQuad(or, ar *[4][]float32, pf *quadAhead, bd []float32, bw, bj int) {
+	done := gemmPanelQuadVec(or, ar, pf, bd, bw, bj)
 	for r := range or {
 		if done < len(or[r]) {
 			gemmPanelDense(or[r][done:], ar[r], bd, bw, bj+done)
@@ -344,10 +383,14 @@ func gemmTile(out *Matrix, a gemmA, b *Matrix, i0, i1, j0, j1 int) {
 		if hasAVX512 && j1-j0 >= 16 {
 			// Four rows per call share each B load; the four A rows
 			// stay live together, which the dequant scratch covers.
+			// The gathered rows come from anywhere in the source, so
+			// the kernel prefetches the next block's while it runs.
 			for ; i+3 < i1; i += 4 {
 				or := [4][]float32{out.Row(i)[j0:j1], out.Row(i + 1)[j0:j1], out.Row(i + 2)[j0:j1], out.Row(i + 3)[j0:j1]}
 				ar := [4][]float32{a.row(i)[k0:k1], a.row(i + 1)[k0:k1], a.row(i + 2)[k0:k1], a.row(i + 3)[k0:k1]}
-				gemmPanelQuad(&or, &ar, bd, n, j0)
+				var pf quadAhead
+				a.ahead(&pf, i+gemmAhead, i1, k0, k1)
+				gemmPanelQuad(&or, &ar, &pf, bd, n, j0)
 			}
 		}
 		for ; i < i1; i++ {
