@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke examples-smoke count pair reach
+.PHONY: build test lint runlists verify bench bench-smoke examples-smoke count pair reach
 
 build:
 	$(GO) build ./...
@@ -17,11 +17,17 @@ test:
 # the file set of a GOARCH without vector kernels (internal/tensor's
 # kernels_generic.go instead of kernels_amd64.{go,s}), so the portable
 # path cannot stop compiling unnoticed on an amd64 runner; it needs
-# only GOROOT, no network.
-lint:
+# only GOROOT, no network. runlists follows.
+lint: runlists
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	$(GO) run ./cmd/aptlint -audit
+
+# runlists fails when an alternative of a CI step's `go test -run 'A|B'`
+# list matches no test of the step's packages (scripts/runlists.sh): a
+# renamed or deleted test would otherwise drop out of the step silently.
+runlists:
+	bash scripts/runlists.sh
 
 # bench-smoke builds and runs the benchmark's own test (all four
 # workloads at a hundredth of the size, ~8 s). bench/ is a module of its
@@ -69,12 +75,18 @@ bench:
 pair:
 	BASE=$(BASE) W=$(W) N=$(N) TRACE=$(TRACE) bash scripts/pair.sh
 
-# reach reports which code the benchmark's traffic runs: it builds the
-# benchmark with coverage of the whole module, runs every workload
-# untraced and traced for a few seconds, and prints each package's
-# statement coverage and every function at 0 % (scripts/reach.sh). A
-# report, not a gate: a function at 0 % is a question, not a deletion
-# verdict.
+# reach reports which code the program's entry points run
+# (scripts/reach.sh, ~4 min on 2 vCPUs): it builds the benchmark, the
+# cmd/ binaries and the examples with coverage of the whole module;
+# runs every benchmark workload untraced and traced for a few seconds,
+# the five examples, aptbench -exp all and its -trace pass, aptrun
+# in-process (with -explain -timeline -metrics -trace -ckpt-dir, then
+# -resume) and as a 2-rank TCP job with -measure-wire, the aptserve
+# daemon over aptrun's snapshot and aptserve's handler tests, and
+# aptlint; merges the runs; and prints each package's statement
+# coverage, the entry points that reach each function, and every
+# function no run reached. A report, not a gate: a function at 0 % is a
+# question, not a deletion verdict.
 reach:
 	bash scripts/reach.sh
 

@@ -60,9 +60,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report emits a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf emits a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})

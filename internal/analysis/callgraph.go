@@ -161,12 +161,6 @@ func (r *Reach) Reaches(fn *types.Func) bool {
 	return ok
 }
 
-// Get returns fn's witness step.
-func (r *Reach) Get(fn *types.Func) (ReachInfo, bool) {
-	info, ok := r.info[fn]
-	return info, ok
-}
-
 // Path returns the witness call chain from fn (exclusive) down to the
 // matched target (inclusive), as function names — e.g. for
 // computeStep→syncGradients→AllReduce it returns

@@ -99,25 +99,31 @@ func newStore(p *hardware.Platform, n, dim int, withFeats bool) *Store {
 	return NewStore(p, n, dim, feats)
 }
 
+// locateAt reads device dev's location of v from the store's location
+// table, the one every load charges by.
+func locateAt(s *Store, dev int, v graph.NodeID) Location {
+	return Location(s.locTable(dev)[v])
+}
+
 func TestLocateRules(t *testing.T) {
 	p := hardware.FourMachines4GPU()
 	s := newStore(p, 100, 4, false)
 	s.HostByRange() // nodes 0-24 on machine 0, 25-49 on machine 1, ...
 	s.ConfigureCache(0, []graph.NodeID{7})
 
-	if got := s.Locate(0, 7); got != LocGPU {
+	if got := locateAt(s, 0, 7); got != LocGPU {
 		t.Errorf("cached node: %v, want gpu", got)
 	}
 	// No NVLink: peer cache invisible; node 8 hosted on machine 0.
 	s.ConfigureCache(1, []graph.NodeID{8})
-	if got := s.Locate(0, 8); got != LocLocalCPU {
+	if got := locateAt(s, 0, 8); got != LocLocalCPU {
 		t.Errorf("peer-cached without NVLink: %v, want local-cpu", got)
 	}
-	if got := s.Locate(0, 90); got != LocRemoteCPU {
+	if got := locateAt(s, 0, 90); got != LocRemoteCPU {
 		t.Errorf("remote-hosted node: %v, want remote-cpu", got)
 	}
 	// Device 4 is on machine 1; node 30 hosted there.
-	if got := s.Locate(4, 30); got != LocLocalCPU {
+	if got := locateAt(s, 4, 30); got != LocLocalCPU {
 		t.Errorf("machine-1 local: %v, want local-cpu", got)
 	}
 }
@@ -127,10 +133,10 @@ func TestLocatePeerGPUWithNVLink(t *testing.T) {
 	s := newStore(p, 50, 4, false)
 	s.HostByRange()
 	s.ConfigureCache(3, []graph.NodeID{10})
-	if got := s.Locate(0, 10); got != LocPeerGPU {
+	if got := locateAt(s, 0, 10); got != LocPeerGPU {
 		t.Errorf("NVLink peer cache: %v, want peer-gpu", got)
 	}
-	if got := s.Locate(3, 10); got != LocGPU {
+	if got := locateAt(s, 3, 10); got != LocGPU {
 		t.Errorf("own cache preferred: %v", got)
 	}
 }

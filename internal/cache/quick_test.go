@@ -102,7 +102,7 @@ func TestLocateConsistencyQuick(t *testing.T) {
 		}
 		for dev := 0; dev < p.NumDevices(); dev++ {
 			for v := graph.NodeID(0); v < 100; v++ {
-				loc := s.Locate(dev, v)
+				loc := locateAt(s, dev, v)
 				if s.IsCached(dev, v) && loc != LocGPU {
 					return false
 				}

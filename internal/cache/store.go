@@ -87,7 +87,7 @@ type Store struct {
 	// memory". Nil when disabled.
 	cpuCached [][]uint64
 	numNodes  int
-	// loc[dev] caches Locate's answer per node as one byte, built
+	// loc[dev] caches locate's answer per node as one byte, built
 	// lazily on first use and dropped by every placement mutation.
 	// Placement only changes at (re)configure time while the epoch loop
 	// resolves millions of reads, so the accounting hot path becomes a
@@ -305,14 +305,9 @@ func (s *Store) IsCached(dev int, v graph.NodeID) bool {
 	return s.cached[dev][v>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// Locate applies the paper's position rules for device dev reading v:
+// locate applies the paper's position rules for device dev reading v:
 // own cache, then peer GPU (NVLink only), then local CPU, then remote.
-// Answers are served from the per-device location table.
-func (s *Store) Locate(dev int, v graph.NodeID) Location {
-	return Location(s.locTable(dev)[v])
-}
-
-// locate is the uncached position-rule walk behind the table build.
+// locTable calls it once per node to build the table loads read.
 func (s *Store) locate(dev int, v graph.NodeID) Location {
 	if s.IsCached(dev, v) {
 		return LocGPU

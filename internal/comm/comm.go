@@ -289,7 +289,7 @@ func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 }
 
 // AllGatherNoCharge is AllGather's data movement without the
-// simulated charge: the exchange behind AllGather, Barrier and AnyTrue,
+// simulated charge: the exchange behind AllGather and AnyTrue,
 // the engine's RNG-cursor exchange and wire measurement (package
 // transport).
 func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
@@ -303,11 +303,6 @@ func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
 		in[j] = c.tr.Recv(dev, j)
 	}
 	return in
-}
-
-// Barrier blocks until every device has reached it.
-func (c *Comm) Barrier(dev int) {
-	c.AllGatherNoCharge(dev, Payload{})
 }
 
 // RunParallel launches fn once per device on its own goroutine and

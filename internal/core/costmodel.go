@@ -175,8 +175,8 @@ func (cm *CostModel) Estimate(k strategy.Kind, st engine.EpochStats) Estimate {
 		if load > loadMax {
 			loadMax, hostAtMax = load, hostFactor*host
 		}
-		buildMax = maxf(buildMax, build)
-		shufMax = maxf(shufMax, shuf)
+		buildMax = max(buildMax, build)
+		shufMax = max(shufMax, shuf)
 	}
 	out.BuildSec += buildMax
 	out.LoadSec = loadMax
@@ -187,7 +187,7 @@ func (cm *CostModel) Estimate(k strategy.Kind, st engine.EpochStats) Estimate {
 		if cm.GradOverlap > 0 {
 			var grad float64
 			for i := range st.PerDevice {
-				grad = maxf(grad, st.PerDevice[i].GradCommSec)
+				grad = max(grad, st.PerDevice[i].GradCommSec)
 			}
 			hidden := cm.GradOverlap * grad
 			if hidden > out.TrainSec {
@@ -202,13 +202,6 @@ func (cm *CostModel) Estimate(k strategy.Kind, st engine.EpochStats) Estimate {
 		out.TrainSec *= calFactor(c.Train)
 	}
 	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Select returns the estimates for all candidate strategies sorted

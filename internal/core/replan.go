@@ -149,9 +149,6 @@ func NewReplanner(cm *CostModel, stats map[strategy.Kind]engine.EpochStats,
 // Current returns the plan the trainer should be running.
 func (r *Replanner) Current() Plan { return r.cur }
 
-// Calibration returns the latest per-stage correction factors.
-func (r *Replanner) Calibration() Calibration { return r.cal }
-
 // loadDim is the per-read feature width of one strategy (NFP shards
 // the dimension across devices).
 func (r *Replanner) loadDim(k strategy.Kind) int {

@@ -134,7 +134,7 @@ func TestReplannerRecoversFromMisprofiledHostReads(t *testing.T) {
 	if !switched || next.Kind != strategy.SNP {
 		t.Fatalf("Observe = %v, switched=%v; want a switch to SNP", next, switched)
 	}
-	cal := rp.Calibration()
+	cal := rp.cal
 	if cal.LoadHost < 0.8*hostReadLie || cal.LoadHost > 1.2*hostReadLie {
 		t.Errorf("LoadHost factor = %.2f, want ~%.0f (the injected distortion)", cal.LoadHost, hostReadLie)
 	}

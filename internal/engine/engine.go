@@ -515,7 +515,7 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 			labels[i] = e.cfg.Labels[s]
 		}
 		var loss float64
-		loss, dLogits = nn.SoftmaxCrossEntropy(h, labels, maxInt(global, 1))
+		loss, dLogits = nn.SoftmaxCrossEntropy(h, labels, max(global, 1))
 		w.stats.LossSum += loss
 	}
 	if w.gsync != nil {
@@ -586,11 +586,4 @@ func (e *Engine) syncGradients(w *worker) {
 	w.stats.GradCommSec += sec
 	w.stats.GradExposedSec += sec
 	e.Comm.AllReduce(w.dev.ID, device.StageTrain, nil, int64(total)*4)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -195,9 +195,6 @@ func (inf *Inferencer) AttachSpans(c *obs.Collector) {
 	}
 }
 
-// NumWorkers returns the pool size.
-func (inf *Inferencer) NumWorkers() int { return len(inf.workers) }
-
 // Worker returns worker w.
 func (inf *Inferencer) Worker(w int) *InferWorker { return inf.workers[w] }
 
@@ -210,9 +207,6 @@ func (inf *Inferencer) SimSeconds() float64 {
 	}
 	return s
 }
-
-// Device returns the worker's simulated device.
-func (w *InferWorker) Device() *device.Device { return w.dev }
 
 // Answer returns the answers for seeds: row i holds seeds[i]'s logits,
 // the mean of its keyed draws (one for most nodes, up to four for a

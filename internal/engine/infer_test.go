@@ -115,8 +115,8 @@ func TestInferChargesSimTimeAndHitsCache(t *testing.T) {
 	if inf.SimSeconds() <= 0 {
 		t.Fatal("no simulated time charged")
 	}
-	if inf.NumWorkers() != 2 {
-		t.Fatalf("NumWorkers = %d", inf.NumWorkers())
+	if len(inf.workers) != 2 {
+		t.Fatalf("%d workers, want 2", len(inf.workers))
 	}
 }
 
@@ -254,10 +254,10 @@ func TestInferTableMatchesPredictGathered(t *testing.T) {
 							t.Fatal(err)
 						}
 						name := mc.name + "/" + sc.name + "/" + stc.name
-						for wi := 0; wi < inf.NumWorkers(); wi++ {
+						for wi := 0; wi < len(inf.workers); wi++ {
 							w := inf.Worker(wi)
 							ref := keyedSampler(g, inf.cfg.Sampling, 13)
-							view := store.FeatView(w.Device().ID)
+							view := store.FeatView(w.dev.ID)
 							for bi, seeds := range batches {
 								got, _ := w.Infer(seeds)
 								mb := ref.Sample(seeds)
@@ -373,10 +373,10 @@ func TestInferSpansTileClock(t *testing.T) {
 	stages := []device.Stage{device.StageSample, device.StageLoad, device.StageTrain}
 	at := 0.0
 	for b, seeds := range [][]graph.NodeID{{3, 50, 299}, {7}, {10, 20, 30, 40}} {
-		before := w.Device().Clock()
+		before := w.dev.Clock()
 		logits, _ := w.Infer(seeds)
 		tensor.Put(logits)
-		adv := w.Device().Clock().Sub(before)
+		adv := w.dev.Clock().Sub(before)
 		spans := col.Tracks()[0].Spans()
 		if len(spans) != len(stages)*(b+1) {
 			t.Fatalf("batch %d: %d spans on the worker's track, want %d", b, len(spans), len(stages)*(b+1))
@@ -501,16 +501,16 @@ func TestAnswerTableHitEqualsRecompute(t *testing.T) {
 			check := func(wi int, seeds []graph.NodeID, wantHits int) {
 				t.Helper()
 				w := inf.Worker(wi)
-				before := w.Device().Clock()
+				before := w.dev.Clock()
 				got, st, hits := w.Answer(seeds)
 				defer tensor.Put(got)
 				if hits != wantHits {
 					t.Fatalf("worker %d, seeds %v: %d answer-table hits, want %d", wi, seeds, hits, wantHits)
 				}
-				if hits == len(seeds) && (w.Device().Clock() != before || st != (cache.LoadStats{})) {
+				if hits == len(seeds) && (w.dev.Clock() != before || st != (cache.LoadStats{})) {
 					t.Fatalf("worker %d, seeds %v: an all-hit batch charged the device or loaded features", wi, seeds)
 				}
-				want := recomputeAnswers(g, inf.cfg.Sampling, 13, m, store.FeatView(w.Device().ID), seeds)
+				want := recomputeAnswers(g, inf.cfg.Sampling, 13, m, store.FeatView(w.dev.ID), seeds)
 				requireBitsEqual(t, fmt.Sprintf("worker %d answers %v vs recomputation", wi, seeds), got, want)
 			}
 			first := []graph.NodeID{0, 1, 2, 3, 240, 280, 17, 100}
@@ -550,8 +550,8 @@ func TestAnswerConcurrentFills(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	errs := make(chan error, inf.NumWorkers())
-	for wi := 0; wi < inf.NumWorkers(); wi++ {
+	errs := make(chan error, len(inf.workers))
+	for wi := 0; wi < len(inf.workers); wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -133,10 +134,11 @@ func TestChromeTraceGoldenPipelined(t *testing.T) {
 	if st.MeasuredPipelinedSec <= 0 {
 		t.Fatal("pipelined epoch measured nothing")
 	}
-	got, err := obs.ChromeTraceJSON(col)
-	if err != nil {
+	var trace bytes.Buffer
+	if err := obs.WriteChromeTrace(&trace, col); err != nil {
 		t.Fatal(err)
 	}
+	got := trace.Bytes()
 
 	golden := filepath.Join("testdata", "pipelined_trace.json")
 	if *updateGolden {

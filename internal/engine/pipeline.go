@@ -84,8 +84,8 @@ func (s *overlapSchedule) place(t int, sampleSec float64) (sampleDone, computeSt
 	if t-pipelineDepth >= 0 {
 		slotFree = s.computeStart[t-pipelineDepth]
 	}
-	s.sampleDone[t] = maxf64(prevSample, slotFree) + sampleSec
-	s.computeStart[t] = maxf64(prevDone, s.sampleDone[t])
+	s.sampleDone[t] = max(prevSample, slotFree) + sampleSec
+	s.computeStart[t] = max(prevDone, s.sampleDone[t])
 	s.computeDone[t] = s.computeStart[t] + computeSec
 	return s.sampleDone[t], s.computeStart[t]
 }

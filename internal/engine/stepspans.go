@@ -31,10 +31,3 @@ func emitStepSpans(smp, dev *obs.Track, step int, sampleAt, sampleSec, computeAt
 	}
 	return cur
 }
-
-func maxf64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -188,7 +188,8 @@ func (e *Env) AblationPipelining() (string, error) {
 			measured[k] = eng.RunEpoch().MeasuredPipelinedSec
 		}
 		rows := [][]string{}
-		bestSeq, bestPipe := strategy.GDP, strategy.GDP
+		bestSeq, _ := res.Best()
+		bestPipe := strategy.GDP
 		for _, k := range strategy.Core {
 			st := res.Stats[k]
 			rows = append(rows, []string{k.String(),
@@ -196,9 +197,6 @@ func (e *Env) AblationPipelining() (string, error) {
 				fmt.Sprintf("%.4fs", st.PipelinedTime()),
 				fmt.Sprintf("%.4fs", measured[k]),
 				fmt.Sprintf("%.2fx", st.EpochTime()/measured[k])})
-			if st.EpochTime() < res.Stats[bestSeq].EpochTime() {
-				bestSeq = k
-			}
 			if measured[k] < measured[bestPipe] {
 				bestPipe = k
 			}

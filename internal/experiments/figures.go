@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/strategy"
 )
@@ -234,5 +233,3 @@ func (e *Env) Figure7() (string, error) {
 	fmt.Fprintf(&b, "dry-run (plan) wall time: %.2fs\n", apt.APT.PlanWallSeconds)
 	return b.String(), nil
 }
-
-var _ = engine.EpochStats{} // keep import while reports evolve

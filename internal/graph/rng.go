@@ -156,12 +156,6 @@ func (r *RNG) SetState(s [4]uint64) bool {
 	return true
 }
 
-// Split derives an independent generator; convenient for handing one
-// stream per worker without sharing mutable state.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
-}
-
 // Shuffle permutes the first n elements addressed by swap uniformly.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

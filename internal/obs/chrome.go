@@ -96,15 +96,6 @@ func WriteChromeTrace(w io.Writer, c *Collector) error {
 	return enc.Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// ChromeTraceJSON renders WriteChromeTrace to a byte slice.
-func ChromeTraceJSON(c *Collector) ([]byte, error) {
-	var buf jsonBuffer
-	if err := WriteChromeTrace(&buf, c); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
 // WriteChromeTraceFile writes the trace to path (0644).
 func WriteChromeTraceFile(path string, c *Collector) error {
 	f, err := os.Create(path)
@@ -116,13 +107,4 @@ func WriteChromeTraceFile(path string, c *Collector) error {
 		return err
 	}
 	return f.Close()
-}
-
-// jsonBuffer is a minimal io.Writer over a byte slice (avoids pulling
-// bytes.Buffer into the package's tiny dependency surface).
-type jsonBuffer struct{ b []byte }
-
-func (w *jsonBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -118,15 +118,6 @@ func (c *Collector) NumSpans() int {
 	return n
 }
 
-// Reset drops all collected spans but keeps the track layout, so a
-// caller can flush per window (e.g. per epoch) without re-wiring the
-// emission points.
-func (c *Collector) Reset() {
-	for _, t := range c.Tracks() {
-		t.spans = t.spans[:0]
-	}
-}
-
 // MaxEnd returns the latest span end across all tracks — the length of
 // the recorded timeline.
 func (c *Collector) MaxEnd() float64 {

@@ -56,15 +56,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by d (not atomic with concurrent Set; the
-// engine only updates gauges from the collection goroutine).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.Value() + d)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -386,21 +377,6 @@ func (r *Registry) Exposition() string {
 	var b strings.Builder
 	r.WriteExposition(&b)
 	return b.String()
-}
-
-// Names returns the registered metric names in registration order
-// (tests use it to assert coverage).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.metrics))
-	for i, m := range r.metrics {
-		names[i] = m.name
-	}
-	return names
 }
 
 // formatFloat renders gauges compactly: integral values without a

@@ -45,11 +45,9 @@ type Config struct {
 	IncludeDstInSrc bool
 }
 
-// Layers returns the model depth implied by the fanout vector.
-func (c Config) Layers() int { return len(c.Fanouts) }
-
 // Sampler draws sampled subgraphs from a data graph. A Sampler is not
-// safe for concurrent use; create one per worker with rng.Split().
+// safe for concurrent use; create one per worker, each over its own
+// graph.NewRNG seed (the engine derives it from the seed and device).
 // The pipelined engine runs each worker's sampler on that worker's
 // prefetch goroutine, which preserves this contract.
 type Sampler struct {

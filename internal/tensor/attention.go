@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"runtime"
 )
 
 // GAT's multi-head additive attention over one block, every head in
@@ -34,8 +33,8 @@ func leaky(s, x float32) float32 {
 }
 
 // attnJob is one attention call's operands, shared by the passes its
-// workers run. It travels by value, so on the inline path it stays on
-// the stack.
+// workers run. It travels to parallelRows by value, so on the inline
+// path it stays on the stack.
 type attnJob struct {
 	edgePtr   []int64
 	srcIdx    []int32
@@ -50,20 +49,6 @@ type attnJob struct {
 	// 2·heads] each row's dEl then dEr per head.
 	lr, dOut, dO, dS, dE, dZ *Matrix
 	t                        *srcMajor
-}
-
-// each runs pass over rows [0, n), split across workers on large
-// blocks; every worker owns whole rows.
-//
-//apt:hotpath
-func (j attnJob) each(n int, pass func(j attnJob, lo, hi int)) {
-	if runtime.GOMAXPROCS(0) == 1 || n < 128 {
-		pass(j, 0, n)
-		return
-	}
-	shared := j // the fan-out's copy: only this branch moves a job to the heap
-	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-	parallelRows(n, 64, 1, func(lo, hi int) { pass(shared, lo, hi) })
 }
 
 // SegmentAttention is GAT's attention forward over every head:
@@ -81,8 +66,8 @@ func SegmentAttention(edgePtr []int64, srcIdx []int32, z, a *Matrix, heads int, 
 	j := attnJob{edgePtr: edgePtr, srcIdx: srcIdx, heads: heads, dh: z.Cols / heads, relu: relu, z: z, a: a}
 	j.lr, j.out = Get(2*heads, z.Rows), Get(nDst, z.Cols)
 	j.scores, j.alpha = Get(int(edgePtr[nDst]), heads), Get(int(edgePtr[nDst]), heads)
-	j.each(z.Rows, attnDots)
-	j.each(nDst, attnForwardRows)
+	parallelRows(j, z.Rows, 64, 1, attnDots)
+	parallelRows(j, nDst, 64, 1, attnForwardRows)
 	Put(j.lr)
 	return j.out, j.scores, j.alpha
 }
@@ -160,8 +145,8 @@ func SegmentAttentionBackward(edgePtr []int64, srcIdx []int32, z, a, scores, alp
 	}
 	j.dS, j.dE, j.dZ = Get(scores.Rows, heads), Get(nSrc, 2*heads), Get(nSrc, z.Cols)
 	j.t = getSrcMajor(edgePtr, srcIdx, nSrc)
-	j.each(nDst, attnBackwardDstRows)
-	j.each(nSrc, attnBackwardSrcRows)
+	parallelRows(j, nDst, 64, 1, attnBackwardDstRows)
+	parallelRows(j, nSrc, 64, 1, attnBackwardSrcRows)
 	dZ, dA = j.dZ, Get(2, z.Cols)
 	attnVecGrads(j, dA)
 	putSrcMajor(j.t)

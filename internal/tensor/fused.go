@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"runtime"
 )
 
 // Gather- and epilogue-fused segment kernels. These collapse the
@@ -60,15 +59,23 @@ func SegmentAggFused(edgePtr []int64, srcIdx []int32, src *Matrix, mean, relu bo
 //
 //apt:hotpath
 func segmentAgg(edgePtr []int64, srcIdx []int32, src, out *Matrix, mean, relu bool) {
-	nDst := len(edgePtr) - 1
-	if runtime.GOMAXPROCS(0) == 1 || nDst < 128 {
-		segmentAggRange(edgePtr, srcIdx, src, out, mean, relu, 0, nDst)
-		return
-	}
-	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the sequential branch above
-	parallelRows(nDst, 64, 1, func(lo, hi int) {
-		segmentAggRange(edgePtr, srcIdx, src, out, mean, relu, lo, hi)
-	})
+	parallelRows(aggJob{edgePtr, srcIdx, src, out, mean, relu}, len(edgePtr)-1, 64, 1, aggJob.rows)
+}
+
+// aggJob is one aggregation call's operands, handed to parallelRows by
+// value.
+type aggJob struct {
+	edgePtr    []int64
+	srcIdx     []int32
+	src, out   *Matrix
+	mean, relu bool
+}
+
+// rows is segmentAggRange over out's rows [lo, hi).
+//
+//apt:hotpath
+func (j aggJob) rows(lo, hi int) {
+	segmentAggRange(j.edgePtr, j.srcIdx, j.src, j.out, j.mean, j.relu, lo, hi)
 }
 
 // segmentAggRange is the fused aggregation's per-row loop: the row's

@@ -616,3 +616,9 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// tmatmulAccRangeGeneric is tmatmulAccRange in portable Go only — the
+// reference the vector kernels are tested against bit for bit.
+func tmatmulAccRangeGeneric(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
+	tmatmulAccRows(dst, a, b, lo, hi, false)
+}

@@ -18,35 +18,34 @@ import (
 // which is the same operation sequence as four separate iterations —
 // multi-accumulator reductions would reassociate and are not used.
 
-// parallelRows runs fn over row ranges [lo, hi) on up to GOMAXPROCS
-// goroutines, each range but the last a multiple of align rows. Small
-// matrices run inline to avoid goroutine overhead.
-func parallelRows(rows, minRowsPerTask, align int, fn func(lo, hi int)) {
+// parallelRows runs pass(op, lo, hi) over row ranges that cover
+// [0, rows) — the one fan-out of every parallel kernel. On one proc, or
+// below 2·minRowsPerTask rows, it runs one range inline; otherwise up
+// to GOMAXPROCS goroutines take at least minRowsPerTask rows each, every
+// range but the last a multiple of align. op travels by value and only
+// the parallel branch copies it to the heap, so the inline path
+// allocates nothing however large op grows. A pass writes only its own
+// rows, so the split moves no bit.
+//
+//apt:hotpath
+func parallelRows[T any](op T, rows, minRowsPerTask, align int, pass func(op T, lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if rows < 2*minRowsPerTask || workers == 1 {
-		fn(0, rows)
+	if workers == 1 || rows < 2*minRowsPerTask {
+		pass(op, 0, rows)
 		return
 	}
-	if workers > rows/minRowsPerTask {
-		workers = rows / minRowsPerTask
-	}
+	workers = min(workers, rows/minRowsPerTask)
+	shared := op
 	var wg sync.WaitGroup
 	chunk := (rows + workers - 1) / workers
 	chunk = (chunk + align - 1) / align * align
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
+	for lo := 0; lo < rows; lo += chunk {
 		wg.Add(1)
+		//apt:allow hotalloc the fan-out itself: one goroutine per range, never on the single-proc path
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			pass(shared, lo, hi)
+		}(lo, min(lo+chunk, rows))
 	}
 	wg.Wait()
 }
@@ -411,26 +410,36 @@ func gemmBand(out *Matrix, a gemmA, b *Matrix, i0, i1 int) {
 	}
 }
 
+// gemmJob is one GEMM call's operands, handed to parallelRows by value.
+type gemmJob struct {
+	out *Matrix
+	a   gemmA
+	b   *Matrix
+}
+
+// gemm is gemmBand over out's rows [i0, i1).
+//
+//apt:hotpath
+func (j gemmJob) gemm(i0, i1 int) { gemmBand(j.out, j.a, j.b, i0, i1) }
+
+// tmatmulAcc is tmatmulAccBand over out's rows [r0, r1).
+//
+//apt:hotpath
+func (j gemmJob) tmatmulAcc(r0, r1 int) { tmatmulAccBand(j.out, j.a, j.b, r0, r1) }
+
 // gemmInto computes out += A @ b in row bands, each walking the column
-// blocks. Single-proc (and small) problems run one band inline — no
-// closure, no goroutines, zero allocations in steady state; larger ones
-// split the rows across goroutines.
+// blocks; parallelRows splits the rows across goroutines when there are
+// enough (at least 32) and more than one proc.
 //
 //apt:hotpath
 func gemmInto(out *Matrix, a gemmA, b *Matrix) {
 	if a.k() != b.Rows {
 		panic("tensor: MatMul inner dimension mismatch")
 	}
-	m, n := out.Rows, out.Cols
-	if m == 0 || n == 0 {
+	if out.Rows == 0 || out.Cols == 0 {
 		return
 	}
-	if runtime.GOMAXPROCS(0) == 1 || m < 32 {
-		gemmBand(out, a, b, 0, m)
-		return
-	}
-	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
-	parallelRows(m, 16, 4, func(i0, i1 int) { gemmBand(out, a, b, i0, i1) })
+	parallelRows(gemmJob{out, a, b}, out.Rows, 16, 4, gemmJob.gemm)
 }
 
 // MatMul returns a @ b (a: m x k, b: k x n). The result is pool-backed
@@ -510,8 +519,8 @@ func matVecSlice(dst []float32, a *Matrix, from, lo, hi int, v []float32) {
 	}
 }
 
-// tmatmulAccMinWork is the multiply-add count (k·m·n) below which the
-// transposed accumulate runs inline, and the least each worker gets.
+// tmatmulAccMinWork is the multiply-add count (k·m·n) each worker of the
+// transposed accumulate gets at least; below twice it, it runs inline.
 const tmatmulAccMinWork = 1 << 15
 
 // TMatMulAcc accumulates dst += aᵀ @ b (a: k x m, b: k x n, dst: m x n)
@@ -538,17 +547,10 @@ func TMatMulAcc(dst, a, b *Matrix) {
 
 //apt:hotpath
 func gatherTMatMulAcc(dst *Matrix, a gemmA, b *Matrix) {
-	work := b.Rows * dst.Cols
-	if runtime.GOMAXPROCS(0) == 1 || work*dst.Rows < 2*tmatmulAccMinWork {
-		tmatmulAccBand(dst, a, b, 0, dst.Rows)
-		return
-	}
 	// Bands of whole row octets, so that only the last band has rows
 	// for the zero-skipping Go loop (tmatmulAccRows).
-	//apt:allow hotalloc parallel fan-out body; the steady-state bench path is the single-proc branch above
-	parallelRows(dst.Rows, max(1, tmatmulAccMinWork/work), 8, func(r0, r1 int) {
-		tmatmulAccBand(dst, a, b, r0, r1)
-	})
+	perTask := max(1, tmatmulAccMinWork/max(1, b.Rows*dst.Cols))
+	parallelRows(gemmJob{dst, a, b}, dst.Rows, perTask, 8, gemmJob.tmatmulAcc)
 }
 
 // tmatmulAccBand runs the accumulate over all k for dst's rows [r0, r1).
@@ -609,13 +611,8 @@ func tmatmulAccRange(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
 	tmatmulAccRows(dst, a, b, lo, hi, true)
 }
 
-// tmatmulAccRangeGeneric is tmatmulAccRange in portable Go only — the
-// reference the vector kernels are tested against bit for bit.
-func tmatmulAccRangeGeneric(dst *Matrix, a gemmA, b *Matrix, lo, hi int) {
-	tmatmulAccRows(dst, a, b, lo, hi, false)
-}
-
-// tmatmulAccRows is the one body behind both. With vec set, the
+// tmatmulAccRows is the one body behind tmatmulAccRange and the tests'
+// portable-Go reference (tmatmulAccRangeGeneric). With vec set, the
 // platform's tile kernel takes the leading row octets and 16-column
 // blocks where it has one (tmatmulAccOctVec); the Go loops take what is
 // left: the last m mod 8 rows and the columns past the last multiple

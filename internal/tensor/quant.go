@@ -44,9 +44,6 @@ func NewQuant(rows, cols int) *QuantMatrix {
 // fp32.
 func QuantRowBytes(cols int) int64 { return int64(cols) + 8 }
 
-// Bytes returns the accounting size of the whole matrix.
-func (q *QuantMatrix) Bytes() int64 { return int64(q.Rows) * QuantRowBytes(q.Cols) }
-
 // QuantizeRow admits src (len Cols) as row r, computing the row's
 // affine parameters and rounding each element to the nearest int8
 // step. Admission is idempotent: re-quantizing the same values yields

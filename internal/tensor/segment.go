@@ -106,23 +106,6 @@ func SegmentSumBackward(edgePtr []int64, srcIdx []int32, dOut *Matrix, nSrc int)
 	return SegmentAggFusedBackward(edgePtr, srcIdx, nil, dOut, false, false, nSrc)
 }
 
-// SegmentMean computes out[i] = mean over segment i (zero for empty
-// segments) — GraphSAGE's mean aggregation.
-func SegmentMean(edgePtr []int64, srcIdx []int32, src *Matrix) *Matrix {
-	out := SegmentSum(edgePtr, srcIdx, src)
-	for i := 0; i < out.Rows; i++ {
-		d := edgePtr[i+1] - edgePtr[i]
-		if d > 1 {
-			inv := float32(1.0 / float64(d))
-			or := out.Row(i)
-			for j := range or {
-				or[j] *= inv
-			}
-		}
-	}
-	return out
-}
-
 // SDDMMAdd computes per-edge scores score[e] = dstVal[i] + srcVal[srcIdx[e]]
 // for each edge e of destination i — the additive attention logits of GAT
 // (a_l·Wh_v + a_r·Wh_u) as a standalone pass. GAT itself forms them inside
@@ -133,18 +116,6 @@ func SDDMMAdd(edgePtr []int64, srcIdx []int32, dstVal, srcVal []float32) []float
 		dv := dstVal[i]
 		for e := edgePtr[i]; e < edgePtr[i+1]; e++ {
 			out[e] = dv + srcVal[srcIdx[e]]
-		}
-	}
-	return out
-}
-
-// ReLU applies max(0, x) elementwise, returning a new (pool-backed)
-// matrix.
-func ReLU(x *Matrix) *Matrix {
-	out := Get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
 		}
 	}
 	return out

@@ -340,3 +340,33 @@ func TestMatrixHelpers(t *testing.T) {
 		}
 	}
 }
+
+// SegmentMean computes out[i] = mean over segment i (zero for empty
+// segments) — GraphSAGE's mean aggregation, the reference the fused
+// kernels are tested against.
+func SegmentMean(edgePtr []int64, srcIdx []int32, src *Matrix) *Matrix {
+	out := SegmentSum(edgePtr, srcIdx, src)
+	for i := 0; i < out.Rows; i++ {
+		d := edgePtr[i+1] - edgePtr[i]
+		if d > 1 {
+			inv := float32(1.0 / float64(d))
+			or := out.Row(i)
+			for j := range or {
+				or[j] *= inv
+			}
+		}
+	}
+	return out
+}
+
+// ReLU applies max(0, x) elementwise, returning a new (pool-backed)
+// matrix: the reference for ReLUInPlace and the fused ReLU flags.
+func ReLU(x *Matrix) *Matrix {
+	out := Get(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if v > 0 {
+			out.Data[i] = v
+		}
+	}
+	return out
+}

@@ -149,9 +149,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 // World returns the group size.
 func (t *TCP) World() int { return t.world }
 
-// Rank returns this process's rank.
-func (t *TCP) Rank() int { return t.rank }
-
 // Ranks implements comm.Transport: a TCP process drives its own rank.
 func (t *TCP) Ranks() []int { return []int{t.rank} }
 

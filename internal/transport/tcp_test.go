@@ -102,7 +102,7 @@ func TestTCPLoopbackCollectives(t *testing.T) {
 					if !c.AnyTrue(r, r == n-1) {
 						t.Errorf("rank %d: AnyTrue lost the true vote", r)
 					}
-					c.Barrier(r)
+					c.AllGatherNoCharge(r, comm.Payload{})
 				}(r)
 			}
 			wg.Wait()
