@@ -72,8 +72,8 @@ var CoreStrategies = strategy.Core
 var ParseStrategy = strategy.Parse
 
 // NewAPT validates a task and creates the system. Options attach
-// observers (WithObserver, WithTracePath) and configure rolling
-// checkpoints (WithCheckpointDir, WithCheckpointEvery).
+// observers (WithObserver, WithTracePath) and configure the rolling
+// checkpoint (WithCheckpointDir).
 func NewAPT(task Task, opts ...Option) (*APT, error) {
 	a, err := core.New(task, obsOf(opts)...)
 	if err != nil {

@@ -86,29 +86,4 @@ func TestFacadeCheckpointLifecycle(t *testing.T) {
 	if _, err := srv.Predict([]repro.NodeID{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Retention through the facade: switch the directory to stamped
-	// snapshots kept at depth 1, resume from the newest.
-	rdir := t.TempDir()
-	apt, err = repro.NewAPT(task, repro.WithCheckpointDir(rdir), repro.WithCheckpointRetain(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := apt.Train(2); err != nil {
-		t.Fatal(err)
-	}
-	latest, err := repro.LatestSnapshot(rdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(latest) == repro.SnapshotName {
-		t.Fatalf("retention wrote the rolling name %s, want an epoch-stamped file", latest)
-	}
-	apt, err = repro.ResumeFile(task, latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := apt.Train(3); err != nil || len(res.Epochs) != 1 {
-		t.Fatalf("resume from stamped snapshot: epochs=%d err=%v", len(res.Epochs), err)
-	}
 }

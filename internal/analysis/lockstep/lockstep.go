@@ -20,9 +20,11 @@
 // The analyzer uses the module call graph (Pass.Graph) to follow
 // helpers: the branch body doesn't need to name AllReduce — calling
 // anything from which a collective is reachable is flagged, with the
-// witness path in the message. Rank-dependence is syntactic: the
-// condition mentions an identifier or selector whose name begins or
-// ends with "rank" (rank, localRank, Rank(), cfg.LocalRank, o.Rank).
+// witness path in the message. Rank-dependence is mostly syntactic:
+// the condition mentions an identifier or selector whose name begins
+// or ends with "rank" (rank, localRank, Rank(), cfg.LocalRank, o.Rank),
+// or the ID of a device.Device — a worker's device id is its rank
+// (w.dev.ID).
 // Rank-uniform guards (backend checks, error paths, step counts) are
 // not flagged; genuinely rank-divergent collectives that are correct
 // by a higher protocol must carry //apt:allow lockstep with the
@@ -102,7 +104,7 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.IfStmt:
-				if rankDependent(s.Cond) {
+				if rankDependent(pass, s.Cond) {
 					cause := "rank-dependent branch"
 					flagCollectives(pass, reach, reported, s.Body, cause)
 					if s.Else != nil {
@@ -110,7 +112,7 @@ func run(pass *analysis.Pass) error {
 					}
 				}
 			case *ast.SwitchStmt:
-				if s.Tag != nil && rankDependent(s.Tag) {
+				if s.Tag != nil && rankDependent(pass, s.Tag) {
 					flagCollectives(pass, reach, reported, s.Body, "rank-dependent switch")
 				}
 			case *ast.RangeStmt:
@@ -127,11 +129,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// rankDependent reports whether cond mentions a rank-like name: an
+// rankDependent reports whether cond mentions a rank-like name — an
 // identifier or selector beginning or ending with "rank" (case
-// insensitive). Prefix/suffix matching keeps names like "misranked"
-// out while catching rank, localRank, myRank, rankID, Rank(), *rank.
-func rankDependent(cond ast.Expr) bool {
+// insensitive) — or a device id. Prefix/suffix matching keeps names
+// like "misranked" out while catching rank, localRank, myRank, rankID,
+// Rank(), *rank.
+func rankDependent(pass *analysis.Pass, cond ast.Expr) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
 		var name string
@@ -139,6 +142,10 @@ func rankDependent(cond ast.Expr) bool {
 		case *ast.Ident:
 			name = e.Name
 		case *ast.SelectorExpr:
+			if e.Sel.Name == "ID" && isDevice(pass.TypeOf(e.X)) {
+				found = true
+				return false
+			}
 			name = e.Sel.Name
 		default:
 			return true
@@ -151,6 +158,21 @@ func rankDependent(cond ast.Expr) bool {
 		return true
 	})
 	return found
+}
+
+// isDevice reports whether t is device.Device or *device.Device of a
+// device package (matched by import-path suffix, as isCollective
+// matches comm, so testdata can stub it).
+func isDevice(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Device" || named.Obj().Pkg() == nil {
+		return false
+	}
+	p := named.Obj().Pkg().Path()
+	return p == "device" || strings.HasSuffix(p, "/device")
 }
 
 // flagCollectives reports every call in body that is, or transitively

@@ -1,6 +1,9 @@
 package lockstepdata
 
-import "comm"
+import (
+	"comm"
+	"device"
+)
 
 type engine struct {
 	c    *comm.Comm
@@ -52,6 +55,20 @@ func (e *engine) bad5() {
 	}
 }
 
+// A worker's device id is its rank, through a pointer or a value.
+func (e *engine) bad6(dev *device.Device) {
+	if dev.ID == 0 {
+		e.c.AnyTrue(dev.ID, false) // want "collective AnyTrue issued under rank-dependent branch"
+	}
+}
+
+func (e *engine) bad7(d device.Device) {
+	switch d.ID {
+	case 0:
+		e.c.Barrier(0) // want "collective Barrier issued under rank-dependent switch"
+	}
+}
+
 // Rank-uniform guard: every rank takes the same branch.
 func (e *engine) good1(step int) {
 	if step == 0 {
@@ -77,6 +94,13 @@ func (e *engine) good3(xs []int) {
 func (e *engine) good4(rank int, misranked bool) {
 	if rank == 0 && misranked {
 		_ = len("io")
+	}
+}
+
+// An ID that is not a device's is no rank, nor is a device's Machine.
+func (e *engine) good5(job struct{ ID int }, d *device.Device) {
+	if job.ID == 0 || d.Machine == 0 {
+		e.c.Barrier(0)
 	}
 }
 

@@ -15,15 +15,16 @@
 // resumed run draw the same mini-batches the uninterrupted run would
 // have drawn.
 //
-// Files are written atomically (temp file + rename), so a crash during
-// Checkpoint can never corrupt the previous snapshot.
+// Files are written atomically and durably (fsynced temp file, rename,
+// fsynced directory), so a crash while a snapshot is written can never
+// corrupt the previous one.
 package checkpoint
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/nn"
 	"repro/internal/strategy"
@@ -36,7 +37,7 @@ const DefaultName = "snapshot.aptc"
 
 // Snapshot is the full training state at an epoch boundary. The
 // zero-valued optional fields (Opt, SamplerRNG, Freq) encode as absent
-// sections; Resume degrades gracefully without them (cold optimizer,
+// sections; ResumeFile degrades gracefully without them (cold optimizer,
 // fresh RNG streams, re-run dry-run).
 //
 //apt:snapshot
@@ -97,52 +98,71 @@ func (s *Snapshot) Kind() (strategy.Kind, error) {
 // precondition for a bit-identical resume).
 func (s *Snapshot) HasRNG() bool { return len(s.SamplerRNG) > 0 }
 
-// Write encodes the snapshot to w.
-func (s *Snapshot) Write(w io.Writer) error {
-	b, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// Read decodes one snapshot from r (which must contain exactly one:
-// trailing bytes are rejected, mirroring the wire codec).
-func Read(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	return Decode(b)
-}
-
-// WriteFile writes the snapshot atomically: encode, write to a temp
-// file next to path, rename. A crash mid-write leaves the previous
-// snapshot untouched.
+// WriteFile writes the snapshot atomically and durably: encode, write
+// and fsync a temp file next to path, rename it over path, fsync the
+// directory. A process or OS crash at any point leaves either the
+// previous snapshot or the new one, and a failed write leaves no temp
+// file behind.
 func (s *Snapshot) WriteFile(path string) error {
 	b, err := s.Encode()
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := writeSynced(tmp, b); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
-// ReadFile reads a snapshot written by WriteFile.
+// writeSynced writes b to a new file at path and flushes it to stable
+// storage before closing it.
+func writeSynced(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir flushes dir's entries, so a rename into it survives an OS
+// crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ReadFile reads a snapshot written by WriteFile. Decode errors name
+// the path and wrap the typed errors (errors.Is(err, ErrMalformed)).
 func ReadFile(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(b)
+	snap, err := Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, nil
 }
 
 // LoadModelInto loads model parameters from the training snapshot at
@@ -159,15 +179,11 @@ func LoadModelInto(m *nn.Model, path string) error {
 // admitted from, and what a server needs to admit the same hot rows
 // (nil when the run saved none).
 func LoadModelFreq(m *nn.Model, path string) ([]int64, error) {
-	b, err := os.ReadFile(path)
+	snap, err := ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := Decode(b)
-	if err == nil {
-		err = m.LoadParams(bytes.NewReader(snap.Model))
-	}
-	if err != nil {
+	if err := m.LoadParams(bytes.NewReader(snap.Model)); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return snap.Freq, nil

@@ -484,6 +484,34 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
+// TestWriteFileFailureLeavesNoTemp: a write whose rename fails (the
+// target is a directory) returns the error, leaves no temp file, and
+// leaves the previous snapshot in the directory readable.
+func TestWriteFileFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	prev, want := filepath.Join(dir, DefaultName), fullSnapshot(t)
+	if err := want.WriteFile(prev); err != nil {
+		t.Fatal(err)
+	}
+	target := filepath.Join(dir, "taken")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := minimalSnapshot(t).WriteFile(target); err == nil {
+		t.Fatal("WriteFile over a directory succeeded")
+	}
+	if _, err := os.Stat(target + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed write left %s.tmp behind (stat err %v)", target, err)
+	}
+	got, err := ReadFile(prev)
+	if err != nil {
+		t.Fatalf("previous snapshot unreadable after a failed write: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("previous snapshot changed by a failed write")
+	}
+}
+
 func TestLoadModelInto(t *testing.T) {
 	m := nn.NewGraphSAGE(4, 8, 3, 2)
 	m.Init(graph.NewRNG(1))

@@ -46,17 +46,11 @@ type APT struct {
 	// starts at Task.Int8CacheFrac and is resized by the re-planner.
 	int8Frac float64
 
-	// CheckpointDir, when non-empty, makes Train write a rolling
+	// CheckpointDir, when non-empty, makes Train write the rolling
 	// snapshot (checkpoint.DefaultName inside the directory) at every
-	// CheckpointEvery-th epoch boundary; 0 means every epoch. The
+	// epoch boundary, atomically replacing the previous one. The
 	// directory must exist.
-	CheckpointDir   string
-	CheckpointEvery int
-	// CheckpointRetain, when positive, switches the directory to
-	// epoch-stamped snapshots (checkpoint.SnapshotName) and prunes all
-	// but the newest CheckpointRetain after each write; zero keeps the
-	// single rolling snapshot.
-	CheckpointRetain int
+	CheckpointDir string
 
 	// Transport is the fabric every engine this APT builds trains over;
 	// nil puts every device in this process on the channel fabric. Set it
@@ -73,9 +67,9 @@ type APT struct {
 	OnEpoch func(epoch int, st engine.EpochStats, m *nn.Model)
 
 	// Checkpoint/resume state: the most recently built engine and its
-	// strategy (what Checkpoint snapshots), the completed-epoch base
+	// strategy (what CheckpointFile snapshots), the completed-epoch base
 	// carried across engine rebuilds and resumes, and the snapshot a
-	// Resume'd APT still has to apply to its first engine.
+	// resumed APT still has to apply to its first engine.
 	lastEngine *engine.Engine
 	lastKind   strategy.Kind
 	epochBase  int
@@ -83,7 +77,7 @@ type APT struct {
 
 	// Adaptive checkpoint/resume state: the live re-planner (set while
 	// TrainAdaptive runs, so snapshots capture its learned state) and
-	// the restored state a Resume'd APT hands to its first re-planner.
+	// the restored state a resumed APT hands to its first re-planner.
 	replanner    *Replanner
 	resumeReplan *ReplanState
 
@@ -168,7 +162,7 @@ func (a *APT) Prepare() error {
 
 // Plan runs the dry-run and cost models and selects the strategy.
 // Planning is idempotent: once a plan exists — computed here or
-// adopted from a snapshot by Resume — Plan returns it without
+// adopted from a snapshot by ResumeFile — Plan returns it without
 // re-running the dry-run.
 //
 //apt:allow simclock PlanWallSeconds reports real planner overhead (Table 4); the simulated clock only covers training
@@ -382,9 +376,9 @@ func (a *APT) TrainWith(k strategy.Kind, epochs int) (*Result, error) {
 // tracks and metrics collected so far.
 //
 // epochs counts total completed epochs for the experiment: on a fresh
-// APT that is simply the number of epochs to run, on a Resume'd one
+// APT that is simply the number of epochs to run, on a resumed one
 // the snapshot's completed epochs count toward it. With CheckpointDir
-// set, a rolling snapshot is written at the configured epoch cadence.
+// set, the rolling snapshot is rewritten at every epoch boundary.
 func (a *APT) TrainWithContext(ctx context.Context, k strategy.Kind, epochs int) (*Result, error) {
 	return a.train(ctx, k, epochs, nil)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"path/filepath"
 
 	"repro/internal/checkpoint"
@@ -32,18 +31,10 @@ import (
 //     the new topology and training warm-starts from the snapshot's
 //     weights.
 
-// Checkpoint writes the training state as of the last completed epoch
-// of the most recently built engine. Call it between epochs (or after
-// Train returns); it is not safe while an epoch is in flight.
-func (a *APT) Checkpoint(w io.Writer) error {
-	snap, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	return snap.Write(w)
-}
-
-// CheckpointFile is Checkpoint to an atomically-replaced file.
+// CheckpointFile writes the training state as of the last completed
+// epoch of the most recently built engine to an atomically-replaced
+// file. Call it between epochs (or after Train returns); it is not safe
+// while an epoch is in flight.
 func (a *APT) CheckpointFile(path string) error {
 	snap, err := a.snapshot()
 	if err != nil {
@@ -52,8 +43,8 @@ func (a *APT) CheckpointFile(path string) error {
 	return snap.WriteFile(path)
 }
 
-// snapshot captures the current training state (the value Checkpoint
-// serializes).
+// snapshot captures the current training state (the value
+// CheckpointFile writes).
 func (a *APT) snapshot() (*checkpoint.Snapshot, error) {
 	if a.lastEngine == nil {
 		return nil, fmt.Errorf("core: nothing to checkpoint: no engine has been built")
@@ -118,42 +109,26 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 	return s, nil
 }
 
-// maybeCheckpoint writes a snapshot when the system was configured
-// with a checkpoint directory and the completed-epoch count hits the
-// cadence: the single rolling file by default, or — with
-// CheckpointRetain set — an epoch-stamped file followed by pruning to
-// the newest CheckpointRetain. Every rank builds the snapshot (a
-// collective); only the process hosting rank 0 writes and prunes, so
-// ranks sharing a directory never prune each other's files.
+// maybeCheckpoint writes the rolling snapshot (checkpoint.DefaultName
+// inside CheckpointDir) at an epoch boundary when the system was
+// configured with a checkpoint directory. Every rank builds the
+// snapshot (a collective); only the process hosting rank 0 writes it.
 func (a *APT) maybeCheckpoint(e *engine.Engine, k strategy.Kind) error {
 	if a.CheckpointDir == "" {
-		return nil
-	}
-	every := a.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	done := a.epochBase + e.EpochsRun()
-	if done == 0 || done%every != 0 {
 		return nil
 	}
 	snap, err := a.buildSnapshot(e, k)
 	if err != nil || e.Ranks()[0] != 0 {
 		return err
 	}
-	if a.CheckpointRetain > 0 {
-		if err := snap.WriteFile(filepath.Join(a.CheckpointDir, checkpoint.SnapshotName(done))); err != nil {
-			return err
-		}
-		return checkpoint.Prune(a.CheckpointDir, a.CheckpointRetain)
-	}
 	return snap.WriteFile(filepath.Join(a.CheckpointDir, checkpoint.DefaultName))
 }
 
-// Resume reconstructs an APT from a snapshot stream. task must be the
-// same experiment the snapshot came from (the seed is validated; the
-// graph, model factory, and hyperparameters are the caller's contract,
-// exactly as they are across ranks of a distributed run).
+// ResumeFile reconstructs an APT from the snapshot file at path. task
+// must be the same experiment the snapshot came from (the seed is
+// validated; the graph, model factory, and hyperparameters are the
+// caller's contract, exactly as they are across ranks of a distributed
+// run).
 //
 // When task's device count matches the snapshot's, the recorded plan
 // and cache frequencies are adopted, planning is skipped, and the
@@ -165,15 +140,6 @@ func (a *APT) maybeCheckpoint(e *engine.Engine, k strategy.Kind) error {
 //
 // Train's epoch argument counts TOTAL epochs for the experiment: a run
 // resumed at epoch 3 with Train(10) trains 7 more.
-func Resume(task Task, r io.Reader, opts ...obs.Option) (*APT, error) {
-	snap, err := checkpoint.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return resume(task, snap, opts...)
-}
-
-// ResumeFile is Resume from a snapshot file.
 func ResumeFile(task Task, path string, opts ...obs.Option) (*APT, error) {
 	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
@@ -238,7 +204,7 @@ func resume(task Task, snap *checkpoint.Snapshot, opts ...obs.Option) (*APT, err
 
 // EpochBase reports how many epochs were already complete when this
 // APT was constructed — zero for a fresh run, the snapshot's epoch
-// counter after Resume. A training run's first epoch is EpochBase()+1.
+// counter after ResumeFile. A training run's first epoch is EpochBase()+1.
 func (a *APT) EpochBase() int {
 	return a.epochBase
 }
@@ -249,7 +215,7 @@ func (a *APT) EpochBase() int {
 // matches, the RNG stream cursors — and clears it, so engines rebuilt
 // later in the same run (re-planner switches) start from their live
 // adopted parameters instead. A no-op when the APT did not come from
-// Resume.
+// ResumeFile.
 func (a *APT) consumeResume(e *engine.Engine) error {
 	snap := a.resume
 	if snap == nil {

@@ -3,15 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/nn"
 	"repro/internal/sample"
@@ -197,11 +200,11 @@ func TestResumeElastic(t *testing.T) {
 	if _, err := first.Train(2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), checkpoint.DefaultName)
+	if err := first.CheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Read(bytes.NewReader(buf.Bytes()))
+	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestResumeElastic(t *testing.T) {
 		t.Fatalf("snapshot records %d epochs, want 2", snap.EpochsDone)
 	}
 
-	resumed, err := Resume(realResumeTask(t, 4, false), bytes.NewReader(buf.Bytes()))
+	resumed, err := ResumeFile(realResumeTask(t, 4, false), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +247,11 @@ func TestResumeWarmStartsFromSnapshotParams(t *testing.T) {
 	if _, err := first.Train(2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), checkpoint.DefaultName)
+	if err := first.CheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Read(bytes.NewReader(buf.Bytes()))
+	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestResumeWarmStartsFromSnapshotParams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Resume(realResumeTask(t, 4, false), bytes.NewReader(buf.Bytes()))
+	resumed, err := ResumeFile(realResumeTask(t, 4, false), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,49 +317,70 @@ func TestResumeRejectsSeedMismatch(t *testing.T) {
 	if _, err := first.Train(1); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), checkpoint.DefaultName)
+	if err := first.CheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
 	other := realResumeTask(t, 2, false)
 	other.Seed = 999
-	if _, err := Resume(other, bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ResumeFile(other, path); err == nil {
 		t.Fatal("accepted snapshot from a different seed")
 	}
 }
 
-// TestCheckpointEveryCadence: CheckpointEvery throttles the rolling
-// snapshot to every n-th boundary.
-func TestCheckpointEveryCadence(t *testing.T) {
+// TestResumeFileNamesCorruptSnapshot: a truncated snapshot and one
+// that is not a snapshot at all are rejected with errors that name the
+// file and still match the codec's typed errors.
+func TestResumeFileNamesCorruptSnapshot(t *testing.T) {
+	first, err := New(realResumeTask(t, 2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Train(1); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	a, err := New(realResumeTask(t, 2, false))
+	good := filepath.Join(dir, checkpoint.DefaultName)
+	if err := first.CheckpointFile(good); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.CheckpointDir = dir
-	a.CheckpointEvery = 2
-	if _, err := a.Train(3); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.ReadFile(filepath.Join(dir, checkpoint.DefaultName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.EpochsDone != 2 {
-		t.Fatalf("rolling snapshot is from epoch %d, want 2 (every=2, 3 epochs run)", snap.EpochsDone)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated.aptc", b[:len(b)/2], checkpoint.ErrTruncated},
+		{"badmagic.aptc", append([]byte("NOTASNAP"), b[8:]...), checkpoint.ErrMalformed},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ResumeFile(realResumeTask(t, 2, false), path)
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), path) {
+			t.Errorf("ResumeFile(%s) = %v, want %v naming the path", c.name, err, c.want)
+		}
 	}
 }
 
-// TestCheckpointWithoutEngineFails: Checkpoint before any engine
-// exists is a usage error, not a zero-byte snapshot.
+// TestCheckpointWithoutEngineFails: CheckpointFile before any engine
+// exists is a usage error, not a zero-byte snapshot, and creates no
+// file.
 func TestCheckpointWithoutEngineFails(t *testing.T) {
 	a, err := New(testTask(t, "PS", 2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := a.Checkpoint(&buf); err == nil {
+	dir := t.TempDir()
+	if err := a.CheckpointFile(filepath.Join(dir, checkpoint.DefaultName)); err == nil {
 		t.Fatal("checkpointed an APT with no engine")
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("failed checkpoint left %d file(s) (err %v), want none", len(names), err)
 	}
 }
 
@@ -393,11 +417,12 @@ func TestAdaptiveResumeCarriesDryRunStats(t *testing.T) {
 }
 
 // TestAdaptiveResumeBitIdentical pins the adaptive resume contract:
-// TrainAdaptive run straight to E, and the same run resumed at an
-// intermediate epoch-stamped snapshot, must produce bit-identical
-// parameters — which requires the resumed re-planner to make the same
-// decisions, which requires the snapshot to carry the calibration,
-// overlap, cooldown, and dry-run stats the interrupted planner held.
+// TrainAdaptive run straight to E, and the same run resumed from the
+// rolling snapshot as it stood at an intermediate epoch, must produce
+// bit-identical parameters — which requires the resumed re-planner to
+// make the same decisions, which requires the snapshot to carry the
+// calibration, overlap, cooldown, and dry-run stats the interrupted
+// planner held.
 func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	const interruptAt, total = 2, 5
 	dir := t.TempDir()
@@ -406,16 +431,31 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.CheckpointDir = dir
-	// Retain every boundary so the interruptAt snapshot survives the
-	// full run (the baseline and the donor are the same run).
-	first.CheckpointRetain = total
+	// The baseline and the donor are the same run: OnEpoch runs after
+	// the boundary's checkpoint, so the copy taken at interruptAt holds
+	// the planner state that has already observed epoch interruptAt —
+	// which a separate TrainAdaptive(interruptAt) run would not have.
+	snapPath := filepath.Join(t.TempDir(), checkpoint.DefaultName)
+	var copyErr error
+	first.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) {
+		if ep != interruptAt {
+			return
+		}
+		b, err := os.ReadFile(filepath.Join(dir, checkpoint.DefaultName))
+		if err == nil {
+			err = os.WriteFile(snapPath, b, 0o644)
+		}
+		copyErr = err
+	}
 	firstRes, err := first.TrainAdaptive(total)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if copyErr != nil {
+		t.Fatal(copyErr)
+	}
 	want := paramChecksum(firstRes.Model)
 
-	snapPath := filepath.Join(dir, checkpoint.SnapshotName(interruptAt))
 	resumed, err := ResumeFile(realResumeTask(t, 2, false), snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -449,56 +489,5 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 		if res.Replans[i].To != tail[i].To || res.Replans[i].Epoch != tail[i].Epoch {
 			t.Fatalf("switch %d: resumed %+v != uninterrupted %+v", i, res.Replans[i], tail[i])
 		}
-	}
-}
-
-// TestCheckpointRetainRotation: with CheckpointRetain set, snapshots
-// are epoch-stamped and pruned to the newest k — including across a
-// resume, where the rotation continues from the adopted epoch base.
-func TestCheckpointRetainRotation(t *testing.T) {
-	dir := t.TempDir()
-	stamped := func() []string {
-		names, err := filepath.Glob(filepath.Join(dir, "snapshot-ep*.aptc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range names {
-			names[i] = filepath.Base(n)
-		}
-		return names
-	}
-	a, err := New(realResumeTask(t, 2, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.CheckpointDir = dir
-	a.CheckpointRetain = 2
-	if _, err := a.Train(3); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{checkpoint.SnapshotName(2), checkpoint.SnapshotName(3)}
-	if got := stamped(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after 3 epochs retain 2: %v, want %v", got, want)
-	}
-
-	latest, err := checkpoint.LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(latest) != checkpoint.SnapshotName(3) {
-		t.Fatalf("LatestSnapshot = %s, want %s", latest, checkpoint.SnapshotName(3))
-	}
-	resumed, err := ResumeFile(realResumeTask(t, 2, false), latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.CheckpointDir = dir
-	resumed.CheckpointRetain = 2
-	if _, err := resumed.Train(5); err != nil {
-		t.Fatal(err)
-	}
-	want = []string{checkpoint.SnapshotName(4), checkpoint.SnapshotName(5)}
-	if got := stamped(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after resume to 5 retain 2: %v, want %v", got, want)
 	}
 }

@@ -102,19 +102,28 @@ func loopbackRanks(t *testing.T, world int, fn func(r int, tr comm.Transport) er
 
 // TestRankTrainsThroughTheOneLoop runs one rank of a 2-process job per
 // goroutine through core's own epoch loop (Transport set, TrainWith)
-// with epoch-stamped checkpoints. Every rank must end on the in-process
-// run's parameters and see epochs 1..3 in OnEpoch; rank 0 writes the
-// in-process run's snapshots byte for byte and rank 1 writes none; and
-// adaptive training, which needs the whole job's epoch stats, is
-// refused on a rank before it plans or touches the wire.
+// with a checkpoint directory. Every rank must end on the in-process
+// run's parameters and see epochs 1..3 in OnEpoch; at every epoch
+// boundary rank 0's rolling snapshot equals the in-process run's byte
+// for byte, and rank 1 writes none; and adaptive training, which needs
+// the whole job's epoch stats, is refused on a rank before it plans or
+// touches the wire.
 func TestRankTrainsThroughTheOneLoop(t *testing.T) {
-	const world, epochs, retain = 2, 3, 2
+	const world, epochs = 2, 3
+	// rolling reads dir's rolling snapshot. OnEpoch runs after the
+	// boundary's checkpoint, so there it reads that epoch's snapshot.
+	rolling := func(dir string) []byte {
+		b, _ := os.ReadFile(filepath.Join(dir, checkpoint.DefaultName))
+		return b
+	}
 	wantDir := t.TempDir()
 	base, err := New(realResumeTask(t, world, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.CheckpointDir, base.CheckpointRetain = wantDir, retain
+	var wantSnaps [][]byte
+	base.CheckpointDir = wantDir
+	base.OnEpoch = func(int, engine.EpochStats, *nn.Model) { wantSnaps = append(wantSnaps, rolling(wantDir)) }
 	baseRes, err := base.TrainWith(strategy.SNP, epochs)
 	if err != nil {
 		t.Fatal(err)
@@ -124,14 +133,18 @@ func TestRankTrainsThroughTheOneLoop(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	sums := make([]uint64, world)
 	seen := make([][]int, world)
+	snaps := make([][][]byte, world)
 	loopbackRanks(t, world, func(r int, tr comm.Transport) error {
 		a, err := New(realResumeTask(t, world, false))
 		if err != nil {
 			return err
 		}
 		a.Transport = tr
-		a.CheckpointDir, a.CheckpointRetain = dirs[r], retain
-		a.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) { seen[r] = append(seen[r], ep) }
+		a.CheckpointDir = dirs[r]
+		a.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) {
+			seen[r] = append(seen[r], ep)
+			snaps[r] = append(snaps[r], rolling(dirs[r]))
+		}
 		res, err := a.TrainWith(strategy.SNP, epochs)
 		if err != nil {
 			return err
@@ -161,18 +174,16 @@ func TestRankTrainsThroughTheOneLoop(t *testing.T) {
 			t.Errorf("rank %d OnEpoch saw %v, want [1 2 3]", r, seen[r])
 		}
 	}
-	for _, ep := range []int{2, 3} {
-		name := checkpoint.SnapshotName(ep)
-		got, err := os.ReadFile(filepath.Join(dirs[0], name))
-		if err != nil {
-			t.Fatalf("rank 0: %v", err)
+	if len(wantSnaps) != epochs || len(snaps[0]) != epochs {
+		t.Fatalf("recorded %d in-process and %d rank-0 snapshots, want %d each", len(wantSnaps), len(snaps[0]), epochs)
+	}
+	for i := range wantSnaps {
+		snap, err := checkpoint.Decode(wantSnaps[i])
+		if err != nil || snap.EpochsDone != i+1 {
+			t.Fatalf("in-process rolling snapshot after epoch %d: err %v, want one from that epoch", i+1, err)
 		}
-		wantSnap, err := os.ReadFile(filepath.Join(wantDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantSnap) {
-			t.Errorf("rank 0 %s differs from the in-process run's", name)
+		if !bytes.Equal(snaps[0][i], wantSnaps[i]) {
+			t.Errorf("rank 0's snapshot at epoch %d differs from the in-process run's", i+1)
 		}
 	}
 	if names, err := os.ReadDir(dirs[1]); err != nil || len(names) != 0 {

@@ -328,8 +328,8 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, er
 		a.resumeReplan = nil
 	}
 	// The live re-planner is visible to buildSnapshot for the duration
-	// of the run and afterwards, so both the in-loop checkpoint cadence
-	// and an explicit post-run Checkpoint capture its learned state.
+	// of the run and afterwards, so both the per-epoch rolling snapshot
+	// and an explicit post-run CheckpointFile capture its learned state.
 	a.replanner = rp
 	return a.train(ctx, a.Choice, epochs, rp)
 }

@@ -1,7 +1,7 @@
 package repro
 
 // Functional options of the facade. One Option type configures every
-// entry point — NewAPT, Resume, and Serve each apply the parts that
+// entry point — NewAPT, ResumeFile, and Serve each apply the parts that
 // concern them and ignore the rest, so a single option list can
 // describe a whole deployment:
 //
@@ -12,7 +12,7 @@ package repro
 //	apt, _ := repro.NewAPT(task, opts...)
 //
 // Observability options attach observers that flush when the run
-// ends; checkpoint options make training write rolling snapshots;
+// ends; the checkpoint option makes training keep one rolling snapshot;
 // serving options configure the model hot-swap path.
 
 import (
@@ -40,25 +40,11 @@ func WithTracePath(path string) Option {
 	return Option{obs: []obs.Option{obs.WithTracePath(path)}}
 }
 
-// WithCheckpointDir makes Train write a rolling training snapshot
-// (dir/snapshot.aptc, atomically replaced) at epoch boundaries, for
-// crash recovery via Resume. Applies to NewAPT and Resume.
+// WithCheckpointDir makes Train keep one rolling training snapshot,
+// dir/SnapshotName, atomically replaced at every epoch boundary, for
+// crash recovery via ResumeFile. Applies to NewAPT and ResumeFile.
 func WithCheckpointDir(dir string) Option {
 	return Option{apt: func(a *core.APT) { a.CheckpointDir = dir }}
-}
-
-// WithCheckpointEvery sets the snapshot cadence in epochs (default 1:
-// every epoch boundary). Applies to NewAPT and Resume.
-func WithCheckpointEvery(epochs int) Option {
-	return Option{apt: func(a *core.APT) { a.CheckpointEvery = epochs }}
-}
-
-// WithCheckpointRetain keeps the newest k snapshots instead of one
-// rolling file: each boundary writes an epoch-stamped snapshot
-// (snapshot-ep%08d.aptc) and prunes the rest. Find the resume point
-// with LatestSnapshot. Applies to NewAPT and Resume.
-func WithCheckpointRetain(k int) Option {
-	return Option{apt: func(a *core.APT) { a.CheckpointRetain = k }}
 }
 
 // WithReload names the training snapshot file
