@@ -93,7 +93,9 @@ reach:
 # count prints the sizes a simplicity PR quotes before and after: code
 # lines outside tests and bench/, exported functions and methods of
 # internal/ (non-test), the root package's exported names, experiment
-# ids, option fields (core.APT's settable ones among them), binaries,
+# ids, option fields (core.APT's settable ones among them), the
+# exported fields of every *Config / *Options struct of internal/
+# (non-test; one per name, so "A, B, C float64" counts 3), binaries,
 # CLI flags (the flags two binaries share are declared once, in
 # internal/job, and counted once) and the //apt:allow directives of
 # non-test code, bench/ included (aptlint -audit's "allow directive(s)").
@@ -106,6 +108,7 @@ count:
 	@printf 'exported core.APT fields: '; $(GO) doc ./internal/core APT | sed -n '/^type APT struct/,/^}/p' | grep -cE '^	[A-Z]'
 	@printf 'exported engine.Config fields: '; $(GO) doc ./internal/engine Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
 	@printf 'serve.Config fields: '; $(GO) doc ./internal/serve Config | sed -n '/^type Config struct/,/^}/p' | grep -cE '^	[A-Z]'
+	@printf '*Config / *Options fields in internal/ (non-test): '; find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs awk '/^type [A-Za-z0-9_]*(Config|Options) struct \{/ { on = 1; next } on && /^}/ { on = 0 } on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { names = substr($$0, 1, RLENGTH); n += 1 + gsub(/,/, "", names) } END { print n + 0 }'
 	@printf 'cmd/ binaries: '; ls cmd | wc -l
 	@printf 'cmd/ flags (incl. the shared set in internal/job): '; grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(' cmd internal/job/job.go --include='*.go' | wc -l
 	@printf '//apt:allow directives (non-test): '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs grep -hE '^\s*//apt:allow' | wc -l

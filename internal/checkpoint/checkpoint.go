@@ -21,7 +21,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,8 +63,8 @@ type Snapshot struct {
 	// for future mid-epoch snapshots and is always 0 at a boundary.
 	EpochsDone  int
 	StepInEpoch int
-	// Model is one replica's parameters in the nn.SaveParams format
-	// (itself versioned; replicas are identical by the allreduce
+	// Model is one replica's parameters, encoded by EncodeModel (the
+	// body is itself versioned; replicas are identical by the allreduce
 	// invariant, so one is enough).
 	Model []byte
 	// Opt is the optimizer state (nil when the optimizer is not a
@@ -183,7 +182,7 @@ func LoadModelFreq(m *nn.Model, path string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.LoadParams(bytes.NewReader(snap.Model)); err != nil {
+	if err := DecodeModel(m, snap.Model); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return snap.Freq, nil

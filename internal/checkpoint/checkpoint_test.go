@@ -23,10 +23,7 @@ func fullSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	m := nn.NewGraphSAGE(4, 8, 3, 2)
 	m.Init(graph.NewRNG(1))
-	var buf bytes.Buffer
-	if err := m.SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
+	model := EncodeModel(m)
 	opt := nn.NewAdam(0.01)
 	params := m.Params()
 	for _, p := range params {
@@ -44,7 +41,7 @@ func fullSnapshot(t *testing.T) *Snapshot {
 		Seed:          42,
 		Devices:       2,
 		EpochsDone:    3,
-		Model:         buf.Bytes(),
+		Model:         model,
 		Opt:           &st,
 		SamplerRNG:    [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		EpochRNG:      [4]uint64{9, 10, 11, 12},
@@ -534,13 +531,9 @@ func TestLoadModelInto(t *testing.T) {
 		}
 	}
 
-	// A raw nn params file is not a snapshot: rejected, naming the path.
-	var raw bytes.Buffer
-	if err := m.SaveParams(&raw); err != nil {
-		t.Fatal(err)
-	}
+	// A bare model section is not a snapshot: rejected, naming the path.
 	rawPath := filepath.Join(dir, "model.aptm")
-	if err := os.WriteFile(rawPath, raw.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(rawPath, EncodeModel(m), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := LoadModelInto(nn.NewGraphSAGE(4, 8, 3, 2), rawPath)
@@ -555,10 +548,6 @@ func TestLoadModelInto(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	m := nn.NewGraphSAGE(4, 4, 2, 1)
 	m.Init(graph.NewRNG(1))
-	var buf bytes.Buffer
-	if err := m.SaveParams(&buf); err != nil {
-		f.Fatal(err)
-	}
 	full := &Snapshot{
 		Strategy:   "DNP",
 		Pipelined:  true,
@@ -566,7 +555,7 @@ func FuzzDecode(f *testing.F) {
 		Seed:       3,
 		Devices:    1,
 		EpochsDone: 1,
-		Model:      buf.Bytes(),
+		Model:      EncodeModel(m),
 		Opt:        &nn.OptState{Kind: "adam", Step: 4, M: [][]float32{{1}}, V: [][]float32{{2}}},
 		SamplerRNG: [][4]uint64{{1, 2, 3, 4}},
 		EpochRNG:   [4]uint64{5, 6, 7, 8},

@@ -25,6 +25,17 @@ import (
 // canonical: decoding and re-encoding any accepted file reproduces it
 // byte for byte (the fuzz harness pins this), so no two byte strings
 // decode to the same snapshot.
+//
+// The model section's body carries one replica's parameters:
+//
+//	u32 magic "APTM", u32 version (modelVersion)
+//	u32 len, model family name
+//	u32 parameter count
+//	per parameter: u32 len, name, u32 rows, u32 cols, rows*cols f32
+//
+// Only parameter values are stored: the architecture comes from the
+// caller's model, and DecodeModel checks the family, the names and the
+// shapes against it. The container does not parse this body.
 
 // snapVersion is the container version; bump on any layout change.
 const snapVersion = 1
@@ -32,6 +43,13 @@ const snapVersion = 1
 // snapMagic identifies snapshot files ("APTS" read as a little-endian
 // word from the on-disk bytes 'S' 'T' 'P' 'A').
 const snapMagic uint32 = 0x41505453
+
+// modelMagic ("APTM") and modelVersion head the model section; bump
+// modelVersion on any change to its layout.
+const (
+	modelMagic   uint32 = 0x4150544d
+	modelVersion uint32 = 2
+)
 
 // DefaultMaxSectionBytes bounds one section body. Model parameters
 // dominate real snapshots; anything near this limit is a corrupt or
@@ -144,11 +162,79 @@ func (s *Snapshot) encodeRNG() []byte {
 	return e.B
 }
 
+// EncodeModel renders m's parameters as a snapshot's model section.
+func EncodeModel(m *nn.Model) []byte {
+	params := m.Params()
+	var e transport.Encoder
+	e.U32(modelMagic)
+	e.U32(modelVersion)
+	e.Bytes([]byte(m.Name))
+	e.U32(uint32(len(params)))
+	for _, p := range params {
+		e.Bytes([]byte(p.Name))
+		e.B = transport.AppendMatrix(e.B, p.W)
+	}
+	return e.B
+}
+
+// DecodeModel loads a model section written by EncodeModel into m. The
+// section must be of m's model family and hold exactly m's parameters,
+// by name and shape, in m's order, with nothing after the last; m is
+// left unchanged unless it does. A section that ends early is
+// ErrTruncated, any other mismatch ErrMalformed; past the header, both
+// name the parameter they stopped at.
+func DecodeModel(m *nn.Model, b []byte) error {
+	d := transport.NewDecoder(b)
+	magic, version := d.U32(), d.U32()
+	name := d.TakeBytes()
+	count := int(d.U32())
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: model header: %v", ErrTruncated, err)
+	}
+	params := m.Params()
+	switch {
+	case magic != modelMagic:
+		return fmt.Errorf("%w: model section magic %#x", ErrMalformed, magic)
+	case version != modelVersion:
+		return fmt.Errorf("%w: model section version %d, want %d", ErrMalformed, version, modelVersion)
+	case string(name) != m.Name:
+		return fmt.Errorf("%w: model section holds a %q model, this model is %q", ErrMalformed, name, m.Name)
+	case count != len(params):
+		return fmt.Errorf("%w: model section has %d params, model has %d", ErrMalformed, count, len(params))
+	}
+	data := make([][]float32, len(params))
+	for i, p := range params {
+		name := d.TakeBytes()
+		rows, cols := int(d.U32()), int(d.U32())
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("%w: model param %s: %v", ErrTruncated, p.Name, err)
+		}
+		if string(name) != p.Name {
+			return fmt.Errorf("%w: model param %q, model expects %q", ErrMalformed, name, p.Name)
+		}
+		if rows != p.W.Rows || cols != p.W.Cols {
+			return fmt.Errorf("%w: model param %s shape %dx%d, model expects %dx%d",
+				ErrMalformed, p.Name, rows, cols, p.W.Rows, p.W.Cols)
+		}
+		if data[i] = d.F32s(len(p.W.Data)); d.Err() != nil {
+			return fmt.Errorf("%w: model param %s: %v", ErrTruncated, p.Name, d.Err())
+		}
+	}
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%w: %d bytes after the last model param", ErrMalformed, d.Remaining())
+	}
+	for i, p := range params {
+		copy(p.W.Data, data[i])
+	}
+	return nil
+}
+
 // encodeOpt renders an optimizer state: kind, step, then per slot a
 // presence byte and (when present) the flattened M moment, followed by
 // the same structure for V. M and V presence are encoded independently
-// per slot so SGD (no V at all) and Adam (M and V in lockstep) share
-// one layout.
+// per slot, so a state with no V at all (what a never-stepped Adam's
+// all-absent V decodes to) and a stepped Adam's (M and V in lockstep)
+// share one layout.
 func encodeOpt(o *nn.OptState) []byte {
 	var e transport.Encoder
 	e.Bytes([]byte(o.Kind))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 
@@ -63,10 +62,6 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 		return nil, err
 	}
 	local := e.Ranks()[0]
-	var buf bytes.Buffer
-	if err := e.Model(local).SaveParams(&buf); err != nil {
-		return nil, err
-	}
 	s := &checkpoint.Snapshot{
 		Strategy:   k.String(),
 		Pipelined:  a.task.Pipeline,
@@ -74,7 +69,7 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 		Seed:       a.task.Seed,
 		Devices:    a.task.Platform.NumDevices(),
 		EpochsDone: a.epochBase + e.EpochsRun(),
-		Model:      buf.Bytes(),
+		Model:      checkpoint.EncodeModel(e.Model(local)),
 		SamplerRNG: samplerRNG,
 		EpochRNG:   epochRNG,
 	}
@@ -222,7 +217,7 @@ func (a *APT) consumeResume(e *engine.Engine) error {
 		return nil
 	}
 	for _, d := range e.Ranks() {
-		if err := e.Model(d).LoadParams(bytes.NewReader(snap.Model)); err != nil {
+		if err := checkpoint.DecodeModel(e.Model(d), snap.Model); err != nil {
 			return fmt.Errorf("core: resume device %d params: %w", d, err)
 		}
 		if snap.Opt == nil {

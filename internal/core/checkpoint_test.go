@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"hash/fnv"
@@ -222,7 +221,7 @@ func TestResumeElastic(t *testing.T) {
 	}
 	// The restored engine must start from the snapshot's weights.
 	wantModel := nn.NewGraphSAGE(16, 16, 4, 2)
-	if err := wantModel.LoadParams(bytes.NewReader(snap.Model)); err != nil {
+	if err := checkpoint.DecodeModel(wantModel, snap.Model); err != nil {
 		t.Fatal(err)
 	}
 	res, err := resumed.Train(4)
@@ -256,7 +255,7 @@ func TestResumeWarmStartsFromSnapshotParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantModel := nn.NewGraphSAGE(16, 16, 4, 2)
-	if err := wantModel.LoadParams(bytes.NewReader(snap.Model)); err != nil {
+	if err := checkpoint.DecodeModel(wantModel, snap.Model); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,12 +434,16 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	// the boundary's checkpoint, so the copy taken at interruptAt holds
 	// the planner state that has already observed epoch interruptAt —
 	// which a separate TrainAdaptive(interruptAt) run would not have.
+	// live is the re-planner's own state at that boundary, which the
+	// copy must carry.
 	snapPath := filepath.Join(t.TempDir(), checkpoint.DefaultName)
 	var copyErr error
+	var live ReplanState
 	first.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) {
 		if ep != interruptAt {
 			return
 		}
+		live = first.replanner.State()
 		b, err := os.ReadFile(filepath.Join(dir, checkpoint.DefaultName))
 		if err == nil {
 			err = os.WriteFile(snapPath, b, 0o644)
@@ -455,6 +458,40 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 		t.Fatal(copyErr)
 	}
 	want := paramChecksum(firstRes.Model)
+
+	// The snapshot carries exactly the live re-planner state, and that
+	// state is warm: two cold states would match without pinning
+	// anything.
+	snap, err := checkpoint.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := snap.Adaptive
+	if ad == nil {
+		t.Fatal("adaptive snapshot has no re-planner state")
+	}
+	bits := math.Float64bits
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"BaseFrac", ad.BaseFrac, live.BaseFrac},
+		{"CalBuild", ad.CalBuild, live.Cal.Build},
+		{"CalLoadHost", ad.CalLoadHost, live.Cal.LoadHost},
+		{"CalShuffle", ad.CalShuffle, live.Cal.Shuffle},
+		{"CalTrain", ad.CalTrain, live.Cal.Train},
+		{"GradOverlap", ad.GradOverlap, live.GradOverlap},
+	} {
+		if bits(f.got) != bits(f.want) {
+			t.Errorf("snapshot %s = %v, live re-planner at epoch %d has %v", f.name, f.got, interruptAt, f.want)
+		}
+	}
+	if ad.Cooldown != live.Cooldown {
+		t.Errorf("snapshot Cooldown = %d, live re-planner at epoch %d has %d", ad.Cooldown, interruptAt, live.Cooldown)
+	}
+	if live.Cal == (Calibration{}) {
+		t.Fatalf("re-planner still cold at epoch %d: every calibration factor is 0", interruptAt)
+	}
 
 	resumed, err := ResumeFile(realResumeTask(t, 2, false), snapPath)
 	if err != nil {

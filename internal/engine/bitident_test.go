@@ -50,7 +50,7 @@ func requireLogitsExact(t *testing.T, tag string, got, want *tensor.Matrix) {
 // batches the engine's forced plan will produce.
 func trainBitIdentReference(f *testFixture, newModel func() *nn.Model,
 	plan *sample.SeedPlan, fanouts []int, epochs, batch int) *Reference {
-	ref := NewReference(f.g, f.feats, f.labels, newModel, nn.NewSGD(0.3, 0),
+	ref := NewReference(f.g, f.feats, f.labels, newModel, nn.NewSGD(0.3),
 		sample.Config{Fanouts: fanouts}, 99)
 	nb := plan.NumBatches(batch)
 	for ep := 0; ep < epochs; ep++ {

@@ -232,7 +232,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		m := cfg.NewModel()
 		m.Init(graph.NewRNG(cfg.Seed)) // identical replicas
-		var opt nn.Optimizer = nn.NewSGD(0.1, 0)
+		var opt nn.Optimizer = nn.NewSGD(0.1)
 		if cfg.NewOptimizer != nil {
 			opt = cfg.NewOptimizer()
 		}

@@ -101,7 +101,7 @@ func (f *testFixture) config(kind strategy.Kind, newModel func() *nn.Model, plan
 		Graph:         f.g,
 		Store:         f.newStore(40, policyFor(kind)),
 		NewModel:      newModel,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.3, 0) },
+		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.3) },
 		Labels:        f.labels,
 		Seeds:         f.seeds,
 		Sampling:      sample.Config{Fanouts: fanouts},
@@ -265,7 +265,7 @@ func TestGDPMatchesReference(t *testing.T) {
 	}
 	e.RunEpoch()
 
-	ref := NewReference(f.g, f.feats, f.labels, newModel, nn.NewSGD(0.3, 0),
+	ref := NewReference(f.g, f.feats, f.labels, newModel, nn.NewSGD(0.3),
 		sample.Config{Fanouts: fullFanout}, 99)
 	// Feed the reference the engine's global batches in the same order.
 	nb := plan.NumBatches(16)

@@ -22,7 +22,7 @@ func TestSemanticEquivalenceSumAggregator(t *testing.T) {
 	for _, k := range strategy.Core {
 		cfg := f.config(k, newModel, plan, []int{5, 5})
 		// Sum aggregation grows activations; keep the step small.
-		cfg.NewOptimizer = func() nn.Optimizer { return nn.NewSGD(0.01, 0) }
+		cfg.NewOptimizer = func() nn.Optimizer { return nn.NewSGD(0.01) }
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

@@ -31,10 +31,11 @@ type Options struct {
 	Epochs int
 	// BatchSize per device (paper's 1024 scaled with the graphs).
 	BatchSize int
-	// CacheFraction is each GPU's feature-cache budget as a fraction
-	// of total feature bytes (paper: 4 GB vs 52.9-128 GB ≈ 0.03-0.08).
-	CacheFraction float64
 }
+
+// cacheFraction is each GPU's feature-cache budget as a fraction of
+// total feature bytes (paper: 4 GB vs 52.9-128 GB ≈ 0.03-0.08).
+const cacheFraction float64 = 0.08
 
 // Defaults fills unset fields.
 func (o Options) Defaults() Options {
@@ -49,9 +50,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 64
-	}
-	if o.CacheFraction == 0 {
-		o.CacheFraction = 0.08
 	}
 	return o
 }
@@ -153,7 +151,7 @@ func (e *env) platformFor(base *hardware.Platform, d *dataset.Dataset) *hardware
 	p := *base
 	featBytes := d.FeatureBytes()
 	p.GPUMemBytes = featBytes * 3 / 2
-	p.DefaultCacheBytes = int64(float64(featBytes) * e.opts.CacheFraction)
+	p.DefaultCacheBytes = int64(float64(featBytes) * cacheFraction)
 	return &p
 }
 
@@ -166,7 +164,7 @@ type taskConfig struct {
 	model     string // "sage" or "gat"
 	heads     int
 	platform  *hardware.Platform // nil = single machine with opts.Devices
-	cacheFrac float64            // 0 = opts default
+	cacheFrac float64            // 0 = cacheFraction
 	int8Frac  float64            // warm-tier share of the cache budget
 	randPart  bool               // Fig. 11's random-partitioning baseline
 }

@@ -17,7 +17,7 @@ func tinyEnv() *Env {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.Defaults()
-	if o.Scale != 1.0 || o.Devices != 8 || o.Epochs != 2 || o.BatchSize != 64 || o.CacheFraction != 0.08 {
+	if o.Scale != 1.0 || o.Devices != 8 || o.Epochs != 2 || o.BatchSize != 64 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	o2 := Options{Scale: 0.5}.Defaults()

@@ -13,9 +13,6 @@ type EdgeListOptions struct {
 	// Undirected adds each edge in both directions (the common case
 	// for SNAP-style social-network files).
 	Undirected bool
-	// Comment marks lines to skip when they start with this prefix
-	// (default "#").
-	Comment string
 	// DropSelfLoops removes u->u edges (default behavior of Build).
 	DropSelfLoops bool
 }
@@ -23,12 +20,9 @@ type EdgeListOptions struct {
 // ReadEdgeList parses a whitespace-separated "src dst" text edge list
 // (the format SNAP and OGB distribute graphs in) into a CSR graph.
 // Node IDs must be non-negative integers; the graph spans [0, maxID].
-// Unknown tokens or malformed lines produce an error with the line
-// number.
+// Lines starting with "#", SNAP's comment marker, are skipped. Unknown
+// tokens or malformed lines produce an error with the line number.
 func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, error) {
-	if opts.Comment == "" {
-		opts.Comment = "#"
-	}
 	type rawEdge struct{ u, v int64 }
 	var edges []rawEdge
 	var maxID int64 = -1
@@ -38,7 +32,7 @@ func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, error) {
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, opts.Comment) {
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)

@@ -67,13 +67,3 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Errorf("edge list %v read as indptr %v indices %v", edges, g.Indptr, g.Indices)
 	}
 }
-
-func TestReadEdgeListCustomComment(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("% skip\n0 1\n"), EdgeListOptions{Comment: "%"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d", g.NumEdges())
-	}
-}

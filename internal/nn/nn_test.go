@@ -182,20 +182,9 @@ func TestSGDStep(t *testing.T) {
 	p := NewParam("w", 1, 2)
 	p.W.Data[0], p.W.Data[1] = 1, 2
 	p.G.Data[0], p.G.Data[1] = 0.5, -0.5
-	NewSGD(0.1, 0).Step([]*Param{p})
+	NewSGD(0.1).Step([]*Param{p})
 	if math.Abs(float64(p.W.Data[0])-0.95) > 1e-6 || math.Abs(float64(p.W.Data[1])-2.05) > 1e-6 {
 		t.Errorf("SGD step result %v", p.W.Data)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := NewParam("w", 1, 1)
-	p.G.Data[0] = 1
-	opt := NewSGD(1, 0.9)
-	opt.Step([]*Param{p}) // v=1, w=-1
-	opt.Step([]*Param{p}) // v=1.9, w=-2.9
-	if math.Abs(float64(p.W.Data[0])+2.9) > 1e-6 {
-		t.Errorf("momentum result %v, want -2.9", p.W.Data[0])
 	}
 }
 
@@ -290,5 +279,23 @@ func TestGlorotInitBoundsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSumAggregatorGradients(t *testing.T) {
+	g := smallGraph()
+	rng := graph.NewRNG(9)
+	feats := randomFeatures(g.NumNodes(), 6, rng)
+	m := NewGraphSAGEWithAgg(6, 5, 3, 2, AggSum)
+	m.Init(graph.NewRNG(10))
+	mb := sampleBatch(g, []int{4, 4}, false, []graph.NodeID{5, 9, 30}, 4)
+	x := gatherInput(feats, mb.Layer1())
+	labels := []int32{0, 2, 1}
+	checkModelGradients(t, m, mb, x, labels, 2e-2)
+}
+
+func TestAggregatorString(t *testing.T) {
+	if AggMean.String() != "mean" || AggSum.String() != "sum" {
+		t.Error("aggregator names wrong")
 	}
 }

@@ -23,23 +23,25 @@ type Optimizer interface {
 //
 //apt:snapshot
 type OptState struct {
-	// Kind names the optimizer family ("sgd", "adam"); Restore rejects
-	// a snapshot from a different family.
+	// Kind names the optimizer family ("adam"); Restore rejects a
+	// snapshot from a different family.
 	Kind string
-	// Step is Adam's bias-correction step count (0 for SGD).
+	// Step is Adam's bias-correction step count.
 	Step int64
-	// M holds the first-moment (or momentum-velocity) vector per
-	// parameter, flattened row-major.
+	// M holds the first-moment vector per parameter, flattened
+	// row-major.
 	M [][]float32
-	// V holds Adam's second-moment vector per parameter (nil for SGD).
+	// V holds Adam's second-moment vector per parameter. It is nil
+	// when every slot is absent: the form a never-stepped Adam's state
+	// takes after the checkpoint codec.
 	V [][]float32
 }
 
 // StatefulOptimizer is an Optimizer whose internal state can be
 // captured into an OptState and restored bit-identically — the
-// contract checkpoint/resume builds on. Both built-in optimizers
-// implement it; a custom Optimizer that does not is checkpointed
-// without state and restarts cold on resume.
+// contract checkpoint/resume builds on. Adam implements it; an
+// Optimizer that does not is checkpointed without state and restarts
+// cold on resume, which for the stateless SGD changes nothing.
 type StatefulOptimizer interface {
 	Optimizer
 	// State snapshots the optimizer; params fixes the moment order.
@@ -49,16 +51,14 @@ type StatefulOptimizer interface {
 	Restore(params []*Param, st OptState) error
 }
 
-// SGD is stochastic gradient descent with optional momentum.
+// SGD is plain stochastic gradient descent; it holds no state.
 type SGD struct {
-	LR       float32
-	Momentum float32
-	velocity map[*Param]*tensor.Matrix
+	LR float32
 }
 
 // NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[*Param]*tensor.Matrix{}}
+func NewSGD(lr float32) *SGD {
+	return &SGD{LR: lr}
 }
 
 // Step implements Optimizer.
@@ -66,72 +66,30 @@ func NewSGD(lr, momentum float32) *SGD {
 //apt:hotpath
 func (o *SGD) Step(params []*Param) {
 	for _, p := range params {
-		if o.Momentum == 0 {
-			p.W.AXPY(-o.LR, p.G)
-			continue
-		}
-		v := o.velocity[p]
-		if v == nil {
-			v = tensor.New(p.W.Rows, p.W.Cols)
-			o.velocity[p] = v
-		}
-		v.ScaleInPlace(o.Momentum)
-		v.AddInPlace(p.G)
-		p.W.AXPY(-o.LR, v)
+		p.W.AXPY(-o.LR, p.G)
 	}
 }
 
-// State implements StatefulOptimizer: Kind "sgd", Step 0, and one
-// velocity vector per parameter (nil where momentum never
-// materialized one).
-func (o *SGD) State(params []*Param) OptState {
-	st := OptState{Kind: "sgd", M: make([][]float32, len(params))}
-	for i, p := range params {
-		if v := o.velocity[p]; v != nil {
-			st.M[i] = append([]float32(nil), v.Data...)
-		}
-	}
-	return st
-}
-
-// Restore implements StatefulOptimizer.
-func (o *SGD) Restore(params []*Param, st OptState) error {
-	if st.Kind != "sgd" {
-		return fmt.Errorf("nn: restoring %q state into SGD", st.Kind)
-	}
-	if len(st.M) != len(params) {
-		return fmt.Errorf("nn: sgd state has %d moment slots, model has %d params", len(st.M), len(params))
-	}
-	vel := make(map[*Param]*tensor.Matrix, len(params))
-	for i, p := range params {
-		if st.M[i] == nil {
-			continue
-		}
-		if len(st.M[i]) != p.W.Rows*p.W.Cols {
-			return fmt.Errorf("nn: sgd velocity %d has %d elements, param %s has %d",
-				i, len(st.M[i]), p.Name, p.W.Rows*p.W.Cols)
-		}
-		v := tensor.New(p.W.Rows, p.W.Cols)
-		copy(v.Data, st.M[i])
-		vel[p] = v
-	}
-	o.velocity = vel
-	return nil
-}
+// Adam's standard hyperparameters. They are typed float32 so that an
+// expression over them gives what float32 arithmetic gives: an untyped
+// 1-0.9 would fold exactly to 0.1, and float32(0.1) is not
+// float32(1)-float32(0.9).
+const (
+	adamBeta1 float32 = 0.9
+	adamBeta2 float32 = 0.999
+	adamEps   float32 = 1e-8
+)
 
 // Adam implements the Adam optimizer with bias correction.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float32
-	t                     int
-	m, v                  map[*Param]*tensor.Matrix
+	LR   float32
+	t    int
+	m, v map[*Param]*tensor.Matrix
 }
 
-// NewAdam constructs Adam with standard defaults for unset fields.
+// NewAdam constructs Adam with learning rate lr.
 func NewAdam(lr float32) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*Param]*tensor.Matrix{}, v: map[*Param]*tensor.Matrix{},
-	}
+	return &Adam{LR: lr, m: map[*Param]*tensor.Matrix{}, v: map[*Param]*tensor.Matrix{}}
 }
 
 // State implements StatefulOptimizer: the bias-correction step count
@@ -158,9 +116,9 @@ func (a *Adam) Restore(params []*Param, st OptState) error {
 		return fmt.Errorf("nn: restoring %q state into Adam", st.Kind)
 	}
 	if st.V == nil {
-		// A never-stepped Adam encodes like SGD — every moment slot
-		// absent — and the checkpoint codec canonicalizes all-absent V
-		// to nil. Accept that form iff M is all-absent too.
+		// A never-stepped Adam's state has every moment slot absent,
+		// and the checkpoint codec canonicalizes all-absent V to nil.
+		// Accept that form iff M is all-absent too.
 		allNil := true
 		for _, m := range st.M {
 			if m != nil {
@@ -209,8 +167,8 @@ func (a *Adam) Restore(params []*Param, st OptState) error {
 //apt:hotpath
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	c1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
-	c2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
+	c1 := 1 - float32(math.Pow(float64(adamBeta1), float64(a.t)))
+	c2 := 1 - float32(math.Pow(float64(adamBeta2), float64(a.t)))
 	for _, p := range params {
 		m := a.m[p]
 		v := a.v[p]
@@ -221,11 +179,11 @@ func (a *Adam) Step(params []*Param) {
 			a.v[p] = v
 		}
 		for i, g := range p.G.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = adamBeta1*m.Data[i] + (1-adamBeta1)*g
+			v.Data[i] = adamBeta2*v.Data[i] + (1-adamBeta2)*g*g
 			mhat := m.Data[i] / c1
 			vhat := v.Data[i] / c2
-			p.W.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
+			p.W.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + adamEps)
 		}
 	}
 }

@@ -9,15 +9,6 @@ import (
 
 // MultilevelConfig tunes the multilevel partitioner.
 type MultilevelConfig struct {
-	// CoarsenTarget stops coarsening once the coarse graph has at most
-	// this many nodes per part. Default 30.
-	CoarsenTarget int
-	// RefinePasses is the number of boundary-refinement sweeps applied
-	// at every level. Default 4.
-	RefinePasses int
-	// BalanceSlack is the allowed node-count overrun versus the ideal,
-	// e.g. 0.10 permits parts up to 1.10x ideal size. Default 0.10.
-	BalanceSlack float64
 	// EdgeBalanced adds a second balance constraint on edge mass
 	// (vertex weight 1+degree), METIS-style multi-constraint
 	// partitioning: parts stay balanced in node count AND in the edge
@@ -25,27 +16,23 @@ type MultilevelConfig struct {
 	// concentrates hub workload on one part, which turns SNP/DNP
 	// owners into stragglers.
 	EdgeBalanced bool
-	// EdgeSlack is the allowed edge-mass overrun when EdgeBalanced.
-	// Default 0.30.
-	EdgeSlack float64
 	// Seed drives matching and tie-breaking.
 	Seed uint64
 }
 
-func (c *MultilevelConfig) defaults() {
-	if c.CoarsenTarget <= 0 {
-		c.CoarsenTarget = 30
-	}
-	if c.RefinePasses <= 0 {
-		c.RefinePasses = 4
-	}
-	if c.BalanceSlack <= 0 {
-		c.BalanceSlack = 0.10
-	}
-	if c.EdgeSlack <= 0 {
-		c.EdgeSlack = 0.30
-	}
-}
+const (
+	// coarsenTarget stops coarsening once the coarse graph has at most
+	// this many nodes per part.
+	coarsenTarget = 30
+	// refinePasses is the number of boundary-refinement sweeps applied
+	// at every level.
+	refinePasses = 4
+	// balanceSlack is the allowed node-count overrun versus the ideal:
+	// parts may reach 1.10x ideal size.
+	balanceSlack float64 = 0.10
+	// edgeSlack is the allowed edge-mass overrun when EdgeBalanced.
+	edgeSlack float64 = 0.30
+)
 
 // Multilevel computes a K-way edge-cut partitioning of g using the
 // multilevel scheme: heavy-edge-matching coarsening, greedy
@@ -60,7 +47,6 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 	if g.NumEdges() > math.MaxInt32 {
 		panic(fmt.Sprintf("partition: Multilevel takes fewer than 2^31 directed edges, graph has %d", g.NumEdges()))
 	}
-	cfg.defaults()
 	if k <= 1 {
 		return &Partitioning{Assign: make([]int32, g.NumNodes()), NumParts: max(k, 1)}
 	}
@@ -69,8 +55,8 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 
 	// Initial partition on the coarsest graph.
 	coarsest := graphs[len(graphs)-1]
-	assign := growInitial(coarsest, k, cfg, rng)
-	refine(coarsest, assign, k, cfg, rng)
+	assign := growInitial(coarsest, k, rng)
+	refine(coarsest, assign, k, rng)
 
 	// Uncoarsening with refinement at each level.
 	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
@@ -81,13 +67,13 @@ func Multilevel(g *graph.Graph, k int, cfg MultilevelConfig) *Partitioning {
 			fineAssign[v] = assign[cmap[v]]
 		}
 		assign = fineAssign
-		refine(fine, assign, k, cfg, rng)
+		refine(fine, assign, k, rng)
 	}
 	return &Partitioning{Assign: assign, NumParts: k}
 }
 
 // hierarchy symmetrizes g, weights its vertices as cfg asks and
-// coarsens it until at most k*cfg.CoarsenTarget vertices are left or
+// coarsens it until at most k*coarsenTarget vertices are left or
 // matching stalls. It returns the graphs, finest first, and the
 // fine->coarse map of every step.
 func hierarchy(g *graph.Graph, k int, cfg MultilevelConfig, rng *graph.RNG) ([]*wgraph, [][]int32) {
@@ -99,7 +85,7 @@ func hierarchy(g *graph.Graph, k int, cfg MultilevelConfig, rng *graph.RNG) ([]*
 	}
 	graphs := []*wgraph{w}
 	var maps [][]int32
-	for graphs[len(graphs)-1].n() > k*cfg.CoarsenTarget {
+	for graphs[len(graphs)-1].n() > k*coarsenTarget {
 		cur := graphs[len(graphs)-1]
 		cmap, coarse := coarsen(cur, rng)
 		if coarse.n() >= cur.n()*9/10 {
@@ -143,9 +129,9 @@ func sum64(xs []int64) int64 {
 }
 
 // caps computes the per-part weight ceilings for both constraints.
-func caps(w *wgraph, k int, cfg MultilevelConfig) (vwCap, nwCap int64) {
-	vwCap = int64(float64(sum64(w.vw)) / float64(k) * (1 + cfg.EdgeSlack))
-	nwCap = int64(float64(sum64(w.nw)) / float64(k) * (1 + cfg.BalanceSlack))
+func caps(w *wgraph, k int) (vwCap, nwCap int64) {
+	vwCap = int64(float64(sum64(w.vw)) / float64(k) * (1 + edgeSlack))
+	nwCap = int64(float64(sum64(w.nw)) / float64(k) * (1 + balanceSlack))
 	return
 }
 
@@ -362,7 +348,7 @@ func coarsen(w *wgraph, rng *graph.RNG) ([]int32, *wgraph) {
 
 // growInitial produces an initial K-way assignment of the coarsest
 // graph by greedy graph growing under both balance constraints.
-func growInitial(w *wgraph, k int, cfg MultilevelConfig, rng *graph.RNG) []int32 {
+func growInitial(w *wgraph, k int, rng *graph.RNG) []int32 {
 	n := w.n()
 	assign := make([]int32, n)
 	for i := range assign {
@@ -448,9 +434,9 @@ func growInitial(w *wgraph, k int, cfg MultilevelConfig, rng *graph.RNG) []int32
 //
 // Among feasible parts tied on the best gain, the one met first in v's
 // row wins; only on such a tie is the row read.
-func refine(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *graph.RNG) {
+func refine(w *wgraph, assign []int32, k int, rng *graph.RNG) {
 	n := w.n()
-	vwCap, nwCap := caps(w, k, cfg)
+	vwCap, nwCap := caps(w, k)
 	vwSums := make([]int64, k)
 	nwSums := make([]int64, k)
 	conn := make([]int32, n*k)
@@ -465,7 +451,7 @@ func refine(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *graph.R
 	feasible := func(v, p int32) bool {
 		return vwSums[p]+w.vw[v] <= vwCap && nwSums[p]+w.nw[v] <= nwCap
 	}
-	for pass := 0; pass < cfg.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		order := rng.Perm(n)
 		for _, v := range order {

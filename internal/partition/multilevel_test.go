@@ -190,8 +190,7 @@ func TestCoarsenMatchesTwoPass(t *testing.T) {
 	for name, g := range referenceGraphs() {
 		for _, eb := range []bool{false, true} {
 			cfg := MultilevelConfig{EdgeBalanced: eb}
-			cfg.defaults()
-			graphs, _ := hierarchy(g, g.NumNodes(), cfg, nil) // k*CoarsenTarget >= n: level 0 only
+			graphs, _ := hierarchy(g, g.NumNodes(), cfg, nil) // k*coarsenTarget >= n: level 0 only
 			w := graphs[0]
 			rng, ref := graph.NewRNG(7), graph.NewRNG(7)
 			for lvl := 0; w.n() > 20; lvl++ {
@@ -233,14 +232,13 @@ func TestRefineMatchesRowScan(t *testing.T) {
 			for _, eb := range []bool{false, true} {
 				id := fmt.Sprintf("%s/k%d/eb=%v", name, k, eb)
 				cfg := MultilevelConfig{Seed: uint64(k), EdgeBalanced: eb}
-				cfg.defaults()
 				rng := graph.NewRNG(cfg.Seed)
 				check := func(lvl int, input string, w *wgraph, assign []int32) []int32 {
 					t.Helper()
 					want := slices.Clone(assign)
 					ref := *rng
-					refine(w, assign, k, cfg, rng)
-					refineScan(w, want, k, cfg, &ref)
+					refine(w, assign, k, rng)
+					refineScan(w, want, k, &ref)
 					if !slices.Equal(assign, want) {
 						t.Fatalf("%s/level %d/%s input: assignments differ", id, lvl, input)
 					}
@@ -251,7 +249,7 @@ func TestRefineMatchesRowScan(t *testing.T) {
 				}
 				graphs, maps := hierarchy(g, k, cfg, rng)
 				lvl := len(graphs) - 1
-				assign := check(lvl, "grown", graphs[lvl], growInitial(graphs[lvl], k, cfg, rng))
+				assign := check(lvl, "grown", graphs[lvl], growInitial(graphs[lvl], k, rng))
 				for ; lvl >= 0; lvl-- {
 					w := graphs[lvl]
 					if lvl < len(maps) {
@@ -297,9 +295,7 @@ func BenchmarkMultilevel(b *testing.B) {
 			}
 			g := dataset.Build(spec, false).Graph
 			cfg := MultilevelConfig{Seed: 1, EdgeBalanced: true}
-			lcfg := cfg
-			lcfg.defaults()
-			graphs, _ := hierarchy(g, c.k, lcfg, graph.NewRNG(cfg.Seed))
+			graphs, _ := hierarchy(g, c.k, cfg, graph.NewRNG(cfg.Seed))
 			var entries int
 			for _, w := range graphs[1:] {
 				entries += len(w.adj)

@@ -138,7 +138,7 @@ func TestValidateRejectsBadAssign(t *testing.T) {
 
 func TestMultilevelImbalanceBound(t *testing.T) {
 	g := graph.PreferentialAttachment(graph.GenerateConfig{NumNodes: 2000, AvgDegree: 10, Seed: 8})
-	p := Multilevel(g, 4, MultilevelConfig{Seed: 8, BalanceSlack: 0.05})
+	p := Multilevel(g, 4, MultilevelConfig{Seed: 8})
 	q := Evaluate(g, p)
 	// Slack is on vertex weight during refinement; allow generous bound
 	// because initial growing may overrun slightly.

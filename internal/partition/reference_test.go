@@ -15,9 +15,9 @@ import "repro/internal/graph"
 // every visit. Parts enter touched in the order of their first
 // appearance in the row, and a strictly larger gain is needed to
 // replace the best, so among tied parts the first in row order wins.
-func refineScan(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *graph.RNG) {
+func refineScan(w *wgraph, assign []int32, k int, rng *graph.RNG) {
 	n := w.n()
-	vwCap, nwCap := caps(w, k, cfg)
+	vwCap, nwCap := caps(w, k)
 	vwSums := make([]int64, k)
 	nwSums := make([]int64, k)
 	for v := 0; v < n; v++ {
@@ -26,7 +26,7 @@ func refineScan(w *wgraph, assign []int32, k int, cfg MultilevelConfig, rng *gra
 	}
 	conn := make([]int64, k) // scratch: connectivity of v to each part
 	touched := make([]int32, 0, 8)
-	for pass := 0; pass < cfg.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		order := rng.Perm(n)
 		for _, v := range order {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -178,15 +177,11 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	defer s.Close()
 
 	// Full training snapshot.
-	var buf bytes.Buffer
-	if err := f.altModel(6).SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
 	snap := &checkpoint.Snapshot{
 		Strategy: "GDP",
 		Seed:     3,
 		Devices:  2,
-		Model:    buf.Bytes(),
+		Model:    checkpoint.EncodeModel(f.altModel(6)),
 	}
 	if err := snap.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -202,12 +197,8 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A raw nn params file of another model is rejected as malformed.
-	buf.Reset()
-	if err := f.altModel(5).SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	// A bare model section of another model is rejected as malformed.
+	if err := os.WriteFile(path, checkpoint.EncodeModel(f.altModel(5)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadCheckpoint(); !errors.Is(err, checkpoint.ErrMalformed) {

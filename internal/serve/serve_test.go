@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -450,13 +449,9 @@ func TestCheckpointFreqSelectsHotRows(t *testing.T) {
 		wantHot[v] = true
 	}
 
-	var params bytes.Buffer
-	if err := f.model.SaveParams(&params); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	snapPath, bareSnapPath := filepath.Join(dir, "snap.aptc"), filepath.Join(dir, "bare.aptc")
-	snap := &checkpoint.Snapshot{Strategy: "GDP", Devices: 2, Model: params.Bytes(), Freq: freq}
+	snap := &checkpoint.Snapshot{Strategy: "GDP", Devices: 2, Model: checkpoint.EncodeModel(f.model), Freq: freq}
 	if err := snap.WriteFile(snapPath); err != nil {
 		t.Fatal(err)
 	}

@@ -68,13 +68,6 @@ func (m *Matrix) AddInPlace(x *Matrix) {
 	}
 }
 
-// ScaleInPlace computes m *= s.
-func (m *Matrix) ScaleInPlace(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // AXPY computes m += s*x.
 func (m *Matrix) AXPY(s float32, x *Matrix) {
 	checkSameShape("AXPY", m, x)

@@ -325,7 +325,7 @@ func TestMatrixHelpers(t *testing.T) {
 		t.Errorf("Bytes = %d, want 16", m.Bytes())
 	}
 	c := m.Clone()
-	c.ScaleInPlace(2)
+	c.AddInPlace(m)
 	if m.At(0, 0) != 1 || c.At(0, 0) != 2 {
 		t.Error("Clone aliases original")
 	}

@@ -24,12 +24,18 @@ import (
 //     connections from ranks r+1..W-1 on its own listener. Data
 //     listeners close once the mesh is complete.
 //
-// Everything is bounded by BootstrapTimeout; a rank that never shows
+// Everything is bounded by bootstrapTimeout; a rank that never shows
 // up turns into a deadline error, not a hang.
 
 const (
 	helloMaxFrame = 1 << 12 // hello/table frames are tiny
 	meshHelloLen  = 4 + 1 + 4
+	// bootstrapTimeout bounds the whole rendezvous, dial retries
+	// included.
+	bootstrapTimeout = 30 * time.Second
+	// dialRetryBase is the first retry backoff after a refused dial; it
+	// doubles per attempt up to 64x.
+	dialRetryBase = 10 * time.Millisecond
 )
 
 // rendezvous runs the protocol above and returns one connected duplex
@@ -38,7 +44,7 @@ const (
 //
 //apt:allow simclock bootstrap deadlines and dial retry backoff are wall-clock connection management, outside the simulated platform
 func rendezvous(o *TCPOptions) (conns []net.Conn, err error) {
-	deadline := time.Now().Add(o.BootstrapTimeout)
+	deadline := time.Now().Add(bootstrapTimeout)
 
 	data, err := net.Listen("tcp", net.JoinHostPort(o.BindHost, "0"))
 	if err != nil {
@@ -70,7 +76,7 @@ func rendezvous(o *TCPOptions) (conns []net.Conn, err error) {
 
 	// Dial every lower rank.
 	for j := 0; j < o.Rank; j++ {
-		c, derr := dialRetry(table[j], deadline, o.DialRetryBase)
+		c, derr := dialRetry(table[j], deadline)
 		if derr != nil {
 			return nil, fmt.Errorf("transport: rank %d dial rank %d at %s: %w", o.Rank, j, table[j], derr)
 		}
@@ -179,7 +185,7 @@ func coordinate(o *TCPOptions, selfAddr string, deadline time.Time) ([]string, e
 // register is rank >0's side: dial the coordinator (retrying while it
 // comes up), send the hello, wait for the table.
 func register(o *TCPOptions, selfAddr string, deadline time.Time) ([]string, error) {
-	c, err := dialRetry(o.Coord, deadline, o.DialRetryBase)
+	c, err := dialRetry(o.Coord, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("transport: rank %d dial coordinator %s: %w", o.Rank, o.Coord, err)
 	}
@@ -275,7 +281,9 @@ func decodeTable(body []byte, world int) ([]string, error) {
 	return table, nil
 }
 
-// readFrame reads one u32-length-prefixed frame with a size cap.
+// readFrame reads one u32-length-prefixed frame with a size cap. It
+// returns io.EOF only when the stream ends cleanly before a frame's
+// length; a stream that ends inside a frame is io.ErrUnexpectedEOF.
 func readFrame(c net.Conn, max int64) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
@@ -287,18 +295,21 @@ func readFrame(c net.Conn, max int64) ([]byte, error) {
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return body, nil
 }
 
 // dialRetry dials addr until it succeeds or the deadline passes,
-// backing off exponentially from base (capped at 64x) between
+// backing off exponentially from dialRetryBase (capped at 64x) between
 // attempts — the peer may simply not have bound its listener yet.
 //
 //apt:allow simclock dial retry backoff is wall-clock connection management by nature
-func dialRetry(addr string, deadline time.Time, base time.Duration) (net.Conn, error) {
-	backoff := base
+func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
+	backoff := dialRetryBase
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -313,7 +324,7 @@ func dialRetry(addr string, deadline time.Time, base time.Duration) (net.Conn, e
 			sleep = remaining
 		}
 		time.Sleep(sleep)
-		if backoff < base*64 {
+		if backoff < dialRetryBase*64 {
 			backoff *= 2
 		}
 	}

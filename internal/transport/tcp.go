@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/comm"
 )
@@ -29,12 +28,6 @@ type TCPOptions struct {
 	// BindHost is the host data listeners bind and advertise (default
 	// 127.0.0.1; set to a routable interface for multi-machine runs).
 	BindHost string
-	// BootstrapTimeout bounds the whole rendezvous, dial retries
-	// included (default 30s).
-	BootstrapTimeout time.Duration
-	// DialRetryBase is the first retry backoff after a refused dial;
-	// it doubles per attempt up to 64x (default 10ms).
-	DialRetryBase time.Duration
 	// MaxFrameBytes rejects frames larger than this (default
 	// DefaultMaxFrameBytes).
 	MaxFrameBytes int64
@@ -52,12 +45,6 @@ func (o *TCPOptions) normalize() error {
 	}
 	if o.BindHost == "" {
 		o.BindHost = "127.0.0.1"
-	}
-	if o.BootstrapTimeout <= 0 {
-		o.BootstrapTimeout = 30 * time.Second
-	}
-	if o.DialRetryBase <= 0 {
-		o.DialRetryBase = 10 * time.Millisecond
 	}
 	if o.MaxFrameBytes <= 0 {
 		o.MaxFrameBytes = DefaultMaxFrameBytes
@@ -271,9 +258,9 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 func (t *TCP) readLoop(p *tcpPeer) {
 	defer t.wgRead.Done()
 	defer close(p.in)
-	var lenBuf [4]byte
 	for {
-		if _, err := io.ReadFull(p.conn, lenBuf[:]); err != nil {
+		body, err := readFrame(p.conn, t.maxFrame)
+		if err != nil {
 			// EOF is the peer's clean half-close; a read error during our
 			// own Close is this side's shutdown unblocking the reader. By
 			// the Close contract every in-flight frame was already
@@ -281,16 +268,6 @@ func (t *TCP) readLoop(p *tcpPeer) {
 			if err != io.EOF && !t.closing.Load() {
 				t.fail(fmt.Errorf("transport: rank %d read from rank %d: %w", t.rank, p.rank, err))
 			}
-			return
-		}
-		n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if n > t.maxFrame {
-			t.fail(fmt.Errorf("transport: rank %d from rank %d: %d-byte frame: %w", t.rank, p.rank, n, ErrOversized))
-			return
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(p.conn, body); err != nil {
-			t.fail(fmt.Errorf("transport: rank %d read from rank %d: %w", t.rank, p.rank, err))
 			return
 		}
 		pl, err := DecodePayload(body)

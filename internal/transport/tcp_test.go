@@ -169,6 +169,29 @@ func TestTCPSendOversizedPanics(t *testing.T) {
 	trs[0].Send(0, 1, comm.Payload{Mat: tensor.FromData(8, 8, make([]float32, 64))})
 }
 
+// TestTCPRecvOversizedPanics: a frame over the receiver's own limit
+// poisons the receiving transport, and its Recv panics with
+// ErrOversized. Only rank 1 lowers its limit, so rank 0's Send passes
+// its own check and the frame reaches rank 1's reader.
+func TestTCPRecvOversizedPanics(t *testing.T) {
+	trs := startWorld(t, 2, func(o *TCPOptions) {
+		if o.Rank == 1 {
+			o.MaxFrameBytes = 64
+		}
+	})
+	trs[0].Send(0, 1, comm.Payload{Mat: tensor.FromData(8, 8, make([]float32, 64))})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Recv of an oversized frame did not panic")
+		}
+		if !strings.Contains(r.(string), ErrOversized.Error()) {
+			t.Fatalf("panic %q does not carry ErrOversized", r)
+		}
+	}()
+	trs[1].Recv(1, 0)
+}
+
 func TestTCPOptionValidation(t *testing.T) {
 	if _, err := NewTCP(TCPOptions{Rank: 2, World: 2, Coord: "127.0.0.1:1"}); err == nil {
 		t.Error("rank >= world accepted")
