@@ -56,11 +56,10 @@ type Strategy = strategy.Kind
 
 // The parallelization strategies.
 const (
-	GDP    = strategy.GDP
-	NFP    = strategy.NFP
-	SNP    = strategy.SNP
-	DNP    = strategy.DNP
-	Hybrid = strategy.Hybrid
+	GDP = strategy.GDP
+	NFP = strategy.NFP
+	SNP = strategy.SNP
+	DNP = strategy.DNP
 )
 
 // CoreStrategies lists the four strategies APT's planner selects

@@ -52,7 +52,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if plan := repro.DescribePlan(res.Choice, task.NewModel()); len(plan) == 0 {
 		t.Error("empty plan description")
 	}
-	for _, k := range []repro.Strategy{repro.GDP, repro.NFP, repro.SNP, repro.DNP, repro.Hybrid} {
+	for _, k := range []repro.Strategy{repro.GDP, repro.NFP, repro.SNP, repro.DNP} {
 		if k.String() == "" {
 			t.Error("unnamed strategy")
 		}

@@ -68,7 +68,7 @@ func main() {
 	spec := job.Flags(flag.CommandLine)
 	var (
 		epochs   = flag.Int("epochs", 5, "training epochs (total, across a resume)")
-		pinned   = flag.String("strategy", "", "pin a strategy (GDP/NFP/SNP/DNP/Hybrid) instead of planning")
+		pinned   = flag.String("strategy", "", "pin a strategy (GDP/NFP/SNP/DNP) instead of planning")
 		simulate = flag.Bool("simulate", false, "accounting mode: no real training, timing only")
 		explain  = flag.Bool("explain", false, "print the adapted execution plan before training")
 		timeline = flag.Bool("timeline", false, "print per-step stage times for the last epoch")

@@ -1,7 +1,6 @@
 // Distributed training: 16 simulated GPUs across 4 machines connected
-// by 100 Gbps Ethernet (the paper's multi-machine platform), including
-// the hybrid GDP-across-machines / SNP-within-machine extension the
-// paper proposes as future work.
+// by 100 Gbps Ethernet (the paper's multi-machine platform): the four
+// strategies' epochs side by side, APT's pick marked.
 //
 //	go run ./examples/distributed
 package main
@@ -37,9 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	kinds := append(append([]strategy.Kind{}, strategy.Core...), strategy.Hybrid)
 	rows := []trace.Row{}
-	for _, k := range kinds {
+	for _, k := range strategy.Core {
 		eng, err := apt.BuildEngine(k)
 		if err != nil {
 			log.Fatal(err)
@@ -48,9 +46,7 @@ func main() {
 		rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice,
 			fmt.Sprintf("hidden shuffle %.1f MB", float64(st.Totals.HiddenShuffleBytes())/1e6)))
 	}
-	fmt.Print(trace.RenderBars("FS distributed, GraphSAGE hidden 128 (+ hybrid extension)", rows))
+	fmt.Print(trace.RenderBars("FS distributed, GraphSAGE hidden 128", rows))
 	fmt.Println("\nInter-machine communication is the bottleneck: strategies that")
-	fmt.Println("shuffle hidden embeddings across machines (SNP, NFP) degrade, while")
-	fmt.Println("the hybrid keeps SNP's cache benefits inside each machine without")
-	fmt.Println("crossing the network (paper §5.2).")
+	fmt.Println("shuffle hidden embeddings across machines (SNP, NFP) degrade.")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"time"
@@ -48,8 +49,8 @@ type APT struct {
 
 	// CheckpointDir, when non-empty, makes Train write the rolling
 	// snapshot (checkpoint.DefaultName inside the directory) at every
-	// epoch boundary, atomically replacing the previous one. The
-	// directory must exist.
+	// epoch boundary, atomically replacing the previous one. Train
+	// creates the directory, parents included, before the first epoch.
 	CheckpointDir string
 
 	// Transport is the fabric every engine this APT builds trains over;
@@ -391,6 +392,13 @@ func (a *APT) train(ctx context.Context, k strategy.Kind, epochs int, rp *Replan
 	e, err := a.BuildEngine(k)
 	if err != nil {
 		return nil, err
+	}
+	// The process that writes the snapshot creates its directory now, so
+	// a path that cannot hold one fails before the first epoch.
+	if a.CheckpointDir != "" && e.Ranks()[0] == 0 {
+		if err := os.MkdirAll(a.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: checkpoint directory: %w", err)
+		}
 	}
 	if err := a.consumeResume(e); err != nil {
 		return nil, err

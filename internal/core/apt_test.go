@@ -59,6 +59,27 @@ func TestTaskValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsEmptyModelLayers: a GAT without attention heads (whose
+// dimensions are undefined) and a GraphSAGE of hidden width 0 (whose
+// parameters hold no values) are errors naming the empty layer, not a
+// panic or a run that trains nothing.
+func TestNewRejectsEmptyModelLayers(t *testing.T) {
+	for _, c := range []struct {
+		model func(in, classes int) *nn.Model
+		want  string
+	}{
+		{func(in, classes int) *nn.Model { return nn.NewGAT(in, 8, 0, classes, 3) }, "GAT layer 0 has no parameter values"},
+		{func(in, classes int) *nn.Model { return nn.NewGraphSAGE(in, 0, classes, 3) }, "GraphSAGE layer 0 has no parameter values"},
+	} {
+		task := testTask(t, "PS", 2, 16)
+		in, classes := task.FeatDim, task.NewModel().Layers[2].OutDim()
+		task.NewModel = func() *nn.Model { return c.model(in, classes) }
+		if _, err := New(task); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New = %v, want an error containing %q", err, c.want)
+		}
+	}
+}
+
 func TestPrepareProducesProfileAndPartition(t *testing.T) {
 	a, err := New(testTask(t, "PS", 4, 32))
 	if err != nil {

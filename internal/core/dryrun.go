@@ -92,7 +92,7 @@ func (a *APT) DryRun() (*DryRunStats, error) {
 // cachePolicyFor maps a strategy to its paper §3.2 cache rule.
 func cachePolicyFor(k strategy.Kind) cache.Policy {
 	switch k {
-	case strategy.SNP, strategy.Hybrid:
+	case strategy.SNP:
 		return cache.PolicyHotPartition
 	case strategy.DNP:
 		return cache.PolicyHotPartitionPlus1Hop

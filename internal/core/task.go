@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/comm"
@@ -112,6 +113,14 @@ func (t *Task) normalize() error {
 	if len(probe.Layers) != len(t.Sampling.Fanouts) {
 		return fmt.Errorf("core: model has %d layers but %d fanouts",
 			len(probe.Layers), len(t.Sampling.Fanouts))
+	}
+	// A layer without parameter values (no attention heads, a zero
+	// width) would train nothing; its dimensions are not even defined.
+	for i, l := range probe.Layers {
+		ps := l.Params()
+		if len(ps) == 0 || slices.ContainsFunc(ps, func(p *nn.Param) bool { return len(p.W.Data) == 0 }) {
+			return fmt.Errorf("core: %s layer %d has no parameter values", probe.Name, i)
+		}
 	}
 	if t.FeatDim == 0 && t.Feats != nil {
 		t.FeatDim = t.Feats.Cols

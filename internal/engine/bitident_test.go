@@ -97,7 +97,7 @@ func runBitIdentity(t *testing.T, f *testFixture, newModel func() *nn.Model) {
 	mb := probe.Sample(f.seeds[:16])
 	refSt := ref.Model.ForwardGathered(mb, tensor.FS(f.feats), mb.Layer1().Src)
 
-	for _, k := range []strategy.Kind{strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP, strategy.Hybrid} {
+	for _, k := range strategy.Core {
 		for _, pipelined := range []bool{false, true} {
 			mode := "sync"
 			if pipelined {

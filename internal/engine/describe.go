@@ -51,11 +51,6 @@ func DescribePlan(k strategy.Kind, m *nn.Model) string {
 		line("Shuffle", "AllToAll destinations to their managers")
 		line("Execute", "managers load source features (partition + 1-hop cache), full layer-1 kernel per destination")
 		line("Reshuffle", "AllToAll finished embeddings back to requesters; backward AllToAll of destination gradients")
-	case strategy.Hybrid:
-		line("Permute", "SNP grouping, but only sources owned by same-machine devices leave the requester")
-		line("Shuffle", "intra-machine AllToAll of virtual-node subgraphs; nothing crosses the network")
-		line("Execute", "same-machine owners aggregate partially; cross-machine sources handled GDP-style")
-		line("Reshuffle", "intra-machine GroupReduce; model allreduce is the only cross-machine traffic")
 	}
 	line("upper", fmt.Sprintf("layers 2..%d data-parallel; gradient AllReduce; identical optimizer step per replica", len(m.Layers)))
 	return b.String()

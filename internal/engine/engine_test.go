@@ -115,7 +115,7 @@ func (f *testFixture) config(kind strategy.Kind, newModel func() *nn.Model, plan
 
 func policyFor(k strategy.Kind) cache.Policy {
 	switch k {
-	case strategy.SNP, strategy.Hybrid:
+	case strategy.SNP:
 		return cache.PolicyHotPartition
 	case strategy.DNP:
 		return cache.PolicyHotPartitionPlus1Hop
@@ -201,8 +201,8 @@ func TestSemanticEquivalenceGAT(t *testing.T) {
 }
 
 // TestSemanticEquivalenceGCN: the test-only GCN layer (gcn_test.go)
-// under the same check at world 4, Hybrid included — it reaches the
-// strategies through nn.Layer alone.
+// under the same check at world 4, on two machines of two GPUs — it
+// reaches the strategies through nn.Layer alone.
 func TestSemanticEquivalenceGCN(t *testing.T) {
 	f := newFixture(t, 4, 400)
 	f.platform = hardware.WithDevices(hardware.FourMachines4GPU(), 2, 2)
@@ -210,8 +210,7 @@ func TestSemanticEquivalenceGCN(t *testing.T) {
 	plan := sample.SplitEven(f.seeds, 4, graph.NewRNG(5))
 
 	engines := map[strategy.Kind]*Engine{}
-	kinds := append(append([]strategy.Kind{}, strategy.Core...), strategy.Hybrid)
-	for _, k := range kinds {
+	for _, k := range strategy.Core {
 		e, err := New(f.config(k, newModel, plan, []int{5, 5}))
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -222,31 +221,10 @@ func TestSemanticEquivalenceGCN(t *testing.T) {
 		replicasInSync(t, e)
 		engines[k] = e
 	}
-	for _, k := range kinds[1:] {
+	for _, k := range strategy.Core[1:] {
 		if d := paramsDiff(engines[strategy.GDP], engines[k]); d > 1e-3 {
 			t.Errorf("GDP vs %v (GCN): max param diff %g (strategies not equivalent)", k, d)
 		}
-	}
-}
-
-func TestHybridEquivalence(t *testing.T) {
-	f := newFixture(t, 4, 300)
-	// Two machines with two GPUs each.
-	f.platform = hardware.WithDevices(hardware.FourMachines4GPU(), 2, 2)
-	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 8, f.classes, 2) }
-	plan := sample.SplitEven(f.seeds, 4, graph.NewRNG(8))
-	gdp, err := New(f.config(strategy.GDP, newModel, plan, []int{4, 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := New(f.config(strategy.Hybrid, newModel, plan, []int{4, 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gdp.RunEpoch()
-	hyb.RunEpoch()
-	if d := paramsDiff(gdp, hyb); d > 1e-3 {
-		t.Errorf("GDP vs Hybrid: max param diff %g", d)
 	}
 }
 
@@ -501,7 +479,7 @@ func TestStrategyTable1Shape(t *testing.T) {
 	if _, err := strategy.Parse("bogus"); err == nil {
 		t.Error("Parse accepted bogus name")
 	}
-	if fmt.Sprint(strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP, strategy.Hybrid) != "GDP NFP SNP DNP Hybrid" {
+	if fmt.Sprint(strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP) != "GDP NFP SNP DNP" {
 		t.Error("String() names wrong")
 	}
 }

@@ -38,32 +38,6 @@ func TestSemanticEquivalenceSumAggregator(t *testing.T) {
 	}
 }
 
-// TestSemanticEquivalenceLayerWise checks that the strategies remain
-// equivalent under the FastGCN-style layer-wise sampler — APT's
-// "sampling is a black box" claim.
-func TestSemanticEquivalenceLayerWise(t *testing.T) {
-	f := newFixture(t, 3, 300)
-	newModel := func() *nn.Model { return nn.NewGraphSAGE(f.dim, 10, f.classes, 2) }
-	plan := sample.SplitEven(f.seeds, 3, graph.NewRNG(6))
-	engines := map[strategy.Kind]*Engine{}
-	for _, k := range strategy.Core {
-		cfg := f.config(k, newModel, plan, []int{5, 5})
-		cfg.Sampling.Method = sample.LayerWise
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		e.RunEpoch()
-		replicasInSync(t, e)
-		engines[k] = e
-	}
-	for _, k := range []strategy.Kind{strategy.NFP, strategy.SNP, strategy.DNP} {
-		if d := paramsDiff(engines[strategy.GDP], engines[k]); d > 1e-3 {
-			t.Errorf("GDP vs %v (layer-wise): max param diff %g", k, d)
-		}
-	}
-}
-
 // TestVolumeInvariantsProperty checks the structural communication
 // invariants on random tasks: GDP never shuffles; DNP ships at most
 // one hidden vector per remote destination while NFP pays per

@@ -72,8 +72,7 @@ type InferConfig struct {
 	// Sampling configures neighbor sampling; IncludeDstInSrc is forced
 	// on when the model needs it. Serving typically uses the training
 	// fanouts. Node-wise draws are keyed by (Seed, draw, layer, node),
-	// so every answer is deterministic; sample.LayerWise, whose draw
-	// depends on the whole batch, is refused.
+	// so every answer is deterministic.
 	Sampling sample.Config
 	// Workers bounds the pool size; 0 or negative selects one worker
 	// per platform device, larger values are clamped.
@@ -138,9 +137,6 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 	}
 	if len(cfg.Model.Layers) == 0 {
 		return nil, fmt.Errorf("engine: model %q has no layers", cfg.Model.Name)
-	}
-	if cfg.Sampling.Method == sample.LayerWise {
-		return nil, fmt.Errorf("engine: inference cannot sample layer-wise: its draw depends on the whole batch, so answers would too")
 	}
 	if len(cfg.Sampling.Fanouts) != len(cfg.Model.Layers) {
 		return nil, fmt.Errorf("engine: %d fanouts for %d model layers",

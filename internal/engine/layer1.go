@@ -46,13 +46,9 @@ const (
 //	GDP     {routeNone,      all columns, whole layer}
 //	DNP     {routeByDest,    all columns, whole layer}
 //	SNP     {routeBySource,  all columns, projection}
-//	Hybrid  SNP with an owner rule that keeps cross-machine sources local
 //	NFP     {routeBroadcast, column shard, projection, holds partials}
 type placement struct {
 	route route
-	// ownerOf replaces the partition assignment as routeBySource's owner
-	// rule, seen from worker w (nil: the assignment itself).
-	ownerOf func(w *worker, u graph.NodeID) int32
 	// shard makes every rank multiply only its own share of the feature
 	// columns by the matching weight rows, so replies are partial sums.
 	shard bool
@@ -87,32 +83,10 @@ func placementFor(e *Engine) (placement, error) {
 		return placement{route: routeByDest, whole: true}, nil
 	case strategy.SNP:
 		return placement{route: routeBySource}, nil
-	case strategy.Hybrid:
-		// The paper's §5.2 conjecture: GDP across machines (no hidden
-		// embeddings cross the slow network), SNP among the GPUs of each
-		// machine (to exploit their feature caches). A source whose owner
-		// sits on another machine is treated as the requester's own, so
-		// its feature is loaded by the requester exactly as under GDP.
-		p := e.cfg.Platform
-		return placement{route: routeBySource, ownerOf: func(w *worker, u graph.NodeID) int32 {
-			if o := e.cfg.Assign[u]; p.SameMachine(int(o), w.dev.ID) {
-				return o
-			}
-			return int32(w.dev.ID)
-		}}, nil
 	case strategy.NFP:
 		return placement{route: routeBroadcast, shard: true, holdsPartials: true}, nil
 	}
 	return placement{}, fmt.Errorf("engine: unsupported strategy %v", e.cfg.Kind)
-}
-
-// owner resolves which rank owns source node u from worker w's
-// perspective under routeBySource.
-func (p *placement) owner(w *worker, u graph.NodeID) int32 {
-	if p.ownerOf != nil {
-		return p.ownerOf(w, u)
-	}
-	return w.eng.cfg.Assign[u]
 }
 
 // columns returns the feature columns rank c of n multiplies.
@@ -177,10 +151,10 @@ func (q *adjRequest) wireBytes() int64 {
 }
 
 // buildAdjRequests groups a block's edges by the rank that will
-// aggregate them: the owner of each edge's source, or — byDst — the
-// owner of its destination, which then receives the destination even
-// when it sampled no edges.
-func buildAdjRequests(blk *sample.Block, n int, byDst bool, owner func(graph.NodeID) int32) []*adjRequest {
+// aggregate them: the owner of each edge's source in the partition
+// assignment, or — byDst — the owner of its destination, which then
+// receives the destination even when it sampled no edges.
+func buildAdjRequests(blk *sample.Block, n int, byDst bool, assign []int32) []*adjRequest {
 	reqs := make([]*adjRequest, n)
 	// Scratch: per-owner source list for the current destination.
 	perOwner := make([][]graph.NodeID, n)
@@ -189,14 +163,14 @@ func buildAdjRequests(blk *sample.Block, n int, byDst bool, owner func(graph.Nod
 		touched = touched[:0]
 		var dstOwner int32
 		if byDst {
-			dstOwner = owner(dstID)
+			dstOwner = assign[dstID]
 			touched = append(touched, dstOwner)
 		}
 		for _, si := range blk.DstSources(i) {
 			u := blk.Src[si]
 			o := dstOwner
 			if !byDst {
-				if o = owner(u); len(perOwner[o]) == 0 {
+				if o = assign[u]; len(perOwner[o]) == 0 {
 					touched = append(touched, o)
 				}
 			}
@@ -278,12 +252,12 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *l
 	n, me := w.eng.Comm.NumDevices(), w.dev.ID
 	ctx.pos = make([][]int32, n)
 	payloads := make([]payload, n)
-	owner := func(u graph.NodeID) int32 { return p.owner(w, u) }
+	assign := w.eng.cfg.Assign
 	if p.sourcesOnly(layer) {
 		// Unique sources per owner, in block order.
 		srcIDs := make([][]graph.NodeID, n)
 		for at, u := range blk.Src {
-			o := owner(u)
+			o := assign[u]
 			ctx.pos[o] = append(ctx.pos[o], int32(at))
 			srcIDs[o] = append(srcIDs[o], u)
 		}
@@ -293,7 +267,7 @@ func (p *placement) permute(w *worker, blk *sample.Block, layer nn.Layer, ctx *l
 			}
 		}
 	} else {
-		for o, q := range buildAdjRequests(blk, n, p.route == routeByDest, owner) {
+		for o, q := range buildAdjRequests(blk, n, p.route == routeByDest, assign) {
 			if q != nil {
 				ctx.pos[o] = q.DstIdx
 				payloads[o] = payload{Data: q, Bytes: q.wireBytes()}

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/hardware"
 	"repro/internal/nn"
 	"repro/internal/strategy"
 )
@@ -63,17 +62,13 @@ func collectInts(prefix string, v reflect.Value, out map[string]int64) {
 // golden file.
 func layer1Cells(t *testing.T) map[string]layer1Golden {
 	got := map[string]layer1Golden{}
-	kinds := []strategy.Kind{strategy.GDP, strategy.NFP, strategy.SNP, strategy.DNP, strategy.Hybrid}
-	for _, k := range kinds {
+	for _, k := range strategy.Core {
 		f := newFixture(t, 4, 400)
 		// The fixture's multilevel partition follows its four planted
 		// communities and cuts almost nothing; striping the nodes makes
 		// every rank exchange rows with every peer in every step.
 		for v := range f.assign {
 			f.assign[v] = int32(v % 4)
-		}
-		if k == strategy.Hybrid {
-			f.platform = hardware.WithDevices(hardware.FourMachines4GPU(), 2, 2)
 		}
 		models := []struct {
 			name string

@@ -8,7 +8,7 @@ import (
 
 // Wire codecs for the engine-internal structures the strategies ship
 // through Payload.Data: NFP broadcasts layer-1 blocks, the routed
-// strategies (SNP, DNP, Hybrid) exchange Permute requests. Registered
+// strategies (SNP, DNP) exchange Permute requests. Registered
 // in an init so every binary that links the engine — every aptrun rank
 // — agrees on the (id, type, layout) pairs; the ids below are part of
 // the wire format and must never be reused; ids 3 and 4 are retired.

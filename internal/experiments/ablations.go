@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/sample"
@@ -209,42 +208,6 @@ func (e *Env) AblationPipelining() (string, error) {
 		}
 	}
 	fmt.Fprintf(&b, "pipelining changes the optimal strategy in %d/3 cases\n", changed)
-	return b.String(), nil
-}
-
-// ExtensionHybrid evaluates the paper's §5.2 conjecture (implemented
-// here): GDP across machines + SNP within each machine, against the
-// four core strategies on the distributed platform.
-func (e *Env) ExtensionHybrid() (string, error) {
-	var b strings.Builder
-	b.WriteString(header("Extension: hybrid strategy", "GDP across machines + SNP within machines (paper §5.2 future work)"))
-	p := hardware.FourMachines4GPU()
-	for _, abbr := range []string{"PS", "FS"} {
-		task := e.task(taskConfig{abbr: abbr, hidden: 32, platform: p})
-		apt, err := core.New(task)
-		if err != nil {
-			return "", err
-		}
-		if _, err := apt.Plan(); err != nil {
-			return "", err
-		}
-		rows := []trace.Row{}
-		kinds := append(append([]strategy.Kind{}, strategy.Core...), strategy.Hybrid)
-		var times = map[strategy.Kind]engine.EpochStats{}
-		for _, k := range kinds {
-			eng, err := apt.BuildEngine(k)
-			if err != nil {
-				return "", err
-			}
-			st := eng.RunEpoch()
-			times[k] = st
-			rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), false, ""))
-		}
-		b.WriteString(trace.RenderBars(fmt.Sprintf("%s distributed, hidden 32", abbr), rows))
-		fmt.Fprintf(&b, "  hybrid vs SNP hidden-shuffle volume: %d vs %d bytes\n",
-			times[strategy.Hybrid].Totals.HiddenShuffleBytes(),
-			times[strategy.SNP].Totals.HiddenShuffleBytes())
-	}
 	return b.String(), nil
 }
 

@@ -100,10 +100,8 @@ var All = []Experiment{
 	{"ablation-cache", (*Env).AblationCachePolicy},
 	{"ablation-pipeline", (*Env).AblationPipelining},
 	{"ablation-replan", (*Env).AblationReplan},
-	{"ext-hybrid", (*Env).ExtensionHybrid},
 	{"ext-nvlink", (*Env).ExtensionNVLink},
 	{"ext-cpucache", (*Env).ExtensionCPUCache},
-	{"ext-layerwise", (*Env).ExtensionLayerWise},
 	{"ext-phase", (*Env).ExtensionPhaseDiagram},
 }
 

@@ -129,16 +129,6 @@ func TestFigure11ShowsPartitionSensitivity(t *testing.T) {
 	}
 }
 
-func TestExtensionHybridReport(t *testing.T) {
-	out, err := tinyEnv().ExtensionHybrid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Hybrid") {
-		t.Error("hybrid report missing Hybrid row")
-	}
-}
-
 func TestMeanStats(t *testing.T) {
 	e := tinyEnv()
 	res, err := e.RunCase(e.task(taskConfig{abbr: "FS", hidden: 16}))

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/hardware"
-	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -44,37 +42,6 @@ func (e *Env) ExtensionCPUCache() (string, error) {
 		}
 		b.WriteString(trace.RenderTable(fmt.Sprintf("%s distributed", abbr),
 			[]string{"strategy", "remote reads (off)", "remote reads (on)", "epoch (off)", "epoch (on)"}, rows))
-	}
-	return b.String(), nil
-}
-
-// ExtensionLayerWise runs the strategy comparison under layer-wise
-// (FastGCN-style) sampling — APT treats sampling as a black box, so
-// the whole pipeline, including planning, works unchanged.
-func (e *Env) ExtensionLayerWise() (string, error) {
-	var b strings.Builder
-	b.WriteString(header("Extension: layer-wise sampling", "strategies + APT under a FastGCN-style sampler"))
-	for _, abbr := range []string{"PS", "FS"} {
-		task := e.task(taskConfig{abbr: abbr, hidden: 32})
-		task.Sampling.Method = sample.LayerWise
-		apt, err := core.New(task)
-		if err != nil {
-			return "", err
-		}
-		choice, err := apt.Plan()
-		if err != nil {
-			return "", err
-		}
-		rows := []trace.Row{}
-		for _, k := range strategy.Core {
-			eng, err := apt.BuildEngine(k)
-			if err != nil {
-				return "", err
-			}
-			st := eng.RunEpoch()
-			rows = append(rows, trace.StageRow(k.String(), st.SamplingBar(), st.LoadSec, st.TrainBar(), k == choice, ""))
-		}
-		b.WriteString(trace.RenderBars(fmt.Sprintf("%s, layer-wise sampling, hidden 32", abbr), rows))
 	}
 	return b.String(), nil
 }

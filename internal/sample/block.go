@@ -5,8 +5,6 @@
 package sample
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 )
 
@@ -46,30 +44,6 @@ func (b *Block) DstSources(i int) []int32 {
 	return b.SrcIdx[b.EdgePtr[i]:b.EdgePtr[i+1]]
 }
 
-// Validate checks structural invariants.
-func (b *Block) Validate() error {
-	if len(b.EdgePtr) != len(b.Dst)+1 {
-		return fmt.Errorf("sample: edgeptr len %d, want %d", len(b.EdgePtr), len(b.Dst)+1)
-	}
-	if b.EdgePtr[0] != 0 {
-		return fmt.Errorf("sample: edgeptr[0] != 0")
-	}
-	for i := 1; i < len(b.EdgePtr); i++ {
-		if b.EdgePtr[i] < b.EdgePtr[i-1] {
-			return fmt.Errorf("sample: edgeptr not monotone at %d", i)
-		}
-	}
-	if b.EdgePtr[len(b.Dst)] != int64(len(b.SrcIdx)) {
-		return fmt.Errorf("sample: edgeptr end %d != len(srcidx) %d", b.EdgePtr[len(b.Dst)], len(b.SrcIdx))
-	}
-	for i, s := range b.SrcIdx {
-		if s < 0 || int(s) >= len(b.Src) {
-			return fmt.Errorf("sample: srcidx[%d] = %d out of range", i, s)
-		}
-	}
-	return nil
-}
-
 // MiniBatch is the sampled computation graph for one batch of seeds.
 // Blocks are ordered bottom-up: Blocks[0] is the first layer of
 // computation (the paper's "layer furthest from the seeds", whose Src
@@ -83,33 +57,3 @@ type MiniBatch struct {
 // Layer1 returns the bottom block (the layer all four parallelization
 // strategies target).
 func (m *MiniBatch) Layer1() *Block { return m.Blocks[0] }
-
-// Validate checks the cross-block stitching invariant.
-func (m *MiniBatch) Validate() error {
-	for l, b := range m.Blocks {
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("block %d: %w", l, err)
-		}
-	}
-	top := m.Blocks[len(m.Blocks)-1]
-	if len(top.Dst) != len(m.Seeds) {
-		return fmt.Errorf("sample: top block has %d dst, want %d seeds", len(top.Dst), len(m.Seeds))
-	}
-	for i, s := range m.Seeds {
-		if top.Dst[i] != s {
-			return fmt.Errorf("sample: top dst[%d] = %d, want seed %d", i, top.Dst[i], s)
-		}
-	}
-	for l := 0; l+1 < len(m.Blocks); l++ {
-		lo, hi := m.Blocks[l], m.Blocks[l+1]
-		if len(lo.Dst) != len(hi.Src) {
-			return fmt.Errorf("sample: blocks %d/%d dst/src mismatch: %d vs %d", l, l+1, len(lo.Dst), len(hi.Src))
-		}
-		for i := range lo.Dst {
-			if lo.Dst[i] != hi.Src[i] {
-				return fmt.Errorf("sample: blocks %d/%d stitching broken at %d", l, l+1, i)
-			}
-		}
-	}
-	return nil
-}

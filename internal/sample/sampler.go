@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -14,11 +16,6 @@ const (
 	// NodeWise samples up to Fanouts[i] neighbors per destination
 	// (GraphSAGE-style; the paper's default, Figure 2).
 	NodeWise Method = iota
-	// LayerWise samples a per-layer budget of Fanouts[i] x |dst| nodes
-	// from the union of the destinations' neighbors, with probability
-	// proportional to degree (a simplified FastGCN/LADIES scheme), and
-	// keeps all edges into the sampled set.
-	LayerWise
 	// Full takes every neighbor (no sampling); Fanouts still sets the
 	// number of layers. Deterministic — useful for evaluation and
 	// exact-equivalence tests.
@@ -30,8 +27,7 @@ type Config struct {
 	// Fanouts lists per-layer neighbor sample counts ordered from the
 	// seed layer downward, matching the paper's notation: [10, 5] means
 	// the layer adjacent to the seeds samples 10 neighbors and the next
-	// (the first layer of computation) samples 5. Under LayerWise the
-	// per-layer node budget is Fanouts[i] x |dst|.
+	// (the first layer of computation) samples 5.
 	//
 	// Internally blocks are produced bottom-up, so Fanouts is consumed
 	// in reverse.
@@ -59,14 +55,9 @@ type Sampler struct {
 	keyed bool
 	key   uint64
 
-	// stamp/epoch is scratch for within-call set membership
-	// (pickNeighbors' Floyd sampling, sampleLayerWise's chosen set):
-	// u is chosen iff stamp[u] == epoch.
-	stamp []int32
-	epoch int32
 	// srcStamp/srcPos/srcGen is the per-layer dedup scratch: node u is
 	// already in the block's src list iff srcStamp[u] == srcGen, at
-	// position srcPos[u]. Both generations advance through nextGen.
+	// position srcPos[u]. The generation advances through nextSrcGen.
 	srcStamp []int32
 	srcPos   []int32
 	srcGen   int32
@@ -79,7 +70,6 @@ func NewSampler(g *graph.Graph, cfg Config, rng *graph.RNG) *Sampler {
 		g:        g,
 		cfg:      cfg,
 		rng:      rng,
-		stamp:    make([]int32, g.NumNodes()),
 		srcStamp: make([]int32, g.NumNodes()),
 		srcPos:   make([]int32, g.NumNodes()),
 	}
@@ -91,16 +81,14 @@ func NewSampler(g *graph.Graph, cfg Config, rng *graph.RNG) *Sampler {
 // reseeds its generator from a SplitMix64 hash of the three, so no
 // state carries from one draw to the next and a batch samples every
 // (l, v) exactly as a batch of v alone would. Full sampling draws
-// nothing; LayerWise draws from the whole batch by definition, so it
-// stays a sequential stream seeded from key and is not keyed. Online
-// inference samples this way (engine.InferWorker).
+// nothing. Online inference samples this way (engine.InferWorker).
 func (s *Sampler) SetKey(key uint64) {
 	s.rng.Reseed(key)
 	s.key, s.keyed = s.rng.Uint64(), true
 }
 
 // RNGState returns the sampler's RNG stream position for
-// checkpointing. The stamp/generation scratch is deliberately NOT part
+// checkpointing. The src stamp/generation scratch is deliberately NOT part
 // of the state: it only encodes set membership within one Sample call
 // and never influences which nodes are drawn, so a fresh sampler with
 // the same RNG state produces identical batches.
@@ -111,18 +99,19 @@ func (s *Sampler) RNGState() [4]uint64 { return s.rng.State() }
 // all-zero state.
 func (s *Sampler) SetRNGState(st [4]uint64) bool { return s.rng.SetState(st) }
 
-// nextGen advances a stamp generation, which resets the stamped set
-// in O(1). Generations are positive and stamps start at 0; when the
-// counter leaves the positive range (the int32 wraparound, which a
-// long-lived serving sampler reaches) the stamps are cleared and
-// counting restarts at 1, so no stale stamp equals a live generation.
-func nextGen(gen *int32, stamps []int32) int32 {
-	*gen++
-	if *gen <= 0 {
-		clear(stamps)
-		*gen = 1
+// nextSrcGen advances the src stamp generation, which resets the
+// stamped set in O(1). Generations are positive and stamps start at 0;
+// when the counter leaves the positive range (the int32 wraparound,
+// which a long-lived serving sampler reaches) the stamps are cleared
+// and counting restarts at 1, so no stale stamp equals a live
+// generation.
+func (s *Sampler) nextSrcGen() int32 {
+	s.srcGen++
+	if s.srcGen <= 0 {
+		clear(s.srcStamp)
+		s.srcGen = 1
 	}
-	return *gen
+	return s.srcGen
 }
 
 // Sample builds the mini-batch computation graph for the given seeds.
@@ -132,99 +121,22 @@ func (s *Sampler) Sample(seeds []graph.NodeID) *MiniBatch {
 	dst := seeds
 	for l := L - 1; l >= 0; l-- {
 		fanout := s.cfg.Fanouts[L-1-l]
-		var b *Block
-		switch s.cfg.Method {
-		case LayerWise:
-			b = s.sampleLayerWise(dst, fanout*len(dst))
-		case Full:
-			b = s.sampleLayer(l, dst, int(^uint(0)>>1))
-		default:
-			b = s.sampleLayer(l, dst, fanout)
+		if s.cfg.Method == Full {
+			fanout = int(^uint(0) >> 1)
 		}
-		blocks[l] = b
-		dst = b.Src
+		blocks[l] = s.sampleLayer(l, dst, fanout)
+		dst = blocks[l].Src
 	}
 	return &MiniBatch{Seeds: seeds, Blocks: blocks}
-}
-
-// newEdgePtr returns a pooled CSR pointer array for n destinations
-// with the leading 0 in place; entries 1..n are written by the caller
-// (both sampling paths assign every one).
-func newEdgePtr(n int) []int64 {
-	ep := int64Slices.get(n + 1)[:n+1]
-	ep[0] = 0
-	return ep
-}
-
-// sampleLayerWise draws up to `budget` nodes from the union of the
-// destinations' neighborhoods, with probability proportional to each
-// candidate's multiplicity in that union (a degree-weighted FastGCN
-// scheme), then connects every destination to its sampled neighbors.
-func (s *Sampler) sampleLayerWise(dst []graph.NodeID, budget int) *Block {
-	b := &Block{Dst: dst, EdgePtr: newEdgePtr(len(dst))}
-	// Candidate pool with multiplicity = how many destinations list u.
-	pool := nodeSlices.get(budget * 2)
-	defer nodeSlices.put(pool)
-	for _, v := range dst {
-		pool = append(pool, s.g.Neighbors(v)...)
-	}
-	b.Src = nodeSlices.get(budget)
-	b.SrcIdx = int32Slices.get(budget)
-	gen := nextGen(&s.srcGen, s.srcStamp)
-	addSrc := func(u graph.NodeID) int32 {
-		if s.srcStamp[u] == gen {
-			return s.srcPos[u]
-		}
-		p := int32(len(b.Src))
-		b.Src = append(b.Src, u)
-		s.srcStamp[u] = gen
-		s.srcPos[u] = p
-		return p
-	}
-	if s.cfg.IncludeDstInSrc {
-		for _, v := range dst {
-			addSrc(v)
-		}
-	}
-	// Sample the pool by index; drawing uniform indices of the
-	// multiplicity-weighted pool samples nodes with probability
-	// proportional to their in-union degree. The chosen set lives in
-	// the stamp scratch (pickNeighbors is not used on this path).
-	chosenGen := nextGen(&s.epoch, s.stamp)
-	nChosen := 0
-	if len(pool) <= budget {
-		for _, u := range pool {
-			if s.stamp[u] != chosenGen {
-				s.stamp[u] = chosenGen
-				nChosen++
-			}
-		}
-	} else {
-		for tries := 0; nChosen < budget && tries < budget*4; tries++ {
-			if u := pool[s.rng.Intn(len(pool))]; s.stamp[u] != chosenGen {
-				s.stamp[u] = chosenGen
-				nChosen++
-			}
-		}
-	}
-	for i, v := range dst {
-		for _, u := range s.g.Neighbors(v) {
-			if s.stamp[u] == chosenGen {
-				b.SrcIdx = append(b.SrcIdx, addSrc(u))
-			}
-		}
-		b.EdgePtr[i+1] = int64(len(b.SrcIdx))
-	}
-	return b
 }
 
 // sampleLayer samples up to fanout neighbors (without replacement) for
 // each destination and assembles the bipartite block of layer l.
 func (s *Sampler) sampleLayer(l int, dst []graph.NodeID, fanout int) *Block {
-	b := &Block{
-		Dst:     dst,
-		EdgePtr: newEdgePtr(len(dst)),
-	}
+	// A pooled CSR pointer array: the leading 0 here, every later
+	// entry assigned below.
+	b := &Block{Dst: dst, EdgePtr: int64Slices.get(len(dst) + 1)[:len(dst)+1]}
+	b.EdgePtr[0] = 0
 	// Edge capacity is exactly bounded: min(fanout, degree) per
 	// destination. Under Full fanout is huge, so bound by degree sums
 	// instead of multiplying.
@@ -240,7 +152,7 @@ func (s *Sampler) sampleLayer(l int, dst []graph.NodeID, fanout int) *Block {
 	b.Src = nodeSlices.get(capHint)
 	// Position map: src node -> index in b.Src, held in the stamped
 	// scratch arrays (O(1) reset between layers, no per-layer map).
-	gen := nextGen(&s.srcGen, s.srcStamp)
+	gen := s.nextSrcGen()
 	addSrc := func(u graph.NodeID) int32 {
 		if s.srcStamp[u] == gen {
 			return s.srcPos[u]
@@ -280,16 +192,14 @@ func (s *Sampler) pickNeighbors(l int, v graph.NodeID, fanout int) []graph.NodeI
 	if s.keyed {
 		s.rng.Reseed(s.key ^ uint64(l)<<32 ^ uint64(uint32(v)))
 	}
-	// Floyd's algorithm for sampling fanout distinct indices from [0,d).
-	gen := nextGen(&s.epoch, s.stamp)
+	// Floyd's algorithm for sampling fanout distinct indices from [0,d),
+	// testing membership against the at most fanout nodes chosen so far.
 	chosen := s.picks
 	for j := d - fanout; j < d; j++ {
-		t := s.rng.Intn(j + 1)
-		u := nb[t]
-		if s.stamp[u] == gen {
+		u := nb[s.rng.Intn(j+1)]
+		if slices.Contains(chosen, u) {
 			u = nb[j]
 		}
-		s.stamp[u] = gen
 		chosen = append(chosen, u)
 	}
 	s.picks = chosen

@@ -1,8 +1,12 @@
 package sample
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +24,7 @@ func TestSampleStructure(t *testing.T) {
 	s := NewSampler(g, Config{Fanouts: []int{10, 10, 10}}, graph.NewRNG(1))
 	seeds := []graph.NodeID{3, 77, 200, 444}
 	mb := s.Sample(seeds)
-	if err := mb.Validate(); err != nil {
+	if err := validateBatch(mb); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if len(mb.Blocks) != 3 {
@@ -103,7 +107,7 @@ func TestIncludeDstInSrc(t *testing.T) {
 			}
 		}
 	}
-	if err := mb.Validate(); err != nil {
+	if err := validateBatch(mb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,35 +218,33 @@ func TestZeroFanoutLayer(t *testing.T) {
 	if mb.Layer1().NumEdges() != 0 {
 		t.Errorf("fanout 0 produced %d edges", mb.Layer1().NumEdges())
 	}
-	if err := mb.Validate(); err != nil {
+	if err := validateBatch(mb); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStampWrapDrawsLikeFresh puts a sampler's stamp generations next
-// to the int32 wraparound — at MaxInt32, the last value before the
+// TestStampWrapDrawsLikeFresh puts a sampler's src stamp generation
+// next to the int32 wraparound — at MaxInt32, the last value before the
 // wrap, and at -2, where an unchecked counter lands after 2^32 - 2
-// draws, one bump short of -1 — with stale stamps left by earlier
+// layers, one bump short of -1 — with stale stamps left by earlier
 // draws, and checks that it draws exactly what a fresh sampler with
-// the same RNG state draws, node-wise (Floyd) and layer-wise.
+// the same RNG state draws.
 func TestStampWrapDrawsLikeFresh(t *testing.T) {
 	g := testGraph(t)
 	seeds := []graph.NodeID{5, 6, 7, 40, 41, 300}
-	for _, method := range []Method{NodeWise, LayerWise} {
-		for _, at := range []int32{math.MaxInt32, -2} {
-			cfg := Config{Fanouts: []int{3, 3}, Method: method}
-			worn := NewSampler(g, cfg, graph.NewRNG(11))
-			for i := 0; i < 4; i++ {
-				worn.Sample(seeds)
-			}
-			fresh := NewSampler(g, cfg, graph.NewRNG(1))
-			fresh.SetRNGState(worn.RNGState())
-			worn.epoch, worn.srcGen = at, at
-			for i := 0; i < 4; i++ {
-				want, got := fresh.Sample(seeds), worn.Sample(seeds)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("method %d, counters at %d: batch %d differs from a fresh sampler's", method, at, i)
-				}
+	for _, at := range []int32{math.MaxInt32, -2} {
+		cfg := Config{Fanouts: []int{3, 3}}
+		worn := NewSampler(g, cfg, graph.NewRNG(11))
+		for i := 0; i < 4; i++ {
+			worn.Sample(seeds)
+		}
+		fresh := NewSampler(g, cfg, graph.NewRNG(1))
+		fresh.SetRNGState(worn.RNGState())
+		worn.srcGen = at
+		for i := 0; i < 4; i++ {
+			want, got := fresh.Sample(seeds), worn.Sample(seeds)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("generation at %d: batch %d differs from a fresh sampler's", at, i)
 			}
 		}
 	}
@@ -292,4 +294,150 @@ func TestKeyedSamplerDrawsPerNode(t *testing.T) {
 	if !differs {
 		t.Fatal("keys 5 and 6 draw the same neighbours for every node")
 	}
+}
+
+func TestFullMethodDeterministicAndComplete(t *testing.T) {
+	g := graph.PreferentialAttachment(graph.GenerateConfig{NumNodes: 150, AvgDegree: 6, Seed: 11})
+	a := NewSampler(g, Config{Fanouts: []int{1, 1}, Method: Full}, graph.NewRNG(1)).Sample([]graph.NodeID{3, 7})
+	b := NewSampler(g, Config{Fanouts: []int{1, 1}, Method: Full}, graph.NewRNG(99)).Sample([]graph.NodeID{3, 7})
+	la, lb := a.Layer1(), b.Layer1()
+	if la.NumEdges() != lb.NumEdges() {
+		t.Fatal("full sampling not deterministic across RNG seeds")
+	}
+	top := a.Blocks[1]
+	for i, v := range top.Dst {
+		if top.DstDegree(i) != g.Degree(v) {
+			t.Errorf("full sampling dropped neighbors of %d: %d vs %d", v, top.DstDegree(i), g.Degree(v))
+		}
+	}
+}
+
+// drawGoldenGraph is a 96-node graph whose every fourth node is a hub
+// of degree 24–40, far above the fanouts, and whose rows repeat
+// neighbours: drawn with replacement, and with each row's first
+// neighbour listed twice more, so Floyd's step meets a node it has
+// already chosen both by redrawing it and through a duplicate entry.
+func drawGoldenGraph() *graph.Graph {
+	const n = 96
+	rng := graph.NewRNG(2024)
+	g := &graph.Graph{Indptr: make([]int64, n+1)}
+	for v := 0; v < n; v++ {
+		d := 1 + v%6
+		if v%4 == 0 {
+			d = 24 + v%17
+		}
+		first := graph.NodeID(rng.Intn(n))
+		g.Indices = append(g.Indices, first)
+		for i := 1; i < d; i++ {
+			g.Indices = append(g.Indices, graph.NodeID(rng.Intn(n)))
+		}
+		if d > 2 {
+			g.Indices = append(g.Indices, first, first)
+		}
+		g.Indptr[v+1] = int64(len(g.Indices))
+	}
+	return g
+}
+
+// TestNodeWiseDrawGolden pins node-wise sampling's draws: an FNV-64a
+// over every block of five batches, unkeyed and keyed (SetKey), with
+// and without the destinations in the source list. Any change to
+// which neighbours a draw picks, or to the order it lists them, moves
+// a hash. The hashes come from an earlier implementation of the Floyd
+// step's membership test, so one that moves is a change of draws, not
+// a golden to regenerate.
+func TestNodeWiseDrawGolden(t *testing.T) {
+	g := drawGoldenGraph()
+	batches := [][]graph.NodeID{{0, 4, 8, 1}, {12, 13, 0, 95}, {40, 44, 2, 3, 5}, {92, 88, 84}, {16, 20, 24, 28, 32, 36}}
+	digest := func(s *Sampler) uint64 {
+		h := fnv.New64a()
+		var buf []byte
+		for _, seeds := range batches {
+			mb := s.Sample(seeds)
+			if err := validateBatch(mb); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range mb.Blocks {
+				buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(b.Dst)))
+				for _, u := range b.Src {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+				}
+				for _, e := range b.EdgePtr {
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(e))
+				}
+				for _, i := range b.SrcIdx {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+				}
+				h.Write(buf)
+			}
+		}
+		return h.Sum64()
+	}
+	for _, tc := range []struct {
+		name  string
+		dstIn bool
+		key   uint64
+		keyed bool
+		want  uint64
+	}{
+		{"unkeyed", false, 0, false, 0x76a0de6a1fe17d5b},
+		{"unkeyed-dst-in-src", true, 0, false, 0x546398884bb86b2e},
+		{"keyed", false, 42, true, 0xcc92946c77b4bac1},
+		{"keyed-dst-in-src", true, 7, true, 0x63143b411d767888},
+	} {
+		s := NewSampler(g, Config{Fanouts: []int{10, 4}, IncludeDstInSrc: tc.dstIn}, graph.NewRNG(31))
+		if tc.keyed {
+			s.SetKey(tc.key)
+		}
+		if got := digest(s); got != tc.want {
+			t.Errorf("%s: draw digest %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// validateBlock checks a block's CSR invariants: one pointer per
+// destination plus the leading 0, monotone, ending at the edge count,
+// and every edge naming a source position in range.
+func validateBlock(b *Block) error {
+	if len(b.EdgePtr) != len(b.Dst)+1 {
+		return fmt.Errorf("edgeptr len %d, want %d", len(b.EdgePtr), len(b.Dst)+1)
+	}
+	if b.EdgePtr[0] != 0 {
+		return fmt.Errorf("edgeptr[0] != 0")
+	}
+	for i := 1; i < len(b.EdgePtr); i++ {
+		if b.EdgePtr[i] < b.EdgePtr[i-1] {
+			return fmt.Errorf("edgeptr not monotone at %d", i)
+		}
+	}
+	if b.EdgePtr[len(b.Dst)] != int64(len(b.SrcIdx)) {
+		return fmt.Errorf("edgeptr end %d != len(srcidx) %d", b.EdgePtr[len(b.Dst)], len(b.SrcIdx))
+	}
+	for i, s := range b.SrcIdx {
+		if s < 0 || int(s) >= len(b.Src) {
+			return fmt.Errorf("srcidx[%d] = %d out of range", i, s)
+		}
+	}
+	return nil
+}
+
+// validateBatch checks every block's invariants and the stitching
+// between them: the top block's destinations are the seeds, and each
+// block's destinations are the sources of the block above.
+func validateBatch(m *MiniBatch) error {
+	for l, b := range m.Blocks {
+		if err := validateBlock(b); err != nil {
+			return fmt.Errorf("block %d: %w", l, err)
+		}
+	}
+	top := m.Blocks[len(m.Blocks)-1]
+	if !slices.Equal(top.Dst, m.Seeds) {
+		return fmt.Errorf("top block's dst %v, want the seeds %v", top.Dst, m.Seeds)
+	}
+	for l := 0; l+1 < len(m.Blocks); l++ {
+		if lo, hi := m.Blocks[l], m.Blocks[l+1]; !slices.Equal(lo.Dst, hi.Src) {
+			return fmt.Errorf("blocks %d/%d: dst of the lower is not src of the upper", l, l+1)
+		}
+	}
+	return nil
 }

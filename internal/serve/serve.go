@@ -88,8 +88,7 @@ type Config struct {
 	// Sampling configures neighbor sampling per request. Use the
 	// training fanouts for the training-matched latency/accuracy point.
 	// Node-wise draws are keyed by (Seed, draw, layer, node), so
-	// answers are deterministic under every method but
-	// sample.LayerWise, which New refuses.
+	// answers are deterministic.
 	Sampling sample.Config
 	// Platform describes the simulated cluster; defaults to
 	// hardware.SingleMachine8GPU.

@@ -1,11 +1,13 @@
 // Package strategy defines the four parallelization strategies of the
 // paper (§3.1) — graph data parallel, node feature parallel, source
-// node parallel, and destination node parallel — plus the hybrid
-// extension, together with their qualitative trade-off matrix
-// (paper Table 1).
+// node parallel, and destination node parallel — together with their
+// qualitative trade-off matrix (paper Table 1).
 package strategy
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind identifies a parallelization strategy.
 type Kind int
@@ -26,54 +28,35 @@ const (
 	// destination nodes are shipped to their managing GPU, which
 	// computes their full embeddings.
 	DNP
-	// Hybrid (paper §5.2 future work, implemented here as an
-	// extension): GDP across machines, SNP within each machine.
-	Hybrid
-	numKinds
 )
 
 // Core lists the four strategies APT's planner selects among.
 var Core = []Kind{GDP, NFP, SNP, DNP}
 
+var names = [...]string{GDP: "GDP", NFP: "NFP", SNP: "SNP", DNP: "DNP"}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case GDP:
-		return "GDP"
-	case NFP:
-		return "NFP"
-	case SNP:
-		return "SNP"
-	case DNP:
-		return "DNP"
-	case Hybrid:
-		return "Hybrid"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && int(k) < len(names) {
+		return names[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Parse converts a strategy name to its Kind.
+// Parse converts a strategy name, canonical ("GDP") or lower case
+// ("gdp"), to its Kind.
 func Parse(s string) (Kind, error) {
-	switch s {
-	case "GDP", "gdp":
-		return GDP, nil
-	case "NFP", "nfp":
-		return NFP, nil
-	case "SNP", "snp":
-		return SNP, nil
-	case "DNP", "dnp":
-		return DNP, nil
-	case "Hybrid", "hybrid":
-		return Hybrid, nil
-	default:
-		return 0, fmt.Errorf("strategy: unknown strategy %q", s)
+	for k, name := range names {
+		if s == name || s == strings.ToLower(name) {
+			return Kind(k), nil
+		}
 	}
+	return 0, fmt.Errorf("strategy: unknown strategy %q", s)
 }
 
 // NeedsPartition reports whether the strategy requires an edge-cut
 // graph partitioning.
-func (k Kind) NeedsPartition() bool { return k == SNP || k == DNP || k == Hybrid }
+func (k Kind) NeedsPartition() bool { return k == SNP || k == DNP }
 
 // Level grades a cost from low (0) to high (3) in the Table 1 matrix.
 type Level int

@@ -3,14 +3,16 @@ package strategy
 import "testing"
 
 func TestParseRoundTrip(t *testing.T) {
-	for _, k := range append(append([]Kind{}, Core...), Hybrid) {
+	for _, k := range Core {
 		got, err := Parse(k.String())
 		if err != nil || got != k {
 			t.Errorf("Parse(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := Parse("xyz"); err == nil {
-		t.Error("Parse accepted unknown strategy")
+	for _, name := range []string{"xyz", "Hybrid", "hybrid"} {
+		if _, err := Parse(name); err == nil {
+			t.Errorf("Parse accepted unknown strategy %q", name)
+		}
 	}
 	if k, err := Parse("snp"); err != nil || k != SNP {
 		t.Error("lowercase parse failed")
@@ -18,7 +20,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestNeedsPartition(t *testing.T) {
-	want := map[Kind]bool{GDP: false, NFP: false, SNP: true, DNP: true, Hybrid: true}
+	want := map[Kind]bool{GDP: false, NFP: false, SNP: true, DNP: true}
 	for k, w := range want {
 		if k.NeedsPartition() != w {
 			t.Errorf("%v.NeedsPartition() = %v, want %v", k, k.NeedsPartition(), w)

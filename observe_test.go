@@ -15,8 +15,7 @@ import (
 // ParseStrategy is the inverse of Strategy.String for every strategy,
 // in canonical and lower case, and rejects unknown names.
 func TestStrategyRoundTrip(t *testing.T) {
-	all := []repro.Strategy{repro.GDP, repro.NFP, repro.SNP, repro.DNP, repro.Hybrid}
-	for _, k := range all {
+	for _, k := range repro.CoreStrategies {
 		name := k.String()
 		for _, s := range []string{name, strings.ToLower(name)} {
 			got, err := repro.ParseStrategy(s)
@@ -29,12 +28,7 @@ func TestStrategyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range repro.CoreStrategies {
-		if got, err := repro.ParseStrategy(k.String()); err != nil || got != k {
-			t.Errorf("core strategy %v does not round-trip (%v, %v)", k, got, err)
-		}
-	}
-	for _, bad := range []string{"", "gdp ", "PDQ", "hybri"} {
+	for _, bad := range []string{"", "gdp ", "PDQ", "Hybrid", "hybrid"} {
 		if _, err := repro.ParseStrategy(bad); err == nil {
 			t.Errorf("ParseStrategy(%q) accepted an unknown name", bad)
 		}

@@ -42,7 +42,8 @@ func WithTracePath(path string) Option {
 
 // WithCheckpointDir makes Train keep one rolling training snapshot,
 // dir/SnapshotName, atomically replaced at every epoch boundary, for
-// crash recovery via ResumeFile. Applies to NewAPT and ResumeFile.
+// crash recovery via ResumeFile; Train creates dir before the first
+// epoch. Applies to NewAPT and ResumeFile.
 func WithCheckpointDir(dir string) Option {
 	return Option{apt: func(a *core.APT) { a.CheckpointDir = dir }}
 }
