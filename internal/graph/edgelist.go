@@ -8,6 +8,10 @@ import (
 	"strings"
 )
 
+// maxIsolatedSpan bounds how many more nodes an edge list's ID span
+// may hold than its edges have endpoints (24 MiB of CSR offsets).
+const maxIsolatedSpan = 1 << 20
+
 // EdgeListOptions configures text edge-list parsing.
 type EdgeListOptions struct {
 	// Undirected adds each edge in both directions (the common case
@@ -20,8 +24,12 @@ type EdgeListOptions struct {
 // ReadEdgeList parses a whitespace-separated "src dst" text edge list
 // (the format SNAP and OGB distribute graphs in) into a CSR graph.
 // Node IDs must be non-negative integers; the graph spans [0, maxID].
-// Lines starting with "#", SNAP's comment marker, are skipped. Unknown
-// tokens or malformed lines produce an error with the line number.
+// IDs that no edge names are isolated nodes, and a list may leave at
+// most maxIsolatedSpan more of them than its edges have endpoints: the
+// CSR arrays grow with the span, not the file, so a one-line list
+// naming node 10^9 would otherwise allocate gigabytes. Lines starting
+// with "#", SNAP's comment marker, are skipped. Unknown tokens or
+// malformed lines produce an error with the line number.
 func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, error) {
 	type rawEdge struct{ u, v int64 }
 	var edges []rawEdge
@@ -63,6 +71,10 @@ func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, error) {
 	}
 	if maxID >= 1<<31 {
 		return nil, fmt.Errorf("graph: node ID %d exceeds int32", maxID)
+	}
+	if maxID+1 > 2*int64(len(edges))+maxIsolatedSpan {
+		return nil, fmt.Errorf("graph: node ID %d spans %d nodes but %d edges name at most %d; renumber the IDs densely",
+			maxID, maxID+1, len(edges), 2*len(edges))
 	}
 	b := NewBuilder(int(maxID + 1))
 	for _, e := range edges {

@@ -41,11 +41,30 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"1\n",
 		"-1 2\n",
 		"1 xyz\n",
+		"222222222 4\n",
 	}
 	for _, c := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(c), EdgeListOptions{}); err == nil {
 			t.Errorf("accepted malformed input %q", c)
 		}
+	}
+}
+
+// TestReadEdgeListIsolatedSpan: a list may name IDs past its edges'
+// endpoints up to maxIsolatedSpan more nodes, which become isolated;
+// one node further is refused before any CSR array is allocated.
+func TestReadEdgeListIsolatedSpan(t *testing.T) {
+	top := fmt.Sprintf("0 %d\n", 2+maxIsolatedSpan-1)
+	g, err := ReadEdgeList(strings.NewReader(top), EdgeListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 2+maxIsolatedSpan || g.NumEdges() != 1 {
+		t.Errorf("nodes=%d edges=%d, want %d and 1", g.NumNodes(), g.NumEdges(), 2+maxIsolatedSpan)
+	}
+	past := fmt.Sprintf("0 %d\n", 2+maxIsolatedSpan)
+	if _, err := ReadEdgeList(strings.NewReader(past), EdgeListOptions{}); err == nil || !strings.Contains(err.Error(), "renumber") {
+		t.Errorf("ReadEdgeList(%q) = %v, want a span error", past, err)
 	}
 }
 

@@ -134,17 +134,19 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
+// fail records err and consumes the rest of the buffer, so that every
+// later read, whatever its kind, returns a zero value.
 func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
+	d.off = len(d.b)
 }
 
 // take returns the next n bytes, or nil after marking truncation.
 func (d *Decoder) take(n int) []byte {
 	if n < 0 || d.Remaining() < n {
 		d.fail(fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, n, d.Remaining()))
-		d.off = len(d.b)
 		return nil
 	}
 	b := d.b[d.off : d.off+n]

@@ -195,6 +195,32 @@ func TestDecodeRejectsHugeCount(t *testing.T) {
 	}
 }
 
+// TestDecoderFailureIsSticky: once a read fails, every later read
+// returns zero even where bytes remain, so a length read after a
+// rejected count cannot size an allocation from the bytes that follow.
+func TestDecoderFailureIsSticky(t *testing.T) {
+	for name, read := range map[string]func(*Decoder){
+		"count":    func(d *Decoder) { d.TakeBytes() },
+		"presence": func(d *Decoder) { d.Presence() },
+	} {
+		var e Encoder
+		e.U32(1 << 30) // a byte-string length past the end
+		e.U32(0xffffffff)
+		e.U64(7)
+		if name == "presence" {
+			e.B[0] = 2 // a presence byte that is neither 0 nor 1
+		}
+		d := NewDecoder(e.B)
+		read(d)
+		if d.Err() == nil {
+			t.Fatalf("%s: the first read did not fail", name)
+		}
+		if n, v, r := d.U32(), d.U64(), d.Remaining(); n != 0 || v != 0 || r != 0 {
+			t.Errorf("%s: after a failure U32 = %d, U64 = %d, Remaining = %d; want zeros", name, n, v, r)
+		}
+	}
+}
+
 func TestDecodeRejectsUnknownData(t *testing.T) {
 	var e Encoder
 	e.U8(wireVersion)
