@@ -89,6 +89,10 @@ func main() {
 	// dataset is built or socket opened.
 	var bad string
 	switch {
+	case spec.Devices < 1:
+		bad = fmt.Sprintf("-devices %d: need at least one device", spec.Devices)
+	case *epochs < 1:
+		bad = fmt.Sprintf("-epochs %d: need at least one epoch", *epochs)
 	case *rank < -1 || *rank >= spec.Devices:
 		bad = fmt.Sprintf("-rank %d outside [0, -devices %d)", *rank, spec.Devices)
 	case ranked && *coord == "":
@@ -99,8 +103,7 @@ func main() {
 		bad = "-resume requires -ckpt-dir"
 	}
 	if bad != "" {
-		fmt.Fprintln(os.Stderr, "aptrun:", bad)
-		os.Exit(2)
+		usage(bad)
 	}
 	prefix := ""
 	if ranked {
@@ -109,7 +112,9 @@ func main() {
 	logf := func(format string, args ...any) { fmt.Printf(prefix+format+"\n", args...) }
 
 	ds, task, err := spec.Build(!*simulate, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
-	fatal(err)
+	if err != nil {
+		usage(err.Error()) // every job the flags cannot describe
+	}
 
 	tr := comm.NewChanTransport(spec.Devices) // every device in this process
 	if ranked {
@@ -242,4 +247,10 @@ func fatal(err error) {
 		fmt.Fprintln(os.Stderr, "aptrun:", err)
 		os.Exit(1)
 	}
+}
+
+// usage refuses a flag set before anything is built or trained.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "aptrun:", msg)
+	os.Exit(2)
 }

@@ -301,9 +301,10 @@ func TestMixedCoreRanksBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRejectedFlagCombinations: combinations that cannot work exit 2
-// with a one-line reason at flag validation — before the dataset is
-// built and without touching the network.
+// TestRejectedFlagCombinations: flags and combinations that cannot
+// work exit 2 with a one-line reason that names the flag, before any
+// training output and without touching the network. The job flags
+// (-scale, -hidden) are judged where the job is built.
 func TestRejectedFlagCombinations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -319,9 +320,17 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-coord", "127.0.0.1:1"}, "give -rank"},
 		{[]string{"-measure-wire"}, "give -rank"},
 		{[]string{"-resume"}, "-resume requires -ckpt-dir"},
+		{[]string{"-epochs", "0"}, "-epochs 0"},
+		{[]string{"-epochs", "-1"}, "-epochs -1"},
+		{[]string{"-devices", "-2"}, "-devices -2"},
+		{[]string{"-scale", "0"}, "scale 0"},
+		{[]string{"-scale", "-1"}, "scale -1"},
+		{[]string{"-scale", "NaN"}, "scale NaN"},
+		{[]string{"-scale", "Inf"}, "scale +Inf"},
+		{[]string{"-hidden", "-3"}, "hidden -3"},
 	} {
 		out, code := run(bin, nil, tc.args...)
-		if code != 2 || !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
+		if code != 2 || !strings.HasPrefix(out, "aptrun: ") || !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
 			t.Errorf("aptrun %v: exit %d, output %q; want exit 2 and one line containing %q",
 				tc.args, code, out, tc.want)
 		}

@@ -33,6 +33,11 @@
 // (net/http/pprof). To benchmark the serving path use the repo's load
 // generator: `bash bench/run.sh -workload serve-ps-zipf-open`.
 //
+// A flag set that cannot serve (-train-epochs 0, -cache-frac outside
+// [0, 1], -max-batch 0, an -addr that cannot be bound, a job flag the
+// job cannot be built from) exits 2 with one line naming the flag,
+// before anything is trained: -addr is bound first.
+//
 // Every endpoint is open to anyone who can reach -addr: /reload swaps
 // the model, and /debug/pprof/ shows the command line (checkpoint
 // paths) and the heap and runs CPU profiles and execution traces of
@@ -47,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -75,9 +81,32 @@ func main() {
 		cacheFr = flag.Float64("cache-frac", 0.08, "per-device feature cache, as a fraction of total feature bytes")
 	)
 	flag.Parse()
-
+	// Flags that cannot serve are refused before anything is built or
+	// trained; the listener is bound first for the same reason.
+	var bad string
+	switch {
+	case *trainEp < 1:
+		bad = fmt.Sprintf("-train-epochs %d: need at least one epoch", *trainEp)
+	case !(*cacheFr >= 0 && *cacheFr <= 1):
+		bad = fmt.Sprintf("-cache-frac %v outside [0, 1]", *cacheFr)
+	case *maxB < 1:
+		bad = fmt.Sprintf("-max-batch %d: need at least one seed", *maxB)
+	case *workers < 0:
+		bad = fmt.Sprintf("-workers %d is negative", *workers)
+	case *maxD < 0:
+		bad = fmt.Sprintf("-max-delay %v is negative", *maxD)
+	}
+	if bad != "" {
+		usage(bad)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		usage(fmt.Sprintf("-addr %s: %v", *addr, err))
+	}
 	ds, task, err := spec.Build(true, 7, func(s *dataset.Spec) { s.HomophilyDegree = 6 })
-	fatal(err)
+	if err != nil {
+		usage(err.Error()) // every job the flags cannot describe
+	}
 	task.CacheBytes = ds.CacheBytesFraction(*cacheFr)
 	if spec.Fanout <= 0 {
 		task.Sampling.Method = sample.Full
@@ -123,7 +152,7 @@ func main() {
 		ReloadPath: *ckpt,
 	})
 	fatal(err)
-	serveHTTP(srv, *addr)
+	serveHTTP(srv, ln)
 }
 
 // predictRequest is the /predict request body.
@@ -218,9 +247,10 @@ func predictError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// serveHTTP runs the HTTP daemon until SIGINT/SIGTERM, then drains.
-func serveHTTP(srv *serve.Server, addr string) {
-	hs := &http.Server{Addr: addr, Handler: newMux(srv)}
+// serveHTTP runs the HTTP daemon on ln until SIGINT/SIGTERM, then
+// drains.
+func serveHTTP(srv *serve.Server, ln net.Listener) {
+	hs := &http.Server{Handler: newMux(srv)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -244,8 +274,8 @@ func serveHTTP(srv *serve.Server, addr string) {
 		hs.Shutdown(ctx)
 		srv.Close()
 	}()
-	fmt.Printf("aptserve listening on %s (%d workers)\n", addr, srv.NumWorkers())
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	fmt.Printf("aptserve listening on %s (%d workers)\n", ln.Addr(), srv.NumWorkers())
+	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
 	<-done
@@ -256,4 +286,10 @@ func fatal(err error) {
 		fmt.Fprintln(os.Stderr, "aptserve:", err)
 		os.Exit(1)
 	}
+}
+
+// usage refuses a flag set before anything is built or trained.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "aptserve:", msg)
+	os.Exit(2)
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/hardware"
@@ -198,6 +201,46 @@ func TestPprofEndpoints(t *testing.T) {
 		rec := do(mux, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
 			t.Errorf("GET %s: status %d with %d body bytes, want 200 and a body", path, rec.Code, rec.Body.Len())
+		}
+	}
+}
+
+// TestRejectedFlags: every flag set that cannot serve exits 2 with one
+// "aptserve:" line naming the flag, before the model is trained or a
+// request served: the listener is bound before training, and the job
+// flags (-scale, -hidden) are judged where the job is built.
+func TestRejectedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "aptserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	base := []string{"-data", "PS", "-scale", "0.02", "-train-epochs", "1", "-addr", "127.0.0.1:0"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-train-epochs", "0"}, "-train-epochs 0"},
+		{[]string{"-cache-frac", "2"}, "-cache-frac 2"},
+		{[]string{"-cache-frac", "-1"}, "-cache-frac -1"},
+		{[]string{"-max-batch", "-5"}, "-max-batch -5"},
+		{[]string{"-addr", "bogus::"}, "-addr bogus::"},
+		{[]string{"-scale", "0"}, "scale 0"},
+		{[]string{"-hidden", "-3"}, "hidden -3"},
+	} {
+		// A flag set that is not refused trains and then serves until
+		// killed.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, bin, append(append([]string(nil), base...), tc.args...)...)
+		out, _ := cmd.CombinedOutput()
+		cancel()
+		code := cmd.ProcessState.ExitCode()
+		if code != 2 || !strings.HasPrefix(string(out), "aptserve: ") ||
+			!strings.Contains(string(out), tc.want) || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("aptserve %v: exit %d, output %q; want exit 2 and one line containing %q",
+				tc.args, code, out, tc.want)
 		}
 	}
 }

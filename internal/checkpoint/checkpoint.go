@@ -1,9 +1,10 @@
 // Package checkpoint defines APT's versioned training snapshot: one
-// self-describing binary artifact holding everything a training run
-// needs to resume bit-identically — model parameters, optimizer
-// moments, the sampler RNG stream positions, epoch counters, cache
-// hotness, and the active plan (strategy, pipeline depth, cache-tier
-// split).
+// self-describing binary artifact holding what a training run reads to
+// resume bit-identically — model parameters, optimizer moments, the
+// sampler RNG stream positions, the epoch counter, cache hotness, the
+// active plan (strategy, cache-tier split) and the re-planner's learned
+// calibration. What the run can derive again from its task, such as
+// the planner's per-strategy dry-run statistics, is not stored.
 //
 // The design mirrors the transport wire codec (internal/transport):
 // little-endian primitives, length-prefixed CRC-framed sections, a
@@ -34,21 +35,16 @@ import (
 // previous one.
 const DefaultName = "snapshot.aptc"
 
-// Snapshot is the full training state at an epoch boundary. The
-// zero-valued optional fields (Opt, SamplerRNG, Freq) encode as absent
-// sections; ResumeFile degrades gracefully without them (cold optimizer,
-// fresh RNG streams, re-run dry-run).
+// Snapshot is the training state at an epoch boundary. The
+// zero-valued optional fields (Opt, SamplerRNG, Freq, Adaptive) encode
+// as absent sections; ResumeFile degrades gracefully without them (cold
+// optimizer, fresh RNG streams, re-run dry-run, cold re-planner).
 //
 //apt:snapshot
 type Snapshot struct {
 	// Strategy is the canonical name of the active strategy
 	// (strategy.Kind round-trips through it).
 	Strategy string
-	// Pipelined records whether the run overlapped sampling with
-	// compute. PipelineDepth is a format field only: the prefetch bound
-	// is an engine constant, so writers record 0 and readers ignore it.
-	Pipelined     bool
-	PipelineDepth int
 	// Int8Frac is the warm-tier share of the cache budget the run was
 	// using (the re-planner may have moved it off the task's value).
 	Int8Frac float64
@@ -59,10 +55,9 @@ type Snapshot struct {
 	// A resume onto a different device count (elastic resume) keeps the
 	// params and optimizer but must drop the cursors and re-plan.
 	Devices int
-	// EpochsDone counts fully completed epochs; StepInEpoch is reserved
-	// for future mid-epoch snapshots and is always 0 at a boundary.
-	EpochsDone  int
-	StepInEpoch int
+	// EpochsDone counts fully completed epochs. Snapshots are taken
+	// only at epoch boundaries.
+	EpochsDone int
 	// Model is one replica's parameters, encoded by EncodeModel (the
 	// body is itself versioned; replicas are identical by the allreduce
 	// invariant, so one is enough).
@@ -78,13 +73,14 @@ type Snapshot struct {
 	SamplerRNG [][4]uint64
 	EpochRNG   [4]uint64
 	// Freq is the dry-run access-frequency vector the caches were
-	// configured from; restoring it lets a same-topology resume skip
-	// the dry-run entirely.
+	// configured from; restoring it lets a same-topology Train resume
+	// skip the dry-run entirely, and aptserve admits its serving caches
+	// from it.
 	Freq []int64
-	// Adaptive carries the online re-planner's learned state and the
-	// per-strategy dry-run statistics, so a resumed TrainAdaptive keeps
-	// re-planning with the calibration it had already learned. Nil when
-	// the run had no planner state to save.
+	// Adaptive carries the online re-planner's learned state, so a
+	// resumed TrainAdaptive keeps re-planning with the calibration it had
+	// already learned. Nil unless a re-planner was live: a cold one is
+	// what a resumed TrainAdaptive builds anyway.
 	Adaptive *AdaptiveState
 }
 

@@ -12,10 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/strategy"
 )
 
 // fullSnapshot builds a snapshot exercising every section.
@@ -34,56 +32,34 @@ func fullSnapshot(t *testing.T) *Snapshot {
 	opt.Step(params)
 	st := opt.State(params)
 	return &Snapshot{
-		Strategy:      "NFP",
-		Pipelined:     true,
-		PipelineDepth: 2,
-		Int8Frac:      0.25,
-		Seed:          42,
-		Devices:       2,
-		EpochsDone:    3,
-		Model:         model,
-		Opt:           &st,
-		SamplerRNG:    [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
-		EpochRNG:      [4]uint64{9, 10, 11, 12},
-		Freq:          []int64{4, 0, 9, 1},
-		Adaptive:      adaptiveState(),
+		Strategy:   "NFP",
+		Int8Frac:   0.25,
+		Seed:       42,
+		Devices:    2,
+		EpochsDone: 3,
+		Model:      model,
+		Opt:        &st,
+		SamplerRNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		EpochRNG:   [4]uint64{9, 10, 11, 12},
+		Freq:       []int64{4, 0, 9, 1},
+		Adaptive:   adaptiveState(),
 	}
 }
 
 // adaptiveState builds a re-planner state with every field exercised.
 func adaptiveState() *AdaptiveState {
-	gdp := engine.EpochStats{
-		SampleSec: 0.5, BuildSec: 0.25, LoadSec: 2, TrainSec: 1.5, ShuffleSec: 0.125,
-		NumBatches: 7, MeanLoss: 1.25,
-	}
-	gdp.Totals.SampledEdges = 900
-	gdp.Totals.GradCommSec = 0.25
-	gdp.Totals.GradExposedSec = 0.0625
-	gdp.PerDevice = []engine.WorkerStats{{SeedsProcessed: 40}, {SeedsProcessed: 41}}
-	gdp.PerDevice[0].Load.Nodes[0] = 11
-	gdp.PerDevice[0].Load.Bytes[0] = 44
-	gdp.PerDevice[0].Load.Seconds = 0.375
-	snp := engine.EpochStats{BuildSec: 3, NumBatches: 7, OOM: true}
-	snp.Totals.GraphA2ABytes = 1 << 20
-	snp.Totals.VirtualNodes = 123
 	return &AdaptiveState{
-		BaseFrac:    0.25,
 		Cooldown:    1,
 		CalBuild:    1.5,
 		CalLoadHost: 0.75,
 		CalShuffle:  1,
 		CalTrain:    0.875,
 		GradOverlap: 0.75,
-		PerStrategy: map[strategy.Kind]engine.EpochStats{
-			strategy.GDP: gdp,
-			strategy.SNP: snp,
-		},
 	}
 }
 
-// TestRoundTripAdaptive pins the adaptive section: the full re-planner
-// state — calibration factors, overlap, and the per-strategy dry-run
-// stats with their per-device breakdown — survives encode/decode, and
+// TestRoundTripAdaptive pins the adaptive section: the re-planner's
+// cooldown, calibration factors and overlap survive encode/decode, and
 // the encoding is canonical.
 func TestRoundTripAdaptive(t *testing.T) {
 	s := fullSnapshot(t)
@@ -101,44 +77,32 @@ func TestRoundTripAdaptive(t *testing.T) {
 }
 
 // TestDecodeRejectsBadAdaptive covers the adaptive section's rejection
-// classes: out-of-order strategies and a location-count mismatch.
+// classes: a body shorter or longer than its fixed frame, and a
+// version-1 adaptive body (base split first, per-strategy stats after)
+// inside a version-2 container.
 func TestDecodeRejectsBadAdaptive(t *testing.T) {
-	base := minimalSnapshot(t)
-	encode := func(mutate func(*AdaptiveState)) []byte {
-		s := *base
-		s.Adaptive = adaptiveState()
-		mutate(s.Adaptive)
-		b, err := s.Encode()
-		if err != nil {
-			t.Fatal(err)
+	s := minimalSnapshot(t)
+	s.Adaptive = adaptiveState()
+	secs := sections(t, mustEncode(t, s))
+	last := len(secs) - 1
+	if secs[last][0][0] != secAdaptive {
+		t.Fatalf("last section is %d, want the adaptive section", secs[last][0][0])
+	}
+	body := secs[last][1]
+	v1 := binary.LittleEndian.AppendUint64(nil, 0x3fd0000000000000) // base split 0.25
+	v1 = append(append(v1, body...), 0, 0, 0, 0)                    // no strategies
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", body[:len(body)-1]},
+		{"trailing", append(append([]byte(nil), body...), 0)},
+		{"v1 layout", v1},
+	} {
+		secs[last][1] = c.body
+		if _, err := Decode(reframe(secs...)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s adaptive body: err = %v, want ErrMalformed", c.name, err)
 		}
-		return b
-	}
-	ok := encode(func(*AdaptiveState) {})
-	if _, err := Decode(ok); err != nil {
-		t.Fatalf("baseline adaptive snapshot rejected: %v", err)
-	}
-	// Rewrite every "GDP" name prefix to a kind sorting after "SNP"'s
-	// (the meta section's copy stays a valid strategy; the adaptive
-	// section's first entry becomes DNP before SNP) — the decoder must
-	// reject the no-longer-ascending order.
-	bad := bytes.ReplaceAll(ok, []byte("\x03\x00\x00\x00GDP"), []byte("\x03\x00\x00\x00DNP"))
-	fixCRC(t, bad)
-	if _, err := Decode(bad); !errors.Is(err, ErrMalformed) {
-		t.Errorf("out-of-order adaptive strategies: err = %v, want ErrMalformed", err)
-	}
-}
-
-// fixCRC recomputes every section CRC of a possibly-mutated snapshot so
-// structural rejections are tested, not the CRC frame.
-func fixCRC(t *testing.T, b []byte) {
-	t.Helper()
-	rest := b[12:]
-	for len(rest) > 0 {
-		bodyLen := int(binary.LittleEndian.Uint32(rest[1:]))
-		body := rest[5 : 5+bodyLen]
-		binary.LittleEndian.PutUint32(rest[5+bodyLen:], crc32.ChecksumIEEE(body))
-		rest = rest[5+bodyLen+4:]
 	}
 }
 
@@ -182,19 +146,16 @@ func TestSnapshotGolden(t *testing.T) {
 	got := mustEncode(t, s)
 	const want = "" +
 		"53545041" + // magic "APTS" (little-endian)
-		"01000000" + // version 1
+		"02000000" + // version 2
 		"03000000" + // 3 sections
-		// meta: id 1, len 40
-		"01" + "28000000" +
+		// meta: id 1, len 31
+		"01" + "1f000000" +
 		"03000000474450" + // strategy "GDP"
-		"00" + // not pipelined
-		"00000000" + // depth 0
 		"000000000000e03f" + // float64(0.5)
 		"0807060504030201" + // seed
 		"01000000" + // 1 device
 		"00000000" + // 0 epochs done
-		"00000000" + // step 0
-		"da2248a1" + // crc
+		"d772ccf9" + // crc
 		// model: id 2, len 4
 		"02" + "04000000" + "deadbeef" + "5aa39c7c" +
 		// rng: id 4, len 68
@@ -320,6 +281,36 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
+// TestReadFileRefusesVersion1: a file in the version-1 layout (the
+// meta section still holds the pipelined flag, the pipeline depth and
+// the step in the epoch) is refused as a version, not parsed as a
+// malformed version 2, and the error names the file.
+func TestReadFileRefusesVersion1(t *testing.T) {
+	const v1 = "" +
+		"53545041" + "01000000" + "03000000" +
+		"01" + "28000000" +
+		"03000000474450" + "00" + "00000000" + "000000000000e03f" +
+		"0807060504030201" + "01000000" + "00000000" + "00000000" +
+		"da2248a1" +
+		"02" + "04000000" + "deadbeef" + "5aa39c7c" +
+		"04" + "44000000" + "01000000" +
+		"0100000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" +
+		"0000000000000000" + "0000000000000000" + "0000000000000000" + "0200000000000000" +
+		"67dcfab8"
+	b, err := hex.DecodeString(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), DefaultName)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadFile(path)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("ReadFile(v1 snapshot) = %v, want ErrVersion naming %s", err, path)
+	}
+}
+
 func TestDecodeBadMagic(t *testing.T) {
 	b := mustEncode(t, fullSnapshot(t))
 	bad := append([]byte(nil), b...)
@@ -438,7 +429,6 @@ func TestDecodeRejectsBadMeta(t *testing.T) {
 		func(s *Snapshot) { s.Strategy = "WARP" },
 		func(s *Snapshot) { s.Int8Frac = 1.5 },
 		func(s *Snapshot) { s.Int8Frac = -0.1 },
-		func(s *Snapshot) { s.StepInEpoch = 3 },
 	}
 	for i, mutate := range cases {
 		s := minimalSnapshot(t)
@@ -550,7 +540,6 @@ func FuzzDecode(f *testing.F) {
 	m.Init(graph.NewRNG(1))
 	full := &Snapshot{
 		Strategy:   "DNP",
-		Pipelined:  true,
 		Int8Frac:   0.125,
 		Seed:       3,
 		Devices:    1,
@@ -560,6 +549,7 @@ func FuzzDecode(f *testing.F) {
 		SamplerRNG: [][4]uint64{{1, 2, 3, 4}},
 		EpochRNG:   [4]uint64{5, 6, 7, 8},
 		Freq:       []int64{1, 0, 2},
+		Adaptive:   &AdaptiveState{Cooldown: 1, CalBuild: 1.25, CalTrain: 0.5, GradOverlap: 0.75},
 	}
 	if b, err := full.Encode(); err == nil {
 		f.Add(b)

@@ -26,6 +26,18 @@ import (
 // byte for byte (the fuzz harness pins this), so no two byte strings
 // decode to the same snapshot.
 //
+// The meta and adaptive bodies:
+//
+//	meta:     u32 len, strategy name, f64 int8 fraction, u64 seed,
+//	          u32 devices, u32 epochs done
+//	adaptive: u32 cooldown, f64 calibration build, load-host, shuffle,
+//	          train, f64 gradient overlap
+//
+// A snapshot holds only state a resume reads: what a resume derives
+// again from the task, such as the dry run's per-strategy statistics,
+// is not stored. Version-1 files, which carried such fields, are
+// refused with ErrVersion.
+//
 // The model section's body carries one replica's parameters:
 //
 //	u32 magic "APTM", u32 version (modelVersion)
@@ -38,7 +50,7 @@ import (
 // shapes against it. The container does not parse this body.
 
 // snapVersion is the container version; bump on any layout change.
-const snapVersion = 1
+const snapVersion = 2
 
 // snapMagic identifies snapshot files ("APTS" read as a little-endian
 // word from the on-disk bytes 'S' 'T' 'P' 'A').
@@ -134,17 +146,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 func (s *Snapshot) encodeMeta() []byte {
 	var e transport.Encoder
 	e.Bytes([]byte(s.Strategy))
-	if s.Pipelined {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U32(uint32(s.PipelineDepth))
 	e.U64(math.Float64bits(s.Int8Frac))
 	e.U64(s.Seed)
 	e.U32(uint32(s.Devices))
 	e.U32(uint32(s.EpochsDone))
-	e.U32(uint32(s.StepInEpoch))
 	return e.B
 }
 
@@ -337,21 +342,10 @@ func Decode(b []byte) (*Snapshot, error) {
 func (s *Snapshot) decodeMeta(body []byte) error {
 	d := transport.NewDecoder(body)
 	s.Strategy = string(d.TakeBytes())
-	switch d.U8() {
-	case 0:
-	case 1:
-		s.Pipelined = true
-	default:
-		if d.Err() == nil {
-			return fmt.Errorf("%w: meta pipelined byte not 0/1", ErrMalformed)
-		}
-	}
-	s.PipelineDepth = int(d.U32())
 	s.Int8Frac = math.Float64frombits(d.U64())
 	s.Seed = d.U64()
 	s.Devices = int(d.U32())
 	s.EpochsDone = int(d.U32())
-	s.StepInEpoch = int(d.U32())
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("%w: meta: %v", ErrMalformed, err)
 	}
@@ -366,10 +360,6 @@ func (s *Snapshot) decodeMeta(body []byte) error {
 	}
 	if s.Devices <= 0 {
 		return fmt.Errorf("%w: %d devices", ErrMalformed, s.Devices)
-	}
-	if s.StepInEpoch != 0 {
-		return fmt.Errorf("%w: mid-epoch snapshots (step %d) are not supported by this version",
-			ErrMalformed, s.StepInEpoch)
 	}
 	return nil
 }

@@ -43,8 +43,9 @@ type APT struct {
 	prepared bool
 	planned  bool
 
-	// int8Frac is the live warm-tier split used by buildStore. It
-	// starts at Task.Int8CacheFrac and is resized by the re-planner.
+	// int8Frac is the live warm-tier split the training engines' stores
+	// use. It starts at Task.Int8CacheFrac and is resized by the
+	// re-planner; the dry run always runs under the task's split.
 	int8Frac float64
 
 	// CheckpointDir, when non-empty, makes Train write the rolling
@@ -80,7 +81,7 @@ type APT struct {
 	// TrainAdaptive runs, so snapshots capture its learned state) and
 	// the restored state a resumed APT hands to its first re-planner.
 	replanner    *Replanner
-	resumeReplan *ReplanState
+	resumeReplan *checkpoint.AdaptiveState
 
 	// Observability: reg always exists (epoch metrics fold into it);
 	// spans is created only when an option asked for span collection.
@@ -189,10 +190,11 @@ func (a *APT) Plan() (strategy.Kind, error) {
 }
 
 // buildStore assembles the unified feature store for one strategy:
-// host placement, per-strategy cache policy, and NFP's dimension-shard
-// accounting (paper §3.2 and §4.2). Without the task's features
-// (withFeats false: the dry run) an engine over it only charges.
-func (a *APT) buildStore(k strategy.Kind, freq []int64, withFeats bool) *cache.Store {
+// host placement, per-strategy cache policy with int8Frac of the cache
+// budget in the warm tier, and NFP's dimension-shard accounting (paper
+// §3.2 and §4.2). Without the task's features (withFeats false: the dry
+// run) an engine over it only charges.
+func (a *APT) buildStore(k strategy.Kind, freq []int64, int8Frac float64, withFeats bool) *cache.Store {
 	t := &a.task
 	var feats = t.Feats
 	if !withFeats {
@@ -217,7 +219,7 @@ func (a *APT) buildStore(k strategy.Kind, freq []int64, withFeats bool) *cache.S
 		Freq:   freq,
 		Assign: a.part.Assign,
 		Graph:  t.Graph,
-	}, t.CacheBytes, a.int8Frac)
+	}, t.CacheBytes, int8Frac)
 	if t.Platform.Machines > 1 && t.CPUCacheBytes > 0 {
 		a.configureCPUCaches(s, freq)
 	}
@@ -309,7 +311,7 @@ func (a *APT) buildEngine(k strategy.Kind, tr comm.Transport) (*engine.Engine, e
 		}
 		a.dryRun = &DryRunStats{Freq: a.collectFrequencies()}
 	}
-	cfg := a.engineConfig(k, a.buildStore(k, a.dryRun.Freq, true))
+	cfg := a.engineConfig(k, a.buildStore(k, a.dryRun.Freq, a.int8Frac, true))
 	cfg.Spans = a.spans
 	cfg.Transport = tr
 	e, err := engine.New(cfg)

@@ -64,7 +64,6 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 	local := e.Ranks()[0]
 	s := &checkpoint.Snapshot{
 		Strategy:   k.String(),
-		Pipelined:  a.task.Pipeline,
 		Int8Frac:   a.int8Frac,
 		Seed:       a.task.Seed,
 		Devices:    a.task.Platform.NumDevices(),
@@ -80,26 +79,13 @@ func (a *APT) buildSnapshot(e *engine.Engine, k strategy.Kind) (*checkpoint.Snap
 	if a.dryRun != nil {
 		s.Freq = a.dryRun.Freq
 	}
-	if a.dryRun != nil && a.dryRun.PerStrategy != nil {
-		// Carry the planner's inputs and learned state so a resumed
-		// TrainAdaptive keeps re-planning online. Outside an adaptive run
-		// there is no live re-planner; the state is then the task's
-		// dry-run split with cold calibration, which is exactly what a
-		// fresh re-planner over these stats would start from.
-		st := ReplanState{BaseFrac: a.task.Int8CacheFrac}
-		if a.replanner != nil {
-			st = a.replanner.State()
-		}
-		s.Adaptive = &checkpoint.AdaptiveState{
-			BaseFrac:    st.BaseFrac,
-			Cooldown:    st.Cooldown,
-			CalBuild:    st.Cal.Build,
-			CalLoadHost: st.Cal.LoadHost,
-			CalShuffle:  st.Cal.Shuffle,
-			CalTrain:    st.Cal.Train,
-			GradOverlap: st.GradOverlap,
-			PerStrategy: a.dryRun.PerStrategy,
-		}
+	if a.replanner != nil {
+		// Carry the live re-planner's learned state so a resumed
+		// TrainAdaptive keeps its calibration. Without one there is
+		// nothing learned: a cold re-planner is what a resumed
+		// TrainAdaptive builds anyway.
+		st := a.replanner.State()
+		s.Adaptive = &st
 	}
 	return s, nil
 }
@@ -169,26 +155,9 @@ func resume(task Task, snap *checkpoint.Snapshot, opts ...obs.Option) (*APT, err
 	if snap.Freq != nil {
 		a.dryRun = &DryRunStats{Freq: snap.Freq}
 	}
-	if snap.Adaptive != nil {
-		// The per-strategy dry-run stats and the re-planner's learned
-		// state ride in the snapshot, so a resumed TrainAdaptive keeps
-		// re-planning online with the calibration it had already earned.
-		if a.dryRun == nil {
-			a.dryRun = &DryRunStats{}
-		}
-		a.dryRun.PerStrategy = snap.Adaptive.PerStrategy
-		a.resumeReplan = &ReplanState{
-			BaseFrac: snap.Adaptive.BaseFrac,
-			Cooldown: snap.Adaptive.Cooldown,
-			Cal: Calibration{
-				Build:    snap.Adaptive.CalBuild,
-				LoadHost: snap.Adaptive.CalLoadHost,
-				Shuffle:  snap.Adaptive.CalShuffle,
-				Train:    snap.Adaptive.CalTrain,
-			},
-			GradOverlap: snap.Adaptive.GradOverlap,
-		}
-	}
+	// A resumed TrainAdaptive derives the dry run's per-strategy epochs
+	// again and hands its re-planner the learned state recorded here.
+	a.resumeReplan = snap.Adaptive
 	a.Choice = kind
 	a.int8Frac = snap.Int8Frac
 	// The plan is adopted, not recomputed: Plan() short-circuits on

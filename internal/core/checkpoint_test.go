@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -439,35 +441,66 @@ func TestCheckpointWithoutEngineFails(t *testing.T) {
 	}
 }
 
-// TestAdaptiveResumeCarriesDryRunStats: a snapshot from any planned
-// run carries the per-strategy dry-run stats, so TrainAdaptive on a
-// resumed APT re-plans online instead of holding the recorded plan.
-func TestAdaptiveResumeCarriesDryRunStats(t *testing.T) {
+// TestAdaptiveResumeRederivesDryRun: a snapshot does not carry the dry
+// run's per-strategy epochs, so a resumed TrainAdaptive derives them
+// again. They must equal the uninterrupted run's bit for bit in every
+// field but WallSec (the host's clock), also when the snapshot's live
+// warm-tier split is not the task's: the dry run always runs under
+// Task.Int8CacheFrac.
+func TestAdaptiveResumeRederivesDryRun(t *testing.T) {
+	task := func() Task {
+		tk := realResumeTask(t, 2, false)
+		tk.Int8CacheFrac = 0.25
+		return tk
+	}
 	dir := t.TempDir()
-	first, err := New(realResumeTask(t, 2, false))
+	first, err := New(task())
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.CheckpointDir = dir
-	if _, err := first.Train(2); err != nil {
+	if _, err := first.TrainAdaptive(2); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeFile(realResumeTask(t, 2, false), filepath.Join(dir, checkpoint.DefaultName))
+	want := first.DryRunStats()
+	snap, err := checkpoint.ReadFile(filepath.Join(dir, checkpoint.DefaultName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.dryRun == nil || resumed.dryRun.PerStrategy == nil {
-		t.Fatal("resume did not adopt the snapshot's per-strategy dry-run stats")
-	}
-	if resumed.resumeReplan == nil {
-		t.Fatal("resume did not adopt the snapshot's re-planner state")
-	}
-	res, err := resumed.TrainAdaptive(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Epochs) != 2 {
-		t.Fatalf("adaptive resume trained %d epochs, want 2", len(res.Epochs))
+	for _, frac := range []float64{snap.Int8Frac, 0} {
+		snap.Int8Frac = frac
+		path := filepath.Join(t.TempDir(), checkpoint.DefaultName)
+		if err := snap.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeFile(task(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := resumed.DryRunStats(); st != nil && st.PerStrategy != nil {
+			t.Fatal("resume adopted per-strategy dry-run stats, which snapshots do not carry")
+		}
+		res, err := resumed.TrainAdaptive(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Epochs) != 2 {
+			t.Fatalf("split %v: adaptive resume trained %d epochs, want 2", frac, len(res.Epochs))
+		}
+		got := resumed.DryRunStats()
+		if !slices.Equal(got.Freq, want.Freq) {
+			t.Errorf("split %v: re-derived access frequencies differ", frac)
+		}
+		if len(got.PerStrategy) != len(want.PerStrategy) {
+			t.Fatalf("split %v: re-derived %d strategies, want %d", frac, len(got.PerStrategy), len(want.PerStrategy))
+		}
+		for k, w := range want.PerStrategy {
+			g := got.PerStrategy[k]
+			g.WallSec, w.WallSec = 0, 0
+			if gs, ws := fmt.Sprintf("%#v", g), fmt.Sprintf("%#v", w); gs != ws {
+				t.Errorf("split %v: %v dry-run epoch re-derived as\n%s\nuninterrupted run had\n%s", frac, k, gs, ws)
+			}
+		}
 	}
 }
 
@@ -494,7 +527,7 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	// copy must carry.
 	snapPath := filepath.Join(t.TempDir(), checkpoint.DefaultName)
 	var copyErr error
-	var live ReplanState
+	var live checkpoint.AdaptiveState
 	first.OnEpoch = func(ep int, _ engine.EpochStats, _ *nn.Model) {
 		if ep != interruptAt {
 			return
@@ -531,11 +564,10 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 		name      string
 		got, want float64
 	}{
-		{"BaseFrac", ad.BaseFrac, live.BaseFrac},
-		{"CalBuild", ad.CalBuild, live.Cal.Build},
-		{"CalLoadHost", ad.CalLoadHost, live.Cal.LoadHost},
-		{"CalShuffle", ad.CalShuffle, live.Cal.Shuffle},
-		{"CalTrain", ad.CalTrain, live.Cal.Train},
+		{"CalBuild", ad.CalBuild, live.CalBuild},
+		{"CalLoadHost", ad.CalLoadHost, live.CalLoadHost},
+		{"CalShuffle", ad.CalShuffle, live.CalShuffle},
+		{"CalTrain", ad.CalTrain, live.CalTrain},
 		{"GradOverlap", ad.GradOverlap, live.GradOverlap},
 	} {
 		if bits(f.got) != bits(f.want) {
@@ -545,7 +577,7 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	if ad.Cooldown != live.Cooldown {
 		t.Errorf("snapshot Cooldown = %d, live re-planner at epoch %d has %d", ad.Cooldown, interruptAt, live.Cooldown)
 	}
-	if live.Cal == (Calibration{}) {
+	if live.CalBuild == 0 && live.CalLoadHost == 0 && live.CalShuffle == 0 && live.CalTrain == 0 {
 		t.Fatalf("re-planner still cold at epoch %d: every calibration factor is 0", interruptAt)
 	}
 

@@ -58,11 +58,11 @@ func (a *APT) collectFrequencies() []int64 {
 }
 
 // dryRunStrategy dispatches the shared dry-run samples under the given
-// strategy with its proper cache configuration and returns the epoch's
-// volumes and stage times.
+// strategy with its proper cache configuration at the task's warm-tier
+// split and returns the epoch's volumes and stage times.
 func (a *APT) dryRunStrategy(k strategy.Kind, plan *sample.SeedPlan,
 	batches [][]*sample.MiniBatch, freq []int64) (engine.EpochStats, error) {
-	store := a.buildStore(k, freq, false)
+	store := a.buildStore(k, freq, a.task.Int8CacheFrac, false)
 	cfg := a.engineConfig(k, store)
 	cfg.ForceSeedPlan = plan
 	cfg.PreSampled = batches
@@ -74,7 +74,9 @@ func (a *APT) dryRunStrategy(k strategy.Kind, plan *sample.SeedPlan,
 }
 
 // DryRun collects all planner statistics: one sampled epoch, shared by
-// the frequency counters and all four strategies' dispatch epochs.
+// the frequency counters and all four strategies' dispatch epochs. The
+// result is a function of the task and its seed alone, so a resumed run
+// derives the same statistics again.
 func (a *APT) DryRun() (*DryRunStats, error) {
 	plan, batches, freq := a.sampleDryRunEpoch()
 	st := &DryRunStats{Freq: freq, PerStrategy: map[strategy.Kind]engine.EpochStats{}}

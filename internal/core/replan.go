@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/strategy"
@@ -80,8 +81,8 @@ type Replanner struct {
 	cacheBytes int64
 	featDim    int
 	devices    int
-	// baseFrac is the split the dry-run volumes were collected under;
-	// candidate splits are costed relative to it.
+	// baseFrac is the task's warm-tier split, which the dry-run volumes
+	// were collected under; candidate splits are costed relative to it.
 	baseFrac float64
 
 	cur      Plan
@@ -98,51 +99,35 @@ type Replanner struct {
 	Events []ReplanEvent
 }
 
-// ReplanState is the Replanner's learned state — everything a
-// checkpoint must carry so a resumed adaptive run keeps calibrating
-// where the interrupted one left off instead of starting cold.
-type ReplanState struct {
-	// BaseFrac is the warm-tier split the dry-run volumes were
-	// collected under (candidate splits are costed relative to it; the
-	// re-planner may have moved the live split away from it).
-	BaseFrac float64
-	// Cooldown is the remaining hysteresis epochs after the last switch.
-	Cooldown int
-	// Cal holds the per-stage correction factors.
-	Cal Calibration
-	// GradOverlap is the measured hidden fraction of the gradient
-	// allreduce.
-	GradOverlap float64
-}
-
 // State snapshots the learned re-planner state for checkpointing.
-func (r *Replanner) State() ReplanState {
-	return ReplanState{
-		BaseFrac: r.baseFrac, Cooldown: r.cooldown,
-		Cal: r.cal, GradOverlap: r.gradOverlap,
+func (r *Replanner) State() checkpoint.AdaptiveState {
+	return checkpoint.AdaptiveState{
+		Cooldown: r.cooldown,
+		CalBuild: r.cal.Build, CalLoadHost: r.cal.LoadHost,
+		CalShuffle: r.cal.Shuffle, CalTrain: r.cal.Train,
+		GradOverlap: r.gradOverlap,
 	}
 }
 
 // Restore adopts a checkpointed state (call before the first Observe).
-func (r *Replanner) Restore(s ReplanState) {
-	r.baseFrac = s.BaseFrac
+func (r *Replanner) Restore(s checkpoint.AdaptiveState) {
 	r.cooldown = s.Cooldown
-	r.cal = s.Cal
+	r.cal = Calibration{Build: s.CalBuild, LoadHost: s.CalLoadHost, Shuffle: s.CalShuffle, Train: s.CalTrain}
 	r.gradOverlap = s.GradOverlap
 }
 
 // NewReplanner builds a re-planner over the planner's dry-run output.
-// stats and freq are read, never written; initial is the plan the
-// first epoch runs under (its Int8Frac must be the split the dry-run
-// volumes were measured with).
+// stats and freq are read, never written; baseFrac is the warm-tier
+// split the dry-run volumes were measured with (the task's), initial
+// the plan the first epoch runs under.
 func NewReplanner(cm *CostModel, stats map[strategy.Kind]engine.EpochStats,
-	freq []int64, cacheBytes int64, featDim, devices int, initial Plan) *Replanner {
+	freq []int64, cacheBytes int64, featDim, devices int, baseFrac float64, initial Plan) *Replanner {
 	sorted := append([]int64(nil), freq...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	return &Replanner{
 		cm: cm, stats: stats, int8Fracs: []float64{0, 0.25, 0.5},
 		freq: sorted, cacheBytes: cacheBytes, featDim: featDim, devices: devices,
-		baseFrac: initial.Int8Frac, cur: initial,
+		baseFrac: baseFrac, cur: initial,
 	}
 }
 
@@ -313,17 +298,22 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, er
 	if _, err := a.Plan(); err != nil {
 		return nil, err
 	}
+	if a.dryRun == nil || a.dryRun.PerStrategy == nil {
+		// A resumed run adopted the recorded plan without a dry run. The
+		// per-strategy epochs the re-planner selects over are a function
+		// of the task and its seed, so they are derived again.
+		if _, err := a.DryRun(); err != nil {
+			return nil, err
+		}
+	}
 	devices := a.task.Platform.NumDevices()
 	cm := &CostModel{Profile: a.profile, Devices: devices, IncludeTrain: true}
 	rp := NewReplanner(cm, a.dryRun.PerStrategy, a.dryRun.Freq,
-		a.task.CacheBytes, a.task.FeatDim, devices,
+		a.task.CacheBytes, a.task.FeatDim, devices, a.task.Int8CacheFrac,
 		Plan{Kind: a.Choice, Int8Frac: a.int8Frac})
 	if a.resumeReplan != nil {
-		// A resumed run adopts the interrupted run's learned state: the
-		// calibration, cooldown, and — crucially — the split the dry-run
-		// volumes were collected under, which NewReplanner cannot know
-		// (the initial plan carries the re-planner's possibly-moved
-		// split, not the dry-run's).
+		// A resumed run adopts the interrupted run's calibration,
+		// overlap and cooldown.
 		rp.Restore(*a.resumeReplan)
 		a.resumeReplan = nil
 	}

@@ -85,7 +85,7 @@ func replanFreq() []int64 {
 func newTestReplanner() *Replanner {
 	cm := &CostModel{Profile: replanProfile(), Devices: 2, IncludeTrain: true}
 	return NewReplanner(cm, replanStats(), replanFreq(),
-		64*1024, 16, 2, Plan{Kind: strategy.GDP})
+		64*1024, 16, 2, 0, Plan{Kind: strategy.GDP})
 }
 
 // measuredGDP is an honest epoch of the GDP plan: sampling and

@@ -10,6 +10,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -90,12 +91,21 @@ func Presets(scale float64) []Spec {
 	}
 }
 
-// ByAbbr finds a preset by its abbreviation.
+// ByAbbr finds a preset by its abbreviation, at a scale that must be
+// finite and positive and leave the preset between one node and
+// graph.NodeID's range.
 func ByAbbr(abbr string, scale float64) (Spec, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return Spec{}, fmt.Errorf("dataset: scale %v is not finite and positive", scale)
+	}
 	for _, s := range Presets(scale) {
-		if s.Abbr == abbr || s.Name == abbr {
-			return s, nil
+		if s.Abbr != abbr && s.Name != abbr {
+			continue
 		}
+		if s.NumNodes < 1 || s.NumNodes > math.MaxInt32 {
+			return Spec{}, fmt.Errorf("dataset: scale %v gives %s %d nodes", scale, s.Abbr, s.NumNodes)
+		}
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("dataset: unknown dataset %q", abbr)
 }

@@ -95,6 +95,18 @@ func TestByAbbr(t *testing.T) {
 	}
 }
 
+// TestByAbbrRejectsBadScale: a scale that is not finite and positive,
+// or that leaves a preset with no node or more nodes than a NodeID
+// holds, is an error; graph.RMAT used to panic on each with a negative
+// shift amount.
+func TestByAbbrRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-7, 1e300} {
+		if s, err := ByAbbr("PS", scale); err == nil {
+			t.Errorf("scale %v accepted (%d nodes)", scale, s.NumNodes)
+		}
+	}
+}
+
 func TestCacheBytesFraction(t *testing.T) {
 	spec := Presets(0.02)[0]
 	d := Build(spec, false)

@@ -115,8 +115,7 @@ type EpochStats struct {
 	OOM bool
 	// WallSec is the measured wall-clock time of the epoch on this host
 	// (RunEpochContext entry to its statistics), the clock a user waits
-	// on beside the simulated one. Nothing planned or simulated reads it,
-	// and the checkpoint codec does not carry it.
+	// on beside the simulated one. Nothing planned or simulated reads it.
 	WallSec float64
 }
 

@@ -33,7 +33,7 @@ type Spec struct {
 	Heads   int     // attention heads (gat)
 	Layers  int     // GNN layers
 	Fanout  int     // neighbors sampled per layer
-	Batch   int     // per-GPU batch size; 0 selects 64
+	Batch   int     // per-GPU batch size; 0 selects 64, below 0 is refused
 	LR      float64 // Adam learning rate (real mode)
 	Devices int     // GPUs of the single-machine platform
 }
@@ -89,6 +89,16 @@ func (s Spec) Task(ds *dataset.Dataset, seed uint64) (core.Task, error) {
 	}
 	if layers < 1 {
 		return core.Task{}, fmt.Errorf("job: %d layers", layers)
+	}
+	// A negative width would reach make in nn.NewParam; zero is
+	// core.normalize's to judge (a one-layer model uses neither).
+	for _, w := range []struct {
+		name string
+		v    int
+	}{{"hidden", hidden}, {"heads", heads}, {"batch", s.Batch}} {
+		if w.v < 0 {
+			return core.Task{}, fmt.Errorf("job: %s %d is negative", w.name, w.v)
+		}
 	}
 	fanouts := make([]int, layers)
 	for i := range fanouts {

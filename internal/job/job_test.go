@@ -69,6 +69,25 @@ func TestRejectsEmptyModelShapes(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeWidths: a negative hidden width, head count or
+// batch size is an error from Build, before any model is made; a
+// negative width used to panic in tensor.New ("makeslice: len out of
+// range") when core.New first called the model closure.
+func TestRejectsNegativeWidths(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Data: "PS", Scale: 0.02, Hidden: -3, Layers: 2, Fanout: 5, Devices: 2}, "hidden -3"},
+		{Spec{Data: "PS", Scale: 0.02, Model: "gat", Hidden: 8, Heads: -2, Layers: 2, Fanout: 5, Devices: 2}, "heads -2"},
+		{Spec{Data: "PS", Scale: 0.02, Hidden: 8, Layers: 2, Fanout: 5, Batch: -5, Devices: 2}, "batch -5"},
+	} {
+		if _, _, err := c.spec.Build(false, 7, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Build = %v, want an error containing %q", c.spec, err, c.want)
+		}
+	}
+}
+
 // TestAccountingModeAndRejects: without features the task carries no
 // payload and no optimizer; an unknown model or a non-positive layer
 // count is an error, not a silent GraphSAGE.
