@@ -8,11 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs go vet plus aptlint -audit, the repo's own analyzer suite
+# lint runs go vet plus aptlint, the repo's own analyzer suite
 # (determinism, hot-path allocation, tensor-pool invariants, and the
 # distributed-protocol analyzers: lockstep collectives, goroutine
 # ownership, wire-contract goldens — see DESIGN.md decisions 14 and
-# 19). -audit also fails on stale //apt:allow directives, from the
+# 19). aptlint also fails on stale //apt:allow directives, from the
 # same single go/types load as the findings. The second vet type-checks
 # the file set of a GOARCH without vector kernels (internal/tensor's
 # kernels_generic.go instead of kernels_amd64.{go,s}), so the portable
@@ -21,7 +21,7 @@ test:
 lint: runlists
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
-	$(GO) run ./cmd/aptlint -audit
+	$(GO) run ./cmd/aptlint
 
 # runlists fails when an alternative of a CI step's `go test -run 'A|B'`
 # list matches no test of the step's packages (scripts/runlists.sh): a
@@ -66,7 +66,7 @@ fuzz-smoke:
 	done
 
 # verify is the pre-merge gate: lint (vet, incl. asmdecl on the amd64
-# kernels; GOARCH=arm64 vet for the portable path; aptlint -audit) + build
+# kernels; GOARCH=arm64 vet for the portable path; aptlint) + build
 # everything (including the serving daemon), then run the
 # concurrency-heavy packages (pipelined engine, the model forward that
 # serving runs concurrently on one shared model, pooled kernels,
@@ -120,7 +120,7 @@ reach:
 # (non-test; one per name, so "A, B, C float64" counts 3), binaries,
 # CLI flags (the flags two binaries share are declared once, in
 # internal/job, and counted once) and the //apt:allow directives of
-# non-test code, bench/ included (aptlint -audit's "allow directive(s)").
+# non-test code, bench/ included (aptlint's "allow directive(s)").
 count:
 	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 	@printf 'exported funcs + methods in internal/ (non-test): '; find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]'

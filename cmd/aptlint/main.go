@@ -1,21 +1,21 @@
 // Command aptlint runs the repo's static-analysis suite (simclock,
-// detrange, hotalloc, poolpair, directive — see DESIGN.md decision 14)
-// over the whole module and exits non-zero on any unsuppressed finding.
+// detrange, hotalloc, poolpair, directive, lockstep, goownership,
+// wirecontract — see DESIGN.md decisions 14 and 19) over the whole
+// module.
 //
 // Usage:
 //
-//	aptlint [-C dir] [-v] [-audit]
+//	aptlint [-C dir]
 //
 // aptlint always analyzes the full module rooted at dir (default: the
 // nearest go.mod at or above the working directory) — the invariants it
 // enforces are module-wide, so there is no package filter to narrow a
 // run below the gate `make verify` applies.
 //
-// With -audit, instead of reporting findings it lists every
-// //apt:allow suppression with its justification and whether the
-// finding it excuses still fires, exiting non-zero if any directive
-// has gone stale (run by `make verify` so suppressions cannot outlive
-// their cause unnoticed).
+// It prints every unsuppressed finding, then every //apt:allow
+// suppression with its justification and whether the finding it
+// excuses still fires, and exits 1 if there is a finding or a stale
+// directive, so suppressions cannot outlive their cause unnoticed.
 package main
 
 import (
@@ -29,8 +29,6 @@ import (
 
 func main() {
 	dir := flag.String("C", ".", "directory inside the module to analyze (the nearest go.mod at or above it is the root)")
-	verbose := flag.Bool("v", false, "also list suppressed findings with their //apt:allow reasons")
-	audit := flag.Bool("audit", false, "list every //apt:allow with its status and fail on stale directives")
 	flag.Parse()
 
 	root, err := findModuleRoot(*dir)
@@ -38,10 +36,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aptlint:", err)
 		os.Exit(2)
 	}
-	if *audit {
-		os.Exit(aptlint.Audit(os.Stdout, root))
-	}
-	os.Exit(aptlint.Main(os.Stdout, root, *verbose))
+	os.Exit(aptlint.Audit(os.Stdout, root))
 }
 
 func findModuleRoot(start string) (string, error) {

@@ -84,13 +84,14 @@ func main() {
 		dieAfter    = flag.Int("die-after", 0, "simulate a crash (exit 3) after this many total completed epochs")
 	)
 	flag.Parse()
+	if err := spec.Check(); err != nil {
+		usage(err.Error())
+	}
 	ranked := *rank >= 0
 	// Combinations that cannot work are refused here, before any
 	// dataset is built or socket opened.
 	var bad string
 	switch {
-	case spec.Devices < 1:
-		bad = fmt.Sprintf("-devices %d: need at least one device", spec.Devices)
 	case *epochs < 1:
 		bad = fmt.Sprintf("-epochs %d: need at least one epoch", *epochs)
 	case *rank < -1 || *rank >= spec.Devices:

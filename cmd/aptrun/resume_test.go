@@ -304,7 +304,8 @@ func TestMixedCoreRanksBitIdentical(t *testing.T) {
 // TestRejectedFlagCombinations: flags and combinations that cannot
 // work exit 2 with a one-line reason that names the flag, before any
 // training output and without touching the network. The job flags
-// (-scale, -hidden) are judged where the job is built.
+// are judged by job's Check (-devices, -lr) or where the job is built
+// (-scale, -hidden).
 func TestRejectedFlagCombinations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -323,6 +324,10 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-epochs", "0"}, "-epochs 0"},
 		{[]string{"-epochs", "-1"}, "-epochs -1"},
 		{[]string{"-devices", "-2"}, "-devices -2"},
+		{[]string{"-devices", "0"}, "-devices 0: need at least one device"},
+		{[]string{"-lr", "-1"}, "-lr -1"},
+		{[]string{"-lr", "NaN"}, "-lr NaN"},
+		{[]string{"-simulate", "-lr", "Inf"}, "-lr +Inf"},
 		{[]string{"-scale", "0"}, "scale 0"},
 		{[]string{"-scale", "-1"}, "scale -1"},
 		{[]string{"-scale", "NaN"}, "scale NaN"},

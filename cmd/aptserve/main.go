@@ -81,6 +81,9 @@ func main() {
 		cacheFr = flag.Float64("cache-frac", 0.08, "per-device feature cache, as a fraction of total feature bytes")
 	)
 	flag.Parse()
+	if err := spec.Check(); err != nil {
+		usage(err.Error())
+	}
 	// Flags that cannot serve are refused before anything is built or
 	// trained; the listener is bound first for the same reason.
 	var bad string

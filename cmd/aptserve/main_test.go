@@ -208,7 +208,8 @@ func TestPprofEndpoints(t *testing.T) {
 // TestRejectedFlags: every flag set that cannot serve exits 2 with one
 // "aptserve:" line naming the flag, before the model is trained or a
 // request served: the listener is bound before training, and the job
-// flags (-scale, -hidden) are judged where the job is built.
+// flags are judged by job's Check (-devices, -lr) or where the job is
+// built (-scale, -hidden).
 func TestRejectedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -229,6 +230,9 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-addr", "bogus::"}, "-addr bogus::"},
 		{[]string{"-scale", "0"}, "scale 0"},
 		{[]string{"-hidden", "-3"}, "hidden -3"},
+		{[]string{"-devices", "0"}, "-devices 0: need at least one device"},
+		{[]string{"-lr", "-1"}, "-lr -1"},
+		{[]string{"-lr", "NaN"}, "-lr NaN"},
 	} {
 		// A flag set that is not refused trains and then serves until
 		// killed.

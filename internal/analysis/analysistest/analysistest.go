@@ -63,7 +63,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 	// Run over every loaded package — interprocedural analyzers need
 	// the full call graph, stub packages included — but hold only the
 	// named packages to their want markers.
-	findings, err := analysis.Run([]*analysis.Analyzer{a}, pkgs, analysis.Options{})
+	findings, _, err := analysis.Run([]*analysis.Analyzer{a}, pkgs)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -32,46 +32,32 @@ var All = []*analysis.Analyzer{
 
 func init() {
 	// Teach the directive validator which analyzer names //apt:allow
-	// may reference. "aptlint" is the driver's own name, used by the
-	// stale-suppression audit.
-	directive.Known["aptlint"] = true
+	// may reference.
 	for _, a := range All {
 		directive.Known[a.Name] = true
 	}
 }
 
-// CheckModule loads the module rooted at dir and runs the full suite
-// over every production package, returning all findings (suppressed
-// included) in positional order.
-func CheckModule(dir string) ([]analysis.Finding, error) {
-	pkgs, err := analysis.LoadModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	return analysis.Run(All, pkgs, analysis.Options{ReportUnusedAllows: true})
-}
-
-// Audit is the one-load full gate: it runs the suite over the module
-// at dir once, prints every unsuppressed finding, then prints every
-// //apt:allow directive with its analyzer, justification, and status:
-// "in-use" when the directive still suppresses a live finding, "STALE"
-// when the finding it excused no longer fires (staleness is scoped to
-// the allowing function — see analysis.AllowsForFile). Exit codes
-// mirror Main: 0 clean, 1 on any finding or stale allow, 2 on failure.
-// Because findings and directive usage come from the same run, `make
-// lint` and CI pay for one go/types load instead of two.
+// Audit is aptlint's one mode: it loads the module at dir once, runs
+// the suite over it, prints every unsuppressed finding, then prints
+// every //apt:allow directive with its analyzer, justification, and
+// status: "in-use" when the directive still suppresses a live finding,
+// "STALE" when the finding it excused no longer fires (staleness is
+// scoped to the allowing function — see analysis.AllowsForFile). It
+// returns the process exit code: 0 clean, 1 on any unsuppressed
+// finding or stale allow, 2 on a load or analyzer failure.
 func Audit(w io.Writer, dir string) int {
 	pkgs, err := analysis.LoadModule(dir)
 	if err != nil {
 		fmt.Fprintln(w, "aptlint:", err)
 		return 2
 	}
-	findings, allows, err := analysis.RunWithAllows(All, pkgs, analysis.Options{})
+	findings, allows, err := analysis.Run(All, pkgs)
 	if err != nil {
 		fmt.Fprintln(w, "aptlint:", err)
 		return 2
 	}
-	bad := analysis.Print(w, findings, false)
+	bad := analysis.Print(w, findings)
 	if bad > 0 {
 		fmt.Fprintf(w, "aptlint: %d unsuppressed finding(s)\n", bad)
 	}
@@ -86,22 +72,6 @@ func Audit(w io.Writer, dir string) int {
 	}
 	fmt.Fprintf(w, "aptlint: %d allow directive(s), %d stale\n", len(allows), stale)
 	if bad > 0 || stale > 0 {
-		return 1
-	}
-	return 0
-}
-
-// Main runs the suite over the module at dir and prints unsuppressed
-// findings to w (all findings when verbose). It returns the process
-// exit code: 0 clean, 1 findings, 2 load/internal failure.
-func Main(w io.Writer, dir string, verbose bool) int {
-	findings, err := CheckModule(dir)
-	if err != nil {
-		fmt.Fprintln(w, "aptlint:", err)
-		return 2
-	}
-	if bad := analysis.Print(w, findings, verbose); bad > 0 {
-		fmt.Fprintf(w, "aptlint: %d unsuppressed finding(s)\n", bad)
 		return 1
 	}
 	return 0

@@ -145,7 +145,7 @@ func TestRunAttachesGraph(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := Run([]*Analyzer{probe}, pkgs, Options{}); err != nil {
+	if _, _, err := Run([]*Analyzer{probe}, pkgs); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if sawGraph == nil {

@@ -4,10 +4,7 @@
 // directive must be an error, not a silent no-op: //apt:allow with a
 // missing analyzer name, an unknown analyzer name, or no reason;
 // //apt:hotpath placed anywhere but a function declaration's doc
-// comment; //apt:snapshot (marking state that must round-trip through
-// the checkpoint codec bit-for-bit) placed anywhere but a type
-// declaration's or struct field's doc comment; and any other //apt:*
-// spelling are all reported.
+// comment; and any other //apt:* spelling are all reported.
 package directive
 
 import (
@@ -21,7 +18,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "directive",
-	Doc:  "validate //apt:allow, //apt:hotpath, and //apt:snapshot directive comments",
+	Doc:  "validate //apt:allow and //apt:hotpath directive comments",
 	Run:  run,
 }
 
@@ -41,10 +38,9 @@ func knownNames() string {
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		hotpathLines := hotpathDocLines(pass.Fset, f)
-		snapshotLines := snapshotDocLines(pass.Fset, f)
 		for _, g := range f.Comments {
 			for _, c := range g.List {
-				checkComment(pass, c, hotpathLines, snapshotLines)
+				checkComment(pass, c, hotpathLines)
 			}
 		}
 	}
@@ -67,42 +63,7 @@ func hotpathDocLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	return lines
 }
 
-// snapshotDocLines collects the line numbers of doc comments attached
-// to type declarations and struct fields — the places //apt:snapshot
-// (state the checkpoint codec must round-trip exactly) belongs.
-func snapshotDocLines(fset *token.FileSet, f *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	add := func(doc *ast.CommentGroup) {
-		if doc == nil {
-			return
-		}
-		for _, c := range doc.List {
-			lines[fset.Position(c.Pos()).Line] = true
-		}
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
-			continue
-		}
-		add(gd.Doc)
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			add(ts.Doc)
-			if st, ok := ts.Type.(*ast.StructType); ok {
-				for _, fld := range st.Fields.List {
-					add(fld.Doc)
-				}
-			}
-		}
-	}
-	return lines
-}
-
-func checkComment(pass *analysis.Pass, c *ast.Comment, hotpathLines, snapshotLines map[int]bool) {
+func checkComment(pass *analysis.Pass, c *ast.Comment, hotpathLines map[int]bool) {
 	text := c.Text
 	if !strings.HasPrefix(text, "//apt:") {
 		return
@@ -126,11 +87,7 @@ func checkComment(pass *analysis.Pass, c *ast.Comment, hotpathLines, snapshotLin
 		if !hotpathLines[pass.Fset.Position(c.Pos()).Line] {
 			pass.Reportf(c.Pos(), "//apt:hotpath must sit in a function declaration's doc comment")
 		}
-	case "snapshot":
-		if !snapshotLines[pass.Fset.Position(c.Pos()).Line] {
-			pass.Reportf(c.Pos(), "//apt:snapshot must sit in a type declaration's or struct field's doc comment")
-		}
 	default:
-		pass.Reportf(c.Pos(), "unknown aptlint directive //apt:%s (known: allow, hotpath, snapshot)", word)
+		pass.Reportf(c.Pos(), "unknown aptlint directive //apt:%s (known: allow, hotpath)", word)
 	}
 }

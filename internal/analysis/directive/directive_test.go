@@ -27,7 +27,7 @@ func TestMalformedAllows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.Run([]*analysis.Analyzer{directive.Analyzer}, pkgs, analysis.Options{})
+	findings, _, err := analysis.Run([]*analysis.Analyzer{directive.Analyzer}, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,21 +18,9 @@ var v = 1 //apt:hotpath // want "must sit in a function declaration"
 //apt:allow simclock a complete, audited suppression
 func wellFormed() {}
 
-// snapState is checkpointed state: type-declaration doc comments may
-// carry the marker.
+// //apt:snapshot is no directive: no analyzer reads it.
 //
-//apt:snapshot
-type snapState struct {
-	// Cursor must round-trip exactly: struct-field doc comments may
-	// carry the marker too.
-	//
-	//apt:snapshot
-	Cursor uint64
-}
+//apt:snapshot // want "unknown aptlint directive //apt:snapshot"
+type snapState struct{ Cursor uint64 }
 
-//apt:snapshot // want "must sit in a type declaration's or struct field's doc comment"
-func notState() {}
-
-var w = 1 //apt:snapshot // want "must sit in a type declaration's or struct field's doc comment"
-
-func use() { _, _, _, _ = x, y, v, w }
+func use() { _, _, _ = x, y, v }

@@ -9,11 +9,15 @@
 //
 //   - be paired with a tensor.Put of the same variable in that scope,
 //   - transfer ownership: the result is returned, sent, stored into a
-//     field/element/global, passed to another function, captured by a
+//     field/element/global, aliased, address-taken, captured by a
 //     closure, or consumed directly inside a larger expression (the
 //     pool protocol says Put is the borrower's job once a matrix
 //     escapes to a new owner), or
 //   - carry an //apt:allow poolpair directive explaining why not.
+//
+// Passing the variable to a call is a borrow, not a transfer: the
+// kernels take their operands and scratch as arguments, so counting a
+// call as a new owner would excuse almost every deleted Put.
 //
 // A discarded Get (statement position) is always a leak. A paired but
 // non-deferred Put additionally flags return statements between the Get
@@ -186,10 +190,11 @@ func boundVar(pass *analysis.Pass, parents map[ast.Node]ast.Node, call *ast.Call
 }
 
 // escapes reports whether obj is handed to a new owner somewhere in the
-// scope: passed to a call, returned, sent, stored into a non-local
-// lvalue, aliased, address-taken, or captured by a closure. Reads
-// through the variable (v.Data, v.Row(i), method calls on v) do not
-// transfer ownership.
+// scope: returned, sent, stored into a non-local lvalue, aliased,
+// address-taken, or captured by a closure. Reads through the variable
+// (v.Data, v.Row(i), method calls on v) and passing it to a call do
+// not transfer ownership: a kernel that takes a matrix borrows it, and
+// the caller still owes the Put.
 func escapes(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node]ast.Node, obj types.Object) bool {
 	esc := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -205,12 +210,6 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node]ast.
 			return false
 		}
 		switch p := parents[id].(type) {
-		case *ast.CallExpr:
-			for _, a := range p.Args {
-				if ast.Unparen(a) == ast.Node(id) {
-					esc = true
-				}
-			}
 		case *ast.ReturnStmt, *ast.SendStmt, *ast.CompositeLit, *ast.KeyValueExpr:
 			esc = true
 		case *ast.UnaryExpr:

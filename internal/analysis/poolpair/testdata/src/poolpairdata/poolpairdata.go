@@ -61,10 +61,10 @@ func returnedVar() *tensor.Matrix {
 	return m
 }
 
-// escapesToCallee hands the matrix to another function, which owns it
-// from then on.
-func escapesToCallee() {
-	m := tensor.Get(4, 4)
+// lentToCallee passes the matrix to another function: a call borrows
+// it, so the caller still owes the Put.
+func lentToCallee() {
+	m := tensor.Get(4, 4) // want "never passed to tensor.Put"
 	consume(m)
 }
 

@@ -27,29 +27,13 @@ func (f Finding) String() string {
 	return s
 }
 
-// Options configures a driver run.
-type Options struct {
-	// ReportUnusedAllows adds a synthetic "aptlint" finding for every
-	// //apt:allow directive that suppressed nothing — only meaningful
-	// when the full analyzer suite runs, so single-analyzer runs should
-	// leave it off.
-	ReportUnusedAllows bool
-}
-
 // Run executes every analyzer over every package, resolves //apt:allow
 // suppressions, and returns all findings (suppressed ones included)
-// sorted by position. Analyzer errors abort the run.
-func Run(analyzers []*Analyzer, pkgs []*Package, opts Options) ([]Finding, error) {
-	findings, _, err := RunWithAllows(analyzers, pkgs, opts)
-	return findings, err
-}
-
-// RunWithAllows is Run returning, additionally, every //apt:allow
-// directive in the module with its post-run usage status (Used is set
-// when the directive suppressed at least one finding) — the data
-// behind the stale-suppression audit. Directives are returned in
-// file-then-line order.
-func RunWithAllows(analyzers []*Analyzer, pkgs []*Package, opts Options) ([]Finding, []*AllowDirective, error) {
+// sorted by position, together with every //apt:allow directive of the
+// packages in file-then-line order. A directive's Used is set when it
+// suppressed at least one finding; one that did not is stale. Analyzer
+// errors abort the run.
+func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, []*AllowDirective, error) {
 	var findings []Finding
 	var allows []*AllowDirective
 	// One call graph serves every (analyzer, package) pass: the loader
@@ -92,17 +76,6 @@ func RunWithAllows(analyzers []*Analyzer, pkgs []*Package, opts Options) ([]Find
 			}
 		}
 	}
-	if opts.ReportUnusedAllows {
-		for _, d := range allows {
-			if !d.Used {
-				findings = append(findings, Finding{
-					Pos:      d.Pos,
-					Analyzer: "aptlint",
-					Message:  fmt.Sprintf("//apt:allow %s suppresses nothing; delete the stale directive", d.Analyzer),
-				})
-			}
-		}
-	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -138,19 +111,14 @@ func matchAllow(ds []*AllowDirective, analyzer string, line int) *AllowDirective
 }
 
 // Print writes unsuppressed findings to w, one per line, and returns
-// how many there were. With verbose set, suppressed findings are listed
-// too (marked with their allow reason).
-func Print(w io.Writer, findings []Finding, verbose bool) int {
+// how many there were.
+func Print(w io.Writer, findings []Finding) int {
 	bad := 0
 	for _, f := range findings {
-		if f.Suppressed {
-			if verbose {
-				fmt.Fprintln(w, f)
-			}
-			continue
+		if !f.Suppressed {
+			fmt.Fprintln(w, f)
+			bad++
 		}
-		fmt.Fprintln(w, f)
-		bad++
 	}
 	return bad
 }

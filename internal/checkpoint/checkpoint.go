@@ -39,8 +39,6 @@ const DefaultName = "snapshot.aptc"
 // zero-valued optional fields (Opt, SamplerRNG, Freq, Adaptive) encode
 // as absent sections; ResumeFile degrades gracefully without them (cold
 // optimizer, fresh RNG streams, re-run dry-run, cold re-planner).
-//
-//apt:snapshot
 type Snapshot struct {
 	// Strategy is the canonical name of the active strategy
 	// (strategy.Kind round-trips through it).

@@ -11,6 +11,7 @@ package job
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -53,6 +54,21 @@ func Flags(fs *flag.FlagSet) *Spec {
 	fs.Float64Var(&s.LR, "lr", 0.01, "Adam learning rate")
 	fs.IntVar(&s.Devices, "devices", 4, "GPUs (the world size of a multi-process job)")
 	return s
+}
+
+// Check refuses the flag values no job runs with: fewer than one
+// device, or a learning rate that is not finite and positive. Both
+// binaries call it right after flag.Parse, so the refusal comes before
+// any dataset is built; the other fields are judged where the job is.
+func (s Spec) Check() error {
+	lr := float64(float32(s.LR)) // the precision Adam runs at
+	switch {
+	case s.Devices < 1:
+		return fmt.Errorf("-devices %d: need at least one device", s.Devices)
+	case !(lr > 0) || math.IsInf(lr, 1):
+		return fmt.Errorf("-lr %v: need a finite learning rate above 0", s.LR)
+	}
+	return nil
 }
 
 // Build materializes the preset — with features and labels when real,

@@ -2,6 +2,7 @@ package job
 
 import (
 	"flag"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +111,40 @@ func TestAccountingModeAndRejects(t *testing.T) {
 	} {
 		if _, _, err := bad.Build(false, 7, nil); err == nil {
 			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
+// TestCheckRefusesFlags: Check refuses fewer than one device and a
+// learning rate that is not finite and positive at the float32
+// precision Adam runs with, and passes the shared flags' defaults.
+func TestCheckRefusesFlags(t *testing.T) {
+	fs := flag.NewFlagSet("aptrun", flag.ContinueOnError)
+	def := Flags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := def.Check(); err != nil {
+		t.Fatalf("defaults refused: %v", err)
+	}
+	for _, c := range []struct {
+		devices int
+		lr      float64
+		want    string
+	}{
+		{0, 0.01, "-devices 0: need at least one device"},
+		{-2, 0.01, "-devices -2"},
+		{4, 0, "-lr 0"},
+		{4, -1, "-lr -1"},
+		{4, math.NaN(), "-lr NaN"},
+		{4, math.Inf(1), "-lr +Inf"},
+		{4, 1e300, "-lr 1e+300"}, // +Inf at float32
+		{4, 1e-50, "-lr 1e-50"},  // 0 at float32
+	} {
+		s := *def
+		s.Devices, s.LR = c.devices, c.lr
+		if err := s.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Devices %d LR %v: Check = %v, want an error containing %q", c.devices, c.lr, err, c.want)
 		}
 	}
 }

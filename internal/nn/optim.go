@@ -20,8 +20,6 @@ type Optimizer interface {
 // optimizer had not yet materialized that parameter's moments — lazily
 // initialized optimizers must round-trip that distinction exactly, or
 // a restored run would diverge from the original on the first step.
-//
-//apt:snapshot
 type OptState struct {
 	// Kind names the optimizer family ("adam"); Restore rejects a
 	// snapshot from a different family.

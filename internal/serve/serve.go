@@ -94,13 +94,14 @@ type Config struct {
 	// hardware.SingleMachine8GPU.
 	Platform *hardware.Platform
 	// Workers is the inference pool size (one simulated device each);
-	// 0 selects one worker per platform device.
+	// 0 selects one worker per platform device, and a negative value is
+	// refused.
 	Workers int
 	// MaxBatch is the micro-batcher's seed budget per mini-batch
-	// (default 64). A batch closes as soon as its coalesced seed count
+	// (0 selects 64; negative is refused). A batch closes as soon as its coalesced seed count
 	// reaches MaxBatch.
 	MaxBatch int
-	// MaxDelay (default 2ms) bounds how long a batch waits for more
+	// MaxDelay (0 selects 2ms; negative is refused) bounds how long a batch waits for more
 	// requests, which it does only while every other worker is busy: a
 	// batch closes no later than MaxDelay after its oldest request was
 	// enqueued, whatever its size.
@@ -140,16 +141,24 @@ func (c *Config) normalize() error {
 	if c.Freq != nil && len(c.Freq) != c.Graph.NumNodes() {
 		return fmt.Errorf("serve: %d access frequencies for %d nodes (checkpoint from another dataset?)", len(c.Freq), c.Graph.NumNodes())
 	}
+	switch {
+	case c.Workers < 0:
+		return fmt.Errorf("serve: Workers %d is negative", c.Workers)
+	case c.MaxBatch < 0:
+		return fmt.Errorf("serve: MaxBatch %d is negative", c.MaxBatch)
+	case c.MaxDelay < 0:
+		return fmt.Errorf("serve: MaxDelay %v is negative", c.MaxDelay)
+	}
 	if c.Platform == nil {
 		c.Platform = hardware.SingleMachine8GPU()
 	}
-	if c.Workers <= 0 || c.Workers > c.Platform.NumDevices() {
+	if c.Workers == 0 || c.Workers > c.Platform.NumDevices() {
 		c.Workers = c.Platform.NumDevices()
 	}
-	if c.MaxBatch <= 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxDelay <= 0 {
+	if c.MaxDelay == 0 {
 		c.MaxDelay = 2 * time.Millisecond
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -418,6 +419,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Graph: f.ds.Graph, Feats: f.ds.Feats, Model: f.model, Sampling: f.smp, Freq: make([]int64, 7)}); err == nil {
 		t.Fatal("frequencies of another graph's length accepted")
+	}
+}
+
+// TestConfigRefusesNegativeKnobs: a negative Workers, MaxBatch or
+// MaxDelay is an error naming the field, not a silent default; zero
+// still selects the default.
+func TestConfigRefusesNegativeKnobs(t *testing.T) {
+	f := newFixture(t)
+	base := Config{Graph: f.ds.Graph, Feats: f.ds.Feats, Model: f.model, Sampling: f.smp}
+	for _, c := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Workers = -1 }, "Workers -1"},
+		{func(c *Config) { c.MaxBatch = -2 }, "MaxBatch -2"},
+		{func(c *Config) { c.MaxDelay = -time.Millisecond }, "MaxDelay -1ms"},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		if err := cfg.normalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("normalize = %v, want an error containing %q", err, c.want)
+		}
+	}
+	cfg := base
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Workers != cfg.Platform.NumDevices() || cfg.MaxBatch != 64 || cfg.MaxDelay != 2*time.Millisecond {
+		t.Errorf("zero knobs normalized to Workers %d, MaxBatch %d, MaxDelay %v; want %d, 64, 2ms",
+			cfg.Workers, cfg.MaxBatch, cfg.MaxDelay, cfg.Platform.NumDevices())
 	}
 }
 

@@ -18,7 +18,7 @@
 #                  /predict, /stats, /metrics, /reload and SIGHUP; and its
 #                  handler tests (go test ./cmd/aptserve, which write
 #                  coverage with -test.gocoverdir)
-#   aptlint        over this repository, plain and with -audit
+#   aptlint        over this repository
 #
 # It merges the runs with `go tool covdata` and prints the statement
 # coverage of each package, every function some run reached with the
@@ -127,9 +127,8 @@ trap - EXIT
 echo "== aptserve handler tests" >&2
 go test "${cover[@]}" -count=1 ./cmd/aptserve -args -test.gocoverdir="$(covdir aptserve tests)" >/dev/null
 
-echo "== aptlint, aptlint -audit" >&2
-GOCOVERDIR=$(covdir aptlint plain) "$bin/aptlint" >/dev/null
-GOCOVERDIR=$(covdir aptlint audit) "$bin/aptlint" -audit >/dev/null
+echo "== aptlint" >&2
+GOCOVERDIR=$(covdir aptlint run) "$bin/aptlint" >/dev/null
 
 runs=$(find "$reach/runs" -name 'covmeta.*' -printf '%h\n' | sort -u)
 entries=$(for r in $runs; do dirname "${r#"$reach/runs/"}"; done | sort -u)
