@@ -96,6 +96,8 @@ func main() {
 		bad = fmt.Sprintf("-max-batch %d: need at least one seed", *maxB)
 	case *workers < 0:
 		bad = fmt.Sprintf("-workers %d is negative", *workers)
+	case *workers > spec.Devices:
+		bad = fmt.Sprintf("-workers %d exceeds -devices %d", *workers, spec.Devices)
 	case *maxD < 0:
 		bad = fmt.Sprintf("-max-delay %v is negative", *maxD)
 	}

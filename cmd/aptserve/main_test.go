@@ -227,6 +227,7 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-cache-frac", "2"}, "-cache-frac 2"},
 		{[]string{"-cache-frac", "-1"}, "-cache-frac -1"},
 		{[]string{"-max-batch", "-5"}, "-max-batch -5"},
+		{[]string{"-devices", "2", "-workers", "3"}, "-workers 3 exceeds -devices 2"},
 		{[]string{"-addr", "bogus::"}, "-addr bogus::"},
 		{[]string{"-scale", "0"}, "scale 0"},
 		{[]string{"-hidden", "-3"}, "hidden -3"},

@@ -17,23 +17,20 @@ import (
 type AdaptiveState struct {
 	// Cooldown is the re-planner's remaining hysteresis epochs.
 	Cooldown int
-	// CalBuild/CalLoadHost/CalShuffle/CalTrain are the per-stage
-	// measured-over-predicted correction factors (0 = not yet observed).
+	// CalBuild/CalLoadHost/CalShuffle are the per-stage
+	// measured-over-predicted correction factors of the strategy-unique
+	// terms the re-planner compares (0 = not yet observed).
 	CalBuild    float64
 	CalLoadHost float64
 	CalShuffle  float64
-	CalTrain    float64
-	// GradOverlap is the measured hidden fraction of the gradient
-	// allreduce under the engine's backward-overlapped bucketing.
-	GradOverlap float64
 }
 
 // encodeAdaptive renders the adaptive section body: u32 cooldown, then
-// the four calibration factors and the overlap as f64 bits.
+// the three calibration factors as f64 bits.
 func encodeAdaptive(a *AdaptiveState) []byte {
 	var e transport.Encoder
 	e.U32(uint32(a.Cooldown))
-	for _, f := range [5]float64{a.CalBuild, a.CalLoadHost, a.CalShuffle, a.CalTrain, a.GradOverlap} {
+	for _, f := range [3]float64{a.CalBuild, a.CalLoadHost, a.CalShuffle} {
 		e.U64(math.Float64bits(f))
 	}
 	return e.B
@@ -42,7 +39,8 @@ func encodeAdaptive(a *AdaptiveState) []byte {
 func (s *Snapshot) decodeAdaptive(body []byte) error {
 	d := transport.NewDecoder(body)
 	a := &AdaptiveState{Cooldown: int(d.U32())}
-	for _, p := range [5]*float64{&a.CalBuild, &a.CalLoadHost, &a.CalShuffle, &a.CalTrain, &a.GradOverlap} {
+	factors := [3]*float64{&a.CalBuild, &a.CalLoadHost, &a.CalShuffle}
+	for _, p := range factors {
 		*p = math.Float64frombits(d.U64())
 	}
 	if err := d.Err(); err != nil {
@@ -53,6 +51,13 @@ func (s *Snapshot) decodeAdaptive(body []byte) error {
 	}
 	if a.Cooldown < 0 {
 		return fmt.Errorf("%w: adaptive cooldown %d", ErrMalformed, a.Cooldown)
+	}
+	for _, p := range factors {
+		// The re-planner multiplies costs by these; a NaN or infinite
+		// factor would poison every comparison it enters.
+		if f := *p; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+			return fmt.Errorf("%w: adaptive calibration factor %v", ErrMalformed, f)
+		}
 	}
 	s.Adaptive = a
 	return nil

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,14 +56,12 @@ func adaptiveState() *AdaptiveState {
 		CalBuild:    1.5,
 		CalLoadHost: 0.75,
 		CalShuffle:  1,
-		CalTrain:    0.875,
-		GradOverlap: 0.75,
 	}
 }
 
 // TestRoundTripAdaptive pins the adaptive section: the re-planner's
-// cooldown, calibration factors and overlap survive encode/decode, and
-// the encoding is canonical.
+// cooldown and calibration factors survive encode/decode, and the
+// encoding is canonical.
 func TestRoundTripAdaptive(t *testing.T) {
 	s := fullSnapshot(t)
 	b := mustEncode(t, s)
@@ -77,9 +78,12 @@ func TestRoundTripAdaptive(t *testing.T) {
 }
 
 // TestDecodeRejectsBadAdaptive covers the adaptive section's rejection
-// classes: a body shorter or longer than its fixed frame, and a
-// version-1 adaptive body (base split first, per-strategy stats after)
-// inside a version-2 container.
+// classes: a body shorter or longer than its fixed frame, a version-1
+// adaptive body (base split first, per-strategy stats after) and a
+// version-2 one (train factor and gradient overlap after the three
+// factors) inside a version-3 container, and a calibration factor that
+// is not finite or is negative, which would make every calibrated cost
+// it enters NaN or infinite.
 func TestDecodeRejectsBadAdaptive(t *testing.T) {
 	s := minimalSnapshot(t)
 	s.Adaptive = adaptiveState()
@@ -91,14 +95,26 @@ func TestDecodeRejectsBadAdaptive(t *testing.T) {
 	body := secs[last][1]
 	v1 := binary.LittleEndian.AppendUint64(nil, 0x3fd0000000000000) // base split 0.25
 	v1 = append(append(v1, body...), 0, 0, 0, 0)                    // no strategies
-	for _, c := range []struct {
+	v2 := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), math.Float64bits(0.875))
+	v2 = binary.LittleEndian.AppendUint64(v2, math.Float64bits(0.75))
+	type bodyCase struct {
 		name string
 		body []byte
-	}{
+	}
+	cases := []bodyCase{
 		{"short", body[:len(body)-1]},
 		{"trailing", append(append([]byte(nil), body...), 0)},
 		{"v1 layout", v1},
-	} {
+		{"v2 layout", v2},
+	}
+	for i, factor := range []string{"build", "load-host", "shuffle"} {
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+			bad := append([]byte(nil), body...)
+			binary.LittleEndian.PutUint64(bad[4+8*i:], math.Float64bits(f))
+			cases = append(cases, bodyCase{fmt.Sprintf("%s factor %v", factor, f), bad})
+		}
+	}
+	for _, c := range cases {
 		secs[last][1] = c.body
 		if _, err := Decode(reframe(secs...)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s adaptive body: err = %v, want ErrMalformed", c.name, err)
@@ -146,7 +162,7 @@ func TestSnapshotGolden(t *testing.T) {
 	got := mustEncode(t, s)
 	const want = "" +
 		"53545041" + // magic "APTS" (little-endian)
-		"02000000" + // version 2
+		"03000000" + // version 3
 		"03000000" + // 3 sections
 		// meta: id 1, len 31
 		"01" + "1f000000" +
@@ -203,29 +219,9 @@ func TestRoundTripMinimal(t *testing.T) {
 	}
 }
 
-func TestRoundTripSGDState(t *testing.T) {
-	s := minimalSnapshot(t)
-	// SGD: nil V, and one never-materialized velocity slot.
-	s.Opt = &nn.OptState{Kind: "sgd", M: [][]float32{{1, 2, 3}, nil}}
-	got, err := Decode(mustEncode(t, s))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Opt.V != nil {
-		t.Error("sgd state grew a V on round trip")
-	}
-	if got.Opt.M[1] != nil {
-		t.Error("absent moment became present on round trip")
-	}
-	if !reflect.DeepEqual(s.Opt, got.Opt) {
-		t.Fatalf("opt state changed: in %+v out %+v", s.Opt, got.Opt)
-	}
-}
-
 func TestRoundTripNeverSteppedAdam(t *testing.T) {
-	// A never-stepped Adam emits all-absent moment slots; the codec
-	// canonicalizes the all-absent V to nil — the SGD form — and
-	// Adam.Restore must accept it back.
+	// A never-stepped Adam emits all-absent moment slots: each decodes
+	// back absent in both M and V, and Adam.Restore accepts the state.
 	m := nn.NewGraphSAGE(4, 8, 3, 2)
 	m.Init(graph.NewRNG(1))
 	params := m.Params()
@@ -237,8 +233,8 @@ func TestRoundTripNeverSteppedAdam(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Opt.V != nil {
-		t.Error("all-absent V was not canonicalized to nil")
+	if !reflect.DeepEqual(s.Opt, got.Opt) {
+		t.Fatalf("opt state changed: in %+v out %+v", s.Opt, got.Opt)
 	}
 	if err := nn.NewAdam(0.01).Restore(params, *got.Opt); err != nil {
 		t.Fatalf("Restore of never-stepped adam state: %v", err)
@@ -281,10 +277,13 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
-// TestReadFileRefusesVersion1: a file in the version-1 layout (the
+// TestReadFileRefusesVersion1: files in the version-1 layout (the
 // meta section still holds the pipelined flag, the pipeline depth and
-// the step in the epoch) is refused as a version, not parsed as a
-// malformed version 2, and the error names the file.
+// the step in the epoch) and in the version-2 layout (the opt section
+// names the optimizer family and marks V per slot, the adaptive section
+// carries a train factor and a gradient overlap) are refused as a
+// version, not parsed as a malformed version 3, and the error names the
+// file.
 func TestReadFileRefusesVersion1(t *testing.T) {
 	const v1 = "" +
 		"53545041" + "01000000" + "03000000" +
@@ -297,17 +296,35 @@ func TestReadFileRefusesVersion1(t *testing.T) {
 		"0100000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" +
 		"0000000000000000" + "0000000000000000" + "0000000000000000" + "0200000000000000" +
 		"67dcfab8"
-	b, err := hex.DecodeString(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), DefaultName)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadFile(path)
-	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), path) {
-		t.Fatalf("ReadFile(v1 snapshot) = %v, want ErrVersion naming %s", err, path)
+	const v2 = "" +
+		"53545041" + "02000000" + "04000000" +
+		"01" + "1f000000" +
+		"03000000474450" + "0000000000000000" + "0700000000000000" + "01000000" + "00000000" +
+		"d1cd7036" +
+		"02" + "04000000" + "deadbeef" + "5aa39c7c" +
+		"03" + "26000000" +
+		"04000000" + "6164616d" + // kind "adam"
+		"0100000000000000" + "01000000" + // step 1, 1 slot
+		"01" + "01000000" + "0000803f" + // M present, 1 element
+		"01" + "01000000" + "00000040" + // V present, 1 element
+		"c82beaac" +
+		"06" + "2c000000" +
+		"01000000" + "000000000000f83f" + "0000000000000000" + "0000000000000000" +
+		"000000000000ec3f" + "000000000000e83f" + // train factor, gradient overlap
+		"0d912ff9"
+	for _, c := range []struct{ name, hex string }{{"v1", v1}, {"v2", v2}} {
+		b, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), DefaultName)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadFile(path)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("ReadFile(%s snapshot) = %v, want ErrVersion naming %s", c.name, err, path)
+		}
 	}
 }
 
@@ -454,6 +471,7 @@ func TestEncodeRejectsBadSnapshot(t *testing.T) {
 	if _, err := s.Encode(); err == nil {
 		t.Error("encoded snapshot without model")
 	}
+
 }
 
 func TestWriteReadFile(t *testing.T) {
@@ -532,6 +550,28 @@ func TestLoadModelInto(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesOptSlotCount pins the fuzz seed that once made
+// Decode ask for 45 GB: an opt section whose slot count reads the model
+// family's name ("Grap", 1.9e9 slots) must be refused by the slot-count
+// check before anything is allocated. The seed is in the current
+// container version, so a version bump that left it behind would fail
+// here as ErrVersion instead of passing the fuzz corpus silently.
+func TestDecodeRefusesOptSlotCount(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", "15298b9b67fa7ae6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Decode([]byte(b))
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "opt section claims 1885434439 slots") {
+		t.Fatalf("Decode(seed) = %v, want ErrMalformed from the opt slot count", err)
+	}
+}
+
 // FuzzDecode asserts the decoder never panics and that every accepted
 // input re-encodes to exactly the bytes that produced it — the
 // canonical-encoding invariant the resume checksum tests lean on.
@@ -545,11 +585,11 @@ func FuzzDecode(f *testing.F) {
 		Devices:    1,
 		EpochsDone: 1,
 		Model:      EncodeModel(m),
-		Opt:        &nn.OptState{Kind: "adam", Step: 4, M: [][]float32{{1}}, V: [][]float32{{2}}},
+		Opt:        &nn.OptState{Step: 4, M: [][]float32{{1}}, V: [][]float32{{2}}},
 		SamplerRNG: [][4]uint64{{1, 2, 3, 4}},
 		EpochRNG:   [4]uint64{5, 6, 7, 8},
 		Freq:       []int64{1, 0, 2},
-		Adaptive:   &AdaptiveState{Cooldown: 1, CalBuild: 1.25, CalTrain: 0.5, GradOverlap: 0.75},
+		Adaptive:   &AdaptiveState{Cooldown: 1, CalBuild: 1.25, CalShuffle: 0.5},
 	}
 	if b, err := full.Encode(); err == nil {
 		f.Add(b)

@@ -26,17 +26,20 @@ import (
 // byte for byte (the fuzz harness pins this), so no two byte strings
 // decode to the same snapshot.
 //
-// The meta and adaptive bodies:
+// The meta, opt and adaptive bodies:
 //
 //	meta:     u32 len, strategy name, f64 int8 fraction, u64 seed,
 //	          u32 devices, u32 epochs done
-//	adaptive: u32 cooldown, f64 calibration build, load-host, shuffle,
-//	          train, f64 gradient overlap
+//	opt:      i64 step, u32 parameter count, per parameter: u8
+//	          presence, and when present u32 n, n f32 M, n f32 V
+//	adaptive: u32 cooldown, f64 calibration build, load-host, shuffle
 //
 // A snapshot holds only state a resume reads: what a resume derives
 // again from the task, such as the dry run's per-strategy statistics,
-// is not stored. Version-1 files, which carried such fields, are
-// refused with ErrVersion.
+// is not stored. Files of versions 1 and 2, which carried such fields
+// (version 2: the optimizer family's name, per-slot V presence, and
+// the re-planner's train factor and gradient overlap), are refused
+// with ErrVersion.
 //
 // The model section's body carries one replica's parameters:
 //
@@ -50,7 +53,7 @@ import (
 // shapes against it. The container does not parse this body.
 
 // snapVersion is the container version; bump on any layout change.
-const snapVersion = 2
+const snapVersion = 3
 
 // snapMagic identifies snapshot files ("APTS" read as a little-endian
 // word from the on-disk bytes 'S' 'T' 'P' 'A').
@@ -234,36 +237,24 @@ func DecodeModel(m *nn.Model, b []byte) error {
 	return nil
 }
 
-// encodeOpt renders an optimizer state: kind, step, then per slot a
-// presence byte and (when present) the flattened M moment, followed by
-// the same structure for V. M and V presence are encoded independently
-// per slot, so a state with no V at all (what a never-stepped Adam's
-// all-absent V decodes to) and a stepped Adam's (M and V in lockstep)
-// share one layout.
+// encodeOpt renders Adam's state: step, then per parameter a presence
+// byte and, when present, the flattened M and V moments, which Adam
+// materializes together and at one length.
 func encodeOpt(o *nn.OptState) []byte {
 	var e transport.Encoder
-	e.Bytes([]byte(o.Kind))
 	e.I64(o.Step)
 	e.U32(uint32(len(o.M)))
-	for i := range o.M {
-		encodeMoment(&e, o.M[i])
-		var v []float32
-		if i < len(o.V) {
-			v = o.V[i]
+	for i, m := range o.M {
+		if m == nil {
+			e.U8(0)
+			continue
 		}
-		encodeMoment(&e, v)
+		e.U8(1)
+		e.U32(uint32(len(m)))
+		e.F32s(m)
+		e.F32s(o.V[i])
 	}
 	return e.B
-}
-
-func encodeMoment(e *transport.Encoder, m []float32) {
-	if m == nil {
-		e.U8(0)
-		return
-	}
-	e.U8(1)
-	e.U32(uint32(len(m)))
-	e.F32s(m)
 }
 
 // Decode parses one snapshot, rejecting unknown versions, unknown or
@@ -422,21 +413,19 @@ func (s *Snapshot) decodeFreq(body []byte) error {
 
 func (s *Snapshot) decodeOpt(body []byte) error {
 	d := transport.NewDecoder(body)
-	o := &nn.OptState{Kind: string(d.TakeBytes()), Step: d.I64()}
+	o := &nn.OptState{Step: d.I64()}
 	n := int(d.U32())
-	// Every slot carries at least two presence bytes, so a count beyond
-	// half the remaining bytes is a corrupt length, not a big snapshot.
-	if d.Err() == nil && n > d.Remaining()/2+1 {
+	// Every slot carries at least its presence byte, so a count beyond
+	// the remaining bytes is a corrupt length, not a big snapshot.
+	if d.Err() == nil && n > d.Remaining() {
 		return fmt.Errorf("%w: opt section claims %d slots, %d bytes remain", ErrMalformed, n, d.Remaining())
 	}
 	o.M = make([][]float32, n)
 	o.V = make([][]float32, n)
-	anyV := false
 	for i := 0; i < n && d.Err() == nil; i++ {
-		o.M[i] = decodeMoment(d)
-		o.V[i] = decodeMoment(d)
-		if o.V[i] != nil {
-			anyV = true
+		if d.Presence() {
+			k := int(d.U32())
+			o.M[i], o.V[i] = d.F32s(k), d.F32s(k) // take() guards k against Remaining()
 		}
 	}
 	if err := d.Err(); err != nil {
@@ -445,32 +434,9 @@ func (s *Snapshot) decodeOpt(body []byte) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("%w: %d bytes after opt moments", ErrMalformed, d.Remaining())
 	}
-	if o.Kind == "" {
-		return fmt.Errorf("%w: opt section has empty kind", ErrMalformed)
-	}
 	if o.Step < 0 {
 		return fmt.Errorf("%w: opt step %d", ErrMalformed, o.Step)
 	}
-	if !anyV {
-		// nn.OptState uses a nil V for optimizers without second
-		// moments; all-absent V slots decode back to that form.
-		o.V = nil
-	}
 	s.Opt = o
 	return nil
-}
-
-func decodeMoment(d *transport.Decoder) []float32 {
-	if !d.Presence() {
-		return nil
-	}
-	n := int(d.U32())
-	if d.Err() != nil {
-		return nil
-	}
-	v := d.F32s(n) // take() inside guards n against Remaining()
-	if v == nil && d.Err() == nil {
-		return []float32{}
-	}
-	return v
 }

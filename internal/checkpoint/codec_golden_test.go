@@ -31,12 +31,12 @@ func TestSectionIDsGolden(t *testing.T) {
 	}
 
 	// A full snapshot must serialize its sections in id order with the
-	// pinned container header: magic "APTS" (LE), version 2, count 6.
+	// pinned container header: magic "APTS" (LE), version 3, count 6.
 	b, err := fullSnapshot(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantHeader = "53545041" + "02000000" + "06000000"
+	const wantHeader = "53545041" + "03000000" + "06000000"
 	if got := hex.EncodeToString(b[:12]); got != wantHeader {
 		t.Fatalf("container header = %s, want %s", got, wantHeader)
 	}

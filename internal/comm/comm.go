@@ -217,20 +217,6 @@ func (c *Comm) AllGather(dev int, stage device.Stage, p Payload) []Payload {
 	return in
 }
 
-// broadcast ships one payload to every other rank, using the
-// transport's single-serialization fast path when it has one.
-func (c *Comm) broadcast(dev int, p Payload) {
-	if b, ok := c.tr.(Broadcaster); ok {
-		b.Broadcast(dev, p)
-		return
-	}
-	for j := 0; j < c.n; j++ {
-		if j != dev {
-			c.tr.Send(dev, j, p)
-		}
-	}
-}
-
 // AllReduce sums mat element-wise across all devices and returns the
 // sum (identical, including float ordering, on every device). In
 // accounting mode mat may be nil; bytes is then the tensor wire size.
@@ -291,9 +277,14 @@ func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
 // AllGatherNoCharge is AllGather's data movement without the
 // simulated charge: the exchange behind AllGather and AnyTrue,
 // the engine's RNG-cursor exchange and wire measurement (package
-// transport).
+// transport). The payload goes out as one Send per peer, in ascending
+// rank order.
 func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
-	c.broadcast(dev, p)
+	for j := 0; j < c.n; j++ {
+		if j != dev {
+			c.tr.Send(dev, j, p)
+		}
+	}
 	in := make([]Payload, c.n)
 	in[dev] = p
 	for j := 0; j < c.n; j++ {

@@ -53,17 +53,6 @@ type Transport interface {
 	Close() error
 }
 
-// Broadcaster is an optional Transport fast path: deliver the same
-// payload from src to every other rank, serializing it at most once.
-// Semantically identical to calling Send(src, j, p) for every j != src
-// in ascending rank order — the per-pair FIFO and ownership rules are
-// unchanged — but a wire backend can encode the frame once and share
-// the bytes across its per-peer outboxes. Comm's gather paths use it
-// when present.
-type Broadcaster interface {
-	Broadcast(src int, p Payload)
-}
-
 // chanTransport is the in-process backend: one buffered channel per
 // directed rank pair, payloads move by reference. It is the simulated
 // cluster — one OS process, one goroutine per rank — and stays the

@@ -68,7 +68,6 @@ type Calibration struct {
 	Build    float64
 	LoadHost float64
 	Shuffle  float64
-	Train    float64
 }
 
 // factor guards degenerate measurements: non-positive factors (stage
@@ -90,7 +89,6 @@ func calFactor(f float64) float64 {
 func (c *Calibration) Observe(est Estimate, measured engine.EpochStats) {
 	c.Build = stickyRatio(c.Build, measured.SampleSec+measured.BuildSec, est.BuildSec)
 	c.Shuffle = stickyRatio(c.Shuffle, measured.ShuffleSec, est.ShuffleSec)
-	c.Train = stickyRatio(c.Train, measured.TrainSec, est.TrainSec)
 	if est.LoadHostSec > 0.01*est.LoadSec {
 		residual := measured.LoadSec - (est.LoadSec - est.LoadHostSec)
 		c.LoadHost = stickyRatio(c.LoadHost, residual, est.LoadHostSec)
@@ -113,15 +111,10 @@ type CostModel struct {
 	Devices int
 	// IncludeTrain adds the common T_train term (ablation switch).
 	IncludeTrain bool
-	// Cal, when non-nil, multiplies each stage's estimate by the
-	// measured correction factor (online re-planning mode).
+	// Cal, when non-nil, multiplies each strategy-unique stage's
+	// estimate by the measured correction factor (online re-planning
+	// mode).
 	Cal *Calibration
-	// GradOverlap is the measured fraction of the gradient allreduce
-	// the backward pass hides (1 - GradExposedSec/GradCommSec from the
-	// engine's bucketed sync). The dry-run charges the collective fully
-	// exposed, so the train term subtracts the hidden share. Zero
-	// means no overlap correction.
-	GradOverlap float64
 }
 
 // Estimate applies the paper's §3.2 cost model to one strategy's
@@ -184,22 +177,10 @@ func (cm *CostModel) Estimate(k strategy.Kind, st engine.EpochStats) Estimate {
 	out.ShuffleSec = shufMax
 	if cm.IncludeTrain {
 		out.TrainSec = st.TrainSec
-		if cm.GradOverlap > 0 {
-			var grad float64
-			for i := range st.PerDevice {
-				grad = max(grad, st.PerDevice[i].GradCommSec)
-			}
-			hidden := cm.GradOverlap * grad
-			if hidden > out.TrainSec {
-				hidden = out.TrainSec
-			}
-			out.TrainSec -= hidden
-		}
 	}
 	if c := cm.Cal; c != nil {
 		out.BuildSec *= calFactor(c.Build)
 		out.ShuffleSec *= calFactor(c.Shuffle)
-		out.TrainSec *= calFactor(c.Train)
 	}
 	return out
 }

@@ -222,7 +222,7 @@ func TestCalibrateTransport(t *testing.T) {
 	}
 	devices := a.Task().Platform.NumDevices()
 	snpCost := func(p *comm.Profile) float64 {
-		cm := &CostModel{Profile: p, Devices: devices, IncludeTrain: true}
+		cm := &CostModel{Profile: p, Devices: devices}
 		rp := NewReplanner(cm, a.DryRunStats().PerStrategy, a.DryRunStats().Freq,
 			a.Task().CacheBytes, a.Task().FeatDim, devices, a.Task().Int8CacheFrac, Plan{Kind: strategy.SNP})
 		return rp.planCost(Plan{Kind: strategy.SNP})

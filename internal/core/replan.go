@@ -88,12 +88,6 @@ type Replanner struct {
 	cur      Plan
 	cooldown int
 	cal      Calibration
-	// gradOverlap is the measured hidden fraction of the gradient
-	// allreduce (from the engine's bucketed backward-overlapped sync),
-	// sticky across epochs like the calibration factors. The cost
-	// model's train term subtracts the hidden share from the fully
-	// exposed dry-run charge.
-	gradOverlap float64
 
 	// Events accumulates every switch, oldest first.
 	Events []ReplanEvent
@@ -103,17 +97,14 @@ type Replanner struct {
 func (r *Replanner) State() checkpoint.AdaptiveState {
 	return checkpoint.AdaptiveState{
 		Cooldown: r.cooldown,
-		CalBuild: r.cal.Build, CalLoadHost: r.cal.LoadHost,
-		CalShuffle: r.cal.Shuffle, CalTrain: r.cal.Train,
-		GradOverlap: r.gradOverlap,
+		CalBuild: r.cal.Build, CalLoadHost: r.cal.LoadHost, CalShuffle: r.cal.Shuffle,
 	}
 }
 
 // Restore adopts a checkpointed state (call before the first Observe).
 func (r *Replanner) Restore(s checkpoint.AdaptiveState) {
 	r.cooldown = s.Cooldown
-	r.cal = Calibration{Build: s.CalBuild, LoadHost: s.CalLoadHost, Shuffle: s.CalShuffle, Train: s.CalTrain}
-	r.gradOverlap = s.GradOverlap
+	r.cal = Calibration{Build: s.CalBuild, LoadHost: s.CalLoadHost, Shuffle: s.CalShuffle}
 }
 
 // NewReplanner builds a re-planner over the planner's dry-run output.
@@ -202,17 +193,6 @@ func (r *Replanner) planCost(p Plan) float64 {
 // model's sorted Select and candidate splits from a fixed slice, so
 // the same inputs always produce the same plan.
 func (r *Replanner) Observe(epoch int, measured engine.EpochStats) (Plan, bool) {
-	// Learn the gradient-sync overlap first: the measured epoch reports
-	// how much of the bucketed allreduce the backward pass hid, and the
-	// cost model subtracts that share from every strategy's (fully
-	// exposed) dry-run train charge. Updated before the calibration
-	// prediction so the train factor measures residual compute error,
-	// not the overlap the explicit term already carries.
-	if t := measured.Totals.GradCommSec; t > 0 {
-		r.gradOverlap = 1 - measured.Totals.GradExposedSec/t
-	}
-	r.cm.GradOverlap = r.gradOverlap
-
 	// Calibrate: measured-over-predicted per stage, where the
 	// prediction is the *uncalibrated* model for the plan that just
 	// ran (its load term scaled to the split it actually used).
@@ -307,13 +287,13 @@ func (a *APT) TrainAdaptiveContext(ctx context.Context, epochs int) (*Result, er
 		}
 	}
 	devices := a.task.Platform.NumDevices()
-	cm := &CostModel{Profile: a.profile, Devices: devices, IncludeTrain: true}
+	cm := &CostModel{Profile: a.profile, Devices: devices}
 	rp := NewReplanner(cm, a.dryRun.PerStrategy, a.dryRun.Freq,
 		a.task.CacheBytes, a.task.FeatDim, devices, a.task.Int8CacheFrac,
 		Plan{Kind: a.Choice, Int8Frac: a.int8Frac})
 	if a.resumeReplan != nil {
-		// A resumed run adopts the interrupted run's calibration,
-		// overlap and cooldown.
+		// A resumed run adopts the interrupted run's calibration and
+		// cooldown.
 		rp.Restore(*a.resumeReplan)
 		a.resumeReplan = nil
 	}

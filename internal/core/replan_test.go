@@ -83,7 +83,7 @@ func replanFreq() []int64 {
 }
 
 func newTestReplanner() *Replanner {
-	cm := &CostModel{Profile: replanProfile(), Devices: 2, IncludeTrain: true}
+	cm := &CostModel{Profile: replanProfile(), Devices: 2}
 	return NewReplanner(cm, replanStats(), replanFreq(),
 		64*1024, 16, 2, 0, Plan{Kind: strategy.GDP})
 }

@@ -68,8 +68,7 @@ func (c Clock) Sub(prev Clock) Clock {
 
 // Device is one simulated GPU.
 type Device struct {
-	ID      int
-	Machine int
+	ID int
 
 	mu      sync.Mutex
 	clock   Clock
@@ -92,9 +91,8 @@ func NewGroup(p *hardware.Platform) *Group {
 	g := &Group{Platform: p}
 	for d := 0; d < p.NumDevices(); d++ {
 		g.Devices = append(g.Devices, &Device{
-			ID:      d,
-			Machine: p.MachineOf(d),
-			memCap:  p.GPUMemBytes,
+			ID:     d,
+			memCap: p.GPUMemBytes,
 		})
 	}
 	return g

@@ -12,8 +12,8 @@ func TestNewGroupTopology(t *testing.T) {
 	if len(g.Devices) != 16 {
 		t.Fatalf("got %d devices", len(g.Devices))
 	}
-	if g.Devices[5].Machine != 1 || g.Devices[5].ID != 5 {
-		t.Errorf("device 5 = %+v", g.Devices[5])
+	if g.Devices[5].ID != 5 || g.Platform.MachineOf(5) != 1 {
+		t.Errorf("device 5 = %+v on machine %d, want ID 5 on machine 1", g.Devices[5], g.Platform.MachineOf(5))
 	}
 }
 

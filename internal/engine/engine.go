@@ -579,9 +579,10 @@ func (e *Engine) computeStep(w *worker, plan *sample.SeedPlan, step int, seeds [
 func (e *Engine) syncGradients(w *worker) {
 	total := w.model.NumParamElements()
 	// Record the gradient-sync cost explicitly even on this path: the
-	// whole collective is exposed (nothing hides it), so the cost models
-	// see GradExposedSec == GradCommSec here, against which a bucketed
-	// real run's measured overlap can be compared.
+	// whole collective is exposed (nothing hides it), so GradExposedSec
+	// == GradCommSec here. Their readers are the apt_engine_grad_*
+	// gauges and the benchmark's comm.grad_exposed_share, which set a
+	// bucketed run's measured overlap beside this fully exposed charge.
 	sec, _ := e.Comm.AllReduceModel(total)
 	w.stats.GradCommSec += sec
 	w.stats.GradExposedSec += sec

@@ -74,8 +74,9 @@ type InferConfig struct {
 	// fanouts. Node-wise draws are keyed by (Seed, draw, layer, node),
 	// so every answer is deterministic.
 	Sampling sample.Config
-	// Workers bounds the pool size; 0 or negative selects one worker
-	// per platform device, larger values are clamped.
+	// Workers is the pool size, one simulated device each; 0 selects
+	// one worker per platform device, and a negative value or one above
+	// the platform's device count is refused.
 	Workers int
 	Seed    uint64
 }
@@ -146,7 +147,10 @@ func NewInferencer(cfg InferConfig) (*Inferencer, error) {
 		cfg.Sampling.IncludeDstInSrc = true
 	}
 	n := cfg.Platform.NumDevices()
-	if cfg.Workers > 0 && cfg.Workers < n {
+	switch {
+	case cfg.Workers < 0 || cfg.Workers > n:
+		return nil, fmt.Errorf("engine: Workers %d outside [0, %d] (the platform's devices)", cfg.Workers, n)
+	case cfg.Workers > 0:
 		n = cfg.Workers
 	}
 	inf := &Inferencer{cfg: cfg, group: device.NewGroup(cfg.Platform)}

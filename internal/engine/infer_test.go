@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,6 +136,13 @@ func TestInferencerValidation(t *testing.T) {
 	if _, err := NewInferencer(InferConfig{Platform: p, Graph: g, Store: store, Model: m,
 		Sampling: sample.Config{Fanouts: []int{2}}}); err == nil {
 		t.Fatal("fanout/layer mismatch accepted")
+	}
+	for _, w := range []int{-1, 2} {
+		_, err := NewInferencer(InferConfig{Platform: p, Graph: g, Store: store, Model: m,
+			Sampling: sample.Config{Fanouts: []int{2, 2}}, Workers: w})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Workers %d", w)) {
+			t.Errorf("Workers %d on a 1-device platform: err = %v, want an error naming Workers", w, err)
+		}
 	}
 }
 

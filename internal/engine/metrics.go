@@ -45,8 +45,9 @@ type WorkerStats struct {
 	// GradCommSec is the modeled gradient-allreduce time of the
 	// bucketed sync (sum over buckets); GradExposedSec is how much of
 	// it the backward pass failed to hide — the part actually charged
-	// to the train stage. Their ratio is the measured overlap the cost
-	// models can learn from. Both zero outside bucketed real mode.
+	// to the train stage. Their ratio is the measured overlap, which the
+	// apt_engine_grad_* gauges and the benchmark report. Outside
+	// bucketed real mode the one flat allreduce is charged to both.
 	GradCommSec    float64
 	GradExposedSec float64
 }

@@ -21,17 +21,13 @@ type Optimizer interface {
 // initialized optimizers must round-trip that distinction exactly, or
 // a restored run would diverge from the original on the first step.
 type OptState struct {
-	// Kind names the optimizer family ("adam"); Restore rejects a
-	// snapshot from a different family.
-	Kind string
 	// Step is Adam's bias-correction step count.
 	Step int64
 	// M holds the first-moment vector per parameter, flattened
 	// row-major.
 	M [][]float32
-	// V holds Adam's second-moment vector per parameter. It is nil
-	// when every slot is absent: the form a never-stepped Adam's state
-	// takes after the checkpoint codec.
+	// V holds Adam's second-moment vector per parameter, present
+	// exactly where M is.
 	V [][]float32
 }
 
@@ -95,9 +91,9 @@ func NewAdam(lr float32) *Adam {
 // touched that parameter).
 func (a *Adam) State(params []*Param) OptState {
 	st := OptState{
-		Kind: "adam", Step: int64(a.t),
-		M: make([][]float32, len(params)),
-		V: make([][]float32, len(params)),
+		Step: int64(a.t),
+		M:    make([][]float32, len(params)),
+		V:    make([][]float32, len(params)),
 	}
 	for i, p := range params {
 		if m := a.m[p]; m != nil {
@@ -110,24 +106,6 @@ func (a *Adam) State(params []*Param) OptState {
 
 // Restore implements StatefulOptimizer.
 func (a *Adam) Restore(params []*Param, st OptState) error {
-	if st.Kind != "adam" {
-		return fmt.Errorf("nn: restoring %q state into Adam", st.Kind)
-	}
-	if st.V == nil {
-		// A never-stepped Adam's state has every moment slot absent,
-		// and the checkpoint codec canonicalizes all-absent V to nil.
-		// Accept that form iff M is all-absent too.
-		allNil := true
-		for _, m := range st.M {
-			if m != nil {
-				allNil = false
-				break
-			}
-		}
-		if allNil {
-			st.V = make([][]float32, len(st.M))
-		}
-	}
 	if len(st.M) != len(params) || len(st.V) != len(params) {
 		return fmt.Errorf("nn: adam state has %d/%d moment slots, model has %d params",
 			len(st.M), len(st.V), len(params))

@@ -94,8 +94,8 @@ type Config struct {
 	// hardware.SingleMachine8GPU.
 	Platform *hardware.Platform
 	// Workers is the inference pool size (one simulated device each);
-	// 0 selects one worker per platform device, and a negative value is
-	// refused.
+	// 0 selects one worker per platform device, and a negative value or
+	// one above the platform's device count is refused.
 	Workers int
 	// MaxBatch is the micro-batcher's seed budget per mini-batch
 	// (0 selects 64; negative is refused). A batch closes as soon as its coalesced seed count
@@ -152,8 +152,11 @@ func (c *Config) normalize() error {
 	if c.Platform == nil {
 		c.Platform = hardware.SingleMachine8GPU()
 	}
-	if c.Workers == 0 || c.Workers > c.Platform.NumDevices() {
-		c.Workers = c.Platform.NumDevices()
+	switch n := c.Platform.NumDevices(); {
+	case c.Workers > n:
+		return fmt.Errorf("serve: Workers %d exceeds the platform's %d devices", c.Workers, n)
+	case c.Workers == 0:
+		c.Workers = n
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64

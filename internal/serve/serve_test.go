@@ -423,8 +423,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConfigRefusesNegativeKnobs: a negative Workers, MaxBatch or
-// MaxDelay is an error naming the field, not a silent default; zero
-// still selects the default.
+// MaxDelay, or more Workers than the platform has devices, is an error
+// naming the field, not a silent default or clamp; zero still selects
+// the default.
 func TestConfigRefusesNegativeKnobs(t *testing.T) {
 	f := newFixture(t)
 	base := Config{Graph: f.ds.Graph, Feats: f.ds.Feats, Model: f.model, Sampling: f.smp}
@@ -433,6 +434,7 @@ func TestConfigRefusesNegativeKnobs(t *testing.T) {
 		want   string
 	}{
 		{func(c *Config) { c.Workers = -1 }, "Workers -1"},
+		{func(c *Config) { c.Workers = 9 }, "Workers 9 exceeds the platform's 8 devices"},
 		{func(c *Config) { c.MaxBatch = -2 }, "MaxBatch -2"},
 		{func(c *Config) { c.MaxDelay = -time.Millisecond }, "MaxDelay -1ms"},
 	} {

@@ -175,24 +175,6 @@ func (t *TCP) Send(src, dst int, p comm.Payload) {
 	t.enqueue(peer, t.encodeFrame(p))
 }
 
-// Broadcast implements comm.Broadcaster: one serialization, one frame
-// shared read-only across every peer's outbox (writeLoop only reads
-// frames, so sharing the slice is safe). Equivalent to Send to every
-// other rank in ascending order, with the encoding work done once
-// instead of world-1 times.
-func (t *TCP) Broadcast(src int, p comm.Payload) {
-	if src != t.rank {
-		panic(fmt.Sprintf("transport: rank %d asked to broadcast as rank %d", t.rank, src))
-	}
-	frame := t.encodeFrame(p)
-	for dst, peer := range t.peers {
-		if dst == t.rank {
-			continue
-		}
-		t.enqueue(peer, frame)
-	}
-}
-
 // encodeFrame serializes p on the caller's goroutine (u32 body length
 // + body) so the payload's buffers are free the moment the send
 // returns.
