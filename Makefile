@@ -101,7 +101,7 @@ pair:
 # (scripts/reach.sh, ~4 min on 2 vCPUs): it builds the benchmark, the
 # cmd/ binaries and the examples with coverage of the whole module;
 # runs every benchmark workload untraced and traced for a few seconds,
-# the five examples, aptbench -exp all and its -trace pass, aptrun
+# the four examples, aptbench -exp all and its -trace pass, aptrun
 # in-process (with -explain -timeline -metrics -trace -ckpt-dir, then
 # -resume) and as a 2-rank TCP job with -measure-wire, the aptserve
 # daemon over aptrun's snapshot and aptserve's handler tests, and
@@ -114,7 +114,9 @@ reach:
 
 # count prints the sizes a simplicity PR quotes before and after: code
 # lines outside tests and bench/, exported functions and methods of
-# internal/ (non-test), the root package's exported names, experiment
+# internal/ (non-test), the root package's exported names, the
+# examples' imports of repro/internal (0: an example is written against
+# the facade, which is all a module outside this one can import), experiment
 # ids, option fields (core.APT's settable ones among them), the
 # exported fields of every *Config / *Options struct of internal/
 # (non-test; one per name, so "A, B, C float64" counts 3), binaries,
@@ -125,6 +127,7 @@ count:
 	@printf 'non-test code lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 	@printf 'exported funcs + methods in internal/ (non-test): '; find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]'
 	@printf 'facade exports (package repro): '; $(GO) doc -all . | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +='
+	@printf 'repro/internal imports in examples/: '; grep -rhoE '"repro/internal/[^"]*"' examples --include='*.go' | wc -l
 	@printf 'experiments.All ids: '; grep -cE '^	\{"[a-z0-9-]+", \(\*Env\)\.' internal/experiments/experiments.go
 	@printf 'exported core.Task fields: '; $(GO) doc ./internal/core Task | sed -n '/^type Task struct/,/^}/p' | grep -cE '^	[A-Z]'
 	@printf 'exported core.APT fields: '; $(GO) doc ./internal/core APT | sed -n '/^type APT struct/,/^}/p' | grep -cE '^	[A-Z]'

@@ -3,7 +3,10 @@ package repro
 // Public facade: the user-facing API of APT-Go, re-exported from the
 // internal packages so downstream modules can import module path
 // "repro" directly (Go's internal/ rule restricts import paths, not
-// type identity). The surface is structured by concern:
+// type identity). Every example under examples/ imports this package
+// and the standard library only, and the facade keeps the names they,
+// the binaries or its own tests use. The surface is structured by
+// concern:
 //
 //	apt.go        — the core system: tasks, planning, training
 //	data.go       — graphs, datasets, platforms, partitioning
@@ -18,6 +21,7 @@ package repro
 // resume any of it after a crash or onto different hardware.
 //
 //	task := repro.Task{ Graph: g, NewModel: ..., Platform: repro.SingleMachine8GPU(), ... }
+//	// or, on a synthetic preset: ds, task, err := repro.JobSpec{...}.Build(true, seed, nil)
 //	apt, err := repro.NewAPT(task, repro.WithCheckpointDir(dir))
 //	result, err := apt.Train(10)   // rolling snapshot every epoch
 //	srv, err := repro.Serve(cfg, repro.WithReload(dir+"/"+repro.SnapshotName))
@@ -25,6 +29,7 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/job"
 	"repro/internal/nn"
 	"repro/internal/strategy"
 )
@@ -40,14 +45,16 @@ type (
 	Result = core.Result
 	// Estimate is one strategy's predicted epoch cost.
 	Estimate = core.Estimate
-	// CostModel converts dry-run volumes into time estimates.
-	CostModel = core.CostModel
 	// EpochStats is one epoch's time decomposition and volumes.
 	EpochStats = engine.EpochStats
 	// Model is a GNN model.
 	Model = nn.Model
 	// Optimizer updates model parameters.
 	Optimizer = nn.Optimizer
+	// JobSpec describes a job on a synthetic dataset preset (data,
+	// model, sampler, device count); its Build materializes the
+	// dataset and assembles the Task over it in one call.
+	JobSpec = job.Spec
 )
 
 // Strategy identifies a parallelization strategy; its String method
@@ -70,7 +77,8 @@ var CoreStrategies = strategy.Core
 // Strategy; the inverse of Strategy.String.
 var ParseStrategy = strategy.Parse
 
-// NewAPT validates a task and creates the system. Options attach
+// NewAPT validates a task — refusing, with an error naming the field,
+// data that do not fit its graph — and creates the system. Options attach
 // observers (WithObserver, WithTracePath) and configure the rolling
 // checkpoint (WithCheckpointDir).
 func NewAPT(task Task, opts ...Option) (*APT, error) {
@@ -87,8 +95,8 @@ var (
 	// NewGraphSAGE and NewGAT build the paper's evaluation models.
 	NewGraphSAGE = nn.NewGraphSAGE
 	NewGAT       = nn.NewGAT
-	// NewSGD and NewAdam build optimizers.
-	NewSGD  = nn.NewSGD
+	// NewAdam builds the Adam optimizer (a Task without NewOptimizer
+	// trains with plain SGD).
 	NewAdam = nn.NewAdam
 	// Evaluate computes test accuracy of a trained model.
 	Evaluate = engine.Evaluate

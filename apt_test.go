@@ -1,6 +1,11 @@
 package repro_test
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro"
@@ -9,10 +14,7 @@ import (
 // TestFacadeEndToEnd drives the full pipeline exclusively through the
 // public facade, the way an importing module would.
 func TestFacadeEndToEnd(t *testing.T) {
-	spec, err := repro.DatasetPresets(0.04)[1], error(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := repro.DatasetPresets(0.04)[1]
 	spec.Classes = 8
 	spec.HomophilyDegree = 6
 	ds := repro.BuildDataset(spec, true)
@@ -52,9 +54,31 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if plan := repro.DescribePlan(res.Choice, task.NewModel()); len(plan) == 0 {
 		t.Error("empty plan description")
 	}
-	for _, k := range []repro.Strategy{repro.GDP, repro.NFP, repro.SNP, repro.DNP} {
-		if k.String() == "" {
-			t.Error("unnamed strategy")
+}
+
+// TestExamplesImportOnlyTheFacade: every example is written against the
+// public API a module outside this one can call — package repro and the
+// standard library. Go's internal/ rule would refuse any other import
+// of this module to such a caller, and the module requires no other.
+func TestExamplesImportOnlyTheFacade(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, _, _ := strings.Cut(p, "/")
+			if p != "repro" && (first == "repro" || strings.Contains(first, ".")) {
+				t.Errorf("%s imports %q: an example imports only repro and the standard library", path, p)
+			}
 		}
 	}
 }

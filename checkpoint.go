@@ -38,10 +38,6 @@ const SnapshotName = checkpoint.DefaultName
 // internal/checkpoint.
 var ReadSnapshotFile = checkpoint.ReadFile
 
-// LoadModelInto restores model parameters from a training snapshot
-// file (WithCheckpointDir's rolling snapshot, or APT.CheckpointFile's).
-var LoadModelInto = checkpoint.LoadModelInto
-
 // ResumeFile reconstructs an APT from a snapshot file; task must be
 // the same experiment the snapshot came from. Train's epoch argument
 // counts TOTAL epochs, so the resumed run finishes the original

@@ -1,10 +1,9 @@
 package repro
 
 // Data surface of the facade: graphs, features, synthetic datasets,
-// simulated platforms, partitioning, sampling, and caching.
+// simulated platforms, partitioning, and sampling.
 
 import (
-	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hardware"
@@ -32,8 +31,8 @@ type (
 	DatasetSpec = dataset.Spec
 	// PartitionConfig tunes the multilevel partitioner.
 	PartitionConfig = partition.MultilevelConfig
-	// CachePolicy selects a feature-cache rule.
-	CachePolicy = cache.Policy
+	// EdgeListOptions configures ReadEdgeList.
+	EdgeListOptions = graph.EdgeListOptions
 )
 
 // Constructors and entry points of the data surface.

@@ -1,8 +1,9 @@
 // Custom graphs: feed your own edge list (SNAP text format) through
 // the full APT pipeline. This example embeds Zachary's karate club —
-// the classic 2-community graph — builds features from the community
-// labels, and trains with automatic strategy selection on 2 simulated
-// GPUs.
+// the classic 2-community graph — partitions it offline (the step a
+// real graph does once and reuses across tasks), builds features from
+// the community labels, and trains with automatic strategy selection
+// on 2 simulated GPUs.
 //
 //	go run ./examples/custom_graph
 package main
@@ -10,16 +11,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/graph"
-	"repro/internal/hardware"
-	"repro/internal/nn"
-	"repro/internal/partition"
-	"repro/internal/sample"
-	"repro/internal/tensor"
+	"repro"
 )
 
 // Zachary's karate club (34 nodes; instructor faction vs administrator
@@ -113,47 +108,59 @@ var faction33 = map[int]bool{
 }
 
 func main() {
-	g, err := graph.ReadEdgeList(strings.NewReader(karateEdges),
-		graph.EdgeListOptions{Undirected: true, DropSelfLoops: true})
+	g, err := repro.ReadEdgeList(strings.NewReader(karateEdges),
+		repro.EdgeListOptions{Undirected: true, DropSelfLoops: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("karate club: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 
+	// The offline step: partition once for the 2 devices, with the
+	// settings APT's own Prepare would use, and hand the result over.
+	part := repro.MultilevelPartition(g, 2, repro.PartitionConfig{Seed: 4, EdgeBalanced: true})
+	cut := 0
+	for v := range g.NumNodes() {
+		for _, u := range g.Neighbors(repro.NodeID(v)) {
+			if part.Assign[u] != part.Assign[v] {
+				cut++
+			}
+		}
+	}
+
 	n := g.NumNodes()
 	labels := make([]int32, n)
-	feats := tensor.New(n, 4)
-	rng := graph.NewRNG(1)
-	for v := 0; v < n; v++ {
+	feats := &repro.Matrix{Rows: n, Cols: 4, Data: make([]float32, n*4)}
+	rng := rand.New(rand.NewPCG(1, 2))
+	seeds := make([]repro.NodeID, n)
+	for v := range n {
 		if faction33[v] {
 			labels[v] = 1
 		}
-		for j := 0; j < 4; j++ {
-			feats.Set(v, j, 0.5*rng.NormFloat32())
+		row := feats.Data[v*4 : (v+1)*4]
+		for j := range row {
+			row[j] = float32(0.5 * rng.NormFloat64())
 		}
-		feats.Set(v, int(labels[v]), feats.At(v, int(labels[v]))+1)
-	}
-	seeds := make([]graph.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		seeds = append(seeds, graph.NodeID(v))
+		row[labels[v]]++
+		seeds[v] = repro.NodeID(v)
 	}
 
-	task := core.Task{
+	task := repro.Task{
 		Graph:   g,
 		Feats:   feats,
 		Labels:  labels,
 		FeatDim: 4,
 		Seeds:   seeds,
-		NewModel: func() *nn.Model {
-			return nn.NewGraphSAGE(4, 8, 2, 2)
+		NewModel: func() *repro.Model {
+			return repro.NewGraphSAGE(4, 8, 2, 2)
 		},
-		NewOptimizer: func() nn.Optimizer { return nn.NewAdam(0.05) },
-		Sampling:     sample.Config{Fanouts: []int{5, 5}},
+		NewOptimizer: func() repro.Optimizer { return repro.NewAdam(0.05) },
+		Sampling:     repro.SamplingConfig{Fanouts: []int{5, 5}},
 		BatchSize:    8,
-		Platform:     hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2),
+		Platform:     repro.WithDevices(repro.SingleMachine8GPU(), 1, 2),
+		Partition:    part,
 		Seed:         4,
 	}
-	apt, err := core.New(task)
+	apt, err := repro.NewAPT(task)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,8 +168,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q := partition.Evaluate(g, apt.Partition())
-	fmt.Printf("APT selected %v; 2-way partition edge cut %.0f%%\n", res.Choice, q.CutRatio*100)
-	acc := engine.Evaluate(g, res.Model, feats, labels, seeds, task.Sampling, 34, 1)
+	fmt.Printf("APT selected %v; 2-way partition edge cut %.0f%%\n", res.Choice, 100*float64(cut)/float64(g.NumEdges()))
+	acc := repro.Evaluate(g, res.Model, feats, labels, seeds, task.Sampling, 34, 1)
 	fmt.Printf("faction classification accuracy after %d epochs: %.2f\n", len(res.Epochs), acc)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sample"
 	"repro/internal/strategy"
+	"repro/internal/tensor"
 )
 
 // testTask builds a small accounting-mode task over a dataset preset.
@@ -76,6 +77,67 @@ func TestNewRejectsEmptyModelLayers(t *testing.T) {
 		task.NewModel = func() *nn.Model { return c.model(in, classes) }
 		if _, err := New(task); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("New = %v, want an error containing %q", err, c.want)
+		}
+	}
+}
+
+// TestNewRefusesDataThatDoNotFitTheGraph: node data of the wrong
+// length (or a matrix whose data are short of its shape), a label
+// outside the model's classes, a seed that is not a node, a negative
+// fanout or cache budget are errors naming the field.
+// Each used to be accepted: the seed, label and short-matrix rows
+// panicked mid-run, the re-sliced matrix trained on rows past its
+// shape, the negative fanout trained to loss ln(classes), learning
+// nothing.
+func TestNewRefusesDataThatDoNotFitTheGraph(t *testing.T) {
+	spec, err := dataset.ByAbbr("PS", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dataset.Build(spec, true)
+	base := Task{
+		Graph:  d.Graph,
+		Feats:  d.Feats,
+		Labels: d.Labels,
+		Seeds:  d.TrainSeeds,
+		NewModel: func() *nn.Model {
+			return nn.NewGraphSAGE(spec.FeatDim, 8, spec.Classes, 2)
+		},
+		Sampling:  sample.Config{Fanouts: []int{5, 5}},
+		BatchSize: 64,
+		Platform:  hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 2),
+		Seed:      7,
+	}
+	if _, err := New(base); err != nil {
+		t.Fatalf("the valid task is refused: %v", err)
+	}
+	n, cols := d.Graph.NumNodes(), d.Feats.Cols
+	withLabel := func(c int32) []int32 {
+		l := slices.Clone(d.Labels)
+		l[3] = c
+		return l
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*Task)
+		want string
+	}{
+		{"short feats", func(k *Task) { k.Feats = &tensor.Matrix{Rows: 10, Cols: cols, Data: make([]float32, 10*cols)} }, "Feats is 10 x"},
+		{"re-sliced feats", func(k *Task) { k.Feats = &tensor.Matrix{Rows: 10, Cols: cols, Data: d.Feats.Data[:10*cols]} }, "Feats is 10 x"},
+		{"feats short of their shape", func(k *Task) { k.Feats = &tensor.Matrix{Rows: n, Cols: cols, Data: d.Feats.Data[:cols]} }, "with " + strconv.Itoa(cols) + " values"},
+		{"short labels", func(k *Task) { k.Labels = d.Labels[:n-1] }, "Labels has " + strconv.Itoa(n-1) + " entries"},
+		{"label too large", func(k *Task) { k.Labels = withLabel(99) }, "Labels[3] = 99"},
+		{"negative label", func(k *Task) { k.Labels = withLabel(-1) }, "Labels[3] = -1"},
+		{"seed past the nodes", func(k *Task) { k.Seeds = []graph.NodeID{0, graph.NodeID(n + 5)} }, "Seeds[1] = " + strconv.Itoa(n+5)},
+		{"negative seed", func(k *Task) { k.Seeds = []graph.NodeID{-1} }, "Seeds[0] = -1"},
+		{"negative fanout", func(k *Task) { k.Sampling.Fanouts = []int{5, -1} }, "Sampling.Fanouts[1] = -1"},
+		{"negative cache", func(k *Task) { k.CacheBytes = -1 }, "CacheBytes -1"},
+		{"negative CPU cache", func(k *Task) { k.CPUCacheBytes = -1 }, "CPUCacheBytes -1"},
+	} {
+		task := base
+		c.edit(&task)
+		if _, err := New(task); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -25,15 +25,16 @@ import (
 type Task struct {
 	// Graph is the data graph (in-neighbor CSR).
 	Graph *graph.Graph
-	// Feats is the input feature matrix; nil runs the task in
-	// accounting mode (timing only).
+	// Feats is the input feature matrix, one row per node; nil runs
+	// the task in accounting mode (timing only).
 	Feats *tensor.Matrix
 	// FeatDim is the input feature dimension (required; must match
 	// Feats when present).
 	FeatDim int
-	// Labels are node classes (required when Feats is present).
+	// Labels are node classes, one per node, each below the last
+	// layer's OutDim (required when Feats is present).
 	Labels []int32
-	// Seeds are the training seed nodes.
+	// Seeds are the training seed nodes, each a node of Graph.
 	Seeds []graph.NodeID
 	// NewModel constructs the GNN model (DGL/PyG stand-in). The model's
 	// first-layer input dimension must equal FeatDim.
@@ -47,7 +48,7 @@ type Task struct {
 	// Platform describes the hardware.
 	Platform *hardware.Platform
 	// CacheBytes is the per-GPU feature-cache budget; 0 uses the
-	// platform default.
+	// platform default, below 0 is refused.
 	CacheBytes int64
 	// CPUCacheBytes is per-machine excess CPU memory used to replicate
 	// hot remote features (paper footnote 3); 0 disables. Only
@@ -103,11 +104,22 @@ func (t *Task) normalize() error {
 	if t.BatchSize <= 0 {
 		t.BatchSize = 1024
 	}
+	if t.CacheBytes < 0 {
+		return fmt.Errorf("core: CacheBytes %d is negative", t.CacheBytes)
+	}
+	if t.CPUCacheBytes < 0 {
+		return fmt.Errorf("core: CPUCacheBytes %d is negative", t.CPUCacheBytes)
+	}
 	if t.CacheBytes == 0 {
 		t.CacheBytes = t.Platform.DefaultCacheBytes
 	}
 	if len(t.Sampling.Fanouts) == 0 {
 		return fmt.Errorf("core: task has no sampling fanouts")
+	}
+	for i, f := range t.Sampling.Fanouts {
+		if f < 0 {
+			return fmt.Errorf("core: Sampling.Fanouts[%d] = %d is negative", i, f)
+		}
 	}
 	probe := t.NewModel()
 	if len(probe.Layers) != len(t.Sampling.Fanouts) {
@@ -135,8 +147,37 @@ func (t *Task) normalize() error {
 	if t.Feats != nil && t.Labels == nil {
 		return fmt.Errorf("core: real-mode task needs labels")
 	}
+	if err := t.checkData(probe.Layers[len(probe.Layers)-1].OutDim()); err != nil {
+		return err
+	}
 	if t.Int8CacheFrac < 0 || t.Int8CacheFrac >= 1 {
 		return fmt.Errorf("core: Int8CacheFrac %v outside [0, 1)", t.Int8CacheFrac)
+	}
+	return nil
+}
+
+// checkData refuses node data that do not fit the graph: a feature
+// matrix or label slice of another length, a label outside the model's
+// classes, a seed that is not a node. Each would otherwise panic
+// mid-epoch, or — a feature matrix re-sliced from a larger one — train
+// on rows past its declared shape.
+func (t *Task) checkData(classes int) error {
+	n := t.Graph.NumNodes()
+	if f := t.Feats; f != nil && (f.Rows != n || len(f.Data) != f.Rows*f.Cols) {
+		return fmt.Errorf("core: Feats is %d x %d with %d values, the graph has %d nodes", f.Rows, f.Cols, len(f.Data), n)
+	}
+	if t.Labels != nil && len(t.Labels) != n {
+		return fmt.Errorf("core: Labels has %d entries, the graph has %d nodes", len(t.Labels), n)
+	}
+	for v, c := range t.Labels {
+		if c < 0 || int(c) >= classes {
+			return fmt.Errorf("core: Labels[%d] = %d outside the model's %d classes", v, c, classes)
+		}
+	}
+	for i, s := range t.Seeds {
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("core: Seeds[%d] = %d is not a node of the %d-node graph", i, s, n)
+		}
 	}
 	return nil
 }

@@ -61,14 +61,20 @@ func Flags(fs *flag.FlagSet) *Spec {
 // binaries call it right after flag.Parse, so the refusal comes before
 // any dataset is built; the other fields are judged where the job is.
 func (s Spec) Check() error {
-	lr := float64(float32(s.LR)) // the precision Adam runs at
 	switch {
 	case s.Devices < 1:
 		return fmt.Errorf("-devices %d: need at least one device", s.Devices)
-	case !(lr > 0) || math.IsInf(lr, 1):
+	case !validLR(s.LR):
 		return fmt.Errorf("-lr %v: need a finite learning rate above 0", s.LR)
 	}
 	return nil
+}
+
+// validLR reports whether lr is finite and above 0 at the float32
+// precision Adam runs at.
+func validLR(lr float64) bool {
+	f := float64(float32(lr))
+	return f > 0 && !math.IsInf(f, 1)
 }
 
 // Build materializes the preset — with features and labels when real,
@@ -89,9 +95,10 @@ func (s Spec) Build(real bool, seed uint64, tune func(*dataset.Spec)) (*dataset.
 }
 
 // Task assembles the task over an already built dataset: real mode
-// (features, labels, Adam at LR) when ds carries features, accounting
-// mode otherwise. The platform is one machine with Devices GPUs; a
-// caller training on another sets Task.Platform on the result.
+// (features, labels, Adam at LR, which must pass Check's rule) when ds
+// carries features, accounting mode otherwise. The platform is one
+// machine with Devices GPUs; a caller training on another sets
+// Task.Platform on the result.
 func (s Spec) Task(ds *dataset.Dataset, seed uint64) (core.Task, error) {
 	in, hidden, heads, classes, layers := ds.FeatDim, s.Hidden, s.Heads, ds.Classes, s.Layers
 	var newModel func() *nn.Model
@@ -135,6 +142,9 @@ func (s Spec) Task(ds *dataset.Dataset, seed uint64) (core.Task, error) {
 		task.BatchSize = 64
 	}
 	if ds.Feats != nil {
+		if !validLR(s.LR) {
+			return core.Task{}, fmt.Errorf("job: learning rate %v: need a finite learning rate above 0", s.LR)
+		}
 		lr := float32(s.LR)
 		task.Feats = ds.Feats
 		task.Labels = ds.Labels

@@ -148,3 +148,24 @@ func TestCheckRefusesFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskRefusesLearningRate: in real mode Task applies Check's rule
+// to LR, so a library caller that never parses flags cannot hand Adam
+// a rate that trains to NaN; accounting mode builds no optimizer and
+// takes any LR.
+func TestTaskRefusesLearningRate(t *testing.T) {
+	spec, err := dataset.ByAbbr("PS", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, acct := dataset.Build(spec, true), dataset.Build(spec, false)
+	for _, lr := range []float64{math.NaN(), 0, -0.02, math.Inf(1)} {
+		s := Spec{Hidden: 8, Layers: 2, Fanout: 5, LR: lr, Devices: 2}
+		if _, err := s.Task(real, 7); err == nil || !strings.Contains(err.Error(), "learning rate") {
+			t.Errorf("real mode, LR %v: Task = %v, want a learning-rate error", lr, err)
+		}
+		if _, err := s.Task(acct, 7); err != nil {
+			t.Errorf("accounting mode, LR %v: Task = %v", lr, err)
+		}
+	}
+}

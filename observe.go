@@ -3,10 +3,11 @@ package repro
 // Observability surface of the facade (package internal/obs): one
 // subsystem shared by training and serving. Spans record what each
 // simulated device did and when; the metrics registry holds counters,
-// gauges, and histograms with a Prometheus-style text exposition; the
-// Chrome trace exporter renders span tracks for chrome://tracing.
+// gauges, and histograms with a Prometheus-style text exposition.
 //
-// Attach observers with functional options at construction time:
+// Attach observers with functional options at construction time
+// (options.go); WithTracePath writes the span tracks as a Chrome trace
+// for chrome://tracing:
 //
 //	apt, _ := repro.NewAPT(task, repro.WithTracePath("train.json"))
 //	srv, _ := repro.Serve(cfg, repro.WithObserver(myObserver))
@@ -22,14 +23,6 @@ type (
 	// SpanTrack is one device's (or sampler's, or comm link's)
 	// time-ordered span sequence.
 	SpanTrack = obs.Track
-	// SpanCollector aggregates the tracks of one run.
-	SpanCollector = obs.Collector
 	// MetricsRegistry is the named counter/gauge/histogram registry.
 	MetricsRegistry = obs.Registry
 )
-
-// WriteChromeTrace renders a span collector as Chrome trace-event
-// JSON to a writer. (WithObserver and WithTracePath, the options that
-// attach observers, live in options.go with the rest of the Option
-// constructors.)
-var WriteChromeTrace = obs.WriteChromeTrace
